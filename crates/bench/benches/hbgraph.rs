@@ -3,9 +3,7 @@
 //! Table 6's "Trace Analysis" column ("it scales well, roughly linearly,
 //! with the trace size"). Writes `BENCH_hbgraph.json`.
 
-use dcatch::{
-    find_candidates, HbAnalysis, HbConfig, ReachabilityMode, SimConfig, VectorClocks, World,
-};
+use dcatch::{find_candidates, HbAnalysis, HbConfig, ReachabilityMode, SimConfig, World};
 use dcatch_bench::harness::Harness;
 use dcatch_model::{FuncId, NodeId, StmtId};
 use dcatch_trace::{
@@ -175,29 +173,6 @@ fn main() {
                 concurrent
             });
         }
-    }
-
-    h.group("reachability_index");
-    for scale in [2u32, 8] {
-        let bench = dcatch::all_benchmarks_scaled(scale)
-            .into_iter()
-            .find(|b| b.id == "ZK-1270")
-            .unwrap();
-        let cfg = SimConfig::default()
-            .with_seed(bench.seed)
-            .with_full_tracing();
-        let run = World::run_once(&bench.program, &bench.topology, cfg).unwrap();
-        let n = run.trace.len();
-        let hb = HbAnalysis::build(run.trace, &HbConfig::default()).unwrap();
-        h.bench(&format!("bitset_{n}rec"), 10, || {
-            // rebuild the whole analysis: graph + bit-matrix sweep
-            let hb2 = HbAnalysis::build(hb.trace().clone(), &HbConfig::default()).unwrap();
-            hb2.edge_count()
-        });
-        h.bench(&format!("vector_clocks_{n}rec"), 10, || {
-            let vc = VectorClocks::compute(&hb);
-            vc.dimensions()
-        });
     }
 
     h.finish();

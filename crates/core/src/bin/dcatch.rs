@@ -60,7 +60,7 @@
 //!                    window instead of materializing the trace; the
 //!                    candidate set is identical to the offline mode's
 //!                    (no full HB graph, so triggering falls back to
-//!                    direct placement). Not valid with --ablation.
+//!                    direct placement)
 //!   --stream-window N  hard cap on resident window entries for
 //!                    --streaming; exceeding it force-evicts (lossy,
 //!                    recorded as a degradation)
@@ -81,14 +81,12 @@
 //!                    `faults`, where it bounds each scenario × seed run)
 //!   --mem-budget B   resource-governor memory budget (bytes, or `512k`,
 //!                    `64m`, `1g`); the pipeline degrades — sampled
-//!                    tracing, chunked/chain-clock analysis — instead of
-//!                    dying when a stage would exceed it
+//!                    tracing, chain-clock analysis, then streaming
+//!                    detection under a window cap — instead of dying
+//!                    when a stage would exceed it
 //!   --time-budget S  resource-governor wall-clock budget in seconds;
 //!                    remaining optional stages are skipped and triggering
 //!                    is cancelled once it expires
-//!   --degrade M      off | auto (default auto): whether budget pressure
-//!                    takes degradation-ladder steps (recorded in the
-//!                    report) or is ignored
 //!   --resume FILE    crash-safe checkpoint journal: every benchmark's
 //!                    result is appended to FILE the moment it finishes,
 //!                    and benchmarks already completed in FILE are skipped;
@@ -248,7 +246,6 @@ const DETECT_VALUED: &[&str] = &[
     "--profile-out",
     "--mem-budget",
     "--time-budget",
-    "--degrade",
     "--resume",
     "--stream-window",
 ];
@@ -296,19 +293,9 @@ fn build_options(args: &[String]) -> Result<PipelineOptions, String> {
     if let Some(secs) = opt::<u64>(args, "--time-budget")? {
         opts.time_budget = Some(std::time::Duration::from_secs(secs));
     }
-    if let Some(mode) = opt_str(args, "--degrade") {
-        opts.degrade = mode.parse()?;
-    }
     opts.trigger_jobs = opt::<usize>(args, "--trigger-jobs")?.unwrap_or(1).max(1);
     opts.streaming = flag(args, "--streaming");
     opts.stream_window = opt::<usize>(args, "--stream-window")?;
-    if opts.streaming && opts.ablation != Ablation::None {
-        return Err(
-            "`--streaming` cannot be combined with `--ablation` — ablations rewrite the \
-             materialized HB graph, which a streaming run never builds"
-                .to_owned(),
-        );
-    }
     if opts.stream_window.is_some() && !opts.streaming {
         return Err("`--stream-window` requires `--streaming`".to_owned());
     }
@@ -892,7 +879,6 @@ const SYNTH_VALUED: &[&str] = &[
     "--timeout",
     "--mem-budget",
     "--time-budget",
-    "--degrade",
     "--resume",
 ];
 

@@ -41,7 +41,9 @@ mod report;
 pub mod report_json;
 pub mod synth;
 
-pub use pipeline::{run_bounded, Pipeline, PipelineError, PipelineOptions, RunPhase};
+pub use pipeline::{
+    normalize_metric_names, run_bounded, Pipeline, PipelineError, PipelineOptions, RunPhase,
+};
 pub use profile::{profile_json, profile_timeline};
 pub use report::{BenchmarkReport, BugReport, StageTimings, StreamingStats, VerdictCounts};
 pub use synth::{
@@ -50,7 +52,7 @@ pub use synth::{
 };
 
 // The resource governor's budget types (`--mem-budget`/`--time-budget`).
-pub use dcatch_obs::budget::{parse_bytes, Budget, DegradationEvent, DegradeMode};
+pub use dcatch_obs::budget::{parse_bytes, Budget, DegradationEvent};
 
 // Re-export the pieces users compose the pipeline from.
 pub use dcatch_apps::{
@@ -58,12 +60,12 @@ pub use dcatch_apps::{
     streambench_rounds, Benchmark, ErrorPattern, FaultScenario, Mechanisms, RootCause, System,
 };
 pub use dcatch_detect::{
-    find_candidates, find_candidates_chunked, AccessSite, Candidate, CandidateSet, ChunkStats,
-    OnlineDetector, OnlineOptions, StreamOutcome,
+    find_candidates, AccessSite, Candidate, CandidateSet, OnlineDetector, OnlineOptions,
+    StreamOutcome,
 };
 pub use dcatch_hb::{
     apply_ablation, Ablation, BitMatrix, ChainClocks, EdgeRule, HbAnalysis, HbConfig, HbError,
-    ReachabilityMode, VectorClocks,
+    ReachabilityMode,
 };
 pub use dcatch_model::{Expr, FailureSpec, FuncKind, Program, ProgramBuilder, StmtId, Value};
 pub use dcatch_prune::{Impact, PruneStats, Pruner};

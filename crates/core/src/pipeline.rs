@@ -5,17 +5,17 @@ use std::time::Duration;
 
 use dcatch_apps::Benchmark;
 use dcatch_detect::{
-    analyze_loop_sync, find_candidates, find_candidates_chunked, plan_loop_sync, CandidateSet,
-    OnlineDetector, OnlineOptions,
+    analyze_loop_sync, find_candidates, plan_loop_sync, Candidate, CandidateSet, OnlineDetector,
+    OnlineOptions, StreamOutcome,
 };
 use dcatch_hb::{
     apply_ablation, Ablation, BitMatrix, ChainClocks, FrontierOptions, HbAnalysis, HbConfig,
     HbError, ReachabilityMode,
 };
-use dcatch_obs::budget::{self, Budget, DegradationEvent, DegradeMode};
+use dcatch_obs::budget::{self, Budget, DegradationEvent};
 use dcatch_prune::{Impact, Pruner};
 use dcatch_sim::{Failure, FaultPlan, FocusConfig, RunError, SimConfig, World};
-use dcatch_trace::{TraceStats, TracingMode};
+use dcatch_trace::TracingMode;
 use dcatch_trigger::{run_farm, FarmSpec, OrderRun, TriggerPlan, TriggerReport, Verdict};
 
 use crate::report::{BenchmarkReport, BugReport, StageTimings, StreamingStats, VerdictCounts};
@@ -127,22 +127,18 @@ pub struct PipelineOptions {
     /// (`--mem-budget`). Unlike `hb.memory_budget_bytes` — which turns
     /// excess into a hard [`HbError::OutOfMemory`] outcome — this ceiling
     /// makes the pipeline *degrade*: sample memory tracing, fall back to
-    /// chain clocks, chunk the trace analysis.
+    /// chain clocks, then to streaming detection under a window cap.
     pub mem_budget: Option<usize>,
     /// Per-benchmark wall-clock budget for the resource governor
     /// (`--time-budget`). Unlike `timeout` — which kills the run — this
     /// deadline makes later stages shed work (skip loop-sync, cancel
     /// remaining trigger jobs) and still produce a report.
     pub time_budget: Option<Duration>,
-    /// Whether the governor may walk the degradation ladder at all.
-    /// [`DegradeMode::Off`] ignores both budgets above.
-    pub degrade: DegradeMode,
     /// Online single-pass detection (`--streaming`): consume trace records
     /// as the simulator emits them instead of materializing the trace and
     /// building a full HB graph. Resident memory is O(window), and the
     /// candidate set is proven identical to the offline scan (DESIGN.md
-    /// §15). Incompatible with `ablation` (the record stream is never
-    /// materialized, so there is nothing to ablate).
+    /// §14). An `ablation` is applied to each record on arrival.
     pub streaming: bool,
     /// Hard cap on resident window entries in streaming mode
     /// (`--stream-window`). `None` relies on provable retirement alone;
@@ -168,7 +164,6 @@ impl Default for PipelineOptions {
             timeout: None,
             mem_budget: None,
             time_budget: None,
-            degrade: DegradeMode::Auto,
             streaming: false,
             stream_window: None,
         }
@@ -228,7 +223,7 @@ impl Pipeline {
     /// are derived from the captured tree (single source of truth).
     ///
     /// Also brackets the run in a resource governor when `opts` sets a
-    /// memory or time budget with degradation enabled: stages consult it
+    /// memory or time budget: stages consult it
     /// at their boundaries and every ladder step they take is harvested
     /// into [`BenchmarkReport::degradations`].
     pub fn run(
@@ -237,13 +232,10 @@ impl Pipeline {
     ) -> Result<BenchmarkReport, PipelineError> {
         let metrics_before = dcatch_obs::metrics::snapshot();
         dcatch_obs::trace::begin_capture(&format!("pipeline.{}", bench.id));
-        budget::install(
-            Budget {
-                mem_bytes: opts.mem_budget,
-                time: opts.time_budget,
-            },
-            opts.degrade,
-        );
+        budget::install(Budget {
+            mem_bytes: opts.mem_budget,
+            time: opts.time_budget,
+        });
         let result = Pipeline::run_stages(bench, opts);
         let degradations = budget::uninstall();
         let spans = dcatch_obs::trace::end_capture();
@@ -371,10 +363,14 @@ impl Pipeline {
         results
     }
 
+    /// The one stage driver: base run → trace analysis → prune → loop-sync
+    /// → re-prune → triggering. Trace analysis has two arms (see
+    /// [`Analysis`]); everything else is written once.
     fn run_stages(
         bench: &Benchmark,
         opts: &PipelineOptions,
     ) -> Result<BenchmarkReport, PipelineError> {
+        let (program, topo) = (&bench.program, &bench.topology);
         let seed = opts.seed.unwrap_or(bench.seed);
         // the fault plan applies to every simulated run of this pipeline,
         // unless it is aimed at a different benchmark
@@ -382,9 +378,6 @@ impl Pipeline {
             Some(target) if target != bench.id => FaultPlan::default(),
             _ => opts.faults.clone(),
         };
-        if opts.streaming {
-            return Pipeline::run_stages_streaming(bench, opts, seed, faults);
-        }
 
         // ---- base run (untraced) ----------------------------------------
         if opts.measure_base {
@@ -393,44 +386,52 @@ impl Pipeline {
                 .with_faults(faults.clone());
             cfg.trace_enabled = false;
             let _span = dcatch_obs::span!("pipeline.base");
-            World::run_once(&bench.program, &bench.topology, cfg)?;
+            World::run_once(program, topo, cfg)?;
         }
 
-        // ---- traced run ---------------------------------------------------
+        // A node crash is a spontaneous causal root: surviving chains can
+        // race with anything that follows it, so no window ever provably
+        // closes. Retirement is disabled rather than made unsound.
+        let allow_retirement = faults.crashes.is_empty();
         let mut cfg = SimConfig::default().with_seed(seed).with_faults(faults);
         cfg.tracing = opts.tracing;
-        let mut run = {
-            let _span = dcatch_obs::span!("pipeline.tracing");
-            World::run_once(&bench.program, &bench.topology, cfg.clone())?
-        };
-        if !run.failures.is_empty() {
-            return Err(PipelineError::TracedRunFailed(format!(
-                "{:?}",
-                run.failures
-            )));
-        }
 
-        // ---- governor rung: rate-sampled memory tracing ---------------------
-        // When the trace itself blows the memory budget, re-run with every
-        // `rate`-th memory access kept. HB records are never sampled (the
-        // graph stays exact) and sampling never perturbs the schedule, so
-        // the kept records are a deterministic subsequence of the full run.
-        // byte_size serializes every record, so compute it once and share
-        // the figure between the governor probe and the report below.
-        let mut trace_bytes = run.trace.byte_size();
-        if let Some(m) = budget::mem_budget() {
-            let total = trace_bytes;
-            if total > m {
+        // ---- tracing + trace analysis, graph arm ------------------------
+        // `None` hands over to the stream arm: because the caller asked
+        // for it, or as the governor's last memory rung.
+        let graph = 'graph: {
+            if opts.streaming {
+                break 'graph None;
+            }
+            let mut run = {
+                let _span = dcatch_obs::span!("pipeline.tracing");
+                World::run_once(program, topo, cfg.clone())?
+            };
+            failure_free(&run.failures)?;
+
+            // ---- governor rung: rate-sampled memory tracing -------------
+            // When the trace itself blows the memory budget, re-run with
+            // every `rate`-th memory access kept. HB records are never
+            // sampled (the graph stays exact) and sampling never perturbs
+            // the schedule, so the kept records are a deterministic
+            // subsequence of the full run. byte_size serializes every
+            // record, so compute it once and share the figure between the
+            // governor probe and the report.
+            let mut trace_bytes = run.trace.byte_size();
+            let gov_mem = budget::mem_budget();
+            if let Some(m) = gov_mem.filter(|&m| trace_bytes > m) {
+                let total = trace_bytes;
                 let mem_bytes = run.trace.filtered(|r| r.kind.is_mem()).byte_size();
                 let other = total - mem_bytes;
                 let mut rate: u32 = 2;
                 while rate < (1 << 16) && other + mem_bytes / rate as usize > m {
                     rate *= 2;
                 }
-                let sampled_cfg = cfg.clone().with_mem_sample_rate(rate);
-                let rerun = {
+                // focused and triggering re-runs ignore the rate
+                cfg = cfg.with_mem_sample_rate(rate);
+                run = {
                     let _span = dcatch_obs::span!("pipeline.tracing");
-                    World::run_once(&bench.program, &bench.topology, sampled_cfg)?
+                    World::run_once(program, topo, cfg.clone())?
                 };
                 budget::record(DegradationEvent {
                     stage: "tracing".to_owned(),
@@ -438,133 +439,141 @@ impl Pipeline {
                     to: format!("sampled_1_in_{rate}"),
                     reason: format!("trace {total} B exceeds memory budget {m} B"),
                 });
-                run = rerun;
                 trace_bytes = run.trace.byte_size();
             }
-        }
-        let trace_stats = run.trace.stats();
+            let trace_stats = run.trace.stats();
 
-        // ---- HB graph + candidates -----------------------------------------
-        let analyzed = apply_ablation(&run.trace, opts.ablation);
-        let ta_span = dcatch_obs::span!("pipeline.trace_analysis");
-        // The governed ceiling also caps the reachability-index budget.
-        let mut hb_cfg = opts.hb.clone();
-        let gov_mem = budget::mem_budget();
-        if let Some(m) = gov_mem {
-            hb_cfg.memory_budget_bytes = hb_cfg.memory_budget_bytes.min(m);
-        }
-        // Mirror HbAnalysis::build's engine selection on deterministic size
-        // estimates, so the governor can step down *before* committing to a
-        // build that would return OutOfMemory.
-        let n = analyzed.len();
-        let matrix_bytes = BitMatrix::estimated_bytes(n);
-        let clock_bytes = ChainClocks::estimated_bytes(n, ChainClocks::chain_count(&analyzed));
-        let needed = match hb_cfg.reachability {
-            ReachabilityMode::Matrix => matrix_bytes,
-            ReachabilityMode::Clocks => clock_bytes,
-            ReachabilityMode::Auto if matrix_bytes <= hb_cfg.memory_budget_bytes => matrix_bytes,
-            ReachabilityMode::Auto => clock_bytes,
-        };
-        let oom_report = |e: HbError, trace_stats, trace_bytes| BenchmarkReport {
-            id: bench.id.to_owned(),
-            trace_stats,
-            trace_bytes,
-            ta_static: 0,
-            ta_stacks: 0,
-            sp_static: 0,
-            sp_stacks: 0,
-            lp_static: 0,
-            lp_stacks: 0,
-            reports: Vec::new(),
-            verdicts: VerdictCounts::default(),
-            detected_known_bug: false,
-            // timings/metrics/spans/degradations are placeholders; `run`
-            // fills them from the capture on every path
-            timings: StageTimings::default(),
-            oom: Some(e),
-            metrics: dcatch_obs::MetricsSnapshot::default(),
-            spans: dcatch_obs::SpanNode::default(),
-            degradations: Vec::new(),
-            streaming: None,
-        };
-        // `hb` is absent on the chunked rung: loop-sync and placement
-        // planning need the full graph and degrade accordingly below.
-        let mut hb: Option<HbAnalysis> = None;
-        let mut candidates;
-        if needed > hb_cfg.memory_budget_bytes && gov_mem.is_some() {
-            // ---- governor rung: chunked trace analysis (§7.2) ----------
-            let mut chunk = (((hb_cfg.memory_budget_bytes.saturating_mul(8)) as f64).sqrt()
-                as usize)
-                .clamp(64, n.max(64));
-            // rows are word-granular, so small matrices cost more than
-            // bits/8; walk the guess down until the estimate honestly fits
-            while chunk > 64 && BitMatrix::estimated_bytes(chunk) > hb_cfg.memory_budget_bytes {
-                chunk = chunk.saturating_sub(64).max(64);
+            let analyzed = apply_ablation(&run.trace, opts.ablation);
+            let _span = dcatch_obs::span!("pipeline.trace_analysis");
+            // The governed ceiling also caps the reachability-index budget.
+            let mut hb_cfg = opts.hb.clone();
+            if let Some(m) = gov_mem {
+                hb_cfg.memory_budget_bytes = hb_cfg.memory_budget_bytes.min(m);
             }
-            match find_candidates_chunked(&analyzed, &hb_cfg, chunk) {
-                Ok((set, stats)) => {
+            // Mirror HbAnalysis::build's engine selection on deterministic
+            // size estimates, so the governor can step down *before*
+            // committing to a build that would return OutOfMemory.
+            let n = analyzed.len();
+            let matrix_bytes = BitMatrix::estimated_bytes(n);
+            let clock_bytes = ChainClocks::estimated_bytes(n, ChainClocks::chain_count(&analyzed));
+            let index_budget = hb_cfg.memory_budget_bytes;
+            let (engine, needed) = match hb_cfg.reachability {
+                ReachabilityMode::Matrix => ("matrix", matrix_bytes),
+                ReachabilityMode::Auto if matrix_bytes <= index_budget => ("matrix", matrix_bytes),
+                _ => ("clocks", clock_bytes),
+            };
+            if gov_mem.is_some() {
+                // ---- governor rung: matrix → clocks ---------------------
+                // recorded when the governed budget — not the user's own
+                // HB config — is what forced clocks
+                if opts.hb.reachability == ReachabilityMode::Auto
+                    && engine == "clocks"
+                    && matrix_bytes <= opts.hb.memory_budget_bytes
+                {
                     budget::record(DegradationEvent {
                         stage: "trace_analysis".to_owned(),
-                        from: "full".to_owned(),
-                        to: format!("chunked_{}x{}", stats.chunks, chunk),
+                        from: "matrix".to_owned(),
+                        to: "clocks".to_owned(),
+                        reason: format!("matrix needs {matrix_bytes} B, budget {index_budget} B"),
+                    });
+                }
+                // ---- governor's last memory rung: no index fits ---------
+                // Drop the materialized trace and stream the same schedule
+                // again: a capped window loses pairs but never invents one.
+                if needed > index_budget {
+                    budget::record(DegradationEvent {
+                        stage: "trace_analysis".to_owned(),
+                        from: engine.to_owned(),
+                        to: "streaming".to_owned(),
                         reason: format!(
-                            "reachability index needs {needed} B, budget {} B",
-                            hb_cfg.memory_budget_bytes
+                            "reachability index needs {needed} B, budget {index_budget} B"
                         ),
                     });
-                    candidates = set;
-                }
-                Err(e @ HbError::OutOfMemory { .. }) => {
-                    return Ok(oom_report(e, trace_stats, trace_bytes));
+                    break 'graph None;
                 }
             }
-        } else {
             match HbAnalysis::build(analyzed, &hb_cfg) {
-                Ok(h) => {
-                    // engine rung: record when the governed budget — not the
-                    // user's own HB config — is what forced clocks
-                    if gov_mem.is_some()
-                        && opts.hb.reachability == ReachabilityMode::Auto
-                        && h.reachability() == ReachabilityMode::Clocks
-                        && matrix_bytes <= opts.hb.memory_budget_bytes
-                    {
+                Ok(hb) => {
+                    let candidates = find_candidates(&hb);
+                    Some((hb, candidates, trace_stats, trace_bytes))
+                }
+                Err(e @ HbError::OutOfMemory { .. }) => {
+                    return Ok(BenchmarkReport {
+                        oom: Some(e),
+                        ..BenchmarkReport::empty(bench.id, trace_stats, trace_bytes)
+                    });
+                }
+            }
+        };
+
+        let (mut analysis, mut candidates, trace_stats, trace_bytes) = match graph {
+            Some((hb, candidates, stats, bytes)) => (Analysis::Graph(hb), candidates, stats, bytes),
+            None => {
+                // ---- governor rung: window cap under a memory budget ----
+                // Window entries cost ~O(chain count) bytes each (clock
+                // refs + callstack); 512 B/entry is a deliberately
+                // conservative estimate, so the governed cap errs toward
+                // smaller windows.
+                let mut window_cap = opts.stream_window;
+                if let Some(m) = budget::mem_budget() {
+                    let gov_cap = (m / 512).max(16);
+                    if window_cap.is_none_or(|w| gov_cap < w) {
                         budget::record(DegradationEvent {
-                            stage: "trace_analysis".to_owned(),
-                            from: "matrix".to_owned(),
-                            to: "clocks".to_owned(),
+                            stage: "streaming".to_owned(),
+                            from: window_cap
+                                .map_or("unbounded_window".to_owned(), |w| format!("window_{w}")),
+                            to: format!("window_{gov_cap}"),
                             reason: format!(
-                                "matrix needs {matrix_bytes} B, budget {} B",
-                                hb_cfg.memory_budget_bytes
+                                "window estimate 512 B/entry against memory budget {m} B"
                             ),
                         });
+                        window_cap = Some(gov_cap);
                     }
-                    candidates = find_candidates(&h);
-                    hb = Some(h);
                 }
-                Err(e @ HbError::OutOfMemory { .. }) => {
-                    return Ok(oom_report(e, trace_stats, trace_bytes));
-                }
+                // ---- pass 1: fused tracing + trace analysis -------------
+                let online = OnlineOptions {
+                    window_cap,
+                    engine: FrontierOptions {
+                        eserial: true,
+                        allow_retirement,
+                    },
+                    ablation: opts.ablation,
+                    ..OnlineOptions::default()
+                };
+                let pass1 = {
+                    let _span = dcatch_obs::span!("pipeline.streaming");
+                    stream_pass(bench, &cfg, online.clone())?
+                };
+                let analysis = Analysis::Stream {
+                    online,
+                    eserial_edges: pass1.eserial_edges,
+                    stats: StreamingStats {
+                        window_peak: pass1.window_peak,
+                        records_retired: pass1.records_retired,
+                        records_forced: pass1.records_forced,
+                        peak_bytes: pass1.peak_bytes,
+                    },
+                };
+                (analysis, pass1.candidates, pass1.stats, pass1.trace_bytes)
             }
-        }
-        drop(ta_span);
+        };
         let (ta_static, ta_stacks) = (
             candidates.static_pair_count(),
             candidates.callstack_pair_count(),
         );
 
-        // ---- static pruning --------------------------------------------------
-        let pruner = Pruner::new(&bench.program);
+        // ---- static pruning ---------------------------------------------
+        let pruner = Pruner::new(program);
         if opts.static_pruning {
             let _span = dcatch_obs::span!("pipeline.static_pruning");
-            let (kept, _pruned, _stats) = pruner.prune(candidates);
-            candidates = kept;
+            candidates = pruner.prune(candidates).0;
         }
         let (sp_static, sp_stacks) = (
             candidates.static_pair_count(),
             candidates.callstack_pair_count(),
         );
 
-        // ---- loop/pull synchronization analysis ------------------------------
+        // ---- loop/pull synchronization analysis -------------------------
         if opts.loop_sync {
             if budget::time_expired() {
                 budget::record(DegradationEvent {
@@ -573,34 +582,74 @@ impl Pipeline {
                     to: "skipped".to_owned(),
                     reason: "time budget exhausted".to_owned(),
                 });
-            } else if let Some(hb) = hb.as_mut() {
+            } else {
                 let _span = dcatch_obs::span!("pipeline.loop_sync");
-                let program = &bench.program;
-                let topo = &bench.topology;
-                let base_cfg = cfg.clone();
                 let mut rerun = |objects: &std::collections::BTreeSet<String>| {
-                    let focus_cfg = base_cfg
+                    let focus_cfg = cfg
                         .clone()
                         .with_focus(FocusConfig::on(objects.iter().cloned()));
                     World::run_once(program, topo, focus_cfg)
                         .expect("focused re-run")
                         .trace
                 };
-                let (updated, _result) = analyze_loop_sync(program, hb, candidates, &mut rerun);
-                candidates = updated;
-                // loop-sync edges may order candidates SP had already scored;
-                // re-apply the pruning filter to the refreshed set
-                if opts.static_pruning {
-                    let (kept, _, _) = pruner.prune(candidates);
-                    candidates = kept;
-                }
-            } else {
-                budget::record(DegradationEvent {
-                    stage: "loop_sync".to_owned(),
-                    from: "focused_rerun".to_owned(),
-                    to: "skipped".to_owned(),
-                    reason: "no full HB graph (chunked trace analysis)".to_owned(),
-                });
+                // loop-sync edges may order candidates SP had already
+                // scored; re-apply the pruning filter to a refreshed set
+                let reprune = |refreshed: CandidateSet| {
+                    if opts.static_pruning {
+                        pruner.prune(refreshed).0
+                    } else {
+                        refreshed
+                    }
+                };
+                candidates = match &mut analysis {
+                    // the inferred `w* ⇒ LoopExit` edges go into the graph,
+                    // which is re-scanned
+                    Analysis::Graph(hb) => {
+                        reprune(analyze_loop_sync(program, hb, candidates, &mut rerun).0)
+                    }
+                    // the plan's occurrence-space edges are fired into a
+                    // *second* streamed pass (same seed, identical
+                    // schedule) whose frontier clocks absorb them as they
+                    // arrive; the pass-1 `Eserial` pairs are replayed
+                    // verbatim so pass 2's order is exactly pass 1's plus
+                    // the inferred edges
+                    Analysis::Stream {
+                        online,
+                        eserial_edges,
+                        stats,
+                    } => {
+                        let _inner = dcatch_obs::span!("detect.loopsync");
+                        match plan_loop_sync(program, &candidates, &mut rerun) {
+                            // nothing inferred: no second pass, no re-prune
+                            None => candidates,
+                            Some(plan) => {
+                                let sync_pairs = plan.sync_pairs();
+                                let mut pass2_opts = OnlineOptions {
+                                    sync_edges: plan.edges,
+                                    inject_eserial: std::mem::take(eserial_edges),
+                                    ..online.clone()
+                                };
+                                pass2_opts.engine.eserial = false;
+                                let pass2 = stream_pass(bench, &cfg, pass2_opts)?;
+                                stats.window_peak = stats.window_peak.max(pass2.window_peak);
+                                stats.records_retired += pass2.records_retired;
+                                stats.records_forced += pass2.records_forced;
+                                stats.peak_bytes = stats.peak_bytes.max(pass2.peak_bytes);
+                                let mut updated = pass2.candidates;
+                                // drop the polling idiom pairs themselves
+                                updated.retain(|c| !sync_pairs.contains(&c.static_pair));
+                                let pruned = candidates
+                                    .static_pair_count()
+                                    .saturating_sub(updated.static_pair_count());
+                                dcatch_obs::counter!("detect_loopsync_edges_total")
+                                    .add(pass2.sync_edges_fired as u64);
+                                dcatch_obs::counter!("detect_loopsync_pruned_total")
+                                    .add(pruned as u64);
+                                reprune(updated)
+                            }
+                        }
+                    }
+                };
             }
         }
         let (lp_static, lp_stacks) = (
@@ -608,51 +657,8 @@ impl Pipeline {
             candidates.callstack_pair_count(),
         );
 
-        Ok(Pipeline::finish_report(
-            bench,
-            opts,
-            ReportTail {
-                cfg: &cfg,
-                hb: hb.as_ref(),
-                pruner: &pruner,
-                candidates,
-                ta: (ta_static, ta_stacks),
-                sp: (sp_static, sp_stacks),
-                lp: (lp_static, lp_stacks),
-                trace_stats,
-                trace_bytes,
-                no_graph_reason: "no full HB graph (chunked trace analysis)",
-                streaming: None,
-            },
-        ))
-    }
-
-    /// The shared pipeline tail: triggering, verdict assembly, and the
-    /// final report. `tail.hb` is `None` when no full HB graph exists
-    /// (chunked trace analysis, or streaming detection) — placement
-    /// planning then degrades to direct placement with
-    /// `tail.no_graph_reason`.
-    fn finish_report(
-        bench: &Benchmark,
-        opts: &PipelineOptions,
-        tail: ReportTail,
-    ) -> BenchmarkReport {
-        let ReportTail {
-            cfg,
-            hb,
-            pruner,
-            candidates,
-            ta: (ta_static, ta_stacks),
-            sp: (sp_static, sp_stacks),
-            lp: (lp_static, lp_stacks),
-            trace_stats,
-            trace_bytes,
-            no_graph_reason,
-            streaming,
-        } = tail;
-
-        // ---- triggering -------------------------------------------------------
-        let candidates = take_candidates(candidates);
+        // ---- triggering -------------------------------------------------
+        let candidates: Vec<Candidate> = candidates.into_iter().collect();
         let impacts: Vec<Vec<Impact>> = candidates
             .iter()
             .map(|c| {
@@ -672,9 +678,9 @@ impl Pipeline {
             candidates.iter().map(|_| None).collect()
         } else if opts.triggering {
             let _span = dcatch_obs::span!("pipeline.triggering");
-            let specs: Vec<FarmSpec> = match hb {
-                Some(hb) => candidates.iter().map(|c| FarmSpec::new(c, hb)).collect(),
-                None => {
+            let specs: Vec<FarmSpec> = match &analysis {
+                Analysis::Graph(hb) => candidates.iter().map(|c| FarmSpec::new(c, hb)).collect(),
+                Analysis::Stream { .. } => {
                     // placement planning needs the full HB graph; without
                     // one fall back to naive direct placement
                     if !candidates.is_empty() {
@@ -682,7 +688,7 @@ impl Pipeline {
                             stage: "triggering".to_owned(),
                             from: "planned_placement".to_owned(),
                             to: "direct_placement".to_owned(),
-                            reason: no_graph_reason.to_owned(),
+                            reason: "no full HB graph (streaming detection)".to_owned(),
                         });
                     }
                     candidates
@@ -703,9 +709,9 @@ impl Pipeline {
                     .any(|r| r.completed && failures_attributable(&r.failures, &impacts[ci]))
             };
             let reports = run_farm(
-                &bench.program,
-                &bench.topology,
-                cfg,
+                program,
+                topo,
+                &cfg,
                 &specs,
                 opts.trigger_jobs,
                 Some(&confirm),
@@ -773,10 +779,7 @@ impl Pipeline {
             });
         }
 
-        BenchmarkReport {
-            id: bench.id.to_owned(),
-            trace_stats,
-            trace_bytes,
+        let mut report = BenchmarkReport {
             ta_static,
             ta_stacks,
             sp_static,
@@ -786,231 +789,71 @@ impl Pipeline {
             reports,
             verdicts,
             detected_known_bug,
-            timings: StageTimings::default(),
-            oom: None,
-            metrics: dcatch_obs::MetricsSnapshot::default(),
-            spans: dcatch_obs::SpanNode::default(),
-            degradations: Vec::new(),
-            streaming,
-        }
-    }
-
-    /// Streaming single-pass detection (DESIGN.md §15): the traced run and
-    /// the candidate scan fuse into one pass over the live record stream —
-    /// per-chain frontier clocks instead of a reachability index, a
-    /// bounded window of still-racable accesses instead of a materialized
-    /// trace. Candidate output is exactly the offline scan's; resident
-    /// memory is O(window).
-    fn run_stages_streaming(
-        bench: &Benchmark,
-        opts: &PipelineOptions,
-        seed: u64,
-        faults: FaultPlan,
-    ) -> Result<BenchmarkReport, PipelineError> {
-        // ---- base run (untraced) ----------------------------------------
-        if opts.measure_base {
-            let mut cfg = SimConfig::default()
-                .with_seed(seed)
-                .with_faults(faults.clone());
-            cfg.trace_enabled = false;
-            let _span = dcatch_obs::span!("pipeline.base");
-            World::run_once(&bench.program, &bench.topology, cfg)?;
-        }
-
-        // ---- governor rung: window cap under a memory budget ------------
-        // Window entries cost ~O(chain count) bytes each (clock refs +
-        // callstack); 512 B/entry is a deliberately conservative estimate,
-        // so the governed cap errs toward smaller windows.
-        let mut window_cap = opts.stream_window;
-        if let Some(m) = budget::mem_budget() {
-            let gov_cap = (m / 512).max(16);
-            if window_cap.is_none_or(|w| gov_cap < w) {
-                budget::record(DegradationEvent {
+            ..BenchmarkReport::empty(bench.id, trace_stats, trace_bytes)
+        };
+        if let Analysis::Stream { stats, .. } = analysis {
+            report.streaming = Some(stats);
+            // Recorded on the report directly, not via `budget::record`: an
+            // explicit `--stream-window` cap is lossy even with no governor
+            // installed, and the report must say so either way.
+            if stats.records_forced > 0 {
+                report.degradations.push(DegradationEvent {
                     stage: "streaming".to_owned(),
-                    from: window_cap
-                        .map_or("unbounded_window".to_owned(), |w| format!("window_{w}")),
-                    to: format!("window_{gov_cap}"),
-                    reason: format!("window estimate 512 B/entry against memory budget {m} B"),
+                    from: "exact_window".to_owned(),
+                    to: "lossy_window".to_owned(),
+                    reason: format!(
+                        "{} accesses force-evicted by the window cap",
+                        stats.records_forced
+                    ),
                 });
-                window_cap = Some(gov_cap);
             }
-        }
-        // A node crash is a spontaneous causal root: surviving chains can
-        // race with anything that follows it, so no window ever provably
-        // closes. Retirement is disabled rather than made unsound.
-        let allow_retirement = faults.crashes.is_empty();
-
-        // ---- pass 1: fused tracing + trace analysis ---------------------
-        let mut cfg = SimConfig::default().with_seed(seed).with_faults(faults);
-        cfg.tracing = opts.tracing;
-        let pass_opts = |sync: Option<(&dcatch_detect::SyncPlan, &[(u64, u64)])>| OnlineOptions {
-            window_cap,
-            engine: FrontierOptions {
-                eserial: sync.is_none(),
-                allow_retirement,
-            },
-            sync_edges: sync.map_or(Vec::new(), |(p, _)| p.edges.clone()),
-            inject_eserial: sync.map_or(Vec::new(), |(_, e)| e.to_vec()),
-            ..OnlineOptions::default()
-        };
-        let pass1 = {
-            let _span = dcatch_obs::span!("pipeline.streaming");
-            let mut sink = OnlineDetector::new(pass_opts(None));
-            let run = World::run_streamed(&bench.program, &bench.topology, cfg.clone(), &mut sink)?;
-            if !run.failures.is_empty() {
-                return Err(PipelineError::TracedRunFailed(format!(
-                    "{:?}",
-                    run.failures
-                )));
-            }
-            sink.finalize()
-        };
-        let mut stats = StreamingStats {
-            window_peak: pass1.window_peak,
-            records_retired: pass1.records_retired,
-            records_forced: pass1.records_forced,
-            peak_bytes: pass1.peak_bytes,
-        };
-        let trace_stats = pass1.stats;
-        let trace_bytes = pass1.trace_bytes;
-        let mut candidates = pass1.candidates;
-        let (ta_static, ta_stacks) = (
-            candidates.static_pair_count(),
-            candidates.callstack_pair_count(),
-        );
-
-        // ---- static pruning ---------------------------------------------
-        let pruner = Pruner::new(&bench.program);
-        if opts.static_pruning {
-            let _span = dcatch_obs::span!("pipeline.static_pruning");
-            let (kept, _pruned, _stats) = pruner.prune(candidates);
-            candidates = kept;
-        }
-        let (sp_static, sp_stacks) = (
-            candidates.static_pair_count(),
-            candidates.callstack_pair_count(),
-        );
-
-        // ---- loop/pull synchronization analysis -------------------------
-        // The offline mode adds the inferred `w* ⇒ LoopExit` edges to the
-        // graph and re-scans. Here the plan's occurrence-space edges are
-        // fired into a *second* streamed pass (same seed, identical
-        // schedule) whose frontier clocks absorb them as they arrive; the
-        // pass-1 `Eserial` pairs are replayed verbatim so pass 2's order
-        // is exactly pass 1's plus the inferred edges.
-        if opts.loop_sync {
-            if budget::time_expired() {
-                budget::record(DegradationEvent {
-                    stage: "loop_sync".to_owned(),
-                    from: "focused_rerun".to_owned(),
-                    to: "skipped".to_owned(),
-                    reason: "time budget exhausted".to_owned(),
-                });
-            } else {
-                let _span = dcatch_obs::span!("pipeline.loop_sync");
-                let _inner = dcatch_obs::span!("detect.loopsync");
-                let base_cfg = cfg.clone();
-                let program = &bench.program;
-                let topo = &bench.topology;
-                let mut rerun = |objects: &std::collections::BTreeSet<String>| {
-                    let focus_cfg = base_cfg
-                        .clone()
-                        .with_focus(FocusConfig::on(objects.iter().cloned()));
-                    World::run_once(program, topo, focus_cfg)
-                        .expect("focused re-run")
-                        .trace
-                };
-                if let Some(plan) = plan_loop_sync(program, &candidates, &mut rerun) {
-                    let pass2 = {
-                        let mut sink =
-                            OnlineDetector::new(pass_opts(Some((&plan, &pass1.eserial_edges))));
-                        let run = World::run_streamed(program, topo, cfg.clone(), &mut sink)?;
-                        if !run.failures.is_empty() {
-                            return Err(PipelineError::TracedRunFailed(format!(
-                                "{:?}",
-                                run.failures
-                            )));
-                        }
-                        sink.finalize()
-                    };
-                    stats.window_peak = stats.window_peak.max(pass2.window_peak);
-                    stats.records_retired += pass2.records_retired;
-                    stats.records_forced += pass2.records_forced;
-                    stats.peak_bytes = stats.peak_bytes.max(pass2.peak_bytes);
-                    let mut updated = pass2.candidates;
-                    // drop the polling idiom pairs themselves
-                    let sync_pairs = plan.sync_pairs();
-                    updated.retain(|c| !sync_pairs.contains(&c.static_pair));
-                    let pruned = candidates
-                        .static_pair_count()
-                        .saturating_sub(updated.static_pair_count());
-                    dcatch_obs::counter!("detect_loopsync_edges_total")
-                        .add(pass2.sync_edges_fired as u64);
-                    dcatch_obs::counter!("detect_loopsync_pruned_total").add(pruned as u64);
-                    candidates = updated;
-                    // loop-sync edges may order candidates SP had already
-                    // scored; re-apply the pruning filter
-                    if opts.static_pruning {
-                        let (kept, _, _) = pruner.prune(candidates);
-                        candidates = kept;
-                    }
-                }
-            }
-        }
-        let (lp_static, lp_stacks) = (
-            candidates.static_pair_count(),
-            candidates.callstack_pair_count(),
-        );
-
-        let mut report = Pipeline::finish_report(
-            bench,
-            opts,
-            ReportTail {
-                cfg: &cfg,
-                hb: None,
-                pruner: &pruner,
-                candidates,
-                ta: (ta_static, ta_stacks),
-                sp: (sp_static, sp_stacks),
-                lp: (lp_static, lp_stacks),
-                trace_stats,
-                trace_bytes,
-                no_graph_reason: "no full HB graph (streaming detection)",
-                streaming: Some(stats),
-            },
-        );
-        // Recorded on the report directly, not via `budget::record`: an
-        // explicit `--stream-window` cap is lossy even with no governor
-        // installed, and the report must say so either way.
-        if stats.records_forced > 0 {
-            report.degradations.push(DegradationEvent {
-                stage: "streaming".to_owned(),
-                from: "exact_window".to_owned(),
-                to: "lossy_window".to_owned(),
-                reason: format!(
-                    "{} accesses force-evicted by the window cap",
-                    stats.records_forced
-                ),
-            });
         }
         Ok(report)
     }
 }
 
-/// Everything [`Pipeline::finish_report`] needs from either detection
-/// mode (offline or streaming) to run triggering and assemble the report.
-struct ReportTail<'a> {
-    cfg: &'a SimConfig,
-    hb: Option<&'a HbAnalysis>,
-    pruner: &'a Pruner<'a>,
-    candidates: CandidateSet,
-    ta: (usize, usize),
-    sp: (usize, usize),
-    lp: (usize, usize),
-    trace_stats: TraceStats,
-    trace_bytes: usize,
-    no_graph_reason: &'static str,
-    streaming: Option<StreamingStats>,
+/// The two ways trace analysis runs. The stages differ only in how
+/// candidates are found and how loop-sync edges are folded in (plus
+/// trigger placement, which needs the graph).
+enum Analysis {
+    /// Materialized trace → full HB graph (matrix or chain clocks) →
+    /// batch scan.
+    Graph(HbAnalysis),
+    /// Streaming single-pass detection (DESIGN.md §14): the traced run and
+    /// the candidate scan fuse into one pass over the live record stream —
+    /// per-chain frontier clocks instead of a reachability index, a
+    /// bounded window of still-racable accesses instead of a materialized
+    /// trace. Candidate output is exactly the graph arm's unless a window
+    /// cap forces evictions; resident memory is O(window).
+    Stream {
+        /// Pass-1 detector options, reused by the loop-sync second pass.
+        online: OnlineOptions,
+        /// `Eserial` pairs pass 1 derived, replayed into pass 2.
+        eserial_edges: Vec<(u64, u64)>,
+        /// Window bookkeeping across both passes.
+        stats: StreamingStats,
+    },
+}
+
+/// One streamed run of `bench` into a fresh [`OnlineDetector`].
+fn stream_pass(
+    bench: &Benchmark,
+    cfg: &SimConfig,
+    online: OnlineOptions,
+) -> Result<StreamOutcome, PipelineError> {
+    let mut sink = OnlineDetector::new(online);
+    let run = World::run_streamed(&bench.program, &bench.topology, cfg.clone(), &mut sink)?;
+    failure_free(&run.failures)?;
+    Ok(sink.finalize())
+}
+
+/// Candidates from a failing traced run would be meaningless.
+fn failure_free(failures: &[Failure]) -> Result<(), PipelineError> {
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(PipelineError::TracedRunFailed(format!("{failures:?}")))
+    }
 }
 
 /// Runs `f` on a dedicated `'static` thread so that panics are caught at
@@ -1075,10 +918,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn take_candidates(set: CandidateSet) -> Vec<dcatch_detect::Candidate> {
-    set.into_iter().collect()
-}
-
 /// Gives every report the same metric *name* set.
 ///
 /// Metric names are interned in a global table on first use, so a report's
@@ -1087,7 +926,7 @@ fn take_candidates(set: CandidateSet) -> Vec<dcatch_detect::Candidate> {
 /// measurement whether or not its name was registered yet, so we take the
 /// union of names across all reports and zero-fill the gaps. After this,
 /// the serialized report is byte-identical for any worker count.
-fn normalize_metric_names(results: &mut [Result<BenchmarkReport, PipelineError>]) {
+pub fn normalize_metric_names(results: &mut [Result<BenchmarkReport, PipelineError>]) {
     use dcatch_obs::metrics::HistogramSnapshot;
     use std::collections::{BTreeMap, BTreeSet};
     let mut counters: BTreeSet<String> = BTreeSet::new();

@@ -163,12 +163,39 @@ pub struct BenchmarkReport {
     /// they happened; carries no timestamps, so memory-driven rungs are
     /// byte-stable across machines.
     pub degradations: Vec<DegradationEvent>,
-    /// Window accounting when the run used `--streaming`; `None` for the
-    /// offline (materialize-then-analyze) mode.
+    /// Window accounting when trace analysis streamed (`--streaming`, or
+    /// the governor's last memory rung); `None` for the offline
+    /// (materialize-then-analyze) mode.
     pub streaming: Option<StreamingStats>,
 }
 
 impl BenchmarkReport {
+    /// A report with the trace bookkeeping filled in and every count
+    /// zero. Timings, metrics and spans stay placeholders on every path:
+    /// `Pipeline::run` fills them from its capture.
+    pub(crate) fn empty(id: &str, trace_stats: TraceStats, trace_bytes: usize) -> BenchmarkReport {
+        BenchmarkReport {
+            id: id.to_owned(),
+            trace_stats,
+            trace_bytes,
+            ta_static: 0,
+            ta_stacks: 0,
+            sp_static: 0,
+            sp_stacks: 0,
+            lp_static: 0,
+            lp_stacks: 0,
+            reports: Vec::new(),
+            verdicts: VerdictCounts::default(),
+            detected_known_bug: false,
+            timings: StageTimings::default(),
+            oom: None,
+            metrics: MetricsSnapshot::default(),
+            spans: SpanNode::default(),
+            degradations: Vec::new(),
+            streaming: None,
+        }
+    }
+
     /// Reports whose candidate touches a known root-cause object.
     pub fn known_bug_reports(&self) -> impl Iterator<Item = &BugReport> {
         self.reports.iter().filter(|r| r.known_bug_object)

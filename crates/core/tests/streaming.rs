@@ -2,10 +2,10 @@
 //! candidate sets the materialize-then-analyze pipeline reports — same
 //! static pairs, same representative dynamic pairs, same callstack pairs,
 //! same trace bookkeeping — across the seven paper benchmarks, workload
-//! scales, seeds, and the per-system fault matrix. `DCATCH_SOAK=1` widens
-//! every matrix.
+//! scales, seeds, the per-system fault matrix, and the Table 9 HB-rule
+//! ablations. `DCATCH_SOAK=1` widens every matrix but the last.
 
-use dcatch::{Pipeline, PipelineError, PipelineOptions};
+use dcatch::{Ablation, Pipeline, PipelineError, PipelineOptions};
 
 fn soak() -> bool {
     std::env::var_os("DCATCH_SOAK").is_some()
@@ -132,6 +132,21 @@ fn online_equals_offline_under_fault_plans() {
     for bench in dcatch::all_benchmarks_scaled(1) {
         for sc in dcatch::fault_scenarios(&bench).into_iter().take(per_bench) {
             assert_equivalent(bench.id, sc.name, &bench, |o| o.faults = sc.plan.clone());
+        }
+    }
+}
+
+/// Table 9 on a stream: every ablation, applied per record on arrival,
+/// yields exactly the candidate set the offline mode finds on the ablated
+/// materialized trace (ablated streams run with retirement off, like
+/// crash plans — DESIGN.md §14).
+#[test]
+fn online_equals_offline_under_ablations() {
+    for bench in dcatch::all_benchmarks_scaled(1) {
+        for ablation in Ablation::TABLE9 {
+            assert_equivalent(bench.id, ablation.label(), &bench, |o| {
+                o.ablation = ablation
+            });
         }
     }
 }

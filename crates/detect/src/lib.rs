@@ -21,11 +21,9 @@
 #![forbid(unsafe_code)]
 
 mod candidates;
-mod chunked;
 mod loopsync;
 mod online;
 
 pub use candidates::{find_candidates, AccessSite, Candidate, CandidateSet};
-pub use chunked::{find_candidates_chunked, ChunkStats};
 pub use loopsync::{analyze_loop_sync, occ_key, plan_loop_sync, LoopSyncResult, OccKey, SyncPlan};
 pub use online::{OnlineDetector, OnlineOptions, StreamOutcome, SWEEP_EVERY};

@@ -30,7 +30,7 @@
 
 use std::collections::{btree_map::Entry, BTreeMap, BTreeSet, VecDeque};
 
-use dcatch_hb::{Arrival, FrontierEngine, FrontierOptions};
+use dcatch_hb::{ablate_record, Ablation, Arrival, FrontierEngine, FrontierOptions};
 use dcatch_model::StmtId;
 use dcatch_trace::{
     format_record, CallStack, ExecCtx, MemLoc, MemSpace, Record, StreamControl, TaskId, TraceSink,
@@ -56,6 +56,12 @@ pub struct OnlineOptions {
     pub sweep_every: usize,
     /// Options for the underlying frontier engine.
     pub engine: FrontierOptions,
+    /// HB-rule ablation (Table 9) applied to every record on arrival —
+    /// [`apply_ablation`](dcatch_hb::apply_ablation) for a stream. Demoted
+    /// worker chains start unannounced, so an ablated pass never retires:
+    /// [`OnlineDetector::new`] turns
+    /// [`FrontierOptions::allow_retirement`] off for it.
+    pub ablation: Ablation,
     /// Loop-sync second pass: occurrence-space `w* ⇒ LoopExit` edges
     /// from [`plan_loop_sync`](crate::plan_loop_sync), fired by
     /// occurrence counters as the matching records arrive.
@@ -72,6 +78,7 @@ impl Default for OnlineOptions {
             window_cap: None,
             sweep_every: SWEEP_EVERY,
             engine: FrontierOptions::default(),
+            ablation: Ablation::None,
             sync_edges: Vec::new(),
             inject_eserial: Vec::new(),
         }
@@ -83,12 +90,13 @@ impl Default for OnlineOptions {
 pub struct StreamOutcome {
     /// The candidate set — identical to the batch scan's.
     pub candidates: CandidateSet,
-    /// Record-type breakdown, folded incrementally.
+    /// Record-type breakdown of the run as emitted (before any
+    /// ablation), folded incrementally.
     pub stats: TraceStats,
     /// Total trace size in the on-disk line format (what
     /// `TraceSet::byte_size` would report), accumulated per record.
     pub trace_bytes: usize,
-    /// Total records consumed.
+    /// Total records analyzed (all of them unless an ablation drops some).
     pub records: usize,
     /// Peak resident window entries.
     pub window_peak: usize,
@@ -136,6 +144,7 @@ struct PendAgg {
 #[derive(Debug)]
 pub struct OnlineDetector {
     engine: FrontierEngine,
+    ablation: Ablation,
     window_cap: Option<usize>,
     sweep_every: usize,
     window: BTreeMap<(bool, String), VecDeque<WindowEntry>>,
@@ -160,7 +169,10 @@ pub struct OnlineDetector {
 impl OnlineDetector {
     /// Creates a detector for one streamed run.
     pub fn new(opts: OnlineOptions) -> OnlineDetector {
-        let mut engine = FrontierEngine::new(opts.engine);
+        let mut engine = FrontierEngine::new(FrontierOptions {
+            allow_retirement: opts.engine.allow_retirement && opts.ablation == Ablation::None,
+            ..opts.engine
+        });
         engine.inject_eserial(&opts.inject_eserial);
         let mut watched_keys = BTreeSet::new();
         let mut watched_sources = BTreeSet::new();
@@ -173,6 +185,7 @@ impl OnlineDetector {
         }
         OnlineDetector {
             engine,
+            ablation: opts.ablation,
             window_cap: opts.window_cap,
             sweep_every: opts.sweep_every.max(1),
             window: BTreeMap::new(),
@@ -222,10 +235,14 @@ impl OnlineDetector {
     }
 
     fn process(&mut self, r: &Record) {
-        let index = self.records;
-        self.records += 1;
         self.stats.add(r);
         self.trace_bytes += format_record(r).len() + 1;
+        let Some(r) = ablate_record(r, self.ablation) else {
+            return;
+        };
+        let r = &*r;
+        let index = self.records;
+        self.records += 1;
         let at = self.engine.record(r);
         if !self.watched_keys.is_empty() {
             self.fire_sync_edges(r, at);

@@ -11,7 +11,9 @@
 //!    *different* handler instances on the same thread become (wrongly)
 //!    ordered (→ false negatives).
 
-use dcatch_trace::{ExecCtx, HandlerKind, OpKind, TraceSet};
+use std::borrow::Cow;
+
+use dcatch_trace::{ExecCtx, HandlerKind, OpKind, Record, TraceSet};
 
 /// Which HB-related record category to ignore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,29 +86,46 @@ fn demoted_handler(ablation: Ablation) -> Option<HandlerKind> {
     }
 }
 
+fn demotes(ablation: Ablation, ctx: ExecCtx) -> bool {
+    matches!(ctx, ExecCtx::Handler { kind, .. } if Some(kind) == demoted_handler(ablation))
+}
+
 /// Produces the trace the ablated analyzer effectively sees.
 pub fn apply_ablation(trace: &TraceSet, ablation: Ablation) -> TraceSet {
     if ablation == Ablation::None {
         return trace.clone();
     }
-    let demote = demoted_handler(ablation);
     trace
         .filtered(|r| !drops(ablation, &r.kind))
         .mapped(|mut r| {
-            if let ExecCtx::Handler { kind, .. } = r.ctx {
-                if Some(kind) == demote {
-                    r.ctx = ExecCtx::Regular;
-                }
+            if demotes(ablation, r.ctx) {
+                r.ctx = ExecCtx::Regular;
             }
             r
         })
+}
+
+/// [`apply_ablation`] for one record of a stream: `None` when the ablated
+/// analyzer ignores the record, otherwise the record as it sees it (a
+/// demoted handler context rewritten to regular program order).
+pub fn ablate_record(r: &Record, ablation: Ablation) -> Option<Cow<'_, Record>> {
+    if drops(ablation, &r.kind) {
+        None
+    } else if demotes(ablation, r.ctx) {
+        Some(Cow::Owned(Record {
+            ctx: ExecCtx::Regular,
+            ..r.clone()
+        }))
+    } else {
+        Some(Cow::Borrowed(r))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcatch_model::{FuncId, NodeId, StmtId};
-    use dcatch_trace::{CallStack, EventId, Record, TaskId};
+    use dcatch_trace::{CallStack, EventId, TaskId};
 
     fn rec(seq: u64, ctx: ExecCtx, kind: OpKind) -> Record {
         Record {
@@ -144,6 +163,14 @@ mod tests {
         let ablated = apply_ablation(&trace, Ablation::IgnoreEvent);
         assert_eq!(ablated.len(), 1);
         assert_eq!(ablated.records()[0].ctx, ExecCtx::Regular);
+        // record by record, a stream sees exactly the same trace
+        let streamed: Vec<Record> = trace
+            .records()
+            .iter()
+            .filter_map(|r| ablate_record(r, Ablation::IgnoreEvent))
+            .map(|r| r.into_owned())
+            .collect();
+        assert_eq!(streamed, ablated.records());
     }
 
     #[test]

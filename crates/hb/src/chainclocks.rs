@@ -15,10 +15,10 @@
 //!
 //! `reaches(a, b)` becomes `clock[b][chain(a)] ≥ pos(a)`, memory drops to
 //! `n × G × 4` bytes (G = #chains ≪ n), and the index is exact for
-//! arbitrary HB DAGs — unlike the naive per-handler-dimension vector
-//! clocks of [`VectorClocks`](crate::VectorClocks), whose dimension count
-//! grows with the number of handler *instances*, chains here stay as few
-//! as the trace's program-order groups.
+//! arbitrary HB DAGs — unlike naive per-handler-dimension vector clocks
+//! (the §3.2.2 "too slow" alternative), whose dimension count grows with
+//! the number of handler *instances*, chains here stay as few as the
+//! trace's program-order groups.
 //!
 //! The set-based and optimal predictive race detectors this follows
 //! (Roemer & Bond's set-based analysis; Pavlogiannis's "Fast, Sound and

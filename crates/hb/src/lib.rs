@@ -49,11 +49,9 @@ mod bitmatrix;
 mod chainclocks;
 mod graph;
 mod streaming;
-mod vectorclock;
 
-pub use ablation::{apply_ablation, Ablation};
+pub use ablation::{ablate_record, apply_ablation, Ablation};
 pub use bitmatrix::BitMatrix;
 pub use chainclocks::ChainClocks;
 pub use graph::{EdgeRule, HbAnalysis, HbConfig, HbError, ReachabilityMode};
 pub use streaming::{Arrival, FrontierEngine, FrontierOptions};
-pub use vectorclock::VectorClocks;

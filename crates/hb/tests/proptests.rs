@@ -388,25 +388,3 @@ fn chain_clocks_agree_with_bit_matrix() {
         }
     }
 }
-
-/// The vector-clock baseline (paper §3.2.2's "too slow" alternative)
-/// agrees with the bit-matrix reachable sets on arbitrary traces.
-#[test]
-fn vector_clocks_agree_with_bit_matrix() {
-    for case in 0..48u64 {
-        let mut rng = SmallRng::seed_from_u64(0x7C ^ case);
-        let trace = build_trace(&arb_ops(&mut rng, 35));
-        let hb = HbAnalysis::build(trace, &HbConfig::default()).unwrap();
-        let vc = dcatch_hb::VectorClocks::compute(&hb);
-        let n = hb.vertex_count();
-        for a in 0..n {
-            for b in 0..n {
-                assert_eq!(
-                    hb.happens_before(a, b),
-                    vc.happens_before(a, b),
-                    "case {case}: vc disagreement at ({a}, {b})"
-                );
-            }
-        }
-    }
-}

@@ -5,9 +5,9 @@
 //! resource pressure were binary — an `OutOfMemory` outcome or a watchdog
 //! kill. The governor replaces that cliff with a *ladder*: each pipeline
 //! stage consults the installed budgets at its boundaries and, instead of
-//! aborting, steps down to a cheaper strategy (matrix → chain-clocks
-//! reachability, full → chunked HB analysis, full → rate-sampled memory
-//! tracing, triggering → cancelled), recording every step as a
+//! aborting, steps down to a cheaper strategy (full → rate-sampled memory
+//! tracing, matrix → chain-clocks reachability, HB graph → streaming
+//! window, triggering → cancelled), recording every step as a
 //! first-class [`DegradationEvent`] that lands in the run report.
 //!
 //! The governor is **thread-local**, exactly like the metrics registry:
@@ -28,30 +28,6 @@
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
-
-/// Whether the governor may walk the degradation ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DegradeMode {
-    /// Never degrade: budgets are ignored and the pipeline behaves exactly
-    /// as if no governor were installed (pressure then surfaces as the
-    /// historical hard outcomes — OOM reports, watchdog kills).
-    Off,
-    /// Degrade automatically whenever a budget would be exceeded.
-    #[default]
-    Auto,
-}
-
-impl std::str::FromStr for DegradeMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<DegradeMode, String> {
-        match s {
-            "off" => Ok(DegradeMode::Off),
-            "auto" => Ok(DegradeMode::Auto),
-            other => Err(format!("unknown degrade mode `{other}` (off|auto)")),
-        }
-    }
-}
 
 /// Resource budgets for one governed run. `None` means unlimited.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -97,12 +73,13 @@ thread_local! {
     static GOVERNOR: RefCell<Option<Governor>> = const { RefCell::new(None) };
 }
 
-/// Installs a governor on this thread. A budget with no ceilings, or
-/// [`DegradeMode::Off`], installs nothing — every query then reports the
-/// governor as absent. Replaces any previously installed governor.
-pub fn install(budget: Budget, mode: DegradeMode) {
+/// Installs a governor on this thread. A budget with no ceilings installs
+/// nothing — every query then reports the governor as absent (pressure
+/// surfaces as the hard outcomes: OOM reports, watchdog kills). Replaces
+/// any previously installed governor.
+pub fn install(budget: Budget) {
     GOVERNOR.with_borrow_mut(|g| {
-        *g = (mode == DegradeMode::Auto && budget.is_bounded()).then(|| Governor {
+        *g = budget.is_bounded().then(|| Governor {
             mem_bytes: budget.mem_bytes,
             deadline: budget.time.map(|t| Instant::now() + t),
             events: Vec::new(),
@@ -173,13 +150,10 @@ mod tests {
 
     #[test]
     fn install_and_harvest_are_thread_local() {
-        install(
-            Budget {
-                mem_bytes: Some(1024),
-                time: None,
-            },
-            DegradeMode::Auto,
-        );
+        install(Budget {
+            mem_bytes: Some(1024),
+            time: None,
+        });
         assert!(active());
         assert_eq!(mem_budget(), Some(1024));
         record(DegradationEvent {
@@ -205,15 +179,8 @@ mod tests {
 
     #[test]
     fn off_mode_and_empty_budgets_install_nothing() {
-        install(
-            Budget {
-                mem_bytes: Some(1),
-                time: Some(Duration::from_secs(1)),
-            },
-            DegradeMode::Off,
-        );
-        assert!(!active());
-        install(Budget::default(), DegradeMode::Auto);
+        // no ceilings is the governor's only "off" state
+        install(Budget::default());
         assert!(!active());
         record(DegradationEvent {
             stage: "x".into(),
@@ -226,13 +193,10 @@ mod tests {
 
     #[test]
     fn time_budget_expires() {
-        install(
-            Budget {
-                mem_bytes: None,
-                time: Some(Duration::ZERO),
-            },
-            DegradeMode::Auto,
-        );
+        install(Budget {
+            mem_bytes: None,
+            time: Some(Duration::ZERO),
+        });
         assert!(active());
         assert!(time_expired());
         uninstall();

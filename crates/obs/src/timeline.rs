@@ -29,7 +29,7 @@
 //! orders events by `(ts, insertion ordinal)` with metadata lanes first,
 //! sorted by `(pid, tid)`. Two timelines built from the same inputs
 //! therefore serialize byte-identically, independent of map iteration or
-//! worker interleaving (see `DESIGN.md` §11).
+//! worker interleaving (see `DESIGN.md` §9).
 
 use crate::json::Json;
 

@@ -2,8 +2,10 @@
 # Local CI gate: formatting, lints, and the tier-1 test suite.
 # Fully offline — every dependency is a workspace member.
 #
-#   scripts/check.sh          # fmt + clippy + build + test
-#                             # (DCATCH_SOAK=1 appends the fault soak)
+#   scripts/check.sh          # fmt + clippy + build + test + the smokes
+#                             # below that are cheap (timeline, trigger
+#                             # farm, synth, dcbench; DCATCH_SOAK=1
+#                             # appends the fault soak)
 #   scripts/check.sh bench    # fast bench smoke run (1 warm-up + 3 samples
 #                             # per entry), refreshing BENCH_pipeline.json,
 #                             # BENCH_hbgraph.json, and BENCH_streaming.json
@@ -22,7 +24,7 @@
 #                             # planted racer pair in bounded memory
 #   scripts/check.sh degrade  # resource-governor smoke: `detect all` under
 #                             # a deliberately tiny memory budget must exit
-#                             # 0 with a clean schema-v6 report (no errors,
+#                             # 0 with a clean schema-v7 report (no errors,
 #                             # no OOM, >0 recorded degradation steps), and
 #                             # a fresh-journal run must byte-match an
 #                             # all-skipped `--resume` of the same journal
@@ -32,8 +34,22 @@
 #                             # DCATCH_SOAK=1 it additionally runs 50
 #                             # scenarios per protocol and fails if planted-
 #                             # bug recall drops below SYNTH_BASELINE.json
+#   scripts/check.sh dcbench  # builds dcbench/ (BENCHMARK.json's package,
+#                             # which root tier-1 does not) against the
+#                             # crates' public items and runs its tests:
+#                             # all four workloads at --size smoke
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+dcbench() {
+    echo "== dcbench (builds against crates/, four workloads at --size smoke) =="
+    cargo test --release --offline --manifest-path dcbench/Cargo.toml
+}
+
+if [[ "${1:-}" == "dcbench" ]]; then
+    dcbench
+    exit 0
+fi
 
 soak() {
     echo "== fault soak (fixed seeds) =="
@@ -228,6 +244,8 @@ cargo run --offline --release -q --bin dcatch -- detect ZK-1144 --json --scrub-t
 cmp "$tl_dir/t1.json" "$tl_dir/t2.json"
 
 synth_smoke "$tl_dir/synth"
+
+dcbench
 
 if [[ "${DCATCH_SOAK:-0}" == "1" ]]; then
     soak

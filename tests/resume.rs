@@ -6,10 +6,11 @@
 //! * a budget large enough never to bind is observationally equivalent to
 //!   no governor at all, and a tiny budget degrades instead of dying.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
 
-use dcatch::{DegradeMode, Pipeline, PipelineOptions};
+use dcatch::{BenchmarkReport, Pipeline, PipelineOptions, StmtId};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dcatch-resume-{name}-{}", std::process::id()));
@@ -98,46 +99,162 @@ fn finished_journal_skips_every_benchmark_and_tolerates_a_torn_tail() {
     assert_ne!(code, 0, "fingerprint mismatch must be an error");
 }
 
+fn static_pairs(report: &BenchmarkReport) -> BTreeSet<(StmtId, StmtId)> {
+    report
+        .reports
+        .iter()
+        .map(|r| r.candidate.static_pair)
+        .collect()
+}
+
+/// Whether the degradation list has a `stage` step whose `to` starts
+/// with `to_prefix`.
+fn has_step(report: &BenchmarkReport, stage: &str, to_prefix: &str) -> bool {
+    report
+        .degradations
+        .iter()
+        .any(|d| d.stage == stage && d.to.starts_with(to_prefix))
+}
+
+/// What every rung of the memory ladder promises, whichever fired: the
+/// run finishes without an OOM report, loop-sync is kept, the deleted
+/// chunked search is not a rung, and no pair is invented.
+fn assert_degraded_soundly(id: &str, governed: &BenchmarkReport, free: &BenchmarkReport) {
+    let steps = &governed.degradations;
+    assert!(
+        governed.oom.is_none(),
+        "{id}: the governor degrades before the analysis can OOM"
+    );
+    assert!(
+        !steps.iter().any(|d| d.to.starts_with("chunked_")),
+        "{id}: {steps:?}"
+    );
+    assert!(
+        !has_step(governed, "loop_sync", "skipped"),
+        "{id}: every memory rung keeps loop-sync: {steps:?}"
+    );
+    let free_pairs = static_pairs(free);
+    for pair in static_pairs(governed) {
+        assert!(
+            free_pairs.contains(&pair),
+            "{id}: invented candidate {pair:?} after {steps:?}"
+        );
+    }
+}
+
 #[test]
 fn tiny_memory_budget_degrades_instead_of_dying() {
+    let plain = PipelineOptions::full();
     let mut opts = PipelineOptions::full();
     opts.mem_budget = Some(2 << 10);
-    let mut degradations = 0;
+    let (mut degradations, mut sampled) = (0, 0);
     for bench in dcatch::all_benchmarks() {
-        let report = Pipeline::run(&bench, &opts)
-            .unwrap_or_else(|e| panic!("{} must survive a 2 KiB budget: {e}", bench.id));
+        let free = Pipeline::run(&bench, &plain).expect("ungoverned run");
         assert!(
-            report.oom.is_none(),
-            "{}: the governor degrades before the analysis can OOM",
+            free.degradations.is_empty(),
+            "{}: no budgets set means no degradations",
             bench.id
         );
+        let report = Pipeline::run(&bench, &opts)
+            .unwrap_or_else(|e| panic!("{} must survive a 2 KiB budget: {e}", bench.id));
+        assert_degraded_soundly(bench.id, &report, &free);
         degradations += report.degradations.len();
+        sampled += usize::from(has_step(&report, "tracing", "sampled_1_in_"));
     }
     assert!(
         degradations > 0,
         "a 2 KiB budget must force degradation steps somewhere in the suite"
     );
+    assert!(
+        sampled > 0,
+        "some miniature's trace exceeds 2 KiB and is re-traced sampled"
+    );
+}
 
-    // --degrade off restores the historical behavior: budgets are ignored
-    opts.degrade = DegradeMode::Off;
+/// The ladder's last memory rung — streaming detection under a window
+/// cap — for every benchmark. The miniatures' matrix is smaller than their
+/// trace, so a flat budget stops at the sampling rung above; pinning the
+/// clock engine and sizing the budget from the trace makes the index
+/// estimate bind: at the trace size the trace fits and only the index does
+/// not, at half of it the sampling rung fires first and the sampled
+/// schedule is the one streamed.
+#[test]
+fn last_memory_rung_is_the_streaming_window_and_never_invents() {
+    let plain = PipelineOptions::full();
+    let mut governed = PipelineOptions::full();
+    governed.hb.reachability = dcatch::ReachabilityMode::Clocks;
     for bench in dcatch::all_benchmarks() {
-        let report = Pipeline::run(&bench, &opts).expect("still runs");
-        assert!(report.degradations.is_empty(), "{}", bench.id);
+        let free = Pipeline::run(&bench, &plain).expect("ungoverned run");
+        for (divisor, expect_sampling) in [(1, false), (2, true)] {
+            governed.mem_budget = Some(free.trace_bytes / divisor);
+            let report = Pipeline::run(&bench, &governed)
+                .unwrap_or_else(|e| panic!("{} must survive a tiny budget: {e}", bench.id));
+            let steps = &report.degradations;
+            assert_degraded_soundly(bench.id, &report, &free);
+            assert_eq!(
+                has_step(&report, "tracing", "sampled_1_in_"),
+                expect_sampling,
+                "{}: {steps:?}",
+                bench.id
+            );
+            assert!(
+                has_step(&report, "trace_analysis", "streaming")
+                    && has_step(&report, "streaming", "window_"),
+                "{}: the last memory rung is the streaming window: {steps:?}",
+                bench.id
+            );
+            assert!(report.streaming.is_some(), "{}", bench.id);
+        }
     }
+}
+
+/// The user's own `--budget` (the reachability-index ceiling) is honoured
+/// by a governed run even when `--mem-budget` is far larger: with a
+/// governor installed an index that does not fit degrades, in ladder
+/// order, instead of producing the Table 8 OOM report it does without one
+/// (`tests/pipeline.rs`).
+#[test]
+fn index_budget_below_mem_budget_degrades_in_ladder_order() {
+    let mut opts = PipelineOptions::full();
+    opts.hb.memory_budget_bytes = 64;
+    let bench = dcatch::all_benchmarks().remove(0);
+    let free = Pipeline::run(&bench, &PipelineOptions::full()).expect("ungoverned run");
+    let index_steps = |report: &BenchmarkReport| -> Vec<String> {
+        report
+            .degradations
+            .iter()
+            .filter(|d| d.stage == "trace_analysis")
+            .map(|d| format!("{} → {}", d.from, d.to))
+            .collect()
+    };
+    opts.mem_budget = Some(1 << 40);
+    let report = Pipeline::run(&bench, &opts).expect("runs");
+    assert_degraded_soundly(bench.id, &report, &free);
+    // the user's 64 B ruled the matrix out, not the governor
+    assert_eq!(index_steps(&report), ["clocks → streaming"]);
+
+    // a governed ceiling below both estimates: the ladder records giving
+    // up on the matrix before it gives up on clocks too
+    opts.hb = PipelineOptions::full().hb;
+    opts.mem_budget = Some(256);
+    let report = Pipeline::run(&bench, &opts).expect("runs");
+    assert_degraded_soundly(bench.id, &report, &free);
+    assert_eq!(
+        index_steps(&report),
+        ["matrix → clocks", "clocks → streaming"]
+    );
 }
 
 /// Serializes one run with wall-clock fields scrubbed (the byte-stable
 /// projection the CLI's `--scrub-timings` compares).
-fn scrubbed(bench: &dcatch::Benchmark, opts: &PipelineOptions) -> String {
-    let mut report = Pipeline::run(bench, opts).expect("run succeeds");
+fn scrubbed(mut report: BenchmarkReport) -> String {
     report.scrub_timings();
     dcatch::report_json::run_report(&[report]).to_pretty()
 }
 
 /// Property (per benchmark): a governor whose budgets are far above any
 /// real footprint never fires a rung, and the report is byte-identical to
-/// a governor-less run. Warm-up runs first: metric names intern globally
-/// on first use, so a first run can mint names later snapshots zero-fill.
+/// a governor-less run.
 #[test]
 fn ample_budget_is_equivalent_to_no_governor() {
     let plain = PipelineOptions::full();
@@ -145,17 +262,21 @@ fn ample_budget_is_equivalent_to_no_governor() {
     governed.mem_budget = Some(1 << 40);
     governed.time_budget = Some(std::time::Duration::from_secs(3600));
     for bench in dcatch::all_benchmarks() {
-        let _warmup = scrubbed(&bench, &plain);
-        let baseline = scrubbed(&bench, &plain);
+        let free = Pipeline::run(&bench, &plain).expect("run succeeds");
         let report = Pipeline::run(&bench, &governed).expect("governed run succeeds");
         assert!(
             report.degradations.is_empty(),
             "{}: an ample budget must never degrade",
             bench.id
         );
+        // Metric names intern globally on first use, so which zeroes a
+        // snapshot lists depends on what its run and the tests beside it
+        // have minted so far; compare over the union, as `run_all` does.
+        let mut pair = [Ok(free), Ok(report)];
+        dcatch::normalize_metric_names(&mut pair);
+        let [baseline, with_slack] = pair.map(|r| scrubbed(r.expect("ok above")));
         assert_eq!(
-            scrubbed(&bench, &governed),
-            baseline,
+            with_slack, baseline,
             "{}: governor with slack must not change the report",
             bench.id
         );
