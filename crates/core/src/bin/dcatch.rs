@@ -4,12 +4,13 @@
 //! dcatch list
 //! dcatch detect  <BUG-ID|all> [options]
 //! dcatch stats   <BUG-ID> [--full-tracing] [--scale N] [--seed N] [--json]
-//! dcatch trace   <BUG-ID> [--full-tracing] [--out FILE]
+//!                [--out FILE]
+//! dcatch trace   <BUG-ID> [--full-tracing] [--scale N] [--seed N] [--out FILE]
 //! dcatch timeline <BUG-ID> [--full-tracing] [--scale N] [--seed N]
 //!                 [--fault-plan FILE] [--out FILE]
 //! dcatch explain <BUG-ID> <OBJECT> [--json] [--out FILE]
-//! dcatch faults  <BUG-ID|all> [--fault-plan FILE] [--seeds CSV]
-//!                [--trigger-jobs N] [--timeout SECS] [--json]
+//! dcatch faults  <BUG-ID|all> [--fault-plan FILE] [--seeds CSV] [--scale N]
+//!                [--trigger-jobs N] [--timeout SECS] [--json] [--out FILE]
 //! dcatch synth   [--seed N] [--count N] [--protocol le|2pc|pb|gossip]
 //!                [--nodes K] [--clients C] [--fan-out F] [--bugs B]
 //!                [--quarantine DIR] [--no-shrink] [--shrink-budget N]
@@ -34,7 +35,7 @@
 //! recorded as ground truth, runs each through the full pipeline (fault
 //! plan, governor, triggering farm engaged), and scores detected Harmful
 //! candidates against the plants into a recall/precision report (the
-//! schema v6 `synth` section). Any miss, false positive, or pipeline
+//! run report's `synth` section). Any miss, false positive, or pipeline
 //! failure is deterministically *shrunk* to the smallest still-reproducing
 //! scenario and written to the quarantine directory as a replayable case;
 //! `--replay FILE` re-runs one. Exit codes: 0 clean, 2 on any scoring
@@ -96,7 +97,7 @@
 //!   --out FILE       write the JSON report to FILE instead of stdout
 //!   --profile        capture per-stage spans and counter tracks; writes a
 //!                    Perfetto timeline and fills the report's `profile`
-//!                    section (schema v4)
+//!                    section
 //!   --profile-out F  where to write the profile timeline
 //!                    (default profile.trace.json; implies --profile)
 //!   --metrics        print per-run counter deltas (human mode)
@@ -125,40 +126,44 @@
 
 use std::process::ExitCode;
 
+use dcatch::journal::Journal;
+use dcatch::report_json::{self, SCHEMA_VERSION};
 use dcatch::{
     Ablation, HbConfig, Pipeline, PipelineOptions, SimConfig, TraceStats, TracingMode, Verdict,
     World,
 };
+use dcatch_obs::Json;
+
+/// What every subcommand returns: its exit code, or the usage / IO error
+/// message `main` prints before exiting 1.
+type Cmd = Result<ExitCode, String>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            if let Err(e) = check_flags(&args[1..], &[], &[]) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-            list();
-            ExitCode::SUCCESS
-        }
-        Some("detect") => detect(&args[1..]),
-        Some("stats") => stats(&args[1..]),
-        Some("trace") => trace(&args[1..]),
-        Some("timeline") => timeline(&args[1..]),
-        Some("explain") => explain(&args[1..]),
-        Some("faults") => faults(&args[1..]),
-        Some("synth") => synth(&args[1..]),
-        Some("streambench") => streambench(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: dcatch <list|detect|stats|trace|timeline|explain|faults|synth|streambench> …  (see the README)"
-            );
-            ExitCode::FAILURE
-        }
-    }
+    let rest = args.get(1..).unwrap_or_default();
+    let result = match args.first().map(String::as_str) {
+        Some("list") => list(rest),
+        Some("detect") => detect(rest),
+        Some("stats") => stats(rest),
+        Some("trace") => trace(rest),
+        Some("timeline") => timeline(rest),
+        Some("explain") => explain(rest),
+        Some("faults") => faults(rest),
+        Some("synth") => synth(rest),
+        Some("streambench") => streambench(rest),
+        _ => Err(
+            "usage: dcatch <list|detect|stats|trace|timeline|explain|faults|synth|streambench> …  (see the README)"
+                .to_owned(),
+        ),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
 }
 
-fn list() {
+fn list(args: &[String]) -> Cmd {
+    check_flags(args, &[], &[])?;
     println!("available benchmarks (TaxDC suite miniatures):");
     for b in dcatch::all_benchmarks() {
         println!(
@@ -170,6 +175,7 @@ fn list() {
             b.root.abbrev()
         );
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Validates that every `--flag` in `args` is known: `flags` take no
@@ -307,24 +313,27 @@ fn load_fault_plan(path: &str) -> Result<dcatch::FaultPlan, String> {
     dcatch::FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn benchmarks_for(id: &str, scale: u32) -> Vec<dcatch::Benchmark> {
-    if id.eq_ignore_ascii_case("all") {
-        dcatch::all_benchmarks_scaled(scale)
-    } else {
-        dcatch::all_benchmarks_scaled(scale)
-            .into_iter()
-            .filter(|b| b.id.eq_ignore_ascii_case(id))
-            .collect()
+/// The benchmarks `id` names at `scale` (`all`, or one id): never empty.
+fn benchmarks_for(id: &str, scale: u32) -> Result<Vec<dcatch::Benchmark>, String> {
+    let mut benches = dcatch::all_benchmarks_scaled(scale);
+    if !id.eq_ignore_ascii_case("all") {
+        benches.retain(|b| b.id.eq_ignore_ascii_case(id));
     }
+    if benches.is_empty() {
+        return Err(format!("unknown benchmark `{id}` — try `dcatch list`"));
+    }
+    Ok(benches)
+}
+
+fn write_file(path: &str, bytes: &[u8]) -> Result<(), String> {
+    std::fs::write(path, bytes).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// Writes a JSON document to `--out FILE` or stdout.
-fn emit_json(doc: &dcatch_obs::Json, out: Option<&String>) -> Result<(), String> {
+fn emit_json(doc: &Json, args: &[String]) -> Result<(), String> {
     let text = doc.to_pretty();
-    match out {
-        Some(path) => {
-            std::fs::write(path, text.as_bytes()).map_err(|e| format!("cannot write {path}: {e}"))
-        }
+    match opt_str(args, "--out") {
+        Some(path) => write_file(path, text.as_bytes()),
         None => {
             // ignore EPIPE so `dcatch … --json | head` exits quietly
             use std::io::Write;
@@ -334,252 +343,180 @@ fn emit_json(doc: &dcatch_obs::Json, out: Option<&String>) -> Result<(), String>
     }
 }
 
-fn detect(args: &[String]) -> ExitCode {
-    let Some(id) = args.first() else {
-        eprintln!("usage: dcatch detect <BUG-ID|all> [options]");
-        return ExitCode::FAILURE;
-    };
-    if let Err(e) = check_flags(&args[1..], DETECT_FLAGS, DETECT_VALUED) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let scale = match opt(args, "--scale") {
-        Ok(s) => s.unwrap_or(1),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let benches = benchmarks_for(id, scale);
-    if benches.is_empty() {
-        eprintln!("unknown benchmark `{id}` — try `dcatch list`");
-        return ExitCode::FAILURE;
-    }
-    let opts = match build_options(&args[1..]) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let json = flag(args, "--json");
-    let show_metrics = flag(args, "--metrics");
-    let jobs = match opt::<usize>(args, "--jobs") {
-        Ok(j) => j.unwrap_or(1).max(1),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let verbose = flag(args, "--verbose");
-    if verbose {
-        dcatch_obs::trace::set_verbose(true);
-    }
-    let profile = flag(args, "--profile") || opt_str(args, "--profile-out").is_some();
-    let resume = opt_str(args, "--resume");
-    if resume.is_some() && profile {
-        eprintln!("--resume cannot be combined with --profile");
-        return ExitCode::FAILURE;
-    }
-    // The journal fingerprint pins everything that shapes per-benchmark
-    // results; resuming under different options is refused rather than
-    // splicing incomparable reports.
-    let journal = match resume {
-        Some(path) => {
-            let ids: Vec<&str> = benches.iter().map(|b| b.id).collect();
-            let fingerprint = format!("scale={scale};ids={ids:?};opts={opts:?}");
-            match dcatch::journal::Journal::open_or_create(std::path::Path::new(path), &fingerprint)
-            {
-                Ok(j) => Some(j),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+/// The one resumable batch loop, shared by `detect` and `synth`: runs
+/// `run` over `items` on `--jobs` workers behind a live progress line and
+/// returns one `(entry, fresh)` per item, in input order.
+///
+/// With `--resume FILE`, each entry is appended to the journal the moment
+/// it exists — from the worker thread, so a kill at any point leaves a
+/// resumable journal — and items the journal already finished are not
+/// run: their journaled entry is spliced in with `fresh` = `None`. The
+/// fingerprint pins everything that shapes an entry; resuming under
+/// different options is refused rather than splicing incomparable ones.
+fn run_resumable<T: Sync, R: Send>(
+    label: &str,
+    args: &[String],
+    fingerprint: &str,
+    items: &[T],
+    id_of: impl Fn(&T) -> String,
+    run: impl Fn(&T) -> (Json, R) + Sync,
+    degraded: impl Fn(&Json) -> bool + Sync,
+) -> Result<Vec<(Json, Option<R>)>, String> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let jobs = opt::<usize>(args, "--jobs")?.unwrap_or(1).max(1);
+    let journal = match opt_str(args, "--resume") {
+        Some(path) => Some(Journal::open_or_create(
+            std::path::Path::new(path),
+            fingerprint,
+        )?),
         None => None,
     };
-    let skip: Vec<bool> = benches
-        .iter()
-        .map(|b| journal.as_ref().is_some_and(|j| j.finished_ok(b.id)))
-        .collect();
-    let pending: Vec<dcatch::Benchmark> = benches
-        .iter()
-        .zip(&skip)
-        .filter(|(_, skip)| !**skip)
-        .map(|(b, _)| b.clone())
+    let ids: Vec<String> = items.iter().map(id_of).collect();
+    let journaled = |id: &String| journal.as_ref().filter(|j| j.finished_ok(id));
+    let pending: Vec<usize> = (0..items.len())
+        .filter(|&i| journaled(&ids[i]).is_none())
         .collect();
     let progress = dcatch_obs::Progress::with_enabled(
-        "detect",
-        pending.iter().map(|b| b.id.to_owned()),
-        pending.len() > 1 && !verbose && dcatch_obs::progress::stderr_wants_progress(),
+        label,
+        pending.iter().map(|&i| ids[i].clone()),
+        pending.len() > 1
+            && !flag(args, "--verbose")
+            && dcatch_obs::progress::stderr_wants_progress(),
     );
-    // Checkpoint each benchmark the moment its result exists, from the
-    // worker thread — a kill at any point leaves a resumable journal.
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    // test hook: die as abruptly as a crash would, K checkpoints in
     let exit_after: Option<usize> = std::env::var("DCATCH_TEST_EXIT_AFTER")
         .ok()
         .and_then(|v| v.parse().ok());
     let recorded = AtomicUsize::new(0);
-    let record = |i: usize, result: &Result<dcatch::BenchmarkReport, dcatch::PipelineError>| {
-        let Some(j) = journal.as_ref() else { return };
-        let id = pending[i].id;
-        let entry = match result {
-            Ok(r) => dcatch::report_json::benchmark_json(r),
-            Err(e) => dcatch::report_json::error_json(id, e),
-        };
-        if let Err(e) = j.record(id, &entry) {
-            eprintln!("{e}");
+    let mut fresh = dcatch::steal_map(jobs, pending.len(), |p| {
+        let i = pending[p];
+        progress.start(p);
+        let (entry, result) = run(&items[i]);
+        if let Some(j) = &journal {
+            if let Err(e) = j.record(&ids[i], &entry) {
+                eprintln!("{e}");
+            }
+            if exit_after.is_some_and(|k| recorded.fetch_add(1, Ordering::SeqCst) + 1 >= k) {
+                std::process::exit(70);
+            }
         }
-        // test hook: die as abruptly as a crash would, K checkpoints in
-        if exit_after.is_some_and(|k| recorded.fetch_add(1, Ordering::SeqCst) + 1 >= k) {
-            std::process::exit(70);
-        }
-    };
-    let mut results = Pipeline::run_all_recorded(
-        &pending,
-        &opts,
-        jobs,
-        &|i, phase| match phase {
-            dcatch::RunPhase::Started => progress.start(i),
-            dcatch::RunPhase::Finished => progress.complete(i, false),
-            dcatch::RunPhase::Degraded => progress.complete(i, true),
-        },
-        &record,
-    );
+        progress.complete(p, degraded(&entry));
+        Some((entry, Some(result)))
+    })
+    .into_iter();
     progress.finish();
-    let scrub = flag(args, "--scrub-timings");
-    if scrub {
-        for r in results.iter_mut().filter_map(|r| r.as_mut().ok()) {
-            r.scrub_timings();
+    Ok(ids
+        .iter()
+        .map(|id| match journaled(id) {
+            Some(j) => (j.completed()[id].clone(), None),
+            None => fresh
+                .next()
+                .flatten()
+                .expect("one outcome per pending item"),
+        })
+        .collect())
+}
+
+fn detect(args: &[String]) -> Cmd {
+    let id = args
+        .first()
+        .ok_or("usage: dcatch detect <BUG-ID|all> [options]")?;
+    check_flags(&args[1..], DETECT_FLAGS, DETECT_VALUED)?;
+    let scale = opt(args, "--scale")?.unwrap_or(1);
+    let benches = benchmarks_for(id, scale)?;
+    let opts = build_options(&args[1..])?;
+    let json = flag(args, "--json");
+    let show_metrics = flag(args, "--metrics");
+    if flag(args, "--verbose") {
+        dcatch_obs::trace::set_verbose(true);
+    }
+    let profile = flag(args, "--profile") || opt_str(args, "--profile-out").is_some();
+    if profile && opt_str(args, "--resume").is_some() {
+        return Err("--resume cannot be combined with --profile".to_owned());
+    }
+    let ids: Vec<&str> = benches.iter().map(|b| b.id).collect();
+    let mut outcomes = run_resumable(
+        "detect",
+        args,
+        &format!("scale={scale};ids={ids:?};opts={opts:?}"),
+        &benches,
+        |b| b.id.to_owned(),
+        |b| {
+            let result = Pipeline::run_guarded(b, &opts);
+            (report_json::result_json(b.id, &result, profile), result)
+        },
+        |entry| report_json::entry_error(entry).is_some(),
+    )?;
+    if flag(args, "--scrub-timings") {
+        for (entry, fresh) in &mut outcomes {
+            report_json::scrub_entry(entry);
+            if let Some(Ok(r)) = fresh {
+                r.scrub_timings();
+            }
         }
     }
-    // Walk the full benchmark list in order, splicing journaled entries in
-    // for skipped benchmarks, and fold every outcome into the worst
-    // process exit code (see the table in the module docs).
-    let mut fresh = results.into_iter();
-    let mut fresh_results: Vec<(&str, Result<dcatch::BenchmarkReport, dcatch::PipelineError>)> =
-        Vec::new();
-    let mut entries: Vec<dcatch_obs::Json> = Vec::new();
+    // Walk the benchmarks in order, folding every outcome — fresh or
+    // journaled — into the worst process exit code (see the table in the
+    // module docs); errored benchmarks stay in the report as entries.
     let mut worst: u8 = 0;
-    for (b, skipped) in benches.iter().zip(&skip) {
-        if !json {
-            println!("== {} ({}) ==", b.id, b.system.name());
-        }
-        if *skipped {
-            let entry = journal
-                .as_ref()
-                .and_then(|j| j.completed().get(b.id).cloned())
-                .expect("skipped benchmarks have a journal entry");
-            worst = worst.max(entry_exit_code(&entry, opts.triggering));
-            if !json {
-                println!("  finished in an earlier run — resumed from journal");
+    for (b, (entry, fresh)) in benches.iter().zip(&outcomes) {
+        worst = worst.max(entry_exit_code(entry, opts.triggering));
+        if json {
+            if let Some(Err(e)) = fresh {
+                eprintln!("{}: {e}", b.id);
             }
-            entries.push(entry);
             continue;
         }
-        let result = fresh.next().expect("one result per pending benchmark");
-        match &result {
-            Ok(r) => {
-                if json {
-                    worst = worst.max(report_exit_code(r, opts.triggering));
-                } else {
-                    worst = worst.max(print_report(r, &opts, show_metrics));
-                    if profile {
-                        print_profile(r);
-                    }
+        println!("== {} ({}) ==", b.id, b.system.name());
+        match fresh {
+            None => println!("  finished in an earlier run — resumed from journal"),
+            Some(Ok(r)) => {
+                print_report(r, &opts, show_metrics);
+                if profile {
+                    print_profile(r);
                 }
             }
-            Err(e) => {
-                worst = worst.max(e.exit_code());
-                if json {
-                    eprintln!("{}: {e}", b.id);
-                } else {
-                    println!("  error: {e}");
-                }
-            }
+            Some(Err(e)) => println!("  error: {e}"),
         }
-        if journal.is_some() {
-            entries.push(match &result {
-                Ok(r) => dcatch::report_json::benchmark_json(r),
-                Err(e) => dcatch::report_json::error_json(b.id, e),
-            });
-        }
-        fresh_results.push((b.id, result));
     }
+    let (entries, fresh): (Vec<Json>, Vec<_>) = outcomes.into_iter().unzip();
     if profile {
-        let tl = dcatch::profile_timeline(&fresh_results);
-        let doc = tl.to_json();
-        match dcatch_obs::timeline::validate(&doc) {
-            Ok(summary) => {
-                let path = opt_str(args, "--profile-out")
-                    .cloned()
-                    .unwrap_or_else(|| "profile.trace.json".to_owned());
-                if let Err(e) = std::fs::write(&path, doc.to_pretty().as_bytes()) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!(
-                    "profile timeline: {} events, {} lanes -> {path}",
-                    summary.events,
-                    summary.lanes / 2
-                );
-            }
-            Err(e) => {
-                eprintln!("internal error: profile timeline failed validation: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        // `--resume` is excluded above, so every outcome is a fresh one
+        let results: Vec<_> = ids.into_iter().zip(fresh.into_iter().flatten()).collect();
+        let doc = dcatch::profile_timeline(&results).to_json();
+        let summary = dcatch_obs::timeline::validate(&doc)
+            .map_err(|e| format!("internal error: profile timeline failed validation: {e}"))?;
+        let path = opt_str(args, "--profile-out").map_or("profile.trace.json", String::as_str);
+        write_file(path, doc.to_pretty().as_bytes())?;
+        eprintln!(
+            "profile timeline: {} events, {} lanes -> {path}",
+            summary.events,
+            summary.lanes / 2
+        );
     }
     if json {
-        // errored benchmarks stay in the report as structured entries; the
-        // journal path re-normalizes at the JSON level so resumed and
-        // uninterrupted runs serialize byte-identically
-        let doc = if journal.is_some() {
-            dcatch::journal::merge_report(entries, scrub)
-        } else {
-            dcatch::report_json::run_report_results_with(&fresh_results, profile)
-        };
-        if let Err(e) = emit_json(&doc, opt_str(args, "--out")) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        emit_json(&report_json::report_doc(entries), args)?;
     }
-    ExitCode::from(worst)
+    Ok(ExitCode::from(worst))
 }
 
-/// Exit code a successful pipeline report maps to: 4 = HB analysis ran out
-/// of memory, 2 = the known bug went unconfirmed by an *undegraded*
-/// triggering run. A degraded run exits 0 — its verdict is provisional by
-/// construction, and the degradations are recorded in the report.
-fn report_exit_code(r: &dcatch::BenchmarkReport, triggering: bool) -> u8 {
-    if r.oom.is_some() {
-        4
-    } else if triggering && !r.detected_known_bug && r.degradations.is_empty() {
-        2
-    } else {
-        0
+/// The exit code one benchmark's report entry maps to: 3/5/6 from a
+/// structured error, 4 = HB analysis ran out of memory, 2 = the known bug
+/// went unconfirmed by an *undegraded* triggering run. A degraded run
+/// exits 0 — its verdict is provisional by construction, and the
+/// degradations are recorded in the report. Reads the entry, not the
+/// struct, so benchmarks skipped by `--resume` contribute the same way.
+fn entry_exit_code(entry: &Json, triggering: bool) -> u8 {
+    if let Some(code) = report_json::error_exit_code(entry) {
+        return code;
     }
-}
-
-/// The error/report exit codes recomputed from a journaled JSON entry, so
-/// benchmarks skipped by `--resume` still contribute their exit code.
-fn entry_exit_code(entry: &dcatch_obs::Json, triggering: bool) -> u8 {
-    use dcatch_obs::Json;
-    if let Some(err) = entry.get("error").filter(|v| !matches!(v, Json::Null)) {
-        return match err.get("kind").and_then(|k| k.as_str()) {
-            Some("panic") => 5,
-            Some("watchdog_timeout") => 6,
-            _ => 3,
-        };
-    }
-    if entry.get("oom").is_some_and(|v| !matches!(v, Json::Null)) {
+    if entry.get("oom").is_some_and(|v| !v.is_null()) {
         return 4;
     }
-    let detected = matches!(entry.get("detected_known_bug"), Some(Json::Bool(true)));
+    let detected = entry.get("detected_known_bug").and_then(Json::as_bool) == Some(true);
     let degraded = entry
         .get("degradations")
-        .and_then(|d| d.as_arr())
+        .and_then(Json::as_arr)
         .is_some_and(|a| !a.is_empty());
     if triggering && !detected && !degraded {
         2
@@ -624,15 +561,12 @@ fn print_profile(r: &dcatch::BenchmarkReport) {
 /// work-stealing pool the triggering farm uses (`--trigger-jobs N`), with
 /// a deterministic grid-order merge — rows and exit code are identical
 /// for any N.
-fn faults(args: &[String]) -> ExitCode {
-    let Some(id) = args.first() else {
-        eprintln!(
-            "usage: dcatch faults <BUG-ID|all> [--fault-plan FILE] [--seeds CSV] \
-             [--trigger-jobs N] [--timeout SECS] [--json]"
-        );
-        return ExitCode::FAILURE;
-    };
-    if let Err(e) = check_flags(
+fn faults(args: &[String]) -> Cmd {
+    let id = args.first().ok_or(
+        "usage: dcatch faults <BUG-ID|all> [--fault-plan FILE] [--seeds CSV] [--scale N] \
+         [--trigger-jobs N] [--timeout SECS] [--json] [--out FILE]",
+    )?;
+    check_flags(
         &args[1..],
         &["--json"],
         &[
@@ -643,58 +577,22 @@ fn faults(args: &[String]) -> ExitCode {
             "--trigger-jobs",
             "--timeout",
         ],
-    ) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let tjobs = match opt::<usize>(args, "--trigger-jobs") {
-        Ok(j) => j.unwrap_or(1).max(1),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let timeout = match opt::<u64>(args, "--timeout") {
-        Ok(t) => t.map(std::time::Duration::from_secs),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let scale = match opt(args, "--scale") {
-        Ok(s) => s.unwrap_or(1),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let benches = benchmarks_for(id, scale);
-    if benches.is_empty() {
-        eprintln!("unknown benchmark `{id}` — try `dcatch list`");
-        return ExitCode::FAILURE;
-    }
+    )?;
+    let tjobs = opt::<usize>(args, "--trigger-jobs")?.unwrap_or(1).max(1);
+    let timeout = opt::<u64>(args, "--timeout")?.map(std::time::Duration::from_secs);
+    let scale = opt(args, "--scale")?.unwrap_or(1);
+    let benches = benchmarks_for(id, scale)?;
     let seeds: Vec<u64> = match opt_str(args, "--seeds") {
-        Some(csv) => {
-            let parsed: Result<Vec<u64>, _> =
-                csv.split(',').map(str::trim).map(str::parse).collect();
-            match parsed {
-                Ok(s) => s,
-                Err(_) => {
-                    eprintln!("invalid value `{csv}` for `--seeds` (expected e.g. 1,2,3)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+        Some(csv) => csv
+            .split(',')
+            .map(|s| s.trim().parse())
+            .collect::<Result<_, _>>()
+            .map_err(|_| format!("invalid value `{csv}` for `--seeds` (expected e.g. 1,2,3)"))?,
         None => vec![1, 2, 3],
     };
-    let custom = match opt_str(args, "--fault-plan").map(|p| load_fault_plan(p)) {
-        Some(Ok(plan)) => Some(plan),
-        Some(Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        None => None,
-    };
+    let custom = opt_str(args, "--fault-plan")
+        .map(|p| load_fault_plan(p))
+        .transpose()?;
     let json = flag(args, "--json");
     // Flatten the benchmark × scenario × seed grid into one job list.
     // Workers drain it out of order; the merge below walks it in grid
@@ -789,17 +687,22 @@ fn faults(args: &[String]) -> ExitCode {
     let mut rows = Vec::new();
     let mut worst: u8 = 0;
     for (job, outcome) in jobs.iter().zip(outcomes) {
+        // a `--json` row: the job's grid coordinates, then its outcome
+        let row = |outcome: Vec<(&'static str, Json)>| {
+            let mut fields = vec![
+                ("id", Json::Str(job.bench.id.to_owned())),
+                ("scenario", Json::Str(job.scenario.clone())),
+                ("seed", Json::UInt(job.seed)),
+            ];
+            fields.extend(outcome);
+            Json::obj(fields)
+        };
         let (completed, failures, faults_injected) = match outcome.expect("every fault job runs") {
             Ok(o) => o,
             Err((msg, code)) => {
                 worst = worst.max(code);
                 if json {
-                    rows.push(dcatch_obs::Json::obj([
-                        ("id", dcatch_obs::Json::Str(job.bench.id.to_owned())),
-                        ("scenario", dcatch_obs::Json::Str(job.scenario.clone())),
-                        ("seed", dcatch_obs::Json::UInt(job.seed)),
-                        ("error", dcatch_obs::Json::Str(msg)),
-                    ]));
+                    rows.push(row(vec![("error", Json::Str(msg))]));
                 } else {
                     println!(
                         "{:8} {:18} seed={:<4} ERROR {msg}",
@@ -813,31 +716,21 @@ fn faults(args: &[String]) -> ExitCode {
         if wedged {
             worst = worst.max(2);
         }
-        let outcome = if completed {
-            "completed".to_owned()
-        } else if wedged {
-            "WEDGED".to_owned()
-        } else {
-            format!("{} failure(s)", failures.len())
-        };
         if json {
-            rows.push(dcatch_obs::Json::obj([
-                ("id", dcatch_obs::Json::Str(job.bench.id.to_owned())),
-                ("scenario", dcatch_obs::Json::Str(job.scenario.clone())),
-                ("seed", dcatch_obs::Json::UInt(job.seed)),
-                ("completed", dcatch_obs::Json::Bool(completed)),
-                (
-                    "failures",
-                    dcatch_obs::Json::Arr(
-                        failures
-                            .iter()
-                            .map(|f| dcatch_obs::Json::Str(f.clone()))
-                            .collect(),
-                    ),
-                ),
-                ("faults_injected", dcatch_obs::Json::UInt(faults_injected)),
+            let failures = failures.into_iter().map(Json::Str).collect();
+            rows.push(row(vec![
+                ("completed", Json::Bool(completed)),
+                ("failures", Json::Arr(failures)),
+                ("faults_injected", Json::UInt(faults_injected)),
             ]));
         } else {
+            let outcome = if completed {
+                "completed".to_owned()
+            } else if wedged {
+                "WEDGED".to_owned()
+            } else {
+                format!("{} failure(s)", failures.len())
+            };
             println!(
                 "{:8} {:18} seed={:<4} faults={:<3} {}",
                 job.bench.id, job.scenario, job.seed, faults_injected, outcome
@@ -845,19 +738,13 @@ fn faults(args: &[String]) -> ExitCode {
         }
     }
     if json {
-        let doc = dcatch_obs::Json::obj([
-            (
-                "schema_version",
-                dcatch_obs::Json::UInt(dcatch::report_json::SCHEMA_VERSION),
-            ),
-            ("runs", dcatch_obs::Json::Arr(rows)),
+        let doc = Json::obj([
+            ("schema_version", Json::UInt(SCHEMA_VERSION)),
+            ("runs", Json::Arr(rows)),
         ]);
-        if let Err(e) = emit_json(&doc, opt_str(args, "--out")) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        emit_json(&doc, args)?;
     }
-    ExitCode::from(worst)
+    Ok(ExitCode::from(worst))
 }
 
 const SYNTH_FLAGS: &[&str] = &["--json", "--no-shrink", "--verbose"];
@@ -893,17 +780,7 @@ const SYNTH_VALUED: &[&str] = &[
 /// (`--quarantine DIR`, default `synth-quarantine`; `--no-shrink`
 /// disables). `--replay FILE` re-runs a quarantined case. Exit code: 0
 /// clean, 2 on any scoring discrepancy, 3/5/6 on pipeline failures.
-fn synth(args: &[String]) -> ExitCode {
-    match synth_inner(args) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn synth_inner(args: &[String]) -> Result<ExitCode, String> {
+fn synth(args: &[String]) -> Cmd {
     use dcatch::synth::{row_exit_code, score_json, SynthBatchConfig};
     use dcatch_apps::synth::{Protocol, ScenarioSpec};
 
@@ -912,7 +789,6 @@ fn synth_inner(args: &[String]) -> Result<ExitCode, String> {
     // for `synth`, --seed is the generator base seed, not a scheduler
     // override: each scenario runs under its own spec seed
     opts.seed = None;
-    opts.trigger_jobs = opt::<usize>(args, "--trigger-jobs")?.unwrap_or(1).max(1);
     if flag(args, "--verbose") {
         dcatch_obs::trace::set_verbose(true);
     }
@@ -933,12 +809,9 @@ fn synth_inner(args: &[String]) -> Result<ExitCode, String> {
         shrink_budget: opt::<usize>(args, "--shrink-budget")?.unwrap_or(40),
     };
     if !flag(args, "--no-shrink") {
-        let dir = opt_str(args, "--quarantine")
-            .cloned()
-            .unwrap_or_else(|| "synth-quarantine".to_owned());
+        let dir = opt_str(args, "--quarantine").map_or("synth-quarantine", String::as_str);
         cfg.quarantine_dir = Some(std::path::PathBuf::from(dir));
     }
-    let json = flag(args, "--json");
 
     // --replay FILE: one quarantined case (or bare spec), no journal
     if let Some(path) = opt_str(args, "--replay") {
@@ -947,9 +820,8 @@ fn synth_inner(args: &[String]) -> Result<ExitCode, String> {
         let spec_doc = doc.get("spec").unwrap_or(&doc);
         let spec = ScenarioSpec::from_json(spec_doc).map_err(|e| format!("{path}: {e}"))?;
         cfg.protocols = vec![spec.protocol];
-        let score = dcatch::run_scenario(&spec, &opts, &cfg);
-        let row = score_json(&score);
-        return synth_emit(&cfg, vec![row], args, json);
+        let row = score_json(&dcatch::run_scenario(&spec, &opts, &cfg));
+        return synth_emit(&cfg, vec![row], args);
     }
 
     let specs = dcatch::batch_specs(&cfg);
@@ -960,110 +832,39 @@ fn synth_inner(args: &[String]) -> Result<ExitCode, String> {
                     .to_owned(),
             );
         }
-        std::fs::write(path, specs[0].fault_plan.as_bytes())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_file(path, specs[0].fault_plan.as_bytes())?;
     }
-    let jobs = opt::<usize>(args, "--jobs")?.unwrap_or(1).max(1);
-
     // crash-safe resume: same journal as `detect`, keyed by scenario id,
-    // fingerprinted over every generator parameter (satellite: a journal
-    // written under different synth settings is refused)
-    let journal = match opt_str(args, "--resume") {
-        Some(path) => Some(
-            dcatch::journal::Journal::open_or_create(
-                std::path::Path::new(path),
-                &cfg.fingerprint(&opts),
-            )
-            .map_err(|e| e.to_string())?,
-        ),
-        None => None,
-    };
-    let skip: Vec<bool> = specs
-        .iter()
-        .map(|s| journal.as_ref().is_some_and(|j| j.finished_ok(&s.id())))
-        .collect();
-    let pending: Vec<&ScenarioSpec> = specs
-        .iter()
-        .zip(&skip)
-        .filter(|(_, skip)| !**skip)
-        .map(|(s, _)| s)
-        .collect();
-    let progress = dcatch_obs::Progress::with_enabled(
+    // fingerprinted over every generator parameter
+    let outcomes = run_resumable(
         "synth",
-        pending.iter().map(|s| s.id()),
-        pending.len() > 1
-            && !flag(args, "--verbose")
-            && dcatch_obs::progress::stderr_wants_progress(),
-    );
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let exit_after: Option<usize> = std::env::var("DCATCH_TEST_EXIT_AFTER")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let recorded = AtomicUsize::new(0);
-    let outcomes = dcatch::steal_map(jobs, pending.len(), |i| {
-        progress.start(i);
-        let score = dcatch::run_scenario(pending[i], &opts, &cfg);
-        let row = score_json(&score);
-        if let Some(j) = journal.as_ref() {
-            if let Err(e) = j.record(&pending[i].id(), &row) {
-                eprintln!("{e}");
-            }
-            if exit_after.is_some_and(|k| recorded.fetch_add(1, Ordering::SeqCst) + 1 >= k) {
-                std::process::exit(70);
-            }
-        }
-        progress.complete(i, row_exit_code(&row) != 0);
-        Some(row)
-    });
-    progress.finish();
-
-    // merge in spec order, splicing journaled rows in for skipped scenarios
-    let mut fresh = outcomes.into_iter();
-    let mut rows: Vec<dcatch_obs::Json> = Vec::new();
-    for (spec, skipped) in specs.iter().zip(&skip) {
-        if *skipped {
-            let row = journal
-                .as_ref()
-                .and_then(|j| j.completed().get(&spec.id()).cloned())
-                .expect("skipped scenarios have a journal entry");
-            rows.push(row);
-        } else {
-            rows.push(
-                fresh
-                    .next()
-                    .flatten()
-                    .expect("one row per pending scenario"),
-            );
-        }
-    }
-    synth_emit(&cfg, rows, args, json)
+        args,
+        &cfg.fingerprint(&opts),
+        &specs,
+        ScenarioSpec::id,
+        |spec| (score_json(&dcatch::run_scenario(spec, &opts, &cfg)), ()),
+        |row| row_exit_code(row) != 0,
+    )?;
+    let rows = outcomes.into_iter().map(|(row, _)| row).collect();
+    synth_emit(&cfg, rows, args)
 }
 
 /// Prints/emits a synth batch report and folds rows into the exit code.
-fn synth_emit(
-    cfg: &dcatch::synth::SynthBatchConfig,
-    rows: Vec<dcatch_obs::Json>,
-    args: &[String],
-    json: bool,
-) -> Result<ExitCode, String> {
-    use dcatch_obs::Json;
-    let mut worst: u8 = 0;
-    for row in &rows {
-        worst = worst.max(dcatch::synth::row_exit_code(row));
-    }
-    if json {
-        let doc = dcatch::synth::synth_report_doc(cfg, &rows);
-        emit_json(&doc, opt_str(args, "--out"))?;
+fn synth_emit(cfg: &dcatch::synth::SynthBatchConfig, rows: Vec<Json>, args: &[String]) -> Cmd {
+    let worst = rows
+        .iter()
+        .map(dcatch::synth::row_exit_code)
+        .max()
+        .unwrap_or(0);
+    let doc = dcatch::synth::synth_report_doc(cfg, &rows);
+    if flag(args, "--json") {
+        emit_json(&doc, args)?;
         return Ok(ExitCode::from(worst));
     }
     let num = |row: &Json, k: &str| row.get(k).and_then(Json::as_u64).unwrap_or(0);
     for row in &rows {
-        let id = row
-            .get("id")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_owned();
-        if let Some(err) = row.get("error").filter(|e| !e.is_null()) {
+        let id = row.get("id").and_then(Json::as_str).unwrap_or("?");
+        if let Some(err) = report_json::entry_error(row) {
             let msg = err.get("message").and_then(Json::as_str).unwrap_or("?");
             println!("{id:24} ERROR {msg}");
             continue;
@@ -1085,7 +886,6 @@ fn synth_emit(
             num(row, "faults_injected"),
         );
     }
-    let doc = dcatch::synth::synth_report_doc(cfg, &rows);
     if let Some(protos) = doc
         .get("synth")
         .and_then(|s| s.get("protocols"))
@@ -1111,7 +911,7 @@ fn synth_emit(
     Ok(ExitCode::from(worst))
 }
 
-fn print_report(r: &dcatch::BenchmarkReport, opts: &PipelineOptions, show_metrics: bool) -> u8 {
+fn print_report(r: &dcatch::BenchmarkReport, opts: &PipelineOptions, show_metrics: bool) {
     for d in &r.degradations {
         println!(
             "  degraded: {}: {} → {} ({})",
@@ -1120,7 +920,7 @@ fn print_report(r: &dcatch::BenchmarkReport, opts: &PipelineOptions, show_metric
     }
     if let Some(oom) = &r.oom {
         println!("  trace: {} records; {oom}", r.trace_stats.total);
-        return report_exit_code(r, opts.triggering);
+        return;
     }
     println!(
         "  candidates: TA {} → +SP {} → +LP {} (callstack: {}/{}/{})",
@@ -1175,61 +975,52 @@ fn print_report(r: &dcatch::BenchmarkReport, opts: &PipelineOptions, show_metric
             println!("    {name:40} {value} (gauge)");
         }
     }
-    report_exit_code(r, opts.triggering)
 }
 
-fn stats(args: &[String]) -> ExitCode {
-    let Some(id) = args.first() else {
-        eprintln!("usage: dcatch stats <BUG-ID> [--full-tracing] [--scale N] [--seed N] [--json]");
-        return ExitCode::FAILURE;
-    };
-    if let Err(e) = check_flags(
-        &args[1..],
-        &["--full-tracing", "--json"],
-        &["--scale", "--seed", "--out"],
-    ) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let (scale, seed) = match (opt(args, "--scale"), opt(args, "--seed")) {
-        (Ok(s), Ok(seed)) => (s.unwrap_or(1), seed),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(b) = benchmarks_for(id, scale).into_iter().next() else {
-        eprintln!("unknown benchmark `{id}` — try `dcatch list`");
-        return ExitCode::FAILURE;
-    };
+/// The preamble `stats`, `trace` and `timeline` share: resolve the
+/// BUG-ID at `--scale`, then run its simulation once under `--seed`,
+/// `--full-tracing` and (where `valued` accepts it) `--fault-plan`.
+/// `usage` is the error for a missing BUG-ID.
+fn run_one(
+    args: &[String],
+    usage: &str,
+    flags: &[&str],
+    valued: &[&str],
+) -> Result<(dcatch::Benchmark, dcatch::RunResult), String> {
+    let id = args.first().ok_or(usage)?;
+    check_flags(&args[1..], flags, valued)?;
+    let scale = opt(args, "--scale")?.unwrap_or(1);
+    let seed = opt(args, "--seed")?;
+    let b = benchmarks_for(id, scale)?.swap_remove(0);
     let mut cfg = SimConfig::default().with_seed(seed.unwrap_or(b.seed));
     if flag(args, "--full-tracing") {
         cfg.tracing = TracingMode::Full;
     }
-    let run = match World::run_once(&b.program, &b.topology, cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    if let Some(path) = opt_str(args, "--fault-plan") {
+        cfg = cfg.with_faults(load_fault_plan(path)?);
+    }
+    let run = World::run_once(&b.program, &b.topology, cfg).map_err(|e| e.to_string())?;
+    Ok((b, run))
+}
+
+fn stats(args: &[String]) -> Cmd {
+    let (b, run) = run_one(
+        args,
+        "usage: dcatch stats <BUG-ID> [--full-tracing] [--scale N] [--seed N] [--json] [--out FILE]",
+        &["--full-tracing", "--json"],
+        &["--scale", "--seed", "--out"],
+    )?;
     let s = TraceStats::of(run.trace.records());
     let bytes = run.trace.to_lines().len();
     if flag(args, "--json") {
-        let doc = dcatch_obs::Json::obj([
-            (
-                "schema_version",
-                dcatch_obs::Json::UInt(dcatch::report_json::SCHEMA_VERSION),
-            ),
-            ("id", dcatch_obs::Json::Str(b.id.to_string())),
-            ("bytes", dcatch_obs::Json::UInt(bytes as u64)),
-            ("stats", dcatch::report_json::trace_stats_json(&s)),
+        let doc = Json::obj([
+            ("schema_version", Json::UInt(SCHEMA_VERSION)),
+            ("id", Json::Str(b.id.to_string())),
+            ("bytes", Json::UInt(bytes as u64)),
+            ("stats", report_json::trace_stats_json(&s)),
         ]);
-        if let Err(e) = emit_json(&doc, opt_str(args, "--out")) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
+        emit_json(&doc, args)?;
+        return Ok(ExitCode::SUCCESS);
     }
     // Table-7 style breakdown
     println!("{}: {} trace records, {} bytes", b.id, s.total, bytes);
@@ -1251,52 +1042,19 @@ fn stats(args: &[String]) -> ExitCode {
         };
         println!("  {label:16} {count:8}  ({pct:5.1}%)");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn trace(args: &[String]) -> ExitCode {
-    let Some(id) = args.first() else {
-        eprintln!(
-            "usage: dcatch trace <BUG-ID> [--full-tracing] [--scale N] [--seed N] [--out FILE]"
-        );
-        return ExitCode::FAILURE;
-    };
-    if let Err(e) = check_flags(
-        &args[1..],
+fn trace(args: &[String]) -> Cmd {
+    let (_, run) = run_one(
+        args,
+        "usage: dcatch trace <BUG-ID> [--full-tracing] [--scale N] [--seed N] [--out FILE]",
         &["--full-tracing"],
         &["--scale", "--seed", "--out"],
-    ) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let (scale, seed) = match (opt(args, "--scale"), opt(args, "--seed")) {
-        (Ok(s), Ok(seed)) => (s.unwrap_or(1), seed),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(b) = benchmarks_for(id, scale).into_iter().next() else {
-        eprintln!("unknown benchmark `{id}` — try `dcatch list`");
-        return ExitCode::FAILURE;
-    };
-    let mut cfg = SimConfig::default().with_seed(seed.unwrap_or(b.seed));
-    if flag(args, "--full-tracing") {
-        cfg.tracing = TracingMode::Full;
-    }
-    let run = match World::run_once(&b.program, &b.topology, cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )?;
     let lines = run.trace.to_lines();
     if let Some(path) = opt_str(args, "--out") {
-        if let Err(e) = std::fs::write(path, &lines) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(path, lines.as_bytes())?;
         println!(
             "wrote {} records ({} bytes) to {path}",
             run.trace.len(),
@@ -1305,7 +1063,7 @@ fn trace(args: &[String]) -> ExitCode {
     } else {
         print!("{lines}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `dcatch timeline <BUG-ID>` — runs the benchmark's simulation once and
@@ -1313,65 +1071,18 @@ fn trace(args: &[String]) -> ExitCode {
 /// lane per (node, task), flow arrows for messages, instant markers for
 /// fault injections. The document is validated before it is written, and
 /// is byte-identical for a given (benchmark, seed, fault plan).
-fn timeline(args: &[String]) -> ExitCode {
-    let Some(id) = args.first() else {
-        eprintln!(
-            "usage: dcatch timeline <BUG-ID> [--full-tracing] [--scale N] [--seed N] \
-             [--fault-plan FILE] [--out FILE]"
-        );
-        return ExitCode::FAILURE;
-    };
-    if let Err(e) = check_flags(
-        &args[1..],
+fn timeline(args: &[String]) -> Cmd {
+    let (b, run) = run_one(
+        args,
+        "usage: dcatch timeline <BUG-ID> [--full-tracing] [--scale N] [--seed N] \
+         [--fault-plan FILE] [--out FILE]",
         &["--full-tracing"],
         &["--scale", "--seed", "--fault-plan", "--out"],
-    ) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let (scale, seed) = match (opt(args, "--scale"), opt(args, "--seed")) {
-        (Ok(s), Ok(seed)) => (s.unwrap_or(1), seed),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(b) = benchmarks_for(id, scale).into_iter().next() else {
-        eprintln!("unknown benchmark `{id}` — try `dcatch list`");
-        return ExitCode::FAILURE;
-    };
-    let mut cfg = SimConfig::default().with_seed(seed.unwrap_or(b.seed));
-    if flag(args, "--full-tracing") {
-        cfg.tracing = TracingMode::Full;
-    }
-    if let Some(path) = opt_str(args, "--fault-plan") {
-        match load_fault_plan(path) {
-            Ok(plan) => cfg = cfg.with_faults(plan),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let run = match World::run_once(&b.program, &b.topology, cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )?;
     let doc = dcatch::trace_timeline(&run.trace).to_json();
-    let summary = match dcatch_obs::timeline::validate(&doc) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("internal error: timeline failed validation: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = emit_json(&doc, opt_str(args, "--out")) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    let summary = dcatch_obs::timeline::validate(&doc)
+        .map_err(|e| format!("internal error: timeline failed validation: {e}"))?;
+    emit_json(&doc, args)?;
     // summary on stderr so `--out`-less stdout stays pure JSON
     eprintln!(
         "{}: {} events, {} flows, {} lanes (load at ui.perfetto.dev)",
@@ -1380,37 +1091,19 @@ fn timeline(args: &[String]) -> ExitCode {
         summary.flows,
         summary.lanes / 2
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn explain(args: &[String]) -> ExitCode {
+fn explain(args: &[String]) -> Cmd {
     let (Some(id), Some(object)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: dcatch explain <BUG-ID> <OBJECT> [--json] [--out FILE]");
-        return ExitCode::FAILURE;
+        return Err("usage: dcatch explain <BUG-ID> <OBJECT> [--json] [--out FILE]".to_owned());
     };
-    if let Err(e) = check_flags(&args[2..], &["--json"], &["--out"]) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let Some(b) = benchmarks_for(id, 1).into_iter().next() else {
-        eprintln!("unknown benchmark `{id}` — try `dcatch list`");
-        return ExitCode::FAILURE;
-    };
+    check_flags(&args[2..], &["--json"], &["--out"])?;
+    let b = benchmarks_for(id, 1)?.swap_remove(0);
     let cfg = SimConfig::default().with_seed(b.seed);
-    let run = match World::run_once(&b.program, &b.topology, cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let hb = match dcatch::HbAnalysis::build(run.trace, &HbConfig::default()) {
-        Ok(hb) => hb,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let run = World::run_once(&b.program, &b.topology, cfg).map_err(|e| e.to_string())?;
+    let hb =
+        dcatch::HbAnalysis::build(run.trace, &HbConfig::default()).map_err(|e| e.to_string())?;
     let accesses: Vec<usize> = hb
         .trace()
         .records()
@@ -1420,8 +1113,9 @@ fn explain(args: &[String]) -> ExitCode {
         .map(|(i, _)| i)
         .collect();
     if accesses.is_empty() {
-        eprintln!("no traced accesses to `{object}` in {id}'s correct run");
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "no traced accesses to `{object}` in {id}'s correct run"
+        ));
     }
     let json = flag(args, "--json");
     let describe = |i: usize| {
@@ -1467,34 +1161,28 @@ fn explain(args: &[String]) -> ExitCode {
         }
     }
     if json {
-        let doc = dcatch_obs::Json::obj([
-            (
-                "schema_version",
-                dcatch_obs::Json::UInt(dcatch::report_json::SCHEMA_VERSION),
-            ),
-            ("id", dcatch_obs::Json::Str(b.id.to_owned())),
-            ("object", dcatch_obs::Json::Str((*object).clone())),
+        let doc = Json::obj([
+            ("schema_version", Json::UInt(SCHEMA_VERSION)),
+            ("id", Json::Str(b.id.to_owned())),
+            ("object", Json::Str((*object).clone())),
             (
                 "accesses",
-                dcatch_obs::Json::Arr(accesses.iter().map(|&i| access_json(&hb, i)).collect()),
+                Json::Arr(accesses.iter().map(|&i| access_json(&hb, i)).collect()),
             ),
-            ("pairs", dcatch_obs::Json::Arr(pairs)),
+            ("pairs", Json::Arr(pairs)),
         ]);
-        if let Err(e) = emit_json(&doc, opt_str(args, "--out")) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        emit_json(&doc, args)?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One trace record reference in `explain --json` output.
-fn access_json(hb: &dcatch::HbAnalysis, i: usize) -> dcatch_obs::Json {
+fn access_json(hb: &dcatch::HbAnalysis, i: usize) -> Json {
     let r = &hb.trace().records()[i];
-    dcatch_obs::Json::obj([
-        ("index", dcatch_obs::Json::UInt(i as u64)),
-        ("tag", dcatch_obs::Json::Str(r.kind.tag().to_owned())),
-        ("task", dcatch_obs::Json::Str(r.task.to_string())),
+    Json::obj([
+        ("index", Json::UInt(i as u64)),
+        ("tag", Json::Str(r.kind.tag().to_owned())),
+        ("task", Json::Str(r.task.to_string())),
     ])
 }
 
@@ -1506,27 +1194,27 @@ fn pair_json(
     z: usize,
     relation: &str,
     chain: Option<&(usize, Vec<(usize, dcatch::EdgeRule)>)>,
-) -> dcatch_obs::Json {
+) -> Json {
     let hops = match chain {
         Some((_, hops)) => hops
             .iter()
             .map(|&(to, rule)| {
                 let r = &hb.trace().records()[to];
-                dcatch_obs::Json::obj([
-                    ("rule", dcatch_obs::Json::Str(format!("{rule:?}"))),
-                    ("to", dcatch_obs::Json::UInt(to as u64)),
-                    ("tag", dcatch_obs::Json::Str(r.kind.tag().to_owned())),
-                    ("task", dcatch_obs::Json::Str(r.task.to_string())),
+                Json::obj([
+                    ("rule", Json::Str(format!("{rule:?}"))),
+                    ("to", Json::UInt(to as u64)),
+                    ("tag", Json::Str(r.kind.tag().to_owned())),
+                    ("task", Json::Str(r.task.to_string())),
                 ])
             })
             .collect(),
         None => Vec::new(),
     };
-    dcatch_obs::Json::obj([
-        ("a", dcatch_obs::Json::UInt(a as u64)),
-        ("b", dcatch_obs::Json::UInt(z as u64)),
-        ("relation", dcatch_obs::Json::Str(relation.to_owned())),
-        ("chain", dcatch_obs::Json::Arr(hops)),
+    Json::obj([
+        ("a", Json::UInt(a as u64)),
+        ("b", Json::UInt(z as u64)),
+        ("relation", Json::Str(relation.to_owned())),
+        ("chain", Json::Arr(hops)),
     ])
 }
 
@@ -1535,26 +1223,15 @@ fn pair_json(
 /// materialized) and reports window/retirement accounting plus wall-clock
 /// throughput. The workload plants exactly one racer pair; exit code 2 if
 /// the detector does not report exactly that one surviving candidate.
-fn streambench(args: &[String]) -> ExitCode {
-    if let Err(e) = check_flags(
+fn streambench(args: &[String]) -> Cmd {
+    check_flags(
         args,
         &["--json"],
         &["--records", "--stream-window", "--seed", "--out"],
-    ) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let (records, window, seed) = match (
-        opt::<u64>(args, "--records"),
-        opt::<usize>(args, "--stream-window"),
-        opt::<u64>(args, "--seed"),
-    ) {
-        (Ok(r), Ok(w), Ok(s)) => (r.unwrap_or(1_000_000), w, s.unwrap_or(7)),
-        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )?;
+    let records = opt::<u64>(args, "--records")?.unwrap_or(1_000_000);
+    let window = opt::<usize>(args, "--stream-window")?;
+    let seed = opt::<u64>(args, "--seed")?.unwrap_or(7);
     let rounds = dcatch::streambench_rounds(records);
     let (program, topo) = dcatch::streambench(rounds);
     // full tracing so the planted racer pair (plain threads, no
@@ -1569,29 +1246,23 @@ fn streambench(args: &[String]) -> ExitCode {
         ..dcatch::OnlineOptions::default()
     });
     let started = std::time::Instant::now();
-    let run = match World::run_streamed(&program, &topo, cfg, &mut sink) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("streambench run failed: {e}");
-            return ExitCode::from(3);
-        }
+    let failed = match World::run_streamed(&program, &topo, cfg, &mut sink) {
+        Ok(run) if run.failures.is_empty() => None,
+        Ok(run) => Some(format!("{:?}", run.failures)),
+        Err(e) => Some(e.to_string()),
     };
-    if !run.failures.is_empty() {
-        eprintln!("streambench run failed: {:?}", run.failures);
-        return ExitCode::from(3);
+    if let Some(why) = failed {
+        eprintln!("streambench run failed: {why}");
+        return Ok(ExitCode::from(3));
     }
     let out = sink.finalize();
     let elapsed = started.elapsed();
     let planted_found = out.candidates.static_pair_count() == 1
         && out.candidates.iter().all(|c| c.object() == "shared_flag");
-    let code = if planted_found { 0 } else { 2 };
+    let code = ExitCode::from(if planted_found { 0 } else { 2 });
     if flag(args, "--json") {
-        use dcatch_obs::Json;
         let doc = Json::obj([
-            (
-                "schema_version",
-                Json::UInt(dcatch::report_json::SCHEMA_VERSION),
-            ),
+            ("schema_version", Json::UInt(SCHEMA_VERSION)),
             ("records", Json::UInt(out.records as u64)),
             ("trace_bytes", Json::UInt(out.trace_bytes as u64)),
             ("window_peak", Json::UInt(out.window_peak as u64)),
@@ -1605,11 +1276,8 @@ fn streambench(args: &[String]) -> ExitCode {
             ("planted_pair_found", Json::Bool(planted_found)),
             ("elapsed_ns", Json::UInt(elapsed.as_nanos() as u64)),
         ]);
-        if let Err(e) = emit_json(&doc, opt_str(args, "--out")) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::from(code);
+        emit_json(&doc, args)?;
+        return Ok(code);
     }
     println!(
         "streambench: {} records ({} bytes as lines) in {:.2}s ({:.0} records/s)",
@@ -1627,5 +1295,5 @@ fn streambench(args: &[String]) -> ExitCode {
         out.candidates.static_pair_count(),
         if planted_found { "FOUND" } else { "MISSING" },
     );
-    ExitCode::from(code)
+    Ok(code)
 }

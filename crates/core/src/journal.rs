@@ -1,4 +1,5 @@
-//! Crash-safe checkpoint/resume journal for `dcatch detect all`.
+//! Crash-safe checkpoint/resume journal for `dcatch detect` and
+//! `dcatch synth`.
 //!
 //! The journal is an append-only JSON-lines file. Line 1 is a meta
 //! record pinning the journal format and a *fingerprint* of the run
@@ -6,15 +7,15 @@
 //! line is one benchmark's completion record:
 //!
 //! ```text
-//! {"journal_version":1,"tool":"dcatch-rs","schema_version":5,"fingerprint":"…"}
+//! {"journal_version":2,"tool":"dcatch-rs","schema_version":7,"fingerprint":"…"}
 //! {"id":"MR-3274","entry":{…one benchmark's report-JSON section…}}
 //! {"id":"ZK-1144","entry":{"id":"ZK-1144","error":{…}}}
 //! ```
 //!
 //! Records are appended and flushed the moment each benchmark finishes
-//! (from the worker thread, via [`Pipeline::run_all_recorded`]'s recorder
-//! hook), so a process killed mid-batch leaves a journal describing
-//! exactly the benchmarks that completed. `--resume <journal>`:
+//! (from the worker thread), so a process killed mid-batch leaves a
+//! journal describing exactly the benchmarks that completed.
+//! `--resume <journal>`:
 //!
 //! * refuses a journal whose fingerprint does not match the current
 //!   invocation — resuming under different options would splice
@@ -26,13 +27,10 @@
 //! * last record wins when a benchmark appears twice (an earlier resume
 //!   re-ran it).
 //!
-//! [`merge_report`] then rebuilds the full run report from journaled and
-//! fresh sections. Because per-benchmark records are written *before* the
-//! batch-level metric-name normalization, the merge re-normalizes at the
-//! JSON level — the same union-and-zero-fill the struct path performs —
-//! so a resumed report is byte-identical to an uninterrupted one.
-//!
-//! [`Pipeline::run_all_recorded`]: crate::Pipeline::run_all_recorded
+//! A record is the benchmark's report entry verbatim, and an entry depends
+//! on its own run alone, so [`report_doc`](crate::report_json::report_doc)
+//! over journaled and fresh entries is byte-identical to the document an
+//! uninterrupted run writes.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -41,10 +39,13 @@ use std::sync::Mutex;
 
 use dcatch_obs::{json, Json};
 
-use crate::report_json::SCHEMA_VERSION;
+use crate::report_json::{entry_error, SCHEMA_VERSION};
 
 /// Version of the journal file layout. Bump on breaking changes.
-pub const JOURNAL_VERSION: u64 = 1;
+///
+/// v2: entries list only non-zero metrics. A v1 journal holds zero-filled
+/// metric maps, which must not be spliced into one report with v2 entries.
+pub const JOURNAL_VERSION: u64 = 2;
 
 /// An open checkpoint journal: previously completed entries plus an
 /// append handle for new ones. Sync — workers record through `&Journal`.
@@ -146,9 +147,7 @@ impl Journal {
     /// Whether `id`'s last journaled run *succeeded* (its entry's `error`
     /// is null). Errored entries return false: resume re-runs them.
     pub fn finished_ok(&self, id: &str) -> bool {
-        self.done
-            .get(id)
-            .is_some_and(|e| matches!(e.get("error"), Some(Json::Null) | None))
+        self.done.get(id).is_some_and(|e| entry_error(e).is_none())
     }
 
     /// Appends one benchmark's completion entry and flushes it to disk.
@@ -160,176 +159,6 @@ impl Journal {
         writeln!(file, "{line}")
             .and_then(|()| file.flush())
             .map_err(|e| format!("cannot append journal entry for {id}: {e}"))
-    }
-}
-
-/// Assembles the full run report from per-benchmark entry sections (in
-/// benchmark order — journaled and fresh alike), re-applying at the JSON
-/// level everything the uninterrupted path does at the struct level:
-/// optional timing scrubbing, metric-name union normalization, and the
-/// top-level degradations summary. The output is byte-identical to the
-/// document an uninterrupted `dcatch detect all` run would have written.
-pub fn merge_report(mut entries: Vec<Json>, scrub: bool) -> Json {
-    if scrub {
-        for e in &mut entries {
-            scrub_entry(e);
-        }
-    }
-    normalize_entry_metrics(&mut entries);
-    let degradations = summarize_degradations(&entries);
-    Json::obj([
-        ("schema_version", Json::UInt(SCHEMA_VERSION)),
-        ("tool", Json::Str("dcatch-rs".to_owned())),
-        ("degradations", degradations),
-        ("benchmarks", Json::Arr(entries)),
-        ("synth", Json::Null),
-    ])
-}
-
-fn is_error_entry(e: &Json) -> bool {
-    e.get("error").is_some_and(|v| !matches!(v, Json::Null))
-}
-
-/// JSON-level equivalent of `BenchmarkReport::scrub_timings`: zeroes the
-/// `timings_ns` values and every span `total_ns`.
-fn scrub_entry(entry: &mut Json) {
-    if let Some(Json::Obj(fields)) = field_mut(entry, "timings_ns") {
-        for (_, v) in fields {
-            *v = Json::UInt(0);
-        }
-    }
-    if let Some(spans) = field_mut(entry, "spans") {
-        scrub_span(spans);
-    }
-}
-
-fn scrub_span(span: &mut Json) {
-    if let Some(total) = field_mut(span, "total_ns") {
-        *total = Json::UInt(0);
-    }
-    if let Some(Json::Arr(children)) = field_mut(span, "children") {
-        for child in children {
-            scrub_span(child);
-        }
-    }
-}
-
-/// JSON-level equivalent of the pipeline's `normalize_metric_names`:
-/// every success entry gets the union of all metric names, zero-filled,
-/// rebuilt in sorted order (the order `Json::from_map` serializes).
-fn normalize_entry_metrics(entries: &mut [Json]) {
-    let mut counters: BTreeMap<String, ()> = BTreeMap::new();
-    let mut gauges: BTreeMap<String, ()> = BTreeMap::new();
-    let mut histograms: BTreeMap<String, Json> = BTreeMap::new();
-    for e in entries.iter() {
-        let Some(m) = e.get("metrics") else { continue };
-        if let Some(Json::Obj(fields)) = m.get("counters") {
-            counters.extend(fields.iter().map(|(k, _)| (k.clone(), ())));
-        }
-        if let Some(Json::Obj(fields)) = m.get("gauges") {
-            gauges.extend(fields.iter().map(|(k, _)| (k.clone(), ())));
-        }
-        if let Some(Json::Obj(fields)) = m.get("histograms") {
-            for (k, h) in fields {
-                histograms.entry(k.clone()).or_insert_with(|| h.clone());
-            }
-        }
-    }
-    for e in entries.iter_mut() {
-        let Some(metrics) = field_mut(e, "metrics") else {
-            continue;
-        };
-        if let Some(c) = field_mut(metrics, "counters") {
-            rebuild_sorted(c, &counters, |_| Json::UInt(0));
-        }
-        if let Some(g) = field_mut(metrics, "gauges") {
-            rebuild_sorted(g, &gauges, |_| Json::UInt(0));
-        }
-        if let Some(h) = field_mut(metrics, "histograms") {
-            rebuild_sorted(h, &histograms, empty_histogram_like);
-        }
-    }
-}
-
-/// Rebuilds `obj` with exactly the keys of `names` in sorted order,
-/// keeping present values and filling gaps with `fill(template)`.
-fn rebuild_sorted<T>(obj: &mut Json, names: &BTreeMap<String, T>, fill: impl Fn(&T) -> Json) {
-    let Json::Obj(fields) = obj else { return };
-    let mut present: BTreeMap<String, Json> = std::mem::take(fields).into_iter().collect();
-    *fields = names
-        .iter()
-        .map(|(name, template)| {
-            let value = present.remove(name).unwrap_or_else(|| fill(template));
-            (name.clone(), value)
-        })
-        .collect();
-}
-
-/// A zero histogram with the same boundaries as `template` — what the
-/// struct path's zero-fill produces for a histogram this run never
-/// touched.
-fn empty_histogram_like(template: &Json) -> Json {
-    let boundaries = template
-        .get("boundaries")
-        .cloned()
-        .unwrap_or(Json::Arr(Vec::new()));
-    let buckets = match &boundaries {
-        Json::Arr(b) => vec![Json::UInt(0); b.len() + 1],
-        _ => Vec::new(),
-    };
-    Json::obj([
-        ("boundaries", boundaries),
-        ("buckets", Json::Arr(buckets)),
-        ("sum", Json::UInt(0)),
-        ("count", Json::UInt(0)),
-    ])
-}
-
-/// Recomputes the top-level degradations summary from entry contents —
-/// the same numbers `run_report_results_with` derives from the structs.
-fn summarize_degradations(entries: &[Json]) -> Json {
-    let mut faults: u64 = 0;
-    let mut retries: u64 = 0;
-    let mut governor: u64 = 0;
-    let mut failed: u64 = 0;
-    let mut watchdog: u64 = 0;
-    for e in entries {
-        if is_error_entry(e) {
-            failed += 1;
-            let kind = e.get("error").and_then(|err| err.get("kind"));
-            if kind.and_then(|k| k.as_str()) == Some("watchdog_timeout") {
-                watchdog += 1;
-            }
-            continue;
-        }
-        let counter = |name: &str| {
-            e.get("metrics")
-                .and_then(|m| m.get("counters"))
-                .and_then(|c| c.get(name))
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0)
-        };
-        faults += counter("faults_injected");
-        retries += counter("trigger_retries");
-        if let Some(Json::Arr(d)) = e.get("degradations") {
-            governor += d.len() as u64;
-        }
-    }
-    Json::obj([
-        ("faults_injected", Json::UInt(faults)),
-        ("benchmarks_failed", Json::UInt(failed)),
-        ("trigger_retries", Json::UInt(retries)),
-        ("watchdog_timeouts", Json::UInt(watchdog)),
-        ("governor_degradations", Json::UInt(governor)),
-    ])
-}
-
-/// Mutable access to an object field (the `Json` type is a plain enum;
-/// this is the one mutation helper the merge needs).
-fn field_mut<'a>(obj: &'a mut Json, key: &str) -> Option<&'a mut Json> {
-    match obj {
-        Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
     }
 }
 
@@ -379,6 +208,18 @@ mod tests {
         assert!(err.contains("fingerprint mismatch"), "{err}");
     }
 
+    /// A v1 journal (zero-filled metric maps) must not be spliced into a
+    /// report of v2 entries, even when its fingerprint matches.
+    #[test]
+    fn older_journal_version_is_refused() {
+        let path = tmp("version");
+        let meta =
+            r#"{"journal_version":1,"tool":"dcatch-rs","schema_version":7,"fingerprint":"fp"}"#;
+        std::fs::write(&path, format!("{meta}\n")).unwrap();
+        let err = Journal::open_or_create(&path, "fp").expect_err("must refuse");
+        assert!(err.contains("unsupported journal_version"), "{err}");
+    }
+
     #[test]
     fn torn_final_line_is_tolerated_but_earlier_corruption_is_not() {
         let path = tmp("torn");
@@ -405,77 +246,5 @@ mod tests {
         std::fs::write(&path, fixed).unwrap();
         let err = Journal::open_or_create(&path, "fp").expect_err("mid-file corruption");
         assert!(err.contains("corrupt"), "{err}");
-    }
-
-    #[test]
-    fn merge_normalizes_names_and_recomputes_summary() {
-        let entry = |id: &str, counters: Vec<(&str, u64)>| {
-            Json::obj([
-                ("id", Json::Str(id.to_owned())),
-                ("error", Json::Null),
-                ("degradations", Json::Arr(vec![])),
-                ("timings_ns", Json::obj([("base", Json::UInt(123))])),
-                (
-                    "spans",
-                    Json::obj([
-                        ("name", Json::Str("pipeline".into())),
-                        ("total_ns", Json::UInt(9)),
-                        ("children", Json::Arr(vec![])),
-                    ]),
-                ),
-                (
-                    "metrics",
-                    Json::obj([
-                        (
-                            "counters",
-                            Json::Obj(
-                                counters
-                                    .into_iter()
-                                    .map(|(k, v)| (k.to_owned(), Json::UInt(v)))
-                                    .collect(),
-                            ),
-                        ),
-                        ("gauges", Json::Obj(vec![])),
-                        ("histograms", Json::Obj(vec![])),
-                    ]),
-                ),
-            ])
-        };
-        let a = entry("A", vec![("faults_injected", 2), ("zz", 1)]);
-        let b = entry("B", vec![("aa", 5)]);
-        let doc = merge_report(vec![a, b], true);
-        let benches = doc.get("benchmarks").unwrap().as_arr().unwrap();
-        // union of names, sorted, zero-filled
-        for bench in benches {
-            let Json::Obj(c) = bench
-                .get("metrics")
-                .and_then(|m| m.get("counters"))
-                .unwrap()
-            else {
-                panic!("counters must be an object")
-            };
-            let names: Vec<&str> = c.iter().map(|(k, _)| k.as_str()).collect();
-            assert_eq!(names, ["aa", "faults_injected", "zz"]);
-        }
-        // scrubbed timings and spans
-        assert_eq!(
-            benches[0]
-                .get("timings_ns")
-                .and_then(|t| t.get("base"))
-                .and_then(|v| v.as_u64()),
-            Some(0)
-        );
-        assert_eq!(
-            benches[0]
-                .get("spans")
-                .and_then(|s| s.get("total_ns"))
-                .and_then(|v| v.as_u64()),
-            Some(0)
-        );
-        // summary recomputed from entries
-        let deg = doc.get("degradations").unwrap();
-        assert_eq!(deg.get("faults_injected").unwrap().as_u64(), Some(2));
-        assert_eq!(deg.get("benchmarks_failed").unwrap().as_u64(), Some(0));
-        assert_eq!(deg.get("governor_degradations").unwrap().as_u64(), Some(0));
     }
 }

@@ -41,9 +41,7 @@ mod report;
 pub mod report_json;
 pub mod synth;
 
-pub use pipeline::{
-    normalize_metric_names, run_bounded, Pipeline, PipelineError, PipelineOptions, RunPhase,
-};
+pub use pipeline::{run_bounded, Pipeline, PipelineError, PipelineOptions};
 pub use profile::{profile_json, profile_timeline};
 pub use report::{BenchmarkReport, BugReport, StageTimings, StreamingStats, VerdictCounts};
 pub use synth::{

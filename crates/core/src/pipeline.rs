@@ -16,7 +16,9 @@ use dcatch_obs::budget::{self, Budget, DegradationEvent};
 use dcatch_prune::{Impact, Pruner};
 use dcatch_sim::{Failure, FaultPlan, FocusConfig, RunError, SimConfig, World};
 use dcatch_trace::TracingMode;
-use dcatch_trigger::{run_farm, FarmSpec, OrderRun, TriggerPlan, TriggerReport, Verdict};
+use dcatch_trigger::{
+    run_farm, steal_map, FarmSpec, OrderRun, TriggerPlan, TriggerReport, Verdict,
+};
 
 use crate::report::{BenchmarkReport, BugReport, StageTimings, StreamingStats, VerdictCounts};
 
@@ -56,10 +58,16 @@ impl PipelineError {
     /// Codes 1 (usage), 2 (known bug not confirmed), and 4 (HB analysis
     /// out of memory) are assigned by the CLI from report contents.
     pub fn exit_code(&self) -> u8 {
-        match self {
-            PipelineError::Run(_) | PipelineError::TracedRunFailed(_) => 3,
-            PipelineError::Panicked(_) => 5,
-            PipelineError::WatchdogTimeout { .. } => 6,
+        PipelineError::exit_code_of_kind(self.kind())
+    }
+
+    /// [`exit_code`](PipelineError::exit_code) from a report entry's
+    /// `error.kind` string — what is left of the error in a journal.
+    pub(crate) fn exit_code_of_kind(kind: &str) -> u8 {
+        match kind {
+            "panic" => 5,
+            "watchdog_timeout" => 6,
+            _ => 3,
         }
     }
 }
@@ -197,19 +205,6 @@ impl PipelineOptions {
     }
 }
 
-/// Lifecycle notification passed to the observer of
-/// [`Pipeline::run_all_observed`] as each benchmark progresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunPhase {
-    /// The benchmark acquired a job slot and started running.
-    Started,
-    /// The benchmark finished with a report.
-    Finished,
-    /// The benchmark finished in a structured error (panic, watchdog,
-    /// failed run).
-    Degraded,
-}
-
 /// The end-to-end detector.
 #[derive(Debug, Clone, Copy)]
 pub struct Pipeline;
@@ -257,110 +252,41 @@ impl Pipeline {
     /// Runs the pipeline on every benchmark, at most `jobs` concurrently,
     /// returning the results in benchmark order.
     ///
-    /// Every benchmark gets a *fresh* worker thread regardless of `jobs`:
-    /// metric values, gauges, and span captures are thread-local, so a
-    /// dedicated thread per run gives each report a cleanly scoped metrics
-    /// delta — no gauge readings or capture state leak between benchmarks
-    /// that happen to share a thread. That isolation is also what makes
-    /// `--json` output independent of the worker count: the only
-    /// cross-thread state is the global metric *name* table, which
-    /// [`normalize_metric_names`] reconciles after the fact.
-    ///
-    /// Each benchmark is additionally crash-isolated: a panic inside the
-    /// run is caught at the thread boundary and reported as
-    /// [`PipelineError::Panicked`], and `opts.timeout` (when set) bounds
-    /// the wall-clock of each run via a watchdog. A misbehaving benchmark
-    /// therefore degrades to a structured error entry instead of aborting
-    /// the batch. Degradations are counted on the calling thread in the
-    /// `benchmarks_failed` and `watchdog_timeouts` metrics.
+    /// Every benchmark gets a *fresh* thread regardless of `jobs` (see
+    /// [`run_guarded`](Pipeline::run_guarded)): metric values, gauges, and
+    /// span captures are thread-local, so a dedicated thread per run gives
+    /// each report a cleanly scoped metrics delta — no gauge readings or
+    /// capture state leak between benchmarks that happen to share a
+    /// worker. A snapshot names only what its own thread counted, so that
+    /// isolation is all it takes to make `--json` output independent of
+    /// the worker count.
     pub fn run_all(
         benches: &[Benchmark],
         opts: &PipelineOptions,
         jobs: usize,
     ) -> Vec<Result<BenchmarkReport, PipelineError>> {
-        Pipeline::run_all_observed(benches, opts, jobs, &|_, _| {})
+        steal_map(jobs, benches.len(), |i| {
+            Some(Pipeline::run_guarded(&benches[i], opts))
+        })
+        .into_iter()
+        .map(|r| r.expect("every benchmark runs"))
+        .collect()
     }
 
-    /// [`run_all`](Pipeline::run_all) with a progress observer: `observe`
-    /// is called from worker threads as each benchmark starts and
-    /// finishes (by index into `benches`). Used by the CLI's live
-    /// progress line; the observer must be cheap and must not panic.
-    pub fn run_all_observed(
-        benches: &[Benchmark],
+    /// One crash-isolated benchmark through [`run_bounded`]: a panic
+    /// inside the run is caught at the thread boundary and reported as
+    /// [`PipelineError::Panicked`], and `opts.timeout` (when set) bounds
+    /// its wall-clock via the watchdog. A misbehaving benchmark therefore
+    /// degrades to a structured error entry instead of aborting a batch.
+    pub fn run_guarded(
+        bench: &Benchmark,
         opts: &PipelineOptions,
-        jobs: usize,
-        observe: &(dyn Fn(usize, RunPhase) + Sync),
-    ) -> Vec<Result<BenchmarkReport, PipelineError>> {
-        Pipeline::run_all_recorded(benches, opts, jobs, observe, &|_, _| {})
-    }
-
-    /// [`run_all_observed`](Pipeline::run_all_observed) with an additional
-    /// completion recorder: `record` is called from the worker thread the
-    /// moment each benchmark's result exists — *before* the batch-level
-    /// metric-name normalization — so a crash-safe journal can persist it
-    /// even if the process dies mid-batch. The recorder must be cheap,
-    /// `Sync`, and must not panic; results it receives are raw (their
-    /// metric name sets may still differ across benchmarks).
-    pub fn run_all_recorded(
-        benches: &[Benchmark],
-        opts: &PipelineOptions,
-        jobs: usize,
-        observe: &(dyn Fn(usize, RunPhase) + Sync),
-        record: &(dyn Fn(usize, &Result<BenchmarkReport, PipelineError>) + Sync),
-    ) -> Vec<Result<BenchmarkReport, PipelineError>> {
-        use std::sync::{Condvar, Mutex};
-        let verbose = dcatch_obs::trace::is_verbose();
-        // counting semaphore bounding how many workers run at once
-        let slots = (Mutex::new(jobs.max(1)), Condvar::new());
-        let mut results = std::thread::scope(|s| {
-            let handles: Vec<_> = benches
-                .iter()
-                .enumerate()
-                .map(|(index, bench)| {
-                    let slots = &slots;
-                    s.spawn(move || {
-                        let mut free = slots.0.lock().expect("job slots");
-                        while *free == 0 {
-                            free = slots.1.wait(free).expect("job slots");
-                        }
-                        *free -= 1;
-                        drop(free);
-                        dcatch_obs::trace::set_verbose(verbose);
-                        observe(index, RunPhase::Started);
-                        let result = run_guarded(bench, opts);
-                        record(index, &result);
-                        observe(
-                            index,
-                            if result.is_err() {
-                                RunPhase::Degraded
-                            } else {
-                                RunPhase::Finished
-                            },
-                        );
-                        *slots.0.lock().expect("job slots") += 1;
-                        slots.1.notify_one();
-                        result
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pipeline worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        // Count degradations on the calling thread: metrics are
-        // thread-local, so counters bumped on (possibly dead) workers
-        // would be invisible to the caller's snapshot.
-        for result in &results {
-            if let Err(e) = result {
-                dcatch_obs::counter!("benchmarks_failed").inc();
-                if matches!(e, PipelineError::WatchdogTimeout { .. }) {
-                    dcatch_obs::counter!("watchdog_timeouts").inc();
-                }
-            }
-        }
-        normalize_metric_names(&mut results);
-        results
+    ) -> Result<BenchmarkReport, PipelineError> {
+        let name = format!("dcatch-{}", bench.id);
+        let bench = bench.clone();
+        let opts = opts.clone();
+        let timeout = opts.timeout;
+        run_bounded(&name, timeout, move || Pipeline::run(&bench, &opts)).and_then(|r| r)
     }
 
     /// The one stage driver: base run → trace analysis → prune → loop-sync
@@ -895,19 +821,6 @@ pub fn run_bounded<T: Send + 'static>(
     }
 }
 
-/// One benchmark through [`run_bounded`]: panics become
-/// [`PipelineError::Panicked`], `opts.timeout` becomes the watchdog.
-fn run_guarded(
-    bench: &Benchmark,
-    opts: &PipelineOptions,
-) -> Result<BenchmarkReport, PipelineError> {
-    let name = format!("dcatch-{}", bench.id);
-    let bench = bench.clone();
-    let opts = opts.clone();
-    let timeout = opts.timeout;
-    run_bounded(&name, timeout, move || Pipeline::run(&bench, &opts)).and_then(|r| r)
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -915,51 +828,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
-    }
-}
-
-/// Gives every report the same metric *name* set.
-///
-/// Metric names are interned in a global table on first use, so a report's
-/// snapshot mentions every name registered *by the time its run finished* —
-/// which depends on how runs interleave. A zero-valued counter is the same
-/// measurement whether or not its name was registered yet, so we take the
-/// union of names across all reports and zero-fill the gaps. After this,
-/// the serialized report is byte-identical for any worker count.
-pub fn normalize_metric_names(results: &mut [Result<BenchmarkReport, PipelineError>]) {
-    use dcatch_obs::metrics::HistogramSnapshot;
-    use std::collections::{BTreeMap, BTreeSet};
-    let mut counters: BTreeSet<String> = BTreeSet::new();
-    let mut gauges: BTreeSet<String> = BTreeSet::new();
-    let mut histograms: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-    for report in results.iter().filter_map(|r| r.as_ref().ok()) {
-        counters.extend(report.metrics.counters.keys().cloned());
-        gauges.extend(report.metrics.gauges.keys().cloned());
-        for (name, h) in &report.metrics.histograms {
-            histograms
-                .entry(name.clone())
-                .or_insert_with(|| h.boundaries.clone());
-        }
-    }
-    for report in results.iter_mut().filter_map(|r| r.as_mut().ok()) {
-        for name in &counters {
-            report.metrics.counters.entry(name.clone()).or_insert(0);
-        }
-        for name in &gauges {
-            report.metrics.gauges.entry(name.clone()).or_insert(0);
-        }
-        for (name, boundaries) in &histograms {
-            report
-                .metrics
-                .histograms
-                .entry(name.clone())
-                .or_insert_with(|| HistogramSnapshot {
-                    boundaries: boundaries.clone(),
-                    buckets: vec![0; boundaries.len() + 1],
-                    sum: 0,
-                    count: 0,
-                });
-        }
     }
 }
 

@@ -49,6 +49,12 @@
 //! }
 //! ```
 //!
+//! `metrics` maps list only names with a non-zero reading: **an absent
+//! metric ≡ 0**. An entry therefore depends on its own run alone — not on
+//! which names other threads of the process have interned — and that is
+//! what makes documents byte-identical across `--jobs`, `--trigger-jobs`
+//! and `--resume`.
+//!
 //! A benchmark that errored out (panic, watchdog timeout, failed traced
 //! run) still appears in `benchmarks`, as a short entry whose `error`
 //! field carries the structured cause — one bad benchmark never truncates
@@ -93,10 +99,7 @@ pub const MIN_SCHEMA_VERSION: u64 = 2;
 /// Builds the versioned top-level run report for a set of benchmark runs
 /// that all succeeded (the bench-harness path).
 pub fn run_report(reports: &[BenchmarkReport]) -> Json {
-    report_doc(
-        reports.iter().map(benchmark_json).collect(),
-        degradations(reports.iter(), 0, 0),
-    )
+    report_doc(reports.iter().map(benchmark_json).collect())
 }
 
 /// Builds the run report from per-benchmark pipeline *results*, keeping
@@ -111,60 +114,120 @@ pub fn run_report_results_with(
     results: &[(&str, Result<BenchmarkReport, PipelineError>)],
     profile: bool,
 ) -> Json {
-    let mut failed: u64 = 0;
-    let mut watchdog: u64 = 0;
-    let benchmarks = results
-        .iter()
-        .map(|(id, result)| match result {
-            Ok(r) => benchmark_json_with(r, profile),
-            Err(e) => {
-                failed += 1;
-                if matches!(e, PipelineError::WatchdogTimeout { .. }) {
-                    watchdog += 1;
-                }
-                error_json(id, e)
-            }
-        })
-        .collect();
-    let ok = results.iter().filter_map(|(_, r)| r.as_ref().ok());
-    report_doc(benchmarks, degradations(ok, failed, watchdog))
+    let entries = results.iter().map(|(id, r)| result_json(id, r, profile));
+    report_doc(entries.collect())
 }
 
-fn report_doc(benchmarks: Vec<Json>, degradations: Json) -> Json {
+/// One pipeline result as its `benchmarks` entry — the unit the
+/// `--resume` journal records.
+pub fn result_json(
+    id: &str,
+    result: &Result<BenchmarkReport, PipelineError>,
+    profile: bool,
+) -> Json {
+    match result {
+        Ok(r) => benchmark_json_with(r, profile),
+        Err(e) => error_json(id, e),
+    }
+}
+
+/// An entry's structured `error`, `None` when the field is null or (in
+/// pre-v2 documents) missing. Holds for `benchmarks` entries and `synth`
+/// scenario rows alike.
+pub fn entry_error(entry: &Json) -> Option<&Json> {
+    entry.get("error").filter(|e| !e.is_null())
+}
+
+/// The process exit code an errored entry maps to (`None` on success) —
+/// [`PipelineError::exit_code`] for an error that survives only as JSON.
+pub fn error_exit_code(entry: &Json) -> Option<u8> {
+    let kind = entry_error(entry)?.get("kind").and_then(Json::as_str);
+    Some(PipelineError::exit_code_of_kind(kind.unwrap_or("")))
+}
+
+/// Assembles the run report from `benchmarks` entries (in benchmark
+/// order; freshly serialized, read back from a journal, or both). The
+/// top-level `degradations` summary — what the run survived — is derived
+/// from the entries alone: fault and retry counts from each entry's own
+/// metric deltas, failures from the `error` entries. So the document does
+/// not depend on the worker count or on which entries were journaled.
+pub fn report_doc(entries: Vec<Json>) -> Json {
+    let (mut faults, mut failed, mut retries, mut watchdog, mut governor) = (0, 0, 0, 0, 0);
+    for e in &entries {
+        if let Some(err) = entry_error(e) {
+            failed += 1;
+            if err.get("kind").and_then(Json::as_str) == Some("watchdog_timeout") {
+                watchdog += 1;
+            }
+            continue;
+        }
+        let counters = e.get("metrics").and_then(|m| m.get("counters"));
+        let counter = |name| counters.and_then(|c| c.get(name)).and_then(Json::as_u64);
+        faults += counter("faults_injected").unwrap_or(0);
+        retries += counter("trigger_retries").unwrap_or(0);
+        governor += e
+            .get("degradations")
+            .and_then(Json::as_arr)
+            .map_or(0, |d| d.len() as u64);
+    }
+    envelope(
+        [faults, failed, retries, watchdog, governor],
+        entries,
+        Json::Null,
+    )
+}
+
+/// The document envelope every report shares; `survived` is the top-level
+/// `degradations` summary in field order.
+pub(crate) fn envelope(survived: [u64; 5], benchmarks: Vec<Json>, synth: Json) -> Json {
+    let [faults, failed, retries, watchdog, governor] = survived.map(Json::UInt);
     Json::obj([
         ("schema_version", Json::UInt(SCHEMA_VERSION)),
         ("tool", Json::Str("dcatch-rs".to_owned())),
-        ("degradations", degradations),
+        (
+            "degradations",
+            Json::obj([
+                ("faults_injected", faults),
+                ("benchmarks_failed", failed),
+                ("trigger_retries", retries),
+                ("watchdog_timeouts", watchdog),
+                ("governor_degradations", governor),
+            ]),
+        ),
         ("benchmarks", Json::Arr(benchmarks)),
-        ("synth", Json::Null),
+        ("synth", synth),
     ])
 }
 
-/// Top-level resilience summary: what the run survived. Per-run fault and
-/// retry counts come from the per-benchmark metric deltas (so the summary
-/// is independent of worker count); failure counts come from the result
-/// list itself, because a panicked worker's thread-local counters die with
-/// it.
-fn degradations<'a>(
-    reports: impl Iterator<Item = &'a BenchmarkReport>,
-    benchmarks_failed: u64,
-    watchdog_timeouts: u64,
-) -> Json {
-    let mut faults: u64 = 0;
-    let mut retries: u64 = 0;
-    let mut governor: u64 = 0;
-    for r in reports {
-        faults += r.metrics.counter("faults_injected");
-        retries += r.metrics.counter("trigger_retries");
-        governor += r.degradations.len() as u64;
+/// Zeroes every wall-clock measurement of a `benchmarks` entry in place:
+/// `timings_ns`, span `total_ns`, and `profile.stages_us` — what
+/// [`BenchmarkReport::scrub_timings`] does to the struct, for entries
+/// that only exist as JSON (`--scrub-timings` over a resumed journal).
+pub fn scrub_entry(entry: &mut Json) {
+    fn zero_fields(obj: Option<&mut Json>) {
+        if let Some(Json::Obj(fields)) = obj {
+            for (_, v) in fields {
+                *v = Json::UInt(0);
+            }
+        }
     }
-    Json::obj([
-        ("faults_injected", Json::UInt(faults)),
-        ("benchmarks_failed", Json::UInt(benchmarks_failed)),
-        ("trigger_retries", Json::UInt(retries)),
-        ("watchdog_timeouts", Json::UInt(watchdog_timeouts)),
-        ("governor_degradations", Json::UInt(governor)),
-    ])
+    fn scrub_span(span: &mut Json) {
+        if let Some(total) = span.get_mut("total_ns") {
+            *total = Json::UInt(0);
+        }
+        if let Some(Json::Arr(children)) = span.get_mut("children") {
+            children.iter_mut().for_each(scrub_span);
+        }
+    }
+    zero_fields(entry.get_mut("timings_ns"));
+    zero_fields(
+        entry
+            .get_mut("profile")
+            .and_then(|p| p.get_mut("stages_us")),
+    );
+    if let Some(spans) = entry.get_mut("spans") {
+        scrub_span(spans);
+    }
 }
 
 /// The short entry for a benchmark whose pipeline run errored out.
@@ -295,9 +358,8 @@ pub fn validate_report(doc: &Json) -> Result<u64, String> {
         if b.get("id").and_then(|v| v.as_str()).is_none() {
             return Err(format!("benchmark[{i}]: missing id"));
         }
-        let errored = b.get("error").is_some_and(|e| !matches!(e, Json::Null));
-        if errored {
-            if b.get("error").unwrap().get("kind").is_none() {
+        if let Some(err) = entry_error(b) {
+            if err.get("kind").is_none() {
                 return Err(format!("benchmark[{i}]: error entry without kind"));
             }
         } else if b.get("candidates").is_none() || b.get("timings_ns").is_none() {
@@ -434,6 +496,58 @@ mod tests {
         );
         let back = dcatch_obs::json::parse(&doc.to_pretty()).unwrap();
         assert_eq!(back, doc);
+    }
+
+    /// The journal path: entries that only exist as JSON are scrubbed and
+    /// summarized exactly like freshly serialized ones.
+    #[test]
+    fn report_doc_summarizes_and_scrub_entry_zeroes_json_entries() {
+        let entry = |id: &str, counters: Vec<(&'static str, Json)>, degradations: Vec<Json>| {
+            Json::obj([
+                ("id", Json::Str(id.to_owned())),
+                ("error", Json::Null),
+                ("degradations", Json::Arr(degradations)),
+                ("timings_ns", Json::obj([("base", Json::UInt(123))])),
+                (
+                    "spans",
+                    Json::obj([
+                        ("name", Json::Str("pipeline".into())),
+                        ("total_ns", Json::UInt(9)),
+                        ("children", Json::Arr(vec![])),
+                    ]),
+                ),
+                ("metrics", Json::obj([("counters", Json::obj(counters))])),
+            ])
+        };
+        let mut a = entry("A", vec![("faults_injected", Json::UInt(2))], vec![]);
+        let b = entry(
+            "B",
+            vec![("trigger_retries", Json::UInt(5))],
+            vec![Json::Null],
+        );
+        let c = error_json(
+            "C",
+            &PipelineError::WatchdogTimeout {
+                limit: std::time::Duration::from_secs(1),
+            },
+        );
+        scrub_entry(&mut a);
+        let timing = |e: &Json, section: &str, field: &str| {
+            e.get(section)
+                .and_then(|t| t.get(field))
+                .and_then(Json::as_u64)
+        };
+        assert_eq!(timing(&a, "timings_ns", "base"), Some(0));
+        assert_eq!(timing(&a, "spans", "total_ns"), Some(0));
+        // summary recomputed from entries; absent counters read as 0
+        let doc = report_doc(vec![a, b, c]);
+        let deg = doc.get("degradations").unwrap();
+        let tally = |name: &str| deg.get(name).unwrap().as_u64();
+        assert_eq!(tally("faults_injected"), Some(2));
+        assert_eq!(tally("trigger_retries"), Some(5));
+        assert_eq!(tally("benchmarks_failed"), Some(1));
+        assert_eq!(tally("watchdog_timeouts"), Some(1));
+        assert_eq!(tally("governor_degradations"), Some(1));
     }
 
     /// Fixture pinning backward compatibility: a report exactly as schema

@@ -25,6 +25,7 @@ use dcatch_obs::Json;
 use dcatch_sim::FaultPlan;
 use dcatch_trigger::Verdict;
 
+use crate::report_json::{entry_error, error_exit_code};
 use crate::{run_bounded, BenchmarkReport, Pipeline, PipelineError, PipelineOptions};
 
 /// Batch configuration: which scenarios to generate and how hard to
@@ -418,9 +419,7 @@ pub fn synth_section(cfg: &SynthBatchConfig, rows: &[Json]) -> Json {
             planted += num("planted");
             detected += num("detected");
             fps += num("false_positives");
-            if row.get("error").is_some_and(|e| !e.is_null()) {
-                errors += 1;
-            }
+            errors += u64::from(entry_error(row).is_some());
             quarantined += row
                 .get("quarantined")
                 .and_then(Json::as_arr)
@@ -448,50 +447,23 @@ pub fn synth_section(cfg: &SynthBatchConfig, rows: &[Json]) -> Json {
 /// standard envelope with the `synth` section populated and an empty
 /// `benchmarks` array (scenario results live in `synth.scenarios`).
 pub fn synth_report_doc(cfg: &SynthBatchConfig, rows: &[Json]) -> Json {
-    let mut faults = 0u64;
-    let mut failed = 0u64;
-    let mut governor = 0u64;
-    for row in rows {
-        faults += row
-            .get("faults_injected")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        governor += row.get("degradations").and_then(Json::as_u64).unwrap_or(0);
-        if row.get("error").is_some_and(|e| !e.is_null()) {
-            failed += 1;
-        }
-    }
-    Json::obj([
-        (
-            "schema_version",
-            Json::UInt(crate::report_json::SCHEMA_VERSION),
-        ),
-        ("tool", Json::Str("dcatch-rs".to_owned())),
-        (
-            "degradations",
-            Json::obj([
-                ("faults_injected", Json::UInt(faults)),
-                ("benchmarks_failed", Json::UInt(failed)),
-                ("trigger_retries", Json::UInt(0)),
-                ("watchdog_timeouts", Json::UInt(0)),
-                ("governor_degradations", Json::UInt(governor)),
-            ]),
-        ),
-        ("benchmarks", Json::Arr(Vec::new())),
-        ("synth", synth_section(cfg, rows)),
-    ])
+    let num = |row: &Json, k: &str| row.get(k).and_then(Json::as_u64).unwrap_or(0);
+    let faults = rows.iter().map(|r| num(r, "faults_injected")).sum();
+    let governor = rows.iter().map(|r| num(r, "degradations")).sum();
+    let failed = rows.iter().filter(|r| entry_error(r).is_some()).count() as u64;
+    crate::report_json::envelope(
+        [faults, failed, 0, 0, governor],
+        Vec::new(),
+        synth_section(cfg, rows),
+    )
 }
 
 /// The exit code a scenario row contributes: 0 clean, 2 on any scoring
 /// discrepancy (miss or false positive), 3/5/6 on pipeline failures
 /// (mirroring the `detect` table).
 pub fn row_exit_code(row: &Json) -> u8 {
-    if let Some(err) = row.get("error").filter(|e| !e.is_null()) {
-        return match err.get("kind").and_then(Json::as_str) {
-            Some("panic") => 5,
-            Some("watchdog_timeout") => 6,
-            _ => 3,
-        };
+    if let Some(code) = error_exit_code(row) {
+        return code;
     }
     let num = |k: &str| row.get(k).and_then(Json::as_u64).unwrap_or(0);
     if num("detected") < num("planted") || num("false_positives") > 0 {

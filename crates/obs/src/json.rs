@@ -54,6 +54,14 @@ impl Json {
         }
     }
 
+    /// Mutable object field lookup (first match).
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// Array elements.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

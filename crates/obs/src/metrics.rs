@@ -65,6 +65,15 @@ struct HistCells {
     count: u64,
 }
 
+/// Slot `id` of a thread's value vector, grown on first touch.
+fn slot<T: Clone + Default>(v: &mut Vec<T>, id: u32) -> &mut T {
+    let i = id as usize;
+    if i >= v.len() {
+        v.resize(i + 1, T::default());
+    }
+    &mut v[i]
+}
+
 /// A monotonically increasing counter.
 #[derive(Debug, Clone, Copy)]
 pub struct Counter {
@@ -79,13 +88,7 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(self, n: u64) {
-        COUNTERS.with_borrow_mut(|v| {
-            let i = self.id as usize;
-            if i >= v.len() {
-                v.resize(i + 1, 0);
-            }
-            v[i] += n;
-        });
+        COUNTERS.with_borrow_mut(|v| *slot(v, self.id) += n);
     }
 
     /// Current value on this thread.
@@ -103,23 +106,14 @@ pub struct Gauge {
 impl Gauge {
     /// Sets the gauge.
     pub fn set(self, value: u64) {
-        GAUGES.with_borrow_mut(|v| {
-            let i = self.id as usize;
-            if i >= v.len() {
-                v.resize(i + 1, 0);
-            }
-            v[i] = value;
-        });
+        GAUGES.with_borrow_mut(|v| *slot(v, self.id) = value);
     }
 
     /// Sets the gauge to `value` if it exceeds the current reading.
     pub fn set_max(self, value: u64) {
         GAUGES.with_borrow_mut(|v| {
-            let i = self.id as usize;
-            if i >= v.len() {
-                v.resize(i + 1, 0);
-            }
-            v[i] = v[i].max(value);
+            let cell = slot(v, self.id);
+            *cell = (*cell).max(value);
         });
     }
 
@@ -142,11 +136,7 @@ impl Histogram {
     /// Records one observation.
     pub fn observe(self, value: u64) {
         HISTS.with_borrow_mut(|v| {
-            let i = self.id as usize;
-            if i >= v.len() {
-                v.resize(i + 1, HistCells::default());
-            }
-            let cells = &mut v[i];
+            let cells = slot(v, self.id);
             if cells.buckets.is_empty() {
                 cells.buckets = vec![0; self.boundaries.len() + 1];
             }
@@ -259,7 +249,12 @@ pub struct HistogramSnapshot {
     pub count: u64,
 }
 
-/// Point-in-time reading of every registered metric on this thread.
+/// Point-in-time reading of this thread's metrics. Only names with a
+/// non-zero reading are listed — absent ≡ 0, which is what
+/// [`counter`](MetricsSnapshot::counter) and
+/// [`gauge`](MetricsSnapshot::gauge) return — so a snapshot (and a
+/// [`delta_since`](MetricsSnapshot::delta_since)) depends on the work this
+/// thread did, never on which names other threads happen to have interned.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Counter name → value.
@@ -282,13 +277,14 @@ impl MetricsSnapshot {
     }
 
     /// The change in counters (and histograms) since `earlier`, with
-    /// gauges carried over at their current reading. Zero-valued counters
-    /// are kept so the report always names every registered metric.
+    /// gauges carried over at their current reading. Counters and
+    /// histograms that did not move are left out, like any other zero.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let counters = self
             .counters
             .iter()
             .map(|(k, &v)| (k.clone(), v.saturating_sub(earlier.counter(k))))
+            .filter(|&(_, v)| v != 0)
             .collect();
         let histograms = self
             .histograms
@@ -313,6 +309,7 @@ impl MetricsSnapshot {
                     },
                 )
             })
+            .filter(|(_, h)| h.count != 0)
             .collect();
         MetricsSnapshot {
             counters,
@@ -327,57 +324,34 @@ impl MetricsSnapshot {
 /// counters and histogram buckets add, gauges merge via max (they are
 /// high-water readings — `hb_reach_bytes_peak` — so the maximum across
 /// workers is the honest aggregate). Names the delta mentions that were
-/// never registered in this process are skipped; zero-valued entries are
-/// no-ops either way, so absorbing a delta is exactly equivalent to
-/// having done the work on this thread.
+/// never registered in this process are skipped, so absorbing a delta is
+/// exactly equivalent to having done the work on this thread.
 pub fn absorb(delta: &MetricsSnapshot) {
     let t = table().lock().expect("metrics name table");
     COUNTERS.with_borrow_mut(|v| {
         for (name, &val) in &delta.counters {
-            if val == 0 {
-                continue;
-            }
             if let Some(&(Kind::Counter, id)) = t.ids.get(name.as_str()) {
-                let i = id as usize;
-                if i >= v.len() {
-                    v.resize(i + 1, 0);
-                }
-                v[i] += val;
+                *slot(v, id) += val;
             }
         }
     });
     GAUGES.with_borrow_mut(|v| {
         for (name, &val) in &delta.gauges {
-            if val == 0 {
-                continue;
-            }
             if let Some(&(Kind::Gauge, id)) = t.ids.get(name.as_str()) {
-                let i = id as usize;
-                if i >= v.len() {
-                    v.resize(i + 1, 0);
-                }
-                v[i] = v[i].max(val);
+                let cell = slot(v, id);
+                *cell = (*cell).max(val);
             }
         }
     });
     HISTS.with_borrow_mut(|v| {
         for (name, h) in &delta.histograms {
-            if h.count == 0 {
-                continue;
-            }
             if let Some(&(Kind::Histogram, id)) = t.ids.get(name.as_str()) {
-                let i = id as usize;
-                if i >= v.len() {
-                    v.resize(i + 1, HistCells::default());
-                }
-                let cells = &mut v[i];
+                let cells = slot(v, id);
                 if cells.buckets.is_empty() {
                     cells.buckets = vec![0; h.buckets.len()];
                 }
-                for (slot, &b) in h.buckets.iter().enumerate() {
-                    if slot < cells.buckets.len() {
-                        cells.buckets[slot] += b;
-                    }
+                for (cell, &b) in cells.buckets.iter_mut().zip(&h.buckets) {
+                    *cell += b;
                 }
                 cells.sum += h.sum;
                 cells.count += h.count;
@@ -386,38 +360,30 @@ pub fn absorb(delta: &MetricsSnapshot) {
     });
 }
 
-/// Reads every registered metric's current value on this thread.
+/// Reads every metric with a non-zero value on this thread. A thread's
+/// value vectors never outgrow the name table (ids come from it), so
+/// zipping the two visits exactly the slots this thread has touched.
 pub fn snapshot() -> MetricsSnapshot {
     let t = table().lock().expect("metrics name table");
-    let counters = COUNTERS.with_borrow(|v| {
-        t.counters
+    let nonzero = |names: &[&'static str], values: &[u64]| {
+        names
             .iter()
-            .enumerate()
-            .map(|(i, name)| ((*name).to_owned(), v.get(i).copied().unwrap_or(0)))
+            .zip(values)
+            .filter(|&(_, &v)| v != 0)
+            .map(|(name, &v)| ((*name).to_owned(), v))
             .collect()
-    });
-    let gauges = GAUGES.with_borrow(|v| {
-        t.gauges
-            .iter()
-            .enumerate()
-            .map(|(i, name)| ((*name).to_owned(), v.get(i).copied().unwrap_or(0)))
-            .collect()
-    });
+    };
     let histograms = HISTS.with_borrow(|v| {
         t.histograms
             .iter()
-            .enumerate()
-            .map(|(i, (name, boundaries))| {
-                let cells = v.get(i).cloned().unwrap_or_default();
-                let mut buckets = cells.buckets;
-                if buckets.is_empty() {
-                    buckets = vec![0; boundaries.len() + 1];
-                }
+            .zip(v)
+            .filter(|(_, cells)| cells.count != 0)
+            .map(|((name, boundaries), cells)| {
                 (
                     (*name).to_owned(),
                     HistogramSnapshot {
                         boundaries: boundaries.to_vec(),
-                        buckets,
+                        buckets: cells.buckets.clone(),
                         sum: cells.sum,
                         count: cells.count,
                     },
@@ -426,8 +392,8 @@ pub fn snapshot() -> MetricsSnapshot {
             .collect()
     });
     MetricsSnapshot {
-        counters,
-        gauges,
+        counters: COUNTERS.with_borrow(|v| nonzero(&t.counters, v)),
+        gauges: GAUGES.with_borrow(|v| nonzero(&t.gauges, v)),
         histograms,
     }
 }
@@ -484,6 +450,43 @@ mod tests {
         let d = b.delta_since(&a);
         assert_eq!(d.counter("test_obs_delta_total"), 2);
         assert_eq!(d.gauge("test_obs_delta_gauge"), 13);
+    }
+
+    /// The root cause the report-level name normalizers used to paper
+    /// over: a run's delta must not depend on what other threads interned.
+    #[test]
+    fn delta_is_independent_of_names_interned_elsewhere() {
+        fn run() -> MetricsSnapshot {
+            let before = snapshot();
+            counter("test_obs_run_total").add(2);
+            counter("test_obs_run_untouched_total").add(0);
+            gauge("test_obs_run_gauge").set(9);
+            histogram("test_obs_run_hist", &[10]).observe(3);
+            snapshot().delta_since(&before)
+        }
+        let first = std::thread::spawn(run).join().expect("first run");
+        std::thread::spawn(|| {
+            counter("test_obs_elsewhere_total").add(7);
+            gauge("test_obs_elsewhere_gauge").set(7);
+            histogram("test_obs_elsewhere_hist", &[1]).observe(7);
+        })
+        .join()
+        .expect("unrelated thread");
+        let second = std::thread::spawn(run).join().expect("second run");
+        assert_eq!(first, second);
+        assert_eq!(
+            first.counters.keys().collect::<Vec<_>>(),
+            ["test_obs_run_total"],
+            "zero readings are not listed"
+        );
+        assert_eq!(
+            first.gauges.keys().collect::<Vec<_>>(),
+            ["test_obs_run_gauge"]
+        );
+        assert_eq!(
+            first.histograms.keys().collect::<Vec<_>>(),
+            ["test_obs_run_hist"]
+        );
     }
 
     #[test]

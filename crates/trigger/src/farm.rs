@@ -104,23 +104,6 @@ pub fn run_farm(
     deadline: Option<Instant>,
 ) -> Vec<TriggerReport> {
     let total = specs.len() * ORDERINGS;
-    // Register every trigger metric up front on the calling thread. Names
-    // intern globally on first use, so a name first reached inside an
-    // executed-but-cancelled job (say, the only retry in the process) would
-    // otherwise appear in the report's name set only for *some* worker
-    // counts — breaking byte-identical output.
-    for name in [
-        "trigger_attempts_total",
-        "trigger_placement_rules_total",
-        "trigger_order_runs_total",
-        "trigger_direct_fallbacks_total",
-        "trigger_retries",
-        "trigger_verdict_serial_total",
-        "trigger_verdict_benign_total",
-        "trigger_verdict_harmful_total",
-    ] {
-        dcatch_obs::metrics::counter(name);
-    }
     // lowest ordering that confirmed each candidate; purely a work-skip
     // hint for sibling workers — the merge below never reads it
     let confirmed: Vec<AtomicUsize> = specs.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();

@@ -75,13 +75,8 @@ fn run_report_counters_cover_the_whole_pipeline() {
     let Json::Obj(entries) = counters else {
         panic!("counters must be an object");
     };
-    let get = |name: &str| -> u64 {
-        counters
-            .get(name)
-            .unwrap_or_else(|| panic!("missing counter `{name}`"))
-            .as_u64()
-            .unwrap()
-    };
+    // a counter the run never moved is not listed: absent ≡ 0
+    let get = |name: &str| -> u64 { counters.get(name).map_or(0, |v| v.as_u64().unwrap()) };
 
     // ≥10 distinct named counters, spanning ≥4 layers of the pipeline
     assert!(

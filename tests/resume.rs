@@ -1,4 +1,5 @@
-//! Crash-safe checkpoint/resume (`dcatch detect all --resume`) and the
+//! Crash-safe checkpoint/resume (`dcatch detect all --resume`, `dcatch
+//! synth --resume`) and the
 //! resource governor's two end-to-end guarantees:
 //!
 //! * a run killed after K benchmarks, resumed from its journal, emits a
@@ -64,6 +65,52 @@ fn killed_run_resumes_to_a_byte_identical_report() {
     let benchmarks = dcatch::all_benchmarks().len();
     let lines = std::fs::read_to_string(&journal).unwrap().lines().count();
     assert_eq!(lines, 1 + benchmarks, "resume journaled the remaining runs");
+}
+
+/// The same kill/resume contract for the other user of the shared batch
+/// loop: `dcatch synth --resume`, keyed by scenario id (2 per protocol × 4
+/// protocols = 8 scenarios).
+#[test]
+fn killed_synth_batch_resumes_to_a_byte_identical_report() {
+    let dir = temp_dir("synth-kill");
+    let plain = dir.join("plain.json");
+    let resumed = dir.join("resumed.json");
+    let journal = dir.join("journal.jsonl");
+    let synth = |out: &std::path::Path, extra: &[&str], exit_after: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_dcatch"));
+        cmd.args([
+            "synth",
+            "--seed",
+            "1",
+            "--count",
+            "2",
+            "--no-shrink",
+            "--json",
+        ])
+        .arg("--out")
+        .arg(out)
+        .args(extra);
+        if let Some(k) = exit_after {
+            cmd.env("DCATCH_TEST_EXIT_AFTER", k);
+        }
+        cmd.output().expect("dcatch runs").status.code()
+    };
+    let journal_lines = || std::fs::read_to_string(&journal).unwrap().lines().count();
+
+    assert_eq!(synth(&plain, &[], None), Some(0), "uninterrupted batch");
+
+    let resume = ["--resume", journal.to_str().unwrap()];
+    assert_eq!(synth(&resumed, &resume, Some("3")), Some(70), "killed");
+    assert_eq!(journal_lines(), 1 + 3, "meta line plus three checkpoints");
+    assert!(!resumed.exists(), "the killed batch never wrote a report");
+
+    assert_eq!(synth(&resumed, &resume, None), Some(0), "resumed batch");
+    assert_eq!(
+        std::fs::read(&plain).unwrap(),
+        std::fs::read(&resumed).unwrap(),
+        "resumed report must be byte-identical"
+    );
+    assert_eq!(journal_lines(), 1 + 8, "resume journaled the other five");
 }
 
 #[test]
@@ -269,14 +316,9 @@ fn ample_budget_is_equivalent_to_no_governor() {
             "{}: an ample budget must never degrade",
             bench.id
         );
-        // Metric names intern globally on first use, so which zeroes a
-        // snapshot lists depends on what its run and the tests beside it
-        // have minted so far; compare over the union, as `run_all` does.
-        let mut pair = [Ok(free), Ok(report)];
-        dcatch::normalize_metric_names(&mut pair);
-        let [baseline, with_slack] = pair.map(|r| scrubbed(r.expect("ok above")));
         assert_eq!(
-            with_slack, baseline,
+            scrubbed(report),
+            scrubbed(free),
             "{}: governor with slack must not change the report",
             bench.id
         );
