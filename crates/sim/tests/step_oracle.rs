@@ -1,0 +1,444 @@
+//! Step-exact execution oracle for the interpreter.
+//!
+//! The simulator's contract is that `(program, topology, SimConfig)` fixes
+//! the execution: the scheduler draws from one ordered action list, so the
+//! step count, every trace byte, every failure and log line repeat. The
+//! triggering module, the resume journal and the byte-identical report
+//! gates all lean on that, but no other test compares an execution against
+//! a *previous interpreter*. This one does: every run below is folded into
+//! one FNV-1a value and compared with a constant recorded before the
+//! interpreter was restructured. A change to `world.rs` / `compile.rs`
+//! that keeps these values executes the same program; the constants are
+//! only ever regenerated (`STEP_ORACLE_PRINT=1 cargo test -p dcatch-sim
+//! --test step_oracle -- --nocapture`) by a change that *means* to alter
+//! the schedule, never alongside an interpreter refactor.
+
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+use dcatch_apps::synth::{generate, Protocol, ScenarioSpec, SynthParams};
+use dcatch_apps::{all_benchmarks_scaled, fault_scenarios, Benchmark};
+use dcatch_model::StmtId;
+use dcatch_sim::{
+    FaultPlan, FocusConfig, Gate, GateDecision, GateEvent, RunResult, SimConfig, StallAction, World,
+};
+use dcatch_trace::{Record, StreamControl, TaskId, TraceSink};
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 = (self.0 ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        // field separator, so ("ab", "c") and ("a", "bc") differ
+        self.0 = (self.0 ^ 0xff).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    fn num(&mut self, n: u64) {
+        self.bytes(&n.to_le_bytes());
+    }
+}
+
+/// Folds everything a run produced: counters, failures, logs, the
+/// serialized records and the queue/event side tables.
+fn fold(h: &mut Fnv, r: &RunResult) {
+    h.num(r.steps);
+    h.num(r.faults_injected);
+    h.num(u64::from(r.completed));
+    h.num(u64::from(r.gate_abandoned));
+    h.bytes(format!("{:?}", r.failures).as_bytes());
+    h.bytes(format!("{:?}", r.logs).as_bytes());
+    h.bytes(r.trace.to_lines().as_bytes());
+    for ((node, name), info) in r.trace.queues() {
+        h.bytes(format!("{node} {name} {info:?}").as_bytes());
+    }
+    for (event, node, queue) in r.trace.event_queue_entries() {
+        h.bytes(format!("{event} {node} {queue}").as_bytes());
+    }
+}
+
+fn run(bench: &Benchmark, config: SimConfig) -> u64 {
+    let r = World::run_once(&bench.program, &bench.topology, config).expect("valid benchmark");
+    let mut h = Fnv::new();
+    fold(&mut h, &r);
+    h.0
+}
+
+/// Sink hashing the record stream and every control as it arrives.
+struct HashSink(Fnv);
+
+impl TraceSink for HashSink {
+    fn record(&mut self, record: &Record) {
+        self.0.bytes(dcatch_trace::format_record(record).as_bytes());
+    }
+
+    fn control(&mut self, control: StreamControl) {
+        self.0.bytes(format!("{control:?}").as_bytes());
+    }
+}
+
+fn run_streamed(bench: &Benchmark, config: SimConfig) -> u64 {
+    let mut sink = HashSink(Fnv::new());
+    let r = World::run_streamed(&bench.program, &bench.topology, config, &mut sink)
+        .expect("valid benchmark");
+    let mut h = sink.0;
+    fold(&mut h, &r);
+    h.0
+}
+
+/// Holds the first two distinct tasks that reach `stmt`; once the second
+/// is held the first is released, and the second follows when the first
+/// has executed the statement. A stall releases the oldest still-held
+/// task, or abandons when there is none left to release. An impatient
+/// gate never releases anything and abandons at the first stall.
+struct HoldTwo {
+    stmt: StmtId,
+    patient: bool,
+    held: Vec<TaskId>,
+    released: Vec<TaskId>,
+    stalls: u64,
+}
+
+impl Gate for HoldTwo {
+    fn before(&mut self, ev: &GateEvent) -> GateDecision {
+        if ev.stmt != self.stmt || self.held.contains(&ev.task) || self.held.len() == 2 {
+            return GateDecision::Proceed;
+        }
+        self.held.push(ev.task);
+        if self.patient && self.held.len() == 2 {
+            self.released.push(self.held[0]);
+        }
+        GateDecision::Hold
+    }
+
+    fn after(&mut self, ev: &GateEvent) {
+        if self.patient && ev.stmt == self.stmt && self.held.len() == 2 && ev.task == self.held[0] {
+            self.released.push(self.held[1]);
+        }
+    }
+
+    fn is_released(&mut self, task: TaskId) -> bool {
+        self.released.contains(&task)
+    }
+
+    fn on_stall(&mut self, held: &[TaskId]) -> StallAction {
+        self.stalls += 1;
+        match self.held.iter().find(|t| !self.released.contains(t)) {
+            Some(&t) if self.patient && held.contains(&t) => {
+                self.released.push(t);
+                StallAction::Release(vec![t])
+            }
+            _ => StallAction::Abandon,
+        }
+    }
+}
+
+/// The statement executed by the most distinct tasks in the natural run
+/// (smallest id on ties): the likeliest place for two tasks to meet.
+fn busiest_stmt(bench: &Benchmark) -> StmtId {
+    let r = World::run_once(
+        &bench.program,
+        &bench.topology,
+        SimConfig::default()
+            .with_seed(bench.seed)
+            .with_full_tracing(),
+    )
+    .expect("valid benchmark");
+    let mut tasks_at: BTreeMap<StmtId, Vec<TaskId>> = BTreeMap::new();
+    for rec in r.trace.records() {
+        if let Some(stmt) = rec.stmt() {
+            let tasks = tasks_at.entry(stmt).or_default();
+            if !tasks.contains(&rec.task) {
+                tasks.push(rec.task);
+            }
+        }
+    }
+    let (stmt, _) = tasks_at
+        .iter()
+        .max_by_key(|(stmt, tasks)| (tasks.len(), std::cmp::Reverse(**stmt)))
+        .expect("benchmark traces at least one statement");
+    *stmt
+}
+
+/// Every oracle run, by name. The order is the order of `EXPECTED`.
+fn observe() -> Vec<(String, u64)> {
+    let mut rows = Vec::new();
+    for scale in [1, 3] {
+        for bench in all_benchmarks_scaled(scale) {
+            let base = SimConfig::default().with_seed(bench.seed);
+            rows.push((
+                format!("{} x{scale} selective", bench.id),
+                run(&bench, base.clone()),
+            ));
+            rows.push((
+                format!("{} x{scale} full", bench.id),
+                run(&bench, base.with_full_tracing()),
+            ));
+        }
+    }
+    for bench in all_benchmarks_scaled(1) {
+        let base = SimConfig::default().with_seed(bench.seed);
+        let mut untraced = base.clone();
+        untraced.trace_enabled = false;
+        rows.push((format!("{} untraced", bench.id), run(&bench, untraced)));
+        rows.push((
+            format!("{} sampled", bench.id),
+            run(&bench, base.clone().with_mem_sample_rate(3)),
+        ));
+        rows.push((
+            format!("{} focused", bench.id),
+            run(
+                &bench,
+                base.clone()
+                    .with_focus(FocusConfig::on(bench.bug_objects.iter().copied())),
+            ),
+        ));
+        rows.push((
+            format!("{} streamed", bench.id),
+            run_streamed(&bench, base.clone().with_full_tracing()),
+        ));
+        let scenario = fault_scenarios(&bench).swap_remove(0);
+        let faulted = base.clone().with_faults(scenario.plan);
+        rows.push((
+            format!("{} fault {}", bench.id, scenario.name),
+            run(&bench, faulted.clone()),
+        ));
+        rows.push((
+            format!("{} fault {} streamed", bench.id, scenario.name),
+            run_streamed(&bench, faulted),
+        ));
+
+        let stmt = busiest_stmt(&bench);
+        for patient in [true, false] {
+            let mut gate = HoldTwo {
+                stmt,
+                patient,
+                held: Vec::new(),
+                released: Vec::new(),
+                stalls: 0,
+            };
+            let r = World::run_with_gate(&bench.program, &bench.topology, base.clone(), &mut gate)
+                .expect("valid benchmark");
+            let mut h = Fnv::new();
+            fold(&mut h, &r);
+            h.bytes(format!("{:?} {:?} {}", gate.held, gate.released, gate.stalls).as_bytes());
+            rows.push((
+                format!(
+                    "{} gated patient={patient} held={} stalls={} abandoned={}",
+                    bench.id,
+                    gate.held.len(),
+                    gate.stalls,
+                    r.gate_abandoned
+                ),
+                h.0,
+            ));
+        }
+    }
+    for protocol in Protocol::all() {
+        for seed in 1..=4 {
+            let spec = ScenarioSpec::from_params(&SynthParams {
+                seed,
+                protocol: Some(protocol),
+                ..SynthParams::default()
+            });
+            let scenario = generate(&spec);
+            let plan = FaultPlan::parse(&spec.fault_plan).expect("generated plans parse");
+            let config = SimConfig::default()
+                .with_seed(scenario.bench.seed)
+                .with_faults(plan);
+            rows.push((spec.id(), run(&scenario.bench, config)));
+        }
+    }
+    rows
+}
+
+#[test]
+fn executions_match_the_recorded_interpreter() {
+    let rows = observe();
+    if std::env::var_os("STEP_ORACLE_PRINT").is_some() {
+        let mut table = String::new();
+        for (name, hash) in &rows {
+            writeln!(table, "    (\"{name}\", 0x{hash:016x}),").expect("write to string");
+        }
+        println!("{table}");
+        return;
+    }
+    assert_eq!(rows.len(), EXPECTED.len(), "oracle run list changed");
+    let mismatches: Vec<String> = rows
+        .iter()
+        .zip(EXPECTED)
+        .filter(|((name, hash), (want_name, want))| name != want_name || hash != want)
+        .map(|((name, hash), (want_name, want))| {
+            format!("{name}: 0x{hash:016x}, recorded {want_name}: 0x{want:016x}")
+        })
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "{} of {} executions differ from the recorded interpreter:\n{}",
+        mismatches.len(),
+        rows.len(),
+        mismatches.join("\n")
+    );
+    // the gated rows are only worth pinning if the gate paths ran
+    for path in [
+        "patient=true held=2",
+        "stalls=1 abandoned=false",
+        "abandoned=true",
+    ] {
+        assert!(
+            rows.iter().any(|(n, _)| n.contains(path)),
+            "no gated run covers `{path}`"
+        );
+    }
+}
+
+/// Recorded at the commit before the interpreter was restructured.
+const EXPECTED: &[(&str, u64)] = &[
+    ("CA-1011 x1 selective", 0xac63dc89f42659de),
+    ("CA-1011 x1 full", 0x692ea91a558b5742),
+    ("HB-4539 x1 selective", 0xa8692a743f743a28),
+    ("HB-4539 x1 full", 0xd18256c526cd24fa),
+    ("HB-4729 x1 selective", 0xaaf5bcbd0666e7c8),
+    ("HB-4729 x1 full", 0x6fb01584a62a45a6),
+    ("MR-3274 x1 selective", 0xa06cfb805cdc49fb),
+    ("MR-3274 x1 full", 0x944e3d3d4daa6069),
+    ("MR-4637 x1 selective", 0x07b7e54c199d147e),
+    ("MR-4637 x1 full", 0xaaaf5ba00a0801e6),
+    ("ZK-1144 x1 selective", 0xe2d914c4d450d1dc),
+    ("ZK-1144 x1 full", 0xe0d8f76178a4c9e1),
+    ("ZK-1270 x1 selective", 0x668e8db5cfe9e55f),
+    ("ZK-1270 x1 full", 0x741c7f0e57423085),
+    ("CA-1011 x3 selective", 0x20a6fc5126425e9d),
+    ("CA-1011 x3 full", 0xfb4cc55c7482f4c9),
+    ("HB-4539 x3 selective", 0xc0e45705d4e1203c),
+    ("HB-4539 x3 full", 0x8659fcd66a30e7ea),
+    ("HB-4729 x3 selective", 0x2bf140d6aece083f),
+    ("HB-4729 x3 full", 0xa68c70cc6a5ec6ed),
+    ("MR-3274 x3 selective", 0x02238c1ae6f9769b),
+    ("MR-3274 x3 full", 0xba684c95264dc427),
+    ("MR-4637 x3 selective", 0xd1ca90d640463a9e),
+    ("MR-4637 x3 full", 0x19834bbf320386c4),
+    ("ZK-1144 x3 selective", 0xe1d80123cd52b533),
+    ("ZK-1144 x3 full", 0x641cda80b98b71a0),
+    ("ZK-1270 x3 selective", 0x24201ee0d5788d0e),
+    ("ZK-1270 x3 full", 0x13de597fff099b8c),
+    ("CA-1011 untraced", 0x14d4caf27b879cc2),
+    ("CA-1011 sampled", 0x3931df6c5c4577da),
+    ("CA-1011 focused", 0x9f25df5bc8b9b717),
+    ("CA-1011 streamed", 0xad948b5d8cef0010),
+    ("CA-1011 fault socket-delay", 0x67da7f2e251dbeb5),
+    ("CA-1011 fault socket-delay streamed", 0x2683e6c462b79aff),
+    (
+        "CA-1011 gated patient=true held=2 stalls=0 abandoned=false",
+        0xf1a430985563bf7b,
+    ),
+    (
+        "CA-1011 gated patient=false held=2 stalls=1 abandoned=true",
+        0xba0b4e9c4a6afbb6,
+    ),
+    ("HB-4539 untraced", 0xf085dc5688575807),
+    ("HB-4539 sampled", 0x89161ed52d47d890),
+    ("HB-4539 focused", 0xe4a89e2208ea57e4),
+    ("HB-4539 streamed", 0x14c4d0c146f38144),
+    ("HB-4539 fault crash-restart", 0xce187c55edbc8bd8),
+    ("HB-4539 fault crash-restart streamed", 0x864e690ef71b207f),
+    (
+        "HB-4539 gated patient=true held=1 stalls=1 abandoned=false",
+        0x4aa3bba36b8ed413,
+    ),
+    (
+        "HB-4539 gated patient=false held=1 stalls=1 abandoned=true",
+        0xfe8b8e52e0092542,
+    ),
+    ("HB-4729 untraced", 0xf051b640fb513dcb),
+    ("HB-4729 sampled", 0x21d7159784eac260),
+    ("HB-4729 focused", 0x27971faa290018f2),
+    ("HB-4729 streamed", 0xa6de8134a1a9676a),
+    ("HB-4729 fault crash-restart", 0xa981780f5c0d9ea7),
+    ("HB-4729 fault crash-restart streamed", 0x3dec49a311c8999e),
+    (
+        "HB-4729 gated patient=true held=1 stalls=1 abandoned=false",
+        0x310a919c6a3049cf,
+    ),
+    (
+        "HB-4729 gated patient=false held=1 stalls=1 abandoned=true",
+        0xc724347ab1775cb8,
+    ),
+    ("MR-3274 untraced", 0x47a8c1b14bcf8baa),
+    ("MR-3274 sampled", 0xc6462bac00759251),
+    ("MR-3274 focused", 0xd7c710fb4fbf958b),
+    ("MR-3274 streamed", 0x36a67a422a90500a),
+    ("MR-3274 fault rpc-timeout", 0x962de73b50910d8c),
+    ("MR-3274 fault rpc-timeout streamed", 0x097fa4253e0dd4b5),
+    (
+        "MR-3274 gated patient=true held=2 stalls=0 abandoned=false",
+        0xd1fb6df4bbdd3297,
+    ),
+    (
+        "MR-3274 gated patient=false held=2 stalls=1 abandoned=true",
+        0x9d9a353eff2b6643,
+    ),
+    ("MR-4637 untraced", 0xe472c1bc24a5a43e),
+    ("MR-4637 sampled", 0x188498799ade54e7),
+    ("MR-4637 focused", 0xb61cb7a4e4182d88),
+    ("MR-4637 streamed", 0x437695aaa43f390d),
+    ("MR-4637 fault rpc-timeout", 0xa31e707e5fc77e4e),
+    ("MR-4637 fault rpc-timeout streamed", 0x7a7b640c99e24fda),
+    (
+        "MR-4637 gated patient=true held=1 stalls=1 abandoned=false",
+        0x5cb81ce7df597a68,
+    ),
+    (
+        "MR-4637 gated patient=false held=1 stalls=1 abandoned=true",
+        0x5995dc2c59baa023,
+    ),
+    ("ZK-1144 untraced", 0x9d9da122503b2116),
+    ("ZK-1144 sampled", 0x02a210042fbd338b),
+    ("ZK-1144 focused", 0xd597fd812ac5820a),
+    ("ZK-1144 streamed", 0xe5d01ff38b552691),
+    ("ZK-1144 fault socket-dup", 0x65e3c9e709a8195e),
+    ("ZK-1144 fault socket-dup streamed", 0x8a98a2ae32af82f9),
+    (
+        "ZK-1144 gated patient=true held=1 stalls=1 abandoned=false",
+        0x0a2accf972143fd2,
+    ),
+    (
+        "ZK-1144 gated patient=false held=1 stalls=1 abandoned=true",
+        0xdcf411a26c8e174f,
+    ),
+    ("ZK-1270 untraced", 0x1576d33c659d5414),
+    ("ZK-1270 sampled", 0x155b6ec47f111e5e),
+    ("ZK-1270 focused", 0x816610c7f87c597a),
+    ("ZK-1270 streamed", 0xa5a86ee21a8177ed),
+    ("ZK-1270 fault socket-dup", 0xfe9c41f08cf70ee2),
+    ("ZK-1270 fault socket-dup streamed", 0x36f579b6bc5de4e1),
+    (
+        "ZK-1270 gated patient=true held=2 stalls=0 abandoned=false",
+        0x4b2caae3376b927e,
+    ),
+    (
+        "ZK-1270 gated patient=false held=2 stalls=1 abandoned=true",
+        0xea10a0f6fed7c179,
+    ),
+    ("SYNTH-LE-s1", 0x23d066a8f846f6db),
+    ("SYNTH-LE-s2", 0xf81cf4e6d7bc080b),
+    ("SYNTH-LE-s3", 0xd0bf2d86db25cc5f),
+    ("SYNTH-LE-s4", 0x7b2077a5c432ea66),
+    ("SYNTH-2PC-s1", 0x6176ff4428b1c2ad),
+    ("SYNTH-2PC-s2", 0x05b7c94701e7eff3),
+    ("SYNTH-2PC-s3", 0xb15371404b82224c),
+    ("SYNTH-2PC-s4", 0x59cc316617585e9c),
+    ("SYNTH-PB-s1", 0x8a7f653ae8075943),
+    ("SYNTH-PB-s2", 0x2e217071bd311993),
+    ("SYNTH-PB-s3", 0xad93912bebb4833e),
+    ("SYNTH-PB-s4", 0x40799a662eaae000),
+    ("SYNTH-GOSSIP-s1", 0x96566957abb8a709),
+    ("SYNTH-GOSSIP-s2", 0xad00109b59e44d32),
+    ("SYNTH-GOSSIP-s3", 0x4d920c6f9b1c886a),
+    ("SYNTH-GOSSIP-s4", 0x06429c200770bfa4),
+];
