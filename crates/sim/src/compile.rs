@@ -1,13 +1,44 @@
-//! Compilation of the statement tree into a flat instruction stream.
+//! Compilation of the statement tree into a flat, name-free instruction
+//! stream.
 //!
 //! Structured control flow (`If`, `While`) becomes branch/jump
 //! instructions so the interpreter can execute exactly one instruction per
 //! scheduler step with a plain program counter — the granularity at which
 //! interleavings (and therefore races) are explored.
+//!
+//! Every name is resolved here, once, so a step never hashes, compares or
+//! copies a string: locals become slot indices into their function's
+//! frame, heap objects, locks and event queues become program-wide ids
+//! that index per-node vectors, and expressions are rebuilt over slots.
+//! The name tables are kept only for what leaves the simulator — trace
+//! locations, failure messages and queue registrations.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
-use dcatch_model::{Expr, Func, FuncId, FuncKind, LoopId, Program, Stmt, StmtId, StmtKind};
+use dcatch_model::{
+    BinOp, Expr, Func, FuncId, FuncKind, LoopId, Program, Stmt, StmtId, StmtKind, UnOp, Value,
+};
+
+/// Index of a local in its function's frame ([`CompiledFunc::locals`]).
+pub type Slot = usize;
+/// Program-wide id of a heap object name ([`CompiledProgram::objects`]).
+pub type ObjId = usize;
+/// Program-wide id of a lock name ([`CompiledProgram::locks`]).
+pub type LockId = usize;
+/// Program-wide id of an event-queue name ([`CompiledProgram::queues`]).
+pub type QueueId = usize;
+
+/// An [`Expr`] with every local resolved to its frame slot.
+#[derive(Debug, Clone, PartialEq)]
+#[allow(missing_docs)] // variants mirror Expr, documented there
+pub enum SlotExpr {
+    Const(Value),
+    Local(Slot),
+    SelfNode,
+    Unary(UnOp, Box<SlotExpr>),
+    Binary(BinOp, Box<SlotExpr>, Box<SlotExpr>),
+}
 
 /// One flat instruction: the operation plus the source statement it came
 /// from (trace records carry the statement id).
@@ -19,63 +50,64 @@ pub struct Instr {
     pub op: Op,
 }
 
-/// Flattened operations. Most mirror [`StmtKind`] 1:1; control flow is
-/// lowered to [`Op::LoopHead`], [`Op::Branch`], and [`Op::Jump`].
+/// Flattened operations. Most mirror [`StmtKind`] 1:1 with names replaced
+/// by slots and ids; control flow is lowered to [`Op::LoopHead`],
+/// [`Op::Branch`], and [`Op::Jump`].
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // fields mirror StmtKind, documented there
 pub enum Op {
     Assign {
-        local: String,
-        expr: Expr,
+        local: Slot,
+        expr: SlotExpr,
     },
     Read {
-        local: String,
-        object: String,
+        local: Slot,
+        object: ObjId,
     },
     Write {
-        object: String,
-        value: Expr,
+        object: ObjId,
+        value: SlotExpr,
     },
     MapPut {
-        map: String,
-        key: Expr,
-        value: Expr,
+        map: ObjId,
+        key: SlotExpr,
+        value: SlotExpr,
     },
     MapGet {
-        local: String,
-        map: String,
-        key: Expr,
+        local: Slot,
+        map: ObjId,
+        key: SlotExpr,
     },
     MapRemove {
-        map: String,
-        key: Expr,
+        map: ObjId,
+        key: SlotExpr,
     },
     MapContains {
-        local: String,
-        map: String,
-        key: Expr,
+        local: Slot,
+        map: ObjId,
+        key: SlotExpr,
     },
     ListAdd {
-        list: String,
-        value: Expr,
+        list: ObjId,
+        value: SlotExpr,
     },
     ListRemove {
-        list: String,
-        value: Expr,
+        list: ObjId,
+        value: SlotExpr,
     },
     ListIsEmpty {
-        local: String,
-        list: String,
+        local: Slot,
+        list: ObjId,
     },
     ListContains {
-        local: String,
-        list: String,
-        value: Expr,
+        local: Slot,
+        list: ObjId,
+        value: SlotExpr,
     },
 
     /// Jump to `target` when `cond` is falsy (compiled `If`).
     Branch {
-        cond: Expr,
+        cond: SlotExpr,
         target: usize,
     },
     /// Unconditional jump.
@@ -93,7 +125,7 @@ pub enum Op {
     LoopHead {
         loop_id: LoopId,
         retry: bool,
-        cond: Expr,
+        cond: SlotExpr,
         exit: usize,
     },
     /// Marks loop exit (anchor for inferred loop-synchronization HB edges).
@@ -103,64 +135,64 @@ pub enum Op {
     },
 
     Call {
-        local: Option<String>,
+        local: Option<Slot>,
         func: FuncId,
-        args: Vec<Expr>,
+        args: Vec<SlotExpr>,
     },
     Return {
-        expr: Option<Expr>,
+        expr: Option<SlotExpr>,
     },
 
     Spawn {
-        local: Option<String>,
+        local: Option<Slot>,
         func: FuncId,
-        args: Vec<Expr>,
+        args: Vec<SlotExpr>,
     },
     Join {
-        handle: Expr,
+        handle: SlotExpr,
     },
     Enqueue {
-        queue: String,
+        queue: QueueId,
         func: FuncId,
-        args: Vec<Expr>,
+        args: Vec<SlotExpr>,
     },
     Lock {
-        lock: String,
+        lock: LockId,
     },
     Unlock {
-        lock: String,
+        lock: LockId,
     },
 
     RpcCall {
-        local: Option<String>,
-        node: Expr,
+        local: Option<Slot>,
+        node: SlotExpr,
         func: FuncId,
-        args: Vec<Expr>,
+        args: Vec<SlotExpr>,
     },
     SocketSend {
-        node: Expr,
+        node: SlotExpr,
         func: FuncId,
-        args: Vec<Expr>,
+        args: Vec<SlotExpr>,
     },
     ZkCreate {
-        path: Expr,
-        data: Expr,
+        path: SlotExpr,
+        data: SlotExpr,
         exclusive: bool,
     },
     ZkSetData {
-        path: Expr,
-        data: Expr,
+        path: SlotExpr,
+        data: SlotExpr,
     },
     ZkDelete {
-        path: Expr,
+        path: SlotExpr,
     },
     ZkGetData {
-        local: String,
-        path: Expr,
+        local: Slot,
+        path: SlotExpr,
     },
     ZkExists {
-        local: String,
-        path: Expr,
+        local: Slot,
+        path: SlotExpr,
     },
 
     Abort {
@@ -177,7 +209,7 @@ pub enum Op {
     },
 
     Sleep {
-        ticks: Expr,
+        ticks: SlotExpr,
     },
     Yield,
     Nop,
@@ -188,18 +220,29 @@ pub enum Op {
 pub struct CompiledFunc {
     /// Function name.
     pub name: String,
-    /// Parameter names.
-    pub params: Vec<String>,
+    /// Slot of each parameter, in declaration order.
+    pub params: Vec<Slot>,
+    /// Name of every local, by slot (for "undefined local" messages); its
+    /// length is the frame size.
+    pub locals: Vec<String>,
     /// Function role.
     pub kind: FuncKind,
     /// Flat instruction stream.
     pub instrs: Vec<Instr>,
 }
 
-/// A compiled program: all functions flattened, indexable by [`FuncId`].
+/// A compiled program: all functions flattened, indexable by [`FuncId`],
+/// plus the name behind every id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
     funcs: Vec<CompiledFunc>,
+    /// Heap object names, by [`ObjId`].
+    pub objects: Vec<String>,
+    /// Lock names, by [`LockId`].
+    pub locks: Vec<String>,
+    /// Event-queue names, by [`QueueId`]: those the program enqueues to,
+    /// then those only the topology declares ([`Self::intern_queue`]).
+    pub queues: Vec<String>,
 }
 
 /// Compilation error.
@@ -217,15 +260,62 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
+/// Assigns dense ids to names in first-seen order.
+#[derive(Default)]
+struct Interner<'p>(BTreeMap<&'p str, usize>);
+
+impl<'p> Interner<'p> {
+    fn id(&mut self, name: &'p str) -> usize {
+        let next = self.0.len();
+        *self.0.entry(name).or_insert(next)
+    }
+
+    /// The interned names, indexed by id.
+    fn into_names(self) -> Vec<String> {
+        let mut names = vec![String::new(); self.0.len()];
+        for (name, id) in self.0 {
+            names[id] = name.to_owned();
+        }
+        names
+    }
+}
+
+/// The program-wide name spaces.
+#[derive(Default)]
+struct Names<'p> {
+    objects: Interner<'p>,
+    locks: Interner<'p>,
+    queues: Interner<'p>,
+}
+
 impl CompiledProgram {
     /// Compiles every function of `program`.
     pub fn compile(program: &Program) -> Result<CompiledProgram, CompileError> {
+        let mut names = Names::default();
         let funcs = program
             .funcs()
             .iter()
-            .map(|f| compile_func(program, f))
+            .map(|f| compile_func(program, &mut names, f))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(CompiledProgram { funcs })
+        Ok(CompiledProgram {
+            funcs,
+            objects: names.objects.into_names(),
+            locks: names.locks.into_names(),
+            queues: names.queues.into_names(),
+        })
+    }
+
+    /// The id of queue `name`, assigning the next one to a queue only the
+    /// topology declares (no statement enqueues to it, but its workers
+    /// still need an id).
+    pub fn intern_queue(&mut self, name: &str) -> QueueId {
+        self.queues
+            .iter()
+            .position(|q| q == name)
+            .unwrap_or_else(|| {
+                self.queues.push(name.to_owned());
+                self.queues.len() - 1
+            })
     }
 
     /// The compiled form of `func`.
@@ -239,17 +329,21 @@ impl CompiledProgram {
     }
 }
 
-fn resolve(program: &Program, name: &str) -> Result<FuncId, CompileError> {
-    program.func_id(name).ok_or_else(|| CompileError {
-        message: format!("unresolved function `{name}`"),
-    })
-}
-
-fn compile_func(program: &Program, f: &Func) -> Result<CompiledFunc, CompileError> {
-    let mut instrs = Vec::new();
-    compile_block(program, &f.body, &mut instrs)?;
+fn compile_func<'p>(
+    program: &'p Program,
+    names: &mut Names<'p>,
+    f: &'p Func,
+) -> Result<CompiledFunc, CompileError> {
+    let mut lower = Lowering {
+        program,
+        names,
+        locals: Interner::default(),
+        out: Vec::new(),
+    };
+    let params = f.params.iter().map(|p| lower.locals.id(p)).collect();
+    lower.block(&f.body)?;
     // implicit unit return at end
-    let end_stmt = instrs.last().map(|i| i.stmt).unwrap_or_else(|| StmtId {
+    let end_stmt = lower.out.last().map(|i| i.stmt).unwrap_or_else(|| StmtId {
         func: program.func_id(&f.name).unwrap_or_else(|| {
             panic!(
                 "function `{}` being compiled is not registered in its own program",
@@ -258,305 +352,244 @@ fn compile_func(program: &Program, f: &Func) -> Result<CompiledFunc, CompileErro
         }),
         idx: 0,
     });
-    instrs.push(Instr {
-        stmt: end_stmt,
-        op: Op::Return { expr: None },
-    });
+    lower.push(end_stmt, Op::Return { expr: None });
     Ok(CompiledFunc {
         name: f.name.clone(),
-        params: f.params.clone(),
+        params,
+        locals: lower.locals.into_names(),
         kind: f.kind,
-        instrs,
+        instrs: lower.out,
     })
 }
 
-fn compile_block(
-    program: &Program,
-    block: &[Stmt],
-    out: &mut Vec<Instr>,
-) -> Result<(), CompileError> {
-    for s in block {
-        compile_stmt(program, s, out)?;
-    }
-    Ok(())
+/// Lowers one function body: resolves its names and flattens its control
+/// flow into `out`.
+struct Lowering<'a, 'p> {
+    program: &'p Program,
+    names: &'a mut Names<'p>,
+    locals: Interner<'p>,
+    out: Vec<Instr>,
 }
 
-fn compile_stmt(program: &Program, s: &Stmt, out: &mut Vec<Instr>) -> Result<(), CompileError> {
-    let push = |out: &mut Vec<Instr>, op: Op| {
-        out.push(Instr { stmt: s.id, op });
-    };
-    match &s.kind {
-        StmtKind::Assign { local, expr } => push(
-            out,
-            Op::Assign {
-                local: local.clone(),
-                expr: expr.clone(),
-            },
-        ),
-        StmtKind::Read { local, object } => push(
-            out,
-            Op::Read {
-                local: local.clone(),
-                object: object.clone(),
-            },
-        ),
-        StmtKind::Write { object, value } => push(
-            out,
-            Op::Write {
-                object: object.clone(),
-                value: value.clone(),
-            },
-        ),
-        StmtKind::MapPut { map, key, value } => push(
-            out,
-            Op::MapPut {
-                map: map.clone(),
-                key: key.clone(),
-                value: value.clone(),
-            },
-        ),
-        StmtKind::MapGet { local, map, key } => push(
-            out,
-            Op::MapGet {
-                local: local.clone(),
-                map: map.clone(),
-                key: key.clone(),
-            },
-        ),
-        StmtKind::MapRemove { map, key } => push(
-            out,
-            Op::MapRemove {
-                map: map.clone(),
-                key: key.clone(),
-            },
-        ),
-        StmtKind::MapContains { local, map, key } => push(
-            out,
-            Op::MapContains {
-                local: local.clone(),
-                map: map.clone(),
-                key: key.clone(),
-            },
-        ),
-        StmtKind::ListAdd { list, value } => push(
-            out,
-            Op::ListAdd {
-                list: list.clone(),
-                value: value.clone(),
-            },
-        ),
-        StmtKind::ListRemove { list, value } => push(
-            out,
-            Op::ListRemove {
-                list: list.clone(),
-                value: value.clone(),
-            },
-        ),
-        StmtKind::ListIsEmpty { local, list } => push(
-            out,
-            Op::ListIsEmpty {
-                local: local.clone(),
-                list: list.clone(),
-            },
-        ),
-        StmtKind::ListContains { local, list, value } => push(
-            out,
-            Op::ListContains {
-                local: local.clone(),
-                list: list.clone(),
-                value: value.clone(),
-            },
-        ),
-        StmtKind::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            let branch_at = out.len();
-            push(out, Op::Nop); // placeholder for Branch
-            compile_block(program, then_body, out)?;
-            if else_body.is_empty() {
-                let end = out.len();
-                out[branch_at].op = Op::Branch {
-                    cond: cond.clone(),
-                    target: end,
-                };
-            } else {
-                let jump_at = out.len();
-                push(out, Op::Nop); // placeholder for Jump over else
-                let else_start = out.len();
-                compile_block(program, else_body, out)?;
-                let end = out.len();
-                out[branch_at].op = Op::Branch {
-                    cond: cond.clone(),
-                    target: else_start,
-                };
-                out[jump_at].op = Op::Jump { target: end };
+impl<'p> Lowering<'_, 'p> {
+    fn push(&mut self, stmt: StmtId, op: Op) {
+        self.out.push(Instr { stmt, op });
+    }
+
+    fn func(&self, name: &str) -> Result<FuncId, CompileError> {
+        self.program.func_id(name).ok_or_else(|| CompileError {
+            message: format!("unresolved function `{name}`"),
+        })
+    }
+
+    fn slot(&mut self, local: &'p str) -> Slot {
+        self.locals.id(local)
+    }
+
+    fn object(&mut self, name: &'p str) -> ObjId {
+        self.names.objects.id(name)
+    }
+
+    fn expr(&mut self, e: &'p Expr) -> SlotExpr {
+        match e {
+            Expr::Const(v) => SlotExpr::Const(v.clone()),
+            Expr::Local(name) => SlotExpr::Local(self.slot(name)),
+            Expr::SelfNode => SlotExpr::SelfNode,
+            Expr::Unary(op, a) => SlotExpr::Unary(*op, Box::new(self.expr(a))),
+            Expr::Binary(op, a, b) => {
+                SlotExpr::Binary(*op, Box::new(self.expr(a)), Box::new(self.expr(b)))
             }
         }
-        StmtKind::While {
-            loop_id,
-            cond,
-            body,
-            retry,
-            backoff,
-        } => {
-            push(
-                out,
-                Op::LoopEnter {
-                    loop_id: *loop_id,
-                    retry: *retry,
-                },
-            );
-            let head_at = out.len();
-            push(out, Op::Nop); // placeholder for LoopHead
-            compile_block(program, body, out)?;
-            if let Some(ticks) = backoff {
-                // sleep between iterations, after the body and before the
-                // condition re-check
-                push(
-                    out,
-                    Op::Sleep {
-                        ticks: Expr::Const(dcatch_model::Value::Int(i64::from(*ticks))),
-                    },
-                );
-            }
-            let jump_back_at = out.len();
-            push(out, Op::Jump { target: head_at });
-            let exit_at = out.len();
-            push(
-                out,
-                Op::LoopExit {
-                    loop_id: *loop_id,
-                    retry: *retry,
-                },
-            );
-            out[head_at].op = Op::LoopHead {
-                loop_id: *loop_id,
-                retry: *retry,
-                cond: cond.clone(),
-                exit: exit_at,
-            };
-            debug_assert!(matches!(out[jump_back_at].op, Op::Jump { .. }));
-        }
-        StmtKind::Call { local, func, args } => {
-            let func = resolve(program, func)?;
-            push(
-                out,
-                Op::Call {
-                    local: local.clone(),
-                    func,
-                    args: args.clone(),
-                },
-            );
-        }
-        StmtKind::Return { expr } => push(out, Op::Return { expr: expr.clone() }),
-        StmtKind::Spawn { local, func, args } => {
-            let func = resolve(program, func)?;
-            push(
-                out,
-                Op::Spawn {
-                    local: local.clone(),
-                    func,
-                    args: args.clone(),
-                },
-            );
-        }
-        StmtKind::Join { handle } => push(
-            out,
-            Op::Join {
-                handle: handle.clone(),
+    }
+
+    fn exprs(&mut self, args: &'p [Expr]) -> Vec<SlotExpr> {
+        args.iter().map(|a| self.expr(a)).collect()
+    }
+
+    fn block(&mut self, block: &'p [Stmt]) -> Result<(), CompileError> {
+        block.iter().try_for_each(|s| self.stmt(s))
+    }
+
+    fn stmt(&mut self, s: &'p Stmt) -> Result<(), CompileError> {
+        let op = match &s.kind {
+            StmtKind::Assign { local, expr } => Op::Assign {
+                local: self.slot(local),
+                expr: self.expr(expr),
             },
-        ),
-        StmtKind::Enqueue { queue, func, args } => {
-            let func = resolve(program, func)?;
-            push(
-                out,
-                Op::Enqueue {
-                    queue: queue.clone(),
-                    func,
-                    args: args.clone(),
-                },
-            );
-        }
-        StmtKind::Lock { lock } => push(out, Op::Lock { lock: lock.clone() }),
-        StmtKind::Unlock { lock } => push(out, Op::Unlock { lock: lock.clone() }),
-        StmtKind::RpcCall {
-            local,
-            node,
-            func,
-            args,
-        } => {
-            let func = resolve(program, func)?;
-            push(
-                out,
-                Op::RpcCall {
-                    local: local.clone(),
-                    node: node.clone(),
-                    func,
-                    args: args.clone(),
-                },
-            );
-        }
-        StmtKind::SocketSend { node, func, args } => {
-            let func = resolve(program, func)?;
-            push(
-                out,
-                Op::SocketSend {
-                    node: node.clone(),
-                    func,
-                    args: args.clone(),
-                },
-            );
-        }
-        StmtKind::ZkCreate {
-            path,
-            data,
-            exclusive,
-        } => push(
-            out,
-            Op::ZkCreate {
-                path: path.clone(),
-                data: data.clone(),
+            StmtKind::Read { local, object } => Op::Read {
+                local: self.slot(local),
+                object: self.object(object),
+            },
+            StmtKind::Write { object, value } => Op::Write {
+                object: self.object(object),
+                value: self.expr(value),
+            },
+            StmtKind::MapPut { map, key, value } => Op::MapPut {
+                map: self.object(map),
+                key: self.expr(key),
+                value: self.expr(value),
+            },
+            StmtKind::MapGet { local, map, key } => Op::MapGet {
+                local: self.slot(local),
+                map: self.object(map),
+                key: self.expr(key),
+            },
+            StmtKind::MapRemove { map, key } => Op::MapRemove {
+                map: self.object(map),
+                key: self.expr(key),
+            },
+            StmtKind::MapContains { local, map, key } => Op::MapContains {
+                local: self.slot(local),
+                map: self.object(map),
+                key: self.expr(key),
+            },
+            StmtKind::ListAdd { list, value } => Op::ListAdd {
+                list: self.object(list),
+                value: self.expr(value),
+            },
+            StmtKind::ListRemove { list, value } => Op::ListRemove {
+                list: self.object(list),
+                value: self.expr(value),
+            },
+            StmtKind::ListIsEmpty { local, list } => Op::ListIsEmpty {
+                local: self.slot(local),
+                list: self.object(list),
+            },
+            StmtKind::ListContains { local, list, value } => Op::ListContains {
+                local: self.slot(local),
+                list: self.object(list),
+                value: self.expr(value),
+            },
+            StmtKind::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                let cond = self.expr(cond);
+                let branch_at = self.out.len();
+                self.push(s.id, Op::Nop); // placeholder for Branch
+                self.block(then_body)?;
+                let mut target = self.out.len();
+                if !else_body.is_empty() {
+                    let jump_at = self.out.len();
+                    self.push(s.id, Op::Nop); // placeholder for Jump over else
+                    target = self.out.len();
+                    self.block(else_body)?;
+                    self.out[jump_at].op = Op::Jump {
+                        target: self.out.len(),
+                    };
+                }
+                self.out[branch_at].op = Op::Branch { cond, target };
+                return Ok(());
+            }
+            StmtKind::While {
+                loop_id,
+                cond,
+                body,
+                retry,
+                backoff,
+            } => {
+                let (loop_id, retry) = (*loop_id, *retry);
+                let cond = self.expr(cond);
+                self.push(s.id, Op::LoopEnter { loop_id, retry });
+                let head_at = self.out.len();
+                self.push(s.id, Op::Nop); // placeholder for LoopHead
+                self.block(body)?;
+                if let Some(ticks) = backoff {
+                    // sleep between iterations, after the body and before the
+                    // condition re-check
+                    let ticks = SlotExpr::Const(Value::Int(i64::from(*ticks)));
+                    self.push(s.id, Op::Sleep { ticks });
+                }
+                self.push(s.id, Op::Jump { target: head_at });
+                self.out[head_at].op = Op::LoopHead {
+                    loop_id,
+                    retry,
+                    cond,
+                    exit: self.out.len(),
+                };
+                Op::LoopExit { loop_id, retry }
+            }
+            StmtKind::Call { local, func, args } => Op::Call {
+                local: local.as_ref().map(|l| self.slot(l)),
+                func: self.func(func)?,
+                args: self.exprs(args),
+            },
+            StmtKind::Return { expr } => Op::Return {
+                expr: expr.as_ref().map(|e| self.expr(e)),
+            },
+            StmtKind::Spawn { local, func, args } => Op::Spawn {
+                local: local.as_ref().map(|l| self.slot(l)),
+                func: self.func(func)?,
+                args: self.exprs(args),
+            },
+            StmtKind::Join { handle } => Op::Join {
+                handle: self.expr(handle),
+            },
+            StmtKind::Enqueue { queue, func, args } => Op::Enqueue {
+                queue: self.names.queues.id(queue),
+                func: self.func(func)?,
+                args: self.exprs(args),
+            },
+            StmtKind::Lock { lock } => Op::Lock {
+                lock: self.names.locks.id(lock),
+            },
+            StmtKind::Unlock { lock } => Op::Unlock {
+                lock: self.names.locks.id(lock),
+            },
+            StmtKind::RpcCall {
+                local,
+                node,
+                func,
+                args,
+            } => Op::RpcCall {
+                local: local.as_ref().map(|l| self.slot(l)),
+                node: self.expr(node),
+                func: self.func(func)?,
+                args: self.exprs(args),
+            },
+            StmtKind::SocketSend { node, func, args } => Op::SocketSend {
+                node: self.expr(node),
+                func: self.func(func)?,
+                args: self.exprs(args),
+            },
+            StmtKind::ZkCreate {
+                path,
+                data,
+                exclusive,
+            } => Op::ZkCreate {
+                path: self.expr(path),
+                data: self.expr(data),
                 exclusive: *exclusive,
             },
-        ),
-        StmtKind::ZkSetData { path, data } => push(
-            out,
-            Op::ZkSetData {
-                path: path.clone(),
-                data: data.clone(),
+            StmtKind::ZkSetData { path, data } => Op::ZkSetData {
+                path: self.expr(path),
+                data: self.expr(data),
             },
-        ),
-        StmtKind::ZkDelete { path } => push(out, Op::ZkDelete { path: path.clone() }),
-        StmtKind::ZkGetData { local, path } => push(
-            out,
-            Op::ZkGetData {
-                local: local.clone(),
-                path: path.clone(),
+            StmtKind::ZkDelete { path } => Op::ZkDelete {
+                path: self.expr(path),
             },
-        ),
-        StmtKind::ZkExists { local, path } => push(
-            out,
-            Op::ZkExists {
-                local: local.clone(),
-                path: path.clone(),
+            StmtKind::ZkGetData { local, path } => Op::ZkGetData {
+                local: self.slot(local),
+                path: self.expr(path),
             },
-        ),
-        StmtKind::Abort { msg } => push(out, Op::Abort { msg: msg.clone() }),
-        StmtKind::LogFatal { msg } => push(out, Op::LogFatal { msg: msg.clone() }),
-        StmtKind::LogWarn { msg } => push(out, Op::LogWarn { msg: msg.clone() }),
-        StmtKind::Throw { kind } => push(out, Op::Throw { kind: kind.clone() }),
-        StmtKind::Sleep { ticks } => push(
-            out,
-            Op::Sleep {
-                ticks: ticks.clone(),
+            StmtKind::ZkExists { local, path } => Op::ZkExists {
+                local: self.slot(local),
+                path: self.expr(path),
             },
-        ),
-        StmtKind::Yield => push(out, Op::Yield),
-        StmtKind::Nop => push(out, Op::Nop),
+            StmtKind::Abort { msg } => Op::Abort { msg: msg.clone() },
+            StmtKind::LogFatal { msg } => Op::LogFatal { msg: msg.clone() },
+            StmtKind::LogWarn { msg } => Op::LogWarn { msg: msg.clone() },
+            StmtKind::Throw { kind } => Op::Throw { kind: kind.clone() },
+            StmtKind::Sleep { ticks } => Op::Sleep {
+                ticks: self.expr(ticks),
+            },
+            StmtKind::Yield => Op::Yield,
+            StmtKind::Nop => Op::Nop,
+        };
+        self.push(s.id, op);
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]

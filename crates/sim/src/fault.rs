@@ -145,7 +145,8 @@ pub struct FaultPlan {
     pub crashes: Vec<CrashFault>,
     /// RPC timeout policies.
     pub rpc_timeouts: Vec<TimeoutFault>,
-    /// Chaos hook: panic the *host* interpreter at this step. Used to
+    /// Chaos hook: panic the *host* interpreter at this step — or, when a
+    /// quiescent clock jump skips it, at the first step after it. Used to
     /// test that the detection pipeline survives a crashing benchmark;
     /// never useful for modelling distributed-system faults.
     pub panic_at_step: Option<u64>,

@@ -5,24 +5,25 @@
 //! In the simulator the controller is a [`Gate`] installed into the
 //! [`World`](crate::World): before executing each statement the world asks
 //! the gate whether the task must hold; after executing it the world
-//! notifies the gate (the `confirm` message). When the world runs out of
+//! notifies the gate (the `confirm` message). Both calls carry a
+//! [`GateEvent`] — the task and the statement, nothing else: a request
+//! point is a (task, statement) pair, and the event is built on every step
+//! of every re-run, so it holds nothing that costs an allocation. When the world runs out of
 //! runnable work while tasks are held, it reports the stall to the gate,
 //! which may release a party or give up — that is how the triggering
 //! module discovers that two accesses were never actually concurrent
 //! ("serial" reports, §7.1).
 
 use dcatch_model::StmtId;
-use dcatch_trace::{CallStack, TaskId};
+use dcatch_trace::TaskId;
 
 /// What the world tells the gate before/after a statement executes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateEvent {
     /// Task about to execute (or having executed) the statement.
     pub task: TaskId,
     /// The statement.
     pub stmt: StmtId,
-    /// Callstack at the statement (includes the statement as leaf).
-    pub stack: CallStack,
 }
 
 /// Gate verdict for a task about to execute a statement.
@@ -101,7 +102,6 @@ mod tests {
                 func: FuncId(0),
                 idx: 0,
             },
-            stack: CallStack::default(),
         };
         assert_eq!(g.before(&ev), GateDecision::Proceed);
         assert!(g.is_released(ev.task));

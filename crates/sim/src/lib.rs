@@ -60,7 +60,6 @@ pub mod timeline;
 mod topology;
 mod world;
 
-pub use compile::{CompileError, CompiledFunc, CompiledProgram, Instr, Op};
 pub use config::{FocusConfig, SimConfig};
 pub use failure::{Failure, LogLevel, LogLine, RunFailureKind};
 pub use fault::{

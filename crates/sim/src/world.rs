@@ -3,18 +3,19 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use dcatch_obs::counter;
 use dcatch_obs::rng::SmallRng;
 
-use dcatch_model::{BinOp, Expr, FuncId, LoopId, NodeId, Program, UnOp, Value};
+use dcatch_model::{BinOp, FuncId, LoopId, NodeId, Program, StmtId, UnOp, Value};
 use dcatch_trace::{
     CallStack, CauseKey, EventId, ExecCtx, HandlerKind, LockRef, MemLoc, MemSpace, MsgId, OpKind,
     QueueInfo, Record, RpcId, StreamControl, TaskId, TraceSet, TraceSink, TracedFunctions,
     TracingMode,
 };
 
-use crate::compile::{CompiledProgram, Op};
+use crate::compile::{CompiledProgram, LockId, ObjId, Op, QueueId, Slot, SlotExpr};
 use crate::config::SimConfig;
 use crate::failure::{Failure, LogLevel, LogLine, RunFailureKind};
 use crate::fault::{ChannelKind, CrashFault, MessageAction};
@@ -67,14 +68,14 @@ impl RunResult {
 // ---------------------------------------------------------------------------
 // tasks
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TaskKind {
     /// Entry thread declared in the topology.
     Entry,
     /// Thread created by `Spawn`.
     Thread,
     /// Dedicated worker consuming one event queue.
-    EventWorker { queue: String },
+    EventWorker { queue: QueueId },
     /// Worker of the node's RPC server pool.
     RpcWorker,
     /// Worker of the node's socket message-handling pool.
@@ -83,7 +84,7 @@ enum TaskKind {
     WatcherWorker,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TaskState {
     Runnable,
     /// Worker with no work (daemons only).
@@ -98,7 +99,7 @@ enum TaskState {
         rpc: u64,
     },
     BlockedLock {
-        lock: String,
+        lock: LockId,
     },
     HeldByGate,
     Done,
@@ -111,11 +112,12 @@ enum TaskState {
 struct Frame {
     func: FuncId,
     pc: usize,
-    locals: BTreeMap<String, Value>,
+    /// One cell per local of `func`, by slot; `None` until first assigned.
+    locals: Vec<Option<Value>>,
     /// Caller-side local receiving this frame's return value.
-    ret_local: Option<String>,
+    ret_local: Option<Slot>,
     /// The `Call` statement that created this frame (None for the root).
-    call_site: Option<dcatch_model::StmtId>,
+    call_site: Option<StmtId>,
 }
 
 /// What a worker is currently handling, so the matching End record and
@@ -140,11 +142,9 @@ struct Task {
     /// Thread handle for `Join`.
     handle: u64,
     /// Local awaiting an RPC reply.
-    rpc_ret_local: Option<String>,
+    rpc_ret_local: Option<Slot>,
     /// Current handler job (workers).
     job: Option<HandlerJob>,
-    /// Value produced by the last `Return` that emptied the frame stack.
-    last_return: Value,
     /// Per-loop iteration counters of the *current activation*.
     loop_iters: BTreeMap<LoopId, u32>,
     /// Step at which the task last entered `BlockedRpc` (for timeouts).
@@ -201,6 +201,8 @@ enum HeapObj {
 #[derive(Debug, Default, Clone)]
 struct LockState {
     holder: Option<usize>,
+    /// Tasks blocked on this lock, woken when it is released.
+    waiters: Vec<usize>,
 }
 
 #[derive(Debug, Clone)]
@@ -247,8 +249,10 @@ struct ZkStore {
 /// The simulation state and step engine. Most callers use
 /// [`World::run_once`] or [`World::run_with_gate`].
 pub struct World<'g> {
-    cp: CompiledProgram,
+    cp: Arc<CompiledProgram>,
     topo: Topology,
+    /// Handler of each `topo.watchers` entry, resolved once.
+    watcher_handlers: Vec<FuncId>,
     config: SimConfig,
     traced: TracedFunctions,
 
@@ -257,11 +261,15 @@ pub struct World<'g> {
     seq: u64,
 
     tasks: Vec<Task>,
-    heaps: Vec<BTreeMap<String, HeapObj>>,
-    locks: Vec<BTreeMap<String, LockState>>,
-    /// Lock waiters: (node, lock) → task indices.
-    lock_waiters: BTreeMap<(u32, String), Vec<usize>>,
-    queues: Vec<BTreeMap<String, VecDeque<PendingEvent>>>,
+    /// What the scheduler may pick this step; refilled by
+    /// `collect_actions`, kept to reuse its buffer.
+    actions: Vec<Action>,
+    /// `heaps[node][object]`: `None` until first written.
+    heaps: Vec<Vec<Option<HeapObj>>>,
+    /// `locks[node][lock]`.
+    locks: Vec<Vec<LockState>>,
+    /// `queues[node][queue]`: `None` when the node does not declare it.
+    queues: Vec<Vec<Option<VecDeque<PendingEvent>>>>,
     rpc_pending: Vec<VecDeque<PendingRpc>>,
     socket_pending: Vec<VecDeque<PendingSocket>>,
     notify_pending: Vec<VecDeque<PendingNotify>>,
@@ -296,8 +304,12 @@ pub struct World<'g> {
     next_instance: u64,
     next_handle: u64,
     task_counters: Vec<u32>,
+    /// `sim_steps_total` / `sim_context_switches_total`, flushed by `finish`.
+    steps_executed: u64,
+    context_switches: u64,
 }
 
+#[derive(Clone, Copy)]
 enum Action {
     RunTask(usize),
     Deliver(usize),
@@ -367,31 +379,41 @@ impl<'g> World<'g> {
                 message: problems.join("; "),
             });
         }
-        let cp = CompiledProgram::compile(program).map_err(|e| RunError {
+        let mut cp = CompiledProgram::compile(program).map_err(|e| RunError {
             message: e.to_string(),
         })?;
+        for q in topo.nodes.iter().flat_map(|n| &n.queues) {
+            cp.intern_queue(&q.name);
+        }
+        let watcher_handlers = topo
+            .watchers
+            .iter()
+            .map(|w| program.func_id(&w.handler).expect("validated watcher"))
+            .collect();
+        let nodes = topo.nodes.len();
         let traced = TracedFunctions::compute(program);
         let crash_queue = config.faults.crashes.clone();
         let msg_fault_hits = vec![0; config.faults.messages.len()];
         let mut world = World {
-            cp,
+            heaps: vec![vec![None; cp.objects.len()]; nodes],
+            locks: vec![vec![LockState::default(); cp.locks.len()]; nodes],
+            queues: vec![vec![None; cp.queues.len()]; nodes],
+            cp: Arc::new(cp),
             topo: topo.clone(),
+            watcher_handlers,
             rng: SmallRng::seed_from_u64(config.seed),
             config,
             traced,
             step: 0,
             seq: 0,
             tasks: Vec::new(),
-            heaps: vec![BTreeMap::new(); topo.nodes.len()],
-            locks: vec![BTreeMap::new(); topo.nodes.len()],
-            lock_waiters: BTreeMap::new(),
-            queues: vec![BTreeMap::new(); topo.nodes.len()],
-            rpc_pending: vec![VecDeque::new(); topo.nodes.len()],
-            socket_pending: vec![VecDeque::new(); topo.nodes.len()],
-            notify_pending: vec![VecDeque::new(); topo.nodes.len()],
+            actions: Vec::new(),
+            rpc_pending: vec![VecDeque::new(); nodes],
+            socket_pending: vec![VecDeque::new(); nodes],
+            notify_pending: vec![VecDeque::new(); nodes],
             net: Vec::new(),
             zk: ZkStore::default(),
-            crashed: vec![false; topo.nodes.len()],
+            crashed: vec![false; nodes],
             crash_queue,
             pending_restarts: Vec::new(),
             msg_fault_hits,
@@ -408,7 +430,9 @@ impl<'g> World<'g> {
             next_msg: 0,
             next_instance: 0,
             next_handle: 0,
-            task_counters: vec![0; topo.nodes.len()],
+            task_counters: vec![0; nodes],
+            steps_executed: 0,
+            context_switches: 0,
         };
         let _span = dcatch_obs::span!("sim.run");
         counter!("sim_runs_total").inc();
@@ -429,7 +453,9 @@ impl<'g> World<'g> {
         let nspec = self.topo.nodes[node.index()].clone();
         let i = node.index();
         for q in &nspec.queues {
-            self.queues[i].insert(q.name.clone(), VecDeque::new());
+            let queue = self.cp.queues.iter().position(|n| *n == q.name);
+            let queue = queue.expect("topology queues are interned before boot");
+            self.queues[i][queue] = Some(VecDeque::new());
             let info = QueueInfo {
                 consumers: q.consumers,
             };
@@ -442,14 +468,7 @@ impl<'g> World<'g> {
                 });
             }
             for _ in 0..q.consumers {
-                self.new_task(
-                    node,
-                    TaskKind::EventWorker {
-                        queue: q.name.clone(),
-                    },
-                    TaskState::Idle,
-                    None,
-                );
+                self.new_task(node, TaskKind::EventWorker { queue }, TaskState::Idle, None);
             }
         }
         for _ in 0..nspec.rpc_workers {
@@ -502,7 +521,6 @@ impl<'g> World<'g> {
             handle,
             rpc_ret_local: None,
             job: None,
-            last_return: Value::Unit,
             loop_iters: BTreeMap::new(),
             blocked_at: 0,
         });
@@ -513,13 +531,13 @@ impl<'g> World<'g> {
         &self,
         func: FuncId,
         args: Vec<Value>,
-        ret_local: Option<String>,
-        call_site: Option<dcatch_model::StmtId>,
+        ret_local: Option<Slot>,
+        call_site: Option<StmtId>,
     ) -> Frame {
         let cf = self.cp.func(func);
-        let mut locals = BTreeMap::new();
-        for (p, a) in cf.params.iter().zip(args) {
-            locals.insert(p.clone(), a);
+        let mut locals = vec![None; cf.locals.len()];
+        for (&p, a) in cf.params.iter().zip(args) {
+            locals[p] = Some(a);
         }
         Frame {
             func,
@@ -607,8 +625,19 @@ impl<'g> World<'g> {
         }
     }
 
-    fn emit_mem(&mut self, t: usize, write: bool, loc: MemLoc, value: &Value) {
-        let (trace_it, with_value) = self.mem_trace_policy(t, &loc.object);
+    /// Records a memory access to `object` (a heap object of the task's
+    /// node, or a zknode path). The location is built only once the policy
+    /// and the sampler have decided the record will exist.
+    fn emit_mem(
+        &mut self,
+        t: usize,
+        write: bool,
+        space: MemSpace,
+        object: &str,
+        key: Option<&str>,
+        value: &Value,
+    ) {
+        let (trace_it, with_value) = self.mem_trace_policy(t, object);
         if !trace_it {
             return;
         }
@@ -624,6 +653,15 @@ impl<'g> World<'g> {
                 return;
             }
         }
+        let loc = MemLoc {
+            space,
+            node: match space {
+                MemSpace::Heap => self.tasks[t].node,
+                MemSpace::Zk => NodeId(0),
+            },
+            object: object.to_owned(),
+            key: key.map(str::to_owned),
+        };
         let value = with_value.then(|| value.key_string());
         let kind = if write {
             OpKind::MemWrite { loc, value }
@@ -661,24 +699,18 @@ impl<'g> World<'g> {
 
     fn release_locks_of(&mut self, t: usize) {
         let node = self.tasks[t].node.index();
-        let mut released = Vec::new();
-        for (name, l) in self.locks[node].iter_mut() {
-            if l.holder == Some(t) {
-                l.holder = None;
-                released.push(name.clone());
+        for lock in 0..self.locks[node].len() {
+            if self.locks[node][lock].holder == Some(t) {
+                self.locks[node][lock].holder = None;
+                self.wake_lock_waiters(node, lock);
             }
-        }
-        for name in released {
-            self.wake_lock_waiters(self.tasks[t].node, &name);
         }
     }
 
-    fn wake_lock_waiters(&mut self, node: NodeId, lock: &str) {
-        if let Some(ws) = self.lock_waiters.remove(&(node.0, lock.to_owned())) {
-            for w in ws {
-                if matches!(self.tasks[w].state, TaskState::BlockedLock { .. }) {
-                    self.tasks[w].state = TaskState::Runnable;
-                }
+    fn wake_lock_waiters(&mut self, node: usize, lock: LockId) {
+        for w in self.locks[node][lock].waiters.drain(..) {
+            if matches!(self.tasks[w].state, TaskState::BlockedLock { .. }) {
+                self.tasks[w].state = TaskState::Runnable;
             }
         }
     }
@@ -696,6 +728,8 @@ impl<'g> World<'g> {
     // -- main loop -----------------------------------------------------------
 
     fn run_loop(&mut self) {
+        // the instruction is borrowed from here while `exec` mutates `self`
+        let cp = Arc::clone(&self.cp);
         let mut last_task: Option<usize> = None;
         loop {
             if self.step >= self.config.max_steps {
@@ -711,23 +745,8 @@ impl<'g> World<'g> {
             // apply fault-plan events whose step has come (no-op when the
             // plan is empty)
             self.apply_due_faults();
-            // wake sleepers
-            let now = self.step;
-            for task in &mut self.tasks {
-                if matches!(task.state, TaskState::Sleeping { until } if until <= now) {
-                    task.state = TaskState::Runnable;
-                }
-            }
-            // poll gate releases
-            for i in 0..self.tasks.len() {
-                if self.tasks[i].state == TaskState::HeldByGate
-                    && self.gate.is_released(self.tasks[i].id)
-                {
-                    self.tasks[i].state = TaskState::Runnable;
-                }
-            }
-            let actions = self.collect_actions();
-            if actions.is_empty() {
+            self.collect_actions();
+            if self.actions.is_empty() {
                 let min_sleep = self
                     .tasks
                     .iter()
@@ -776,55 +795,58 @@ impl<'g> World<'g> {
                 self.detect_quiescence_outcome();
                 return;
             }
-            let pick = self.rng.gen_range(actions.len());
-            match actions[pick] {
+            let pick = self.rng.gen_range(self.actions.len());
+            match self.actions[pick] {
                 Action::RunTask(i) => {
                     if last_task.is_some_and(|prev| prev != i) {
-                        counter!("sim_context_switches_total").inc();
+                        self.context_switches += 1;
                     }
                     last_task = Some(i);
-                    self.run_task_step(i);
+                    self.run_task_step(&cp, i);
                 }
                 Action::Deliver(m) => self.deliver(m),
             }
             self.step += 1;
-            counter!("sim_steps_total").inc();
+            self.steps_executed += 1;
         }
     }
 
-    fn collect_actions(&self) -> Vec<Action> {
-        let mut actions = Vec::new();
-        for (i, t) in self.tasks.iter().enumerate() {
-            match &t.state {
-                TaskState::Runnable => actions.push(Action::RunTask(i)),
-                TaskState::Idle => match &t.kind {
-                    TaskKind::EventWorker { queue }
-                        if self.queues[t.node.index()]
-                            .get(queue)
-                            .is_some_and(|q| !q.is_empty()) =>
-                    {
-                        actions.push(Action::RunTask(i));
-                    }
-                    TaskKind::RpcWorker if !self.rpc_pending[t.node.index()].is_empty() => {
-                        actions.push(Action::RunTask(i));
-                    }
-                    TaskKind::SocketWorker if !self.socket_pending[t.node.index()].is_empty() => {
-                        actions.push(Action::RunTask(i));
-                    }
-                    TaskKind::WatcherWorker if !self.notify_pending[t.node.index()].is_empty() => {
-                        actions.push(Action::RunTask(i));
-                    }
-                    _ => {}
-                },
+    /// Wakes due sleepers and gate-released tasks, then refills `actions`
+    /// with what the scheduler may pick: ready tasks by index, then
+    /// deliverable messages by index. That order is part of the execution
+    /// contract — the seeded pick is an index into it.
+    fn collect_actions(&mut self) {
+        self.actions.clear();
+        let now = self.step;
+        for (i, t) in self.tasks.iter_mut().enumerate() {
+            match t.state {
+                TaskState::Sleeping { until } if until <= now => t.state = TaskState::Runnable,
+                TaskState::HeldByGate if self.gate.is_released(t.id) => {
+                    t.state = TaskState::Runnable;
+                }
                 _ => {}
+            }
+            let node = t.node.index();
+            let ready = match (t.state, t.kind) {
+                (TaskState::Runnable, _) => true,
+                // an idle worker is ready when its source has work
+                (TaskState::Idle, TaskKind::EventWorker { queue }) => self.queues[node][queue]
+                    .as_ref()
+                    .is_some_and(|q| !q.is_empty()),
+                (TaskState::Idle, TaskKind::RpcWorker) => !self.rpc_pending[node].is_empty(),
+                (TaskState::Idle, TaskKind::SocketWorker) => !self.socket_pending[node].is_empty(),
+                (TaskState::Idle, TaskKind::WatcherWorker) => !self.notify_pending[node].is_empty(),
+                _ => false,
+            };
+            if ready {
+                self.actions.push(Action::RunTask(i));
             }
         }
         for (m, f) in self.net.iter().enumerate() {
-            if f.not_before <= self.step {
-                actions.push(Action::Deliver(m));
+            if f.not_before <= now {
+                self.actions.push(Action::Deliver(m));
             }
         }
-        actions
     }
 
     fn detect_quiescence_outcome(&mut self) {
@@ -852,7 +874,14 @@ impl<'g> World<'g> {
                 .iter()
                 .map(|&i| {
                     let t = &self.tasks[i];
-                    format!("{} ({:?})", t.id, t.state)
+                    match t.state {
+                        // the lock by name, as the state printed it when it held one
+                        TaskState::BlockedLock { lock } => {
+                            let name = &self.cp.locks[lock];
+                            format!("{} (BlockedLock {{ lock: {name:?} }})", t.id)
+                        }
+                        state => format!("{} ({state:?})", t.id),
+                    }
                 })
                 .collect();
             self.failures.push(Failure {
@@ -866,6 +895,8 @@ impl<'g> World<'g> {
     }
 
     fn finish(self) -> RunResult {
+        counter!("sim_steps_total").add(self.steps_executed);
+        counter!("sim_context_switches_total").add(self.context_switches);
         let deadlocked = self.failures.iter().any(|f| {
             matches!(
                 f.kind,
@@ -960,23 +991,21 @@ impl<'g> World<'g> {
             counter!("sim_message_faults_total").inc();
         }
         let not_before = self.step.saturating_add(delay);
-        for _ in 0..copies {
-            self.net.push(InFlight {
-                msg: msg.clone(),
-                not_before,
-            });
-        }
+        let in_flight = InFlight { msg, not_before };
+        self.net.extend(std::iter::repeat_n(in_flight, copies));
         copies
     }
 
     /// Applies every fault whose time has come: the chaos panic hook,
     /// due crashes, due restarts, and RPC timeouts.
     fn apply_due_faults(&mut self) {
-        if self.config.faults.panic_at_step == Some(self.step) {
-            panic!(
-                "fault plan injected a host panic at step {} (chaos hook)",
-                self.step
-            );
+        // `>=`, not `==`: a quiescent clock jump can pass the planned step
+        // without ever stopping on it
+        match self.config.faults.panic_at_step {
+            Some(at) if at <= self.step => {
+                panic!("fault plan injected a host panic at step {at} (chaos hook)")
+            }
+            _ => {}
         }
         let mut i = 0;
         while i < self.crash_queue.len() {
@@ -1023,10 +1052,15 @@ impl<'g> World<'g> {
         // the node loses all volatile state; queued-but-undispatched work
         // dies with it, so its pending causes are announced as dropped
         let i = node.index();
-        self.heaps[i].clear();
-        self.locks[i].clear();
-        self.lock_waiters.retain(|(n, _), _| *n != node.0);
-        for q in self.queues[i].values_mut() {
+        self.heaps[i].fill(None);
+        self.locks[i].fill_with(LockState::default);
+        // queues in name order: the order their drops are announced in
+        let mut by_name: Vec<QueueId> = (0..self.queues[i].len()).collect();
+        by_name.sort_by_key(|&q| &self.cp.queues[q]);
+        for q in by_name {
+            let Some(q) = &mut self.queues[i][q] else {
+                continue;
+            };
             if self.sink.is_some() {
                 for pe in q.iter() {
                     controls.push(StreamControl::CauseDropped {
@@ -1103,14 +1137,7 @@ impl<'g> World<'g> {
             if !fires {
                 continue;
             }
-            let task = &mut self.tasks[t];
-            if let (Some(local), Some(frame)) = (task.rpc_ret_local.take(), task.frames.last_mut())
-            {
-                frame.locals.insert(local, Value::Null);
-            } else {
-                task.rpc_ret_local = None;
-            }
-            task.state = TaskState::Runnable;
+            self.resume_rpc_caller(t, Value::Null);
             self.emit(t, OpKind::RpcTimeout { rpc: RpcId(rpc) });
             self.count_fault();
             counter!("sim_rpc_timeouts_total").inc();
@@ -1198,16 +1225,8 @@ impl<'g> World<'g> {
                 });
             }
             Message::RpcReply { rpc, caller, value } => {
-                let task = &mut self.tasks[caller];
-                if matches!(task.state, TaskState::BlockedRpc { rpc: r } if r == rpc.0) {
-                    if let (Some(local), Some(frame)) =
-                        (task.rpc_ret_local.take(), task.frames.last_mut())
-                    {
-                        frame.locals.insert(local, value);
-                    } else {
-                        task.rpc_ret_local = None;
-                    }
-                    task.state = TaskState::Runnable;
+                if self.tasks[caller].state == (TaskState::BlockedRpc { rpc: rpc.0 }) {
+                    self.resume_rpc_caller(caller, value);
                     self.emit(caller, OpKind::RpcJoin { rpc });
                     counter!("sim_rpcs_completed_total").inc();
                 } else {
@@ -1244,18 +1263,21 @@ impl<'g> World<'g> {
         }
     }
 
+    /// Hands the value of a finished (or timed-out) RPC to the blocked
+    /// caller `t` and makes it runnable again.
+    fn resume_rpc_caller(&mut self, t: usize, value: Value) {
+        let task = &mut self.tasks[t];
+        if let (Some(local), Some(frame)) = (task.rpc_ret_local.take(), task.frames.last_mut()) {
+            frame.locals[local] = Some(value);
+        }
+        task.state = TaskState::Runnable;
+    }
+
     // -- task stepping ----------------------------------------------------------
 
-    fn run_task_step(&mut self, t: usize) {
-        // dispatch work to idle workers
+    fn run_task_step(&mut self, cp: &CompiledProgram, t: usize) {
         if self.tasks[t].state == TaskState::Idle {
-            match self.tasks[t].kind.clone() {
-                TaskKind::EventWorker { queue } => self.dispatch_event(t, &queue),
-                TaskKind::RpcWorker => self.dispatch_rpc(t),
-                TaskKind::SocketWorker => self.dispatch_socket(t),
-                TaskKind::WatcherWorker => self.dispatch_notify(t),
-                _ => {}
-            }
+            self.dispatch(t);
             return;
         }
         if self.tasks[t].frames.is_empty() {
@@ -1269,21 +1291,19 @@ impl<'g> World<'g> {
             self.emit(t, OpKind::ThreadBegin);
         }
         let frame = self.tasks[t].frames.last().expect("frame");
-        let (func, pc) = (frame.func, frame.pc);
-        let instr = self.cp.func(func).instrs[pc].clone();
+        let instr = &cp.func(frame.func).instrs[frame.pc];
 
         // gate consultation
         let ev = GateEvent {
             task: self.tasks[t].id,
             stmt: instr.stmt,
-            stack: self.stack_of(t),
         };
         if self.gate.before(&ev) == GateDecision::Hold {
             self.tasks[t].state = TaskState::HeldByGate;
             return;
         }
 
-        let flow = self.exec(t, &instr.op, instr.stmt);
+        let flow = self.exec(cp, t, &instr.op, instr.stmt);
         match flow {
             Flow::Next => {
                 if let Some(f) = self.tasks[t].frames.last_mut() {
@@ -1305,103 +1325,72 @@ impl<'g> World<'g> {
         }
     }
 
-    fn dispatch_event(&mut self, t: usize, queue: &str) {
+    /// Gives the idle worker `t` the next unit of work from its source.
+    fn dispatch(&mut self, t: usize) {
         let node = self.tasks[t].node.index();
-        let Some(pe) = self.queues[node]
-            .get_mut(queue)
-            .and_then(VecDeque::pop_front)
-        else {
-            return;
-        };
-        let instance = self.next_instance;
-        self.next_instance += 1;
-        self.tasks[t].ctx = ExecCtx::Handler {
-            kind: HandlerKind::Event,
-            instance,
-        };
-        self.tasks[t].job = Some(HandlerJob::Event { event: pe.event });
-        self.tasks[t].state = TaskState::Runnable;
-        let frame = self.make_frame(pe.func, pe.args, None, None);
-        self.tasks[t].frames.push(frame);
-        self.emit(t, OpKind::EventBegin { event: pe.event });
-        counter!("sim_events_dispatched_total").inc();
+        match self.tasks[t].kind {
+            TaskKind::EventWorker { queue } => {
+                let queue = self.queues[node][queue].as_mut();
+                if let Some(pe) = queue.and_then(VecDeque::pop_front) {
+                    counter!("sim_events_dispatched_total").inc();
+                    let (event, job) = (pe.event, HandlerJob::Event { event: pe.event });
+                    let begin = OpKind::EventBegin { event };
+                    self.start_handler(t, HandlerKind::Event, job, pe.func, pe.args, begin);
+                }
+            }
+            TaskKind::RpcWorker => {
+                if let Some(pr) = self.rpc_pending[node].pop_front() {
+                    let (rpc, caller) = (pr.rpc, pr.caller);
+                    let (job, begin) = (HandlerJob::Rpc { rpc, caller }, OpKind::RpcBegin { rpc });
+                    self.start_handler(t, HandlerKind::Rpc, job, pr.func, pr.args, begin);
+                }
+            }
+            TaskKind::SocketWorker => {
+                if let Some(ps) = self.socket_pending[node].pop_front() {
+                    let (job, begin) = (HandlerJob::Socket, OpKind::SocketRecv { msg: ps.msg });
+                    self.start_handler(t, HandlerKind::Socket, job, ps.func, ps.args, begin);
+                }
+            }
+            TaskKind::WatcherWorker => {
+                if let Some(pn) = self.notify_pending[node].pop_front() {
+                    let args = vec![Value::Str(pn.path.clone()), pn.data];
+                    let (path, version) = (pn.path, pn.version);
+                    let (job, begin) = (HandlerJob::Watcher, OpKind::ZkPushed { path, version });
+                    self.start_handler(t, HandlerKind::ZkWatcher, job, pn.handler, args, begin);
+                }
+            }
+            TaskKind::Entry | TaskKind::Thread => {}
+        }
     }
 
-    fn dispatch_rpc(&mut self, t: usize) {
-        let node = self.tasks[t].node.index();
-        let Some(pr) = self.rpc_pending[node].pop_front() else {
-            return;
-        };
+    /// Puts worker `t` into a fresh handler context running `func(args)`
+    /// and emits the handler's `begin` record.
+    fn start_handler(
+        &mut self,
+        t: usize,
+        kind: HandlerKind,
+        job: HandlerJob,
+        func: FuncId,
+        args: Vec<Value>,
+        begin: OpKind,
+    ) {
         let instance = self.next_instance;
         self.next_instance += 1;
-        self.tasks[t].ctx = ExecCtx::Handler {
-            kind: HandlerKind::Rpc,
-            instance,
-        };
-        self.tasks[t].job = Some(HandlerJob::Rpc {
-            rpc: pr.rpc,
-            caller: pr.caller,
-        });
-        self.tasks[t].state = TaskState::Runnable;
-        let frame = self.make_frame(pr.func, pr.args, None, None);
-        self.tasks[t].frames.push(frame);
-        self.emit(t, OpKind::RpcBegin { rpc: pr.rpc });
-    }
-
-    fn dispatch_socket(&mut self, t: usize) {
-        let node = self.tasks[t].node.index();
-        let Some(ps) = self.socket_pending[node].pop_front() else {
-            return;
-        };
-        let instance = self.next_instance;
-        self.next_instance += 1;
-        self.tasks[t].ctx = ExecCtx::Handler {
-            kind: HandlerKind::Socket,
-            instance,
-        };
-        self.tasks[t].job = Some(HandlerJob::Socket);
-        self.tasks[t].state = TaskState::Runnable;
-        let frame = self.make_frame(ps.func, ps.args, None, None);
-        self.tasks[t].frames.push(frame);
-        self.emit(t, OpKind::SocketRecv { msg: ps.msg });
-    }
-
-    fn dispatch_notify(&mut self, t: usize) {
-        let node = self.tasks[t].node.index();
-        let Some(pn) = self.notify_pending[node].pop_front() else {
-            return;
-        };
-        let instance = self.next_instance;
-        self.next_instance += 1;
-        self.tasks[t].ctx = ExecCtx::Handler {
-            kind: HandlerKind::ZkWatcher,
-            instance,
-        };
-        self.tasks[t].job = Some(HandlerJob::Watcher);
-        self.tasks[t].state = TaskState::Runnable;
-        let frame = self.make_frame(
-            pn.handler,
-            vec![Value::Str(pn.path.clone()), pn.data],
-            None,
-            None,
-        );
-        self.tasks[t].frames.push(frame);
-        self.emit(
-            t,
-            OpKind::ZkPushed {
-                path: pn.path,
-                version: pn.version,
-            },
-        );
+        let frame = self.make_frame(func, args, None, None);
+        let task = &mut self.tasks[t];
+        task.ctx = ExecCtx::Handler { kind, instance };
+        task.job = Some(job);
+        task.state = TaskState::Runnable;
+        task.frames.push(frame);
+        self.emit(t, begin);
     }
 
     /// The task's function body finished with `value`.
     fn task_body_finished(&mut self, t: usize, value: Value) {
-        self.tasks[t].last_return = value.clone();
         // the chain that is ending is (task, current ctx) — captured before
         // worker arms reset their context back to Regular
         let (task, ctx) = (self.tasks[t].id, self.tasks[t].ctx);
-        match self.tasks[t].kind.clone() {
+        match self.tasks[t].kind {
             TaskKind::Entry | TaskKind::Thread => {
                 self.emit(t, OpKind::ThreadEnd);
                 self.tasks[t].state = TaskState::Done;
@@ -1443,166 +1432,90 @@ impl<'g> World<'g> {
 
     // -- expression evaluation ----------------------------------------------------
 
-    fn eval(&self, t: usize, e: &Expr) -> Result<Value, String> {
-        let frame = self.tasks[t].frames.last().ok_or("no frame")?;
-        self.eval_in(&frame.locals, self.tasks[t].node, e)
+    fn eval(&self, t: usize, e: &SlotExpr) -> Result<Value, String> {
+        let task = &self.tasks[t];
+        let frame = task.frames.last().ok_or("no frame")?;
+        let names = &self.cp.func(frame.func).locals;
+        eval_in(&frame.locals, names, task.node, e)
     }
 
-    fn eval_in(
-        &self,
-        locals: &BTreeMap<String, Value>,
-        node: NodeId,
-        e: &Expr,
-    ) -> Result<Value, String> {
-        match e {
-            Expr::Const(v) => Ok(v.clone()),
-            Expr::Local(name) => locals
-                .get(name)
-                .cloned()
-                .ok_or_else(|| format!("undefined local `{name}`")),
-            Expr::SelfNode => Ok(Value::Node(node)),
-            Expr::Unary(op, a) => {
-                let a = self.eval_in(locals, node, a)?;
-                match op {
-                    UnOp::Not => Ok(Value::Bool(!a.truthy())),
-                    UnOp::Neg => a
-                        .as_int()
-                        .map(|i| Value::Int(-i))
-                        .ok_or_else(|| "negation of non-integer".to_owned()),
-                }
-            }
-            Expr::Binary(op, a, b) => {
-                let a = self.eval_in(locals, node, a)?;
-                let b = self.eval_in(locals, node, b)?;
-                let ints = || -> Result<(i64, i64), String> {
-                    match (a.as_int(), b.as_int()) {
-                        (Some(x), Some(y)) => Ok((x, y)),
-                        _ => Err(format!("arithmetic on non-integers ({a}, {b})")),
-                    }
-                };
-                Ok(match op {
-                    BinOp::Add => {
-                        let (x, y) = ints()?;
-                        Value::Int(x.wrapping_add(y))
-                    }
-                    BinOp::Sub => {
-                        let (x, y) = ints()?;
-                        Value::Int(x.wrapping_sub(y))
-                    }
-                    BinOp::Eq => Value::Bool(a == b),
-                    BinOp::Ne => Value::Bool(a != b),
-                    BinOp::Lt => {
-                        let (x, y) = ints()?;
-                        Value::Bool(x < y)
-                    }
-                    BinOp::Le => {
-                        let (x, y) = ints()?;
-                        Value::Bool(x <= y)
-                    }
-                    BinOp::Gt => {
-                        let (x, y) = ints()?;
-                        Value::Bool(x > y)
-                    }
-                    BinOp::Ge => {
-                        let (x, y) = ints()?;
-                        Value::Bool(x >= y)
-                    }
-                    BinOp::And => Value::Bool(a.truthy() && b.truthy()),
-                    BinOp::Or => Value::Bool(a.truthy() || b.truthy()),
-                    BinOp::Concat => Value::Str(format!("{}{}", a.key_string(), b.key_string())),
-                })
-            }
-        }
+    /// Kills `t` with an uncaught `exception` (the failure keeps both).
+    fn throw(&mut self, t: usize, exception: &str, msg: String) -> Flow {
+        self.kill(t, RunFailureKind::UncaughtThrow(exception.to_owned()), msg);
+        Flow::Dead
     }
 
-    fn eval_or_kill(&mut self, t: usize, e: &Expr) -> Option<Value> {
+    fn eval_or_kill(&mut self, t: usize, e: &SlotExpr) -> Option<Value> {
         match self.eval(t, e) {
             Ok(v) => Some(v),
             Err(msg) => {
-                self.kill(t, RunFailureKind::UncaughtThrow("EvalError".into()), msg);
+                self.throw(t, "EvalError", msg);
                 None
             }
         }
     }
 
-    fn eval_node(&mut self, t: usize, e: &Expr) -> Option<NodeId> {
+    /// Evaluates call arguments left to right, stopping at the first that
+    /// kills the task.
+    fn eval_args(&mut self, t: usize, args: &[SlotExpr]) -> Option<Vec<Value>> {
+        args.iter().map(|a| self.eval_or_kill(t, a)).collect()
+    }
+
+    fn eval_node(&mut self, t: usize, e: &SlotExpr) -> Option<NodeId> {
         let v = self.eval_or_kill(t, e)?;
         match v.as_node() {
             Some(n) if n.index() < self.topo.nodes.len() => Some(n),
             _ => {
-                self.kill(
-                    t,
-                    RunFailureKind::UncaughtThrow("UnknownHostException".into()),
-                    format!("`{v}` is not a node"),
-                );
+                self.throw(t, "UnknownHostException", format!("`{v}` is not a node"));
                 None
             }
         }
     }
 
-    fn set_local(&mut self, t: usize, local: &str, v: Value) {
+    fn set_local(&mut self, t: usize, local: Slot, v: Value) {
         if let Some(f) = self.tasks[t].frames.last_mut() {
-            f.locals.insert(local.to_owned(), v);
+            f.locals[local] = Some(v);
         }
     }
 
-    fn heap_loc(&self, t: usize, object: &str, key: Option<String>) -> MemLoc {
-        MemLoc {
-            space: MemSpace::Heap,
-            node: self.tasks[t].node,
-            object: object.to_owned(),
-            key,
-        }
-    }
-
-    fn zk_loc(&self, path: &str) -> MemLoc {
-        MemLoc {
-            space: MemSpace::Zk,
-            node: NodeId(0),
-            object: path.to_owned(),
-            key: None,
-        }
+    /// The heap cell of `object` on the node of task `t`.
+    fn heap(&mut self, t: usize, object: ObjId) -> &mut Option<HeapObj> {
+        &mut self.heaps[self.tasks[t].node.index()][object]
     }
 
     // -- instruction execution ---------------------------------------------------
 
+    /// Executes one instruction of task `t`. `cp` is the program the
+    /// instruction is borrowed from; names are taken from it only to build
+    /// what leaves the simulator (trace records, failure messages).
     #[allow(clippy::too_many_lines)]
-    fn exec(&mut self, t: usize, op: &Op, stmt: dcatch_model::StmtId) -> Flow {
+    fn exec(&mut self, cp: &CompiledProgram, t: usize, op: &Op, stmt: StmtId) -> Flow {
+        let not_a = |name: &str, what: &str| format!("`{name}` is not a {what}");
         match op {
             Op::Assign { local, expr } => {
                 let Some(v) = self.eval_or_kill(t, expr) else {
                     return Flow::Dead;
                 };
-                self.set_local(t, local, v);
+                self.set_local(t, *local, v);
                 Flow::Next
             }
             Op::Read { local, object } => {
-                let node = self.tasks[t].node.index();
-                let v = match self.heaps[node].get(object) {
+                let name = &cp.objects[*object];
+                let v = match self.heap(t, *object) {
                     Some(HeapObj::Cell(v)) => v.clone(),
                     None => Value::Null,
-                    Some(_) => {
-                        self.kill(
-                            t,
-                            RunFailureKind::UncaughtThrow("ClassCastException".into()),
-                            format!("`{object}` is not a cell"),
-                        );
-                        return Flow::Dead;
-                    }
+                    Some(_) => return self.throw(t, "ClassCastException", not_a(name, "cell")),
                 };
-                let loc = self.heap_loc(t, object, None);
-                self.emit_mem(t, false, loc, &v);
-                self.set_local(t, local, v);
+                self.emit_mem(t, false, MemSpace::Heap, name, None, &v);
+                self.set_local(t, *local, v);
                 Flow::Next
             }
             Op::Write { object, value } => {
                 let Some(v) = self.eval_or_kill(t, value) else {
                     return Flow::Dead;
                 };
-                let node = self.tasks[t].node.index();
-                self.heaps[node].insert(object.clone(), HeapObj::Cell(v.clone()));
-                let loc = self.heap_loc(t, object, None);
-                self.emit_mem(t, true, loc, &v);
+                self.emit_mem(t, true, MemSpace::Heap, &cp.objects[*object], None, &v);
+                *self.heap(t, *object) = Some(HeapObj::Cell(v));
                 Flow::Next
             }
             Op::MapPut { map, key, value } => {
@@ -1610,45 +1523,30 @@ impl<'g> World<'g> {
                 else {
                     return Flow::Dead;
                 };
-                let k = k.key_string();
-                let node = self.tasks[t].node.index();
-                let entry = self.heaps[node]
-                    .entry(map.clone())
-                    .or_insert_with(|| HeapObj::Map(BTreeMap::new()));
-                let HeapObj::Map(m) = entry else {
-                    self.kill(
-                        t,
-                        RunFailureKind::UncaughtThrow("ClassCastException".into()),
-                        format!("`{map}` is not a map"),
-                    );
-                    return Flow::Dead;
-                };
-                m.insert(k.clone(), v.clone());
-                let loc = self.heap_loc(t, map, Some(k));
-                self.emit_mem(t, true, loc, &v);
+                let (k, name) = (k.key_string(), &cp.objects[*map]);
+                let obj = self.heap(t, *map);
+                if !matches!(obj, None | Some(HeapObj::Map(_))) {
+                    return self.throw(t, "ClassCastException", not_a(name, "map"));
+                }
+                self.emit_mem(t, true, MemSpace::Heap, name, Some(&k), &v);
+                let obj = self.heap(t, *map);
+                if let HeapObj::Map(m) = obj.get_or_insert_with(|| HeapObj::Map(BTreeMap::new())) {
+                    m.insert(k, v);
+                }
                 Flow::Next
             }
             Op::MapGet { local, map, key } => {
                 let Some(k) = self.eval_or_kill(t, key) else {
                     return Flow::Dead;
                 };
-                let k = k.key_string();
-                let node = self.tasks[t].node.index();
-                let v = match self.heaps[node].get(map) {
+                let (k, name) = (k.key_string(), &cp.objects[*map]);
+                let v = match self.heap(t, *map) {
                     Some(HeapObj::Map(m)) => m.get(&k).cloned().unwrap_or(Value::Null),
                     None => Value::Null,
-                    Some(_) => {
-                        self.kill(
-                            t,
-                            RunFailureKind::UncaughtThrow("ClassCastException".into()),
-                            format!("`{map}` is not a map"),
-                        );
-                        return Flow::Dead;
-                    }
+                    Some(_) => return self.throw(t, "ClassCastException", not_a(name, "map")),
                 };
-                let loc = self.heap_loc(t, map, Some(k));
-                self.emit_mem(t, false, loc, &v);
-                self.set_local(t, local, v);
+                self.emit_mem(t, false, MemSpace::Heap, name, Some(&k), &v);
+                self.set_local(t, *local, v);
                 Flow::Next
             }
             Op::MapRemove { map, key } => {
@@ -1656,12 +1554,11 @@ impl<'g> World<'g> {
                     return Flow::Dead;
                 };
                 let k = k.key_string();
-                let node = self.tasks[t].node.index();
-                if let Some(HeapObj::Map(m)) = self.heaps[node].get_mut(map) {
+                if let Some(HeapObj::Map(m)) = self.heap(t, *map) {
                     m.remove(&k);
                 }
-                let loc = self.heap_loc(t, map, Some(k));
-                self.emit_mem(t, true, loc, &Value::Null);
+                let name = &cp.objects[*map];
+                self.emit_mem(t, true, MemSpace::Heap, name, Some(&k), &Value::Null);
                 Flow::Next
             }
             Op::MapContains { local, map, key } => {
@@ -1669,77 +1566,64 @@ impl<'g> World<'g> {
                     return Flow::Dead;
                 };
                 let k = k.key_string();
-                let node = self.tasks[t].node.index();
                 let present = matches!(
-                    self.heaps[node].get(map),
+                    self.heap(t, *map),
                     Some(HeapObj::Map(m)) if m.contains_key(&k)
                 );
-                let loc = self.heap_loc(t, map, Some(k));
                 let v = Value::Bool(present);
-                self.emit_mem(t, false, loc, &v);
-                self.set_local(t, local, v);
+                self.emit_mem(t, false, MemSpace::Heap, &cp.objects[*map], Some(&k), &v);
+                self.set_local(t, *local, v);
                 Flow::Next
             }
             Op::ListAdd { list, value } => {
                 let Some(v) = self.eval_or_kill(t, value) else {
                     return Flow::Dead;
                 };
-                let node = self.tasks[t].node.index();
-                let entry = self.heaps[node]
-                    .entry(list.clone())
-                    .or_insert_with(|| HeapObj::List(Vec::new()));
-                let HeapObj::List(l) = entry else {
-                    self.kill(
-                        t,
-                        RunFailureKind::UncaughtThrow("ClassCastException".into()),
-                        format!("`{list}` is not a list"),
-                    );
-                    return Flow::Dead;
-                };
-                l.push(v.clone());
-                let loc = self.heap_loc(t, list, None);
-                self.emit_mem(t, true, loc, &v);
+                let name = &cp.objects[*list];
+                let obj = self.heap(t, *list);
+                if !matches!(obj, None | Some(HeapObj::List(_))) {
+                    return self.throw(t, "ClassCastException", not_a(name, "list"));
+                }
+                self.emit_mem(t, true, MemSpace::Heap, name, None, &v);
+                let obj = self.heap(t, *list);
+                if let HeapObj::List(l) = obj.get_or_insert_with(|| HeapObj::List(Vec::new())) {
+                    l.push(v);
+                }
                 Flow::Next
             }
             Op::ListRemove { list, value } => {
                 let Some(v) = self.eval_or_kill(t, value) else {
                     return Flow::Dead;
                 };
-                let node = self.tasks[t].node.index();
-                if let Some(HeapObj::List(l)) = self.heaps[node].get_mut(list) {
+                if let Some(HeapObj::List(l)) = self.heap(t, *list) {
                     if let Some(pos) = l.iter().position(|x| x == &v) {
                         l.remove(pos);
                     }
                 }
-                let loc = self.heap_loc(t, list, None);
-                self.emit_mem(t, true, loc, &v);
+                self.emit_mem(t, true, MemSpace::Heap, &cp.objects[*list], None, &v);
                 Flow::Next
             }
             Op::ListIsEmpty { local, list } => {
-                let node = self.tasks[t].node.index();
-                let empty = match self.heaps[node].get(list) {
+                let empty = match self.heap(t, *list) {
                     Some(HeapObj::List(l)) => l.is_empty(),
                     _ => true,
                 };
-                let loc = self.heap_loc(t, list, None);
                 let v = Value::Bool(empty);
-                self.emit_mem(t, false, loc, &v);
-                self.set_local(t, local, v);
+                self.emit_mem(t, false, MemSpace::Heap, &cp.objects[*list], None, &v);
+                self.set_local(t, *local, v);
                 Flow::Next
             }
             Op::ListContains { local, list, value } => {
                 let Some(v) = self.eval_or_kill(t, value) else {
                     return Flow::Dead;
                 };
-                let node = self.tasks[t].node.index();
                 let present = matches!(
-                    self.heaps[node].get(list),
+                    self.heap(t, *list),
                     Some(HeapObj::List(l)) if l.contains(&v)
                 );
-                let loc = self.heap_loc(t, list, None);
                 let out = Value::Bool(present);
-                self.emit_mem(t, false, loc, &out);
-                self.set_local(t, local, out);
+                self.emit_mem(t, false, MemSpace::Heap, &cp.objects[*list], None, &out);
+                self.set_local(t, *local, out);
                 Flow::Next
             }
 
@@ -1796,18 +1680,14 @@ impl<'g> World<'g> {
             }
 
             Op::Call { local, func, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    match self.eval_or_kill(t, a) {
-                        Some(v) => vals.push(v),
-                        None => return Flow::Dead,
-                    }
-                }
+                let Some(vals) = self.eval_args(t, args) else {
+                    return Flow::Dead;
+                };
                 // advance caller pc first so return lands after the call
                 if let Some(f) = self.tasks[t].frames.last_mut() {
                     f.pc += 1;
                 }
-                let frame = self.make_frame(*func, vals, local.clone(), Some(stmt));
+                let frame = self.make_frame(*func, vals, *local, Some(stmt));
                 self.tasks[t].frames.push(frame);
                 Flow::Handled
             }
@@ -1823,19 +1703,15 @@ impl<'g> World<'g> {
                 if self.tasks[t].frames.is_empty() {
                     self.task_body_finished(t, v);
                 } else if let Some(local) = finished.ret_local {
-                    self.set_local(t, &local, v);
+                    self.set_local(t, local, v);
                 }
                 Flow::Handled
             }
 
             Op::Spawn { local, func, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    match self.eval_or_kill(t, a) {
-                        Some(v) => vals.push(v),
-                        None => return Flow::Dead,
-                    }
-                }
+                let Some(vals) = self.eval_args(t, args) else {
+                    return Flow::Dead;
+                };
                 let node = self.tasks[t].node;
                 let child = self.new_task(node, TaskKind::Thread, TaskState::Runnable, None);
                 let frame = self.make_frame(*func, vals, None, None);
@@ -1844,7 +1720,7 @@ impl<'g> World<'g> {
                 let handle = self.tasks[child].handle;
                 self.emit(t, OpKind::ThreadCreate { child: child_id });
                 if let Some(local) = local {
-                    self.set_local(t, local, Value::Thread(handle));
+                    self.set_local(t, *local, Value::Thread(handle));
                 }
                 Flow::Next
             }
@@ -1853,20 +1729,12 @@ impl<'g> World<'g> {
                     return Flow::Dead;
                 };
                 let Value::Thread(h) = v else {
-                    self.kill(
-                        t,
-                        RunFailureKind::UncaughtThrow("ClassCastException".into()),
-                        format!("join of non-thread `{v}`"),
-                    );
-                    return Flow::Dead;
+                    let msg = format!("join of non-thread `{v}`");
+                    return self.throw(t, "ClassCastException", msg);
                 };
                 let Some(child) = self.tasks.iter().position(|x| x.handle == h) else {
-                    self.kill(
-                        t,
-                        RunFailureKind::UncaughtThrow("IllegalThreadState".into()),
-                        "join of unknown thread",
-                    );
-                    return Flow::Dead;
+                    let msg = "join of unknown thread".to_owned();
+                    return self.throw(t, "IllegalThreadState", msg);
                 };
                 match self.tasks[child].state {
                     TaskState::Done | TaskState::Killed => {
@@ -1881,96 +1749,73 @@ impl<'g> World<'g> {
                 }
             }
             Op::Enqueue { queue, func, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    match self.eval_or_kill(t, a) {
-                        Some(v) => vals.push(v),
-                        None => return Flow::Dead,
-                    }
-                }
-                let node = self.tasks[t].node;
-                if !self.queues[node.index()].contains_key(queue) {
-                    self.kill(
-                        t,
-                        RunFailureKind::UncaughtThrow("NoSuchQueueException".into()),
-                        format!("queue `{queue}` not declared on {node}"),
-                    );
+                let Some(vals) = self.eval_args(t, args) else {
                     return Flow::Dead;
+                };
+                let (node, name) = (self.tasks[t].node, &cp.queues[*queue]);
+                if self.queues[node.index()][*queue].is_none() {
+                    let msg = format!("queue `{name}` not declared on {node}");
+                    return self.throw(t, "NoSuchQueueException", msg);
                 }
                 let event = EventId(self.next_event);
                 self.next_event += 1;
                 // register before emitting so a streaming sink knows the
                 // event's queue when the `EventCreate` record arrives
-                self.trace.register_event(event.0, node, queue.clone());
+                self.trace.register_event(event.0, node, name.clone());
                 if self.streaming() {
                     self.ctl(StreamControl::RegisterEvent {
                         event: event.0,
                         node,
-                        queue: queue.clone(),
+                        queue: name.clone(),
                     });
                 }
                 self.emit(t, OpKind::EventCreate { event });
-                self.queues[node.index()]
-                    .get_mut(queue)
-                    .expect("checked")
-                    .push_back(PendingEvent {
-                        event,
-                        func: *func,
-                        args: vals,
-                    });
+                let pending = self.queues[node.index()][*queue].as_mut();
+                pending.expect("checked").push_back(PendingEvent {
+                    event,
+                    func: *func,
+                    args: vals,
+                });
                 Flow::Next
             }
             Op::Lock { lock } => {
                 let node = self.tasks[t].node;
-                let state = self.locks[node.index()].entry(lock.clone()).or_default();
+                let state = &mut self.locks[node.index()][*lock];
                 match state.holder {
                     None => {
                         state.holder = Some(t);
-                        let lr = LockRef {
-                            node,
-                            name: lock.clone(),
-                        };
-                        self.emit(t, OpKind::LockAcquire { lock: lr });
+                        if self.config.trace_enabled {
+                            let name = cp.locks[*lock].clone();
+                            let lock = LockRef { node, name };
+                            self.emit(t, OpKind::LockAcquire { lock });
+                        }
                         Flow::Next
                     }
                     Some(h) if h == t => {
-                        self.kill(
-                            t,
-                            RunFailureKind::UncaughtThrow("IllegalMonitorState".into()),
-                            format!("reentrant acquisition of `{lock}`"),
-                        );
-                        Flow::Dead
+                        let msg = format!("reentrant acquisition of `{}`", cp.locks[*lock]);
+                        self.throw(t, "IllegalMonitorState", msg)
                     }
                     Some(_) => {
-                        self.lock_waiters
-                            .entry((node.0, lock.clone()))
-                            .or_default()
-                            .push(t);
-                        self.tasks[t].state = TaskState::BlockedLock { lock: lock.clone() };
+                        state.waiters.push(t);
+                        self.tasks[t].state = TaskState::BlockedLock { lock: *lock };
                         Flow::Stay
                     }
                 }
             }
             Op::Unlock { lock } => {
                 let node = self.tasks[t].node;
-                let held = self.locks[node.index()]
-                    .get(lock)
-                    .is_some_and(|l| l.holder == Some(t));
-                if !held {
-                    self.kill(
-                        t,
-                        RunFailureKind::UncaughtThrow("IllegalMonitorState".into()),
-                        format!("unlock of `{lock}` not held"),
-                    );
-                    return Flow::Dead;
+                let state = &mut self.locks[node.index()][*lock];
+                if state.holder != Some(t) {
+                    let msg = format!("unlock of `{}` not held", cp.locks[*lock]);
+                    return self.throw(t, "IllegalMonitorState", msg);
                 }
-                self.locks[node.index()].get_mut(lock).expect("held").holder = None;
-                let lr = LockRef {
-                    node,
-                    name: lock.clone(),
-                };
-                self.emit(t, OpKind::LockRelease { lock: lr });
-                self.wake_lock_waiters(node, lock);
+                state.holder = None;
+                if self.config.trace_enabled {
+                    let name = cp.locks[*lock].clone();
+                    let lock = LockRef { node, name };
+                    self.emit(t, OpKind::LockRelease { lock });
+                }
+                self.wake_lock_waiters(node.index(), *lock);
                 Flow::Next
             }
 
@@ -1983,13 +1828,9 @@ impl<'g> World<'g> {
                 let Some(target) = self.eval_node(t, node) else {
                     return Flow::Dead;
                 };
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    match self.eval_or_kill(t, a) {
-                        Some(v) => vals.push(v),
-                        None => return Flow::Dead,
-                    }
-                }
+                let Some(vals) = self.eval_args(t, args) else {
+                    return Flow::Dead;
+                };
                 let rpc = RpcId(self.next_rpc);
                 self.next_rpc += 1;
                 counter!("sim_rpcs_issued_total").inc();
@@ -2011,7 +1852,7 @@ impl<'g> World<'g> {
                         copies: copies as u32,
                     });
                 }
-                self.tasks[t].rpc_ret_local = local.clone();
+                self.tasks[t].rpc_ret_local = *local;
                 self.tasks[t].state = TaskState::BlockedRpc { rpc: rpc.0 };
                 self.tasks[t].blocked_at = self.step;
                 // advance pc now; the task resumes after the reply
@@ -2024,13 +1865,9 @@ impl<'g> World<'g> {
                 let Some(target) = self.eval_node(t, node) else {
                     return Flow::Dead;
                 };
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    match self.eval_or_kill(t, a) {
-                        Some(v) => vals.push(v),
-                        None => return Flow::Dead,
-                    }
-                }
+                let Some(vals) = self.eval_args(t, args) else {
+                    return Flow::Dead;
+                };
                 let msg = MsgId(self.next_msg);
                 self.next_msg += 1;
                 self.emit(t, OpKind::SocketSend { msg });
@@ -2064,12 +1901,8 @@ impl<'g> World<'g> {
                 };
                 let p = p.key_string();
                 if *exclusive && self.zk.data.contains_key(&p) {
-                    self.kill(
-                        t,
-                        RunFailureKind::UncaughtThrow("NodeExistsException".into()),
-                        format!("create of existing znode `{p}`"),
-                    );
-                    return Flow::Dead;
+                    let msg = format!("create of existing znode `{p}`");
+                    return self.throw(t, "NodeExistsException", msg);
                 }
                 self.zk_write(t, &p, Some(d));
                 Flow::Next
@@ -2081,12 +1914,8 @@ impl<'g> World<'g> {
                 };
                 let p = p.key_string();
                 if !self.zk.data.contains_key(&p) {
-                    self.kill(
-                        t,
-                        RunFailureKind::UncaughtThrow("NoNodeException".into()),
-                        format!("setData of absent znode `{p}`"),
-                    );
-                    return Flow::Dead;
+                    let msg = format!("setData of absent znode `{p}`");
+                    return self.throw(t, "NoNodeException", msg);
                 }
                 self.zk_write(t, &p, Some(d));
                 Flow::Next
@@ -2097,12 +1926,8 @@ impl<'g> World<'g> {
                 };
                 let p = p.key_string();
                 if !self.zk.data.contains_key(&p) {
-                    self.kill(
-                        t,
-                        RunFailureKind::UncaughtThrow("NoNodeException".into()),
-                        format!("delete of absent znode `{p}`"),
-                    );
-                    return Flow::Dead;
+                    let msg = format!("delete of absent znode `{p}`");
+                    return self.throw(t, "NoNodeException", msg);
                 }
                 self.zk_write(t, &p, None);
                 Flow::Next
@@ -2113,16 +1938,11 @@ impl<'g> World<'g> {
                 };
                 let p = p.key_string();
                 let Some(v) = self.zk.data.get(&p).cloned() else {
-                    self.kill(
-                        t,
-                        RunFailureKind::UncaughtThrow("NoNodeException".into()),
-                        format!("getData of absent znode `{p}`"),
-                    );
-                    return Flow::Dead;
+                    let msg = format!("getData of absent znode `{p}`");
+                    return self.throw(t, "NoNodeException", msg);
                 };
-                let loc = self.zk_loc(&p);
-                self.emit_mem(t, false, loc, &v);
-                self.set_local(t, local, v);
+                self.emit_mem(t, false, MemSpace::Zk, &p, None, &v);
+                self.set_local(t, *local, v);
                 Flow::Next
             }
             Op::ZkExists { local, path } => {
@@ -2131,9 +1951,8 @@ impl<'g> World<'g> {
                 };
                 let p = p.key_string();
                 let v = Value::Bool(self.zk.data.contains_key(&p));
-                let loc = self.zk_loc(&p);
-                self.emit_mem(t, false, loc, &v);
-                self.set_local(t, local, v);
+                self.emit_mem(t, false, MemSpace::Zk, &p, None, &v);
+                self.set_local(t, *local, v);
                 Flow::Next
             }
 
@@ -2162,14 +1981,7 @@ impl<'g> World<'g> {
                 });
                 Flow::Next
             }
-            Op::Throw { kind } => {
-                self.kill(
-                    t,
-                    RunFailureKind::UncaughtThrow(kind.clone()),
-                    format!("`{kind}` thrown"),
-                );
-                Flow::Dead
-            }
+            Op::Throw { kind } => self.throw(t, kind, format!("`{kind}` thrown")),
 
             Op::Sleep { ticks } => {
                 let Some(v) = self.eval_or_kill(t, ticks) else {
@@ -2192,44 +2004,40 @@ impl<'g> World<'g> {
     /// emits the memory write + `ZkUpdate`, and fans out watcher
     /// notifications.
     fn zk_write(&mut self, t: usize, path: &str, data: Option<Value>) {
-        let version = self.zk.versions.entry(path.to_owned()).or_insert(0);
-        *version += 1;
-        let version = *version;
-        let stored = match &data {
+        let version = match self.zk.versions.get_mut(path) {
+            Some(version) => {
+                *version += 1;
+                *version
+            }
+            None => {
+                self.zk.versions.insert(path.to_owned(), 1);
+                1
+            }
+        };
+        let stored = match data {
             Some(v) => {
                 self.zk.data.insert(path.to_owned(), v.clone());
-                v.clone()
+                v
             }
             None => {
                 self.zk.data.remove(path);
                 Value::Null
             }
         };
-        let loc = self.zk_loc(path);
-        self.emit_mem(t, true, loc, &stored);
-        self.emit(
-            t,
-            OpKind::ZkUpdate {
-                path: path.to_owned(),
-                version,
-            },
-        );
+        self.emit_mem(t, true, MemSpace::Zk, path, None, &stored);
+        if self.config.trace_enabled {
+            let path = path.to_owned();
+            self.emit(t, OpKind::ZkUpdate { path, version });
+        }
         let from = self.tasks[t].node;
         let mut copies = 0usize;
-        for w in self.topo.watchers.clone() {
-            if path.starts_with(&w.path_prefix) {
-                let handler = self
-                    .cp
-                    .funcs()
-                    .iter()
-                    .position(|f| f.name == w.handler)
-                    .map(|i| FuncId(i as u32))
-                    .expect("validated watcher");
+        for w in 0..self.topo.watchers.len() {
+            if path.starts_with(&self.topo.watchers[w].path_prefix) {
                 copies += self.send(
                     from,
                     Message::ZkNotify {
-                        target: w.node,
-                        handler,
+                        target: self.topo.watchers[w].node,
+                        handler: self.watcher_handlers[w],
                         path: path.to_owned(),
                         version,
                         data: stored.clone(),
@@ -2242,6 +2050,74 @@ impl<'g> World<'g> {
                 key: CauseKey::ZkPushed(path.to_owned(), version),
                 copies: copies as u32,
             });
+        }
+    }
+}
+
+/// Evaluates `e` over a frame's `locals`; `names` (by slot) only feed the
+/// "undefined local" message.
+fn eval_in(
+    locals: &[Option<Value>],
+    names: &[String],
+    node: NodeId,
+    e: &SlotExpr,
+) -> Result<Value, String> {
+    match e {
+        SlotExpr::Const(v) => Ok(v.clone()),
+        SlotExpr::Local(slot) => locals[*slot]
+            .clone()
+            .ok_or_else(|| format!("undefined local `{}`", names[*slot])),
+        SlotExpr::SelfNode => Ok(Value::Node(node)),
+        SlotExpr::Unary(op, a) => {
+            let a = eval_in(locals, names, node, a)?;
+            match op {
+                UnOp::Not => Ok(Value::Bool(!a.truthy())),
+                UnOp::Neg => a
+                    .as_int()
+                    .map(|i| Value::Int(-i))
+                    .ok_or_else(|| "negation of non-integer".to_owned()),
+            }
+        }
+        SlotExpr::Binary(op, a, b) => {
+            let a = eval_in(locals, names, node, a)?;
+            let b = eval_in(locals, names, node, b)?;
+            let ints = || -> Result<(i64, i64), String> {
+                match (a.as_int(), b.as_int()) {
+                    (Some(x), Some(y)) => Ok((x, y)),
+                    _ => Err(format!("arithmetic on non-integers ({a}, {b})")),
+                }
+            };
+            Ok(match op {
+                BinOp::Add => {
+                    let (x, y) = ints()?;
+                    Value::Int(x.wrapping_add(y))
+                }
+                BinOp::Sub => {
+                    let (x, y) = ints()?;
+                    Value::Int(x.wrapping_sub(y))
+                }
+                BinOp::Eq => Value::Bool(a == b),
+                BinOp::Ne => Value::Bool(a != b),
+                BinOp::Lt => {
+                    let (x, y) = ints()?;
+                    Value::Bool(x < y)
+                }
+                BinOp::Le => {
+                    let (x, y) = ints()?;
+                    Value::Bool(x <= y)
+                }
+                BinOp::Gt => {
+                    let (x, y) = ints()?;
+                    Value::Bool(x > y)
+                }
+                BinOp::Ge => {
+                    let (x, y) = ints()?;
+                    Value::Bool(x >= y)
+                }
+                BinOp::And => Value::Bool(a.truthy() && b.truthy()),
+                BinOp::Or => Value::Bool(a.truthy() || b.truthy()),
+                BinOp::Concat => Value::Str(format!("{}{}", a.key_string(), b.key_string())),
+            })
         }
     }
 }

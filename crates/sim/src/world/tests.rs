@@ -295,6 +295,96 @@ fn join_of_never_finishing_thread_deadlocks() {
     assert!(!r.completed);
 }
 
+/// The deadlock report names each blocked task's lock, not an internal id.
+#[test]
+fn deadlock_report_names_the_lock() {
+    let mut pb = ProgramBuilder::new();
+    pb.func("main", &[], FuncKind::Regular, |b| {
+        b.lock("registry_mutex");
+        b.spawn("h", "contender", vec![]);
+        b.join(Expr::local("h"));
+    });
+    pb.func("contender", &[], FuncKind::Regular, |b| {
+        b.lock("registry_mutex");
+    });
+    let p = pb.build().unwrap();
+    let mut topo = Topology::new();
+    topo.node("n").entry("main", vec![]);
+    let r = run(&p, &topo);
+    assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
+    assert_eq!(
+        r.failures[0].msg,
+        "blocked forever: n0.t4 (BlockedJoin { handle: 5 }), \
+         n0.t5 (BlockedLock { lock: \"registry_mutex\" })"
+    );
+}
+
+/// Failure messages quote names the interpreter itself only knows as
+/// slots and ids: each must come back out of the compiled name tables.
+#[test]
+fn failure_messages_keep_their_names() {
+    type Body = fn(&mut dcatch_model::BlockBuilder);
+    let cases: [(Body, &str); 7] = [
+        (
+            |b| {
+                b.assign("y", Expr::local("never_set"));
+            },
+            "undefined local `never_set`",
+        ),
+        (
+            |b| {
+                b.map_put("table", Expr::val(1), Expr::val(1));
+                b.read("x", "table");
+            },
+            "`table` is not a cell",
+        ),
+        (
+            |b| {
+                b.write("cell", Expr::val(1));
+                b.map_get("x", "cell", Expr::val(1));
+            },
+            "`cell` is not a map",
+        ),
+        (
+            |b| {
+                b.write("cell", Expr::val(1));
+                b.list_add("cell", Expr::val(1));
+            },
+            "`cell` is not a list",
+        ),
+        (
+            |b| {
+                b.enqueue("undeclared", "on_event", vec![]);
+            },
+            "queue `undeclared` not declared on n0",
+        ),
+        (
+            |b| {
+                b.lock("m");
+                b.lock("m");
+            },
+            "reentrant acquisition of `m`",
+        ),
+        (
+            |b| {
+                b.unlock("m");
+            },
+            "unlock of `m` not held",
+        ),
+    ];
+    for (body, msg) in cases {
+        let mut pb = ProgramBuilder::new();
+        pb.func("main", &[], FuncKind::Regular, body);
+        pb.func("on_event", &[], FuncKind::EventHandler, |_| {});
+        let p = pb.build().unwrap();
+        let mut topo = Topology::new();
+        topo.node("n").entry("main", vec![]);
+        let r = run(&p, &topo);
+        assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
+        assert_eq!(r.failures[0].msg, msg);
+    }
+}
+
 #[test]
 fn same_seed_gives_identical_traces() {
     let mut pb = ProgramBuilder::new();
@@ -676,6 +766,37 @@ fn retry_while_backoff_sleeps_between_iterations() {
         r.failures[0].kind,
         RunFailureKind::RetryLoopHang(_)
     ));
+}
+
+/// The chaos hook fires on the step it names, and also when a quiescent
+/// clock jump (here a `sleep(5000)`) carries the run past that step
+/// without stopping on it; a step the run never reaches stays silent.
+#[test]
+fn host_panic_hook_fires_inside_a_clock_jump() {
+    let mut pb = ProgramBuilder::new();
+    pb.func("main", &[], FuncKind::Regular, |b| {
+        b.write("before", Expr::val(1));
+        b.sleep(Expr::val(5_000));
+        b.write("after", Expr::val(1));
+    });
+    let p = pb.build().unwrap();
+    let mut topo = Topology::new();
+    topo.node("n").entry("main", vec![]);
+    let panics_at = |at: u64| {
+        let plan = FaultPlan::default().with_panic_at(at);
+        let (p, topo) = (p.clone(), topo.clone());
+        std::panic::catch_unwind(move || run_faulted(&p, &topo, plan))
+            .map(|r| writes_to(&r, "after"))
+            .map_err(|payload| *payload.downcast::<String>().expect("formatted panic"))
+    };
+    let on_a_step = panics_at(1).expect_err("step 1 is executed");
+    assert!(on_a_step.contains("at step 1 "), "{on_a_step}");
+    let inside_the_jump = panics_at(3_000).expect_err("the sleep jumps over step 3000");
+    assert!(
+        inside_the_jump.contains("at step 3000 "),
+        "{inside_the_jump}"
+    );
+    assert_eq!(panics_at(9_000), Ok(1), "the run ends before step 9000");
 }
 
 /// The trigger farm moves whole simulations onto worker threads: the

@@ -168,7 +168,6 @@ impl Gate for ControllerGate {
 mod tests {
     use super::*;
     use dcatch_model::{FuncId, NodeId};
-    use dcatch_trace::CallStack;
 
     fn sid(f: u32, i: u32) -> StmtId {
         StmtId {
@@ -185,11 +184,7 @@ mod tests {
     }
 
     fn ev(t: TaskId, stmt: StmtId) -> GateEvent {
-        GateEvent {
-            task: t,
-            stmt,
-            stack: CallStack(vec![stmt]),
-        }
+        GateEvent { task: t, stmt }
     }
 
     fn specs() -> [SideSpec; 2] {

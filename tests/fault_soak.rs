@@ -74,10 +74,18 @@ fn faulted_pipeline_runs_degrade_to_structured_outcomes() {
 /// `error` entry, every other benchmark reports normally.
 #[test]
 fn panicking_benchmark_yields_error_entry_not_a_poisoned_batch() {
+    // step 5 is executed; step 3000 falls inside the quiescent clock jump
+    // of the benchmark's `sleep(5000)` and must fire all the same
+    for at in [5, 3000] {
+        rigged_panic_yields_error_entry(at);
+    }
+}
+
+fn rigged_panic_yields_error_entry(at: u64) {
     let benches = dcatch::all_benchmarks();
     let rigged = "HB-4539";
     let mut opts = PipelineOptions::fast();
-    opts.faults = dcatch::FaultPlan::default().with_panic_at(5);
+    opts.faults = dcatch::FaultPlan::default().with_panic_at(at);
     opts.fault_target = Some(rigged.to_owned());
 
     let results = Pipeline::run_all(&benches, &opts, 2);
