@@ -130,6 +130,24 @@ fn main() {
         let hb = HbAnalysis::build(run.trace, &HbConfig::default()).unwrap();
         h.bench(id, 10, || find_candidates(&hb).static_pair_count());
     }
+    // The three selective traces above scan in microseconds, under
+    // bench_compare.sh's 0.5 ms noise floor. These two are the regimes the
+    // scan's cost lives in: one object hammered by few long threads, and
+    // thousands of handler instances serialised into few HB chains.
+    let mr = dcatch::all_benchmarks_scaled(16)
+        .into_iter()
+        .find(|b| b.id == "MR-3274")
+        .unwrap();
+    let (sb_program, sb_topology) = dcatch::streambench(dcatch::streambench_rounds(8_000));
+    for (name, program, topology, seed) in [
+        ("MR-3274_full_scale16", &mr.program, &mr.topology, mr.seed),
+        ("streambench_8000rec", &sb_program, &sb_topology, 7),
+    ] {
+        let cfg = SimConfig::default().with_seed(seed).with_full_tracing();
+        let run = World::run_once(program, topology, cfg).unwrap();
+        let hb = HbAnalysis::build(run.trace, &HbConfig::default()).unwrap();
+        h.bench(name, 10, || find_candidates(&hb).static_pair_count());
+    }
 
     // The two reachability engines head to head (DESIGN.md §4): same
     // trace, forced engine, measuring full build plus a strided

@@ -82,9 +82,8 @@
 //!                    `faults`, where it bounds each scenario × seed run)
 //!   --mem-budget B   resource-governor memory budget (bytes, or `512k`,
 //!                    `64m`, `1g`); the pipeline degrades — sampled
-//!                    tracing, chain-clock analysis, then streaming
-//!                    detection under a window cap — instead of dying
-//!                    when a stage would exceed it
+//!                    tracing, then streaming detection under a window
+//!                    cap — instead of dying when a stage would exceed it
 //!   --time-budget S  resource-governor wall-clock budget in seconds;
 //!                    remaining optional stages are skipped and triggering
 //!                    is cancelled once it expires

@@ -9,8 +9,7 @@ use dcatch_detect::{
     OnlineOptions, StreamOutcome,
 };
 use dcatch_hb::{
-    apply_ablation, Ablation, BitMatrix, ChainClocks, FrontierOptions, HbAnalysis, HbConfig,
-    HbError, ReachabilityMode,
+    apply_ablation, Ablation, ChainClocks, FrontierOptions, HbAnalysis, HbConfig, HbError,
 };
 use dcatch_obs::budget::{self, Budget, DegradationEvent};
 use dcatch_prune::{Impact, Pruner};
@@ -134,8 +133,8 @@ pub struct PipelineOptions {
     /// Per-benchmark memory budget for the resource governor
     /// (`--mem-budget`). Unlike `hb.memory_budget_bytes` — which turns
     /// excess into a hard [`HbError::OutOfMemory`] outcome — this ceiling
-    /// makes the pipeline *degrade*: sample memory tracing, fall back to
-    /// chain clocks, then to streaming detection under a window cap.
+    /// makes the pipeline *degrade*: sample memory tracing, then fall back
+    /// to streaming detection under a window cap.
     pub mem_budget: Option<usize>,
     /// Per-benchmark wall-clock budget for the resource governor
     /// (`--time-budget`). Unlike `timeout` — which kills the run — this
@@ -340,9 +339,9 @@ impl Pipeline {
             // every `rate`-th memory access kept. HB records are never
             // sampled (the graph stays exact) and sampling never perturbs
             // the schedule, so the kept records are a deterministic
-            // subsequence of the full run. byte_size serializes every
-            // record, so compute it once and share the figure between the
-            // governor probe and the report.
+            // subsequence of the full run. byte_size walks every record,
+            // so compute it once and share the figure between the governor
+            // probe and the report.
             let mut trace_bytes = run.trace.byte_size();
             let gov_mem = budget::mem_budget();
             if let Some(m) = gov_mem.filter(|&m| trace_bytes > m) {
@@ -369,47 +368,24 @@ impl Pipeline {
             }
             let trace_stats = run.trace.stats();
 
-            let analyzed = apply_ablation(&run.trace, opts.ablation);
+            let analyzed = apply_ablation(run.trace, opts.ablation);
             let _span = dcatch_obs::span!("pipeline.trace_analysis");
             // The governed ceiling also caps the reachability-index budget.
             let mut hb_cfg = opts.hb.clone();
             if let Some(m) = gov_mem {
                 hb_cfg.memory_budget_bytes = hb_cfg.memory_budget_bytes.min(m);
-            }
-            // Mirror HbAnalysis::build's engine selection on deterministic
-            // size estimates, so the governor can step down *before*
-            // committing to a build that would return OutOfMemory.
-            let n = analyzed.len();
-            let matrix_bytes = BitMatrix::estimated_bytes(n);
-            let clock_bytes = ChainClocks::estimated_bytes(n, ChainClocks::chain_count(&analyzed));
-            let index_budget = hb_cfg.memory_budget_bytes;
-            let (engine, needed) = match hb_cfg.reachability {
-                ReachabilityMode::Matrix => ("matrix", matrix_bytes),
-                ReachabilityMode::Auto if matrix_bytes <= index_budget => ("matrix", matrix_bytes),
-                _ => ("clocks", clock_bytes),
-            };
-            if gov_mem.is_some() {
-                // ---- governor rung: matrix → clocks ---------------------
-                // recorded when the governed budget — not the user's own
-                // HB config — is what forced clocks
-                if opts.hb.reachability == ReachabilityMode::Auto
-                    && engine == "clocks"
-                    && matrix_bytes <= opts.hb.memory_budget_bytes
-                {
-                    budget::record(DegradationEvent {
-                        stage: "trace_analysis".to_owned(),
-                        from: "matrix".to_owned(),
-                        to: "clocks".to_owned(),
-                        reason: format!("matrix needs {matrix_bytes} B, budget {index_budget} B"),
-                    });
-                }
-                // ---- governor's last memory rung: no index fits ---------
-                // Drop the materialized trace and stream the same schedule
+                // ---- governor's last memory rung: the index does not fit -
+                // Ask `HbAnalysis::build`'s own selection rule *before*
+                // committing to a build that would return OutOfMemory, then
+                // drop the materialized trace and stream the same schedule
                 // again: a capped window loses pairs but never invents one.
+                let chains = ChainClocks::chain_count(&analyzed);
+                let (engine, needed) = hb_cfg.select_engine(analyzed.len(), chains);
+                let index_budget = hb_cfg.memory_budget_bytes;
                 if needed > index_budget {
                     budget::record(DegradationEvent {
                         stage: "trace_analysis".to_owned(),
-                        from: engine.to_owned(),
+                        from: engine.to_string(),
                         to: "streaming".to_owned(),
                         reason: format!(
                             "reachability index needs {needed} B, budget {index_budget} B"

@@ -1,0 +1,412 @@
+//! The all-pairs candidate scan as the oracle for `find_candidates`.
+//!
+//! `find_candidates` never visits an HB-ordered pair (chain cover +
+//! monotone windows, DESIGN.md §4). The scan it replaced — every
+//! same-object pair in trace order, filtered one by one — lives on here,
+//! written against public API only, and the two must produce *equal*
+//! `CandidateSet`s: static pairs, callstack pairs, representative sites,
+//! dynamic counts.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use dcatch::{
+    apply_ablation, find_candidates, Ablation, AccessSite, Candidate, CandidateSet, FaultPlan,
+    FocusConfig, HbAnalysis, HbConfig, ReachabilityMode, SimConfig, TraceSet, TracingMode, World,
+};
+use dcatch_model::{FuncId, NodeId, StmtId};
+use dcatch_obs::SmallRng;
+use dcatch_trace::{
+    CallStack, ExecCtx, HandlerKind, MemLoc, MemSpace, MsgId, OpKind, Record, TaskId,
+};
+
+const ENGINES: [ReachabilityMode; 2] = [ReachabilityMode::Matrix, ReachabilityMode::Clocks];
+
+/// The O(accesses²) scan: groups by `(space, object)`, walks every pair
+/// `i < j` of a group and applies the filters cheapest first. Collecting
+/// single-pair candidates in encounter order makes `CandidateSet`'s own
+/// merge keep the first pair as the representative.
+fn all_pairs(hb: &HbAnalysis) -> CandidateSet {
+    let records = hb.trace().records();
+    let mut groups: BTreeMap<(bool, &str), Vec<usize>> = BTreeMap::new();
+    for idx in hb.trace().mem_access_indices() {
+        let loc = records[idx].kind.mem_loc().expect("memory access");
+        let key = (matches!(loc.space, MemSpace::Zk), loc.object.as_str());
+        groups.entry(key).or_default().push(idx);
+    }
+    let site = |idx: usize| {
+        let r = &records[idx];
+        AccessSite {
+            index: idx,
+            stmt: r.stmt().expect("checked"),
+            stack: r.stack.clone(),
+            task: r.task,
+            ctx: r.ctx,
+            loc: r.kind.mem_loc().expect("memory access").clone(),
+            is_write: r.kind.is_write(),
+        }
+    };
+    let mut dynamic_pairs = Vec::new();
+    for indices in groups.values() {
+        for (pos, &i) in indices.iter().enumerate() {
+            for &j in &indices[pos + 1..] {
+                let (ri, rj) = (&records[i], &records[j]);
+                if ri.task == rj.task && ri.ctx == rj.ctx {
+                    continue;
+                }
+                if !ri.kind.is_write() && !rj.kind.is_write() {
+                    continue;
+                }
+                let (li, lj) = (ri.kind.mem_loc().unwrap(), rj.kind.mem_loc().unwrap());
+                if !li.conflicts_with(lj) {
+                    continue;
+                }
+                let (Some(si), Some(sj)) = (ri.stmt(), rj.stmt()) else {
+                    continue;
+                };
+                if !hb.concurrent(i, j) {
+                    continue;
+                }
+                let (first, second) = if (si, i) <= (sj, j) { (i, j) } else { (j, i) };
+                let (sa, sb) = (records[first].stack.clone(), records[second].stack.clone());
+                dynamic_pairs.push(Candidate {
+                    static_pair: if si <= sj { (si, sj) } else { (sj, si) },
+                    stack_pairs: BTreeSet::from([if sa <= sb { (sa, sb) } else { (sb, sa) }]),
+                    rep: (site(first), site(second)),
+                    dynamic_count: 1,
+                });
+            }
+        }
+    }
+    dynamic_pairs.into_iter().collect()
+}
+
+/// Scans `hb` both ways; returns the dynamic pair count for callers that
+/// want to know the case was not vacuous.
+fn assert_scan_matches_oracle(label: &str, hb: &HbAnalysis) -> usize {
+    let (new, old) = (find_candidates(hb), all_pairs(hb));
+    assert_eq!(
+        new.static_pair_count(),
+        old.static_pair_count(),
+        "{label}: static pairs"
+    );
+    for (n, o) in new.iter().zip(old.iter()) {
+        assert_eq!(n, o, "{label}");
+    }
+    old.iter().map(|c| c.dynamic_count).sum()
+}
+
+fn build(trace: TraceSet, reachability: ReachabilityMode) -> HbAnalysis {
+    let cfg = HbConfig {
+        reachability,
+        ..HbConfig::default()
+    };
+    HbAnalysis::build(trace, &cfg).expect("default budget fits")
+}
+
+fn traced(bench: &dcatch::Benchmark, tracing: TracingMode, faults: FaultPlan) -> TraceSet {
+    let mut cfg = SimConfig::default()
+        .with_seed(bench.seed)
+        .with_faults(faults);
+    cfg.tracing = tracing;
+    World::run_once(&bench.program, &bench.topology, cfg)
+        .unwrap_or_else(|e| panic!("{}: {e}", bench.id))
+        .trace
+}
+
+#[test]
+fn seven_benchmarks_both_tracing_modes_both_engines() {
+    let mut dynamic = 0;
+    for scale in [1, 3] {
+        for bench in dcatch::all_benchmarks_scaled(scale) {
+            for tracing in [TracingMode::Selective, TracingMode::Full] {
+                let trace = traced(&bench, tracing, FaultPlan::default());
+                for engine in ENGINES {
+                    let label = format!("{} scale {scale} {tracing:?} {engine}", bench.id);
+                    dynamic += assert_scan_matches_oracle(&label, &build(trace.clone(), engine));
+                }
+            }
+        }
+    }
+    assert!(dynamic > 0);
+}
+
+/// Demoted handler contexts merge program-order groups, dropped records
+/// remove edges: both change the chain cover.
+#[test]
+fn table9_ablations() {
+    for bench in dcatch::all_benchmarks() {
+        for tracing in [TracingMode::Selective, TracingMode::Full] {
+            let trace = traced(&bench, tracing, FaultPlan::default());
+            for ablation in Ablation::TABLE9 {
+                let ablated = apply_ablation(trace.clone(), ablation);
+                for engine in ENGINES {
+                    let label = format!("{} {tracing:?} {} {engine}", bench.id, ablation.label());
+                    assert_scan_matches_oracle(&label, &build(ablated.clone(), engine));
+                }
+            }
+        }
+    }
+}
+
+/// Handler-heavy: one program-order group per message, serialised only by
+/// the socket chain.
+#[test]
+fn streambench_handler_chains() {
+    let (program, topology) = dcatch::streambench(dcatch::streambench_rounds(2_400));
+    let cfg = SimConfig::default().with_seed(7).with_full_tracing();
+    let trace = World::run_once(&program, &topology, cfg).unwrap().trace;
+    assert!(trace.len() >= 2_000, "{} records", trace.len());
+    for engine in ENGINES {
+        let dynamic = assert_scan_matches_oracle("streambench", &build(trace.clone(), engine));
+        assert!(dynamic > 0, "the planted racer pair");
+    }
+}
+
+/// Generated protocol scenarios under their own fault plans (delays,
+/// duplicated messages, RPC timeouts — the generator never crashes a node).
+#[test]
+fn synth_scenarios_with_fault_plans() {
+    let specs = dcatch::batch_specs(&dcatch::SynthBatchConfig {
+        base_seed: 340,
+        count: 4,
+        ..dcatch::SynthBatchConfig::default()
+    });
+    assert_eq!(specs.len(), 16);
+    let mut faulted = 0;
+    for spec in &specs {
+        let scenario = dcatch_apps::synth::generate(spec);
+        let faults = FaultPlan::parse(&spec.fault_plan).expect("generated plans parse");
+        faulted += usize::from(faults != FaultPlan::default());
+        let trace = traced(&scenario.bench, TracingMode::Full, faults);
+        for engine in ENGINES {
+            let label = format!("{} {engine}", spec.id());
+            assert_scan_matches_oracle(&label, &build(trace.clone(), engine));
+        }
+    }
+    assert!(faulted > 0, "no scenario of the batch carries a fault plan");
+}
+
+/// The per-system fault matrix: its crash plans add `Crash` edges that
+/// fan in from, and out to, every chain of the crashed node.
+#[test]
+fn benchmark_fault_matrix_with_crash_edges() {
+    let mut crashes = 0;
+    for bench in dcatch::all_benchmarks() {
+        for scenario in dcatch::fault_scenarios(&bench) {
+            let trace = traced(&bench, TracingMode::Full, scenario.plan.clone());
+            crashes += trace.count_tag("nc");
+            for engine in ENGINES {
+                let label = format!("{} {} {engine}", bench.id, scenario.name);
+                assert_scan_matches_oracle(&label, &build(trace.clone(), engine));
+            }
+        }
+    }
+    assert!(crashes > 0, "no fault scenario crashed a node");
+}
+
+/// Loop-sync edges arrive through `add_edges_and_rebuild` after the first
+/// scan; the re-scan runs on the grown index.
+#[test]
+fn rescan_after_loop_sync_edges() {
+    let mut inferred = 0;
+    for bench in dcatch::all_benchmarks() {
+        for engine in ENGINES {
+            let cfg = SimConfig::default().with_seed(bench.seed);
+            let trace = traced(&bench, TracingMode::Selective, FaultPlan::default());
+            let mut hb = build(trace, engine);
+            let first = find_candidates(&hb);
+            let mut rerun = |objects: &BTreeSet<String>| {
+                let focus = cfg
+                    .clone()
+                    .with_focus(FocusConfig::on(objects.iter().cloned()));
+                World::run_once(&bench.program, &bench.topology, focus)
+                    .unwrap()
+                    .trace
+            };
+            let (_, result) =
+                dcatch_detect::analyze_loop_sync(&bench.program, &mut hb, first, &mut rerun);
+            inferred += result.edges.len();
+            assert_scan_matches_oracle(&format!("{} loop-sync {engine}", bench.id), &hb);
+        }
+    }
+    assert!(inferred > 0, "no benchmark inferred a loop-sync edge");
+}
+
+// ---------------------------------------------------------------------------
+// hand-built traces
+
+fn task(node: u32, index: u32) -> TaskId {
+    TaskId {
+        node: NodeId(node),
+        index,
+    }
+}
+
+fn stack_of(stmt: u32) -> CallStack {
+    CallStack(vec![StmtId {
+        func: FuncId(0),
+        idx: stmt,
+    }])
+}
+
+/// A random trace aimed at the window logic: a handful of objects shared
+/// by many program-order groups (handler instances of few tasks on up to
+/// three nodes), keyed and key-less map accesses, heap objects whose name
+/// repeats across nodes, zknodes, read-only tasks, accesses without a
+/// statement, and socket edges as the only cross-chain order.
+fn random_trace(rng: &mut SmallRng) -> TraceSet {
+    let nodes = 1 + rng.gen_range(3) as u32;
+    let tasks: Vec<TaskId> = (0..2 + rng.gen_range(6) as u32)
+        .map(|i| task(i % nodes, i / nodes))
+        .collect();
+    let read_only = rng.gen_range(tasks.len());
+    let mut instance = vec![0u64; tasks.len()];
+    let mut in_flight: Vec<u64> = Vec::new();
+    let mut records = Vec::new();
+    for seq in 0..(40 + rng.gen_range(260)) as u64 {
+        let t = rng.gen_range(tasks.len());
+        if rng.gen_range(8) == 0 {
+            instance[t] += 1; // next handler instance: a new program-order group
+        }
+        let ctx = match instance[t] {
+            0 => ExecCtx::Regular,
+            n => ExecCtx::Handler {
+                kind: HandlerKind::Socket,
+                instance: n * 16 + t as u64,
+            },
+        };
+        let kind = match rng.gen_range(10) {
+            0 => {
+                in_flight.push(seq);
+                OpKind::SocketSend { msg: MsgId(seq) }
+            }
+            1 if !in_flight.is_empty() => OpKind::SocketRecv {
+                msg: MsgId(in_flight.swap_remove(rng.gen_range(in_flight.len()))),
+            },
+            _ => {
+                let zk = rng.gen_range(6) == 0;
+                let loc = MemLoc {
+                    space: if zk { MemSpace::Zk } else { MemSpace::Heap },
+                    node: tasks[t].node,
+                    object: ["jobs", "state"][rng.gen_range(2)].to_owned(),
+                    key: [None, Some("k1"), Some("k2")][rng.gen_range(3)].map(str::to_owned),
+                };
+                if t == read_only || rng.gen_range(3) == 0 {
+                    OpKind::MemRead { loc, value: None }
+                } else {
+                    OpKind::MemWrite { loc, value: None }
+                }
+            }
+        };
+        let stack = if rng.gen_range(12) == 0 {
+            CallStack::default()
+        } else {
+            // few statements, so static pairs recur across objects and nodes
+            stack_of(rng.gen_range(6) as u32)
+        };
+        records.push(Record {
+            seq,
+            task: tasks[t],
+            ctx,
+            kind,
+            stack,
+        });
+    }
+    records.into_iter().collect()
+}
+
+#[test]
+fn random_traces_with_extra_edges() {
+    let mut dynamic = 0;
+    for case in 0u64..200 {
+        let mut rng = SmallRng::seed_from_u64(0x5CA7 ^ case);
+        let trace = random_trace(&mut rng);
+        let n = trace.len();
+        let extra: Vec<(usize, usize)> = (0..rng.gen_range(6))
+            .map(|_| (rng.gen_range(n), rng.gen_range(n)))
+            .collect();
+        for engine in ENGINES {
+            let mut hb = build(trace.clone(), engine);
+            dynamic += assert_scan_matches_oracle(&format!("case {case} {engine}"), &hb);
+            hb.add_edges_and_rebuild(&extra);
+            assert_scan_matches_oracle(&format!("case {case} {engine} + {extra:?}"), &hb);
+        }
+    }
+    assert!(
+        dynamic > 1_000,
+        "only {dynamic} dynamic pairs over all cases"
+    );
+}
+
+/// The work bound: thread A forks thread B before its last access and
+/// sends B a message after it; B receives after its first `K` accesses.
+/// Of the 5 000 × 5 000 pairs on the one object exactly `K` are concurrent
+/// — A's last access against B's first `K`. The scan examines those and
+/// no other pair, and asks the index a bounded number of questions per
+/// access.
+#[test]
+fn ordered_pairs_are_never_examined() {
+    const PER_THREAD: u32 = 5_000;
+    const K: u32 = 7;
+    let (a, b) = (task(0, 0), task(0, 1));
+    let mut records = Vec::new();
+    let mut push = |task: TaskId, kind: OpKind, stmt: u32| {
+        records.push(Record {
+            seq: records.len() as u64,
+            task,
+            ctx: ExecCtx::Regular,
+            kind,
+            stack: stack_of(stmt),
+        });
+    };
+    let write = || OpKind::MemWrite {
+        loc: MemLoc {
+            space: MemSpace::Heap,
+            node: NodeId(0),
+            object: "x".to_owned(),
+            key: None,
+        },
+        value: None,
+    };
+    for _ in 1..PER_THREAD {
+        push(a, write(), 1);
+    }
+    push(a, OpKind::ThreadCreate { child: b }, 0);
+    push(b, OpKind::ThreadBegin, 0);
+    for _ in 0..K {
+        push(b, write(), 2);
+    }
+    push(a, write(), 1);
+    push(a, OpKind::SocketSend { msg: MsgId(1) }, 0);
+    push(b, OpKind::SocketRecv { msg: MsgId(1) }, 0);
+    for _ in K..PER_THREAD {
+        push(b, write(), 2);
+    }
+    let trace: TraceSet = records.into_iter().collect();
+    let accesses = u64::from(2 * PER_THREAD);
+    assert_eq!(trace.mem_access_indices().len() as u64, accesses);
+
+    for engine in ENGINES {
+        let hb = build(trace.clone(), engine);
+        let counters = || {
+            (
+                dcatch_obs::counter!("detect_scan_pairs_examined_total").get(),
+                dcatch_obs::counter!("detect_scan_hb_queries_total").get(),
+                dcatch_obs::counter!("detect_scan_chains_total").get(),
+            )
+        };
+        let before = counters();
+        let found = find_candidates(&hb);
+        let after = counters();
+        let (examined, queries, chains) =
+            (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+        assert_eq!(found.static_pair_count(), 1);
+        assert_eq!(found.iter().next().unwrap().dynamic_count, K as usize);
+        assert_eq!(examined, u64::from(K), "{engine}: pairs examined");
+        assert!(
+            queries <= 4 * accesses + u64::from(K),
+            "{engine}: {queries} HB queries for {accesses} accesses"
+        );
+        assert_eq!(chains, 2, "{engine}: HB-ordered chains on the one object");
+    }
+}

@@ -27,7 +27,7 @@ pub struct AccessSite {
 
 /// A DCbug candidate: a unique *static instruction pair* with all its
 /// observed callstack pairs and one representative dynamic pair.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Candidate {
     /// Canonically ordered static pair (smaller `StmtId` first).
     pub static_pair: (StmtId, StmtId),
@@ -137,89 +137,127 @@ fn canonical(a: StmtId, b: StmtId) -> (StmtId, StmtId) {
 /// Enumerates all conflicting concurrent access pairs of `hb`'s trace.
 ///
 /// Two accesses form a *dynamic pair* when they touch conflicting
-/// locations, at least one writes, they come from different program-order
-/// groups (different tasks, or different handler instances of one task),
-/// and the HB graph orders them in neither direction.
+/// locations, at least one writes, and the HB graph orders them in neither
+/// direction (which rules out two accesses of one program-order group).
+///
+/// No ordered pair is ever visited (DESIGN.md §4). Per location, the
+/// accesses are covered greedily by *HB-ordered chains*; for an access `x`
+/// of chain A, the accesses of another chain B concurrent with `x` are
+/// exactly a window `B[lo..hi)` — `B[..lo]` happen before `x`, `x` happens
+/// before `B[hi..]` — and both bounds only move forward as `x` moves down
+/// A. The cost is O(accesses × chains of the location + concurrent pairs).
 pub fn find_candidates(hb: &HbAnalysis) -> CandidateSet {
     let _span = dcatch_obs::span!("detect.scan");
-    let trace = hb.trace();
-    // index record indices by location (heap objects and zknodes share the
-    // namespace keyed by space+object); keys borrow from the records, so
-    // building the index allocates nothing per access
-    let mut groups: BTreeMap<(bool, &str), Vec<usize>> = BTreeMap::new();
-    for idx in trace.mem_access_indices() {
-        let r = &trace.records()[idx];
-        let loc = r.kind.mem_loc().unwrap_or_else(|| {
-            panic!("trace record #{idx} indexed as a memory access has no location: {r:?}")
-        });
-        let key = (
-            matches!(loc.space, dcatch_trace::MemSpace::Zk),
-            loc.object.as_str(),
-        );
-        groups.entry(key).or_default().push(idx);
+    let records = hb.trace().records();
+    // index record indices by location: heap objects per node, zknodes
+    // cluster-wide; keys borrow from the records, so building the index
+    // allocates nothing per access
+    let mut groups: BTreeMap<(bool, &str, u32), Vec<usize>> = BTreeMap::new();
+    for (idx, r) in records.iter().enumerate() {
+        if let Some(loc) = r.kind.mem_loc() {
+            let zk = matches!(loc.space, dcatch_trace::MemSpace::Zk);
+            let node = if zk { 0 } else { loc.node.0 };
+            groups
+                .entry((zk, loc.object.as_str(), node))
+                .or_default()
+                .push(idx);
+        }
     }
 
     // Aggregation state borrows callstacks from the trace records: a
     // dynamic pair costs two `&CallStack` comparisons and at most one
     // set insert, never a clone. Owned `Candidate`s are materialized once
-    // per unique static pair after the scan.
+    // per unique static pair after the scan. `rank` is the all-pairs
+    // encounter order — `(space, object, i, j)` with `i < j` — whose
+    // minimum names the representative pair, as in `OnlineDetector`.
     struct Agg<'t> {
         stack_pairs: BTreeSet<(&'t CallStack, &'t CallStack)>,
+        rank: (bool, &'t str, usize, usize),
         rep: (usize, usize),
         dynamic_count: usize,
     }
     let mut agg: BTreeMap<(StmtId, StmtId), Agg<'_>> = BTreeMap::new();
-    for indices in groups.values() {
-        for (pos, &i) in indices.iter().enumerate() {
-            for &j in &indices[pos + 1..] {
-                let (ri, rj) = (&trace.records()[i], &trace.records()[j]);
-                // same program-order group can never race (cheapest test
-                // first: it eliminates the bulk of same-thread pairs)
-                if ri.task == rj.task && ri.ctx == rj.ctx {
-                    continue;
-                }
-                if !ri.kind.is_write() && !rj.kind.is_write() {
-                    continue;
-                }
-                let (li, lj) = (
-                    ri.kind
-                        .mem_loc()
-                        .expect("record came from mem_access_indices, so it carries a location"),
-                    rj.kind
-                        .mem_loc()
-                        .expect("record came from mem_access_indices, so it carries a location"),
-                );
-                if !li.conflicts_with(lj) {
-                    continue;
-                }
-                let (Some(si), Some(sj)) = (ri.stmt(), rj.stmt()) else {
-                    continue;
-                };
-                if !hb.concurrent(i, j) {
-                    continue;
-                }
-                let key = canonical(si, sj);
-                let (first, second) = if (si, i) <= (sj, j) { (i, j) } else { (j, i) };
-                let (sa, sb) = (
-                    &trace.records()[first].stack,
-                    &trace.records()[second].stack,
-                );
-                let stack_pair = if sa <= sb { (sa, sb) } else { (sb, sa) };
-                agg.entry(key)
-                    .and_modify(|c| {
+    let (mut queries, mut examined, mut chain_total) = (0u64, 0u64, 0u64);
+    // every HB edge points forward in trace order, so only `a < b` can
+    // hold `a ⇒ b`: the index test saves the query
+    let mut before = |a: usize, b: usize| {
+        a < b && {
+            queries += 1;
+            hb.happens_before(a, b)
+        }
+    };
+    for (&(zk, object, _), indices) in &groups {
+        // greedy cover: an access extends the chain its own program-order
+        // group last extended if that chain's tail happens before it, else
+        // the first chain whose tail does, else it opens a new chain
+        let mut chains: Vec<Vec<usize>> = Vec::new();
+        let mut own: BTreeMap<(TaskId, ExecCtx), usize> = BTreeMap::new();
+        for &x in indices {
+            let group = (records[x].task, records[x].ctx);
+            let mut extends = |c: &Vec<usize>| before(c[c.len() - 1], x);
+            let home = match own.get(&group) {
+                Some(&c) if extends(&chains[c]) => c,
+                _ => chains.iter().position(extends).unwrap_or(chains.len()),
+            };
+            if home == chains.len() {
+                chains.push(Vec::new());
+            }
+            chains[home].push(x);
+            own.insert(group, home);
+        }
+        chain_total += chains.len() as u64;
+        for (a, chain_a) in chains.iter().enumerate() {
+            for chain_b in &chains[a + 1..] {
+                let (mut lo, mut hi) = (0, 0);
+                for &x in chain_a {
+                    while lo < chain_b.len() && before(chain_b[lo], x) {
+                        lo += 1;
+                    }
+                    hi = hi.max(lo);
+                    while hi < chain_b.len() && !before(x, chain_b[hi]) {
+                        hi += 1;
+                    }
+                    for &y in &chain_b[lo..hi] {
+                        examined += 1;
+                        let (i, j) = (x.min(y), x.max(y));
+                        let (ri, rj) = (&records[i], &records[j]);
+                        if !ri.kind.is_write() && !rj.kind.is_write() {
+                            continue;
+                        }
+                        let (Some(li), Some(lj)) = (ri.kind.mem_loc(), rj.kind.mem_loc()) else {
+                            continue;
+                        };
+                        if !li.conflicts_with(lj) {
+                            continue;
+                        }
+                        let (Some(si), Some(sj)) = (ri.stmt(), rj.stmt()) else {
+                            continue;
+                        };
+                        let rep = if (si, i) <= (sj, j) { (i, j) } else { (j, i) };
+                        let (sa, sb) = (&records[rep.0].stack, &records[rep.1].stack);
+                        let stack_pair = if sa <= sb { (sa, sb) } else { (sb, sa) };
+                        let rank = (zk, object, i, j);
+                        let c = agg.entry(canonical(si, sj)).or_insert(Agg {
+                            stack_pairs: BTreeSet::new(),
+                            rank,
+                            rep,
+                            dynamic_count: 0,
+                        });
                         c.dynamic_count += 1;
                         c.stack_pairs.insert(stack_pair);
-                    })
-                    .or_insert_with(|| Agg {
-                        stack_pairs: [stack_pair].into_iter().collect(),
-                        rep: (first, second),
-                        dynamic_count: 1,
-                    });
+                        if rank < c.rank {
+                            (c.rank, c.rep) = (rank, rep);
+                        }
+                    }
+                }
             }
         }
     }
+    dcatch_obs::counter!("detect_scan_hb_queries_total").add(queries);
+    dcatch_obs::counter!("detect_scan_pairs_examined_total").add(examined);
+    dcatch_obs::counter!("detect_scan_chains_total").add(chain_total);
     let site = |idx: usize| {
-        let r = &trace.records()[idx];
+        let r = &records[idx];
         AccessSite {
             index: idx,
             stmt: r

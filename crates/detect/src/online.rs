@@ -16,7 +16,9 @@
 //!   earlier to a later record, so when record `j` arrives, an earlier
 //!   record `i` can only be *covered by* `j`, never the reverse. `i` and
 //!   `j` are concurrent iff `j`'s frontier clock does not reach `i`'s
-//!   `(chain, pos)` — one array lookup against the window entry.
+//!   `(chain, pos)`. The window keeps each chain's entries in position
+//!   order, so that is one array lookup and one binary search per chain:
+//!   the covered entries are a prefix nobody visits.
 //! * **Provable retirement.** [`FrontierEngine::lower_bound`] returns a
 //!   clock every future record is guaranteed to cover. A window entry at
 //!   or below the bound can never be concurrent with anything yet to
@@ -33,7 +35,7 @@ use std::collections::{btree_map::Entry, BTreeMap, BTreeSet, VecDeque};
 use dcatch_hb::{ablate_record, Ablation, Arrival, FrontierEngine, FrontierOptions};
 use dcatch_model::StmtId;
 use dcatch_trace::{
-    format_record, CallStack, ExecCtx, MemLoc, MemSpace, Record, StreamControl, TaskId, TraceSink,
+    record_len, CallStack, ExecCtx, MemLoc, MemSpace, Record, StreamControl, TaskId, TraceSink,
     TraceStats,
 };
 
@@ -117,7 +119,6 @@ pub struct StreamOutcome {
 /// A still-raceable memory access held in the bounded window.
 #[derive(Debug)]
 struct WindowEntry {
-    chain: u32,
     pos: u32,
     index: usize,
     task: TaskId,
@@ -147,7 +148,10 @@ pub struct OnlineDetector {
     ablation: Ablation,
     window_cap: Option<usize>,
     sweep_every: usize,
-    window: BTreeMap<(bool, String), VecDeque<WindowEntry>>,
+    /// Per location group, one deque per program-order chain (engine
+    /// slot), in arrival — hence position — order: what a clock covers of
+    /// a chain is a prefix of its deque. No deque or group is ever empty.
+    window: BTreeMap<(bool, String), BTreeMap<u32, VecDeque<WindowEntry>>>,
     window_len: usize,
     window_peak: usize,
     records_retired: u64,
@@ -157,6 +161,9 @@ pub struct OnlineDetector {
     stats: TraceStats,
     trace_bytes: usize,
     records: usize,
+    /// `detect_scan_{hb_queries,pairs_examined,chains}_total`, as the
+    /// batch scan counts them.
+    scan_work: [u64; 3],
     // --- loop-sync second pass (occurrence-fired injected edges) ---
     watched_keys: BTreeSet<OccKey>,
     occ_counters: BTreeMap<OccKey, usize>,
@@ -198,6 +205,7 @@ impl OnlineDetector {
             stats: TraceStats::default(),
             trace_bytes: 0,
             records: 0,
+            scan_work: [0; 3],
             watched_keys,
             occ_counters: BTreeMap::new(),
             watched_sources,
@@ -225,9 +233,9 @@ impl OnlineDetector {
     /// Rough resident-memory estimate (engine + window state), in bytes.
     pub fn bytes(&self) -> usize {
         let mut b = self.engine.bytes();
-        for ((_, obj), dq) in &self.window {
+        for ((_, obj), chains) in &self.window {
             b += obj.len() + 64;
-            for e in dq {
+            for e in chains.values().flatten() {
                 b += 96 + e.loc.object.len() + e.stack.depth() * 16;
             }
         }
@@ -236,7 +244,7 @@ impl OnlineDetector {
 
     fn process(&mut self, r: &Record) {
         self.stats.add(r);
-        self.trace_bytes += format_record(r).len() + 1;
+        self.trace_bytes += record_len(r) + 1;
         let Some(r) = ablate_record(r, self.ablation) else {
             return;
         };
@@ -290,28 +298,27 @@ impl OnlineDetector {
         }
     }
 
-    /// Pairs the arriving access against every window entry of its
-    /// location group — the streaming transliteration of the batch
-    /// scan's inner loop — then enters the window itself.
+    /// Pairs the arriving access against the window entries of its
+    /// location group that are concurrent with it, then enters the window
+    /// itself. The batch scan's two-sided window is one-sided here: every
+    /// entry arrived earlier, so per chain the entries this record's clock
+    /// covers are a prefix of the deque and the rest are concurrent — no
+    /// ordered entry is visited (its own chain is covered whole).
     fn scan_pair(&mut self, r: &Record, at: Arrival, index: usize, loc: MemLoc, stmt: StmtId) {
         let is_write = r.kind.is_write();
         let gk = (matches!(loc.space, MemSpace::Zk), loc.object.clone());
         let clock_j = self.engine.clock(at.chain);
-        if let Some(dq) = self.window.get(&gk) {
-            for e in dq {
-                // same program-order group can never race
-                if e.task == r.task && e.ctx == r.ctx {
-                    continue;
-                }
+        let [queries, examined, opened] = &mut self.scan_work;
+        let chains = self.window.get(&gk).into_iter().flatten();
+        for (&chain, dq) in chains.filter(|(&chain, _)| chain != at.chain) {
+            *queries += 1;
+            let covered = clock_j.get(chain as usize).copied().unwrap_or(0);
+            for e in dq.range(dq.partition_point(|e| e.pos <= covered)..) {
+                *examined += 1;
                 if !e.is_write && !is_write {
                     continue;
                 }
                 if !e.loc.conflicts_with(&loc) {
-                    continue;
-                }
-                // one-sided HB test: `e` arrived earlier, so the pair is
-                // concurrent iff this record's clock does not cover it
-                if clock_j.get(e.chain as usize).copied().unwrap_or(0) >= e.pos {
                     continue;
                 }
                 let (si, sj) = (e.stmt, stmt);
@@ -358,8 +365,8 @@ impl OnlineDetector {
                         let a = o.get_mut();
                         a.dynamic_count += 1;
                         a.stack_pairs.insert(stack_pair);
-                        // the batch scan's representative is the first
-                        // pair in its (group, i, j) encounter order
+                        // the batch scan's representative is the pair of
+                        // minimal (group, i, j) rank
                         if rank < a.rank {
                             a.rank = rank;
                             a.rep = make_rep();
@@ -376,8 +383,12 @@ impl OnlineDetector {
                 }
             }
         }
-        self.window.entry(gk).or_default().push_back(WindowEntry {
-            chain: at.chain,
+        let chains = self.window.entry(gk).or_default();
+        let dq = chains.entry(at.chain).or_insert_with(|| {
+            *opened += 1;
+            VecDeque::new()
+        });
+        dq.push_back(WindowEntry {
             pos: at.pos,
             index,
             task: r.task,
@@ -401,21 +412,23 @@ impl OnlineDetector {
     /// Force-evicts the globally oldest window entry (hard-cap overflow;
     /// lossy).
     fn evict_oldest(&mut self) {
-        let oldest = self
-            .window
-            .iter()
-            .filter_map(|(k, dq)| dq.front().map(|e| (e.index, k.clone())))
-            .min();
-        let Some((_, key)) = oldest else {
+        let fronts = self.window.iter().flat_map(|(k, chains)| {
+            chains
+                .iter()
+                .filter_map(move |(&c, dq)| Some((dq.front()?.index, k, c)))
+        });
+        let Some((_, key, chain)) = fronts.min() else {
             return;
         };
-        let empty = {
-            let dq = self.window.get_mut(&key).expect("front() was Some");
-            dq.pop_front();
-            dq.is_empty()
-        };
-        if empty {
-            self.window.remove(&key);
+        let key = key.clone();
+        let chains = self.window.get_mut(&key).expect("key came from the map");
+        let dq = chains.get_mut(&chain).expect("chain came from the map");
+        dq.pop_front();
+        if dq.is_empty() {
+            chains.remove(&chain);
+            if chains.is_empty() {
+                self.window.remove(&key);
+            }
         }
         self.window_len -= 1;
         self.records_forced += 1;
@@ -426,15 +439,15 @@ impl OnlineDetector {
     fn sweep(&mut self) {
         if let Some(bound) = self.engine.lower_bound() {
             let mut dropped = 0usize;
-            self.window.retain(|_, dq| {
-                dq.retain(|e| {
-                    let covered = bound.get(e.chain as usize).copied().unwrap_or(0) >= e.pos;
-                    if covered {
-                        dropped += 1;
-                    }
-                    !covered
+            self.window.retain(|_, chains| {
+                chains.retain(|&chain, dq| {
+                    let covered = bound.get(chain as usize).copied().unwrap_or(0);
+                    let retired = dq.partition_point(|e| e.pos <= covered);
+                    dq.drain(..retired);
+                    dropped += retired;
+                    !dq.is_empty()
                 });
-                !dq.is_empty()
+                !chains.is_empty()
             });
             self.window_len -= dropped;
             self.records_retired += dropped as u64;
@@ -473,6 +486,10 @@ impl OnlineDetector {
             .add(candidates.static_pair_count() as u64);
         dcatch_obs::counter!("detect_stack_pairs_found_total")
             .add(candidates.callstack_pair_count() as u64);
+        let [queries, examined, opened] = self.scan_work;
+        dcatch_obs::counter!("detect_scan_hb_queries_total").add(queries);
+        dcatch_obs::counter!("detect_scan_pairs_examined_total").add(examined);
+        dcatch_obs::counter!("detect_scan_chains_total").add(opened);
         StreamOutcome {
             candidates,
             stats: self.stats,

@@ -90,10 +90,11 @@ fn demotes(ablation: Ablation, ctx: ExecCtx) -> bool {
     matches!(ctx, ExecCtx::Handler { kind, .. } if Some(kind) == demoted_handler(ablation))
 }
 
-/// Produces the trace the ablated analyzer effectively sees.
-pub fn apply_ablation(trace: &TraceSet, ablation: Ablation) -> TraceSet {
+/// Produces the trace the ablated analyzer effectively sees. Takes the
+/// trace by value: the full model analyzes it as is, without a copy.
+pub fn apply_ablation(trace: TraceSet, ablation: Ablation) -> TraceSet {
     if ablation == Ablation::None {
-        return trace.clone();
+        return trace;
     }
     trace
         .filtered(|r| !drops(ablation, &r.kind))
@@ -160,7 +161,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let ablated = apply_ablation(&trace, Ablation::IgnoreEvent);
+        let ablated = apply_ablation(trace.clone(), Ablation::IgnoreEvent);
         assert_eq!(ablated.len(), 1);
         assert_eq!(ablated.records()[0].ctx, ExecCtx::Regular);
         // record by record, a stream sees exactly the same trace
@@ -182,7 +183,7 @@ mod tests {
         let trace: TraceSet = vec![rec(0, rpc_ctx, OpKind::ThreadBegin)]
             .into_iter()
             .collect();
-        let ablated = apply_ablation(&trace, Ablation::IgnoreEvent);
+        let ablated = apply_ablation(trace, Ablation::IgnoreEvent);
         assert_eq!(ablated.records()[0].ctx, rpc_ctx);
     }
 
@@ -191,7 +192,7 @@ mod tests {
         let trace: TraceSet = vec![rec(0, ExecCtx::Regular, OpKind::ThreadBegin)]
             .into_iter()
             .collect();
-        let same = apply_ablation(&trace, Ablation::None);
+        let same = apply_ablation(trace.clone(), Ablation::None);
         assert_eq!(same.records(), trace.records());
     }
 

@@ -40,11 +40,12 @@ pub enum EdgeRule {
 /// Which reachability index backs `happens_before`/`concurrent`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReachabilityMode {
-    /// Pick per trace: the dense [`BitMatrix`] when it fits the memory
-    /// budget (fastest queries, preserves historical behavior), otherwise
-    /// chain-decomposition [`ChainClocks`] — so full-trace detection keeps
-    /// working at scales where the matrix alone would be the Table 8
-    /// "Out of Memory" outcome.
+    /// Pick per trace whichever index is *smaller* by the deterministic
+    /// estimates (see [`HbConfig::select_engine`]): the dense
+    /// [`BitMatrix`] on short or handler-heavy traces (few records per
+    /// program-order chain), chain-decomposition [`ChainClocks`] on long
+    /// traces of few threads — the unselective traces where the matrix
+    /// alone is the Table 8 "Out of Memory" outcome.
     #[default]
     Auto,
     /// Force the dense O(n²)-bit matrix.
@@ -98,6 +99,28 @@ impl Default for HbConfig {
             memory_budget_bytes: 1 << 30, // 1 GiB
             apply_eserial: true,
             reachability: ReachabilityMode::Auto,
+        }
+    }
+}
+
+impl HbConfig {
+    /// The one engine-selection rule: the concrete engine
+    /// [`HbAnalysis::build`] uses for a trace of `n` records in `chains`
+    /// program-order chains, and the bytes its index needs. `Auto` takes
+    /// the smaller index (the matrix on a tie); whether that fits
+    /// [`memory_budget_bytes`](HbConfig::memory_budget_bytes) is the
+    /// caller's question.
+    pub fn select_engine(&self, n: usize, chains: usize) -> (ReachabilityMode, usize) {
+        let matrix = (ReachabilityMode::Matrix, BitMatrix::estimated_bytes(n));
+        let clocks = (
+            ReachabilityMode::Clocks,
+            ChainClocks::estimated_bytes(n, chains),
+        );
+        match self.reachability {
+            ReachabilityMode::Matrix => matrix,
+            ReachabilityMode::Clocks => clocks,
+            ReachabilityMode::Auto if matrix.1 <= clocks.1 => matrix,
+            ReachabilityMode::Auto => clocks,
         }
     }
 }
@@ -182,20 +205,8 @@ impl HbAnalysis {
     pub fn build(trace: TraceSet, config: &HbConfig) -> Result<HbAnalysis, HbError> {
         let _span = dcatch_obs::span!("hb.build");
         let n = trace.len();
-        let matrix_bytes = BitMatrix::estimated_bytes(n);
-        let clock_bytes = ChainClocks::estimated_bytes(n, ChainClocks::chain_count(&trace));
         let budget = config.memory_budget_bytes;
-        let (mode, needed) = match config.reachability {
-            ReachabilityMode::Matrix => (ReachabilityMode::Matrix, matrix_bytes),
-            ReachabilityMode::Clocks => (ReachabilityMode::Clocks, clock_bytes),
-            // Auto keeps the matrix whenever it fits (byte-identical to the
-            // historical behavior on selective traces) and switches to
-            // clocks only where the matrix alone would OOM.
-            ReachabilityMode::Auto if matrix_bytes <= budget => {
-                (ReachabilityMode::Matrix, matrix_bytes)
-            }
-            ReachabilityMode::Auto => (ReachabilityMode::Clocks, clock_bytes),
-        };
+        let (mode, needed) = config.select_engine(n, ChainClocks::chain_count(&trace));
         gauge!("hb_reach_bytes_peak").set_max(needed as u64);
         if needed > budget {
             counter!("hb_oom_total").inc();

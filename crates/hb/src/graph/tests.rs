@@ -388,17 +388,17 @@ fn memory_budget_is_enforced() {
     }
 }
 
-/// `Auto` resolves to the matrix when it fits and to clocks when only the
-/// clocks do; forcing an engine overrides the budget-based choice.
+/// `Auto` resolves to whichever index is smaller — the matrix on a short
+/// trace, clocks on a long single-chain one — and does not switch engines
+/// to fit a budget; forcing an engine overrides the choice.
 #[test]
-fn auto_mode_picks_the_engine_that_fits() {
-    let t0 = task(0, 0);
-    let records: Vec<Record> = (0..100)
-        .map(|i| mem(i, t0, ExecCtx::Regular, "x", false))
-        .collect();
-    let trace: TraceSet = records.into_iter().collect();
-    // n=100: matrix needs 100 × 2 × 8 = 1600 bytes, clocks 100 × 1 × 4 = 400
-    let build = |mode, budget| {
+fn auto_mode_picks_the_smaller_index() {
+    let trace_of = |n: u64, tasks: u64| -> TraceSet {
+        (0..n)
+            .map(|i| mem(i, task(0, (i % tasks) as u32), ExecCtx::Regular, "x", false))
+            .collect()
+    };
+    let build = |trace: &TraceSet, mode, budget| {
         HbAnalysis::build(
             trace.clone(),
             &HbConfig {
@@ -408,14 +408,29 @@ fn auto_mode_picks_the_engine_that_fits() {
             },
         )
     };
-    let roomy = build(ReachabilityMode::Auto, 1 << 20).unwrap();
-    assert_eq!(roomy.reachability(), ReachabilityMode::Matrix);
-    let tight = build(ReachabilityMode::Auto, 1000).unwrap();
-    assert_eq!(tight.reachability(), ReachabilityMode::Clocks);
-    assert!(tight.reach_bytes() <= 1000);
-    let forced = build(ReachabilityMode::Clocks, 1 << 20).unwrap();
-    assert_eq!(forced.reachability(), ReachabilityMode::Clocks);
-    assert!(build(ReachabilityMode::Matrix, 1000).is_err());
+    let cfg = HbConfig::default();
+    // n=8 in 2 chains: matrix 8 × 1 × 8 = 64 bytes, clocks 8 × 2 × 4 = 64 —
+    // the matrix on a tie
+    assert_eq!(cfg.select_engine(8, 2), (ReachabilityMode::Matrix, 64));
+    let auto = build(&trace_of(8, 2), ReachabilityMode::Auto, 1 << 20).unwrap();
+    assert_eq!(auto.reachability(), ReachabilityMode::Matrix);
+    // n=100 in 1 chain: matrix 100 × 2 × 8 = 1600 bytes, clocks 100 × 1 × 4 = 400
+    let long = trace_of(100, 1);
+    assert_eq!(cfg.select_engine(100, 1), (ReachabilityMode::Clocks, 400));
+    let auto = build(&long, ReachabilityMode::Auto, 1 << 20).unwrap();
+    assert_eq!(auto.reachability(), ReachabilityMode::Clocks);
+    assert_eq!(auto.reach_bytes(), 400);
+    // the smaller index not fitting is out-of-memory, not an engine switch
+    assert_eq!(
+        build(&long, ReachabilityMode::Auto, 399).err(),
+        Some(HbError::OutOfMemory {
+            needed: 400,
+            budget: 399
+        })
+    );
+    let forced = build(&long, ReachabilityMode::Matrix, 1 << 20).unwrap();
+    assert_eq!(forced.reachability(), ReachabilityMode::Matrix);
+    assert!(build(&long, ReachabilityMode::Matrix, 1000).is_err());
 }
 
 #[test]

@@ -38,8 +38,8 @@
 //!   detection keep running at the unselective Table 8 scale where the
 //!   matrix blows the budget.
 //!
-//! The default [`ReachabilityMode::Auto`] picks the matrix whenever it
-//! fits the memory budget and clocks otherwise.
+//! The default [`ReachabilityMode::Auto`] picks whichever index is smaller
+//! for the trace at hand ([`HbConfig::select_engine`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

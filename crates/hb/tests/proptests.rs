@@ -294,10 +294,10 @@ fn ablations_shrink_traces() {
     for case in 0..64u64 {
         let mut rng = SmallRng::seed_from_u64(0xAB1A ^ case);
         let trace = build_trace(&arb_ops(&mut rng, 40));
-        let full = apply_ablation(&trace, Ablation::None);
+        let full = apply_ablation(trace.clone(), Ablation::None);
         assert_eq!(full.records().len(), trace.records().len(), "case {case}");
         for a in Ablation::TABLE9 {
-            let ablated = apply_ablation(&trace, a);
+            let ablated = apply_ablation(trace.clone(), a);
             assert!(ablated.len() <= trace.len(), "case {case}");
         }
     }

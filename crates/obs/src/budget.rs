@@ -6,8 +6,8 @@
 //! kill. The governor replaces that cliff with a *ladder*: each pipeline
 //! stage consults the installed budgets at its boundaries and, instead of
 //! aborting, steps down to a cheaper strategy (full → rate-sampled memory
-//! tracing, matrix → chain-clocks reachability, HB graph → streaming
-//! window, triggering → cancelled), recording every step as a
+//! tracing, HB graph → streaming window, triggering → cancelled),
+//! recording every step as a
 //! first-class [`DegradationEvent`] that lands in the run report.
 //!
 //! The governor is **thread-local**, exactly like the metrics registry:

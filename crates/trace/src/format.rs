@@ -39,9 +39,9 @@ fn err(msg: impl Into<String>) -> FormatError {
     }
 }
 
-fn fmt_ctx(ctx: &ExecCtx) -> String {
+fn write_ctx(out: &mut impl fmt::Write, ctx: &ExecCtx) -> fmt::Result {
     match ctx {
-        ExecCtx::Regular => "reg".to_owned(),
+        ExecCtx::Regular => out.write_str("reg"),
         ExecCtx::Handler { kind, instance } => {
             let k = match kind {
                 HandlerKind::Event => "ev",
@@ -49,7 +49,7 @@ fn fmt_ctx(ctx: &ExecCtx) -> String {
                 HandlerKind::Socket => "soc",
                 HandlerKind::ZkWatcher => "zkw",
             };
-            format!("h:{k}:{instance}")
+            write!(out, "h:{k}:{instance}")
         }
     }
 }
@@ -76,24 +76,20 @@ fn parse_ctx(s: &str) -> Result<ExecCtx, FormatError> {
     }
 }
 
-fn fmt_loc(loc: &MemLoc) -> String {
-    let space = match loc.space {
-        MemSpace::Heap => "heap",
-        MemSpace::Zk => "zk",
-    };
-    let key = loc.key.as_deref().unwrap_or("-");
-    format!(
-        "{space} {} {} {}",
-        loc.node.0,
-        sanitize(&loc.object),
-        sanitize(key)
-    )
-}
-
 /// The format uses spaces and pipes as separators; object names/keys/paths
-/// are sanitized on write.
-fn sanitize(s: &str) -> String {
-    s.replace([' ', '|'], "_")
+/// are sanitized on write — byte for byte, so the length is preserved.
+struct Sanitized<'a>(&'a str);
+
+impl fmt::Display for Sanitized<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, clean) in self.0.split([' ', '|']).enumerate() {
+            if i > 0 {
+                f.write_str("_")?;
+            }
+            f.write_str(clean)?;
+        }
+        Ok(())
+    }
 }
 
 fn parse_loc(parts: &[&str]) -> Result<MemLoc, FormatError> {
@@ -120,33 +116,45 @@ fn parse_loc(parts: &[&str]) -> Result<MemLoc, FormatError> {
     })
 }
 
-fn fmt_payload(kind: &OpKind) -> String {
+fn write_payload(out: &mut impl fmt::Write, kind: &OpKind) -> fmt::Result {
     match kind {
         OpKind::MemRead { loc, value } | OpKind::MemWrite { loc, value } => {
-            let v = value.as_deref().map_or("-".to_owned(), sanitize);
-            format!("{} {v}", fmt_loc(loc))
+            let space = match loc.space {
+                MemSpace::Heap => "heap",
+                MemSpace::Zk => "zk",
+            };
+            write!(
+                out,
+                "{space} {} {} {} {}",
+                loc.node.0,
+                Sanitized(&loc.object),
+                Sanitized(loc.key.as_deref().unwrap_or("-")),
+                Sanitized(value.as_deref().unwrap_or("-"))
+            )
         }
         OpKind::ThreadCreate { child } | OpKind::ThreadJoin { child } => {
-            format!("{} {}", child.node.0, child.index)
+            write!(out, "{} {}", child.node.0, child.index)
         }
-        OpKind::ThreadBegin | OpKind::ThreadEnd => String::new(),
+        OpKind::ThreadBegin | OpKind::ThreadEnd => Ok(()),
         OpKind::EventCreate { event }
         | OpKind::EventBegin { event }
-        | OpKind::EventEnd { event } => event.0.to_string(),
+        | OpKind::EventEnd { event } => write!(out, "{}", event.0),
         OpKind::RpcCreate { rpc }
         | OpKind::RpcBegin { rpc }
         | OpKind::RpcEnd { rpc }
-        | OpKind::RpcJoin { rpc } => rpc.0.to_string(),
-        OpKind::SocketSend { msg } | OpKind::SocketRecv { msg } => msg.0.to_string(),
+        | OpKind::RpcJoin { rpc }
+        | OpKind::RpcTimeout { rpc } => write!(out, "{}", rpc.0),
+        OpKind::SocketSend { msg } | OpKind::SocketRecv { msg } => write!(out, "{}", msg.0),
         OpKind::ZkUpdate { path, version } | OpKind::ZkPushed { path, version } => {
-            format!("{} {version}", sanitize(path))
+            write!(out, "{} {version}", Sanitized(path))
         }
         OpKind::LockAcquire { lock } | OpKind::LockRelease { lock } => {
-            format!("{} {}", lock.node.0, sanitize(&lock.name))
+            write!(out, "{} {}", lock.node.0, Sanitized(&lock.name))
         }
-        OpKind::LoopEnter { loop_id } | OpKind::LoopExit { loop_id } => loop_id.0.to_string(),
-        OpKind::NodeCrash { node } | OpKind::NodeRestart { node } => node.0.to_string(),
-        OpKind::RpcTimeout { rpc } => rpc.0.to_string(),
+        OpKind::LoopEnter { loop_id } | OpKind::LoopExit { loop_id } => {
+            write!(out, "{}", loop_id.0)
+        }
+        OpKind::NodeCrash { node } | OpKind::NodeRestart { node } => write!(out, "{}", node.0),
     }
 }
 
@@ -247,24 +255,41 @@ fn parse_payload(tag: &str, parts: &[&str]) -> Result<OpKind, FormatError> {
     })
 }
 
+/// Writes one record's line form (without trailing newline) to `out`,
+/// allocating nothing: the one serializer behind [`format_record`] and
+/// [`record_len`].
+fn write_record(out: &mut impl fmt::Write, r: &Record) -> fmt::Result {
+    write!(out, "{}|{} {}|", r.seq, r.task.node.0, r.task.index)?;
+    write_ctx(out, &r.ctx)?;
+    write!(out, "|{}|", r.kind.tag())?;
+    write_payload(out, &r.kind)?;
+    out.write_str("|")?;
+    for (i, s) in r.stack.0.iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        write!(out, "{sep}{}:{}", s.func.0, s.idx)?;
+    }
+    Ok(())
+}
+
 /// Serializes one record to its line form (without trailing newline).
 pub fn format_record(r: &Record) -> String {
-    let stack: Vec<String> = r
-        .stack
-        .0
-        .iter()
-        .map(|s| format!("{}:{}", s.func.0, s.idx))
-        .collect();
-    format!(
-        "{}|{} {}|{}|{}|{}|{}",
-        r.seq,
-        r.task.node.0,
-        r.task.index,
-        fmt_ctx(&r.ctx),
-        r.kind.tag(),
-        fmt_payload(&r.kind),
-        stack.join(",")
-    )
+    let mut line = String::new();
+    write_record(&mut line, r).expect("writing to a String cannot fail");
+    line
+}
+
+/// Length in bytes of [`format_record`]'s line, computed without building it.
+pub fn record_len(r: &Record) -> usize {
+    struct ByteCount(usize);
+    impl fmt::Write for ByteCount {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut count = ByteCount(0);
+    write_record(&mut count, r).expect("counting cannot fail");
+    count.0
 }
 
 /// Parses one line produced by [`format_record`].
@@ -323,6 +348,7 @@ mod tests {
 
     fn roundtrip(r: &Record) {
         let line = format_record(r);
+        assert_eq!(record_len(r), line.len(), "line was: {line}");
         let back = parse_record(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
         assert_eq!(&back, r, "line was: {line}");
     }
@@ -423,6 +449,23 @@ mod tests {
         r.ctx = ExecCtx::Regular;
         r.stack = CallStack::default();
         roundtrip(&r);
+    }
+
+    #[test]
+    fn separators_in_names_are_sanitized_byte_for_byte() {
+        let r = base(OpKind::MemWrite {
+            loc: MemLoc {
+                space: MemSpace::Heap,
+                node: NodeId(0),
+                object: "a b|c".into(),
+                key: Some(" k|".into()),
+            },
+            value: Some("é |".into()),
+        });
+        let line = format_record(&r);
+        assert!(line.contains("heap 0 a_b_c _k_ é__|"), "{line}");
+        assert_eq!(record_len(&r), line.len());
+        assert_eq!(parse_record(&line).unwrap().stack, r.stack);
     }
 
     #[test]

@@ -32,7 +32,7 @@ mod stats;
 mod stream;
 
 pub use files::{read_per_task_files, write_per_task_files};
-pub use format::{format_record, parse_record, FormatError};
+pub use format::{format_record, parse_record, record_len, FormatError};
 pub use ids::{EventId, ExecCtx, HandlerKind, LockRef, MemLoc, MemSpace, MsgId, RpcId, TaskId};
 pub use record::{CallStack, OpKind, Record};
 pub use scope::{TracedFunctions, TracingMode};

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use dcatch_model::NodeId;
 
-use crate::format::format_record;
+use crate::format::{format_record, record_len};
 use crate::ids::TaskId;
 use crate::record::{OpKind, Record};
 use crate::stats::TraceStats;
@@ -134,10 +134,7 @@ impl TraceSet {
     /// The size of the trace in its on-disk line format, in bytes
     /// (paper Tables 6 and 8 report trace sizes).
     pub fn byte_size(&self) -> usize {
-        self.records
-            .iter()
-            .map(|r| format_record(r).len() + 1)
-            .sum()
+        self.records.iter().map(|r| record_len(r) + 1).sum()
     }
 
     /// Serializes the whole trace to the line format.

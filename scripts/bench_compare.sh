@@ -8,9 +8,13 @@
 # would flag phantom regressions. Three guards keep the gate honest:
 #   * every ratio is divided by the *median* ratio across shared entries
 #     — ambient drift lifts the whole suite and cancels out, while a code
-#     regression moves specific entries and survives normalization (the
-#     `calibration_ns` spin-loop probe is printed as a second, code-
-#     independent witness of the drift);
+#     regression moves specific entries and survives normalization. The
+#     `calibration_ns` spin-loop probe is the second, code-independent
+#     witness of the drift: when the two disagree in direction (one says
+#     faster, the other slower or unchanged), it is the *code* that moved
+#     most entries, not the box, and the probe is what gets divided out —
+#     otherwise a change that speeds up most of a suite would be read as
+#     ambient drift and flag the entries it did not touch;
 #   * an entry only fails when *both* its mean and its min regress past
 #     the threshold — a transient load spike inflates the mean while the
 #     fastest sample stays honest, a genuine slowdown moves both;
@@ -94,9 +98,20 @@ base_path, cur_path = sys.argv[1], sys.argv[2]
 shared = sorted(base.keys() & cur.keys())
 # suite-median ratio = ambient machine drift between the two captures
 drift = statistics.median(cur[k][0] / base[k][0] for k in shared) if shared else 1.0
-if abs(drift - 1.0) > 0.05:
-    probe = f", calibration probe {cur_cal / base_cal:.2f}x" if base_cal and cur_cal else ""
-    print(f"  ambient drift {drift:.2f}x (suite median{probe}) — normalized out")
+probe = cur_cal / base_cal if base_cal and cur_cal else None
+
+def direction(ratio):
+    return 0 if abs(ratio - 1.0) <= 0.05 else (1 if ratio > 1.0 else -1)
+
+if probe is not None and direction(probe) != direction(drift):
+    print(
+        f"  suite median {drift:.2f}x but calibration probe {probe:.2f}x — they disagree "
+        f"in direction, so the code moved most entries: normalizing by the probe"
+    )
+    drift = probe
+elif abs(drift - 1.0) > 0.05:
+    witness = f", calibration probe {probe:.2f}x" if probe is not None else ""
+    print(f"  ambient drift {drift:.2f}x (suite median{witness}) — normalized out")
 
 failed = []
 for key in sorted(base.keys() | cur.keys()):

@@ -102,8 +102,9 @@ fn parallel_detection_report_matches_serial_byte_for_byte() {
 
 /// The tentpole guarantee at test scale: pick a budget the bit matrix
 /// cannot fit but the chain clocks can. The matrix engine OOMs on the
-/// full unselective trace; `auto` silently falls back to clocks and
-/// completes full-trace (non-chunked) detection within the same budget.
+/// full unselective trace; `auto` resolves to the smaller index — clocks
+/// on a trace this long — and completes full-trace detection within the
+/// same budget.
 /// (EXPERIMENTS.md repeats this at Table-8 scale with the 512 MB budget.)
 #[test]
 fn clock_engine_completes_full_trace_detection_where_matrix_ooms() {
@@ -132,7 +133,7 @@ fn clock_engine_completes_full_trace_detection_where_matrix_ooms() {
     // the deliberately-OOMing matrix attempt would mask the clock reading
     opts.hb.reachability = ReachabilityMode::Auto;
     let auto = Pipeline::run(&bench, &opts).unwrap();
-    assert!(auto.oom.is_none(), "auto must fall back to clocks");
+    assert!(auto.oom.is_none(), "auto must pick clocks");
     assert!(auto.ta_static > 0, "full-trace detection must complete");
     assert!(
         auto.metrics.gauge("hb_reach_bytes_peak") <= budget as u64,

@@ -277,19 +277,23 @@ fn index_budget_below_mem_budget_degrades_in_ladder_order() {
     opts.mem_budget = Some(1 << 40);
     let report = Pipeline::run(&bench, &opts).expect("runs");
     assert_degraded_soundly(bench.id, &report, &free);
-    // the user's 64 B ruled the matrix out, not the governor
-    assert_eq!(index_steps(&report), ["clocks → streaming"]);
+    // `Auto` resolves to the smaller index — the matrix on this selective
+    // trace — and never switches engines to fit: the user's 64 B rule the
+    // index out, and the one rung below it is the streaming window
+    assert_eq!(index_steps(&report), ["matrix → streaming"]);
 
-    // a governed ceiling below both estimates: the ladder records giving
-    // up on the matrix before it gives up on clocks too
+    // the same single step when the governed ceiling is what binds
     opts.hb = PipelineOptions::full().hb;
     opts.mem_budget = Some(256);
     let report = Pipeline::run(&bench, &opts).expect("runs");
     assert_degraded_soundly(bench.id, &report, &free);
-    assert_eq!(
-        index_steps(&report),
-        ["matrix → clocks", "clocks → streaming"]
-    );
+    assert_eq!(index_steps(&report), ["matrix → streaming"]);
+
+    // a forced engine is the one the ladder gives up on
+    opts.hb.reachability = dcatch::ReachabilityMode::Clocks;
+    let report = Pipeline::run(&bench, &opts).expect("runs");
+    assert_degraded_soundly(bench.id, &report, &free);
+    assert_eq!(index_steps(&report), ["clocks → streaming"]);
 }
 
 /// Serializes one run with wall-clock fields scrubbed (the byte-stable
