@@ -26,12 +26,13 @@ fn main() {
         let (p, topo) = dcatch::streambench(dcatch::streambench_rounds(records));
         let mut cfg = SimConfig::default().with_seed(7).with_full_tracing();
         cfg.max_steps = records.saturating_mul(32).max(2_000_000);
-        let stream = || {
-            let mut sink = OnlineDetector::new(OnlineOptions::default());
+        let stream_with = |opts: OnlineOptions| {
+            let mut sink = OnlineDetector::new(opts);
             let run = World::run_streamed(&p, &topo, cfg.clone(), &mut sink).unwrap();
             assert!(run.failures.is_empty(), "{:?}", run.failures);
             sink.finalize()
         };
+        let stream = || stream_with(OnlineOptions::default());
         let out = stream();
         let n = out.records;
         assert_eq!(out.candidates.static_pair_count(), 1, "planted pair");
@@ -45,6 +46,24 @@ fn main() {
         // removes. Chain clocks are the offline mode's cheaper engine, so
         // the memory gate compares against its *stronger* baseline.
         if records <= 30_000 {
+            // The regime where nothing retires (crash plans, Table 9
+            // ablations, full-traced MR-3274): the window holds every
+            // access, and an arriving one must still ask each HB chain of
+            // its location one question, not walk what the window holds.
+            let noretire = || {
+                let mut opts = OnlineOptions::default();
+                opts.engine.allow_retirement = false;
+                stream_with(opts)
+            };
+            let held = noretire();
+            assert_eq!(held.candidates.static_pair_count(), 1, "planted pair");
+            assert_eq!(held.records_retired, 0);
+            h.bench_with_bytes(
+                &format!("online_noretire_{n}rec"),
+                5,
+                held.peak_bytes as u64,
+                || noretire().candidates.static_pair_count(),
+            );
             let hb_cfg = HbConfig {
                 reachability: ReachabilityMode::Clocks,
                 ..HbConfig::default()

@@ -5,14 +5,17 @@
 //! same-object pair in trace order, filtered one by one — lives on here,
 //! written against public API only, and the two must produce *equal*
 //! `CandidateSet`s: static pairs, callstack pairs, representative sites,
-//! dynamic counts.
+//! dynamic counts. `OnlineDetector`'s window is held to the same oracle
+//! and the same work bound.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use dcatch::{
     apply_ablation, find_candidates, Ablation, AccessSite, Candidate, CandidateSet, FaultPlan,
-    FocusConfig, HbAnalysis, HbConfig, ReachabilityMode, SimConfig, TraceSet, TracingMode, World,
+    FocusConfig, HbAnalysis, HbConfig, OnlineDetector, OnlineOptions, ReachabilityMode, SimConfig,
+    TraceSet, TraceSink, TracingMode, World,
 };
+use dcatch_hb::FrontierOptions;
 use dcatch_model::{FuncId, NodeId, StmtId};
 use dcatch_obs::SmallRng;
 use dcatch_trace::{
@@ -80,10 +83,7 @@ fn all_pairs(hb: &HbAnalysis) -> CandidateSet {
     dynamic_pairs.into_iter().collect()
 }
 
-/// Scans `hb` both ways; returns the dynamic pair count for callers that
-/// want to know the case was not vacuous.
-fn assert_scan_matches_oracle(label: &str, hb: &HbAnalysis) -> usize {
-    let (new, old) = (find_candidates(hb), all_pairs(hb));
+fn assert_same_set(label: &str, new: &CandidateSet, old: &CandidateSet) {
     assert_eq!(
         new.static_pair_count(),
         old.static_pair_count(),
@@ -92,7 +92,35 @@ fn assert_scan_matches_oracle(label: &str, hb: &HbAnalysis) -> usize {
     for (n, o) in new.iter().zip(old.iter()) {
         assert_eq!(n, o, "{label}");
     }
+}
+
+/// Scans `hb` both ways; returns the dynamic pair count for callers that
+/// want to know the case was not vacuous.
+fn assert_scan_matches_oracle(label: &str, hb: &HbAnalysis) -> usize {
+    let old = all_pairs(hb);
+    assert_same_set(label, &find_candidates(hb), &old);
     old.iter().map(|c| c.dynamic_count).sum()
+}
+
+/// A hand-built trace carries no `StreamControl`, which retirement needs:
+/// such a trace goes through with `allow_retirement` off.
+fn online(sweep_every: usize, allow_retirement: bool) -> OnlineDetector {
+    OnlineDetector::new(OnlineOptions {
+        sweep_every,
+        engine: FrontierOptions {
+            allow_retirement,
+            ..FrontierOptions::default()
+        },
+        ..OnlineOptions::default()
+    })
+}
+
+fn scan_counters() -> [u64; 3] {
+    [
+        dcatch_obs::counter!("detect_scan_pairs_examined_total").get(),
+        dcatch_obs::counter!("detect_scan_hb_queries_total").get(),
+        dcatch_obs::counter!("detect_scan_chains_total").get(),
+    ]
 }
 
 fn build(trace: TraceSet, reachability: ReachabilityMode) -> HbAnalysis {
@@ -338,6 +366,26 @@ fn random_traces_with_extra_edges() {
     );
 }
 
+/// The same 200 traces record by record through the online window.
+#[test]
+fn random_traces_through_the_online_window() {
+    let mut dynamic = 0;
+    for case in 0u64..200 {
+        let trace = random_trace(&mut SmallRng::seed_from_u64(0x5CA7 ^ case));
+        let old = all_pairs(&build(trace.clone(), ReachabilityMode::Clocks));
+        dynamic += old.iter().map(|c| c.dynamic_count).sum::<usize>();
+        for sweep_every in [1, OnlineOptions::default().sweep_every] {
+            let mut sink = online(sweep_every, false);
+            for r in trace.records() {
+                sink.record(r);
+            }
+            let label = format!("case {case} online, sweep every {sweep_every}");
+            assert_same_set(&label, &sink.finalize().candidates, &old);
+        }
+    }
+    assert!(dynamic > 500, "only {dynamic} dynamic pairs over all cases");
+}
+
 /// The work bound: thread A forks thread B before its last access and
 /// sends B a message after it; B receives after its first `K` accesses.
 /// Of the 5 000 × 5 000 pairs on the one object exactly `K` are concurrent
@@ -388,18 +436,10 @@ fn ordered_pairs_are_never_examined() {
 
     for engine in ENGINES {
         let hb = build(trace.clone(), engine);
-        let counters = || {
-            (
-                dcatch_obs::counter!("detect_scan_pairs_examined_total").get(),
-                dcatch_obs::counter!("detect_scan_hb_queries_total").get(),
-                dcatch_obs::counter!("detect_scan_chains_total").get(),
-            )
-        };
-        let before = counters();
+        let before = scan_counters();
         let found = find_candidates(&hb);
-        let after = counters();
-        let (examined, queries, chains) =
-            (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+        let after = scan_counters();
+        let [examined, queries, chains] = [0, 1, 2].map(|i| after[i] - before[i]);
         assert_eq!(found.static_pair_count(), 1);
         assert_eq!(found.iter().next().unwrap().dynamic_count, K as usize);
         assert_eq!(examined, u64::from(K), "{engine}: pairs examined");
@@ -408,5 +448,41 @@ fn ordered_pairs_are_never_examined() {
             "{engine}: {queries} HB queries for {accesses} accesses"
         );
         assert_eq!(chains, 2, "{engine}: HB-ordered chains on the one object");
+    }
+}
+
+/// The online twin: on `streambench` every handler instance is its own
+/// program-order chain, yet HB folds each location into a chain or two.
+/// An arriving access asks one question per HB chain of its location —
+/// whether or not anything ever retires — and the only pair examined is
+/// the planted one.
+#[test]
+fn online_window_never_walks_ordered_chains() {
+    let (program, topology) = dcatch::streambench(dcatch::streambench_rounds(12_000));
+    for allow_retirement in [true, false] {
+        let cfg = SimConfig::default().with_seed(7).with_full_tracing();
+        let mut sink = online(OnlineOptions::default().sweep_every, allow_retirement);
+        let before = scan_counters();
+        let run = World::run_streamed(&program, &topology, cfg, &mut sink).unwrap();
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
+        let out = sink.finalize();
+        let after = scan_counters();
+        let [examined, queries, chains] = [0, 1, 2].map(|i| after[i] - before[i]);
+        let label = format!("retirement {allow_retirement}");
+        assert!(out.records >= 12_000, "{label}: {} records", out.records);
+        assert_eq!(
+            out.candidates.static_pair_count(),
+            1,
+            "{label}: planted pair"
+        );
+        assert_eq!(examined, 1, "{label}: pairs examined");
+        let accesses = out.stats.mem as u64;
+        assert!(
+            queries <= 4 * accesses,
+            "{label}: {queries} clock look-ups for {accesses} accesses"
+        );
+        if !allow_retirement {
+            assert!(chains <= 8, "{label}: {chains} HB-ordered chains opened");
+        }
     }
 }

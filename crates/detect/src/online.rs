@@ -16,9 +16,11 @@
 //!   earlier to a later record, so when record `j` arrives, an earlier
 //!   record `i` can only be *covered by* `j`, never the reverse. `i` and
 //!   `j` are concurrent iff `j`'s frontier clock does not reach `i`'s
-//!   `(chain, pos)`. The window keeps each chain's entries in position
-//!   order, so that is one array lookup and one binary search per chain:
-//!   the covered entries are a prefix nobody visits.
+//!   `(chain, pos)`. Per location the window covers its entries by
+//!   *HB-ordered* chains, as the batch scan does, so that is one array
+//!   look-up per chain whose tail `j` covers and one binary search per
+//!   chain whose tail it does not: the covered entries are a prefix
+//!   nobody visits.
 //! * **Provable retirement.** [`FrontierEngine::lower_bound`] returns a
 //!   clock every future record is guaranteed to cover. A window entry at
 //!   or below the bound can never be concurrent with anything yet to
@@ -33,7 +35,7 @@
 use std::collections::{btree_map::Entry, BTreeMap, BTreeSet, VecDeque};
 
 use dcatch_hb::{ablate_record, Ablation, Arrival, FrontierEngine, FrontierOptions};
-use dcatch_model::StmtId;
+use dcatch_model::{NodeId, StmtId};
 use dcatch_trace::{
     record_len, CallStack, ExecCtx, MemLoc, MemSpace, Record, StreamControl, TaskId, TraceSink,
     TraceStats,
@@ -116,18 +118,27 @@ pub struct StreamOutcome {
     pub sync_edges_fired: usize,
 }
 
-/// A still-raceable memory access held in the bounded window.
+/// A still-raceable memory access held in the bounded window, identified
+/// by its engine `(slot, pos)`.
 #[derive(Debug)]
 struct WindowEntry {
+    slot: u32,
     pos: u32,
     index: usize,
     task: TaskId,
     ctx: ExecCtx,
     is_write: bool,
-    loc: MemLoc,
+    /// Space and object are the group's; the node is too, except for a
+    /// zknode (cluster-wide group, observer's node kept for the report).
+    node: NodeId,
+    key: Option<String>,
     stmt: StmtId,
     stack: CallStack,
 }
+
+/// One location's window: a cover of its entries by HB-ordered chains,
+/// each in arrival order. No chain is ever empty.
+type Cover = Vec<VecDeque<WindowEntry>>;
 
 /// Per-static-pair aggregation in flight. `rank` is the batch scan's
 /// encounter order — `(group key, i, j)` — so the representative pair
@@ -148,10 +159,11 @@ pub struct OnlineDetector {
     ablation: Ablation,
     window_cap: Option<usize>,
     sweep_every: usize,
-    /// Per location group, one deque per program-order chain (engine
-    /// slot), in arrival — hence position — order: what a clock covers of
-    /// a chain is a prefix of its deque. No deque or group is ever empty.
-    window: BTreeMap<(bool, String), BTreeMap<u32, VecDeque<WindowEntry>>>,
+    /// Per location group — keyed `(zk, node-or-0)` then object, as the
+    /// batch scan groups — its [`Cover`]: what any clock covers of a chain
+    /// is a prefix of its deque (clocks are transitively closed). No group
+    /// is ever empty.
+    window: BTreeMap<(bool, u32), BTreeMap<String, Cover>>,
     window_len: usize,
     window_peak: usize,
     records_retired: u64,
@@ -230,14 +242,30 @@ impl OnlineDetector {
         self.records
     }
 
-    /// Rough resident-memory estimate (engine + window state), in bytes.
+    /// Resident-memory estimate, in bytes: the engine, every window entry
+    /// with its map key and callstack, the aggregates in flight and the
+    /// loop-sync source clocks.
     pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let text = |s: &Option<String>| s.as_ref().map_or(0, String::len);
+        let stack = |s: &CallStack| s.depth() * size_of::<StmtId>();
+        let site = |a: &AccessSite| stack(&a.stack) + a.loc.object.len() + text(&a.loc.key);
+        let pair = |(x, y): &(CallStack, CallStack)| {
+            size_of::<(CallStack, CallStack)>() + stack(x) + stack(y)
+        };
         let mut b = self.engine.bytes();
-        for ((_, obj), chains) in &self.window {
+        for (obj, chains) in self.window.values().flatten() {
             b += obj.len() + 64;
-            for e in chains.values().flatten() {
-                b += 96 + e.loc.object.len() + e.stack.depth() * 16;
+            for e in chains.iter().flatten() {
+                b += size_of::<WindowEntry>() + text(&e.key) + stack(&e.stack);
             }
+        }
+        for a in self.agg.values() {
+            b += size_of::<PendAgg>() + a.rank.1.len() + site(&a.rep.0) + site(&a.rep.1);
+            b += a.stack_pairs.iter().map(pair).sum::<usize>();
+        }
+        for c in self.src_clocks.values() {
+            b += size_of::<(OccKey, usize, Vec<u32>)>() + 4 * c.len();
         }
         b
     }
@@ -256,7 +284,7 @@ impl OnlineDetector {
             self.fire_sync_edges(r, at);
         }
         if let (Some(loc), Some(stmt)) = (r.kind.mem_loc(), r.stmt()) {
-            self.scan_pair(r, at, index, loc.clone(), stmt);
+            self.scan_pair(r, at, index, loc, stmt);
         }
         if self.records % self.sweep_every == 0 {
             self.sweep();
@@ -301,24 +329,37 @@ impl OnlineDetector {
     /// Pairs the arriving access against the window entries of its
     /// location group that are concurrent with it, then enters the window
     /// itself. The batch scan's two-sided window is one-sided here: every
-    /// entry arrived earlier, so per chain the entries this record's clock
-    /// covers are a prefix of the deque and the rest are concurrent — no
-    /// ordered entry is visited (its own chain is covered whole).
-    fn scan_pair(&mut self, r: &Record, at: Arrival, index: usize, loc: MemLoc, stmt: StmtId) {
+    /// entry arrived earlier, so the entries of an HB-ordered chain this
+    /// record's clock covers are a prefix of it and the rest are concurrent
+    /// — one look-up says a chain is covered whole (its own program-order
+    /// chain always is), and no ordered entry is visited. The access then
+    /// extends the first chain it covers, or opens a new one.
+    fn scan_pair(&mut self, r: &Record, at: Arrival, index: usize, loc: &MemLoc, stmt: StmtId) {
         let is_write = r.kind.is_write();
-        let gk = (matches!(loc.space, MemSpace::Zk), loc.object.clone());
+        let zk = matches!(loc.space, MemSpace::Zk);
+        let group = (zk, if zk { 0 } else { loc.node.0 });
         let clock_j = self.engine.clock(at.chain);
+        let covers = |e: &WindowEntry| clock_j.get(e.slot as usize).copied().unwrap_or(0) >= e.pos;
         let [queries, examined, opened] = &mut self.scan_work;
-        let chains = self.window.get(&gk).into_iter().flatten();
-        for (&chain, dq) in chains.filter(|(&chain, _)| chain != at.chain) {
+        let objects = self.window.entry(group).or_default();
+        let chains = match objects.get_mut(loc.object.as_str()) {
+            Some(chains) => chains,
+            None => objects.entry(loc.object.clone()).or_default(),
+        };
+        let mut home = None;
+        for (c, dq) in chains.iter().enumerate() {
             *queries += 1;
-            let covered = clock_j.get(chain as usize).copied().unwrap_or(0);
-            for e in dq.range(dq.partition_point(|e| e.pos <= covered)..) {
+            if dq.back().is_some_and(covers) {
+                home = home.or(Some(c));
+                continue;
+            }
+            for e in dq.range(dq.partition_point(covers)..) {
                 *examined += 1;
                 if !e.is_write && !is_write {
                     continue;
                 }
-                if !e.loc.conflicts_with(&loc) {
+                // the group already matched space, object and heap node
+                if !MemLoc::keys_alias(&e.key, &loc.key) {
                     continue;
                 }
                 let (si, sj) = (e.stmt, stmt);
@@ -334,7 +375,14 @@ impl OnlineDetector {
                 } else {
                     (sb.clone(), sa.clone())
                 };
-                let rank = (gk.0, gk.1.clone(), e.index, index);
+                // the batch scan's representative is the pair of minimal
+                // (space, object, i, j) rank; sites and the rank's object
+                // are built only when one is set
+                let lowers = |a: &PendAgg| {
+                    (zk, loc.object.as_str(), e.index, index)
+                        < (a.rank.0, a.rank.1.as_str(), a.rank.2, a.rank.3)
+                };
+                let rank = || (zk, loc.object.clone(), e.index, index);
                 let make_rep = || {
                     let site_i = AccessSite {
                         index: e.index,
@@ -342,7 +390,12 @@ impl OnlineDetector {
                         stack: e.stack.clone(),
                         task: e.task,
                         ctx: e.ctx,
-                        loc: e.loc.clone(),
+                        loc: MemLoc {
+                            space: loc.space,
+                            node: e.node,
+                            object: loc.object.clone(),
+                            key: e.key.clone(),
+                        },
                         is_write: e.is_write,
                     };
                     let site_j = AccessSite {
@@ -365,16 +418,13 @@ impl OnlineDetector {
                         let a = o.get_mut();
                         a.dynamic_count += 1;
                         a.stack_pairs.insert(stack_pair);
-                        // the batch scan's representative is the pair of
-                        // minimal (group, i, j) rank
-                        if rank < a.rank {
-                            a.rank = rank;
-                            a.rep = make_rep();
+                        if lowers(a) {
+                            (a.rank, a.rep) = (rank(), make_rep());
                         }
                     }
                     Entry::Vacant(v) => {
                         v.insert(PendAgg {
-                            rank,
+                            rank: rank(),
                             rep: make_rep(),
                             stack_pairs: [stack_pair].into_iter().collect(),
                             dynamic_count: 1,
@@ -383,18 +433,20 @@ impl OnlineDetector {
                 }
             }
         }
-        let chains = self.window.entry(gk).or_default();
-        let dq = chains.entry(at.chain).or_insert_with(|| {
+        let home = home.unwrap_or_else(|| {
             *opened += 1;
-            VecDeque::new()
+            chains.push(VecDeque::new());
+            chains.len() - 1
         });
-        dq.push_back(WindowEntry {
+        chains[home].push_back(WindowEntry {
+            slot: at.chain,
             pos: at.pos,
             index,
             task: r.task,
             ctx: r.ctx,
             is_write,
-            loc,
+            node: loc.node,
+            key: loc.key.clone(),
             stmt,
             stack: r.stack.clone(),
         });
@@ -409,46 +461,47 @@ impl OnlineDetector {
         }
     }
 
-    /// Force-evicts the globally oldest window entry (hard-cap overflow;
-    /// lossy).
+    /// Force-evicts the globally oldest window entry — the front of some
+    /// chain, chains being in arrival order (hard-cap overflow; lossy).
     fn evict_oldest(&mut self) {
-        let fronts = self.window.iter().flat_map(|(k, chains)| {
-            chains
-                .iter()
-                .filter_map(move |(&c, dq)| Some((dq.front()?.index, k, c)))
-        });
-        let Some((_, key, chain)) = fronts.min() else {
+        let chains = self.window.values_mut().flat_map(BTreeMap::values_mut);
+        let oldest = chains
+            .flatten()
+            .min_by_key(|dq| dq.front().map_or(usize::MAX, |e| e.index));
+        if oldest.and_then(VecDeque::pop_front).is_none() {
             return;
-        };
-        let key = key.clone();
-        let chains = self.window.get_mut(&key).expect("key came from the map");
-        let dq = chains.get_mut(&chain).expect("chain came from the map");
-        dq.pop_front();
-        if dq.is_empty() {
-            chains.remove(&chain);
-            if chains.is_empty() {
-                self.window.remove(&key);
-            }
         }
+        self.drop_empty_chains();
         self.window_len -= 1;
         self.records_forced += 1;
         dcatch_obs::counter!("stream_records_forced_total").inc();
     }
 
-    /// Provable-retirement sweep plus gauge refresh.
-    fn sweep(&mut self) {
-        if let Some(bound) = self.engine.lower_bound() {
-            let mut dropped = 0usize;
-            self.window.retain(|_, chains| {
-                chains.retain(|&chain, dq| {
-                    let covered = bound.get(chain as usize).copied().unwrap_or(0);
-                    let retired = dq.partition_point(|e| e.pos <= covered);
-                    dq.drain(..retired);
-                    dropped += retired;
-                    !dq.is_empty()
-                });
+    fn drop_empty_chains(&mut self) {
+        self.window.retain(|_, objects| {
+            objects.retain(|_, chains| {
+                chains.retain(|dq| !dq.is_empty());
                 !chains.is_empty()
             });
+            !objects.is_empty()
+        });
+    }
+
+    /// Provable-retirement sweep plus gauge refresh. What the bound covers
+    /// of a chain is a prefix, as for any clock: it is the minimum of
+    /// transitively closed clocks.
+    fn sweep(&mut self) {
+        if let Some(bound) = self.engine.lower_bound() {
+            let covered =
+                |e: &WindowEntry| bound.get(e.slot as usize).copied().unwrap_or(0) >= e.pos;
+            let mut dropped = 0usize;
+            let chains = self.window.values_mut().flat_map(BTreeMap::values_mut);
+            for dq in chains.flatten() {
+                let retired = dq.partition_point(covered);
+                dq.drain(..retired);
+                dropped += retired;
+            }
+            self.drop_empty_chains();
             self.window_len -= dropped;
             self.records_retired += dropped as u64;
             dcatch_obs::counter!("stream_records_retired_total").add(dropped as u64);

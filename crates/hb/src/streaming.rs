@@ -100,6 +100,13 @@ struct Cause {
     refs: Option<u32>,
 }
 
+/// One delivery of a [`Cause`].
+struct Delivery {
+    src: (u32, u32),
+    /// The cause's clock, moved out when this was its last delivery.
+    clock: Option<Vec<u32>>,
+}
+
 /// A begun single-consumer event awaiting its `EventEnd`.
 #[derive(Debug)]
 struct EvOpen {
@@ -312,16 +319,19 @@ impl FrontierEngine {
                 self.snapshot_cause(chain, CauseKey::EventBegin(event.0), Some(1));
             }
             OpKind::EventBegin { event } => {
-                let resolved = self.resolve(chain, &CauseKey::EventBegin(event.0));
+                let key = CauseKey::EventBegin(event.0);
+                let resolved = self.resolve(chain, &key);
                 let queue = self.event_queue.remove(&event.0);
-                if let (Some((create, create_clock)), Some(queue)) = (resolved, queue) {
+                if let (Some(Delivery { src: create, clock }), Some(queue)) = (resolved, queue) {
                     let single = self
                         .queues
                         .get(&queue)
                         .is_some_and(|q| q.is_single_consumer());
                     if single {
                         if self.opts.eserial {
-                            self.eserial_begin(chain, event.0, &queue, create, &create_clock);
+                            // a clock that did not move out is still pending
+                            let clock = clock.unwrap_or_else(|| self.causes[&key].clock.clone());
+                            self.eserial_begin(chain, event.0, &queue, create, &clock);
                         }
                         self.open.insert(event.0, EvOpen { queue, create });
                     }
@@ -452,28 +462,19 @@ impl FrontierEngine {
     }
 
     /// Joins `key`'s cause into `chain` and consumes one delivery. Returns
-    /// the cause's source identity and clock, or `None` when no cause is
-    /// pending (the batch builder adds no edge then either).
-    fn resolve(&mut self, chain: u32, key: &CauseKey) -> Option<((u32, u32), Vec<u32>)> {
-        let (out, remove) = match self.causes.get_mut(key) {
-            None => return None,
-            Some(c) => {
-                join_clock(&mut self.slots[chain as usize].frontier, &c.clock);
-                let remove = match c.refs {
-                    Some(n) if n > 1 => {
-                        c.refs = Some(n - 1);
-                        false
-                    }
-                    Some(_) => true,
-                    None => false,
-                };
-                ((c.src, c.clock.clone()), remove)
-            }
-        };
-        if remove {
-            self.causes.remove(key);
+    /// the cause's source identity — with its clock when this was the last
+    /// delivery and the cause is gone — or `None` when no cause is pending
+    /// (the batch builder adds no edge then either).
+    fn resolve(&mut self, chain: u32, key: &CauseKey) -> Option<Delivery> {
+        let c = self.causes.get_mut(key)?;
+        join_clock(&mut self.slots[chain as usize].frontier, &c.clock);
+        let (src, mut clock) = (c.src, None);
+        match c.refs {
+            Some(n) if n > 1 => c.refs = Some(n - 1),
+            Some(_) => clock = self.causes.remove(key).map(|c| c.clock),
+            None => {}
         }
-        Some(out)
+        Some(Delivery { src, clock })
     }
 
     /// The arrival-order `Eserial` test: join every already-ended event of
@@ -557,7 +558,7 @@ impl FrontierEngine {
         for (id, s) in self.slots.iter_mut().enumerate() {
             if s.live && s.ended && bound.get(id).copied().unwrap_or(0) >= s.pos {
                 s.live = false;
-                s.frontier = Vec::new();
+                s.frontier.clear(); // the next occupant reuses the buffer
                 if let Some(key) = s.key.take() {
                     self.registry.remove(&key);
                 }

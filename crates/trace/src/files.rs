@@ -14,7 +14,7 @@ use std::path::Path;
 
 use dcatch_model::NodeId;
 
-use crate::format::{format_record, parse_record};
+use crate::format::{parse_record, write_record};
 use crate::set::{QueueInfo, TraceSet};
 
 /// Writes one trace file per task plus queue metadata into `dir`
@@ -24,10 +24,12 @@ pub fn write_per_task_files(trace: &TraceSet, dir: &Path) -> io::Result<usize> {
     let mut files = 0usize;
     for task in trace.tasks() {
         let path = dir.join(format!("{task}.trace"));
-        let mut f = fs::File::create(path)?;
+        let mut lines = String::new();
         for &i in &trace.task_records(task) {
-            writeln!(f, "{}", format_record(&trace.records()[i]))?;
+            write_record(&mut lines, &trace.records()[i]);
+            lines.push('\n');
         }
+        fs::write(path, lines)?;
         files += 1;
     }
     let mut meta = fs::File::create(dir.join("queues.meta"))?;

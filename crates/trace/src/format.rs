@@ -39,17 +39,73 @@ fn err(msg: impl Into<String>) -> FormatError {
     }
 }
 
-fn write_ctx(out: &mut impl fmt::Write, ctx: &ExecCtx) -> fmt::Result {
+/// What [`write_record`] writes a line into: the line itself (`String`) or
+/// only its length ([`record_len`]). Neither goes through `core::fmt`.
+pub(crate) trait LineSink {
+    fn str(&mut self, s: &str);
+    fn u64(&mut self, v: u64);
+    /// The format uses spaces and pipes as separators; object names, keys
+    /// and paths are sanitized on write — byte for byte, so the length is
+    /// preserved.
+    fn sanitized(&mut self, s: &str);
+}
+
+impl LineSink for String {
+    fn str(&mut self, s: &str) {
+        self.push_str(s);
+    }
+
+    fn u64(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    }
+
+    fn sanitized(&mut self, s: &str) {
+        for (i, clean) in s.split([' ', '|']).enumerate() {
+            if i > 0 {
+                self.push('_');
+            }
+            self.push_str(clean);
+        }
+    }
+}
+
+struct ByteCount(usize);
+
+impl LineSink for ByteCount {
+    fn str(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.0 += 1 + v.checked_ilog10().unwrap_or(0) as usize;
+    }
+
+    fn sanitized(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+}
+
+fn write_ctx(out: &mut impl LineSink, ctx: &ExecCtx) {
     match ctx {
-        ExecCtx::Regular => out.write_str("reg"),
+        ExecCtx::Regular => out.str("reg"),
         ExecCtx::Handler { kind, instance } => {
-            let k = match kind {
-                HandlerKind::Event => "ev",
-                HandlerKind::Rpc => "rpc",
-                HandlerKind::Socket => "soc",
-                HandlerKind::ZkWatcher => "zkw",
-            };
-            write!(out, "h:{k}:{instance}")
+            out.str(match kind {
+                HandlerKind::Event => "h:ev:",
+                HandlerKind::Rpc => "h:rpc:",
+                HandlerKind::Socket => "h:soc:",
+                HandlerKind::ZkWatcher => "h:zkw:",
+            });
+            out.u64(*instance);
         }
     }
 }
@@ -73,22 +129,6 @@ fn parse_ctx(s: &str) -> Result<ExecCtx, FormatError> {
             Ok(ExecCtx::Handler { kind, instance })
         }
         _ => Err(err(format!("unknown ctx `{s}`"))),
-    }
-}
-
-/// The format uses spaces and pipes as separators; object names/keys/paths
-/// are sanitized on write — byte for byte, so the length is preserved.
-struct Sanitized<'a>(&'a str);
-
-impl fmt::Display for Sanitized<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, clean) in self.0.split([' ', '|']).enumerate() {
-            if i > 0 {
-                f.write_str("_")?;
-            }
-            f.write_str(clean)?;
-        }
-        Ok(())
     }
 }
 
@@ -116,45 +156,52 @@ fn parse_loc(parts: &[&str]) -> Result<MemLoc, FormatError> {
     })
 }
 
-fn write_payload(out: &mut impl fmt::Write, kind: &OpKind) -> fmt::Result {
+fn write_payload(out: &mut impl LineSink, kind: &OpKind) {
     match kind {
         OpKind::MemRead { loc, value } | OpKind::MemWrite { loc, value } => {
-            let space = match loc.space {
-                MemSpace::Heap => "heap",
-                MemSpace::Zk => "zk",
-            };
-            write!(
-                out,
-                "{space} {} {} {} {}",
-                loc.node.0,
-                Sanitized(&loc.object),
-                Sanitized(loc.key.as_deref().unwrap_or("-")),
-                Sanitized(value.as_deref().unwrap_or("-"))
-            )
+            out.str(match loc.space {
+                MemSpace::Heap => "heap ",
+                MemSpace::Zk => "zk ",
+            });
+            out.u64(loc.node.0.into());
+            for field in [
+                &loc.object,
+                loc.key.as_deref().unwrap_or("-"),
+                value.as_deref().unwrap_or("-"),
+            ] {
+                out.str(" ");
+                out.sanitized(field);
+            }
         }
         OpKind::ThreadCreate { child } | OpKind::ThreadJoin { child } => {
-            write!(out, "{} {}", child.node.0, child.index)
+            out.u64(child.node.0.into());
+            out.str(" ");
+            out.u64(child.index.into());
         }
-        OpKind::ThreadBegin | OpKind::ThreadEnd => Ok(()),
+        OpKind::ThreadBegin | OpKind::ThreadEnd => {}
         OpKind::EventCreate { event }
         | OpKind::EventBegin { event }
-        | OpKind::EventEnd { event } => write!(out, "{}", event.0),
+        | OpKind::EventEnd { event } => out.u64(event.0),
         OpKind::RpcCreate { rpc }
         | OpKind::RpcBegin { rpc }
         | OpKind::RpcEnd { rpc }
         | OpKind::RpcJoin { rpc }
-        | OpKind::RpcTimeout { rpc } => write!(out, "{}", rpc.0),
-        OpKind::SocketSend { msg } | OpKind::SocketRecv { msg } => write!(out, "{}", msg.0),
+        | OpKind::RpcTimeout { rpc } => out.u64(rpc.0),
+        OpKind::SocketSend { msg } | OpKind::SocketRecv { msg } => out.u64(msg.0),
         OpKind::ZkUpdate { path, version } | OpKind::ZkPushed { path, version } => {
-            write!(out, "{} {version}", Sanitized(path))
+            out.sanitized(path);
+            out.str(" ");
+            out.u64(*version);
         }
         OpKind::LockAcquire { lock } | OpKind::LockRelease { lock } => {
-            write!(out, "{} {}", lock.node.0, Sanitized(&lock.name))
+            out.u64(lock.node.0.into());
+            out.str(" ");
+            out.sanitized(&lock.name);
         }
         OpKind::LoopEnter { loop_id } | OpKind::LoopExit { loop_id } => {
-            write!(out, "{}", loop_id.0)
+            out.u64(loop_id.0.into());
         }
-        OpKind::NodeCrash { node } | OpKind::NodeRestart { node } => write!(out, "{}", node.0),
+        OpKind::NodeCrash { node } | OpKind::NodeRestart { node } => out.u64(node.0.into()),
     }
 }
 
@@ -256,39 +303,42 @@ fn parse_payload(tag: &str, parts: &[&str]) -> Result<OpKind, FormatError> {
 }
 
 /// Writes one record's line form (without trailing newline) to `out`,
-/// allocating nothing: the one serializer behind [`format_record`] and
-/// [`record_len`].
-fn write_record(out: &mut impl fmt::Write, r: &Record) -> fmt::Result {
-    write!(out, "{}|{} {}|", r.seq, r.task.node.0, r.task.index)?;
-    write_ctx(out, &r.ctx)?;
-    write!(out, "|{}|", r.kind.tag())?;
-    write_payload(out, &r.kind)?;
-    out.write_str("|")?;
+/// allocating nothing: the one serializer behind [`format_record`],
+/// [`record_len`] and the trace files.
+pub(crate) fn write_record(out: &mut impl LineSink, r: &Record) {
+    out.u64(r.seq);
+    out.str("|");
+    out.u64(r.task.node.0.into());
+    out.str(" ");
+    out.u64(r.task.index.into());
+    out.str("|");
+    write_ctx(out, &r.ctx);
+    out.str("|");
+    out.str(r.kind.tag());
+    out.str("|");
+    write_payload(out, &r.kind);
+    out.str("|");
     for (i, s) in r.stack.0.iter().enumerate() {
-        let sep = if i > 0 { "," } else { "" };
-        write!(out, "{sep}{}:{}", s.func.0, s.idx)?;
+        if i > 0 {
+            out.str(",");
+        }
+        out.u64(s.func.0.into());
+        out.str(":");
+        out.u64(s.idx.into());
     }
-    Ok(())
 }
 
 /// Serializes one record to its line form (without trailing newline).
 pub fn format_record(r: &Record) -> String {
     let mut line = String::new();
-    write_record(&mut line, r).expect("writing to a String cannot fail");
+    write_record(&mut line, r);
     line
 }
 
 /// Length in bytes of [`format_record`]'s line, computed without building it.
 pub fn record_len(r: &Record) -> usize {
-    struct ByteCount(usize);
-    impl fmt::Write for ByteCount {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.0 += s.len();
-            Ok(())
-        }
-    }
     let mut count = ByteCount(0);
-    write_record(&mut count, r).expect("counting cannot fail");
+    write_record(&mut count, r);
     count.0
 }
 
@@ -466,6 +516,22 @@ mod tests {
         assert!(line.contains("heap 0 a_b_c _k_ é__|"), "{line}");
         assert_eq!(record_len(&r), line.len());
         assert_eq!(parse_record(&line).unwrap().stack, r.stack);
+    }
+
+    #[test]
+    fn numbers_at_every_digit_boundary() {
+        let mut seqs = vec![0, u64::MAX];
+        for digits in 1..20 {
+            seqs.extend([10u64.pow(digits) - 1, 10u64.pow(digits)]);
+        }
+        for seq in seqs {
+            let mut r = base(OpKind::EventCreate {
+                event: EventId(seq),
+            });
+            r.seq = seq;
+            assert!(format_record(&r).starts_with(&format!("{seq}|1 3|")));
+            roundtrip(&r);
+        }
     }
 
     #[test]

@@ -97,7 +97,13 @@ impl MemLoc {
         if self.space == MemSpace::Heap && self.node != other.node {
             return false;
         }
-        match (&self.key, &other.key) {
+        MemLoc::keys_alias(&self.key, &other.key)
+    }
+
+    /// Whether two keys of one object can alias: equal, or either side
+    /// key-less (collection-level).
+    pub fn keys_alias(a: &Option<String>, b: &Option<String>) -> bool {
+        match (a, b) {
             (Some(a), Some(b)) => a == b,
             _ => true,
         }

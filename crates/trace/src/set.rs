@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use dcatch_model::NodeId;
 
-use crate::format::{format_record, record_len};
+use crate::format::{record_len, write_record};
 use crate::ids::TaskId;
 use crate::record::{OpKind, Record};
 use crate::stats::TraceStats;
@@ -141,7 +141,7 @@ impl TraceSet {
     pub fn to_lines(&self) -> String {
         let mut out = String::new();
         for r in &self.records {
-            out.push_str(&format_record(r));
+            write_record(&mut out, r);
             out.push('\n');
         }
         out
