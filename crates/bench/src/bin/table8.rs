@@ -37,7 +37,6 @@ fn main() {
         let hb_cfg = HbConfig {
             memory_budget_bytes: TABLE8_BUDGET,
             reachability,
-            ..HbConfig::default()
         };
         let t0 = Instant::now();
         let analysis = match HbAnalysis::build(run.trace, &hb_cfg) {

@@ -5,7 +5,7 @@
 //! scales, seeds, the per-system fault matrix, and the Table 9 HB-rule
 //! ablations. `DCATCH_SOAK=1` widens every matrix but the last.
 
-use dcatch::{Ablation, Pipeline, PipelineError, PipelineOptions};
+use dcatch::{Ablation, FaultPlan, Pipeline, PipelineError, PipelineOptions};
 
 fn soak() -> bool {
     std::env::var_os("DCATCH_SOAK").is_some()
@@ -133,6 +133,18 @@ fn online_equals_offline_under_fault_plans() {
         for sc in dcatch::fault_scenarios(&bench).into_iter().take(per_bench) {
             assert_equivalent(bench.id, sc.name, &bench, |o| o.faults = sc.plan.clone());
         }
+    }
+    // A duplicated RPC request is served twice, and the second `RpcEnd`
+    // lands after the caller's `RpcJoin`: the join is ordered after the
+    // reply it actually consumed, in both modes.
+    for (id, plan) in [
+        ("MR-3274", "dup rpc"),
+        ("MR-4637", "dup rpc"),
+        ("HB-4729", "dup rpc nth=1"),
+    ] {
+        let bench = dcatch::benchmark(id).unwrap();
+        let faults = FaultPlan::parse(plan).unwrap();
+        assert_equivalent(id, plan, &bench, |o| o.faults = faults.clone());
     }
 }
 

@@ -1,6 +1,9 @@
-//! Dense bit matrix for reachable sets.
+//! Dense bit matrix for ancestor sets.
 
-/// An `n × n` bit matrix; row `i` is the reachable set of vertex `i`.
+/// An `n × n` bit matrix. In the HB graph row `v` is the *ancestor* set of
+/// vertex `v` — bit `(v, u)` says `u` happens before `v` — so a row is
+/// final once its vertex's incoming edges are folded in, and an edge
+/// `u ⇒ v` is one `row v |= row u`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitMatrix {
     n: usize,
@@ -47,28 +50,12 @@ impl BitMatrix {
         self.data[row * self.words + col / 64] & (1u64 << (col % 64)) != 0
     }
 
-    /// `row dst |= row src` — the union step of the reachability sweep.
-    pub fn or_row_into(&mut self, src: usize, dst: usize) {
-        debug_assert!(src < self.n && dst < self.n && src != dst);
-        let (s, d) = (src * self.words, dst * self.words);
-        if s < d {
-            let (left, right) = self.data.split_at_mut(d);
-            for i in 0..self.words {
-                right[i] |= left[s + i];
-            }
-        } else {
-            let (left, right) = self.data.split_at_mut(s);
-            for i in 0..self.words {
-                left[d + i] |= right[i];
-            }
-        }
-    }
-
-    /// `row dst |= row src`, reporting whether any bit of `dst` changed.
+    /// `row dst |= row src` — the join of an HB edge `src ⇒ dst` —
+    /// reporting whether any bit of `dst` changed.
     ///
     /// The changed flag is what makes delta propagation terminate early:
-    /// a predecessor whose row already covers the new reachable set does
-    /// not need to be re-enqueued.
+    /// a successor whose row already covers the new ancestors does not
+    /// need to be re-enqueued.
     pub fn or_row_into_changed(&mut self, src: usize, dst: usize) -> bool {
         debug_assert!(src < self.n && dst < self.n && src != dst);
         let (s, d) = (src * self.words, dst * self.words);
@@ -122,10 +109,10 @@ mod tests {
     fn or_row_into_unions_in_both_directions() {
         let mut m = BitMatrix::new(100);
         m.set(5, 70);
-        m.or_row_into(5, 2); // src > dst
+        m.or_row_into_changed(5, 2); // src > dst
         assert!(m.get(2, 70));
         m.set(1, 3);
-        m.or_row_into(1, 50); // src < dst
+        m.or_row_into_changed(1, 50); // src < dst
         assert!(m.get(50, 3));
     }
 
@@ -134,7 +121,7 @@ mod tests {
         let mut m = BitMatrix::new(100);
         m.set(1, 3);
         m.set(50, 99);
-        m.or_row_into(1, 50); // src < dst branch
+        m.or_row_into_changed(1, 50); // src < dst branch
         assert!(m.get(50, 3) && m.get(50, 99));
         assert_eq!(m.row_count(50), 2);
         assert_eq!(m.row_count(1), 1); // src row untouched
@@ -145,7 +132,7 @@ mod tests {
         let mut m = BitMatrix::new(100);
         m.set(70, 65);
         m.set(2, 0);
-        m.or_row_into(70, 2); // src > dst branch
+        m.or_row_into_changed(70, 2); // src > dst branch
         assert!(m.get(2, 65) && m.get(2, 0));
         assert_eq!(m.row_count(2), 2);
         assert_eq!(m.row_count(70), 1);
@@ -162,22 +149,6 @@ mod tests {
         assert!(m.or_row_into_changed(1, 50)); // src < dst, new bit lands
         assert!(m.get(50, 3));
         assert!(!m.or_row_into_changed(1, 50));
-    }
-
-    #[test]
-    fn or_row_into_changed_matches_or_row_into() {
-        // Same unions through both code paths must produce equal matrices.
-        let mut a = BitMatrix::new(130);
-        let mut b = BitMatrix::new(130);
-        for (r, c) in [(0, 63), (0, 64), (3, 129), (100, 5), (129, 0)] {
-            a.set(r, c);
-            b.set(r, c);
-        }
-        for (src, dst) in [(0, 3), (3, 0), (100, 129), (129, 100)] {
-            a.or_row_into(src, dst);
-            b.or_row_into_changed(src, dst);
-        }
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -25,13 +25,12 @@
 //! Effectively Complete Dynamic Race Prediction") make the same bet:
 //! compact per-event ordering summaries, not dense closure.
 //!
-//! Clocks are computed by one forward sweep (every HB edge points forward
-//! in trace order, so predecessors are complete before their successors)
-//! and *maintained* incrementally afterwards: inserting an edge `u ⇒ v`
-//! joins `u`'s clock into `v`'s and pushes the growth forward through
-//! successors whose clocks actually change — the affected suffix of each
-//! chain, never the whole trace (see `HbAnalysis::add_edge_incremental`
-//! and `integrate_edges`).
+//! Clocks are filled in by the forward pass that derives the edges
+//! (`HbAnalysis::build`): every HB edge points forward in trace order, so a
+//! record's clock is final once its own incoming edges are joined. A
+//! loop-sync edge `u ⇒ v` added afterwards joins `u`'s clock into `v`'s and
+//! pushes the growth forward through successors whose clocks actually
+//! change — the affected suffix of each chain, never the whole trace.
 
 use std::collections::BTreeMap;
 
@@ -134,8 +133,9 @@ impl ChainClocks {
     /// Joins vertex `src`'s clock into `dst`'s (elementwise max), the
     /// propagation step for an HB edge `src ⇒ dst`. Returns whether any
     /// frontier of `dst` actually advanced — the early-exit signal that
-    /// stops incremental propagation, mirroring
-    /// [`BitMatrix::or_row_into_changed`](crate::BitMatrix::or_row_into_changed).
+    /// stops incremental propagation, as
+    /// [`BitMatrix::or_row_into_changed`](crate::BitMatrix::or_row_into_changed)
+    /// is for the matrix.
     pub fn join_from(&mut self, src: usize, dst: usize) -> bool {
         debug_assert!(src != dst, "self-joins are meaningless");
         let g = self.chains;

@@ -1,10 +1,11 @@
 use dcatch_model::{FuncId, NodeId, StmtId};
 use dcatch_trace::{
     CallStack, EventId, ExecCtx, HandlerKind, MemLoc, MemSpace, MsgId, OpKind, QueueInfo, Record,
-    RpcId, TaskId, TraceSet,
+    RpcId, StreamControl, TaskId, TraceSet,
 };
 
 use super::{EdgeRule, HbAnalysis, HbConfig, HbError, ReachabilityMode};
+use crate::{Arrival, FrontierEngine, FrontierOptions};
 
 fn task(node: u32, index: u32) -> TaskId {
     TaskId {
@@ -214,11 +215,11 @@ fn eenq_orders_enqueue_before_handling() {
     assert!(a.happens_before(0, 3));
 }
 
-/// Two events enqueued in order by one thread onto a single-consumer
-/// queue: Eserial orders the first handler's end before the second's
-/// begin, so the handler bodies are ordered.
-#[test]
-fn eserial_orders_single_consumer_handlers() {
+/// Two events enqueued in order by one thread onto queue `q`, handled one
+/// after the other; the second handler writes what the first read. Without
+/// `end_e2` the trace stops inside the second handler (still running, or
+/// killed by a crash).
+fn two_events(consumers: u32, end_e2: bool) -> TraceSet {
     let producer = task(0, 0);
     let worker = task(0, 1);
     let h1 = ExecCtx::Handler {
@@ -230,49 +231,84 @@ fn eserial_orders_single_consumer_handlers() {
         instance: 2,
     };
     let (e1, e2) = (EventId(1), EventId(2));
-    let make = |consumers: u32| {
-        let mut trace: TraceSet = vec![
-            rec(
-                0,
-                producer,
-                ExecCtx::Regular,
-                OpKind::EventCreate { event: e1 },
-            ),
-            rec(
-                1,
-                producer,
-                ExecCtx::Regular,
-                OpKind::EventCreate { event: e2 },
-            ),
-            rec(2, worker, h1, OpKind::EventBegin { event: e1 }),
-            mem(3, worker, h1, "state", true),
-            rec(4, worker, h1, OpKind::EventEnd { event: e1 }),
-            rec(5, worker, h2, OpKind::EventBegin { event: e2 }),
-            mem(6, worker, h2, "state", false),
-            rec(7, worker, h2, OpKind::EventEnd { event: e2 }),
-        ]
-        .into_iter()
-        .collect::<TraceSet>();
-        trace.register_queue(NodeId(0), "q", QueueInfo { consumers });
-        trace.register_event(e1.0, NodeId(0), "q");
-        trace.register_event(e2.0, NodeId(0), "q");
-        trace
-    };
-    let single = HbAnalysis::build(make(1), &HbConfig::default()).unwrap();
+    let mut trace: TraceSet = vec![
+        rec(
+            0,
+            producer,
+            ExecCtx::Regular,
+            OpKind::EventCreate { event: e1 },
+        ),
+        rec(
+            1,
+            producer,
+            ExecCtx::Regular,
+            OpKind::EventCreate { event: e2 },
+        ),
+        rec(2, worker, h1, OpKind::EventBegin { event: e1 }),
+        mem(3, worker, h1, "state", true),
+        rec(4, worker, h1, OpKind::EventEnd { event: e1 }),
+        rec(5, worker, h2, OpKind::EventBegin { event: e2 }),
+        mem(6, worker, h2, "state", false),
+    ]
+    .into_iter()
+    .collect();
+    if end_e2 {
+        trace.push(rec(7, worker, h2, OpKind::EventEnd { event: e2 }));
+    }
+    trace.register_queue(NodeId(0), "q", QueueInfo { consumers });
+    trace.register_event(e1.0, NodeId(0), "q");
+    trace.register_event(e2.0, NodeId(0), "q");
+    trace
+}
+
+/// Eserial orders the first handler's end before the second's begin on a
+/// single-consumer queue, so the handler bodies are ordered.
+#[test]
+fn eserial_orders_single_consumer_handlers() {
+    let single = HbAnalysis::build(two_events(1, true), &HbConfig::default()).unwrap();
     assert!(single.happens_before(3, 6), "Eserial must order the bodies");
 
-    let multi = HbAnalysis::build(make(2), &HbConfig::default()).unwrap();
+    let multi = HbAnalysis::build(two_events(2, true), &HbConfig::default()).unwrap();
     assert!(
         multi.concurrent(3, 6),
         "multi-consumer handlers are concurrent"
     );
+}
 
-    let cfg = HbConfig {
-        apply_eserial: false,
-        ..HbConfig::default()
-    };
-    let disabled = HbAnalysis::build(make(1), &cfg).unwrap();
-    assert!(disabled.concurrent(3, 6));
+/// `End(e1) ⇒ Begin(e2)` needs `e1` to have ended, not `e2`: a handler
+/// that never reaches its `EventEnd` is still serialized after its
+/// predecessors — under both indexes, and as the online engine sees it.
+#[test]
+fn eserial_orders_a_handler_that_never_ends() {
+    let trace = two_events(1, false);
+    for mode in [ReachabilityMode::Matrix, ReachabilityMode::Clocks] {
+        let cfg = HbConfig {
+            reachability: mode,
+            ..HbConfig::default()
+        };
+        let a = HbAnalysis::build(trace.clone(), &cfg).unwrap();
+        assert!(a.happens_before(3, 6), "{mode}: Eserial edge missing");
+        assert!(a.explain(3, 6).unwrap().contains(&(5, EdgeRule::Eserial)));
+    }
+    let mut engine = FrontierEngine::new(FrontierOptions::default());
+    for ((node, queue), info) in trace.queues() {
+        engine.control(&StreamControl::RegisterQueue {
+            node: *node,
+            queue: queue.clone(),
+            info: *info,
+        });
+    }
+    for (event, node, queue) in trace.event_queue_entries() {
+        engine.control(&StreamControl::RegisterEvent {
+            event,
+            node,
+            queue: queue.to_owned(),
+        });
+    }
+    let at: Vec<Arrival> = trace.records().iter().map(|r| engine.record(r)).collect();
+    // record 6 arrived last, so its chain's clock is record 6's
+    let (write, read) = (at[3], at[6]);
+    assert!(engine.clock(read.chain)[write.chain as usize] >= write.pos);
 }
 
 /// Eserial fixed point: e3 is created *inside* e2's handler, so
@@ -374,7 +410,6 @@ fn memory_budget_is_enforced() {
         let cfg = HbConfig {
             memory_budget_bytes: 16,
             reachability: mode,
-            ..HbConfig::default()
         };
         match HbAnalysis::build(trace.clone(), &cfg) {
             Err(HbError::OutOfMemory { needed, budget }) => {
@@ -404,7 +439,6 @@ fn auto_mode_picks_the_smaller_index() {
             &HbConfig {
                 memory_budget_bytes: budget,
                 reachability: mode,
-                ..HbConfig::default()
             },
         )
     };
@@ -444,90 +478,6 @@ fn edge_and_vertex_counts() {
     assert_eq!(a.edge_count(), 1);
     assert_eq!(a.successors(0).count(), 1);
     assert_eq!(a.predecessors(1).len(), 1);
-}
-
-/// Property: folding random forward edges into a built analysis via
-/// `add_edge_incremental` leaves `reach` identical to a from-scratch
-/// full sweep over the same edge set, across seeded random DAGs — for
-/// both reachability engines — and the two engines agree on every
-/// `happens_before` answer at every checkpoint.
-#[test]
-fn incremental_reach_matches_full_recompute_on_random_dags() {
-    use dcatch_obs::SmallRng;
-    for case in 0u64..40 {
-        let mut rng = SmallRng::seed_from_u64(0x1BC4 ^ case);
-        let n = 8 + rng.gen_range(40);
-        // one record per task: `build` adds no program-order edges, so the
-        // DAG below is exactly the random edges we insert. Distinct tasks
-        // also put every vertex on its own chain, the clock engine's
-        // worst case.
-        let records: Vec<Record> = (0..n)
-            .map(|i| mem(i as u64, task(0, i as u32), ExecCtx::Regular, "x", false))
-            .collect();
-        let trace: TraceSet = records.into_iter().collect();
-        let cfg = |mode| HbConfig {
-            reachability: mode,
-            ..HbConfig::default()
-        };
-        let mut engines = [
-            HbAnalysis::build(trace.clone(), &cfg(ReachabilityMode::Matrix)).unwrap(),
-            HbAnalysis::build(trace, &cfg(ReachabilityMode::Clocks)).unwrap(),
-        ];
-        // seed DAG folded in before the comparison baseline
-        for _ in 0..n {
-            let u = rng.gen_range(n - 1);
-            let v = u + 1 + rng.gen_range(n - u - 1);
-            for a in &mut engines {
-                a.add_edge_incremental(u, v, EdgeRule::LoopSync);
-            }
-        }
-        // interleave inserts with full-recompute cross-checks, exercising
-        // both the per-edge worklist and the batched partial sweep
-        for round in 0..4 {
-            if rng.gen_bool() {
-                for _ in 0..(1 + rng.gen_range(6)) {
-                    let u = rng.gen_range(n - 1);
-                    let v = u + 1 + rng.gen_range(n - u - 1);
-                    for a in &mut engines {
-                        a.add_edge_incremental(u, v, EdgeRule::LoopSync);
-                    }
-                }
-            } else {
-                let mut batch = Vec::new();
-                for _ in 0..(1 + rng.gen_range(6)) {
-                    let u = rng.gen_range(n - 1);
-                    let v = u + 1 + rng.gen_range(n - u - 1);
-                    if engines[0].add_edge(u, v, EdgeRule::LoopSync) {
-                        engines[1].add_edge(u, v, EdgeRule::LoopSync);
-                        batch.push((u, v));
-                    }
-                }
-                for a in &mut engines {
-                    a.integrate_edges(&batch);
-                }
-            }
-            for a in &mut engines {
-                let incremental = a.reach.clone();
-                a.recompute_reach();
-                assert_eq!(
-                    incremental,
-                    a.reach,
-                    "case {case} round {round} ({}): delta propagation diverged from full sweep",
-                    a.reachability()
-                );
-            }
-            let (m, c) = (&engines[0], &engines[1]);
-            for i in 0..n {
-                for j in 0..n {
-                    assert_eq!(
-                        m.happens_before(i, j),
-                        c.happens_before(i, j),
-                        "case {case} round {round}: engines disagree on ({i}, {j})"
-                    );
-                }
-            }
-        }
-    }
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! | `Tfork`   | `Create(t) ⇒ Begin(t)` |
 //! | `Tjoin`   | `End(t) ⇒ Join(t)` |
 //! | `Eenq`    | `Create(e) ⇒ Begin(e)` |
-//! | `Eserial` | `End(e1) ⇒ Begin(e2)` for single-consumer FIFO queues when `Create(e1) ⇒ Create(e2)`, applied last, to a fixed point |
+//! | `Eserial` | `End(e1) ⇒ Begin(e2)` for single-consumer FIFO queues when `Create(e1) ⇒ Create(e2)` (the paper's fixed point, decided when `Begin(e2)` arrives) |
 //! | `Preg`    | program order in regular threads |
 //! | `Pnreg`   | program order *within* one handler instance only |
 //!
@@ -21,14 +21,20 @@
 //! feeds extra edges back into this graph via
 //! [`HbAnalysis::add_edges_and_rebuild`].)
 //!
-//! Reachability has two interchangeable engines behind
+//! Every HB edge points from a smaller to a larger sequence number, so
+//! [`HbAnalysis::build`] is one forward pass: when a record arrives all of
+//! its edge sources are behind it, and its *ancestor* summary — the join
+//! of theirs — is final. The online [`FrontierEngine`] is the same pass
+//! over clock snapshots instead of record indices; the record-kind →
+//! rule mapping both read is written once, in the private `rules` module.
+//!
+//! The summaries have two interchangeable representations behind
 //! [`HbConfig::reachability`]:
 //!
-//! * [`BitMatrix`] — the bit-array reachable-set algorithm DCatch borrows
-//!   from event-driven race detection (§3.2.2): every HB edge in a trace
-//!   points from a smaller to a larger sequence number, so one reverse
-//!   sweep computes each vertex's reachable set and concurrency checks
-//!   become constant-time bit lookups. The memory this takes is quadratic
+//! * [`BitMatrix`] — the bit-array algorithm DCatch borrows from
+//!   event-driven race detection (§3.2.2): row `v` is the set of records
+//!   that happen before `v`, and concurrency checks become constant-time
+//!   bit lookups. The memory this takes is quadratic
 //!   in the trace length — which is exactly why DCatch's *selective*
 //!   tracing matters, and why the unselective baseline of Table 8 runs
 //!   out of memory ([`HbError::OutOfMemory`]).
@@ -48,6 +54,7 @@ mod ablation;
 mod bitmatrix;
 mod chainclocks;
 mod graph;
+mod rules;
 mod streaming;
 
 pub use ablation::{ablate_record, apply_ablation, Ablation};

@@ -16,15 +16,18 @@
 //!   *into* the new record can never change later, which is what makes the
 //!   one-sided online concurrency test exact;
 //! * edge sources whose targets have not arrived yet are held as pending
-//!   *causes* keyed by [`CauseKey`]; the simulator's
+//!   *causes* keyed by [`CauseKey`] (which record kind is which end of
+//!   which rule is `rules::keyed`, the table the batch builder reads too);
+//!   the simulator's
 //!   [`StreamControl::CauseFanout`]/[`CauseDropped`](StreamControl::CauseDropped)
 //!   notifications say when a cause can be discarded;
-//! * `Eserial` collapses to arrival order: when `Begin(e2)` arrives, every
+//! * `Eserial` is decided on arrival: when `Begin(e2)` arrives, every
 //!   already-*ended* event `e1` of the same single-consumer queue is tested
 //!   with `clock(Create(e2))[Create(e1)] ≥ pos(Create(e1))` — by induction
-//!   over sequence order this reproduces the batch fixed point, because a
+//!   over sequence order this is the paper's fixed point, because a
 //!   forward-edge DAG's reachability into a vertex only depends on edges
-//!   whose targets precede it.
+//!   whose targets precede it. The batch builder runs the same pass over
+//!   record indices.
 //!
 //! **Retirement.** [`FrontierEngine::lower_bound`] returns the elementwise
 //! minimum `L` over every clock that can still flow into a future record:
@@ -45,13 +48,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use dcatch_model::NodeId;
 use dcatch_trace::{CauseKey, ExecCtx, OpKind, QueueInfo, Record, StreamControl, TaskId};
 
+use crate::rules::{self, End};
+
 /// Configuration for [`FrontierEngine`].
 #[derive(Debug, Clone)]
 pub struct FrontierOptions {
     /// Derive `Eserial` edges natively while streaming. The loop-sync
     /// second pass disables this and replays the first pass's edges via
     /// [`FrontierEngine::inject_eserial`] instead, mirroring the batch
-    /// pipeline (which never re-runs the fixed point after
+    /// pipeline (which never re-derives `Eserial` after
     /// `add_edges_and_rebuild`).
     pub eserial: bool,
     /// Allow [`lower_bound`](FrontierEngine::lower_bound) to prove window
@@ -135,9 +140,8 @@ pub struct FrontierEngine {
     pending_tasks: BTreeSet<TaskId>,
     causes: BTreeMap<CauseKey, Cause>,
     /// Latest restart clock per node: joined into every chain the reborn
-    /// node creates (reachability-equivalent to the batch rule's edge per
-    /// restart record, because consecutive restarts are chained by program
-    /// order).
+    /// node creates (it carries the earlier restarts, which program order
+    /// chains to it).
     restart_clock: BTreeMap<NodeId, Vec<u32>>,
     // --- Eserial state ---
     queues: BTreeMap<(u32, String), QueueInfo>,
@@ -293,20 +297,28 @@ impl FrontierEngine {
             s.frontier[ci] = s.pos;
             s.pos
         };
-        match &r.kind {
-            // --- Tfork / Tjoin ---
-            OpKind::ThreadCreate { child } => {
-                self.snapshot_cause(chain, CauseKey::ThreadBegin(*child), Some(1));
+        // --- Tfork / Eenq / Mrpc / Msoc / Mpush ---
+        match rules::keyed(r) {
+            Some((key, rule, End::Source)) => {
+                // a network send announces its fan-out after the record
+                self.snapshot_cause(chain, key, rules::delivers_once(rule).then_some(1));
             }
-            OpKind::ThreadBegin => {
-                self.resolve(chain, &CauseKey::ThreadBegin(r.task));
+            Some((key, _, End::Target)) => {
+                let delivery = self.resolve(chain, &key);
+                if let OpKind::EventBegin { event } = r.kind {
+                    self.event_begin(chain, event.0, &key, delivery);
+                }
             }
+            None => {}
+        }
+        match r.kind {
+            // --- Tjoin ---
             OpKind::ThreadEnd => {
                 self.slots[ci].has_thread_end = true;
             }
             OpKind::ThreadJoin { child } => {
-                // the batch `end` map has no entry for killed children
-                if let Some(&cs) = self.registry.get(&(*child, ExecCtx::Regular)) {
+                // a killed child has no `ThreadEnd`, and orders nothing
+                if let Some(&cs) = self.registry.get(&(child, ExecCtx::Regular)) {
                     if self.slots[cs as usize].has_thread_end {
                         let f = std::mem::take(&mut self.slots[cs as usize].frontier);
                         join_clock(&mut self.slots[ci].frontier, &f);
@@ -314,30 +326,7 @@ impl FrontierEngine {
                     }
                 }
             }
-            // --- Eenq / Eserial ---
-            OpKind::EventCreate { event } => {
-                self.snapshot_cause(chain, CauseKey::EventBegin(event.0), Some(1));
-            }
-            OpKind::EventBegin { event } => {
-                let key = CauseKey::EventBegin(event.0);
-                let resolved = self.resolve(chain, &key);
-                let queue = self.event_queue.remove(&event.0);
-                if let (Some(Delivery { src: create, clock }), Some(queue)) = (resolved, queue) {
-                    let single = self
-                        .queues
-                        .get(&queue)
-                        .is_some_and(|q| q.is_single_consumer());
-                    if single {
-                        if self.opts.eserial {
-                            // a clock that did not move out is still pending
-                            let clock = clock.unwrap_or_else(|| self.causes[&key].clock.clone());
-                            self.eserial_begin(chain, event.0, &queue, create, &clock);
-                        }
-                        self.open.insert(event.0, EvOpen { queue, create });
-                    }
-                }
-                self.apply_injected(chain, event.0);
-            }
+            // --- Eserial ---
             OpKind::EventEnd { event } => {
                 if let Some(open) = self.open.remove(&event.0) {
                     let end_clock = self.slots[ci].frontier.clone();
@@ -353,38 +342,11 @@ impl FrontierEngine {
                         .insert(event.0, self.slots[ci].frontier.clone());
                 }
             }
-            // --- Mrpc ---
-            OpKind::RpcCreate { rpc } => {
-                self.snapshot_cause(chain, CauseKey::RpcBegin(rpc.0), None);
-            }
-            OpKind::RpcBegin { rpc } => {
-                self.resolve(chain, &CauseKey::RpcBegin(rpc.0));
-            }
-            OpKind::RpcEnd { rpc } => {
-                self.snapshot_cause(chain, CauseKey::RpcJoin(rpc.0), None);
-            }
-            OpKind::RpcJoin { rpc } => {
-                self.resolve(chain, &CauseKey::RpcJoin(rpc.0));
-            }
-            // --- Msoc ---
-            OpKind::SocketSend { msg } => {
-                self.snapshot_cause(chain, CauseKey::SocketRecv(msg.0), None);
-            }
-            OpKind::SocketRecv { msg } => {
-                self.resolve(chain, &CauseKey::SocketRecv(msg.0));
-            }
-            // --- Mpush ---
-            OpKind::ZkUpdate { path, version } => {
-                self.snapshot_cause(chain, CauseKey::ZkPushed(path.clone(), *version), None);
-            }
-            OpKind::ZkPushed { path, version } => {
-                self.resolve(chain, &CauseKey::ZkPushed(path.clone(), *version));
-            }
             // --- Crash ---
             OpKind::NodeCrash { node } => {
                 let mut joins: Vec<Vec<u32>> = Vec::new();
                 for (&(t, _), &s) in &self.registry {
-                    if t.node == *node && s != chain {
+                    if t.node == node && s != chain {
                         joins.push(self.slots[s as usize].frontier.clone());
                     }
                 }
@@ -394,16 +356,11 @@ impl FrontierEngine {
             }
             OpKind::NodeRestart { node } => {
                 self.restart_clock
-                    .insert(*node, self.slots[ci].frontier.clone());
+                    .insert(node, self.slots[ci].frontier.clone());
             }
-            // memory, locks, loop markers, RPC timeouts: program order only
-            OpKind::MemRead { .. }
-            | OpKind::MemWrite { .. }
-            | OpKind::LockAcquire { .. }
-            | OpKind::LockRelease { .. }
-            | OpKind::LoopEnter { .. }
-            | OpKind::LoopExit { .. }
-            | OpKind::RpcTimeout { .. } => {}
+            // the keyed records above; memory, locks, loop markers and RPC
+            // timeouts: program order only
+            _ => {}
         }
         Arrival { chain, pos }
     }
@@ -449,8 +406,8 @@ impl FrontierEngine {
         let clock = s.frontier.clone();
         match self.causes.entry(key) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
-                // duplicate source record (a duplicated RPC request's second
-                // reply): last snapshot wins, pending deliveries carry over
+                // a repeated source: last snapshot wins, pending deliveries
+                // carry over
                 let c = e.get_mut();
                 c.clock = clock;
                 c.src = src;
@@ -463,8 +420,7 @@ impl FrontierEngine {
 
     /// Joins `key`'s cause into `chain` and consumes one delivery. Returns
     /// the cause's source identity — with its clock when this was the last
-    /// delivery and the cause is gone — or `None` when no cause is pending
-    /// (the batch builder adds no edge then either).
+    /// delivery and the cause is gone — or `None` when no cause is pending.
     fn resolve(&mut self, chain: u32, key: &CauseKey) -> Option<Delivery> {
         let c = self.causes.get_mut(key)?;
         join_clock(&mut self.slots[chain as usize].frontier, &c.clock);
@@ -475,6 +431,27 @@ impl FrontierEngine {
             None => {}
         }
         Some(Delivery { src, clock })
+    }
+
+    /// `Begin(event)` arrived and took `delivery` from its `Create` (`key`):
+    /// the `Eserial` bookkeeping, native or injected.
+    fn event_begin(&mut self, chain: u32, event: u64, key: &CauseKey, delivery: Option<Delivery>) {
+        let queue = self.event_queue.remove(&event);
+        if let (Some(Delivery { src: create, clock }), Some(queue)) = (delivery, queue) {
+            let single = self
+                .queues
+                .get(&queue)
+                .is_some_and(|q| q.is_single_consumer());
+            if single {
+                if self.opts.eserial {
+                    // a clock that did not move out is still pending
+                    let clock = clock.unwrap_or_else(|| self.causes[key].clock.clone());
+                    self.eserial_begin(chain, event, &queue, create, &clock);
+                }
+                self.open.insert(event, EvOpen { queue, create });
+            }
+        }
+        self.apply_injected(chain, event);
     }
 
     /// The arrival-order `Eserial` test: join every already-ended event of

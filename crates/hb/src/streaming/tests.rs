@@ -1,9 +1,12 @@
-use dcatch_model::{Expr, FuncKind, Program, ProgramBuilder, Value};
+use dcatch_model::{Expr, FuncKind, NodeId, Program, ProgramBuilder, Value};
 use dcatch_sim::{SimConfig, Topology, World};
-use dcatch_trace::{CollectSink, Record, StreamControl, TraceSink};
+use dcatch_trace::{
+    CallStack, CollectSink, ExecCtx, HandlerKind, MemLoc, MemSpace, OpKind, Record, StreamControl,
+    TaskId, TraceSink,
+};
 
 use super::{Arrival, FrontierEngine, FrontierOptions};
-use crate::{HbAnalysis, HbConfig};
+use crate::{EdgeRule, HbAnalysis, HbConfig, ReachabilityMode};
 
 /// Runs the online engine live off the simulator while also materializing
 /// the batch trace, storing every record's arrival and final clock.
@@ -289,4 +292,147 @@ fn verdicts_at_arrival_survive_retirement() {
         let wm = j + 1;
         window.retain(|i| retired_at.get(i) != Some(&wm));
     }
+}
+
+/// Two crash/restart cycles of node 0 beside an untouched node 1, as the
+/// simulator writes them: fault records come from the node's task 0, and
+/// reborn tasks get fresh indices.
+///
+/// ```text
+///  0 n0.t1 W      4 n0.t0 Crash(n0)     7 n0.t3 W    10 n0.t0 Crash(n0)
+///  1 n0.t2 W      5 n1.t1 W             8 n0.t3 W    11 n0.t0 Restart(n0)
+///  2 n0.t2 W      6 n0.t0 Restart(n0)   9 n0.t4 W    12 n0.t5 W
+///  3 n1.t1 W                              (handler)  13 n1.t1 W
+/// ```
+fn crash_cycles() -> Vec<Record> {
+    let handler = ExecCtx::Handler {
+        kind: HandlerKind::Event,
+        instance: 1,
+    };
+    let n0 = NodeId(0);
+    let script = [
+        (0, 1, ExecCtx::Regular, None),
+        (0, 2, ExecCtx::Regular, None),
+        (0, 2, ExecCtx::Regular, None),
+        (1, 1, ExecCtx::Regular, None),
+        (0, 0, ExecCtx::Regular, Some(OpKind::NodeCrash { node: n0 })),
+        (1, 1, ExecCtx::Regular, None),
+        (
+            0,
+            0,
+            ExecCtx::Regular,
+            Some(OpKind::NodeRestart { node: n0 }),
+        ),
+        (0, 3, ExecCtx::Regular, None),
+        (0, 3, ExecCtx::Regular, None),
+        (0, 4, handler, None),
+        (0, 0, ExecCtx::Regular, Some(OpKind::NodeCrash { node: n0 })),
+        (
+            0,
+            0,
+            ExecCtx::Regular,
+            Some(OpKind::NodeRestart { node: n0 }),
+        ),
+        (0, 5, ExecCtx::Regular, None),
+        (1, 1, ExecCtx::Regular, None),
+    ];
+    script
+        .into_iter()
+        .enumerate()
+        .map(|(seq, (node, index, ctx, fault))| Record {
+            seq: seq as u64,
+            task: TaskId {
+                node: NodeId(node),
+                index,
+            },
+            ctx,
+            kind: fault.unwrap_or_else(|| OpKind::MemWrite {
+                loc: MemLoc {
+                    space: MemSpace::Heap,
+                    node: NodeId(node),
+                    object: format!("o{seq}"),
+                    key: None,
+                },
+                value: None,
+            }),
+            stack: CallStack::default(),
+        })
+        .collect()
+}
+
+/// Runs a hand-written trace through the online engine and through the
+/// batch builder under both indexes, demands that all three agree on every
+/// record pair, and returns one batch graph for the test's own assertions.
+fn replay(records: Vec<Record>) -> HbAnalysis {
+    let mut sink = DualSink::new(None);
+    for r in &records {
+        sink.record(r);
+    }
+    let n = records.len();
+    let [matrix, clocks] = [ReachabilityMode::Matrix, ReachabilityMode::Clocks].map(|mode| {
+        let cfg = HbConfig {
+            reachability: mode,
+            ..HbConfig::default()
+        };
+        HbAnalysis::build(sink.collect.trace.clone(), &cfg).unwrap()
+    });
+    for i in 0..n {
+        for j in i + 1..n {
+            let batch = matrix.concurrent(i, j);
+            assert_eq!(clocks.concurrent(i, j), batch, "clocks on ({i}, {j})");
+            assert_eq!(sink.concurrent(i, j), batch, "online on ({i}, {j})");
+        }
+    }
+    matrix
+}
+
+fn crash_sources(hb: &HbAnalysis, v: usize) -> Vec<usize> {
+    hb.predecessors(v)
+        .into_iter()
+        .filter(|&(_, rule)| rule == EdgeRule::Crash)
+        .map(|(u, _)| u)
+        .collect()
+}
+
+/// A crash record is ordered after the last record of every chain of its
+/// node — dead ones from an earlier life included — and after nothing of
+/// any other node.
+#[test]
+fn crash_is_ordered_after_every_chain_of_its_node_only() {
+    let hb = replay(crash_cycles());
+    assert_eq!(crash_sources(&hb, 4), [0, 2]);
+    assert!(hb.happens_before(1, 4), "through its chain's last record");
+    assert!(
+        hb.concurrent(3, 4) && hb.concurrent(4, 5),
+        "node 1 is apart"
+    );
+    assert_eq!(crash_sources(&hb, 10), [0, 2, 8, 9]);
+    assert!(hb.concurrent(5, 10));
+}
+
+/// The first record of each chain of the reborn node is ordered after the
+/// restart, so pre-crash ⇒ crash ⇒ restart ⇒ post-restart.
+#[test]
+fn restart_is_ordered_before_every_reborn_chain() {
+    let hb = replay(crash_cycles());
+    assert_eq!(hb.predecessors(7), [(6, EdgeRule::Crash)]);
+    assert_eq!(hb.predecessors(9), [(6, EdgeRule::Crash)]);
+    assert_eq!(hb.predecessors(8), [(7, EdgeRule::Program)]);
+    assert!(hb.happens_before(0, 8) && hb.happens_before(2, 9));
+    assert!(
+        hb.concurrent(5, 7) && hb.concurrent(6, 13),
+        "node 1 is apart"
+    );
+}
+
+/// Two cycles on one node chain through: a chain born after both restarts
+/// takes one edge, from the latest, and is still ordered after the first
+/// restart and everything before it.
+#[test]
+fn consecutive_restarts_chain_through() {
+    let hb = replay(crash_cycles());
+    assert!(hb.happens_before(6, 11), "restarts share a chain");
+    assert_eq!(hb.predecessors(12), [(11, EdgeRule::Crash)]);
+    assert!(hb.happens_before(6, 12) && hb.happens_before(7, 12) && hb.happens_before(0, 12));
+    assert!(hb.concurrent(12, 13));
 }

@@ -388,3 +388,49 @@ fn chain_clocks_agree_with_bit_matrix() {
         }
     }
 }
+
+/// Loop-sync growth keeps the index exact: after random forward edges go
+/// in through `add_edges_and_rebuild`, `happens_before` is still the DFS
+/// closure over `successors` — what a build from scratch over the grown
+/// edge set would answer — under both engines.
+#[test]
+fn incremental_growth_matches_dfs_closure() {
+    for case in 0..40u64 {
+        let mut rng = SmallRng::seed_from_u64(0x1BC4 ^ case);
+        let trace = build_trace(&arb_ops(&mut rng, 40));
+        let n = trace.len();
+        if n < 2 {
+            continue;
+        }
+        let rounds: Vec<Vec<(usize, usize)>> = (0..4)
+            .map(|_| {
+                (0..1 + rng.gen_range(6))
+                    .map(|_| {
+                        let u = rng.gen_range(n - 1);
+                        (u, u + 1 + rng.gen_range(n - u - 1))
+                    })
+                    .collect()
+            })
+            .collect();
+        for mode in [ReachabilityMode::Matrix, ReachabilityMode::Clocks] {
+            let cfg = HbConfig {
+                reachability: mode,
+                ..HbConfig::default()
+            };
+            let mut hb = HbAnalysis::build(trace.clone(), &cfg).unwrap();
+            for (round, extra) in rounds.iter().enumerate() {
+                hb.add_edges_and_rebuild(extra);
+                let truth = dfs_closure(&hb);
+                for (a, row) in truth.iter().enumerate() {
+                    for (b, &reachable) in row.iter().enumerate() {
+                        assert_eq!(
+                            hb.happens_before(a, b),
+                            a != b && reachable,
+                            "case {case} round {round} ({mode}): hb({a}, {b}) mismatch"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
