@@ -69,8 +69,8 @@ pub use dcatch_model::{Expr, FailureSpec, FuncKind, Program, ProgramBuilder, Stm
 pub use dcatch_prune::{Impact, PruneStats, Pruner};
 pub use dcatch_sim::{
     trace_timeline, ChannelKind, CrashFault, Failure, FaultPlan, FaultPlanError, FocusConfig,
-    MessageAction, MessageFault, RunFailureKind, RunResult, SimConfig, TimeoutFault, Topology,
-    World,
+    MessageAction, MessageFault, Prepared, RunFailureKind, RunResult, SimConfig, TimeoutFault,
+    Topology, World,
 };
 pub use dcatch_trace::{TraceSet, TraceSink, TraceStats, TracingMode};
 pub use dcatch_trigger::{

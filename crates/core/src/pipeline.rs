@@ -13,7 +13,7 @@ use dcatch_hb::{
 };
 use dcatch_obs::budget::{self, Budget, DegradationEvent};
 use dcatch_prune::{Impact, Pruner};
-use dcatch_sim::{Failure, FaultPlan, FocusConfig, RunError, SimConfig, World};
+use dcatch_sim::{Failure, FaultPlan, FocusConfig, Prepared, RunError, SimConfig, World};
 use dcatch_trace::TracingMode;
 use dcatch_trigger::{
     run_farm, steal_map, FarmSpec, OrderRun, TriggerPlan, TriggerReport, Verdict,
@@ -296,6 +296,9 @@ impl Pipeline {
         opts: &PipelineOptions,
     ) -> Result<BenchmarkReport, PipelineError> {
         let (program, topo) = (&bench.program, &bench.topology);
+        // validated and compiled once for every simulated run below (the
+        // trigger farm prepares its own)
+        let prepared = World::prepare(program, topo)?;
         let seed = opts.seed.unwrap_or(bench.seed);
         // the fault plan applies to every simulated run of this pipeline,
         // unless it is aimed at a different benchmark
@@ -311,7 +314,7 @@ impl Pipeline {
                 .with_faults(faults.clone());
             cfg.trace_enabled = false;
             let _span = dcatch_obs::span!("pipeline.base");
-            World::run_once(program, topo, cfg)?;
+            prepared.run_once(&cfg);
         }
 
         // A node crash is a spontaneous causal root: surviving chains can
@@ -330,7 +333,7 @@ impl Pipeline {
             }
             let mut run = {
                 let _span = dcatch_obs::span!("pipeline.tracing");
-                World::run_once(program, topo, cfg.clone())?
+                prepared.run_once(&cfg)
             };
             failure_free(&run.failures)?;
 
@@ -356,7 +359,7 @@ impl Pipeline {
                 cfg = cfg.with_mem_sample_rate(rate);
                 run = {
                     let _span = dcatch_obs::span!("pipeline.tracing");
-                    World::run_once(program, topo, cfg.clone())?
+                    prepared.run_once(&cfg)
                 };
                 budget::record(DegradationEvent {
                     stage: "tracing".to_owned(),
@@ -444,7 +447,7 @@ impl Pipeline {
                 };
                 let pass1 = {
                     let _span = dcatch_obs::span!("pipeline.streaming");
-                    stream_pass(bench, &cfg, online.clone())?
+                    stream_pass(&prepared, &cfg, online.clone())?
                 };
                 let analysis = Analysis::Stream {
                     online,
@@ -490,9 +493,7 @@ impl Pipeline {
                     let focus_cfg = cfg
                         .clone()
                         .with_focus(FocusConfig::on(objects.iter().cloned()));
-                    World::run_once(program, topo, focus_cfg)
-                        .expect("focused re-run")
-                        .trace
+                    prepared.run_once(&focus_cfg).trace
                 };
                 // loop-sync edges may order candidates SP had already
                 // scored; re-apply the pruning filter to a refreshed set
@@ -532,7 +533,7 @@ impl Pipeline {
                                     ..online.clone()
                                 };
                                 pass2_opts.engine.eserial = false;
-                                let pass2 = stream_pass(bench, &cfg, pass2_opts)?;
+                                let pass2 = stream_pass(&prepared, &cfg, pass2_opts)?;
                                 stats.window_peak = stats.window_peak.max(pass2.window_peak);
                                 stats.records_retired += pass2.records_retired;
                                 stats.records_forced += pass2.records_forced;
@@ -737,14 +738,15 @@ enum Analysis {
     },
 }
 
-/// One streamed run of `bench` into a fresh [`OnlineDetector`].
+/// One streamed run of the prepared benchmark into a fresh
+/// [`OnlineDetector`].
 fn stream_pass(
-    bench: &Benchmark,
+    prepared: &Prepared,
     cfg: &SimConfig,
     online: OnlineOptions,
 ) -> Result<StreamOutcome, PipelineError> {
     let mut sink = OnlineDetector::new(online);
-    let run = World::run_streamed(&bench.program, &bench.topology, cfg.clone(), &mut sink)?;
+    let run = prepared.run_streamed(cfg, &mut sink);
     failure_free(&run.failures)?;
     Ok(sink.finalize())
 }

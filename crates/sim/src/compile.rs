@@ -215,11 +215,41 @@ pub enum Op {
     Nop,
 }
 
+impl Op {
+    /// Whether executing the op can touch nothing but the running task's
+    /// frame and its node's heap, so that no task's readiness depends on
+    /// it. An allow-list on purpose: the scheduler keeps its action list
+    /// across such a step only, and a new variant must opt in.
+    pub fn is_local(&self) -> bool {
+        use Op::*;
+        matches!(
+            self,
+            Assign { .. }
+                | Read { .. }
+                | Write { .. }
+                | MapPut { .. }
+                | MapGet { .. }
+                | MapRemove { .. }
+                | MapContains { .. }
+                | ListAdd { .. }
+                | ListRemove { .. }
+                | ListIsEmpty { .. }
+                | ListContains { .. }
+                | Branch { .. }
+                | Jump { .. }
+                | LoopEnter { .. }
+                | LoopHead { .. }
+                | LoopExit { .. }
+                | Call { .. }
+                | Yield
+                | Nop
+        )
+    }
+}
+
 /// A compiled function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledFunc {
-    /// Function name.
-    pub name: String,
     /// Slot of each parameter, in declaration order.
     pub params: Vec<Slot>,
     /// Name of every local, by slot (for "undefined local" messages); its
@@ -322,11 +352,6 @@ impl CompiledProgram {
     pub fn func(&self, func: FuncId) -> &CompiledFunc {
         &self.funcs[func.index()]
     }
-
-    /// All compiled functions.
-    pub fn funcs(&self) -> &[CompiledFunc] {
-        &self.funcs
-    }
 }
 
 fn compile_func<'p>(
@@ -354,7 +379,6 @@ fn compile_func<'p>(
     });
     lower.push(end_stmt, Op::Return { expr: None });
     Ok(CompiledFunc {
-        name: f.name.clone(),
         params,
         locals: lower.locals.into_names(),
         kind: f.kind,

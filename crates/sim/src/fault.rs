@@ -161,6 +161,16 @@ impl FaultPlan {
             && self.panic_at_step.is_none()
     }
 
+    /// The step at which a caller on `node`, blocked on an RPC since step
+    /// `since`, gives up under this plan (`None`: no policy matches it).
+    pub(crate) fn rpc_deadline(&self, node: NodeId, since: u64) -> Option<u64> {
+        self.rpc_timeouts
+            .iter()
+            .filter(|f| f.from.is_none_or(|n| n == node))
+            .map(|f| since.saturating_add(f.after))
+            .min()
+    }
+
     /// Adds a message fault.
     pub fn with_message(mut self, fault: MessageFault) -> FaultPlan {
         self.messages.push(fault);

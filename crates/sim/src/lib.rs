@@ -56,6 +56,7 @@ mod config;
 mod failure;
 mod fault;
 mod gate;
+mod prepare;
 pub mod timeline;
 mod topology;
 mod world;
@@ -66,6 +67,7 @@ pub use fault::{
     ChannelKind, CrashFault, FaultPlan, FaultPlanError, MessageAction, MessageFault, TimeoutFault,
 };
 pub use gate::{Gate, GateDecision, GateEvent, NoGate, StallAction};
+pub use prepare::Prepared;
 pub use timeline::trace_timeline;
 pub use topology::{NodeSpec, QueueSpec, Topology, WatcherSpec};
 pub use world::{RunError, RunResult, World};

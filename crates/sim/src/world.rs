@@ -3,7 +3,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
 use dcatch_obs::counter;
 use dcatch_obs::rng::SmallRng;
@@ -11,15 +10,15 @@ use dcatch_obs::rng::SmallRng;
 use dcatch_model::{BinOp, FuncId, LoopId, NodeId, Program, StmtId, UnOp, Value};
 use dcatch_trace::{
     CallStack, CauseKey, EventId, ExecCtx, HandlerKind, LockRef, MemLoc, MemSpace, MsgId, OpKind,
-    QueueInfo, Record, RpcId, StreamControl, TaskId, TraceSet, TraceSink, TracedFunctions,
-    TracingMode,
+    Record, RpcId, StreamControl, TaskId, TraceSet, TraceSink, TracingMode,
 };
 
-use crate::compile::{CompiledProgram, LockId, ObjId, Op, QueueId, Slot, SlotExpr};
+use crate::compile::{LockId, ObjId, Op, QueueId, Slot, SlotExpr};
 use crate::config::SimConfig;
 use crate::failure::{Failure, LogLevel, LogLine, RunFailureKind};
 use crate::fault::{ChannelKind, CrashFault, MessageAction};
 use crate::gate::{Gate, GateDecision, GateEvent, NoGate, StallAction};
+use crate::prepare::Prepared;
 use crate::topology::Topology;
 
 /// Error preventing a run from starting.
@@ -194,8 +193,41 @@ struct InFlight {
 #[derive(Debug, Clone, PartialEq)]
 enum HeapObj {
     Cell(Value),
-    Map(BTreeMap<String, Value>),
+    Map(BTreeMap<MapKey, Value>),
     List(Vec<Value>),
+}
+
+/// Key of a heap map: equal exactly when the [`Value::key_string`] forms of
+/// the values they were built from are (`5` and `"5"` name one entry, as in
+/// the trace), but rendered only into a record that is written. Heap maps
+/// are never iterated, so the order of keys is unobservable.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum MapKey {
+    Int(i64),
+    /// Any key form that is not the canonical decimal of an `i64`.
+    Str(String),
+}
+
+impl MapKey {
+    fn of(v: Value) -> MapKey {
+        match v {
+            Value::Int(i) => MapKey::Int(i),
+            Value::Str(s) => match s.parse::<i64>() {
+                Ok(i) if i.to_string() == s => MapKey::Int(i),
+                _ => MapKey::Str(s),
+            },
+            other => MapKey::Str(other.key_string()),
+        }
+    }
+}
+
+impl fmt::Display for MapKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MapKey::Int(i) => i.fmt(f),
+            MapKey::Str(s) => f.write_str(s),
+        }
+    }
 }
 
 #[derive(Debug, Default, Clone)]
@@ -249,21 +281,24 @@ struct ZkStore {
 /// The simulation state and step engine. Most callers use
 /// [`World::run_once`] or [`World::run_with_gate`].
 pub struct World<'g> {
-    cp: Arc<CompiledProgram>,
-    topo: Topology,
-    /// Handler of each `topo.watchers` entry, resolved once.
-    watcher_handlers: Vec<FuncId>,
-    config: SimConfig,
-    traced: TracedFunctions,
+    prep: &'g Prepared,
+    config: &'g SimConfig,
 
     rng: SmallRng,
     step: u64,
     seq: u64,
 
     tasks: Vec<Task>,
-    /// What the scheduler may pick this step; refilled by
-    /// `collect_actions`, kept to reuse its buffer.
+    /// What the scheduler may pick this step, as `collect_actions` left it.
     actions: Vec<Action>,
+    /// Whether no step since that scan can have changed the list. Dropped
+    /// by default: only `run_task_step` vouches for a step.
+    actions_valid: bool,
+    /// The earliest step after that scan at which time alone changes
+    /// something (`collect_actions`); `u64::MAX` when there is none.
+    wake_at: u64,
+    /// Tasks that scan left `HeldByGate`, by index.
+    held: Vec<usize>,
     /// `heaps[node][object]`: `None` until first written.
     heaps: Vec<Vec<Option<HeapObj>>>,
     /// `locks[node][lock]`.
@@ -304,12 +339,14 @@ pub struct World<'g> {
     next_instance: u64,
     next_handle: u64,
     task_counters: Vec<u32>,
-    /// `sim_steps_total` / `sim_context_switches_total`, flushed by `finish`.
+    /// `sim_steps_total` / `sim_sched_rebuilds_total` /
+    /// `sim_context_switches_total`, flushed by `finish`.
     steps_executed: u64,
+    sched_rebuilds: u64,
     context_switches: u64,
 }
 
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Action {
     RunTask(usize),
     Deliver(usize),
@@ -329,94 +366,53 @@ enum Flow {
     Dead,
 }
 
-impl<'g> World<'g> {
-    /// Runs `program` on `topo` with the default (no-op) gate.
-    pub fn run_once(
-        program: &Program,
-        topo: &Topology,
-        config: SimConfig,
-    ) -> Result<RunResult, RunError> {
-        let mut gate = NoGate;
-        World::run_with_gate(program, topo, config, &mut gate)
+impl Prepared {
+    /// [`World::run_once`] on the prepared program.
+    pub fn run_once(&self, config: &SimConfig) -> RunResult {
+        self.run(config, &mut NoGate, None)
     }
 
-    /// Runs `program` on `topo`, streaming every trace record and lifecycle
-    /// control into `sink` as it is emitted instead of materializing a
-    /// `TraceSet` (the returned result's trace holds only the queue/event
-    /// side tables). The sink is called synchronously from the step loop:
-    /// its `record` returning is the backpressure.
-    pub fn run_streamed(
-        program: &Program,
-        topo: &Topology,
-        config: SimConfig,
-        sink: &mut (dyn TraceSink + Send),
-    ) -> Result<RunResult, RunError> {
-        let mut gate = NoGate;
-        World::run_inner(program, topo, config, &mut gate, Some(sink))
+    /// [`World::run_streamed`] on the prepared program.
+    pub fn run_streamed(&self, config: &SimConfig, sink: &mut (dyn TraceSink + Send)) -> RunResult {
+        self.run(config, &mut NoGate, Some(sink))
     }
 
-    /// Runs `program` on `topo`, consulting `gate` before and after every
-    /// statement (the triggering module's controller).
-    pub fn run_with_gate(
-        program: &Program,
-        topo: &Topology,
-        config: SimConfig,
-        gate: &'g mut dyn Gate,
-    ) -> Result<RunResult, RunError> {
-        World::run_inner(program, topo, config, gate, None)
+    /// [`World::run_with_gate`] on the prepared program.
+    pub fn run_with_gate(&self, config: &SimConfig, gate: &mut dyn Gate) -> RunResult {
+        self.run(config, gate, None)
     }
 
-    fn run_inner(
-        program: &Program,
-        topo: &Topology,
-        config: SimConfig,
-        gate: &'g mut dyn Gate,
-        sink: Option<&'g mut (dyn TraceSink + Send)>,
-    ) -> Result<RunResult, RunError> {
-        let problems = topo.validate(program);
-        if !problems.is_empty() {
-            return Err(RunError {
-                message: problems.join("; "),
-            });
-        }
-        let mut cp = CompiledProgram::compile(program).map_err(|e| RunError {
-            message: e.to_string(),
-        })?;
-        for q in topo.nodes.iter().flat_map(|n| &n.queues) {
-            cp.intern_queue(&q.name);
-        }
-        let watcher_handlers = topo
-            .watchers
-            .iter()
-            .map(|w| program.func_id(&w.handler).expect("validated watcher"))
-            .collect();
-        let nodes = topo.nodes.len();
-        let traced = TracedFunctions::compute(program);
-        let crash_queue = config.faults.crashes.clone();
-        let msg_fault_hits = vec![0; config.faults.messages.len()];
+    /// The one run path: a fresh `World`, booted and stepped to quiescence.
+    fn run<'w>(
+        &'w self,
+        config: &'w SimConfig,
+        gate: &'w mut dyn Gate,
+        sink: Option<&'w mut (dyn TraceSink + Send)>,
+    ) -> RunResult {
+        let (cp, nodes) = (&self.cp, self.nodes.len());
         let mut world = World {
+            prep: self,
+            config,
             heaps: vec![vec![None; cp.objects.len()]; nodes],
             locks: vec![vec![LockState::default(); cp.locks.len()]; nodes],
             queues: vec![vec![None; cp.queues.len()]; nodes],
-            cp: Arc::new(cp),
-            topo: topo.clone(),
-            watcher_handlers,
             rng: SmallRng::seed_from_u64(config.seed),
-            config,
-            traced,
             step: 0,
             seq: 0,
             tasks: Vec::new(),
             actions: Vec::new(),
+            actions_valid: false,
+            wake_at: 0,
+            held: Vec::new(),
             rpc_pending: vec![VecDeque::new(); nodes],
             socket_pending: vec![VecDeque::new(); nodes],
             notify_pending: vec![VecDeque::new(); nodes],
             net: Vec::new(),
             zk: ZkStore::default(),
             crashed: vec![false; nodes],
-            crash_queue,
+            crash_queue: config.faults.crashes.clone(),
             pending_restarts: Vec::new(),
-            msg_fault_hits,
+            msg_fault_hits: vec![0; config.faults.messages.len()],
             faults_injected: 0,
             mem_samples_seen: 0,
             trace: TraceSet::new(),
@@ -432,64 +428,85 @@ impl<'g> World<'g> {
             next_handle: 0,
             task_counters: vec![0; nodes],
             steps_executed: 0,
+            sched_rebuilds: 0,
             context_switches: 0,
         };
         let _span = dcatch_obs::span!("sim.run");
         counter!("sim_runs_total").inc();
-        world.boot();
+        for node in 0..nodes {
+            world.setup_node(NodeId(node as u32));
+        }
         world.run_loop();
-        Ok(world.finish())
+        world.finish()
+    }
+}
+
+impl<'g> World<'g> {
+    /// Runs `program` on `topo` with the default (no-op) gate.
+    pub fn run_once(
+        program: &Program,
+        topo: &Topology,
+        config: SimConfig,
+    ) -> Result<RunResult, RunError> {
+        Ok(World::prepare(program, topo)?.run_once(&config))
     }
 
-    fn boot(&mut self) {
-        for i in 0..self.topo.nodes.len() {
-            self.setup_node(NodeId(i as u32));
-        }
+    /// Runs `program` on `topo`, streaming every trace record and lifecycle
+    /// control into `sink` as it is emitted instead of materializing a
+    /// `TraceSet` (the returned result's trace holds only the queue/event
+    /// side tables). The sink is called synchronously from the step loop:
+    /// its `record` returning is the backpressure.
+    pub fn run_streamed(
+        program: &Program,
+        topo: &Topology,
+        config: SimConfig,
+        sink: &mut (dyn TraceSink + Send),
+    ) -> Result<RunResult, RunError> {
+        Ok(World::prepare(program, topo)?.run_streamed(&config, sink))
+    }
+
+    /// Runs `program` on `topo`, consulting `gate` before and after every
+    /// statement (the triggering module's controller).
+    pub fn run_with_gate(
+        program: &Program,
+        topo: &Topology,
+        config: SimConfig,
+        gate: &'g mut dyn Gate,
+    ) -> Result<RunResult, RunError> {
+        Ok(World::prepare(program, topo)?.run_with_gate(&config, gate))
     }
 
     /// Creates a node's queues, worker pool, and entry tasks. Called once
     /// per node at boot, and again when a crashed node restarts.
     fn setup_node(&mut self, node: NodeId) {
-        let nspec = self.topo.nodes[node.index()].clone();
-        let i = node.index();
-        for q in &nspec.queues {
-            let queue = self.cp.queues.iter().position(|n| *n == q.name);
-            let queue = queue.expect("topology queues are interned before boot");
-            self.queues[i][queue] = Some(VecDeque::new());
-            let info = QueueInfo {
-                consumers: q.consumers,
-            };
-            self.trace.register_queue(node, q.name.clone(), info);
+        let spec = &self.prep.nodes[node.index()];
+        for &(queue, info) in &spec.queues {
+            self.queues[node.index()][queue] = Some(VecDeque::new());
+            let name = &self.prep.cp.queues[queue];
+            self.trace.register_queue(node, name.clone(), info);
             if self.streaming() {
                 self.ctl(StreamControl::RegisterQueue {
                     node,
-                    queue: q.name.clone(),
+                    queue: name.clone(),
                     info,
                 });
             }
-            for _ in 0..q.consumers {
+            for _ in 0..info.consumers {
                 self.new_task(node, TaskKind::EventWorker { queue }, TaskState::Idle, None);
             }
         }
-        for _ in 0..nspec.rpc_workers {
+        for _ in 0..spec.rpc_workers {
             self.new_task(node, TaskKind::RpcWorker, TaskState::Idle, None);
         }
-        for _ in 0..nspec.socket_workers {
+        for _ in 0..spec.socket_workers {
             self.new_task(node, TaskKind::SocketWorker, TaskState::Idle, None);
         }
-        if self.topo.watchers.iter().any(|w| w.node == node) {
+        if spec.watches {
             self.new_task(node, TaskKind::WatcherWorker, TaskState::Idle, None);
         }
-        for (func, args) in &nspec.entries {
-            let fid = self
-                .cp
-                .funcs()
-                .iter()
-                .position(|f| &f.name == func)
-                .expect("validated entry");
-            let fid = FuncId(fid as u32);
+        for (func, args) in &spec.entries {
             let t = self.new_task(node, TaskKind::Entry, TaskState::Runnable, None);
-            let frame = self.make_frame(fid, args.clone(), None, None);
+            let frame = self.make_frame(*func, args.clone(), None, None);
             self.tasks[t].frames.push(frame);
             // entry threads have no `ThreadCreate` cause announcing them:
             // the sink must learn they exist before it retires anything
@@ -534,7 +551,7 @@ impl<'g> World<'g> {
         ret_local: Option<Slot>,
         call_site: Option<StmtId>,
     ) -> Frame {
-        let cf = self.cp.func(func);
+        let cf = self.prep.cp.func(func);
         let mut locals = vec![None; cf.locals.len()];
         for (&p, a) in cf.params.iter().zip(args) {
             locals[p] = Some(a);
@@ -559,7 +576,7 @@ impl<'g> World<'g> {
             }
         }
         if let Some(top) = task.frames.last() {
-            let cf = self.cp.func(top.func);
+            let cf = self.prep.cp.func(top.func);
             if top.pc < cf.instrs.len() {
                 ids.push(cf.instrs[top.pc].stmt);
             }
@@ -619,7 +636,7 @@ impl<'g> World<'g> {
                 let traced = self.tasks[t]
                     .frames
                     .last()
-                    .is_some_and(|f| self.traced.contains(f.func));
+                    .is_some_and(|f| self.prep.traced.contains(f.func));
                 (traced, false)
             }
         }
@@ -634,7 +651,7 @@ impl<'g> World<'g> {
         write: bool,
         space: MemSpace,
         object: &str,
-        key: Option<&str>,
+        key: Option<&MapKey>,
         value: &Value,
     ) {
         let (trace_it, with_value) = self.mem_trace_policy(t, object);
@@ -660,7 +677,7 @@ impl<'g> World<'g> {
                 MemSpace::Zk => NodeId(0),
             },
             object: object.to_owned(),
-            key: key.map(str::to_owned),
+            key: key.map(MapKey::to_string),
         };
         let value = with_value.then(|| value.key_string());
         let kind = if write {
@@ -676,7 +693,7 @@ impl<'g> World<'g> {
     fn fail(&mut self, t: usize, kind: RunFailureKind, msg: impl Into<String>) {
         let task = &self.tasks[t];
         let stmt = task.frames.last().and_then(|f| {
-            let cf = self.cp.func(f.func);
+            let cf = self.prep.cp.func(f.func);
             cf.instrs.get(f.pc).map(|i| i.stmt)
         });
         self.failures.push(Failure {
@@ -728,8 +745,7 @@ impl<'g> World<'g> {
     // -- main loop -----------------------------------------------------------
 
     fn run_loop(&mut self) {
-        // the instruction is borrowed from here while `exec` mutates `self`
-        let cp = Arc::clone(&self.cp);
+        let panic_at = self.config.faults.panic_at_step.unwrap_or(u64::MAX);
         let mut last_task: Option<usize> = None;
         loop {
             if self.step >= self.config.max_steps {
@@ -742,35 +758,48 @@ impl<'g> World<'g> {
                 });
                 return;
             }
-            // apply fault-plan events whose step has come (no-op when the
-            // plan is empty)
-            self.apply_due_faults();
-            self.collect_actions();
+            // `>=`, not `==`: a quiescent clock jump can pass the planned step
+            // without ever stopping on it
+            if self.step >= panic_at {
+                panic!("fault plan injected a host panic at step {panic_at} (chaos hook)")
+            }
+            // The previous step's list stands when that step vouched for it
+            // and no time-driven change is due. The held tasks are still
+            // asked, once each and in index order, as a scan asks them.
+            let polled = self.actions_valid && self.step < self.wake_at;
+            let mut reuse = polled;
+            if polled {
+                for &i in &self.held {
+                    if self.gate.is_released(self.tasks[i].id) {
+                        self.tasks[i].state = TaskState::Runnable;
+                        reuse = false;
+                    }
+                }
+            }
+            if reuse {
+                #[cfg(debug_assertions)]
+                {
+                    let (mut kept, step) = (self.actions.iter(), self.step);
+                    self.ready_actions(|a| debug_assert_eq!(kept.next(), Some(&a), "step {step}"));
+                    debug_assert_eq!(kept.next(), None, "step {step}");
+                }
+            } else {
+                if !polled {
+                    // fault-plan events whose step has come; below `wake_at`
+                    // none has
+                    self.apply_due_faults();
+                }
+                self.collect_actions(polled);
+            }
             if self.actions.is_empty() {
-                let min_sleep = self
-                    .tasks
-                    .iter()
-                    .filter_map(|t| match t.state {
-                        TaskState::Sleeping { until } => Some(until),
-                        _ => None,
-                    })
-                    .min();
-                let min_wake = match (min_sleep, self.next_fault_wake()) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                if let Some(min_wake) = min_wake {
-                    counter!("sim_clock_advances_total").add(min_wake.saturating_sub(self.step));
-                    self.step = min_wake;
+                if self.wake_at != u64::MAX {
+                    counter!("sim_clock_advances_total").add(self.wake_at - self.step);
+                    self.step = self.wake_at;
                     continue;
                 }
-                let held: Vec<TaskId> = self
-                    .tasks
-                    .iter()
-                    .filter(|t| t.state == TaskState::HeldByGate)
-                    .map(|t| t.id)
-                    .collect();
-                if !held.is_empty() {
+                self.actions_valid = false;
+                if !self.held.is_empty() {
+                    let held: Vec<TaskId> = self.held.iter().map(|&i| self.tasks[i].id).collect();
                     match self.gate.on_stall(&held) {
                         StallAction::Release(ids) => {
                             for id in ids {
@@ -783,10 +812,8 @@ impl<'g> World<'g> {
                         }
                         StallAction::Abandon => {
                             self.gate_abandoned = true;
-                            for t in &mut self.tasks {
-                                if t.state == TaskState::HeldByGate {
-                                    t.state = TaskState::Runnable;
-                                }
+                            for &i in &self.held {
+                                self.tasks[i].state = TaskState::Runnable;
                             }
                         }
                     }
@@ -796,39 +823,36 @@ impl<'g> World<'g> {
                 return;
             }
             let pick = self.rng.gen_range(self.actions.len());
-            match self.actions[pick] {
+            self.actions_valid = match self.actions[pick] {
                 Action::RunTask(i) => {
                     if last_task.is_some_and(|prev| prev != i) {
                         self.context_switches += 1;
                     }
                     last_task = Some(i);
-                    self.run_task_step(&cp, i);
+                    self.run_task_step(i)
                 }
-                Action::Deliver(m) => self.deliver(m),
-            }
+                Action::Deliver(m) => {
+                    self.deliver(m);
+                    false
+                }
+            };
             self.step += 1;
             self.steps_executed += 1;
         }
     }
 
-    /// Wakes due sleepers and gate-released tasks, then refills `actions`
-    /// with what the scheduler may pick: ready tasks by index, then
-    /// deliverable messages by index. That order is part of the execution
-    /// contract — the seeded pick is an index into it.
-    fn collect_actions(&mut self) {
-        self.actions.clear();
+    /// What the scheduler may pick, for the task states, pending sources and
+    /// network as they are: ready tasks by index, then deliverable messages
+    /// by index. That order is part of the execution contract — the seeded
+    /// pick is an index into it. Read-only and gate-free: `collect_actions`
+    /// fills the list with it, a debug build checks every reused list by it.
+    fn ready_actions(&self, mut out: impl FnMut(Action)) {
         let now = self.step;
-        for (i, t) in self.tasks.iter_mut().enumerate() {
-            match t.state {
-                TaskState::Sleeping { until } if until <= now => t.state = TaskState::Runnable,
-                TaskState::HeldByGate if self.gate.is_released(t.id) => {
-                    t.state = TaskState::Runnable;
-                }
-                _ => {}
-            }
+        for (i, t) in self.tasks.iter().enumerate() {
             let node = t.node.index();
             let ready = match (t.state, t.kind) {
                 (TaskState::Runnable, _) => true,
+                (TaskState::Sleeping { until }, _) => until <= now,
                 // an idle worker is ready when its source has work
                 (TaskState::Idle, TaskKind::EventWorker { queue }) => self.queues[node][queue]
                     .as_ref()
@@ -839,14 +863,60 @@ impl<'g> World<'g> {
                 _ => false,
             };
             if ready {
-                self.actions.push(Action::RunTask(i));
+                out(Action::RunTask(i));
             }
         }
         for (m, f) in self.net.iter().enumerate() {
             if f.not_before <= now {
-                self.actions.push(Action::Deliver(m));
+                out(Action::Deliver(m));
             }
         }
+    }
+
+    /// Wakes due sleepers and gate-released tasks (`polled`: the held tasks
+    /// have been asked this step already), refills `actions`, and notes
+    /// what a later step needs in order to keep the list: the tasks still
+    /// held, and the earliest future step at which a sleeper wakes, a
+    /// message becomes deliverable or a fault-plan event (crash, restart,
+    /// RPC-timeout deadline) falls due — also where a quiescent clock jumps
+    /// to. Fault events at or past the step budget are unreachable, ignored.
+    fn collect_actions(&mut self, polled: bool) {
+        let (now, budget) = (self.step, self.config.max_steps);
+        let faults = &self.config.faults;
+        let (mut wake, mut fault_wake) = (u64::MAX, u64::MAX);
+        let mut fault_at = |s: u64| {
+            if s > now && s < budget {
+                fault_wake = fault_wake.min(s);
+            }
+        };
+        self.held.clear();
+        for (i, t) in self.tasks.iter_mut().enumerate() {
+            match t.state {
+                TaskState::Sleeping { until } if until <= now => t.state = TaskState::Runnable,
+                // unlike a fault, a sleeper past the budget runs it out
+                TaskState::Sleeping { until } => wake = wake.min(until),
+                TaskState::HeldByGate if !polled && self.gate.is_released(t.id) => {
+                    t.state = TaskState::Runnable;
+                }
+                TaskState::HeldByGate => self.held.push(i),
+                TaskState::BlockedRpc { .. } if !self.crashed[t.node.index()] => {
+                    if let Some(deadline) = faults.rpc_deadline(t.node, t.blocked_at) {
+                        fault_at(deadline);
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.crash_queue.iter().for_each(|c| fault_at(c.at_step));
+        self.pending_restarts.iter().for_each(|(s, _)| fault_at(*s));
+        self.net.iter().for_each(|f| fault_at(f.not_before));
+        self.wake_at = wake.min(fault_wake);
+        let mut actions = std::mem::take(&mut self.actions);
+        actions.clear();
+        self.ready_actions(|a| actions.push(a));
+        self.actions = actions;
+        self.actions_valid = true;
+        self.sched_rebuilds += 1;
     }
 
     fn detect_quiescence_outcome(&mut self) {
@@ -877,7 +947,7 @@ impl<'g> World<'g> {
                     match t.state {
                         // the lock by name, as the state printed it when it held one
                         TaskState::BlockedLock { lock } => {
-                            let name = &self.cp.locks[lock];
+                            let name = &self.prep.cp.locks[lock];
                             format!("{} (BlockedLock {{ lock: {name:?} }})", t.id)
                         }
                         state => format!("{} ({state:?})", t.id),
@@ -896,6 +966,7 @@ impl<'g> World<'g> {
 
     fn finish(self) -> RunResult {
         counter!("sim_steps_total").add(self.steps_executed);
+        counter!("sim_sched_rebuilds_total").add(self.sched_rebuilds);
         counter!("sim_context_switches_total").add(self.context_switches);
         let deadlocked = self.failures.iter().any(|f| {
             matches!(
@@ -996,17 +1067,9 @@ impl<'g> World<'g> {
         copies
     }
 
-    /// Applies every fault whose time has come: the chaos panic hook,
-    /// due crashes, due restarts, and RPC timeouts.
+    /// Applies every fault whose time has come: due crashes, due restarts,
+    /// and RPC timeouts (the chaos panic hook is `run_loop`'s).
     fn apply_due_faults(&mut self) {
-        // `>=`, not `==`: a quiescent clock jump can pass the planned step
-        // without ever stopping on it
-        match self.config.faults.panic_at_step {
-            Some(at) if at <= self.step => {
-                panic!("fault plan injected a host panic at step {at} (chaos hook)")
-            }
-            _ => {}
-        }
         let mut i = 0;
         while i < self.crash_queue.len() {
             if self.crash_queue[i].at_step <= self.step {
@@ -1032,7 +1095,7 @@ impl<'g> World<'g> {
 
     fn apply_crash(&mut self, c: &CrashFault) {
         let node = c.node;
-        if node.index() >= self.topo.nodes.len() || self.crashed[node.index()] {
+        if node.index() >= self.prep.nodes.len() || self.crashed[node.index()] {
             return;
         }
         self.crashed[node.index()] = true;
@@ -1056,7 +1119,7 @@ impl<'g> World<'g> {
         self.locks[i].fill_with(LockState::default);
         // queues in name order: the order their drops are announced in
         let mut by_name: Vec<QueueId> = (0..self.queues[i].len()).collect();
-        by_name.sort_by_key(|&q| &self.cp.queues[q]);
+        by_name.sort_by_key(|&q| &self.prep.cp.queues[q]);
         for q in by_name {
             let Some(q) = &mut self.queues[i][q] else {
                 continue;
@@ -1127,14 +1190,8 @@ impl<'g> World<'g> {
             if self.crashed[node.index()] {
                 continue;
             }
-            let waited = self.step.saturating_sub(since);
-            let fires = self
-                .config
-                .faults
-                .rpc_timeouts
-                .iter()
-                .any(|f| f.from.is_none_or(|n| n == node) && waited >= f.after);
-            if !fires {
+            let deadline = self.config.faults.rpc_deadline(node, since);
+            if deadline.is_none_or(|d| self.step < d) {
                 continue;
             }
             self.resume_rpc_caller(t, Value::Null);
@@ -1142,44 +1199,6 @@ impl<'g> World<'g> {
             self.count_fault();
             counter!("sim_rpc_timeouts_total").inc();
         }
-    }
-
-    /// The earliest future step at which a fault-plan event (due crash or
-    /// restart, delayed message, RPC-timeout deadline) fires, if any.
-    /// Used to advance the virtual clock through quiescent stretches.
-    /// Events at or past the step budget are unreachable and ignored.
-    fn next_fault_wake(&self) -> Option<u64> {
-        let (now, budget) = (self.step, self.config.max_steps);
-        let mut min: Option<u64> = None;
-        let mut consider = |s: u64| {
-            if s > now && s < budget && min.is_none_or(|m| s < m) {
-                min = Some(s);
-            }
-        };
-        for c in &self.crash_queue {
-            consider(c.at_step);
-        }
-        for (s, _) in &self.pending_restarts {
-            consider(*s);
-        }
-        for f in &self.net {
-            consider(f.not_before);
-        }
-        if !self.config.faults.rpc_timeouts.is_empty() {
-            for task in &self.tasks {
-                if !matches!(task.state, TaskState::BlockedRpc { .. })
-                    || self.crashed[task.node.index()]
-                {
-                    continue;
-                }
-                for f in &self.config.faults.rpc_timeouts {
-                    if f.from.is_none_or(|n| n == task.node) {
-                        consider(task.blocked_at.saturating_add(f.after));
-                    }
-                }
-            }
-        }
-        min
     }
 
     // -- delivery -------------------------------------------------------------
@@ -1275,15 +1294,19 @@ impl<'g> World<'g> {
 
     // -- task stepping ----------------------------------------------------------
 
-    fn run_task_step(&mut self, cp: &CompiledProgram, t: usize) {
+    /// Runs one step of task `t`; returns whether the action list survives
+    /// it: only when an [`Op::is_local`] op ran to completion and left `t`'s
+    /// state and the task table as they were. Everything else — dispatch, a
+    /// gate hold, a blocked, killed or unlisted op — drops the list.
+    fn run_task_step(&mut self, t: usize) -> bool {
         if self.tasks[t].state == TaskState::Idle {
             self.dispatch(t);
-            return;
+            return false;
         }
         if self.tasks[t].frames.is_empty() {
             // nothing to run (shouldn't happen); park the task
             self.tasks[t].state = TaskState::Done;
-            return;
+            return false;
         }
         if !self.tasks[t].begun && matches!(self.tasks[t].kind, TaskKind::Entry | TaskKind::Thread)
         {
@@ -1291,7 +1314,8 @@ impl<'g> World<'g> {
             self.emit(t, OpKind::ThreadBegin);
         }
         let frame = self.tasks[t].frames.last().expect("frame");
-        let instr = &cp.func(frame.func).instrs[frame.pc];
+        // borrowed from the prepared program, not from `self`, which `exec` mutates
+        let instr = &self.prep.cp.func(frame.func).instrs[frame.pc];
 
         // gate consultation
         let ev = GateEvent {
@@ -1300,10 +1324,11 @@ impl<'g> World<'g> {
         };
         if self.gate.before(&ev) == GateDecision::Hold {
             self.tasks[t].state = TaskState::HeldByGate;
-            return;
+            return false;
         }
 
-        let flow = self.exec(cp, t, &instr.op, instr.stmt);
+        let before = (self.tasks[t].state, self.tasks.len());
+        let flow = self.exec(t, &instr.op, instr.stmt);
         match flow {
             Flow::Next => {
                 if let Some(f) = self.tasks[t].frames.last_mut() {
@@ -1320,9 +1345,11 @@ impl<'g> World<'g> {
         // confirm only operations that actually executed: a blocked
         // instruction (Flow::Stay) re-runs later and must not advance the
         // controller's protocol
-        if !matches!(flow, Flow::Dead | Flow::Stay) {
+        let completed = !matches!(flow, Flow::Dead | Flow::Stay);
+        if completed {
             self.gate.after(&ev);
         }
+        completed && instr.op.is_local() && before == (self.tasks[t].state, self.tasks.len())
     }
 
     /// Gives the idle worker `t` the next unit of work from its source.
@@ -1435,7 +1462,7 @@ impl<'g> World<'g> {
     fn eval(&self, t: usize, e: &SlotExpr) -> Result<Value, String> {
         let task = &self.tasks[t];
         let frame = task.frames.last().ok_or("no frame")?;
-        let names = &self.cp.func(frame.func).locals;
+        let names = &self.prep.cp.func(frame.func).locals;
         eval_in(&frame.locals, names, task.node, e)
     }
 
@@ -1464,7 +1491,7 @@ impl<'g> World<'g> {
     fn eval_node(&mut self, t: usize, e: &SlotExpr) -> Option<NodeId> {
         let v = self.eval_or_kill(t, e)?;
         match v.as_node() {
-            Some(n) if n.index() < self.topo.nodes.len() => Some(n),
+            Some(n) if n.index() < self.prep.nodes.len() => Some(n),
             _ => {
                 self.throw(t, "UnknownHostException", format!("`{v}` is not a node"));
                 None
@@ -1485,11 +1512,12 @@ impl<'g> World<'g> {
 
     // -- instruction execution ---------------------------------------------------
 
-    /// Executes one instruction of task `t`. `cp` is the program the
-    /// instruction is borrowed from; names are taken from it only to build
-    /// what leaves the simulator (trace records, failure messages).
+    /// Executes one instruction of task `t`. Names are taken from the
+    /// compiled program only to build what leaves the simulator (trace
+    /// records, failure messages).
     #[allow(clippy::too_many_lines)]
-    fn exec(&mut self, cp: &CompiledProgram, t: usize, op: &Op, stmt: StmtId) -> Flow {
+    fn exec(&mut self, t: usize, op: &Op, stmt: StmtId) -> Flow {
+        let cp = &self.prep.cp;
         let not_a = |name: &str, what: &str| format!("`{name}` is not a {what}");
         match op {
             Op::Assign { local, expr } => {
@@ -1523,7 +1551,7 @@ impl<'g> World<'g> {
                 else {
                     return Flow::Dead;
                 };
-                let (k, name) = (k.key_string(), &cp.objects[*map]);
+                let (k, name) = (MapKey::of(k), &cp.objects[*map]);
                 let obj = self.heap(t, *map);
                 if !matches!(obj, None | Some(HeapObj::Map(_))) {
                     return self.throw(t, "ClassCastException", not_a(name, "map"));
@@ -1539,7 +1567,7 @@ impl<'g> World<'g> {
                 let Some(k) = self.eval_or_kill(t, key) else {
                     return Flow::Dead;
                 };
-                let (k, name) = (k.key_string(), &cp.objects[*map]);
+                let (k, name) = (MapKey::of(k), &cp.objects[*map]);
                 let v = match self.heap(t, *map) {
                     Some(HeapObj::Map(m)) => m.get(&k).cloned().unwrap_or(Value::Null),
                     None => Value::Null,
@@ -1553,7 +1581,7 @@ impl<'g> World<'g> {
                 let Some(k) = self.eval_or_kill(t, key) else {
                     return Flow::Dead;
                 };
-                let k = k.key_string();
+                let k = MapKey::of(k);
                 if let Some(HeapObj::Map(m)) = self.heap(t, *map) {
                     m.remove(&k);
                 }
@@ -1565,7 +1593,7 @@ impl<'g> World<'g> {
                 let Some(k) = self.eval_or_kill(t, key) else {
                     return Flow::Dead;
                 };
-                let k = k.key_string();
+                let k = MapKey::of(k);
                 let present = matches!(
                     self.heap(t, *map),
                     Some(HeapObj::Map(m)) if m.contains_key(&k)
@@ -2031,13 +2059,13 @@ impl<'g> World<'g> {
         }
         let from = self.tasks[t].node;
         let mut copies = 0usize;
-        for w in 0..self.topo.watchers.len() {
-            if path.starts_with(&self.topo.watchers[w].path_prefix) {
+        for (target, prefix, handler) in &self.prep.watchers {
+            if path.starts_with(prefix) {
                 copies += self.send(
                     from,
                     Message::ZkNotify {
-                        target: self.topo.watchers[w].node,
-                        handler: self.watcher_handlers[w],
+                        target: *target,
+                        handler: *handler,
                         path: path.to_owned(),
                         version,
                         data: stored.clone(),

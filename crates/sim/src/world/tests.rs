@@ -801,15 +801,65 @@ fn host_panic_hook_fires_inside_a_clock_jump() {
 
 /// The trigger farm moves whole simulations onto worker threads: the
 /// world, everything it is built from, and everything it returns must be
-/// `Send`. Compile-time only — a non-`Send` field (an `Rc`, a non-`Send`
-/// gate) fails this test at build time, before any farm code runs.
+/// `Send`, and the one prepared program its workers share `Sync`.
+/// Compile-time only — a non-`Send` field (an `Rc`, a non-`Send` gate)
+/// fails this test at build time, before any farm code runs.
 #[test]
 fn world_inputs_and_results_are_send() {
     fn assert_send<T: Send>() {}
+    fn assert_sync<T: Sync>() {}
+    assert_sync::<crate::prepare::Prepared>();
     assert_send::<Program>();
     assert_send::<Topology>();
     assert_send::<SimConfig>();
     assert_send::<super::RunResult>();
     assert_send::<World<'static>>();
     assert_send::<&mut dyn crate::gate::Gate>();
+}
+
+#[test]
+fn map_keys_are_equal_exactly_when_their_key_strings_are() {
+    use super::MapKey;
+    let s = |s: &str| Value::Str(s.to_owned());
+    let values = [
+        Value::Int(5),
+        s("5"),
+        s("05"),
+        s("+5"),
+        s("-0"),
+        Value::Int(0),
+        s("0"),
+        Value::Int(i64::MIN),
+        s("-9223372036854775808"),
+        s("9223372036854775808"),
+        s(""),
+        Value::Bool(true),
+        s("true"),
+        Value::Null,
+        s("null"),
+        Value::Unit,
+        s("()"),
+        Value::Node(NodeId(0)),
+        s("n0"),
+        Value::Thread(3),
+        s("t3"),
+        Value::List(vec![Value::Int(5), Value::List(vec![s("5"), Value::Null])]),
+        s("[5,[5,null]]"),
+        Value::List(vec![s("5")]),
+        s("[5]"),
+    ];
+    for a in &values {
+        assert_eq!(MapKey::of(a.clone()).to_string(), a.key_string());
+        for b in &values {
+            assert_eq!(
+                MapKey::of(a.clone()) == MapKey::of(b.clone()),
+                a.key_string() == b.key_string(),
+                "{a:?} vs {b:?}"
+            );
+        }
+    }
+    // the normalisation the equivalence rests on
+    assert_eq!(MapKey::of(s("5")), MapKey::Int(5));
+    assert_eq!(MapKey::of(s("-9223372036854775808")), MapKey::Int(i64::MIN));
+    assert_eq!(MapKey::of(s("05")), MapKey::Str("05".to_owned()));
 }

@@ -2,10 +2,11 @@
 //!
 //! Triggering re-runs the program untraced, once per ordering, so what a
 //! step costs in heap allocations is what a re-run costs. Names are
-//! resolved to slots and ids at compile time and the instruction is
-//! borrowed, so a step that touches only existing locals and cells must
-//! not allocate at all; what remains in a `local_churn`-shaped loop is the
-//! growing map's own keys and nodes.
+//! resolved to slots and ids at compile time, the instruction is borrowed,
+//! and a heap-map key is typed and rendered only into a record that is
+//! written, so a step that touches only existing locals and cells must not
+//! allocate at all; what remains in a `local_churn`-shaped loop is the
+//! growing map's own B-tree nodes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -101,13 +102,15 @@ fn cell_loop(iters: i64) -> Program {
 }
 
 #[test]
-fn churn_loop_allocates_at_most_once_per_step() {
+fn churn_loop_allocates_only_for_map_nodes() {
     let (allocs, steps) = untraced_run(&churn(10_000));
     assert!(steps >= 60_000, "loop did not run: {steps} steps");
+    // one `map_put` of a fresh integer key every 6 steps: no key string,
+    // a B-tree node every few inserts
     let per_step = allocs as f64 / steps as f64;
     assert!(
-        per_step <= 1.0,
-        "{allocs} allocations over {steps} steps = {per_step:.2} per step"
+        per_step <= 0.05,
+        "{allocs} allocations over {steps} steps = {per_step:.4} per step"
     );
 }
 

@@ -415,6 +415,45 @@ fn map_remove_of_absent_key_is_a_noop_write() {
 }
 
 #[test]
+fn an_integer_and_its_decimal_string_are_one_map_key() {
+    let mut pb = ProgramBuilder::new();
+    pb.func("main", &[], FuncKind::Regular, |b| {
+        b.map_put("m", Expr::val(5), Expr::val("x"));
+        b.map_get("got", "m", Expr::val("5"));
+        b.if_(Expr::local("got").ne(Expr::val("x")), |b| {
+            b.abort("\"5\" did not read back the entry put under 5");
+        });
+        // not the canonical decimal of 5: a key of its own
+        b.map_contains("padded", "m", Expr::val("05"));
+        b.if_(Expr::local("padded"), |b| {
+            b.abort("\"05\" named the entry of 5");
+        });
+        b.map_remove("m", Expr::val("5"));
+        b.map_contains("left", "m", Expr::val(5));
+        b.if_(Expr::local("left"), |b| {
+            b.abort("\"5\" did not remove the entry put under 5");
+        });
+    });
+    let p = pb.build().unwrap();
+    let mut topo = Topology::new();
+    topo.node("n").entry("main", vec![]);
+    let r = World::run_once(&p, &topo, SimConfig::default().with_full_tracing()).unwrap();
+    assert!(r.failures.is_empty(), "{:?}", r.failures);
+    // the records name the key in its `key_string()` form, whatever the
+    // type the program used
+    let keys: Vec<&str> = r
+        .trace
+        .records()
+        .iter()
+        .filter_map(|rec| match &rec.kind {
+            OpKind::MemRead { loc, .. } | OpKind::MemWrite { loc, .. } => loc.key.as_deref(),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(keys, ["5", "5", "05", "5", "5"]);
+}
+
+#[test]
 fn string_concat_builds_zk_paths() {
     let r = run_entry(|b| {
         b.assign("region", Expr::val("r9"));

@@ -18,9 +18,10 @@ use std::fmt::Write as _;
 
 use dcatch_apps::synth::{generate, Protocol, ScenarioSpec, SynthParams};
 use dcatch_apps::{all_benchmarks_scaled, fault_scenarios, Benchmark};
-use dcatch_model::StmtId;
+use dcatch_model::{Expr, FuncKind, NodeId, Program, ProgramBuilder, StmtId, Value};
 use dcatch_sim::{
-    FaultPlan, FocusConfig, Gate, GateDecision, GateEvent, RunResult, SimConfig, StallAction, World,
+    FaultPlan, FocusConfig, Gate, GateDecision, GateEvent, RunResult, SimConfig, StallAction,
+    Topology, World,
 };
 use dcatch_trace::{Record, StreamControl, TaskId, TraceSink};
 
@@ -63,10 +64,15 @@ fn fold(h: &mut Fnv, r: &RunResult) {
 }
 
 fn run(bench: &Benchmark, config: SimConfig) -> u64 {
-    let r = World::run_once(&bench.program, &bench.topology, config).expect("valid benchmark");
+    run_on(&bench.program, &bench.topology, config).0
+}
+
+/// The folded run and the number of faults it injected.
+fn run_on(program: &Program, topo: &Topology, config: SimConfig) -> (u64, u64) {
+    let r = World::run_once(program, topo, config).expect("valid program");
     let mut h = Fnv::new();
     fold(&mut h, &r);
-    h.0
+    (h.0, r.faults_injected)
 }
 
 /// Sink hashing the record stream and every control as it arrives.
@@ -83,12 +89,15 @@ impl TraceSink for HashSink {
 }
 
 fn run_streamed(bench: &Benchmark, config: SimConfig) -> u64 {
+    run_streamed_on(&bench.program, &bench.topology, config).0
+}
+
+fn run_streamed_on(program: &Program, topo: &Topology, config: SimConfig) -> (u64, u64) {
     let mut sink = HashSink(Fnv::new());
-    let r = World::run_streamed(&bench.program, &bench.topology, config, &mut sink)
-        .expect("valid benchmark");
+    let r = World::run_streamed(program, topo, config, &mut sink).expect("valid program");
     let mut h = sink.0;
     fold(&mut h, &r);
-    h.0
+    (h.0, r.faults_injected)
 }
 
 /// Holds the first two distinct tasks that reach `stmt`; once the second
@@ -165,6 +174,152 @@ fn busiest_stmt(bench: &Benchmark) -> StmtId {
     *stmt
 }
 
+/// `run`s under a [`HoldTwo`] on `stmt`; returns what the gate saw (part
+/// of the row's name, so it is pinned too) and the folded run.
+fn run_gated(
+    stmt: StmtId,
+    patient: bool,
+    run: impl FnOnce(&mut HoldTwo) -> RunResult,
+) -> (String, u64) {
+    let mut gate = HoldTwo {
+        stmt,
+        patient,
+        held: Vec::new(),
+        released: Vec::new(),
+        stalls: 0,
+    };
+    let r = run(&mut gate);
+    let mut h = Fnv::new();
+    fold(&mut h, &r);
+    h.bytes(format!("{:?} {:?} {}", gate.held, gate.released, gate.stalls).as_bytes());
+    let what = format!(
+        "gated patient={patient} held={} stalls={} abandoned={}",
+        gate.held.len(),
+        gate.stalls,
+        r.gate_abandoned
+    );
+    (what, h.0)
+}
+
+/// One task in a long stretch of frame-and-heap-only steps (the loop of
+/// `dcatch_apps::noise::local_churn` without its leading sleep, 6 steps an
+/// iteration) while every other task is parked, so that for thousands of
+/// steps in a row the scheduler's action list is the same one entry — and
+/// *time alone* changes it mid-stretch: `napper` wakes twice, `slow`'s
+/// sleeping RPC handler wakes and replies, the second `meet` thread wakes
+/// into the statement the gated rows hold (returned), and the fault plans
+/// of [`stretch_rows`] add a delayed message, an RPC timeout and a crash
+/// with its restart. The benchmark rows above only churn after their
+/// protocol traffic has settled, so none of these lands in such a stretch.
+fn stretch_program() -> (Program, Topology, StmtId) {
+    let node = |n: u32| Expr::val(Value::Node(NodeId(n)));
+    let mut pb = ProgramBuilder::new();
+    pb.func("churn", &[], FuncKind::Regular, |b| {
+        b.assign("i", Expr::val(0));
+        b.while_(Expr::local("i").lt(Expr::val(700)), |b| {
+            b.write("scratch", Expr::local("i"));
+            b.map_put("table", Expr::local("i"), Expr::local("i"));
+            b.read("v", "scratch");
+            b.assign("i", Expr::local("v").add(Expr::val(1)));
+        });
+    });
+    // dies of an `EvalError` whose message carries the churn's progress, so
+    // that even an untraced row pins how many steps everyone else had taken
+    // by then
+    pb.func("probe", &["after"], FuncKind::Regular, |b| {
+        b.sleep(Expr::local("after"));
+        b.read("v", "scratch");
+        b.assign("x", Expr::val("churn at").add(Expr::local("v")));
+    });
+    pb.func("napper", &[], FuncKind::Regular, |b| {
+        b.sleep(Expr::val(700));
+        b.write("naps", Expr::val(1));
+        b.sleep(Expr::val(900));
+        b.write("naps", Expr::val(2));
+    });
+    pb.func("sender", &[], FuncKind::Regular, |b| {
+        b.socket_send(node(2), "on_msg", vec![Expr::val(7)]);
+    });
+    pb.func("on_msg", &["v"], FuncKind::SocketHandler, |b| {
+        b.write("inbox", Expr::local("v"));
+    });
+    pb.func("caller", &[], FuncKind::Regular, |b| {
+        b.rpc("r", node(2), "slow", vec![]);
+        b.write("reply", Expr::local("r"));
+    });
+    pb.func("slow", &[], FuncKind::RpcHandler, |b| {
+        b.sleep(Expr::val(2600));
+        b.ret(Expr::val(1));
+    });
+    pb.func("victim", &[], FuncKind::Regular, |b| {
+        b.write("boots", Expr::val(1));
+        b.sleep(Expr::val(1500));
+        b.write("boots", Expr::val(2));
+    });
+    pb.func("meet", &["after"], FuncKind::Regular, |b| {
+        b.sleep(Expr::local("after"));
+        b.call_void("touch", vec![]);
+    });
+    let mut met = None;
+    pb.func("touch", &[], FuncKind::Regular, |b| {
+        met = Some(b.write("met", Expr::val(1)));
+    });
+    let program = pb.build().expect("valid program");
+    let mut topo = Topology::new();
+    topo.node("churner")
+        .entry("churn", vec![])
+        .entry("probe", vec![Value::Int(1000)])
+        .entry("probe", vec![Value::Int(2000)])
+        .entry("probe", vec![Value::Int(3000)])
+        .entry("probe", vec![Value::Int(4000)]);
+    topo.node("client")
+        .entry("napper", vec![])
+        .entry("sender", vec![])
+        .entry("caller", vec![])
+        .entry("meet", vec![Value::Int(0)])
+        .entry("meet", vec![Value::Int(1100)]);
+    topo.node("server");
+    topo.node("victim").entry("victim", vec![]);
+    (program, topo, met.expect("`touch` was built"))
+}
+
+/// The rows of [`stretch_program`]: each time-driven transition untraced,
+/// fully traced and streamed; the gated ones untraced and fully traced
+/// (a gate and a sink cannot be installed together).
+fn stretch_rows(rows: &mut Vec<(String, u64)>) {
+    let (program, topo, met) = stretch_program();
+    let full = SimConfig::default().with_full_tracing();
+    let untraced = SimConfig {
+        trace_enabled: false,
+        ..SimConfig::default()
+    };
+    for (what, plan) in [
+        ("sleepers", ""),
+        ("delay", "delay socket steps=1000"),
+        ("timeout", "timeout after=1500"),
+        ("crash", "crash node=3 at=1200 restart=400"),
+    ] {
+        let plan = FaultPlan::parse(plan).expect("plan parses");
+        let untraced = untraced.clone().with_faults(plan.clone());
+        let full = full.clone().with_faults(plan);
+        for (mode, (hash, faults)) in [
+            ("untraced", run_on(&program, &topo, untraced)),
+            ("full", run_on(&program, &topo, full.clone())),
+            ("streamed", run_streamed_on(&program, &topo, full)),
+        ] {
+            rows.push((format!("stretch {what} {mode} faults={faults}"), hash));
+        }
+    }
+    for patient in [true, false] {
+        for (mode, config) in [("untraced", &untraced), ("full", &full)] {
+            let (what, hash) = run_gated(met, patient, |gate| {
+                World::run_with_gate(&program, &topo, config.clone(), gate).expect("valid program")
+            });
+            rows.push((format!("stretch {mode} {what}"), hash));
+        }
+    }
+}
+
 /// Every oracle run, by name. The order is the order of `EXPECTED`.
 fn observe() -> Vec<(String, u64)> {
     let mut rows = Vec::new();
@@ -215,28 +370,11 @@ fn observe() -> Vec<(String, u64)> {
 
         let stmt = busiest_stmt(&bench);
         for patient in [true, false] {
-            let mut gate = HoldTwo {
-                stmt,
-                patient,
-                held: Vec::new(),
-                released: Vec::new(),
-                stalls: 0,
-            };
-            let r = World::run_with_gate(&bench.program, &bench.topology, base.clone(), &mut gate)
-                .expect("valid benchmark");
-            let mut h = Fnv::new();
-            fold(&mut h, &r);
-            h.bytes(format!("{:?} {:?} {}", gate.held, gate.released, gate.stalls).as_bytes());
-            rows.push((
-                format!(
-                    "{} gated patient={patient} held={} stalls={} abandoned={}",
-                    bench.id,
-                    gate.held.len(),
-                    gate.stalls,
-                    r.gate_abandoned
-                ),
-                h.0,
-            ));
+            let (what, hash) = run_gated(stmt, patient, |gate| {
+                World::run_with_gate(&bench.program, &bench.topology, base.clone(), gate)
+                    .expect("valid benchmark")
+            });
+            rows.push((format!("{} {what}", bench.id), hash));
         }
     }
     for protocol in Protocol::all() {
@@ -254,6 +392,7 @@ fn observe() -> Vec<(String, u64)> {
             rows.push((spec.id(), run(&scenario.bench, config)));
         }
     }
+    stretch_rows(&mut rows);
     rows
 }
 
@@ -294,6 +433,54 @@ fn executions_match_the_recorded_interpreter() {
             rows.iter().any(|(n, _)| n.contains(path)),
             "no gated run covers `{path}`"
         );
+    }
+}
+
+/// A [`Prepared`](dcatch_sim::Prepared) is shared by every run of a
+/// pipeline and every worker of a trigger farm, so nothing of a run may
+/// stay in it: one value run under one configuration after another — other
+/// seeds, tracing modes, focus sets, fault plans, a sink, a gate, and the
+/// first configuration again — gives each time what a run that prepares
+/// afresh gives.
+#[test]
+fn a_prepared_program_holds_no_run_state() {
+    let bench = all_benchmarks_scaled(1).swap_remove(3);
+    assert_eq!(bench.id, "MR-3274");
+    let prepared = World::prepare(&bench.program, &bench.topology).expect("valid benchmark");
+    let base = SimConfig::default().with_seed(bench.seed);
+    let mut untraced = base.clone();
+    untraced.trace_enabled = false;
+    let full = base.clone().with_full_tracing();
+    let configs = [
+        base.clone(),
+        base.clone(),
+        base.clone().with_seed(7),
+        full.clone(),
+        untraced,
+        base.clone().with_mem_sample_rate(3),
+        base.clone()
+            .with_focus(FocusConfig::on(bench.bug_objects.iter().copied())),
+        base.clone()
+            .with_faults(fault_scenarios(&bench).swap_remove(0).plan),
+        base.clone(),
+    ];
+    for config in configs {
+        let mut h = Fnv::new();
+        fold(&mut h, &prepared.run_once(&config));
+        assert_eq!(h.0, run(&bench, config.clone()), "{config:?}");
+    }
+    let mut sink = HashSink(Fnv::new());
+    let r = prepared.run_streamed(&full, &mut sink);
+    fold(&mut sink.0, &r);
+    assert_eq!(sink.0 .0, run_streamed(&bench, full));
+    let stmt = busiest_stmt(&bench);
+    for patient in [true, false] {
+        let shared = run_gated(stmt, patient, |gate| prepared.run_with_gate(&base, gate));
+        let fresh = run_gated(stmt, patient, |gate| {
+            World::run_with_gate(&bench.program, &bench.topology, base.clone(), gate)
+                .expect("valid benchmark")
+        });
+        assert_eq!(shared, fresh, "gated patient={patient}");
     }
 }
 
@@ -441,4 +628,33 @@ const EXPECTED: &[(&str, u64)] = &[
     ("SYNTH-GOSSIP-s2", 0xad00109b59e44d32),
     ("SYNTH-GOSSIP-s3", 0x4d920c6f9b1c886a),
     ("SYNTH-GOSSIP-s4", 0x06429c200770bfa4),
+    // recorded at the commit before the action list was reused across steps
+    ("stretch sleepers untraced faults=0", 0xcda0e876ed5bd8de),
+    ("stretch sleepers full faults=0", 0x7fc9a0573ebe1244),
+    ("stretch sleepers streamed faults=0", 0x564945a99e9b3004),
+    ("stretch delay untraced faults=1", 0x9999b4a9cd7d0896),
+    ("stretch delay full faults=1", 0xad5742d4e9391e76),
+    ("stretch delay streamed faults=1", 0x241b5b8b3d11d1f0),
+    ("stretch timeout untraced faults=1", 0x77e04149ea45097b),
+    ("stretch timeout full faults=1", 0x5237e36ddcf3ac25),
+    ("stretch timeout streamed faults=1", 0xb673f4ff46ef7f16),
+    ("stretch crash untraced faults=2", 0x9ff814de6a12f0ee),
+    ("stretch crash full faults=2", 0x8c9761c855ea9af0),
+    ("stretch crash streamed faults=2", 0xece63123d62c82a6),
+    (
+        "stretch untraced gated patient=true held=2 stalls=0 abandoned=false",
+        0xf6b5e2a18bdcd6a8,
+    ),
+    (
+        "stretch full gated patient=true held=2 stalls=0 abandoned=false",
+        0xd1b04f399c9d9a32,
+    ),
+    (
+        "stretch untraced gated patient=false held=2 stalls=1 abandoned=true",
+        0x4d5538056fc7c988,
+    ),
+    (
+        "stretch full gated patient=false held=2 stalls=1 abandoned=true",
+        0x4608f4ab9c002804,
+    ),
 ];

@@ -15,7 +15,7 @@
 use dcatch_detect::Candidate;
 use dcatch_hb::HbAnalysis;
 use dcatch_model::Program;
-use dcatch_sim::{Failure, SimConfig, Topology, World};
+use dcatch_sim::{Failure, Prepared, SimConfig, Topology};
 
 use crate::controller::ControllerGate;
 use crate::farm::{run_farm, FarmSpec};
@@ -99,8 +99,7 @@ pub fn trigger_candidate(
 }
 
 pub(crate) fn run_order(
-    program: &Program,
-    topo: &Topology,
+    prepared: &Prepared,
     config: &SimConfig,
     plan: &TriggerPlan,
     first: usize,
@@ -117,15 +116,14 @@ pub(crate) fn run_order(
     // of times with a derived seed before accepting the abandonment.
     const MAX_RETRIES: u64 = 2;
     let mut attempt: u64 = 0;
+    let mut cfg = config.clone();
+    cfg.trace_enabled = false;
     loop {
         let mut gate = ControllerGate::new(plan.sides, first);
-        let mut cfg = config.clone();
-        cfg.trace_enabled = false;
         if attempt > 0 {
             cfg.seed = config.seed ^ retry_seed(plan, first, attempt);
         }
-        let result = World::run_with_gate(program, topo, cfg, &mut gate)
-            .expect("triggering re-run must start");
+        let result = prepared.run_with_gate(&cfg, &mut gate);
         if gate.abandoned() && attempt < MAX_RETRIES {
             attempt += 1;
             dcatch_obs::counter!("trigger_retries").inc();

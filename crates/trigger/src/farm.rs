@@ -36,7 +36,7 @@ use std::time::Instant;
 use dcatch_detect::Candidate;
 use dcatch_hb::HbAnalysis;
 use dcatch_model::Program;
-use dcatch_sim::{SimConfig, Topology};
+use dcatch_sim::{Prepared, SimConfig, Topology, World};
 
 use crate::driver::{run_order, OrderRun, TriggerReport, Verdict};
 use crate::placement::{plan_candidate, TriggerPlan};
@@ -103,7 +103,12 @@ pub fn run_farm(
     confirm: Option<ConfirmFn<'_>>,
     deadline: Option<Instant>,
 ) -> Vec<TriggerReport> {
+    if specs.is_empty() {
+        return Vec::new(); // nothing to re-run: nothing to prepare
+    }
     let total = specs.len() * ORDERINGS;
+    // validated and compiled once for every re-run on every worker
+    let prepared = World::prepare(program, topo).expect("triggering re-run must start");
     // lowest ordering that confirmed each candidate; purely a work-skip
     // hint for sibling workers — the merge below never reads it
     let confirmed: Vec<AtomicUsize> = specs.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
@@ -117,7 +122,7 @@ pub fn run_farm(
         }
         let before = dcatch_obs::metrics::snapshot();
         dcatch_obs::trace::begin_capture("trigger.job");
-        let runs = explore_ordering(program, topo, config, &specs[c], o);
+        let runs = explore_ordering(&prepared, config, &specs[c], o);
         let spans = dcatch_obs::trace::end_capture();
         let metrics = dcatch_obs::metrics::snapshot().delta_since(&before);
         if let Some(confirm) = confirm {
@@ -193,19 +198,18 @@ pub fn run_farm(
 /// placement as a fallback when the plan fails to coordinate (exactly the
 /// serial driver's sequence, so concatenating job results reproduces it).
 fn explore_ordering(
-    program: &Program,
-    topo: &Topology,
+    prepared: &Prepared,
     config: &SimConfig,
     spec: &FarmSpec,
     first: usize,
 ) -> Vec<OrderRun> {
     let mut runs = Vec::new();
-    let run = run_order(program, topo, config, &spec.plan, first, false);
+    let run = run_order(prepared, config, &spec.plan, first, false);
     let coordinated = run.coordinated;
     runs.push(run);
     if !coordinated {
         if let Some(direct) = &spec.direct {
-            runs.push(run_order(program, topo, config, direct, first, true));
+            runs.push(run_order(prepared, config, direct, first, true));
         }
     }
     runs

@@ -2,10 +2,11 @@
 # Local CI gate: formatting, lints, and the tier-1 test suite.
 # Fully offline — every dependency is a workspace member.
 #
-#   scripts/check.sh          # fmt + clippy + build + test + the smokes
-#                             # below that are cheap (timeline, trigger
-#                             # farm, synth, dcbench; DCATCH_SOAK=1
-#                             # appends the fault soak)
+#   scripts/check.sh          # fmt + clippy + build + test (debug, then
+#                             # the interpreter oracles in release) + the
+#                             # smokes below that are cheap (timeline,
+#                             # trigger farm, synth, dcbench;
+#                             # DCATCH_SOAK=1 appends the fault soak)
 #   scripts/check.sh bench    # fast bench smoke run (1 warm-up + 3 samples
 #                             # per entry), refreshing BENCH_pipeline.json,
 #                             # BENCH_hbgraph.json, and BENCH_streaming.json
@@ -220,6 +221,13 @@ cargo build --offline --release
 
 echo "== cargo test =="
 cargo test --offline -q
+
+echo "== interpreter oracles, release build =="
+# the debug suite above re-derives every action list the step loop reuses
+# and asserts they agree; release compiles that check out, and must match
+# the same recorded executions and verdicts without it
+cargo test --offline --release -q -p dcatch-sim --test step_oracle --test semantics --test fault_fuzz
+cargo test --offline --release -q -p dcatch --test trigger_farm --test triggering
 
 echo "== reachability engine equivalence (matrix vs chain clocks) =="
 # also part of the suite above; named here so a failure is unmistakable.
