@@ -15,7 +15,7 @@ use dcatch::{
     FocusConfig, HbAnalysis, HbConfig, OnlineDetector, OnlineOptions, ReachabilityMode, SimConfig,
     TraceSet, TraceSink, TracingMode, World,
 };
-use dcatch_hb::FrontierOptions;
+use dcatch_hb::{FrontierEngine, FrontierOptions};
 use dcatch_model::{FuncId, NodeId, StmtId};
 use dcatch_obs::SmallRng;
 use dcatch_trace::{
@@ -384,6 +384,48 @@ fn random_traces_through_the_online_window() {
         }
     }
     assert!(dynamic > 500, "only {dynamic} dynamic pairs over all cases");
+}
+
+/// The slot invariant on the same 200 traces: in the clock index every
+/// slot is an HB-ordered chain (each record ordered after the one before
+/// it — asked of the matrix, which knows no slots), and the online engine,
+/// retirement off, gives every record the `(slot, pos)` the batch builder
+/// gave it.
+#[test]
+fn random_traces_keep_the_slot_invariant() {
+    let mut folded = 0;
+    for case in 0u64..200 {
+        let trace = random_trace(&mut SmallRng::seed_from_u64(0x5CA7 ^ case));
+        let [matrix, clocks] = ENGINES.map(|engine| build(trace.clone(), engine));
+        let mut engine = FrontierEngine::new(FrontierOptions {
+            allow_retirement: false,
+            ..FrontierOptions::default()
+        });
+        let mut tails: Vec<(usize, u32)> = Vec::new();
+        for (v, r) in trace.records().iter().enumerate() {
+            let (slot, pos) = clocks.slot_of(v).expect("clock index");
+            let at = engine.record(r);
+            assert_eq!((at.slot, at.pos), (slot, pos), "case {case}: record {v}");
+            match tails.get_mut(slot as usize) {
+                Some((u, p)) => {
+                    assert_eq!(pos, *p + 1, "case {case}: slot {slot} at {v}");
+                    assert!(matrix.happens_before(*u, v), "case {case}: {u} ⇏ {v}");
+                    (*u, *p) = (v, pos);
+                }
+                None => {
+                    assert_eq!((slot as usize, pos), (tails.len(), 1), "case {case}");
+                    tails.push((v, pos));
+                }
+            }
+        }
+        let groups: BTreeSet<_> = trace.records().iter().map(|r| (r.task, r.ctx)).collect();
+        assert!(tails.len() <= groups.len(), "case {case}");
+        folded += groups.len() - tails.len();
+    }
+    assert!(
+        folded > 0,
+        "no program-order chain was folded into another's slot"
+    );
 }
 
 /// The work bound: thread A forks thread B before its last access and

@@ -5,7 +5,13 @@
 //! scales, seeds, the per-system fault matrix, and the Table 9 HB-rule
 //! ablations. `DCATCH_SOAK=1` widens every matrix but the last.
 
-use dcatch::{Ablation, FaultPlan, Pipeline, PipelineError, PipelineOptions};
+use dcatch::{
+    Ablation, FaultPlan, HbAnalysis, HbConfig, Pipeline, PipelineError, PipelineOptions,
+    ReachabilityMode, SimConfig, TraceSink, TracingMode, World,
+};
+use dcatch_hb::{Arrival, FrontierEngine, FrontierOptions};
+use dcatch_model::NodeId;
+use dcatch_trace::{CollectSink, ExecCtx, OpKind, Record, StreamControl};
 
 fn soak() -> bool {
     std::env::var_os("DCATCH_SOAK").is_some()
@@ -123,9 +129,110 @@ fn online_equals_offline_on_all_benchmarks() {
     }
 }
 
+fn clocks_config() -> HbConfig {
+    HbConfig {
+        reachability: ReachabilityMode::Clocks,
+        ..HbConfig::default()
+    }
+}
+
+/// The online engine alone, sweeping as `OnlineDetector` would, beside a
+/// `CollectSink` that materializes the same stream.
+struct EngineSink {
+    engine: FrontierEngine,
+    sweep_every: usize,
+    collect: CollectSink,
+    arrivals: Vec<Arrival>,
+    clock_len_peak: usize,
+    /// Index and final clock of every `NodeCrash` record.
+    crashes: Vec<(usize, Vec<u32>)>,
+}
+
+impl EngineSink {
+    fn new(allow_retirement: bool, sweep_every: usize) -> EngineSink {
+        EngineSink {
+            engine: FrontierEngine::new(FrontierOptions {
+                allow_retirement,
+                ..FrontierOptions::default()
+            }),
+            sweep_every,
+            collect: CollectSink::default(),
+            arrivals: Vec::new(),
+            clock_len_peak: 0,
+            crashes: Vec::new(),
+        }
+    }
+
+    /// As the pipeline sets the engine up under a plan that crashes nodes.
+    fn crash_plan() -> EngineSink {
+        EngineSink::new(false, dcatch::OnlineOptions::default().sweep_every)
+    }
+
+    fn stream(
+        mut self,
+        program: &dcatch::Program,
+        topo: &dcatch::Topology,
+        cfg: SimConfig,
+    ) -> Self {
+        let run = World::run_streamed(program, topo, cfg, &mut self).unwrap();
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
+        self
+    }
+
+    /// Demands that each crash record's clock covers exactly the earlier
+    /// records the batch graph orders before it — though the engine let go
+    /// of every handler chain at its `ChainDone` and reads the node's one
+    /// joined clock instead — and that the engine, which did not retire,
+    /// placed every record where the batch clocks do. Returns, per crash,
+    /// how many handler records of `node` it is ordered after.
+    fn crashes_ordered_as_offline(&self, node: NodeId) -> Vec<usize> {
+        let trace = &self.collect.trace;
+        let hb = HbAnalysis::build(trace.clone(), &clocks_config()).unwrap();
+        for (v, a) in self.arrivals.iter().enumerate() {
+            assert_eq!(Some((a.slot, a.pos)), hb.slot_of(v), "record {v}");
+        }
+        let handler_ordered = |(crash, clock): &(usize, Vec<u32>)| {
+            let mut handlers = 0;
+            for (i, a) in self.arrivals[..*crash].iter().enumerate() {
+                let covered = clock.get(a.slot as usize).copied().unwrap_or(0) >= a.pos;
+                assert_eq!(covered, hb.happens_before(i, *crash), "{i} ⇒ crash {crash}");
+                let r = &trace.records()[i];
+                handlers +=
+                    usize::from(covered && r.task.node == node && r.ctx != ExecCtx::Regular);
+            }
+            handlers
+        };
+        self.crashes.iter().map(handler_ordered).collect()
+    }
+}
+
+impl TraceSink for EngineSink {
+    fn record(&mut self, record: &Record) {
+        let at = self.engine.record(record);
+        let clock = self.engine.clock(at.chain);
+        self.clock_len_peak = self.clock_len_peak.max(clock.len());
+        if matches!(record.kind, OpKind::NodeCrash { .. }) {
+            self.crashes.push((self.arrivals.len(), clock.to_vec()));
+        }
+        self.arrivals.push(at);
+        self.collect.record(record);
+        if self.arrivals.len() % self.sweep_every == 0 {
+            if let Some(bound) = self.engine.lower_bound() {
+                self.engine.retire(&bound);
+            }
+        }
+    }
+
+    fn control(&mut self, control: StreamControl) {
+        self.engine.control(&control);
+        self.collect.control(control);
+    }
+}
+
 /// Equivalence holds under the per-system fault matrix too — including
-/// crash plans, where the engine disables retirement (a crash is a
-/// spontaneous causal root the frontier cannot bound in advance).
+/// crash plans, where the window cannot retire (a crash is a spontaneous
+/// causal root the frontier cannot bound in advance) but the engine still
+/// forgets every handler chain as it finishes.
 #[test]
 fn online_equals_offline_under_fault_plans() {
     let per_bench = if soak() { usize::MAX } else { 2 };
@@ -146,6 +253,94 @@ fn online_equals_offline_under_fault_plans() {
         let faults = FaultPlan::parse(plan).unwrap();
         assert_equivalent(id, plan, &bench, |o| o.faults = faults.clone());
     }
+    // Hole (a) of DESIGN.md §14, bounded: the AM of full-traced MR-3274 ×8
+    // crashes and restarts twice. Its handler chains — three run between
+    // the crashes, three after — are released at their `ChainDone`, and
+    // each crash record is still ordered after all that came before it
+    // through the node's one joined clock.
+    let bench = dcatch::all_benchmarks_scaled(8).swap_remove(3);
+    assert_eq!(bench.id, "MR-3274");
+    let plan = "crash node=1 at=20 restart=5\ncrash node=1 at=45 restart=5";
+    let faults = FaultPlan::parse(plan).unwrap();
+    assert_equivalent(bench.id, plan, &bench, |o| {
+        o.tracing = TracingMode::Full;
+        o.faults = faults.clone();
+    });
+    let cfg = SimConfig::default()
+        .with_seed(bench.seed)
+        .with_full_tracing()
+        .with_faults(faults);
+    let sink = EngineSink::crash_plan().stream(&bench.program, &bench.topology, cfg);
+    assert_eq!(sink.crashes_ordered_as_offline(NodeId(1)), [0, 3]);
+    // recorded from this change: 3 288 B, 14 chains (parent 5 336 B, 23 —
+    // the miniature has some thirty handler instances at any scale; the
+    // handler-heavy bound is `streambench_clocks_are_sized_by_hb_chains`')
+    assert!(
+        sink.engine.bytes() <= 4_000 && sink.engine.live_chains() <= 14,
+        "{} B, {} chains",
+        sink.engine.bytes(),
+        sink.engine.live_chains()
+    );
+}
+
+/// Clock state is sized by the HB chains of the trace, not by its handler
+/// instances (one per message on `streambench`) and not by the sweep
+/// cadence.
+#[test]
+fn streambench_clocks_are_sized_by_hb_chains() {
+    let stream = |records: u64, allow_retirement: bool, sweep_every: usize| {
+        let (p, topo) = dcatch::streambench(dcatch::streambench_rounds(records));
+        let cfg = SimConfig::default().with_seed(7).with_full_tracing();
+        EngineSink::new(allow_retirement, sweep_every).stream(&p, &topo, cfg)
+    };
+    // an engine that may not retire still forgets finished handler chains
+    let sink = stream(60_000, false, 1_024);
+    assert_eq!(sink.arrivals.len(), 60_018);
+    assert!(
+        sink.engine.bytes() <= 2 << 20,
+        "{} B of engine state for 60 018 records",
+        sink.engine.bytes()
+    );
+    assert!(sink.engine.chains() <= 8, "{} slots", sink.engine.chains());
+    // the sweep cadence is a window knob, not a clock-length knob
+    for sweep_every in [64, 1_024, 4_096] {
+        let sink = stream(12_000, true, sweep_every);
+        assert!(
+            sink.clock_len_peak <= 8,
+            "sweep every {sweep_every}: a clock of {} entries",
+            sink.clock_len_peak
+        );
+    }
+    // nor does a crash plan change that: `ping` crashes twice, its reborn
+    // `boot` serves anew each time, and each crash record is ordered after
+    // the hundreds of handler instances the engine has long forgotten
+    // (recorded from this change: 2 376 B, 12 slots; the parent, which
+    // kept every chain of a non-retiring run, reads 10 519 444 B in 2 115)
+    let (p, topo) = dcatch::streambench(dcatch::streambench_rounds(6_000));
+    let faults = "crash node=1 at=2000 restart=50\ncrash node=1 at=10000 restart=50";
+    let cfg = SimConfig::default()
+        .with_seed(7)
+        .with_full_tracing()
+        .with_faults(FaultPlan::parse(faults).unwrap());
+    let sink = EngineSink::crash_plan().stream(&p, &topo, cfg);
+    let handlers = sink.crashes_ordered_as_offline(NodeId(1));
+    assert!(handlers.len() == 2 && handlers[1] > 1_000, "{handlers:?}");
+    assert!(
+        sink.engine.bytes() <= 4_096 && sink.engine.chains() <= 16,
+        "{} B, {} slots after a {}-record crash-plan run",
+        sink.engine.bytes(),
+        sink.engine.chains(),
+        sink.arrivals.len()
+    );
+    // offline, the same slots: rows of 4 entries, not of 5 004
+    let trace = stream(30_000, false, 1_024).collect.trace;
+    assert_eq!(trace.len(), 30_018);
+    let hb = HbAnalysis::build(trace, &clocks_config()).unwrap();
+    assert!(
+        hb.reach_bytes() <= 1 << 20,
+        "{} B of rows",
+        hb.reach_bytes()
+    );
 }
 
 /// Table 9 on a stream: every ablation, applied per record on arrival,

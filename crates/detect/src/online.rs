@@ -16,7 +16,7 @@
 //!   earlier to a later record, so when record `j` arrives, an earlier
 //!   record `i` can only be *covered by* `j`, never the reverse. `i` and
 //!   `j` are concurrent iff `j`'s frontier clock does not reach `i`'s
-//!   `(chain, pos)`. Per location the window covers its entries by
+//!   `(slot, pos)`. Per location the window covers its entries by
 //!   *HB-ordered* chains, as the batch scan does, so that is one array
 //!   look-up per chain whose tail `j` covers and one binary search per
 //!   chain whose tail it does not: the covered entries are a prefix
@@ -439,7 +439,7 @@ impl OnlineDetector {
             chains.len() - 1
         });
         chains[home].push_back(WindowEntry {
-            slot: at.chain,
+            slot: at.slot,
             pos: at.pos,
             index,
             task: r.task,
@@ -511,8 +511,14 @@ impl OnlineDetector {
         if bytes > self.peak_bytes {
             self.peak_bytes = bytes;
         }
+        self.refresh_gauges();
+    }
+
+    fn refresh_gauges(&self) {
         dcatch_obs::gauge!("stream_window_entries").set(self.window_len as u64);
         dcatch_obs::gauge!("stream_window_peak").set_max(self.window_peak as u64);
+        dcatch_obs::gauge!("stream_clock_len_peak").set_max(self.engine.chains() as u64);
+        dcatch_obs::gauge!("stream_live_chains_peak").set_max(self.engine.live_chains() as u64);
     }
 
     /// Closes the pass: materializes the candidate set (with the batch
@@ -523,8 +529,7 @@ impl OnlineDetector {
         if bytes > self.peak_bytes {
             self.peak_bytes = bytes;
         }
-        dcatch_obs::gauge!("stream_window_entries").set(self.window_len as u64);
-        dcatch_obs::gauge!("stream_window_peak").set_max(self.window_peak as u64);
+        self.refresh_gauges();
         let candidates: CandidateSet = self
             .agg
             .into_iter()

@@ -4,8 +4,9 @@
 //! record costs in heap allocations is what a 10 M-record pass costs. An
 //! access looks its location group up by `&str`, shares its callstack and
 //! stores only its map key; a delivery joins its cause's clock without
-//! copying it and a recycled engine slot keeps its buffer. What remains
-//! per ping-pong round is the send's clock snapshot and map nodes.
+//! copying it and a finished handler chain leaves its clock buffer to the
+//! next one. What remains per ping-pong round is the send's clock snapshot
+//! and map nodes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -107,8 +108,10 @@ fn a_streamed_record_costs_the_detector_at_most_one_allocation() {
     // set-up and the growth of the tables to their steady size are the
     // same in both runs, so the difference is the added records' own
     let per_record = (long_allocs - short_allocs) as f64 / added as f64;
+    // 0.871 as recorded (0.897 while every handler chain was a slot whose
+    // clock buffer had to grow to the sweep cadence's length)
     assert!(
-        per_record <= 1.0,
+        per_record <= 0.88,
         "{} allocations over {added} added records = {per_record:.2} per record",
         long_allocs - short_allocs
     );

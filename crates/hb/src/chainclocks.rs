@@ -3,57 +3,74 @@
 //! The dense [`BitMatrix`](crate::BitMatrix) answers `reaches(a, b)` in
 //! O(1) but costs O(n²) bits, which is exactly the scalability wall the
 //! paper hits on unselective traces (§7.2, Table 8). This engine exploits
-//! the structure the HB graph already has: the trace decomposes into
-//! *program-order chains* — one per `(task, handler-instance)` group, the
-//! same grouping `Preg`/`Pnreg` use — and within a chain every record
-//! happens-before all its successors. Reachability from a chain is
-//! therefore always a *prefix* of that chain, so one u32 frontier index
-//! per chain summarizes everything a vertex can be reached from:
+//! the structure the HB graph already has: the trace decomposes into a
+//! handful of *HB-ordered chains* ("slots") in which every record happens
+//! before all its successors. Reachability from a slot is therefore always
+//! a *prefix* of it, so one u32 frontier index per slot summarizes
+//! everything a vertex can be reached from:
 //!
-//! > `clock[v][c]` = number of chain-`c` vertices that happen before
+//! > `clock[v][s]` = number of slot-`s` vertices that happen before
 //! > (or are) `v`.
 //!
-//! `reaches(a, b)` becomes `clock[b][chain(a)] ≥ pos(a)`, memory drops to
-//! `n × G × 4` bytes (G = #chains ≪ n), and the index is exact for
-//! arbitrary HB DAGs — unlike naive per-handler-dimension vector clocks
-//! (the §3.2.2 "too slow" alternative), whose dimension count grows with
-//! the number of handler *instances*, chains here stay as few as the
-//! trace's program-order groups.
+//! `reaches(a, b)` becomes `clock[b][slot(a)] ≥ pos(a)` and the index is
+//! exact for arbitrary HB DAGs. Which slot a record joins is the one rule
+//! of the private `slots` module, shared with the online
+//! [`FrontierEngine`](crate::FrontierEngine): its program-order
+//! predecessor's slot while that is still the slot's tail, else the slot
+//! of the first direct HB predecessor that is a tail, else a new one. A
+//! slot is thus *not* a `(task, handler-instance)` group: naive
+//! per-handler-dimension vector clocks are the §3.2.2 "too slow"
+//! alternative, their dimension count growing with the number of handler
+//! *instances* (5 004 on a 30 018-record ping-pong trace, 601 MB of rows),
+//! while serialized handler instances, RPC caller → handler → caller
+//! round trips and fork-then-idle parents each fold into the slot of
+//! their cause (4 slots, 0.48 MB).
 //!
 //! The set-based and optimal predictive race detectors this follows
 //! (Roemer & Bond's set-based analysis; Pavlogiannis's "Fast, Sound and
 //! Effectively Complete Dynamic Race Prediction") make the same bet:
-//! compact per-event ordering summaries, not dense closure.
+//! compact per-event ordering summaries, not dense closure — and neither
+//! fixes what a chain is.
 //!
 //! Clocks are filled in by the forward pass that derives the edges
 //! (`HbAnalysis::build`): every HB edge points forward in trace order, so a
-//! record's clock is final once its own incoming edges are joined. A
-//! loop-sync edge `u ⇒ v` added afterwards joins `u`'s clock into `v`'s and
-//! pushes the growth forward through successors whose clocks actually
-//! change — the affected suffix of each chain, never the whole trace.
+//! record's clock is final once its own incoming edges are joined. Rows
+//! are *ragged*: row `v` is as long as the slot table was when `v`
+//! arrived, because a slot opened later holds only later records, which
+//! `v` cannot be ordered after. A loop-sync edge `u ⇒ v` added afterwards
+//! points forward too; it joins `u`'s clock into `v`'s and pushes the
+//! growth forward through successors whose clocks actually change — the
+//! affected suffix of each chain, never the whole trace.
 
 use std::collections::BTreeMap;
 
 use dcatch_trace::TraceSet;
 
-/// Per-vertex chain-frontier clocks over an HB graph's vertices.
+use crate::slots;
+
+/// Per-vertex slot-frontier clocks over an HB graph's vertices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainClocks {
-    /// Number of chains (program-order groups), `G`.
-    chains: usize,
-    /// Chain of each vertex.
-    chain_of: Vec<u32>,
-    /// 1-based position of each vertex within its chain.
+    /// Last position handed out in each slot ([`slots::assign`]'s table).
+    tails: Vec<u32>,
+    /// Slot of each vertex.
+    slot_of: Vec<u32>,
+    /// 1-based position of each vertex within its slot.
     pos_of: Vec<u32>,
-    /// Flattened `n × G` clock rows; `clocks[v * G + c]` is the length of
-    /// chain `c`'s prefix known to happen before (or be) vertex `v`.
+    /// Row `v` is `clocks[rows[v]..rows[v + 1]]`; `rows[0]` is 0.
+    rows: Vec<usize>,
+    /// The ragged clock rows, back to back; entry `s` of row `v` is the
+    /// length of slot `s`'s prefix known to happen before (or be) `v`.
     clocks: Vec<u32>,
 }
 
 impl ChainClocks {
-    /// Estimated memory in bytes for `n` vertices over `g` chains — the
-    /// clock rows dominate (`n × g × 4`); the two per-vertex index arrays
-    /// are O(n) noise and excluded to keep the budget rule simple.
+    /// Upper bound on the memory, in bytes, of the clock rows of `n`
+    /// vertices in `g` program-order chains (`n × g × 4`): the slot rule
+    /// opens at most one slot per program-order chain, and usually far
+    /// fewer. [`HbConfig::select_engine`](crate::HbConfig::select_engine)
+    /// budgets with it, so the choice of index is known before the pass
+    /// that assigns the slots.
     pub fn estimated_bytes(n: usize, g: usize) -> usize {
         n.saturating_mul(g).saturating_mul(4)
     }
@@ -69,52 +86,49 @@ impl ChainClocks {
         chains.len()
     }
 
-    /// Creates the clock index with every vertex knowing only its own
-    /// chain prefix (itself and, transitively via later joins, nothing
-    /// yet). The caller folds HB edges in with [`ChainClocks::join_from`]
-    /// in increasing vertex order.
-    pub fn new(trace: &TraceSet) -> ChainClocks {
-        let n = trace.len();
-        let mut chains: BTreeMap<_, u32> = BTreeMap::new();
-        let mut chain_of = Vec::with_capacity(n);
-        let mut next_pos: Vec<u32> = Vec::new();
-        let mut pos_of = Vec::with_capacity(n);
-        for r in trace.records() {
-            let next = chains.len() as u32;
-            let c = *chains.entry((r.task, r.ctx)).or_insert(next);
-            if c as usize == next_pos.len() {
-                next_pos.push(0);
-            }
-            next_pos[c as usize] += 1;
-            chain_of.push(c);
-            pos_of.push(next_pos[c as usize]);
-        }
-        let g = chains.len();
-        let mut clocks = vec![0u32; n * g];
-        for v in 0..n {
-            clocks[v * g + chain_of[v] as usize] = pos_of[v];
-        }
+    /// Creates an empty index expecting `n` vertices. The caller appends
+    /// them in trace order with [`push`](ChainClocks::push) and folds each
+    /// one's HB edges in with [`join_from`](ChainClocks::join_from).
+    pub fn with_capacity(n: usize) -> ChainClocks {
+        let mut rows = Vec::with_capacity(n + 1);
+        rows.push(0);
         ChainClocks {
-            chains: g,
-            chain_of,
-            pos_of,
-            clocks,
+            tails: Vec::new(),
+            slot_of: Vec::with_capacity(n),
+            pos_of: Vec::with_capacity(n),
+            rows,
+            clocks: Vec::new(),
         }
     }
 
-    /// Number of chains, `G`.
+    /// Appends the next vertex, given the vertices it is directly ordered
+    /// after (program order first), and returns its index. Its row knows
+    /// only the vertex itself until its edges are joined in.
+    pub fn push(&mut self, preds: impl IntoIterator<Item = usize>) -> usize {
+        let preds = preds.into_iter().map(|u| (self.slot_of[u], self.pos_of[u]));
+        let (slot, pos) = slots::assign(&mut self.tails, preds);
+        self.slot_of.push(slot);
+        self.pos_of.push(pos);
+        self.clocks.resize(self.clocks.len() + self.tails.len(), 0);
+        let row = self.rows[self.rows.len() - 1];
+        self.clocks[row + slot as usize] = pos;
+        self.rows.push(self.clocks.len());
+        self.slot_of.len() - 1
+    }
+
+    /// Number of slots (HB-ordered chains) opened so far.
     pub fn chains(&self) -> usize {
-        self.chains
+        self.tails.len()
     }
 
     /// Number of vertices.
     pub fn len(&self) -> usize {
-        self.chain_of.len()
+        self.slot_of.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.chain_of.is_empty()
+        self.slot_of.is_empty()
     }
 
     /// Memory held by the clock rows, in bytes.
@@ -122,40 +136,37 @@ impl ChainClocks {
         self.clocks.len() * 4
     }
 
-    /// Whether `a` happens before (or is) `b`: `b`'s frontier on `a`'s
-    /// chain covers `a`'s position. Callers that need strict ordering
-    /// guard `a != b` themselves, exactly as with the bit matrix.
-    pub fn reaches(&self, a: usize, b: usize) -> bool {
-        let g = self.chains;
-        self.clocks[b * g + self.chain_of[a] as usize] >= self.pos_of[a]
+    /// `(slot, 1-based position)` of vertex `v`.
+    pub fn slot_of(&self, v: usize) -> (u32, u32) {
+        (self.slot_of[v], self.pos_of[v])
     }
 
-    /// Joins vertex `src`'s clock into `dst`'s (elementwise max), the
-    /// propagation step for an HB edge `src ⇒ dst`. Returns whether any
-    /// frontier of `dst` actually advanced — the early-exit signal that
-    /// stops incremental propagation, as
+    /// Whether `a` happens before (or is) `b`: `b`'s frontier on `a`'s
+    /// slot covers `a`'s position — a slot `b`'s row is too short for was
+    /// opened after `b`. Callers that need strict ordering guard `a != b`
+    /// themselves, exactly as with the bit matrix.
+    pub fn reaches(&self, a: usize, b: usize) -> bool {
+        let row = &self.clocks[self.rows[b]..self.rows[b + 1]];
+        row.get(self.slot_of[a] as usize)
+            .is_some_and(|&c| c >= self.pos_of[a])
+    }
+
+    /// Joins vertex `src`'s clock into the later vertex `dst`'s
+    /// (elementwise max), the propagation step for an HB edge `src ⇒ dst`.
+    /// Returns whether any frontier of `dst` actually advanced — the
+    /// early-exit signal that stops incremental propagation, as
     /// [`BitMatrix::or_row_into_changed`](crate::BitMatrix::or_row_into_changed)
     /// is for the matrix.
     pub fn join_from(&mut self, src: usize, dst: usize) -> bool {
-        debug_assert!(src != dst, "self-joins are meaningless");
-        let g = self.chains;
-        let (s, d) = (src * g, dst * g);
+        debug_assert!(src < dst, "HB edges point forward in trace order");
+        let (head, tail) = self.clocks.split_at_mut(self.rows[dst]);
+        let src_row = &head[self.rows[src]..self.rows[src + 1]];
         let mut changed = false;
-        if s < d {
-            let (left, right) = self.clocks.split_at_mut(d);
-            for i in 0..g {
-                if left[s + i] > right[i] {
-                    right[i] = left[s + i];
-                    changed = true;
-                }
-            }
-        } else {
-            let (left, right) = self.clocks.split_at_mut(s);
-            for i in 0..g {
-                if right[i] > left[d + i] {
-                    left[d + i] = right[i];
-                    changed = true;
-                }
+        // `dst`'s row is at least as long: slots are never closed
+        for (d, s) in tail.iter_mut().zip(src_row) {
+            if *s > *d {
+                *d = *s;
+                changed = true;
             }
         }
         changed
@@ -200,15 +211,25 @@ mod tests {
         .collect()
     }
 
+    /// Vertices 0, 2 in one program-order chain and 1, 3 in another, each
+    /// pushed with its program-order predecessor and joined to it.
+    fn two_chains() -> ChainClocks {
+        let mut cc = ChainClocks::with_capacity(4);
+        assert_eq!((cc.push([]), cc.push([])), (0, 1));
+        for v in [2, 3] {
+            assert_eq!(cc.push([v - 2]), v);
+            cc.join_from(v - 2, v);
+        }
+        cc
+    }
+
     #[test]
     fn own_chain_prefix_is_reachable() {
-        let trace = two_chain_trace();
-        let mut cc = ChainClocks::new(&trace);
+        let cc = two_chains();
         assert_eq!(cc.chains(), 2);
         assert_eq!(cc.len(), 4);
-        // program order within a chain must be joined in by the caller
-        cc.join_from(0, 2);
-        cc.join_from(1, 3);
+        assert_eq!(cc.slot_of(2), (0, 2));
+        assert_eq!(cc.slot_of(3), (1, 2));
         assert!(cc.reaches(0, 2));
         assert!(!cc.reaches(2, 0));
         assert!(!cc.reaches(0, 1) && !cc.reaches(1, 0));
@@ -217,17 +238,41 @@ mod tests {
 
     #[test]
     fn join_propagates_cross_chain_frontiers() {
-        let trace = two_chain_trace();
-        let mut cc = ChainClocks::new(&trace);
-        cc.join_from(0, 2);
-        cc.join_from(1, 3);
-        // edge 2 ⇒ 3 carries chain-0's prefix of length 2 into vertex 3
+        let mut cc = two_chains();
+        // edge 2 ⇒ 3 carries slot 0's prefix of length 2 into vertex 3
         assert!(cc.join_from(2, 3));
         assert!(cc.reaches(0, 3) && cc.reaches(2, 3));
         assert!(!cc.join_from(2, 3), "second join is a no-op");
-        // dst-to-src direction of the split borrow
-        assert!(cc.join_from(3, 2));
-        assert!(cc.reaches(1, 2));
+    }
+
+    /// Rows are as long as the slot table was on arrival: vertex 0 never
+    /// pays for slot 1, and a query about a slot opened later is `false`.
+    #[test]
+    fn rows_are_ragged() {
+        let cc = two_chains();
+        assert_eq!(cc.bytes(), 4 * (1 + 2 + 2 + 2));
+        assert!(!cc.reaches(1, 0), "slot 1 is beyond vertex 0's row");
+    }
+
+    /// A vertex extends the slot of a direct predecessor that is still a
+    /// tail — the handler a send is the last record before — and opens one
+    /// when its predecessors have all been built upon.
+    #[test]
+    fn a_tail_predecessor_is_extended_across_program_order_chains() {
+        let mut cc = ChainClocks::with_capacity(4);
+        cc.push([]);
+        assert_eq!(cc.push([0]), 1);
+        cc.join_from(0, 1);
+        assert_eq!(
+            cc.slot_of(1),
+            (0, 2),
+            "no program-order tail: the cause's slot"
+        );
+        cc.push([0]);
+        cc.join_from(0, 2);
+        assert_eq!(cc.slot_of(2), (1, 1), "vertex 0 is no longer a tail");
+        assert_eq!(cc.chains(), 2);
+        assert!(cc.reaches(0, 2) && !cc.reaches(1, 2) && !cc.reaches(2, 1));
     }
 
     #[test]
@@ -243,15 +288,15 @@ mod tests {
     }
 
     #[test]
-    fn chain_count_matches_new() {
-        let trace = two_chain_trace();
-        assert_eq!(ChainClocks::chain_count(&trace), 2);
-        assert_eq!(ChainClocks::new(&trace).chains(), 2);
+    fn chain_count_bounds_the_slots() {
+        assert_eq!(ChainClocks::chain_count(&two_chain_trace()), 2);
+        assert_eq!(two_chains().chains(), 2);
+        assert_eq!(ChainClocks::chain_count(&TraceSet::new()), 0);
     }
 
     #[test]
     fn empty_trace() {
-        let cc = ChainClocks::new(&TraceSet::new());
+        let cc = ChainClocks::with_capacity(0);
         assert!(cc.is_empty());
         assert_eq!(cc.bytes(), 0);
         assert_eq!(cc.chains(), 0);

@@ -45,9 +45,10 @@ pub enum ReachabilityMode {
     /// Pick per trace whichever index is *smaller* by the deterministic
     /// estimates (see [`HbConfig::select_engine`]): the dense
     /// [`BitMatrix`] on short or handler-heavy traces (few records per
-    /// program-order chain), chain-decomposition [`ChainClocks`] on long
-    /// traces of few threads — the unselective traces where the matrix
-    /// alone is the Table 8 "Out of Memory" outcome.
+    /// program-order chain — the estimate counts those, an upper bound on
+    /// the slots [`ChainClocks`] ends up with), chain-decomposition
+    /// [`ChainClocks`] on long traces of few threads — the unselective
+    /// traces where the matrix alone is the Table 8 "Out of Memory" outcome.
     #[default]
     Auto,
     /// Force the dense O(n²)-bit matrix.
@@ -180,6 +181,14 @@ impl ReachIndex {
         }
     }
 
+    /// Record `v`, the next in trace order, arrives with `preds` ahead of
+    /// it: the clocks give it a slot; a matrix row needs no placing.
+    fn arrive(&mut self, preds: &[(usize, EdgeRule)]) {
+        if let ReachIndex::Clocks(c) = self {
+            c.push(preds.iter().map(|&(u, _)| u));
+        }
+    }
+
     /// Folds the edge `u ⇒ v` in: `v`'s ancestors absorb `u` and `u`'s.
     /// Returns whether `v`'s summary grew — if not, nothing downstream of
     /// `v` can change either.
@@ -226,7 +235,7 @@ impl HbAnalysis {
             edges: vec![Vec::new(); n],
             preds: vec![Vec::new(); n],
             reach: match mode {
-                ReachabilityMode::Clocks => ReachIndex::Clocks(ChainClocks::new(&trace)),
+                ReachabilityMode::Clocks => ReachIndex::Clocks(ChainClocks::with_capacity(n)),
                 _ => ReachIndex::Matrix(BitMatrix::new(n)),
             },
             trace,
@@ -264,6 +273,16 @@ impl HbAnalysis {
     /// Resident bytes of the reachability index.
     pub fn reach_bytes(&self) -> usize {
         self.reach.bytes()
+    }
+
+    /// `(slot, position)` of record `v` in the clock index — its place in
+    /// the HB-ordered chain cover, the identity the online engine's
+    /// [`Arrival`](crate::Arrival) carries. `None` under the matrix.
+    pub fn slot_of(&self, v: usize) -> Option<(u32, u32)> {
+        match &self.reach {
+            ReachIndex::Matrix(_) => None,
+            ReachIndex::Clocks(c) => Some(c.slot_of(v)),
+        }
     }
 
     /// Whether record `a` happens before record `b` (indices).
@@ -419,7 +438,9 @@ impl HbAnalysis {
     /// `Create(e1) ⇒ Create(e2)` asks about the ancestors of a record that
     /// precedes `Begin(e2)`, and by induction over trace order those
     /// already include every `Eserial` edge the fixed point would add
-    /// below it.
+    /// below it. The sources, in the order they are found, are also what
+    /// the slot rule asks (`ReachIndex::arrive`) — all but a crash
+    /// record's fan-in, of which the online engine keeps one joined clock.
     fn derive_edges(&mut self) {
         let _span = dcatch_obs::span!("hb.reach");
         // the last record so far of each program-order chain
@@ -470,14 +491,6 @@ impl HbAnalysis {
                 OpKind::ThreadJoin { child } => {
                     incoming.extend(thread_ends.get(&child).map(|&u| (u, EdgeRule::Join)));
                 }
-                // `Crash`: everything the node did happens before its crash
-                // record, whose own chain program order already covers
-                OpKind::NodeCrash { node } => incoming.extend(
-                    tails
-                        .iter()
-                        .filter(|&(k, _)| k.0.node == node && *k != chain)
-                        .map(|(_, &u)| (u, EdgeRule::Crash)),
-                ),
                 OpKind::NodeRestart { node } => {
                     restarts.insert(node, v);
                 }
@@ -501,6 +514,17 @@ impl HbAnalysis {
                 // the keyed records above; memory, locks, loop markers and
                 // `RpcTimeout` (it happens at the caller): program order only
                 _ => {}
+            }
+            self.reach.arrive(&incoming);
+            // `Crash`: everything the node did happens before its crash
+            // record, whose own chain program order already covers
+            if let OpKind::NodeCrash { node } = r.kind {
+                incoming.extend(
+                    tails
+                        .iter()
+                        .filter(|&(k, _)| k.0.node == node && *k != chain)
+                        .map(|(_, &u)| (u, EdgeRule::Crash)),
+                );
             }
             for (u, rule) in incoming.drain(..) {
                 if self.add_edge(u, v, rule) {

@@ -308,7 +308,7 @@ fn eserial_orders_a_handler_that_never_ends() {
     let at: Vec<Arrival> = trace.records().iter().map(|r| engine.record(r)).collect();
     // record 6 arrived last, so its chain's clock is record 6's
     let (write, read) = (at[3], at[6]);
-    assert!(engine.clock(read.chain)[write.chain as usize] >= write.pos);
+    assert!(engine.clock(read.chain)[write.slot as usize] >= write.pos);
 }
 
 /// Eserial fixed point: e3 is created *inside* e2's handler, so

@@ -26,7 +26,8 @@
 //! its edge sources are behind it, and its *ancestor* summary — the join
 //! of theirs — is final. The online [`FrontierEngine`] is the same pass
 //! over clock snapshots instead of record indices; the record-kind →
-//! rule mapping both read is written once, in the private `rules` module.
+//! rule mapping both read is written once, in the private `rules` module,
+//! and so is the rule that gives a record its clock dimension (`slots`).
 //!
 //! The summaries have two interchangeable representations behind
 //! [`HbConfig::reachability`]:
@@ -39,10 +40,11 @@
 //!   tracing matters, and why the unselective baseline of Table 8 runs
 //!   out of memory ([`HbError::OutOfMemory`]).
 //! * [`ChainClocks`] — chain-decomposition vector clocks: one u32 frontier
-//!   per program-order chain per record, `O(n·G)` memory with `G ≪ n`
-//!   chains, exact for arbitrary HB DAGs. This is what lets *full-trace*
-//!   detection keep running at the unselective Table 8 scale where the
-//!   matrix blows the budget.
+//!   per *HB-ordered* chain ("slot") per record, `O(n·G)` memory with
+//!   `G ≪ n` slots — the one slot rule folds handler instances into the
+//!   chain that causes them — exact for arbitrary HB DAGs. This is what
+//!   lets *full-trace* detection keep running at the unselective Table 8
+//!   scale where the matrix blows the budget.
 //!
 //! The default [`ReachabilityMode::Auto`] picks whichever index is smaller
 //! for the trace at hand ([`HbConfig::select_engine`]).
@@ -55,6 +57,7 @@ mod bitmatrix;
 mod chainclocks;
 mod graph;
 mod rules;
+mod slots;
 mod streaming;
 
 pub use ablation::{ablate_record, apply_ablation, Ablation};

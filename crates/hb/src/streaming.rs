@@ -5,11 +5,20 @@
 //! answers the only query streaming detection needs — *is the record that
 //! just arrived ordered after a given earlier record?* — with state
 //! proportional to the number of **live** program-order chains, not to the
-//! trace length:
+//! trace length, and clocks as long as the trace has *HB-ordered* chains:
 //!
-//! * every `(task, ctx)` chain owns a *slot* with a monotone 1-based
-//!   position counter and a frontier clock (`frontier[c]` = how far into
-//!   slot `c`'s chain this chain's latest record can reach);
+//! * a clock dimension is a *slot*: a chain of records each ordered after
+//!   the one before, with a monotone 1-based position counter. An arriving
+//!   record extends the slot of its program-order predecessor, else of the
+//!   first direct HB predecessor that is still its slot's tail, else opens
+//!   one (the private `slots` module, which the batch clocks read too) — so
+//!   the handler instances a chain of sends causes share that chain's slot
+//!   instead of opening one each. `(slot, pos)` is a record's identity;
+//! * every live `(task, ctx)` chain owns a frontier clock (`frontier[s]` =
+//!   how far into slot `s` its latest record reaches). A handler instance's
+//!   chain is forgotten at its [`StreamControl::ChainDone`]: no record names
+//!   it again, and the one reader left — a `NodeCrash`, ordered after every
+//!   chain of its node — reads a per-node join of the forgotten clocks;
 //! * each MTEP edge becomes a *join* performed when its **target** record
 //!   arrives. Since every HB edge points forward in sequence order, the
 //!   clock of a record is complete the moment it arrives — reachability
@@ -31,17 +40,19 @@
 //!
 //! **Retirement.** [`FrontierEngine::lower_bound`] returns the elementwise
 //! minimum `L` over every clock that can still flow into a future record:
-//! live chain frontiers and pending cause clocks. Any record at `(c, p)`
-//! with `L[c] ≥ p` is *covered by every future record* and can never form a
+//! live chain frontiers and pending cause clocks. Any record at `(s, p)`
+//! with `L[s] ≥ p` is *covered by every future record* and can never form a
 //! race again — the window holding still-raceable accesses may drop it, and
-//! [`FrontierEngine::retire`] recycles fully covered slots (position
-//! counters survive recycling, so `(slot, pos)` stays a unique identity).
+//! a slot whose *tail* is covered is extended by whichever record next
+//! needs a slot ([`FrontierEngine::retire`]): it provably follows that
+//! tail, so dimensions are reused without any identity ever repeating.
 //! Entry tasks announced by [`StreamControl::TaskStarted`] block retirement
 //! with an implicit all-zero clock until their first record arrives. When
 //! the fault plan can crash nodes, retirement must be disabled
 //! ([`FrontierOptions::allow_retirement`]): a `NodeCrash` record is a
 //! spontaneous causal root joining *every* chain of the node, so no window
-//! closure before it is provable.
+//! closure before it is provable — the engine's own state stays bounded by
+//! the live chains all the same.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -49,6 +60,7 @@ use dcatch_model::NodeId;
 use dcatch_trace::{CauseKey, ExecCtx, OpKind, QueueInfo, Record, StreamControl, TaskId};
 
 use crate::rules::{self, End};
+use crate::slots;
 
 /// Configuration for [`FrontierEngine`].
 #[derive(Debug, Clone)]
@@ -74,25 +86,31 @@ impl Default for FrontierOptions {
     }
 }
 
-/// Where a record landed: its chain's slot and 1-based position.
+/// Where a record landed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
-    /// Slot index of the record's `(task, ctx)` chain.
+    /// Handle of the record's `(task, ctx)` chain, for
+    /// [`FrontierEngine::clock`] — valid until the next record or control
+    /// (a finished chain's handle is handed out again).
     pub chain: u32,
-    /// Position within the slot (monotone across slot recycling).
+    /// The slot — the HB-ordered chain, a clock dimension — the record
+    /// extends. `(slot, pos)` is its identity for the whole run.
+    pub slot: u32,
+    /// 1-based position within the slot.
     pub pos: u32,
 }
 
-#[derive(Debug)]
-struct Slot {
-    /// `frontier[c]` = latest position of slot `c` this chain reaches.
+/// One program-order chain `(task, ctx)`.
+#[derive(Debug, Default)]
+struct Chain {
+    /// The clock of the chain's latest record: `frontier[s]` = how far
+    /// into slot `s` it reaches.
     frontier: Vec<u32>,
-    /// Last position handed out; never reset, even when recycled.
-    pos: u32,
-    key: Option<(TaskId, ExecCtx)>,
-    live: bool,
+    /// `(slot, pos)` of the chain's latest record.
+    at: (u32, u32),
     ended: bool,
-    has_thread_end: bool,
+    /// `(slot, pos)` of the chain's `ThreadEnd`, the `Tjoin` source.
+    thread_end: Option<(u32, u32)>,
 }
 
 #[derive(Debug)]
@@ -133,16 +151,29 @@ struct EvEnded {
 #[derive(Debug, Default)]
 pub struct FrontierEngine {
     opts: FrontierOptions,
-    slots: Vec<Slot>,
-    free: Vec<u32>,
+    /// Last position handed out in each slot ([`slots::assign`]'s table).
+    tails: Vec<u32>,
+    /// `(slot, tail)` of the slots whose tail the last bound covered:
+    /// predecessors of every record yet to arrive, offered to the slot
+    /// rule after the direct ones. An entry goes stale when its slot is
+    /// extended, which the rule's tail test sees.
+    covered: Vec<(u32, u32)>,
+    /// The arriving record's predecessors, in rule order (scratch).
+    preds: Vec<(u32, u32)>,
+    chains: Vec<Chain>,
+    /// Handles of `chains` entries no live chain owns.
+    idle: Vec<u32>,
     registry: BTreeMap<(TaskId, ExecCtx), u32>,
+    /// Per node, the join of the clocks of its released chains: all a
+    /// `NodeCrash` record still needs of them.
+    released: BTreeMap<NodeId, Vec<u32>>,
     /// Entry tasks announced but not yet emitting: implicit zero clocks.
     pending_tasks: BTreeSet<TaskId>,
     causes: BTreeMap<CauseKey, Cause>,
-    /// Latest restart clock per node: joined into every chain the reborn
-    /// node creates (it carries the earlier restarts, which program order
-    /// chains to it).
-    restart_clock: BTreeMap<NodeId, Vec<u32>>,
+    /// Latest restart record per node — its `(slot, pos)` and clock,
+    /// joined into every chain the reborn node creates (it carries the
+    /// earlier restarts, which program order chains to it).
+    restarts: BTreeMap<NodeId, ((u32, u32), Vec<u32>)>,
     // --- Eserial state ---
     queues: BTreeMap<(u32, String), QueueInfo>,
     event_queue: BTreeMap<u64, (u32, String)>,
@@ -167,6 +198,10 @@ fn join_clock(dst: &mut Vec<u32>, src: &[u32]) {
     }
 }
 
+fn covers(clock: &[u32], (slot, pos): (u32, u32)) -> bool {
+    clock.get(slot as usize).copied().unwrap_or(0) >= pos
+}
+
 impl FrontierEngine {
     /// Creates an engine.
     pub fn new(opts: FrontierOptions) -> FrontierEngine {
@@ -185,21 +220,26 @@ impl FrontierEngine {
         }
     }
 
-    /// Number of slots allocated so far (live + recyclable).
+    /// Number of slots opened so far — the length a clock can have.
     pub fn chains(&self) -> usize {
-        self.slots.len()
+        self.tails.len()
+    }
+
+    /// Number of program-order chains the engine holds state for.
+    pub fn live_chains(&self) -> usize {
+        self.registry.len()
     }
 
     /// The current frontier clock of `chain` — for the record that just
     /// arrived there, this is its exact reachability-into set.
     pub fn clock(&self, chain: u32) -> &[u32] {
-        &self.slots[chain as usize].frontier
+        &self.chains[chain as usize].frontier
     }
 
     /// Joins an externally derived clock (an injected loop-sync edge) into
     /// the chain of the record that just arrived.
     pub fn join(&mut self, at: Arrival, clock: &[u32]) {
-        join_clock(&mut self.slots[at.chain as usize].frontier, clock);
+        join_clock(&mut self.chains[at.chain as usize].frontier, clock);
     }
 
     /// `(e1, e2)` `Eserial` pairs derived natively so far.
@@ -209,25 +249,20 @@ impl FrontierEngine {
 
     /// Rough resident-memory estimate of the engine state, in bytes.
     pub fn bytes(&self) -> usize {
-        let clock = |c: &Vec<u32>| 4 * c.capacity() + 24;
-        let mut b = 0usize;
-        for s in &self.slots {
-            b += clock(&s.frontier) + 64;
-        }
-        for c in self.causes.values() {
-            b += clock(&c.clock) + 80;
-        }
-        for list in self.ended.values() {
-            for e in list {
-                b += clock(&e.end_clock) + 64;
-            }
-        }
-        b += 96 * (self.open.len() + self.event_queue.len() + self.queues.len());
-        b += 48 * (self.registry.len() + self.free.len() + self.pending_tasks.len());
-        for c in self.inj_sources.values() {
-            b += clock(c);
-        }
-        b
+        let ended = || self.ended.values().flatten();
+        let clocks = (self.chains.iter().map(|c| &c.frontier))
+            .chain(self.causes.values().map(|c| &c.clock))
+            .chain(ended().map(|e| &e.end_clock))
+            .chain(self.released.values())
+            .chain(self.restarts.values().map(|(_, clock)| clock))
+            .chain(self.inj_sources.values());
+        clocks.map(|c| 4 * c.capacity() + 24).sum::<usize>()
+            + 4 * (self.tails.capacity() + self.idle.capacity())
+            + 8 * (self.covered.capacity() + self.preds.capacity())
+            + 48 * (self.chains.len() + self.registry.len() + self.pending_tasks.len())
+            + 80 * self.causes.len()
+            + 64 * ended().count()
+            + 96 * (self.open.len() + self.event_queue.len() + self.queues.len())
     }
 
     /// Processes one out-of-band notification.
@@ -245,14 +280,20 @@ impl FrontierEngine {
                 }
             }
             StreamControl::ChainDone { task, ctx } => {
-                if let Some(&s) = self.registry.get(&(*task, *ctx)) {
-                    self.slots[s as usize].ended = true;
-                } else {
-                    // the chain never emitted: clear its blockers — the
-                    // boot placeholder, and (for a thread killed before
-                    // its first step) the pending fork cause
-                    self.pending_tasks.remove(task);
-                    self.drop_cause(&CauseKey::ThreadBegin(*task));
+                match (self.registry.get(&(*task, *ctx)), ctx) {
+                    // a handler instance runs once: no record will name its
+                    // chain again, and only a `NodeCrash` reads its clock
+                    (Some(_), ExecCtx::Handler { .. }) => self.release(&(*task, *ctx)),
+                    // a thread's clock waits for its `Tjoin`, and the fault
+                    // records of a node reuse its task 0's regular chain
+                    (Some(&c), ExecCtx::Regular) => self.chains[c as usize].ended = true,
+                    // the chain never emitted: clear its blockers — the boot
+                    // placeholder, and (for a thread killed before its first
+                    // step) the pending fork cause
+                    (None, _) => {
+                        self.pending_tasks.remove(task);
+                        self.drop_cause(&CauseKey::ThreadBegin(*task));
+                    }
                 }
             }
             StreamControl::CauseFanout { key, copies } => {
@@ -282,128 +323,140 @@ impl FrontierEngine {
         }
     }
 
+    /// Forgets the chain `key`: its clock is folded into its node's
+    /// `released` join and its handle (with the clock's buffer) is free for
+    /// the next chain.
+    fn release(&mut self, key: &(TaskId, ExecCtx)) {
+        let Some(c) = self.registry.remove(key) else {
+            return;
+        };
+        let chain = &mut self.chains[c as usize];
+        let dead = self.released.entry(key.0.node).or_default();
+        join_clock(dead, &chain.frontier);
+        chain.frontier.clear();
+        self.idle.push(c);
+    }
+
     /// Processes one trace record; returns where it landed. The returned
     /// arrival's clock ([`clock`](Self::clock)) is final.
     pub fn record(&mut self, r: &Record) -> Arrival {
-        let chain = self.chain_for(r.task, r.ctx);
+        // what the record is ordered after, each joined into its chain's
+        // clock and noted for the slot rule in the batch builder's order:
+        // program order ...
+        let (chain, reborn) = self.chain_for(r.task, r.ctx);
         let ci = chain as usize;
-        // program order: tick own position
-        let pos = {
-            let s = &mut self.slots[ci];
-            s.pos += 1;
-            if s.frontier.len() <= ci {
-                s.frontier.resize(ci + 1, 0);
-            }
-            s.frontier[ci] = s.pos;
-            s.pos
-        };
-        // --- Tfork / Eenq / Mrpc / Msoc / Mpush ---
-        match rules::keyed(r) {
-            Some((key, rule, End::Source)) => {
-                // a network send announces its fan-out after the record
-                self.snapshot_cause(chain, key, rules::delivers_once(rule).then_some(1));
-            }
-            Some((key, _, End::Target)) => {
-                let delivery = self.resolve(chain, &key);
-                if let OpKind::EventBegin { event } = r.kind {
-                    self.event_begin(chain, event.0, &key, delivery);
-                }
-            }
-            None => {}
+        // ... `Tfork` / `Eenq` / `Mrpc` / `Msoc` / `Mpush`, `Crash` (restart
+        // ⇒ reborn chain), `Eserial` ...
+        let keyed = rules::keyed(r);
+        let target = keyed.as_ref().filter(|k| matches!(k.2, End::Target));
+        let delivery = target.and_then(|(key, ..)| self.resolve(chain, key));
+        self.preds.extend(reborn);
+        if let (Some((key, ..)), &OpKind::EventBegin { event }) = (target, &r.kind) {
+            self.event_begin(chain, event.0, key, delivery);
         }
         match r.kind {
-            // --- Tjoin ---
-            OpKind::ThreadEnd => {
-                self.slots[ci].has_thread_end = true;
-            }
+            // ... `Tjoin` (a killed child has no `ThreadEnd`, and orders
+            // nothing) ...
             OpKind::ThreadJoin { child } => {
-                // a killed child has no `ThreadEnd`, and orders nothing
                 if let Some(&cs) = self.registry.get(&(child, ExecCtx::Regular)) {
-                    if self.slots[cs as usize].has_thread_end {
-                        let f = std::mem::take(&mut self.slots[cs as usize].frontier);
-                        join_clock(&mut self.slots[ci].frontier, &f);
-                        self.slots[cs as usize].frontier = f;
+                    if let Some(end) = self.chains[cs as usize].thread_end {
+                        let f = std::mem::take(&mut self.chains[cs as usize].frontier);
+                        join_clock(&mut self.chains[ci].frontier, &f);
+                        self.chains[cs as usize].frontier = f;
+                        self.preds.push(end);
                     }
                 }
             }
-            // --- Eserial ---
+            // ... and `Crash`: every chain of the node, live or released.
+            // Its fan-in is not offered to the slot rule (the batch
+            // builder leaves it out too).
+            OpKind::NodeCrash { node } => {
+                let mut clock = std::mem::take(&mut self.chains[ci].frontier);
+                for (&(t, _), &c) in &self.registry {
+                    if t.node == node && c != chain {
+                        join_clock(&mut clock, &self.chains[c as usize].frontier);
+                    }
+                }
+                if let Some(dead) = self.released.get(&node) {
+                    join_clock(&mut clock, dead);
+                }
+                self.chains[ci].frontier = clock;
+            }
+            _ => {}
+        }
+        // place the record: its clock is final from here on
+        let preds = self.preds.drain(..);
+        let preds = preds.chain(std::iter::from_fn(|| self.covered.pop()));
+        let (slot, pos) = slots::assign(&mut self.tails, preds);
+        let c = &mut self.chains[ci];
+        let si = slot as usize;
+        if c.frontier.len() <= si {
+            c.frontier.resize(si + 1, 0);
+        }
+        debug_assert_eq!(c.frontier[si], pos - 1, "slot {slot}: not its tail");
+        c.frontier[si] = pos;
+        c.at = (slot, pos);
+        // what later records may be ordered after
+        if let Some((key, rule, End::Source)) = keyed {
+            // a network send announces its fan-out after the record
+            self.snapshot_cause(chain, key, rules::delivers_once(rule).then_some(1));
+        }
+        match r.kind {
+            OpKind::ThreadEnd => self.chains[ci].thread_end = Some((slot, pos)),
             OpKind::EventEnd { event } => {
                 if let Some(open) = self.open.remove(&event.0) {
-                    let end_clock = self.slots[ci].frontier.clone();
+                    let end_clock = self.chains[ci].frontier.clone();
                     self.ended.entry(open.queue).or_default().push(EvEnded {
                         event: event.0,
                         create: open.create,
-                        end: (chain, pos),
+                        end: (slot, pos),
                         end_clock,
                     });
                 }
                 if self.inj_source_set.contains(&event.0) {
                     self.inj_sources
-                        .insert(event.0, self.slots[ci].frontier.clone());
-                }
-            }
-            // --- Crash ---
-            OpKind::NodeCrash { node } => {
-                let mut joins: Vec<Vec<u32>> = Vec::new();
-                for (&(t, _), &s) in &self.registry {
-                    if t.node == node && s != chain {
-                        joins.push(self.slots[s as usize].frontier.clone());
-                    }
-                }
-                for j in joins {
-                    join_clock(&mut self.slots[ci].frontier, &j);
+                        .insert(event.0, self.chains[ci].frontier.clone());
                 }
             }
             OpKind::NodeRestart { node } => {
-                self.restart_clock
-                    .insert(node, self.slots[ci].frontier.clone());
+                self.restarts
+                    .insert(node, ((slot, pos), self.chains[ci].frontier.clone()));
             }
-            // the keyed records above; memory, locks, loop markers and RPC
-            // timeouts: program order only
+            // memory, locks, loop markers and RPC timeouts: program order
+            // only
             _ => {}
         }
-        Arrival { chain, pos }
+        Arrival { chain, slot, pos }
     }
 
-    fn chain_for(&mut self, task: TaskId, ctx: ExecCtx) -> u32 {
-        if let Some(&s) = self.registry.get(&(task, ctx)) {
-            return s;
+    /// The handle of chain `(task, ctx)`, created on its first record
+    /// (then also the restart record of its node that it is ordered after,
+    /// if any); starts the record's predecessor list with its
+    /// program-order one.
+    fn chain_for(&mut self, task: TaskId, ctx: ExecCtx) -> (u32, Option<(u32, u32)>) {
+        if let Some(&c) = self.registry.get(&(task, ctx)) {
+            self.preds.push(self.chains[c as usize].at);
+            return (c, None);
         }
         self.pending_tasks.remove(&task);
-        let id = match self.free.pop() {
-            Some(id) => {
-                let s = &mut self.slots[id as usize];
-                debug_assert!(!s.live);
-                s.live = true;
-                s.ended = false;
-                s.has_thread_end = false;
-                s.key = Some((task, ctx));
-                id
-            }
-            None => {
-                self.slots.push(Slot {
-                    frontier: Vec::new(),
-                    pos: 0,
-                    key: Some((task, ctx)),
-                    live: true,
-                    ended: false,
-                    has_thread_end: false,
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.registry.insert((task, ctx), id);
-        if let Some(rc) = self.restart_clock.get(&task.node) {
-            let rc = rc.clone();
-            join_clock(&mut self.slots[id as usize].frontier, &rc);
+        let c = self.idle.pop().unwrap_or_else(|| {
+            self.chains.push(Chain::default());
+            (self.chains.len() - 1) as u32
+        });
+        let chain = &mut self.chains[c as usize];
+        // the frontier keeps its buffer from the handle's last owner
+        (chain.at, chain.ended, chain.thread_end) = ((0, 0), false, None);
+        self.registry.insert((task, ctx), c);
+        let restart = self.restarts.get(&task.node);
+        if let Some((_, clock)) = restart {
+            join_clock(&mut chain.frontier, clock);
         }
-        id
+        (c, restart.map(|(at, _)| *at))
     }
 
     fn snapshot_cause(&mut self, chain: u32, key: CauseKey, refs: Option<u32>) {
-        let s = &self.slots[chain as usize];
-        let src = (chain, s.pos);
-        let clock = s.frontier.clone();
+        let c = &self.chains[chain as usize];
+        let (src, clock) = (c.at, c.frontier.clone());
         match self.causes.entry(key) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
                 // a repeated source: last snapshot wins, pending deliveries
@@ -423,7 +476,8 @@ impl FrontierEngine {
     /// delivery and the cause is gone — or `None` when no cause is pending.
     fn resolve(&mut self, chain: u32, key: &CauseKey) -> Option<Delivery> {
         let c = self.causes.get_mut(key)?;
-        join_clock(&mut self.slots[chain as usize].frontier, &c.clock);
+        join_clock(&mut self.chains[chain as usize].frontier, &c.clock);
+        self.preds.push(c.src);
         let (src, mut clock) = (c.src, None);
         match c.refs {
             Some(n) if n > 1 => c.refs = Some(n - 1),
@@ -465,38 +519,26 @@ impl FrontierEngine {
         create: (u32, u32),
         create_clock: &[u32],
     ) {
-        let mut joins: Vec<Vec<u32>> = Vec::new();
-        if let Some(list) = self.ended.get(queue) {
-            for e in list {
-                let reaches = e.create != create
-                    && create_clock.get(e.create.0 as usize).copied().unwrap_or(0) >= e.create.1;
-                if reaches {
-                    joins.push(e.end_clock.clone());
-                    self.eserial_log.push((e.event, event));
-                }
+        let frontier = &mut self.chains[chain as usize].frontier;
+        for e in self.ended.get(queue).into_iter().flatten() {
+            if e.create != create && covers(create_clock, e.create) {
+                join_clock(frontier, &e.end_clock);
+                self.preds.push(e.end);
+                self.eserial_log.push((e.event, event));
             }
-        }
-        for j in joins {
-            join_clock(&mut self.slots[chain as usize].frontier, &j);
         }
     }
 
     fn apply_injected(&mut self, chain: u32, event: u64) {
-        let Some(srcs) = self.inj_targets.get(&event) else {
-            return;
-        };
-        let mut joins: Vec<Vec<u32>> = Vec::new();
-        for e1 in srcs {
-            if let Some(cl) = self.inj_sources.get(e1) {
-                joins.push(cl.clone());
+        let frontier = &mut self.chains[chain as usize].frontier;
+        for e1 in self.inj_targets.get(&event).into_iter().flatten() {
+            if let Some(clock) = self.inj_sources.get(e1) {
+                join_clock(frontier, clock);
             }
-        }
-        for j in joins {
-            join_clock(&mut self.slots[chain as usize].frontier, &j);
         }
     }
 
-    /// The retirement bound `L`: `L[c] ≥ p` proves record `(c, p)` is
+    /// The retirement bound `L`: `L[s] ≥ p` proves record `(s, p)` is
     /// covered by **every** record yet to arrive. `None` when retirement is
     /// disabled or an announced entry task has not emitted yet (its clock
     /// is all-zero, so nothing would retire anyway).
@@ -504,44 +546,40 @@ impl FrontierEngine {
         if !self.opts.allow_retirement || !self.pending_tasks.is_empty() {
             return None;
         }
-        let mut l = vec![u32::MAX; self.slots.len()];
-        let mut clamp = |clock: &[u32]| {
+        let mut l = vec![u32::MAX; self.tails.len()];
+        let live = self.registry.values().map(|&c| &self.chains[c as usize]);
+        let live = live.filter(|c| !c.ended).map(|c| &c.frontier);
+        for clock in live.chain(self.causes.values().map(|c| &c.clock)) {
             for (i, v) in l.iter_mut().enumerate() {
-                let c = clock.get(i).copied().unwrap_or(0);
-                if c < *v {
-                    *v = c;
-                }
+                *v = (*v).min(clock.get(i).copied().unwrap_or(0));
             }
-        };
-        for s in self.slots.iter().filter(|s| s.live && !s.ended) {
-            clamp(&s.frontier);
-        }
-        for c in self.causes.values() {
-            clamp(&c.clock);
         }
         Some(l)
     }
 
-    /// Drops engine state the bound proves dead: ended `Eserial` sources
-    /// whose `End` every future record covers, and slots of ended chains
-    /// that are fully covered (their id goes back on the free list; the
-    /// position counter keeps counting, so old `(slot, pos)` identities
-    /// stay unique).
+    /// Drops engine state the bound proves dead — ended `Eserial` sources
+    /// whose `End` every future record covers, ended chains whose last
+    /// record is covered — and notes the slots whose tail is: every record
+    /// yet to arrive is ordered after such a tail, so the slot rule may
+    /// let any of them extend it.
     pub fn retire(&mut self, bound: &[u32]) {
         for list in self.ended.values_mut() {
-            list.retain(|e| bound.get(e.end.0 as usize).copied().unwrap_or(0) < e.end.1);
+            list.retain(|e| !covers(bound, e.end));
         }
         self.ended.retain(|_, list| !list.is_empty());
-        for (id, s) in self.slots.iter_mut().enumerate() {
-            if s.live && s.ended && bound.get(id).copied().unwrap_or(0) >= s.pos {
-                s.live = false;
-                s.frontier.clear(); // the next occupant reuses the buffer
-                if let Some(key) = s.key.take() {
-                    self.registry.remove(&key);
-                }
-                self.free.push(id as u32);
-            }
+        let done = |c: &Chain| c.ended && covers(bound, c.at);
+        let chains = self.registry.iter();
+        let dead: Vec<_> = chains
+            .filter(|&(_, &c)| done(&self.chains[c as usize]))
+            .map(|(key, _)| *key)
+            .collect();
+        for key in &dead {
+            self.release(key);
         }
+        self.covered.clear();
+        let tails = (0..).zip(self.tails.iter().copied());
+        self.covered
+            .extend(tails.filter(|&tail| covers(bound, tail)));
     }
 }
 

@@ -3,7 +3,8 @@
 # Fully offline — every dependency is a workspace member.
 #
 #   scripts/check.sh          # fmt + clippy + build + test (debug, then
-#                             # the interpreter oracles in release) + the
+#                             # the interpreter oracles and the clock
+#                             # engines' oracles in release) + the
 #                             # smokes below that are cheap (timeline,
 #                             # trigger farm, synth, dcbench;
 #                             # DCATCH_SOAK=1 appends the fault soak)
@@ -228,6 +229,13 @@ echo "== interpreter oracles, release build =="
 # the same recorded executions and verdicts without it
 cargo test --offline --release -q -p dcatch-sim --test step_oracle --test semantics --test fault_fuzz
 cargo test --offline --release -q -p dcatch --test trigger_farm --test triggering
+
+echo "== clock engines and their oracles, release build =="
+# likewise: in debug every record a `FrontierEngine` places asserts that its
+# clock covers the tail of the slot it extends; without the assert the slot
+# oracles, online ≡ offline and the state bounds must hold all the same
+cargo test --offline --release -q -p dcatch-hb --lib --test proptests
+cargo test --offline --release -q -p dcatch --test scan_oracle --test streaming
 
 echo "== reachability engine equivalence (matrix vs chain clocks) =="
 # also part of the suite above; named here so a failure is unmistakable.
