@@ -1,5 +1,6 @@
 //! The end-to-end DCatch pipeline.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::time::Duration;
 
@@ -458,6 +459,7 @@ impl Pipeline {
                         records_forced: pass1.records_forced,
                         peak_bytes: pass1.peak_bytes,
                     },
+                    lossy_locations: pass1.lossy_locations,
                 };
                 (analysis, pass1.candidates, pass1.stats, pass1.trace_bytes)
             }
@@ -489,7 +491,7 @@ impl Pipeline {
                 });
             } else {
                 let _span = dcatch_obs::span!("pipeline.loop_sync");
-                let mut rerun = |objects: &std::collections::BTreeSet<String>| {
+                let mut rerun = |objects: &BTreeSet<String>| {
                     let focus_cfg = cfg
                         .clone()
                         .with_focus(FocusConfig::on(objects.iter().cloned()));
@@ -520,6 +522,7 @@ impl Pipeline {
                         online,
                         eserial_edges,
                         stats,
+                        lossy_locations,
                     } => {
                         let _inner = dcatch_obs::span!("detect.loopsync");
                         match plan_loop_sync(program, &candidates, &mut rerun) {
@@ -537,6 +540,7 @@ impl Pipeline {
                                 stats.window_peak = stats.window_peak.max(pass2.window_peak);
                                 stats.records_retired += pass2.records_retired;
                                 stats.records_forced += pass2.records_forced;
+                                lossy_locations.extend(pass2.lossy_locations);
                                 stats.peak_bytes = stats.peak_bytes.max(pass2.peak_bytes);
                                 let mut updated = pass2.candidates;
                                 // drop the polling idiom pairs themselves
@@ -694,7 +698,12 @@ impl Pipeline {
             detected_known_bug,
             ..BenchmarkReport::empty(bench.id, trace_stats, trace_bytes)
         };
-        if let Analysis::Stream { stats, .. } = analysis {
+        if let Analysis::Stream {
+            stats,
+            lossy_locations,
+            ..
+        } = analysis
+        {
             report.streaming = Some(stats);
             // Recorded on the report directly, not via `budget::record`: an
             // explicit `--stream-window` cap is lossy even with no governor
@@ -705,8 +714,9 @@ impl Pipeline {
                     from: "exact_window".to_owned(),
                     to: "lossy_window".to_owned(),
                     reason: format!(
-                        "{} accesses force-evicted by the window cap",
-                        stats.records_forced
+                        "{} accesses force-evicted by the window cap; candidates may be missing on {}",
+                        stats.records_forced,
+                        Vec::from_iter(lossy_locations).join(", ")
                     ),
                 });
             }
@@ -735,6 +745,9 @@ enum Analysis {
         eserial_edges: Vec<(u64, u64)>,
         /// Window bookkeeping across both passes.
         stats: StreamingStats,
+        /// Where either pass force-evicted an access
+        /// ([`StreamOutcome::lossy_locations`]).
+        lossy_locations: BTreeSet<String>,
     },
 }
 

@@ -129,6 +129,35 @@ fn online_equals_offline_on_all_benchmarks() {
     }
 }
 
+/// `matrix ≡ clocks` on every pair of the traced run of `bench` under
+/// `faults`: a matrix row is made of the predecessors the builder's engine
+/// *lists*, a clock row of the joins it *performs*, so this is the check
+/// that the two are the same edges — duplicated deliveries, crash fan-in
+/// and reborn chains included.
+fn assert_indexes_agree(bench: &dcatch::Benchmark, tracing: TracingMode, faults: &FaultPlan) {
+    let mut cfg = SimConfig::default()
+        .with_seed(bench.seed)
+        .with_faults(faults.clone());
+    cfg.tracing = tracing;
+    let trace = World::run_once(&bench.program, &bench.topology, cfg)
+        .unwrap()
+        .trace;
+    let [matrix, clocks] = [ReachabilityMode::Matrix, ReachabilityMode::Clocks].map(|mode| {
+        let cfg = HbConfig {
+            reachability: mode,
+            ..HbConfig::default()
+        };
+        HbAnalysis::build(trace.clone(), &cfg).unwrap()
+    });
+    assert_eq!(matrix.edge_count(), clocks.edge_count(), "{}", bench.id);
+    for a in 0..trace.len() {
+        for b in 0..trace.len() {
+            let (m, c) = (matrix.happens_before(a, b), clocks.happens_before(a, b));
+            assert_eq!(m, c, "{} under {faults:?}: hb({a}, {b})", bench.id);
+        }
+    }
+}
+
 fn clocks_config() -> HbConfig {
     HbConfig {
         reachability: ReachabilityMode::Clocks,
@@ -183,13 +212,15 @@ impl EngineSink {
     /// records the batch graph orders before it — though the engine let go
     /// of every handler chain at its `ChainDone` and reads the node's one
     /// joined clock instead — and that the engine, which did not retire,
-    /// placed every record where the batch clocks do. Returns, per crash,
-    /// how many handler records of `node` it is ordered after.
+    /// placed every record where the batch builder's engine did, which was
+    /// told of no `ChainDone` and kept every chain: releasing changes
+    /// nothing. Returns, per crash, how many handler records of `node` it
+    /// is ordered after.
     fn crashes_ordered_as_offline(&self, node: NodeId) -> Vec<usize> {
         let trace = &self.collect.trace;
         let hb = HbAnalysis::build(trace.clone(), &clocks_config()).unwrap();
         for (v, a) in self.arrivals.iter().enumerate() {
-            assert_eq!(Some((a.slot, a.pos)), hb.slot_of(v), "record {v}");
+            assert_eq!((a.slot, a.pos), hb.slot_of(v), "record {v}");
         }
         let handler_ordered = |(crash, clock): &(usize, Vec<u32>)| {
             let mut handlers = 0;
@@ -239,6 +270,7 @@ fn online_equals_offline_under_fault_plans() {
     for bench in dcatch::all_benchmarks_scaled(1) {
         for sc in dcatch::fault_scenarios(&bench).into_iter().take(per_bench) {
             assert_equivalent(bench.id, sc.name, &bench, |o| o.faults = sc.plan.clone());
+            assert_indexes_agree(&bench, TracingMode::Selective, &sc.plan);
         }
     }
     // A duplicated RPC request is served twice, and the second `RpcEnd`
@@ -252,6 +284,7 @@ fn online_equals_offline_under_fault_plans() {
         let bench = dcatch::benchmark(id).unwrap();
         let faults = FaultPlan::parse(plan).unwrap();
         assert_equivalent(id, plan, &bench, |o| o.faults = faults.clone());
+        assert_indexes_agree(&bench, TracingMode::Selective, &faults);
     }
     // Hole (a) of DESIGN.md §14, bounded: the AM of full-traced MR-3274 ×8
     // crashes and restarts twice. Its handler chains — three run between
@@ -266,15 +299,18 @@ fn online_equals_offline_under_fault_plans() {
         o.tracing = TracingMode::Full;
         o.faults = faults.clone();
     });
+    assert_indexes_agree(&bench, TracingMode::Full, &faults);
     let cfg = SimConfig::default()
         .with_seed(bench.seed)
         .with_full_tracing()
         .with_faults(faults);
     let sink = EngineSink::crash_plan().stream(&bench.program, &bench.topology, cfg);
     assert_eq!(sink.crashes_ordered_as_offline(NodeId(1)), [0, 3]);
-    // recorded from this change: 3 288 B, 14 chains (parent 5 336 B, 23 —
-    // the miniature has some thirty handler instances at any scale; the
-    // handler-heavy bound is `streambench_clocks_are_sized_by_hb_chains`')
+    // recorded from PR 21: 3 288 B, 14 chains (parent 5 336 B, 23 — the
+    // miniature has some thirty handler instances at any scale; the
+    // handler-heavy bound is `streambench_clocks_are_sized_by_hb_chains`');
+    // 3 384 B since `bytes()` counts the `Eserial` log, the injected-edge
+    // keys and a scratch entry that carries its rule (PR 22)
     assert!(
         sink.engine.bytes() <= 4_000 && sink.engine.live_chains() <= 14,
         "{} B, {} chains",
@@ -314,8 +350,9 @@ fn streambench_clocks_are_sized_by_hb_chains() {
     // nor does a crash plan change that: `ping` crashes twice, its reborn
     // `boot` serves anew each time, and each crash record is ordered after
     // the hundreds of handler instances the engine has long forgotten
-    // (recorded from this change: 2 376 B, 12 slots; the parent, which
-    // kept every chain of a non-retiring run, reads 10 519 444 B in 2 115)
+    // (recorded from PR 21: 2 376 B, 12 slots; the parent, which kept
+    // every chain of a non-retiring run, reads 10 519 444 B in 2 115;
+    // 2 384 B since PR 22's wider scratch entry)
     let (p, topo) = dcatch::streambench(dcatch::streambench_rounds(6_000));
     let faults = "crash node=1 at=2000 restart=50\ncrash node=1 at=10000 restart=50";
     let cfg = SimConfig::default()
@@ -394,6 +431,35 @@ fn window_cap_degrades_to_subset_and_is_recorded() {
             rep.candidate.static_pair
         );
     }
+    // hole (b) of DESIGN.md §14, bounded: the degradation names every
+    // location an access was evicted from, and a pair the cap lost has an
+    // access on one of them
+    let lossy = on.degradations.iter().find(|d| d.to == "lossy_window");
+    let named: Vec<&str> = lossy.unwrap().reason.split([' ', ',']).collect();
+    let on_pairs: std::collections::BTreeSet<_> =
+        on.reports.iter().map(|r| r.candidate.static_pair).collect();
+    let mut lost = 0;
+    for rep in &off.reports {
+        if on_pairs.contains(&rep.candidate.static_pair) {
+            continue;
+        }
+        lost += 1;
+        let (a, b) = &rep.candidate.rep;
+        let keyless = |loc: &dcatch_trace::MemLoc| {
+            let loc = dcatch_trace::MemLoc {
+                key: None,
+                ..loc.clone()
+            };
+            loc.to_string()
+        };
+        assert!(
+            named.contains(&&*keyless(&a.loc)) || named.contains(&&*keyless(&b.loc)),
+            "{:?} was lost on {}, which {named:?} does not name",
+            rep.candidate.static_pair,
+            a.loc
+        );
+    }
+    assert!(lost > 0, "a cap of 2 loses no reported pair: vacuous");
 }
 
 /// O(window) resident memory: on the synthetic streambench chain, a 10×

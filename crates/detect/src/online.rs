@@ -108,6 +108,10 @@ pub struct StreamOutcome {
     pub records_retired: u64,
     /// Window entries force-evicted by the hard cap (lossy).
     pub records_forced: u64,
+    /// Where the force-evicted accesses were: `space:node:object`, as
+    /// [`MemLoc`] displays it without the key. A candidate the cap lost has
+    /// an access on one of these; every other location was scanned exactly.
+    pub lossy_locations: BTreeSet<String>,
     /// Peak resident-memory estimate (engine + window), in bytes,
     /// sampled at sweep boundaries.
     pub peak_bytes: usize,
@@ -168,6 +172,7 @@ pub struct OnlineDetector {
     window_peak: usize,
     records_retired: u64,
     records_forced: u64,
+    lossy_locations: BTreeSet<String>,
     peak_bytes: usize,
     agg: BTreeMap<(StmtId, StmtId), PendAgg>,
     stats: TraceStats,
@@ -212,6 +217,7 @@ impl OnlineDetector {
             window_peak: 0,
             records_retired: 0,
             records_forced: 0,
+            lossy_locations: BTreeSet::new(),
             peak_bytes: 0,
             agg: BTreeMap::new(),
             stats: TraceStats::default(),
@@ -464,13 +470,29 @@ impl OnlineDetector {
     /// Force-evicts the globally oldest window entry — the front of some
     /// chain, chains being in arrival order (hard-cap overflow; lossy).
     fn evict_oldest(&mut self) {
-        let chains = self.window.values_mut().flat_map(BTreeMap::values_mut);
-        let oldest = chains
-            .flatten()
-            .min_by_key(|dq| dq.front().map_or(usize::MAX, |e| e.index));
-        if oldest.and_then(VecDeque::pop_front).is_none() {
-            return;
+        let front = |dq: &VecDeque<WindowEntry>| dq.front().map_or(usize::MAX, |e| e.index);
+        let mut oldest: Option<(bool, &String, &mut VecDeque<WindowEntry>)> = None;
+        for (&(zk, _), objects) in &mut self.window {
+            for (object, cover) in objects {
+                for dq in cover {
+                    if oldest.as_ref().is_none_or(|(.., o)| front(dq) < front(o)) {
+                        oldest = Some((zk, object, dq));
+                    }
+                }
+            }
         }
+        let Some((zk, object, Some(evicted))) =
+            oldest.map(|(zk, object, dq)| (zk, object, dq.pop_front()))
+        else {
+            return;
+        };
+        let loc = MemLoc {
+            space: if zk { MemSpace::Zk } else { MemSpace::Heap },
+            node: evicted.node,
+            object: object.clone(),
+            key: None,
+        };
+        self.lossy_locations.insert(loc.to_string());
         self.drop_empty_chains();
         self.window_len -= 1;
         self.records_forced += 1;
@@ -556,6 +578,7 @@ impl OnlineDetector {
             window_peak: self.window_peak,
             records_retired: self.records_retired,
             records_forced: self.records_forced,
+            lossy_locations: self.lossy_locations,
             peak_bytes: self.peak_bytes,
             eserial_edges: self.engine.eserial_edges().to_vec(),
             sync_edges_fired: self.sync_fired,

@@ -19,7 +19,7 @@ impl BitMatrix {
     }
 
     /// Creates an all-zero matrix.
-    pub fn new(n: usize) -> BitMatrix {
+    pub(crate) fn new(n: usize) -> BitMatrix {
         let words = n.div_ceil(64);
         BitMatrix {
             n,
@@ -39,7 +39,7 @@ impl BitMatrix {
     }
 
     /// Sets bit `(row, col)`.
-    pub fn set(&mut self, row: usize, col: usize) {
+    pub(crate) fn set(&mut self, row: usize, col: usize) {
         debug_assert!(row < self.n && col < self.n);
         self.data[row * self.words + col / 64] |= 1u64 << (col % 64);
     }
@@ -56,7 +56,7 @@ impl BitMatrix {
     /// The changed flag is what makes delta propagation terminate early:
     /// a successor whose row already covers the new ancestors does not
     /// need to be re-enqueued.
-    pub fn or_row_into_changed(&mut self, src: usize, dst: usize) -> bool {
+    pub(crate) fn or_row_into_changed(&mut self, src: usize, dst: usize) -> bool {
         debug_assert!(src < self.n && dst < self.n && src != dst);
         let (s, d) = (src * self.words, dst * self.words);
         let mut changed = 0u64;

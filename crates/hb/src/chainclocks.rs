@@ -12,13 +12,14 @@
 //! > `clock[v][s]` = number of slot-`s` vertices that happen before
 //! > (or are) `v`.
 //!
-//! `reaches(a, b)` becomes `clock[b][slot(a)] ≥ pos(a)` and the index is
-//! exact for arbitrary HB DAGs. Which slot a record joins is the one rule
-//! of the private `slots` module, shared with the online
-//! [`FrontierEngine`](crate::FrontierEngine): its program-order
+//! "`a` reaches `b`" becomes `clock[b][slot(a)] ≥ pos(a)` and the index is
+//! exact for arbitrary HB DAGs. This type decides no slot and joins no
+//! edge: the [`FrontierEngine`](crate::FrontierEngine) that
+//! `HbAnalysis::build` drives places every record — its program-order
 //! predecessor's slot while that is still the slot's tail, else the slot
-//! of the first direct HB predecessor that is a tail, else a new one. A
-//! slot is thus *not* a `(task, handler-instance)` group: naive
+//! of the first direct HB predecessor that is a tail, else a new one (the
+//! private `slots` module) — and `ChainClocks` is that engine's clocks
+//! kept without retirement, one row per record. A slot is thus *not* a `(task, handler-instance)` group: naive
 //! per-handler-dimension vector clocks are the §3.2.2 "too slow"
 //! alternative, their dimension count growing with the number of handler
 //! *instances* (5 004 on a 30 018-record ping-pong trace, 601 MB of rows),
@@ -32,10 +33,9 @@
 //! compact per-event ordering summaries, not dense closure — and neither
 //! fixes what a chain is.
 //!
-//! Clocks are filled in by the forward pass that derives the edges
-//! (`HbAnalysis::build`): every HB edge points forward in trace order, so a
-//! record's clock is final once its own incoming edges are joined. Rows
-//! are *ragged*: row `v` is as long as the slot table was when `v`
+//! Every HB edge points forward in trace order, so the clock the engine
+//! holds for a record when it has arrived is final, and is stored as is.
+//! Rows are *ragged*: row `v` is as long as the slot table was when `v`
 //! arrived, because a slot opened later holds only later records, which
 //! `v` cannot be ordered after. A loop-sync edge `u ⇒ v` added afterwards
 //! points forward too; it joins `u`'s clock into `v`'s and pushes the
@@ -46,17 +46,9 @@ use std::collections::BTreeMap;
 
 use dcatch_trace::TraceSet;
 
-use crate::slots;
-
 /// Per-vertex slot-frontier clocks over an HB graph's vertices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainClocks {
-    /// Last position handed out in each slot ([`slots::assign`]'s table).
-    tails: Vec<u32>,
-    /// Slot of each vertex.
-    slot_of: Vec<u32>,
-    /// 1-based position of each vertex within its slot.
-    pos_of: Vec<u32>,
     /// Row `v` is `clocks[rows[v]..rows[v + 1]]`; `rows[0]` is 0.
     rows: Vec<usize>,
     /// The ragged clock rows, back to back; entry `s` of row `v` is the
@@ -86,49 +78,35 @@ impl ChainClocks {
         chains.len()
     }
 
-    /// Creates an empty index expecting `n` vertices. The caller appends
-    /// them in trace order with [`push`](ChainClocks::push) and folds each
-    /// one's HB edges in with [`join_from`](ChainClocks::join_from).
-    pub fn with_capacity(n: usize) -> ChainClocks {
+    /// Creates an empty index expecting `n` vertices, appended in trace
+    /// order with [`push_row`](ChainClocks::push_row).
+    pub(crate) fn with_capacity(n: usize) -> ChainClocks {
         let mut rows = Vec::with_capacity(n + 1);
         rows.push(0);
         ChainClocks {
-            tails: Vec::new(),
-            slot_of: Vec::with_capacity(n),
-            pos_of: Vec::with_capacity(n),
             rows,
             clocks: Vec::new(),
         }
     }
 
-    /// Appends the next vertex, given the vertices it is directly ordered
-    /// after (program order first), and returns its index. Its row knows
-    /// only the vertex itself until its edges are joined in.
-    pub fn push(&mut self, preds: impl IntoIterator<Item = usize>) -> usize {
-        let preds = preds.into_iter().map(|u| (self.slot_of[u], self.pos_of[u]));
-        let (slot, pos) = slots::assign(&mut self.tails, preds);
-        self.slot_of.push(slot);
-        self.pos_of.push(pos);
-        self.clocks.resize(self.clocks.len() + self.tails.len(), 0);
-        let row = self.rows[self.rows.len() - 1];
-        self.clocks[row + slot as usize] = pos;
+    /// Appends the next vertex's row: its final `clock`, zero-padded to
+    /// the `slots` open when it arrived.
+    pub(crate) fn push_row(&mut self, clock: &[u32], slots: usize) {
+        debug_assert!(clock.len() <= slots);
+        self.clocks.extend_from_slice(clock);
+        self.clocks
+            .resize(self.rows[self.rows.len() - 1] + slots, 0);
         self.rows.push(self.clocks.len());
-        self.slot_of.len() - 1
-    }
-
-    /// Number of slots (HB-ordered chains) opened so far.
-    pub fn chains(&self) -> usize {
-        self.tails.len()
     }
 
     /// Number of vertices.
     pub fn len(&self) -> usize {
-        self.slot_of.len()
+        self.rows.len() - 1
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.slot_of.is_empty()
+        self.len() == 0
     }
 
     /// Memory held by the clock rows, in bytes.
@@ -136,28 +114,21 @@ impl ChainClocks {
         self.clocks.len() * 4
     }
 
-    /// `(slot, 1-based position)` of vertex `v`.
-    pub fn slot_of(&self, v: usize) -> (u32, u32) {
-        (self.slot_of[v], self.pos_of[v])
-    }
-
-    /// Whether `a` happens before (or is) `b`: `b`'s frontier on `a`'s
-    /// slot covers `a`'s position — a slot `b`'s row is too short for was
-    /// opened after `b`. Callers that need strict ordering guard `a != b`
-    /// themselves, exactly as with the bit matrix.
-    pub fn reaches(&self, a: usize, b: usize) -> bool {
-        let row = &self.clocks[self.rows[b]..self.rows[b + 1]];
-        row.get(self.slot_of[a] as usize)
-            .is_some_and(|&c| c >= self.pos_of[a])
+    /// Whether the record at `(slot, pos)` happens before (or is) vertex
+    /// `v`: `v`'s frontier on the slot covers the position — a slot `v`'s
+    /// row is too short for was opened after `v`. Callers that need strict
+    /// ordering guard against `v` itself, exactly as with the bit matrix.
+    pub(crate) fn covers(&self, v: usize, (slot, pos): (u32, u32)) -> bool {
+        let row = &self.clocks[self.rows[v]..self.rows[v + 1]];
+        row.get(slot as usize).is_some_and(|&c| c >= pos)
     }
 
     /// Joins vertex `src`'s clock into the later vertex `dst`'s
-    /// (elementwise max), the propagation step for an HB edge `src ⇒ dst`.
-    /// Returns whether any frontier of `dst` actually advanced — the
-    /// early-exit signal that stops incremental propagation, as
-    /// [`BitMatrix::or_row_into_changed`](crate::BitMatrix::or_row_into_changed)
-    /// is for the matrix.
-    pub fn join_from(&mut self, src: usize, dst: usize) -> bool {
+    /// (elementwise max), the propagation step for a loop-sync edge
+    /// `src ⇒ dst`. Returns whether any frontier of `dst` actually
+    /// advanced — the early-exit signal that stops incremental
+    /// propagation, as `BitMatrix::or_row_into_changed` is for the matrix.
+    pub(crate) fn join_from(&mut self, src: usize, dst: usize) -> bool {
         debug_assert!(src < dst, "HB edges point forward in trace order");
         let (head, tail) = self.clocks.split_at_mut(self.rows[dst]);
         let src_row = &head[self.rows[src]..self.rows[src + 1]];
@@ -211,29 +182,25 @@ mod tests {
         .collect()
     }
 
-    /// Vertices 0, 2 in one program-order chain and 1, 3 in another, each
-    /// pushed with its program-order predecessor and joined to it.
+    /// Vertices 0, 2 in one slot and 1, 3 in another, each with the row
+    /// the engine would hand over: ordered after its slot's earlier vertex.
     fn two_chains() -> ChainClocks {
         let mut cc = ChainClocks::with_capacity(4);
-        assert_eq!((cc.push([]), cc.push([])), (0, 1));
-        for v in [2, 3] {
-            assert_eq!(cc.push([v - 2]), v);
-            cc.join_from(v - 2, v);
-        }
+        cc.push_row(&[1], 1);
+        cc.push_row(&[0, 1], 2);
+        cc.push_row(&[2], 2);
+        cc.push_row(&[0, 2], 2);
         cc
     }
 
     #[test]
     fn own_chain_prefix_is_reachable() {
         let cc = two_chains();
-        assert_eq!(cc.chains(), 2);
         assert_eq!(cc.len(), 4);
-        assert_eq!(cc.slot_of(2), (0, 2));
-        assert_eq!(cc.slot_of(3), (1, 2));
-        assert!(cc.reaches(0, 2));
-        assert!(!cc.reaches(2, 0));
-        assert!(!cc.reaches(0, 1) && !cc.reaches(1, 0));
-        assert!(cc.reaches(0, 0), "reflexive, guarded by callers");
+        assert!(cc.covers(2, (0, 1)));
+        assert!(!cc.covers(0, (0, 2)));
+        assert!(!cc.covers(1, (0, 1)) && !cc.covers(0, (1, 1)));
+        assert!(cc.covers(0, (0, 1)), "reflexive, guarded by callers");
     }
 
     #[test]
@@ -241,7 +208,7 @@ mod tests {
         let mut cc = two_chains();
         // edge 2 ⇒ 3 carries slot 0's prefix of length 2 into vertex 3
         assert!(cc.join_from(2, 3));
-        assert!(cc.reaches(0, 3) && cc.reaches(2, 3));
+        assert!(cc.covers(3, (0, 1)) && cc.covers(3, (0, 2)));
         assert!(!cc.join_from(2, 3), "second join is a no-op");
     }
 
@@ -251,28 +218,7 @@ mod tests {
     fn rows_are_ragged() {
         let cc = two_chains();
         assert_eq!(cc.bytes(), 4 * (1 + 2 + 2 + 2));
-        assert!(!cc.reaches(1, 0), "slot 1 is beyond vertex 0's row");
-    }
-
-    /// A vertex extends the slot of a direct predecessor that is still a
-    /// tail — the handler a send is the last record before — and opens one
-    /// when its predecessors have all been built upon.
-    #[test]
-    fn a_tail_predecessor_is_extended_across_program_order_chains() {
-        let mut cc = ChainClocks::with_capacity(4);
-        cc.push([]);
-        assert_eq!(cc.push([0]), 1);
-        cc.join_from(0, 1);
-        assert_eq!(
-            cc.slot_of(1),
-            (0, 2),
-            "no program-order tail: the cause's slot"
-        );
-        cc.push([0]);
-        cc.join_from(0, 2);
-        assert_eq!(cc.slot_of(2), (1, 1), "vertex 0 is no longer a tail");
-        assert_eq!(cc.chains(), 2);
-        assert!(cc.reaches(0, 2) && !cc.reaches(1, 2) && !cc.reaches(2, 1));
+        assert!(!cc.covers(0, (1, 1)), "slot 1 is beyond vertex 0's row");
     }
 
     #[test]
@@ -290,7 +236,6 @@ mod tests {
     #[test]
     fn chain_count_bounds_the_slots() {
         assert_eq!(ChainClocks::chain_count(&two_chain_trace()), 2);
-        assert_eq!(two_chains().chains(), 2);
         assert_eq!(ChainClocks::chain_count(&TraceSet::new()), 0);
     }
 
@@ -299,6 +244,5 @@ mod tests {
         let cc = ChainClocks::with_capacity(0);
         assert!(cc.is_empty());
         assert_eq!(cc.bytes(), 0);
-        assert_eq!(cc.chains(), 0);
     }
 }

@@ -1,15 +1,19 @@
-//! HB-graph construction and reachability queries (paper §3.2).
+//! The materialized HB graph and its reachability queries (paper §3.2).
+//!
+//! No rule of the model lives here: [`HbAnalysis::build`] drives the one
+//! pass that applies them, a [`FrontierEngine`], over the trace and keeps
+//! what it reports — edges for `explain` and trigger placement, rows for
+//! `happens_before` — in one of two indexes.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use dcatch_model::NodeId;
 use dcatch_obs::{counter, gauge};
-use dcatch_trace::{CauseKey, EventId, ExecCtx, OpKind, TaskId, TraceSet};
+use dcatch_trace::{StreamControl, TraceSet};
 
 use crate::bitmatrix::BitMatrix;
 use crate::chainclocks::ChainClocks;
-use crate::rules::{self, End};
+use crate::streaming::{FrontierEngine, FrontierOptions};
 
 /// Which rule produced an edge (kept for explanations and debugging).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,9 +157,10 @@ impl std::error::Error for HbError {}
 /// The active reachability index: dense ancestor-set matrix or
 /// chain-decomposition vector clocks (see [`ReachabilityMode`]). Both are
 /// exact *ancestor* summaries — entry `v` describes what happens before
-/// `v` — so both grow the same way, by joining a predecessor's summary
-/// into its successor's; they trade query constant factor against memory
-/// footprint.
+/// `v` — of the one pass [`HbAnalysis::build`] drives: a matrix row is the
+/// OR of the rows of the predecessors the engine lists, a clock row the
+/// joins the engine performed. They trade query constant factor against
+/// memory footprint.
 #[derive(Debug)]
 enum ReachIndex {
     Matrix(BitMatrix),
@@ -168,24 +173,6 @@ impl ReachIndex {
         match self {
             ReachIndex::Matrix(m) => BitMatrix::estimated_bytes(m.len()),
             ReachIndex::Clocks(c) => c.bytes(),
-        }
-    }
-
-    /// Raw reachability; callers guard `a != b` (the matrix's diagonal is
-    /// unset while clocks are reflexive, so `a == b` is the one input the
-    /// engines answer differently).
-    fn reaches(&self, a: usize, b: usize) -> bool {
-        match self {
-            ReachIndex::Matrix(m) => m.get(b, a),
-            ReachIndex::Clocks(c) => c.reaches(a, b),
-        }
-    }
-
-    /// Record `v`, the next in trace order, arrives with `preds` ahead of
-    /// it: the clocks give it a slot; a matrix row needs no placing.
-    fn arrive(&mut self, preds: &[(usize, EdgeRule)]) {
-        if let ReachIndex::Clocks(c) = self {
-            c.push(preds.iter().map(|&(u, _)| u));
         }
     }
 
@@ -211,12 +198,24 @@ pub struct HbAnalysis {
     edges: Vec<Vec<(u32, EdgeRule)>>,
     /// Reverse adjacency, kept in lockstep with `edges`.
     preds: Vec<Vec<(u32, EdgeRule)>>,
+    /// `(slot, pos)` of each vertex: its place in the HB-ordered chain
+    /// cover, as the engine placed it.
+    at: Vec<(u32, u32)>,
     reach: ReachIndex,
     edge_count: usize,
 }
 
 impl HbAnalysis {
-    /// Builds the HB graph of `trace` and its reachability index.
+    /// Builds the HB graph of `trace` and its reachability index: one
+    /// [`FrontierEngine`] — nothing retires, no chain is ever done — is
+    /// fed the materialized trace as the simulator would have streamed it,
+    /// and every rule of the model is the engine's. What the builder adds
+    /// is memory: the engine names a record by `(slot, pos)`, `members`
+    /// turns that back into its index, each predecessor the engine lists
+    /// becomes an edge (in the order listed, so a duplicate keeps its first
+    /// label), and the record's final clock — padded to the slots open on
+    /// arrival — is its row of the clock index, or the OR of its
+    /// predecessors' rows its row of the matrix.
     pub fn build(trace: TraceSet, config: &HbConfig) -> Result<HbAnalysis, HbError> {
         let _span = dcatch_obs::span!("hb.build");
         let n = trace.len();
@@ -234,6 +233,7 @@ impl HbAnalysis {
         let mut a = HbAnalysis {
             edges: vec![Vec::new(); n],
             preds: vec![Vec::new(); n],
+            at: Vec::with_capacity(n),
             reach: match mode {
                 ReachabilityMode::Clocks => ReachIndex::Clocks(ChainClocks::with_capacity(n)),
                 _ => ReachIndex::Matrix(BitMatrix::new(n)),
@@ -241,7 +241,40 @@ impl HbAnalysis {
             trace,
             edge_count: 0,
         };
-        a.derive_edges();
+        let _pass = dcatch_obs::span!("hb.reach");
+        let mut engine = FrontierEngine::new(FrontierOptions {
+            eserial: true,
+            allow_retirement: false,
+        });
+        for (&(node, ref queue), &info) in a.trace.queues() {
+            let queue = queue.clone();
+            engine.control(&StreamControl::RegisterQueue { node, queue, info });
+        }
+        for (event, node, queue) in a.trace.event_queue_entries() {
+            let queue = queue.to_owned();
+            engine.control(&StreamControl::RegisterEvent { event, node, queue });
+        }
+        // the records of each slot, by position
+        let mut members: Vec<Vec<u32>> = Vec::new();
+        for v in 0..n {
+            let at = engine.record(&a.trace.records()[v]);
+            if at.slot as usize == members.len() {
+                members.push(Vec::new());
+            }
+            members[at.slot as usize].push(v as u32);
+            a.at.push((at.slot, at.pos));
+            if let ReachIndex::Clocks(c) = &mut a.reach {
+                c.push_row(engine.clock(at.chain), engine.chains());
+            }
+            for &((slot, pos), rule) in engine.preds() {
+                let u = members[slot as usize][pos as usize - 1] as usize;
+                // a clock row arrived joined; a matrix row is made here
+                if a.add_edge(u, v, rule) && matches!(a.reach, ReachIndex::Matrix(_)) {
+                    a.reach.join_from(u, v);
+                }
+                debug_assert!(a.reaches(u, v), "{u} ⇒ {v} ({rule:?}) listed, not joined");
+            }
+        }
         counter!("hb_edges_total").add(a.edge_count as u64);
         Ok(a)
     }
@@ -275,24 +308,31 @@ impl HbAnalysis {
         self.reach.bytes()
     }
 
-    /// `(slot, position)` of record `v` in the clock index — its place in
-    /// the HB-ordered chain cover, the identity the online engine's
-    /// [`Arrival`](crate::Arrival) carries. `None` under the matrix.
-    pub fn slot_of(&self, v: usize) -> Option<(u32, u32)> {
+    /// `(slot, position)` of record `v` — its place in the HB-ordered
+    /// chain cover, the identity the engine's [`Arrival`](crate::Arrival)
+    /// carries — under either index.
+    pub fn slot_of(&self, v: usize) -> (u32, u32) {
+        self.at[v]
+    }
+
+    /// Raw reachability; callers guard `a != b` (the matrix's diagonal is
+    /// unset while clocks are reflexive, so `a == b` is the one input the
+    /// indexes answer differently).
+    fn reaches(&self, a: usize, b: usize) -> bool {
         match &self.reach {
-            ReachIndex::Matrix(_) => None,
-            ReachIndex::Clocks(c) => Some(c.slot_of(v)),
+            ReachIndex::Matrix(m) => m.get(b, a),
+            ReachIndex::Clocks(c) => c.covers(b, self.at[a]),
         }
     }
 
     /// Whether record `a` happens before record `b` (indices).
     pub fn happens_before(&self, a: usize, b: usize) -> bool {
-        a != b && self.reach.reaches(a, b)
+        a != b && self.reaches(a, b)
     }
 
     /// Whether records `a` and `b` are concurrent: neither ordered way.
     pub fn concurrent(&self, a: usize, b: usize) -> bool {
-        a != b && !self.reach.reaches(a, b) && !self.reach.reaches(b, a)
+        a != b && !self.reaches(a, b) && !self.reaches(b, a)
     }
 
     /// Direct successors of a vertex.
@@ -427,120 +467,6 @@ impl HbAnalysis {
                 }
             }
         }
-    }
-
-    /// The MTEP rules as one forward pass. Every HB edge points forward in
-    /// trace order, so when record `v` arrives all of its sources are
-    /// behind it: each is looked up by what `v` is (an index kept per
-    /// chain, cause key, thread, node or queue), linked, and its ancestor
-    /// summary joined into `v`'s — which is final from then on. That also
-    /// decides `Eserial` without a fixed point: its precondition
-    /// `Create(e1) ⇒ Create(e2)` asks about the ancestors of a record that
-    /// precedes `Begin(e2)`, and by induction over trace order those
-    /// already include every `Eserial` edge the fixed point would add
-    /// below it. The sources, in the order they are found, are also what
-    /// the slot rule asks (`ReachIndex::arrive`) — all but a crash
-    /// record's fan-in, of which the online engine keeps one joined clock.
-    fn derive_edges(&mut self) {
-        let _span = dcatch_obs::span!("hb.reach");
-        // the last record so far of each program-order chain
-        let mut tails: BTreeMap<(TaskId, ExecCtx), usize> = BTreeMap::new();
-        // the last source so far of each keyed rule (`rules::keyed`)
-        let mut causes: BTreeMap<CauseKey, usize> = BTreeMap::new();
-        let mut thread_ends: BTreeMap<TaskId, usize> = BTreeMap::new();
-        let mut restarts: BTreeMap<NodeId, usize> = BTreeMap::new();
-        // `Eserial`, per single-consumer queue: the begun events' creates,
-        // and `(create, end)` of every event whose handler has ended
-        let mut open: BTreeMap<EventId, ((NodeId, String), usize)> = BTreeMap::new();
-        let mut ended: BTreeMap<(NodeId, String), Vec<(usize, usize)>> = BTreeMap::new();
-        let mut incoming: Vec<(usize, EdgeRule)> = Vec::new();
-        for v in 0..self.trace.len() {
-            let r = &self.trace.records()[v];
-            let chain = (r.task, r.ctx);
-            // `Preg` / `Pnreg`
-            let tail = tails.insert(chain, v);
-            incoming.extend(tail.map(|u| (u, EdgeRule::Program)));
-            // `Tfork`, `Eenq`, `Mrpc`, `Msoc`, `Mpush`
-            let cause = match rules::keyed(r) {
-                Some((key, _, End::Source)) => {
-                    causes.insert(key, v);
-                    None
-                }
-                Some((key, rule, End::Target)) if rules::delivers_once(rule) => {
-                    causes.remove(&key).map(|u| (u, rule))
-                }
-                Some((key, rule, End::Target)) => causes.get(&key).map(|&u| (u, rule)),
-                None => None,
-            };
-            incoming.extend(cause);
-            // `Crash`: a restart happens before the first record since of
-            // every chain on the reborn node. It shares a chain with the
-            // crash record, so pre-crash ⇒ crash ⇒ restart ⇒ post-restart,
-            // and with the node's next restart, so one edge from the latest
-            // restart carries the earlier ones.
-            if let Some(&restart) = restarts.get(&r.task.node) {
-                if tail.is_none_or(|u| u < restart) {
-                    incoming.push((restart, EdgeRule::Crash));
-                }
-            }
-            match r.kind {
-                // `Tjoin` (a killed child has no `ThreadEnd`)
-                OpKind::ThreadEnd => {
-                    thread_ends.insert(r.task, v);
-                }
-                OpKind::ThreadJoin { child } => {
-                    incoming.extend(thread_ends.get(&child).map(|&u| (u, EdgeRule::Join)));
-                }
-                OpKind::NodeRestart { node } => {
-                    restarts.insert(node, v);
-                }
-                // `Eserial`: `End(e1) ⇒ Begin(e2)` for events of one
-                // single-consumer queue whenever `Create(e1) ⇒ Create(e2)`
-                OpKind::EventBegin { event } => {
-                    if let (Some((create, _)), Some(queue)) = (cause, self.serial_queue(event)) {
-                        for &(create1, end1) in ended.get(&queue).into_iter().flatten() {
-                            if create1 != create && self.reach.reaches(create1, create) {
-                                incoming.push((end1, EdgeRule::Eserial));
-                            }
-                        }
-                        open.insert(event, (queue, create));
-                    }
-                }
-                OpKind::EventEnd { event } => {
-                    if let Some((queue, create)) = open.remove(&event) {
-                        ended.entry(queue).or_default().push((create, v));
-                    }
-                }
-                // the keyed records above; memory, locks, loop markers and
-                // `RpcTimeout` (it happens at the caller): program order only
-                _ => {}
-            }
-            self.reach.arrive(&incoming);
-            // `Crash`: everything the node did happens before its crash
-            // record, whose own chain program order already covers
-            if let OpKind::NodeCrash { node } = r.kind {
-                incoming.extend(
-                    tails
-                        .iter()
-                        .filter(|&(k, _)| k.0.node == node && *k != chain)
-                        .map(|(_, &u)| (u, EdgeRule::Crash)),
-                );
-            }
-            for (u, rule) in incoming.drain(..) {
-                if self.add_edge(u, v, rule) {
-                    self.reach.join_from(u, v);
-                }
-            }
-        }
-    }
-
-    /// The queue `event` was put on, if its handlers are serialized.
-    fn serial_queue(&self, event: EventId) -> Option<(NodeId, String)> {
-        let (&node, queue) = self.trace.event_queue(event.0)?;
-        self.trace
-            .queue_info(node, queue)
-            .is_some_and(|q| q.is_single_consumer())
-            .then(|| (node, queue.to_owned()))
     }
 }
 

@@ -22,14 +22,16 @@
 //! [`HbAnalysis::add_edges_and_rebuild`].)
 //!
 //! Every HB edge points from a smaller to a larger sequence number, so
-//! [`HbAnalysis::build`] is one forward pass: when a record arrives all of
-//! its edge sources are behind it, and its *ancestor* summary — the join
-//! of theirs — is final. The online [`FrontierEngine`] is the same pass
-//! over clock snapshots instead of record indices; the record-kind →
-//! rule mapping both read is written once, in the private `rules` module,
-//! and so is the rule that gives a record its clock dimension (`slots`).
+//! the model is one forward pass: when a record arrives all of its edge
+//! sources are behind it, and its *ancestor* summary — the join of theirs
+//! — is final. That pass is written once, as the online [`FrontierEngine`]
+//! (with the private `rules` table of keyed rules and the `slots` rule
+//! that gives a record its clock dimension). [`HbAnalysis::build`] holds no
+//! rule: it feeds a materialized trace to an engine that never retires and
+//! keeps what the engine reports per record — the predecessors as edges,
+//! the summary as a row.
 //!
-//! The summaries have two interchangeable representations behind
+//! The rows have two interchangeable representations behind
 //! [`HbConfig::reachability`]:
 //!
 //! * [`BitMatrix`] — the bit-array algorithm DCatch borrows from

@@ -3,12 +3,11 @@
 //! Six rule families order a *source* record before the *target* record
 //! that names the same [`CauseKey`]: `Tfork`, `Eenq`, both halves of
 //! `Mrpc`, `Msoc` and `Mpush`. Which record kind plays which end of which
-//! rule is this table and nothing else; the batch builder
-//! ([`HbAnalysis::build`](crate::HbAnalysis::build)) remembers a source by
-//! its record index, the online engine
-//! ([`FrontierEngine::record`](crate::FrontierEngine::record)) by a clock
-//! snapshot. The rules without a key — program order, `Tjoin`, `Crash`,
-//! `Eserial` — live with each engine's own bookkeeping.
+//! rule is this table and nothing else. Its one reader is
+//! [`FrontierEngine::record`](crate::FrontierEngine::record), which holds
+//! a pending source as a clock snapshot and which the batch builder drives
+//! too; the rules without a key — program order, `Tjoin`, `Crash`,
+//! `Eserial` — are that function's own bookkeeping.
 
 use dcatch_trace::{CauseKey, OpKind, Record};
 
@@ -25,8 +24,8 @@ pub(crate) enum End {
     Target,
 }
 
-/// The keyed rule `r` takes part in, if any. Inlined into both engines'
-/// per-record loops: out of line, every record — most take part in no
+/// The keyed rule `r` takes part in, if any. Inlined into the engine's
+/// per-record path: out of line, every record — most take part in no
 /// keyed rule — pays a call that returns 48 bytes through memory
 /// (`dcbench stream_1m` `wall_s` +2.9 % against the parent, +0.5 % inlined;
 /// EXPERIMENTS.md "PR 19").

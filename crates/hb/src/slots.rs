@@ -3,9 +3,9 @@
 //! A clock dimension — a *slot* — is an HB-ordered chain of records: every
 //! record of a slot happens before the next one, so `clock[s] ≥ p` means
 //! "reaches the record at `(s, p)`" and everything before it in the slot.
-//! Which slot an arriving record joins is decided here, for the batch
-//! builder ([`HbAnalysis::build`](crate::HbAnalysis::build)) and the online
-//! engine ([`FrontierEngine::record`](crate::FrontierEngine::record)) alike.
+//! Which slot an arriving record joins is decided here, for
+//! [`FrontierEngine::record`](crate::FrontierEngine::record) — the one
+//! caller, online and under the batch builder.
 
 /// Places an arriving record: it extends the slot of the first of `preds`
 /// — `(slot, pos)` of records already known to happen before it — that is

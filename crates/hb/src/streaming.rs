@@ -1,17 +1,21 @@
-//! Online happens-before: incremental frontier clocks over a record stream.
+//! The happens-before model as one forward pass: incremental frontier
+//! clocks over a record stream.
 //!
-//! The batch engine ([`HbAnalysis`](crate::HbAnalysis)) materializes the
-//! whole trace and a reachability index before the first query. This module
-//! answers the only query streaming detection needs — *is the record that
+//! This is the only place the MTEP rules are applied. Online, the engine
+//! answers the one query streaming detection needs — *is the record that
 //! just arrived ordered after a given earlier record?* — with state
 //! proportional to the number of **live** program-order chains, not to the
-//! trace length, and clocks as long as the trace has *HB-ordered* chains:
+//! trace length, and clocks as long as the trace has *HB-ordered* chains.
+//! Offline, [`HbAnalysis::build`](crate::HbAnalysis::build) feeds it the
+//! materialized trace with retirement off and no `ChainDone`, and stores
+//! per record what the engine otherwise forgets: the predecessors it lists
+//! (`preds()`) as edges, the final clock as a row of the index.
 //!
 //! * a clock dimension is a *slot*: a chain of records each ordered after
 //!   the one before, with a monotone 1-based position counter. An arriving
 //!   record extends the slot of its program-order predecessor, else of the
 //!   first direct HB predecessor that is still its slot's tail, else opens
-//!   one (the private `slots` module, which the batch clocks read too) — so
+//!   one (the private `slots` module) — so
 //!   the handler instances a chain of sends causes share that chain's slot
 //!   instead of opening one each. `(slot, pos)` is a record's identity;
 //! * every live `(task, ctx)` chain owns a frontier clock (`frontier[s]` =
@@ -26,8 +30,7 @@
 //!   one-sided online concurrency test exact;
 //! * edge sources whose targets have not arrived yet are held as pending
 //!   *causes* keyed by [`CauseKey`] (which record kind is which end of
-//!   which rule is `rules::keyed`, the table the batch builder reads too);
-//!   the simulator's
+//!   which rule is the `rules::keyed` table); the simulator's
 //!   [`StreamControl::CauseFanout`]/[`CauseDropped`](StreamControl::CauseDropped)
 //!   notifications say when a cause can be discarded;
 //! * `Eserial` is decided on arrival: when `Begin(e2)` arrives, every
@@ -35,8 +38,7 @@
 //!   with `clock(Create(e2))[Create(e1)] ≥ pos(Create(e1))` — by induction
 //!   over sequence order this is the paper's fixed point, because a
 //!   forward-edge DAG's reachability into a vertex only depends on edges
-//!   whose targets precede it. The batch builder runs the same pass over
-//!   record indices.
+//!   whose targets precede it.
 //!
 //! **Retirement.** [`FrontierEngine::lower_bound`] returns the elementwise
 //! minimum `L` over every clock that can still flow into a future record:
@@ -59,6 +61,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use dcatch_model::NodeId;
 use dcatch_trace::{CauseKey, ExecCtx, OpKind, QueueInfo, Record, StreamControl, TaskId};
 
+use crate::graph::EdgeRule;
 use crate::rules::{self, End};
 use crate::slots;
 
@@ -158,8 +161,11 @@ pub struct FrontierEngine {
     /// rule after the direct ones. An entry goes stale when its slot is
     /// extended, which the rule's tail test sees.
     covered: Vec<(u32, u32)>,
-    /// The arriving record's predecessors, in rule order (scratch).
-    preds: Vec<(u32, u32)>,
+    /// The last record's direct predecessors with the rule that orders
+    /// each, in rule order: what the slot rule was offered, then a crash
+    /// record's fan-in. Scratch for [`record`](Self::record); the batch
+    /// builder reads it back as the record's incoming edges.
+    preds: Vec<((u32, u32), EdgeRule)>,
     chains: Vec<Chain>,
     /// Handles of `chains` entries no live chain owns.
     idle: Vec<u32>,
@@ -256,13 +262,20 @@ impl FrontierEngine {
             .chain(self.released.values())
             .chain(self.restarts.values().map(|(_, clock)| clock))
             .chain(self.inj_sources.values());
+        let injected = self
+            .inj_targets
+            .values()
+            .map(|sources| 48 + 8 * sources.capacity());
         clocks.map(|c| 4 * c.capacity() + 24).sum::<usize>()
             + 4 * (self.tails.capacity() + self.idle.capacity())
-            + 8 * (self.covered.capacity() + self.preds.capacity())
+            + 8 * self.covered.capacity()
+            + 12 * self.preds.capacity()
             + 48 * (self.chains.len() + self.registry.len() + self.pending_tasks.len())
             + 80 * self.causes.len()
             + 64 * ended().count()
             + 96 * (self.open.len() + self.event_queue.len() + self.queues.len())
+            + 16 * (self.eserial_log.capacity() + self.inj_source_set.len())
+            + injected.sum::<usize>()
     }
 
     /// Processes one out-of-band notification.
@@ -341,52 +354,35 @@ impl FrontierEngine {
     /// arrival's clock ([`clock`](Self::clock)) is final.
     pub fn record(&mut self, r: &Record) -> Arrival {
         // what the record is ordered after, each joined into its chain's
-        // clock and noted for the slot rule in the batch builder's order:
-        // program order ...
+        // clock and listed, with its rule, for the slot rule and for
+        // `preds()`: program order ...
+        self.preds.clear();
         let (chain, reborn) = self.chain_for(r.task, r.ctx);
         let ci = chain as usize;
         // ... `Tfork` / `Eenq` / `Mrpc` / `Msoc` / `Mpush`, `Crash` (restart
         // ⇒ reborn chain), `Eserial` ...
         let keyed = rules::keyed(r);
         let target = keyed.as_ref().filter(|k| matches!(k.2, End::Target));
-        let delivery = target.and_then(|(key, ..)| self.resolve(chain, key));
-        self.preds.extend(reborn);
+        let delivery = target.and_then(|&(ref key, rule, _)| self.resolve(chain, key, rule));
+        self.preds.extend(reborn.map(|at| (at, EdgeRule::Crash)));
         if let (Some((key, ..)), &OpKind::EventBegin { event }) = (target, &r.kind) {
             self.event_begin(chain, event.0, key, delivery);
         }
-        match r.kind {
-            // ... `Tjoin` (a killed child has no `ThreadEnd`, and orders
-            // nothing) ...
-            OpKind::ThreadJoin { child } => {
-                if let Some(&cs) = self.registry.get(&(child, ExecCtx::Regular)) {
-                    if let Some(end) = self.chains[cs as usize].thread_end {
-                        let f = std::mem::take(&mut self.chains[cs as usize].frontier);
-                        join_clock(&mut self.chains[ci].frontier, &f);
-                        self.chains[cs as usize].frontier = f;
-                        self.preds.push(end);
-                    }
+        // ... and `Tjoin` (a killed child has no `ThreadEnd`, and orders
+        // nothing)
+        if let OpKind::ThreadJoin { child } = r.kind {
+            if let Some(&cs) = self.registry.get(&(child, ExecCtx::Regular)) {
+                if let Some(end) = self.chains[cs as usize].thread_end {
+                    let f = std::mem::take(&mut self.chains[cs as usize].frontier);
+                    join_clock(&mut self.chains[ci].frontier, &f);
+                    self.chains[cs as usize].frontier = f;
+                    self.preds.push((end, EdgeRule::Join));
                 }
             }
-            // ... and `Crash`: every chain of the node, live or released.
-            // Its fan-in is not offered to the slot rule (the batch
-            // builder leaves it out too).
-            OpKind::NodeCrash { node } => {
-                let mut clock = std::mem::take(&mut self.chains[ci].frontier);
-                for (&(t, _), &c) in &self.registry {
-                    if t.node == node && c != chain {
-                        join_clock(&mut clock, &self.chains[c as usize].frontier);
-                    }
-                }
-                if let Some(dead) = self.released.get(&node) {
-                    join_clock(&mut clock, dead);
-                }
-                self.chains[ci].frontier = clock;
-            }
-            _ => {}
         }
-        // place the record: its clock is final from here on
-        let preds = self.preds.drain(..);
-        let preds = preds.chain(std::iter::from_fn(|| self.covered.pop()));
+        // place the record
+        let direct = self.preds.iter().map(|&(at, _)| at);
+        let preds = direct.chain(std::iter::from_fn(|| self.covered.pop()));
         let (slot, pos) = slots::assign(&mut self.tails, preds);
         let c = &mut self.chains[ci];
         let si = slot as usize;
@@ -418,6 +414,23 @@ impl FrontierEngine {
                         .insert(event.0, self.chains[ci].frontier.clone());
                 }
             }
+            // `Crash`: every chain of the node, live or released. The
+            // record is placed already — its fan-in, as many sources as the
+            // node has chains, is not for the slot rule to walk
+            OpKind::NodeCrash { node } => {
+                let mut clock = std::mem::take(&mut self.chains[ci].frontier);
+                for (&(t, _), &c) in &self.registry {
+                    if t.node == node && c != chain {
+                        let other = &self.chains[c as usize];
+                        join_clock(&mut clock, &other.frontier);
+                        self.preds.push((other.at, EdgeRule::Crash));
+                    }
+                }
+                if let Some(dead) = self.released.get(&node) {
+                    join_clock(&mut clock, dead);
+                }
+                self.chains[ci].frontier = clock;
+            }
             OpKind::NodeRestart { node } => {
                 self.restarts
                     .insert(node, ((slot, pos), self.chains[ci].frontier.clone()));
@@ -429,13 +442,24 @@ impl FrontierEngine {
         Arrival { chain, slot, pos }
     }
 
+    /// The direct predecessors of the record that just arrived, each with
+    /// the rule that orders it — every join `record` performed but two: a
+    /// chain released at its `ChainDone` is in a crash record's clock, not
+    /// in its list, and neither is an injected `Eserial` source. The batch
+    /// builder's engine sees neither; an online caller has the clock and
+    /// never asks.
+    pub(crate) fn preds(&self) -> &[((u32, u32), EdgeRule)] {
+        &self.preds
+    }
+
     /// The handle of chain `(task, ctx)`, created on its first record
     /// (then also the restart record of its node that it is ordered after,
     /// if any); starts the record's predecessor list with its
     /// program-order one.
     fn chain_for(&mut self, task: TaskId, ctx: ExecCtx) -> (u32, Option<(u32, u32)>) {
         if let Some(&c) = self.registry.get(&(task, ctx)) {
-            self.preds.push(self.chains[c as usize].at);
+            self.preds
+                .push((self.chains[c as usize].at, EdgeRule::Program));
             return (c, None);
         }
         self.pending_tasks.remove(&task);
@@ -474,10 +498,10 @@ impl FrontierEngine {
     /// Joins `key`'s cause into `chain` and consumes one delivery. Returns
     /// the cause's source identity — with its clock when this was the last
     /// delivery and the cause is gone — or `None` when no cause is pending.
-    fn resolve(&mut self, chain: u32, key: &CauseKey) -> Option<Delivery> {
+    fn resolve(&mut self, chain: u32, key: &CauseKey, rule: EdgeRule) -> Option<Delivery> {
         let c = self.causes.get_mut(key)?;
         join_clock(&mut self.chains[chain as usize].frontier, &c.clock);
-        self.preds.push(c.src);
+        self.preds.push((c.src, rule));
         let (src, mut clock) = (c.src, None);
         match c.refs {
             Some(n) if n > 1 => c.refs = Some(n - 1),
@@ -523,7 +547,7 @@ impl FrontierEngine {
         for e in self.ended.get(queue).into_iter().flatten() {
             if e.create != create && covers(create_clock, e.create) {
                 join_clock(frontier, &e.end_clock);
-                self.preds.push(e.end);
+                self.preds.push((e.end, EdgeRule::Eserial));
                 self.eserial_log.push((e.event, event));
             }
         }

@@ -108,14 +108,16 @@ fn fork_join() -> (Program, Topology) {
     (p, topo)
 }
 
-fn event_queues() -> (Program, Topology) {
+/// `serial` events on a single-consumer queue, then two on a queue with
+/// two consumers.
+fn event_queues(serial: i64) -> (Program, Topology) {
     let mut pb = ProgramBuilder::new();
     pb.func("main", &[], FuncKind::Regular, |b| {
-        b.enqueue("q", "h", vec![Expr::val(1)]);
-        b.enqueue("q", "h", vec![Expr::val(2)]);
-        b.enqueue("q", "h", vec![Expr::val(3)]);
-        b.enqueue("multi", "h", vec![Expr::val(4)]);
-        b.enqueue("multi", "h", vec![Expr::val(5)]);
+        for n in 1..=serial {
+            b.enqueue("q", "h", vec![Expr::val(n)]);
+        }
+        b.enqueue("multi", "h", vec![Expr::val(serial + 1)]);
+        b.enqueue("multi", "h", vec![Expr::val(serial + 2)]);
     });
     pb.func("h", &["n"], FuncKind::EventHandler, |b| {
         b.read("t", "cell");
@@ -206,13 +208,14 @@ fn clocks_config() -> HbConfig {
 
 /// The one-sided online test must agree with the batch graph on *every*
 /// record pair, across every MTEP rule — and, nothing having retired, the
-/// engine must have placed every record where the batch clocks do, though
-/// it forgot each handler chain at its `ChainDone`.
+/// engine must have placed every record where the batch builder's engine
+/// does, though it — unlike that one — was told of every `ChainDone` and
+/// forgot each handler chain there.
 #[test]
 fn clocks_match_batch_reachability() {
     let cases: Vec<(&str, (Program, Topology))> = vec![
         ("fork_join", fork_join()),
-        ("event_queues", event_queues()),
+        ("event_queues", event_queues(3)),
         ("rpc_pair", rpc_pair()),
         ("zk_watch", zk_watch()),
         ("ping_pong", ping_pong(3)),
@@ -231,11 +234,27 @@ fn clocks_match_batch_reachability() {
                 );
             }
         }
-        let clocks = HbAnalysis::build(sink.collect.trace.clone(), &clocks_config()).unwrap();
         for (v, a) in sink.arrivals.iter().enumerate() {
-            assert_eq!(Some((a.slot, a.pos)), clocks.slot_of(v), "{name}: {v}");
+            assert_eq!((a.slot, a.pos), hb.slot_of(v), "{name}: {v}");
         }
     }
+}
+
+/// The byte estimate counts the one table that grows with the run whatever
+/// retires: the log of derived `Eserial` pairs the loop-sync pass replays.
+/// One producer filling a single-consumer queue orders every handler after
+/// all that ended before it — a log quadratic in the events.
+#[test]
+fn bytes_count_the_eserial_log() {
+    let (p, topo) = event_queues(200);
+    let sink = stream(&p, &topo, None);
+    let derived = sink.engine.eserial_edges().len();
+    assert!(derived >= 199 * 200 / 2, "{derived} Eserial pairs");
+    assert!(
+        sink.engine.bytes() >= 16 * derived,
+        "{} B reported, {derived} logged pairs of 16 B",
+        sink.engine.bytes()
+    );
 }
 
 /// Retirement safety: a record the bound retires must be ordered (in the
@@ -376,26 +395,23 @@ fn crash_cycles() -> Vec<Record> {
         .collect()
 }
 
-/// Runs a hand-written trace through the online engine and through the
-/// batch builder under both indexes, demands that all three agree on every
-/// record pair, and returns one batch graph for the test's own assertions.
+/// Builds a hand-written trace under both indexes and demands that they
+/// agree on every record pair — a matrix row is made of the predecessors
+/// the engine lists, a clock row of the joins it performs, so this is the
+/// check that it lists what it joins. Returns the matrix-backed graph for
+/// the test's own assertions.
 fn replay(records: Vec<Record>) -> HbAnalysis {
-    let mut sink = DualSink::new(None);
-    for r in &records {
-        sink.record(r);
-    }
     let n = records.len();
+    let trace: dcatch_trace::TraceSet = records.into_iter().collect();
     let [matrix, clocks] = [HbConfig::default(), clocks_config()]
-        .map(|cfg| HbAnalysis::build(sink.collect.trace.clone(), &cfg).unwrap());
+        .map(|cfg| HbAnalysis::build(trace.clone(), &cfg).unwrap());
     assert_eq!(matrix.reachability(), ReachabilityMode::Matrix);
+    assert_eq!(clocks.reachability(), ReachabilityMode::Clocks);
     for i in 0..n {
         for j in i + 1..n {
-            let batch = matrix.concurrent(i, j);
-            assert_eq!(clocks.concurrent(i, j), batch, "clocks on ({i}, {j})");
-            assert_eq!(sink.concurrent(i, j), batch, "online on ({i}, {j})");
+            let (m, c) = (matrix.concurrent(i, j), clocks.concurrent(i, j));
+            assert_eq!(m, c, "indexes disagree on ({i}, {j})");
         }
-        let a = sink.arrivals[i];
-        assert_eq!(Some((a.slot, a.pos)), clocks.slot_of(i), "record {i}");
     }
     matrix
 }

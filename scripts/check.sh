@@ -40,6 +40,25 @@
 #                             # which root tier-1 does not) against the
 #                             # crates' public items and runs its tests:
 #                             # all four workloads at --size smoke
+#   scripts/check.sh same <path-to-parent-dcatch>
+#                             # "same answers" against a release build of the
+#                             # parent commit (git clone it into a scratch
+#                             # directory and `cargo build --release` there):
+#                             # runs a fixed command list on both binaries
+#                             # and `cmp`s each output — `detect all
+#                             # --scrub-timings --json` selective with
+#                             # triggering, `--full-tracing --no-trigger` at
+#                             # `--scale 8` and `48`, `--reachability matrix
+#                             # --scale 4`, `--reachability clocks`; `faults
+#                             # all`; `synth --seed 1 --count 8`; `explain
+#                             # --json` on every object the parent's `detect
+#                             # all --no-trigger` reports (13 today). A
+#                             # `--streaming` run and a `--stream-window 2`
+#                             # run are compared minus what a change to the
+#                             # online engine legitimately moves:
+#                             # `streaming.peak_bytes` and the wording of
+#                             # the window's degradation `reason`. Exits
+#                             # non-zero naming the first differing command
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +69,72 @@ dcbench() {
 
 if [[ "${1:-}" == "dcbench" ]]; then
     dcbench
+    exit 0
+fi
+
+if [[ "${1:-}" == "same" ]]; then
+    parent="${2:?usage: scripts/check.sh same <path-to-parent-dcatch>}"
+    [[ -x "$parent" ]] || { echo "no executable at $parent" >&2; exit 2; }
+    parent="$(realpath "$parent")"
+    cargo build --offline --release -q --bin dcatch
+    change="$PWD/target/release/dcatch"
+    sa_dir="$(mktemp -d)"
+    trap 'rm -rf "$sa_dir"' EXIT
+    mkdir "$sa_dir/parent" "$sa_dir/change"
+    n=0
+    # same <projection: cat | streaming> <dcatch arguments…>
+    same() {
+        local project="$1" side
+        shift
+        n=$((n + 1))
+        for side in parent change; do
+            # a failing command is compared too: its exit status joins its output
+            (cd "$sa_dir/$side" && "${!side}" "$@" >"$n.raw" 2>&1) ||
+                echo "exit $?" >>"$sa_dir/$side/$n.raw"
+            if [[ "$project" == streaming ]]; then
+                python3 - "$sa_dir/$side/$n.raw" >"$sa_dir/$side/$n.out" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+for b in doc["benchmarks"]:
+    if b.get("streaming"):
+        del b["streaming"]["peak_bytes"]
+    for d in b.get("degradations", []):
+        if d["stage"] == "streaming":
+            del d["reason"]
+json.dump(doc, sys.stdout, indent=1, sort_keys=True)
+PY
+            else
+                cp "$sa_dir/$side/$n.raw" "$sa_dir/$side/$n.out"
+            fi
+        done
+        if ! cmp -s "$sa_dir/parent/$n.out" "$sa_dir/change/$n.out"; then
+            echo "DIFFERS from the parent: dcatch $*" >&2
+            diff "$sa_dir/parent/$n.out" "$sa_dir/change/$n.out" | head -20 >&2
+            exit 1
+        fi
+        echo "same: dcatch $*"
+    }
+    echo "== same answers as $parent =="
+    same cat detect all --scrub-timings --json
+    same cat detect all --scrub-timings --json --full-tracing --no-trigger --scale 8
+    same cat detect all --scrub-timings --json --full-tracing --no-trigger --scale 48
+    same cat detect all --scrub-timings --json --reachability matrix --scale 4
+    same cat detect all --scrub-timings --json --reachability clocks
+    same cat faults all
+    same cat synth --seed 1 --count 8
+    same streaming detect all --scrub-timings --json --streaming
+    same streaming detect all --scrub-timings --json --streaming --stream-window 2
+    id=""
+    "$parent" detect all --no-trigger | while read -r line; do
+        case "$line" in
+        "== "*) id="${line#== }" && id="${id%% *}" ;;
+        *" on \`"*) obj="${line#* on \`}" && echo "$id ${obj%%\`*}" ;;
+        esac
+    done | sort -u >"$sa_dir/objects"
+    while read -r id obj; do
+        same cat explain "$id" "$obj" --json
+    done <"$sa_dir/objects"
+    echo "Same answers: $n commands."
     exit 0
 fi
 
