@@ -1,11 +1,9 @@
-//! Evaluation harness for DCatch-RS.
+//! Table generators for DCatch-RS.
 //!
 //! One binary per table of the paper's evaluation section (§7): run
 //! `cargo run --release -p dcatch-bench --bin table<N>` to regenerate the
-//! corresponding table on the miniature benchmark suite. The bench
-//! targets (`cargo bench -p dcatch-bench`, driven by [`harness`]) measure
-//! the performance characteristics behind Table 6 and the scalability
-//! claims of §3.2.2, and write `BENCH_<name>.json` result documents.
+//! corresponding table on the miniature benchmark suite. Nothing here is
+//! a timing gate: `dcbench/` (`BENCHMARK.json`) measures the detector.
 //!
 //! Absolute numbers differ from the paper — the substrate is a
 //! deterministic simulator on one machine, not instrumented JVM clusters —
@@ -14,8 +12,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-pub mod harness;
 
 use std::time::Duration;
 

@@ -645,23 +645,14 @@ fn faults(args: &[String]) -> Cmd {
         let cfg = SimConfig::default()
             .with_seed(job.seed)
             .with_faults(job.plan.clone());
-        // `--timeout` bounds each scenario run with the same watchdog (and
-        // panic guard) the detect pipeline applies per benchmark
-        let run_result = match timeout {
-            Some(_) => {
-                let program = job.bench.program.clone();
-                let topology = job.bench.topology.clone();
-                let name = format!("dcatch-faults-{}", job.bench.id);
-                dcatch::run_bounded(&name, timeout, move || {
-                    World::run_once(&program, &topology, cfg)
-                })
-            }
-            None => Ok(World::run_once(
-                &job.bench.program,
-                &job.bench.topology,
-                cfg,
-            )),
-        };
+        // every scenario run gets the panic guard the detect pipeline
+        // applies per benchmark; `--timeout` adds its watchdog
+        let program = job.bench.program.clone();
+        let topology = job.bench.topology.clone();
+        let name = format!("dcatch-faults-{}", job.bench.id);
+        let run_result = dcatch::run_bounded(&name, timeout, move || {
+            World::run_once(&program, &topology, cfg)
+        });
         let result = match run_result {
             Ok(Ok(run)) => {
                 // a faulted run must end in a *classified* state

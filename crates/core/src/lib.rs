@@ -41,16 +41,15 @@ mod report;
 pub mod report_json;
 pub mod synth;
 
-pub use pipeline::{run_bounded, Pipeline, PipelineError, PipelineOptions};
+pub use pipeline::{parse_bytes, run_bounded, Pipeline, PipelineError, PipelineOptions};
 pub use profile::{profile_json, profile_timeline};
-pub use report::{BenchmarkReport, BugReport, StageTimings, StreamingStats, VerdictCounts};
+pub use report::{
+    BenchmarkReport, BugReport, DegradationEvent, StageTimings, StreamingStats, VerdictCounts,
+};
 pub use synth::{
     batch_specs, run_scenario, run_spec, score_report, shrink, synth_report_doc, Discrepancy,
     QuarantinedCase, ScenarioScore, SynthBatchConfig,
 };
-
-// The resource governor's budget types (`--mem-budget`/`--time-budget`).
-pub use dcatch_obs::budget::{parse_bytes, Budget, DegradationEvent};
 
 // Re-export the pieces users compose the pipeline from.
 pub use dcatch_apps::{

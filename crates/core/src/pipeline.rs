@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dcatch_apps::Benchmark;
 use dcatch_detect::{
@@ -12,7 +12,6 @@ use dcatch_detect::{
 use dcatch_hb::{
     apply_ablation, Ablation, ChainClocks, FrontierOptions, HbAnalysis, HbConfig, HbError,
 };
-use dcatch_obs::budget::{self, Budget, DegradationEvent};
 use dcatch_prune::{Impact, Pruner};
 use dcatch_sim::{Failure, FaultPlan, FocusConfig, Prepared, RunError, SimConfig, World};
 use dcatch_trace::TracingMode;
@@ -20,7 +19,9 @@ use dcatch_trigger::{
     run_farm, steal_map, FarmSpec, OrderRun, TriggerPlan, TriggerReport, Verdict,
 };
 
-use crate::report::{BenchmarkReport, BugReport, StageTimings, StreamingStats, VerdictCounts};
+use crate::report::{
+    BenchmarkReport, BugReport, DegradationEvent, StageTimings, StreamingStats, VerdictCounts,
+};
 
 /// Errors aborting a pipeline run. Out-of-memory in the HB analysis is
 /// *not* an error — it is a reportable outcome (Table 8).
@@ -205,6 +206,79 @@ impl PipelineOptions {
     }
 }
 
+/// The resource governor of one [`Pipeline::run`]: graceful degradation
+/// under pressure instead of the binary answers (`OutOfMemory`, a
+/// watchdog kill). Each stage consults the ceilings at its boundaries and
+/// steps down to a cheaper strategy (full → rate-sampled memory tracing,
+/// HB graph → streaming window, loop-sync and triggering → skipped or
+/// cancelled), recording every step as a [`DegradationEvent`].
+///
+/// A plain value owned by `run` and lent to `run_stages`, the only code
+/// that reads it; the trigger farm's workers get the `deadline` as a
+/// plain `Instant`.
+///
+/// **Determinism.** Memory-driven rungs decide from deterministic
+/// quantities (trace byte sizes, reachability-index estimates), so the
+/// same inputs and budgets always degrade the same way and the reports
+/// stay byte-comparable. Time-driven rungs are wall-clock dependent;
+/// events carry no timestamps so a run that degraded identically
+/// serializes identically.
+struct Governor {
+    /// Memory ceiling in bytes, covering the dominant per-run footprints
+    /// (the trace and the reachability index).
+    mem: Option<usize>,
+    /// When the wall-clock budget runs out.
+    deadline: Option<Instant>,
+    /// The report's degradation list, in the order the steps were taken.
+    events: Vec<DegradationEvent>,
+}
+
+impl Governor {
+    fn new(opts: &PipelineOptions) -> Governor {
+        Governor {
+            mem: opts.mem_budget,
+            deadline: opts.time_budget.map(|t| Instant::now() + t),
+            events: Vec::new(),
+        }
+    }
+
+    /// Whether the wall-clock budget has run out.
+    fn time_expired(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    /// Records one ladder step (and counts it in
+    /// `governor_degradations_total`). A no-op when no ceiling is set —
+    /// pressure then surfaces as the hard outcomes — so stages call it
+    /// unconditionally and an ungoverned report stays what it was: a
+    /// `--streaming` run's direct trigger placement is a ladder step only
+    /// for a run that was asked to degrade.
+    fn record(&mut self, event: DegradationEvent) {
+        if self.mem.is_some() || self.deadline.is_some() {
+            dcatch_obs::counter!("governor_degradations_total").inc();
+            self.events.push(event);
+        }
+    }
+}
+
+/// Parses a byte count with an optional `k`/`m`/`g` suffix (powers of
+/// 1024, case-insensitive): `65536`, `64k`, `64M`, `1g`.
+pub fn parse_bytes(s: &str) -> Result<usize, String> {
+    let t = s.trim();
+    let (digits, shift) = match t.chars().last() {
+        Some('k' | 'K') => (&t[..t.len() - 1], 10),
+        Some('m' | 'M') => (&t[..t.len() - 1], 20),
+        Some('g' | 'G') => (&t[..t.len() - 1], 30),
+        _ => (t, 0),
+    };
+    let n: usize = digits
+        .parse()
+        .map_err(|_| format!("invalid byte count `{s}` (expected e.g. 65536, 64k, 64m, 1g)"))?;
+    n.checked_shl(shift)
+        .filter(|&v| v >> shift == n)
+        .ok_or_else(|| format!("byte count `{s}` overflows"))
+}
+
 /// The end-to-end detector.
 #[derive(Debug, Clone, Copy)]
 pub struct Pipeline;
@@ -217,34 +291,25 @@ impl Pipeline {
     /// deltas even when many benchmarks run in one process. Stage timings
     /// are derived from the captured tree (single source of truth).
     ///
-    /// Also brackets the run in a resource governor when `opts` sets a
-    /// memory or time budget: stages consult it
-    /// at their boundaries and every ladder step they take is harvested
-    /// into [`BenchmarkReport::degradations`].
+    /// The run's `Governor` is built here from `opts.mem_budget` /
+    /// `opts.time_budget`; the stages consult it at their boundaries and
+    /// every ladder step they take lands, in the order taken, in
+    /// [`BenchmarkReport::degradations`].
     pub fn run(
         bench: &Benchmark,
         opts: &PipelineOptions,
     ) -> Result<BenchmarkReport, PipelineError> {
         let metrics_before = dcatch_obs::metrics::snapshot();
         dcatch_obs::trace::begin_capture(&format!("pipeline.{}", bench.id));
-        budget::install(Budget {
-            mem_bytes: opts.mem_budget,
-            time: opts.time_budget,
-        });
-        let result = Pipeline::run_stages(bench, opts);
-        let degradations = budget::uninstall();
+        let mut gov = Governor::new(opts);
+        let result = Pipeline::run_stages(bench, opts, &mut gov);
         let spans = dcatch_obs::trace::end_capture();
         let metrics = dcatch_obs::metrics::snapshot().delta_since(&metrics_before);
         result.map(|mut report| {
             report.timings = StageTimings::from_spans(&spans);
             report.metrics = metrics;
             report.spans = spans;
-            // governor rungs first, then events stages put on the
-            // report directly (temporal order: the ladder acts before a
-            // stage can observe its effects)
-            let direct = std::mem::take(&mut report.degradations);
-            report.degradations = degradations;
-            report.degradations.extend(direct);
+            report.degradations = gov.events;
             report
         })
     }
@@ -295,6 +360,7 @@ impl Pipeline {
     fn run_stages(
         bench: &Benchmark,
         opts: &PipelineOptions,
+        gov: &mut Governor,
     ) -> Result<BenchmarkReport, PipelineError> {
         let (program, topo) = (&bench.program, &bench.topology);
         // validated and compiled once for every simulated run below (the
@@ -347,8 +413,7 @@ impl Pipeline {
             // so compute it once and share the figure between the governor
             // probe and the report.
             let mut trace_bytes = run.trace.byte_size();
-            let gov_mem = budget::mem_budget();
-            if let Some(m) = gov_mem.filter(|&m| trace_bytes > m) {
+            if let Some(m) = gov.mem.filter(|&m| trace_bytes > m) {
                 let total = trace_bytes;
                 let mem_bytes = run.trace.filtered(|r| r.kind.is_mem()).byte_size();
                 let other = total - mem_bytes;
@@ -362,7 +427,7 @@ impl Pipeline {
                     let _span = dcatch_obs::span!("pipeline.tracing");
                     prepared.run_once(&cfg)
                 };
-                budget::record(DegradationEvent {
+                gov.record(DegradationEvent {
                     stage: "tracing".to_owned(),
                     from: "full".to_owned(),
                     to: format!("sampled_1_in_{rate}"),
@@ -376,7 +441,7 @@ impl Pipeline {
             let _span = dcatch_obs::span!("pipeline.trace_analysis");
             // The governed ceiling also caps the reachability-index budget.
             let mut hb_cfg = opts.hb.clone();
-            if let Some(m) = gov_mem {
+            if let Some(m) = gov.mem {
                 hb_cfg.memory_budget_bytes = hb_cfg.memory_budget_bytes.min(m);
                 // ---- governor's last memory rung: the index does not fit -
                 // Ask `HbAnalysis::build`'s own selection rule *before*
@@ -387,7 +452,7 @@ impl Pipeline {
                 let (engine, needed) = hb_cfg.select_engine(analyzed.len(), chains);
                 let index_budget = hb_cfg.memory_budget_bytes;
                 if needed > index_budget {
-                    budget::record(DegradationEvent {
+                    gov.record(DegradationEvent {
                         stage: "trace_analysis".to_owned(),
                         from: engine.to_string(),
                         to: "streaming".to_owned(),
@@ -421,10 +486,10 @@ impl Pipeline {
                 // conservative estimate, so the governed cap errs toward
                 // smaller windows.
                 let mut window_cap = opts.stream_window;
-                if let Some(m) = budget::mem_budget() {
+                if let Some(m) = gov.mem {
                     let gov_cap = (m / 512).max(16);
                     if window_cap.is_none_or(|w| gov_cap < w) {
-                        budget::record(DegradationEvent {
+                        gov.record(DegradationEvent {
                             stage: "streaming".to_owned(),
                             from: window_cap
                                 .map_or("unbounded_window".to_owned(), |w| format!("window_{w}")),
@@ -482,8 +547,8 @@ impl Pipeline {
 
         // ---- loop/pull synchronization analysis -------------------------
         if opts.loop_sync {
-            if budget::time_expired() {
-                budget::record(DegradationEvent {
+            if gov.time_expired() {
+                gov.record(DegradationEvent {
                     stage: "loop_sync".to_owned(),
                     from: "focused_rerun".to_owned(),
                     to: "skipped".to_owned(),
@@ -574,9 +639,8 @@ impl Pipeline {
                 v
             })
             .collect();
-        let trig_reports: Vec<Option<TriggerReport>> = if opts.triggering && budget::time_expired()
-        {
-            budget::record(DegradationEvent {
+        let trig_reports: Vec<Option<TriggerReport>> = if opts.triggering && gov.time_expired() {
+            gov.record(DegradationEvent {
                 stage: "triggering".to_owned(),
                 from: "farm".to_owned(),
                 to: "skipped".to_owned(),
@@ -591,7 +655,7 @@ impl Pipeline {
                     // placement planning needs the full HB graph; without
                     // one fall back to naive direct placement
                     if !candidates.is_empty() {
-                        budget::record(DegradationEvent {
+                        gov.record(DegradationEvent {
                             stage: "triggering".to_owned(),
                             from: "planned_placement".to_owned(),
                             to: "direct_placement".to_owned(),
@@ -622,11 +686,11 @@ impl Pipeline {
                 &specs,
                 opts.trigger_jobs,
                 Some(&confirm),
-                budget::deadline(),
+                gov.deadline,
             );
             let cancelled = reports.iter().filter(|r| r.cancelled).count();
             if cancelled > 0 {
-                budget::record(DegradationEvent {
+                gov.record(DegradationEvent {
                     stage: "triggering".to_owned(),
                     from: "farm".to_owned(),
                     to: "cancelled".to_owned(),
@@ -705,11 +769,11 @@ impl Pipeline {
         } = analysis
         {
             report.streaming = Some(stats);
-            // Recorded on the report directly, not via `budget::record`: an
-            // explicit `--stream-window` cap is lossy even with no governor
-            // installed, and the report must say so either way.
+            // Pushed directly, not via `gov.record`: an explicit
+            // `--stream-window` cap is lossy even with no ceiling set, and
+            // the report must say so either way.
             if stats.records_forced > 0 {
-                report.degradations.push(DegradationEvent {
+                gov.events.push(DegradationEvent {
                     stage: "streaming".to_owned(),
                     from: "exact_window".to_owned(),
                     to: "lossy_window".to_owned(),
@@ -859,4 +923,53 @@ fn failures_attributable(failures: &[Failure], impacts: &[Impact]) -> bool {
             }
         })
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn step() -> DegradationEvent {
+        DegradationEvent {
+            stage: "tracing".into(),
+            from: "full".into(),
+            to: "sampled".into(),
+            reason: "test".into(),
+        }
+    }
+
+    #[test]
+    fn governor_is_silent_without_a_ceiling() {
+        let mut gov = Governor::new(&PipelineOptions::default());
+        assert!(!gov.time_expired(), "no budget, no deadline");
+        gov.record(step());
+        assert!(gov.events.is_empty());
+
+        let mut gov = Governor::new(&PipelineOptions {
+            mem_budget: Some(1024),
+            ..PipelineOptions::default()
+        });
+        gov.record(step());
+        assert_eq!(gov.events, [step()]);
+    }
+
+    #[test]
+    fn zero_time_budget_is_expired() {
+        let gov = Governor::new(&PipelineOptions {
+            time_budget: Some(Duration::ZERO),
+            ..PipelineOptions::default()
+        });
+        assert!(gov.time_expired());
+    }
+
+    #[test]
+    fn parse_bytes_accepts_suffixes() {
+        assert_eq!(parse_bytes("65536"), Ok(65536));
+        assert_eq!(parse_bytes("64k"), Ok(64 << 10));
+        assert_eq!(parse_bytes("64M"), Ok(64 << 20));
+        assert_eq!(parse_bytes("1g"), Ok(1 << 30));
+        assert!(parse_bytes("").is_err());
+        assert!(parse_bytes("64q").is_err());
+        assert!(parse_bytes("k").is_err());
+    }
 }

@@ -5,7 +5,6 @@ use std::time::Duration;
 
 use dcatch_detect::Candidate;
 use dcatch_hb::HbError;
-use dcatch_obs::budget::DegradationEvent;
 use dcatch_obs::{MetricsSnapshot, SpanNode};
 use dcatch_prune::Impact;
 use dcatch_trace::TraceStats;
@@ -118,6 +117,22 @@ pub struct StreamingStats {
     pub records_forced: u64,
     /// Peak resident footprint estimate (frontier clocks + window), bytes.
     pub peak_bytes: usize,
+}
+
+/// One rung-step the governor took, reported first-class in the run
+/// report (schema v5). Carries no wall-clock readings: two runs that
+/// degrade identically must serialize identically.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DegradationEvent {
+    /// Pipeline stage that degraded (`tracing`, `trace_analysis`,
+    /// `streaming`, `loop_sync`, `triggering`).
+    pub stage: String,
+    /// Strategy the stage would have used.
+    pub from: String,
+    /// Strategy it stepped down to.
+    pub to: String,
+    /// Why: which budget, and the deterministic quantities that tripped it.
+    pub reason: String,
 }
 
 /// Everything one pipeline invocation produced for one benchmark.

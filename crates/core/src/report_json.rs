@@ -1,7 +1,7 @@
 //! Versioned machine-readable run reports.
 //!
-//! `dcatch detect <ID|all> --json` and the bench harness emit the same
-//! document, built here from [`BenchmarkReport`]s with the hand-rolled
+//! `dcatch detect <ID|all> --json` emits this document, built here from
+//! [`BenchmarkReport`]s with the hand-rolled
 //! serializer in `dcatch-obs` (no external JSON dependency — the build is
 //! offline). The schema is versioned so downstream tooling can diff run
 //! reports across commits; bump [`SCHEMA_VERSION`] on breaking changes and
@@ -34,7 +34,7 @@
 //!                             "records_forced": …, "peak_bytes": … },
 //!       "timings_ns": { "base": …, "streaming": …, …, "triggering": … },
 //!       "spans": { "name": …, "total_ns": …, "count": …, "children": […] },
-//!       "metrics": { "counters": {…}, "gauges": {…}, "histograms": {…} },
+//!       "metrics": { "counters": {…}, "gauges": {…}, "histograms": {} },
 //!       "profile": null | { "stages_us": {…}, "hb_reach_bytes_peak": …,
 //!                           "candidate_funnel": { "ta": …, "sp": …, "lp": … } }
 //!     },
@@ -61,12 +61,11 @@
 //! the report. `error.kind` is one of `run`, `traced_run_failed`, `panic`,
 //! `watchdog_timeout`.
 
-use dcatch_obs::metrics::HistogramSnapshot;
 use dcatch_obs::{Json, MetricsSnapshot, SpanNode};
 use dcatch_trace::TraceStats;
 
 use crate::pipeline::PipelineError;
-use crate::report::{BenchmarkReport, StageTimings, VerdictCounts};
+use crate::report::{BenchmarkReport, DegradationEvent, StageTimings, VerdictCounts};
 
 /// Version of the run-report document layout. Bump on breaking changes.
 ///
@@ -97,7 +96,7 @@ pub const SCHEMA_VERSION: u64 = 7;
 pub const MIN_SCHEMA_VERSION: u64 = 2;
 
 /// Builds the versioned top-level run report for a set of benchmark runs
-/// that all succeeded (the bench-harness path).
+/// that all succeeded.
 pub fn run_report(reports: &[BenchmarkReport]) -> Json {
     report_doc(reports.iter().map(benchmark_json).collect())
 }
@@ -320,7 +319,7 @@ pub fn benchmark_json_with(r: &BenchmarkReport, profile: bool) -> Json {
 /// One degradation-ladder step (schema v5 per-benchmark `degradations`
 /// entry). Deliberately timestamp-free: two runs that degrade identically
 /// serialize identically.
-pub fn degradation_json(d: &dcatch_obs::budget::DegradationEvent) -> Json {
+pub fn degradation_json(d: &DegradationEvent) -> Json {
     Json::obj([
         ("stage", Json::Str(d.stage.clone())),
         ("from", Json::Str(d.from.clone())),
@@ -429,30 +428,9 @@ pub fn metrics_json(m: &MetricsSnapshot) -> Json {
     Json::obj([
         ("counters", Json::from_map(&m.counters)),
         ("gauges", Json::from_map(&m.gauges)),
-        (
-            "histograms",
-            Json::Obj(
-                m.histograms
-                    .iter()
-                    .map(|(k, h)| (k.clone(), histogram_json(h)))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn histogram_json(h: &HistogramSnapshot) -> Json {
-    Json::obj([
-        (
-            "boundaries",
-            Json::Arr(h.boundaries.iter().map(|&b| Json::UInt(b)).collect()),
-        ),
-        (
-            "buckets",
-            Json::Arr(h.buckets.iter().map(|&b| Json::UInt(b)).collect()),
-        ),
-        ("sum", Json::UInt(h.sum)),
-        ("count", Json::UInt(h.count)),
+        // no histogram is registered anywhere; the key stays so schema
+        // v7 documents keep their bytes
+        ("histograms", Json::Obj(Vec::new())),
     ])
 }
 

@@ -501,4 +501,23 @@ fn streambench_window_stays_bounded() {
         small.window_peak,
         small.records
     );
+    // …and so are its bytes. They are bounded, not flat (17–77 KB at nine
+    // lengths from 30 k to 10 M records, neither end the extreme), so the
+    // ceiling is a factor a 10× longer trace may not reach — an O(trace)
+    // table would — and the materialized trace alone (offline holds it
+    // plus an index) is at least 8× the detector's peak.
+    assert!(
+        large.peak_bytes < 4 * small.peak_bytes,
+        "resident bytes {} → {} over records {} → {}",
+        small.peak_bytes,
+        large.peak_bytes,
+        small.records,
+        large.records
+    );
+    assert!(
+        small.trace_bytes >= 8 * small.peak_bytes,
+        "trace {} B vs online peak {} B",
+        small.trace_bytes,
+        small.peak_bytes
+    );
 }

@@ -1,10 +1,10 @@
 //! Minimal hand-rolled JSON: a value type, a serializer, and a parser.
 //!
-//! The build environment is offline, so no `serde` — run reports and
-//! `BENCH_*.json` trajectory files are produced (and, in tests, consumed)
-//! by this module alone. The subset implemented is exactly what the
-//! reports need: objects with ordered keys, arrays, strings with standard
-//! escapes, `u64`/`i64` integers, finite floats, booleans, and null.
+//! The build environment is offline, so no `serde` — run reports are
+//! produced (and, in tests, consumed) by this module alone. The subset
+//! implemented is exactly what the reports need: objects with ordered
+//! keys, arrays, strings with standard escapes, `u64`/`i64` integers,
+//! finite floats, booleans, and null.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -10,15 +10,15 @@
 //! * [`span`](crate::span!) / [`trace`](mod@trace) — lightweight RAII span
 //!   guards producing a hierarchical timing tree per pipeline run. Naming
 //!   convention: `layer.verb` (`hb.build`, `sim.run`, `trigger.order`).
-//! * [`metrics`] — a registry of named counters, gauges, and fixed-bucket
-//!   histograms. Values live in thread-local storage, so the always-on
-//!   instrumentation costs one thread-local integer add per increment (no
-//!   locks, no atomics contention) and concurrent tests never contaminate
-//!   each other's readings. Naming convention: `layer_noun_total` for
-//!   counters (`sim_events_dispatched_total`), `layer_noun` for gauges.
+//! * [`metrics`] — a registry of named counters and gauges. Values live
+//!   in thread-local storage, so the always-on instrumentation costs one
+//!   thread-local integer add per increment (no locks, no atomics
+//!   contention) and concurrent tests never contaminate each other's
+//!   readings. Naming convention: `layer_noun_total` for counters
+//!   (`sim_events_dispatched_total`), `layer_noun` for gauges.
 //! * [`json`] — a minimal hand-rolled JSON value type, serializer, and
 //!   parser used by the versioned machine-readable run reports
-//!   (`dcatch detect … --json`) and the `BENCH_*.json` trajectory files.
+//!   (`dcatch detect … --json`).
 //! * [`rng`] — a small deterministic PRNG (SplitMix64) replacing the
 //!   external `rand` dependency for the simulator's scheduler and the
 //!   in-repo property-test harnesses.
@@ -29,11 +29,6 @@
 //! * [`progress`] — a rate-limited, TTY-gated stderr progress line for
 //!   multi-item runs (`detect all --jobs N`, `faults all`), with per-item
 //!   queued/running/done/degraded states and a median-based ETA.
-//! * [`budget`] — the thread-local resource-budget governor behind the
-//!   pipeline's degradation ladder (`--mem-budget`/`--time-budget`):
-//!   memory and wall-clock ceilings that stages consult at their
-//!   boundaries, plus the [`budget::DegradationEvent`] record every ladder
-//!   step emits into the run report.
 //!
 //! Cross-run hygiene: the pipeline brackets each benchmark run with
 //! [`trace::begin_capture`]/[`trace::end_capture`] and diffs
@@ -43,7 +38,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod budget;
 pub mod json;
 pub mod metrics;
 pub mod progress;
@@ -52,7 +46,7 @@ pub mod timeline;
 pub mod trace;
 
 pub use json::Json;
-pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot};
+pub use metrics::{Counter, Gauge, MetricsSnapshot};
 pub use progress::Progress;
 pub use rng::SmallRng;
 pub use timeline::Timeline;

@@ -1,11 +1,11 @@
-//! Metrics registry: named counters, gauges, and fixed-bucket histograms.
+//! Metrics registry: named counters and gauges.
 //!
 //! Metric *names* are interned once in a global table; metric *values*
 //! live in thread-local storage. The hot path of an increment is therefore
 //! a thread-local vector index plus an integer add — no locks, no atomic
 //! contention — which keeps the always-on instrumentation invisible in
-//! the criterion-style benches, and lets parallel test threads observe
-//! independent values.
+//! `dcbench`'s timings, and lets parallel test threads observe independent
+//! values.
 //!
 //! Call sites cache their handle in a local `static`, so interning happens
 //! once per call site per process:
@@ -17,7 +17,7 @@
 //! ```
 //!
 //! Naming convention (see DESIGN.md): `layer_noun_total` for counters,
-//! `layer_noun` for gauges, `layer_noun_unit` for histograms.
+//! `layer_noun` for gauges.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -28,7 +28,6 @@ use std::sync::{Mutex, OnceLock};
 enum Kind {
     Counter,
     Gauge,
-    Histogram,
 }
 
 struct NameTable {
@@ -36,7 +35,6 @@ struct NameTable {
     ids: BTreeMap<&'static str, (Kind, u32)>,
     counters: Vec<&'static str>,
     gauges: Vec<&'static str>,
-    histograms: Vec<(&'static str, &'static [u64])>,
 }
 
 fn table() -> &'static Mutex<NameTable> {
@@ -46,7 +44,6 @@ fn table() -> &'static Mutex<NameTable> {
             ids: BTreeMap::new(),
             counters: Vec::new(),
             gauges: Vec::new(),
-            histograms: Vec::new(),
         })
     })
 }
@@ -54,22 +51,13 @@ fn table() -> &'static Mutex<NameTable> {
 thread_local! {
     static COUNTERS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
     static GAUGES: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    /// Per histogram: bucket counts (one per boundary + overflow), sum, count.
-    static HISTS: RefCell<Vec<HistCells>> = const { RefCell::new(Vec::new()) };
-}
-
-#[derive(Debug, Clone, Default)]
-struct HistCells {
-    buckets: Vec<u64>,
-    sum: u64,
-    count: u64,
 }
 
 /// Slot `id` of a thread's value vector, grown on first touch.
-fn slot<T: Clone + Default>(v: &mut Vec<T>, id: u32) -> &mut T {
+fn slot(v: &mut Vec<u64>, id: u32) -> &mut u64 {
     let i = id as usize;
     if i >= v.len() {
-        v.resize(i + 1, T::default());
+        v.resize(i + 1, 0);
     }
     &mut v[i]
 }
@@ -123,40 +111,6 @@ impl Gauge {
     }
 }
 
-/// A histogram with fixed bucket boundaries (cumulative-style buckets:
-/// `buckets[i]` counts observations `<= boundary[i]`, plus one overflow
-/// bucket).
-#[derive(Debug, Clone, Copy)]
-pub struct Histogram {
-    id: u32,
-    boundaries: &'static [u64],
-}
-
-impl Histogram {
-    /// Records one observation.
-    pub fn observe(self, value: u64) {
-        HISTS.with_borrow_mut(|v| {
-            let cells = slot(v, self.id);
-            if cells.buckets.is_empty() {
-                cells.buckets = vec![0; self.boundaries.len() + 1];
-            }
-            let slot = self
-                .boundaries
-                .iter()
-                .position(|&b| value <= b)
-                .unwrap_or(self.boundaries.len());
-            cells.buckets[slot] += 1;
-            cells.sum += value;
-            cells.count += 1;
-        });
-    }
-
-    /// The bucket boundaries this histogram was registered with.
-    pub fn boundaries(self) -> &'static [u64] {
-        self.boundaries
-    }
-}
-
 /// Interns (or retrieves) the counter named `name`.
 ///
 /// # Panics
@@ -189,24 +143,6 @@ pub fn gauge(name: &'static str) -> Gauge {
     Gauge { id }
 }
 
-/// Interns (or retrieves) the histogram named `name` with the given fixed
-/// bucket boundaries.
-///
-/// # Panics
-/// Panics if `name` is already registered as a different metric kind.
-pub fn histogram(name: &'static str, boundaries: &'static [u64]) -> Histogram {
-    let mut t = table().lock().expect("metrics name table");
-    if let Some(&(kind, id)) = t.ids.get(name) {
-        assert!(kind == Kind::Histogram, "`{name}` is not a histogram");
-        let boundaries = t.histograms[id as usize].1;
-        return Histogram { id, boundaries };
-    }
-    let id = t.histograms.len() as u32;
-    t.histograms.push((name, boundaries));
-    t.ids.insert(name, (Kind::Histogram, id));
-    Histogram { id, boundaries }
-}
-
 /// Caches a [`Counter`](metrics::Counter) handle per call site.
 #[macro_export]
 macro_rules! counter {
@@ -226,29 +162,6 @@ macro_rules! gauge {
     }};
 }
 
-/// Caches a [`Histogram`](metrics::Histogram) handle per call site.
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr, $boundaries:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<$crate::metrics::Histogram> =
-            ::std::sync::OnceLock::new();
-        *HANDLE.get_or_init(|| $crate::metrics::histogram($name, $boundaries))
-    }};
-}
-
-/// Point-in-time reading of one histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HistogramSnapshot {
-    /// Upper bucket boundaries (the last bucket in `buckets` is overflow).
-    pub boundaries: Vec<u64>,
-    /// Per-bucket observation counts (`boundaries.len() + 1` entries).
-    pub buckets: Vec<u64>,
-    /// Sum of all observed values.
-    pub sum: u64,
-    /// Number of observations.
-    pub count: u64,
-}
-
 /// Point-in-time reading of this thread's metrics. Only names with a
 /// non-zero reading are listed — absent ≡ 0, which is what
 /// [`counter`](MetricsSnapshot::counter) and
@@ -261,8 +174,6 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge name → value.
     pub gauges: BTreeMap<String, u64>,
-    /// Histogram name → reading.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -276,9 +187,9 @@ impl MetricsSnapshot {
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
-    /// The change in counters (and histograms) since `earlier`, with
-    /// gauges carried over at their current reading. Counters and
-    /// histograms that did not move are left out, like any other zero.
+    /// The change in counters since `earlier`, with gauges carried over at
+    /// their current reading. Counters that did not move are left out,
+    /// like any other zero.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let counters = self
             .counters
@@ -286,42 +197,16 @@ impl MetricsSnapshot {
             .map(|(k, &v)| (k.clone(), v.saturating_sub(earlier.counter(k))))
             .filter(|&(_, v)| v != 0)
             .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let e = earlier.histograms.get(k);
-                let buckets = h
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &b)| {
-                        b.saturating_sub(e.and_then(|e| e.buckets.get(i)).copied().unwrap_or(0))
-                    })
-                    .collect();
-                (
-                    k.clone(),
-                    HistogramSnapshot {
-                        boundaries: h.boundaries.clone(),
-                        buckets,
-                        sum: h.sum.saturating_sub(e.map_or(0, |e| e.sum)),
-                        count: h.count.saturating_sub(e.map_or(0, |e| e.count)),
-                    },
-                )
-            })
-            .filter(|(_, h)| h.count != 0)
-            .collect();
         MetricsSnapshot {
             counters,
             gauges: self.gauges.clone(),
-            histograms,
         }
     }
 }
 
 /// Folds a snapshot (typically a [`MetricsSnapshot::delta_since`] delta
 /// captured on a worker thread) into *this* thread's metric values:
-/// counters and histogram buckets add, gauges merge via max (they are
+/// counters add, gauges merge via max (they are
 /// high-water readings — `hb_reach_bytes_peak` — so the maximum across
 /// workers is the honest aggregate). Names the delta mentions that were
 /// never registered in this process are skipped, so absorbing a delta is
@@ -343,21 +228,6 @@ pub fn absorb(delta: &MetricsSnapshot) {
             }
         }
     });
-    HISTS.with_borrow_mut(|v| {
-        for (name, h) in &delta.histograms {
-            if let Some(&(Kind::Histogram, id)) = t.ids.get(name.as_str()) {
-                let cells = slot(v, id);
-                if cells.buckets.is_empty() {
-                    cells.buckets = vec![0; h.buckets.len()];
-                }
-                for (cell, &b) in cells.buckets.iter_mut().zip(&h.buckets) {
-                    *cell += b;
-                }
-                cells.sum += h.sum;
-                cells.count += h.count;
-            }
-        }
-    });
 }
 
 /// Reads every metric with a non-zero value on this thread. A thread's
@@ -373,28 +243,9 @@ pub fn snapshot() -> MetricsSnapshot {
             .map(|(name, &v)| ((*name).to_owned(), v))
             .collect()
     };
-    let histograms = HISTS.with_borrow(|v| {
-        t.histograms
-            .iter()
-            .zip(v)
-            .filter(|(_, cells)| cells.count != 0)
-            .map(|((name, boundaries), cells)| {
-                (
-                    (*name).to_owned(),
-                    HistogramSnapshot {
-                        boundaries: boundaries.to_vec(),
-                        buckets: cells.buckets.clone(),
-                        sum: cells.sum,
-                        count: cells.count,
-                    },
-                )
-            })
-            .collect()
-    });
     MetricsSnapshot {
         counters: COUNTERS.with_borrow(|v| nonzero(&t.counters, v)),
         gauges: GAUGES.with_borrow(|v| nonzero(&t.gauges, v)),
-        histograms,
     }
 }
 
@@ -425,19 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_overflow() {
-        let h = histogram("test_obs_hist", &[10, 100]);
-        h.observe(5);
-        h.observe(50);
-        h.observe(500);
-        let s = snapshot();
-        let hs = &s.histograms["test_obs_hist"];
-        assert_eq!(hs.buckets, vec![1, 1, 1]);
-        assert_eq!(hs.sum, 555);
-        assert_eq!(hs.count, 3);
-    }
-
-    #[test]
     fn delta_subtracts_counters_only() {
         let c = counter("test_obs_delta_total");
         let g = gauge("test_obs_delta_gauge");
@@ -461,14 +299,12 @@ mod tests {
             counter("test_obs_run_total").add(2);
             counter("test_obs_run_untouched_total").add(0);
             gauge("test_obs_run_gauge").set(9);
-            histogram("test_obs_run_hist", &[10]).observe(3);
             snapshot().delta_since(&before)
         }
         let first = std::thread::spawn(run).join().expect("first run");
         std::thread::spawn(|| {
             counter("test_obs_elsewhere_total").add(7);
             gauge("test_obs_elsewhere_gauge").set(7);
-            histogram("test_obs_elsewhere_hist", &[1]).observe(7);
         })
         .join()
         .expect("unrelated thread");
@@ -483,24 +319,18 @@ mod tests {
             first.gauges.keys().collect::<Vec<_>>(),
             ["test_obs_run_gauge"]
         );
-        assert_eq!(
-            first.histograms.keys().collect::<Vec<_>>(),
-            ["test_obs_run_hist"]
-        );
     }
 
     #[test]
     fn absorb_folds_a_worker_delta_into_this_thread() {
         let c = counter("test_obs_absorb_total");
         let g = gauge("test_obs_absorb_gauge");
-        let h = histogram("test_obs_absorb_hist", &[10]);
         c.add(1);
         g.set(5);
         let delta = std::thread::spawn(|| {
             let before = snapshot();
             counter("test_obs_absorb_total").add(3);
             gauge("test_obs_absorb_gauge").set(2); // below the local 5
-            histogram("test_obs_absorb_hist", &[10]).observe(7);
             snapshot().delta_since(&before)
         })
         .join()
@@ -509,10 +339,6 @@ mod tests {
         let s = snapshot();
         assert_eq!(s.counter("test_obs_absorb_total"), 4, "counters add");
         assert_eq!(s.gauge("test_obs_absorb_gauge"), 5, "gauges keep the max");
-        let hs = &s.histograms["test_obs_absorb_hist"];
-        assert_eq!((hs.count, hs.sum), (1, 7), "histograms merge");
-        assert_eq!(hs.buckets, vec![1, 0]);
-        let _ = h;
     }
 
     #[test]

@@ -8,12 +8,6 @@
 #                             # smokes below that are cheap (timeline,
 #                             # trigger farm, synth, dcbench;
 #                             # DCATCH_SOAK=1 appends the fault soak)
-#   scripts/check.sh bench    # fast bench smoke run (1 warm-up + 3 samples
-#                             # per entry), refreshing BENCH_pipeline.json,
-#                             # BENCH_hbgraph.json, and BENCH_streaming.json
-#                             # in the repo root, then
-#                             # scripts/bench_compare.sh against the
-#                             # committed *_baseline.json files
 #   scripts/check.sh soak     # seeded fault soak only: the fault_soak test
 #                             # suite plus `dcatch faults all` across a
 #                             # fixed seed set — every run must complete or
@@ -49,13 +43,20 @@
 #                             # --scrub-timings --json` selective with
 #                             # triggering, `--full-tracing --no-trigger` at
 #                             # `--scale 8` and `48`, `--reachability matrix
-#                             # --scale 4`, `--reachability clocks`; `faults
-#                             # all`; `synth --seed 1 --count 8`; `explain
-#                             # --json` on every object the parent's `detect
-#                             # all --no-trigger` reports (13 today). A
-#                             # `--streaming` run and a `--stream-window 2`
-#                             # run are compared minus what a change to the
-#                             # online engine legitimately moves:
+#                             # --scale 4`, `--reachability clocks`; the
+#                             # governor's rungs (`--mem-budget 2k`: sampled
+#                             # tracing; `256` full-traced: index → streaming
+#                             # under a window cap; `--time-budget 0`:
+#                             # loop-sync and triggering skipped; `--budget
+#                             # 4096 --mem-budget 1g`: the user's index
+#                             # ceiling under a governor; a governed `synth`
+#                             # batch); `faults all`; `synth --seed 1 --count
+#                             # 8`; `explain --json` on every object the
+#                             # parent's `detect all --no-trigger` reports
+#                             # (13 today). The `--streaming` runs (plain,
+#                             # `--stream-window 2`, `--mem-budget 16k`, the
+#                             # two together) are compared minus what a
+#                             # change to the online engine legitimately moves:
 #                             # `streaming.peak_bytes` and the wording of
 #                             # the window's degradation `reason`. Exits
 #                             # non-zero naming the first differing command
@@ -120,10 +121,18 @@ PY
     same cat detect all --scrub-timings --json --full-tracing --no-trigger --scale 48
     same cat detect all --scrub-timings --json --reachability matrix --scale 4
     same cat detect all --scrub-timings --json --reachability clocks
+    same cat detect all --scrub-timings --json --mem-budget 2k
+    same cat detect all --scrub-timings --json --mem-budget 256 --full-tracing --no-trigger --scale 8
+    same cat detect all --scrub-timings --json --time-budget 0
+    same cat detect all --scrub-timings --json --budget 4096 --mem-budget 1g
     same cat faults all
     same cat synth --seed 1 --count 8
+    same cat synth --seed 1 --count 4 --mem-budget 8k --no-shrink --json
     same streaming detect all --scrub-timings --json --streaming
     same streaming detect all --scrub-timings --json --streaming --stream-window 2
+    same streaming detect all --scrub-timings --json --streaming --mem-budget 16k
+    # the one run whose list has both a governor step and the cap's own event
+    same streaming detect all --scrub-timings --json --streaming --stream-window 2 --mem-budget 16k
     id=""
     "$parent" detect all --no-trigger | while read -r line; do
         case "$line" in
@@ -273,26 +282,6 @@ assert doc["window_peak"] * 20 < doc["records"], (
 print(f"streambench ok: {doc['records']} records, window peak {doc['window_peak']}")
 PY
     echo "Streaming smoke passed."
-    exit 0
-fi
-
-if [[ "${1:-}" == "bench" ]]; then
-    echo "== bench smoke (DCATCH_BENCH_SAMPLES=3) =="
-    # a 3-sample smoke run on a contended box can catch a transient load
-    # spike; one retry separates those from persistent regressions
-    smoke() {
-        local name="$1"
-        DCATCH_BENCH_SAMPLES=3 cargo bench --offline -p dcatch-bench --bench "$name"
-        if ! scripts/bench_compare.sh "BENCH_${name}_baseline.json" "BENCH_${name}.json"; then
-            echo "-- retrying $name once to rule out transient load --"
-            DCATCH_BENCH_SAMPLES=3 cargo bench --offline -p dcatch-bench --bench "$name"
-            scripts/bench_compare.sh "BENCH_${name}_baseline.json" "BENCH_${name}.json"
-        fi
-    }
-    smoke pipeline
-    smoke hbgraph
-    smoke streaming
-    echo "Bench smoke passed."
     exit 0
 fi
 

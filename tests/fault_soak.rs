@@ -127,6 +127,36 @@ fn rigged_panic_yields_error_entry(at: u64) {
     assert_eq!(back, doc);
 }
 
+/// The same guard from the CLI, with no `--timeout` to ask for it:
+/// `dcatch faults` reports a host panic as an `ERROR` row and exits 5,
+/// in the human and the `--json` form.
+#[test]
+fn faults_cli_reports_a_host_panic_as_an_error_row() {
+    let plan = std::env::temp_dir().join(format!("dcatch-panic-{}.plan", std::process::id()));
+    std::fs::write(&plan, "panic at=5\n").expect("write plan");
+    for json in [false, true] {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_dcatch"));
+        cmd.args(["faults", "ZK-1144", "--seeds", "1", "--fault-plan"])
+            .arg(&plan)
+            .args(json.then_some("--json"));
+        let output = cmd.output().expect("dcatch runs");
+        let stdout = String::from_utf8(output.stdout).expect("utf-8");
+        assert_eq!(output.status.code(), Some(5), "{stdout}");
+        if json {
+            let doc = dcatch_obs::json::parse(&stdout).expect("json document");
+            let rows = doc.get("runs").and_then(|r| r.as_arr()).expect("runs");
+            assert_eq!(rows.len(), 1, "{stdout}");
+            let msg = rows[0].get("error").and_then(|e| e.as_str());
+            assert!(msg.is_some_and(|m| m.contains("panicked")), "{stdout}");
+        } else {
+            let rows: Vec<&str> = stdout.lines().filter(|l| l.contains("ERROR")).collect();
+            assert_eq!(rows.len(), 1, "{stdout}");
+            assert!(rows[0].starts_with("ZK-1144"), "{stdout}");
+        }
+    }
+    let _ = std::fs::remove_file(&plan);
+}
+
 /// The watchdog turns a hung benchmark into a structured timeout error.
 #[test]
 fn watchdog_reports_a_hung_benchmark_as_timeout() {

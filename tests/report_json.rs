@@ -181,7 +181,7 @@ fn v4_report_carries_optional_profile_section() {
     let bench = dcatch::benchmark("ZK-1144").unwrap();
     let report = Pipeline::run(&bench, &PipelineOptions::fast()).unwrap();
     let results = vec![("ZK-1144", Ok(report))];
-    let doc = report_json::run_report_results_with(&results, true);
+    let mut doc = report_json::run_report_results_with(&results, true);
     assert_eq!(
         report_json::validate_report(&doc),
         Ok(report_json::SCHEMA_VERSION)
@@ -197,6 +197,13 @@ fn v4_report_carries_optional_profile_section() {
         .unwrap()
         .as_u64()
         .is_some());
+    // profiling is post-processing of the same run: without the section
+    // the document is the unprofiled one
+    let Some(Json::Arr(entries)) = doc.get_mut("benchmarks") else {
+        panic!("benchmarks array");
+    };
+    *entries[0].get_mut("profile").unwrap() = Json::Null;
+    assert_eq!(doc, report_json::run_report_results_with(&results, false));
 }
 
 #[test]
