@@ -4,8 +4,9 @@
 //! (`--release` strongly recommended).
 //!
 //! Usage: `table6 [scale] [auto|matrix|clocks]`. The engine defaults to
-//! `auto`, which on selective traces picks the bit matrix — pass `clocks`
-//! to measure trace analysis under the chain-clock engine.
+//! `auto`, which on selective traces ends with the bit matrix (their clock
+//! rows outgrow it) — pass `clocks` to measure trace analysis under the
+//! chain-clock engine.
 
 use dcatch::{Pipeline, PipelineOptions, ReachabilityMode};
 use dcatch_bench::{fmt_bytes, fmt_duration, render_table, MEASURE_SCALE};

@@ -66,8 +66,10 @@
 //!                    --streaming; exceeding it force-evicts (lossy,
 //!                    recorded as a degradation)
 //!   --ablation K     ignore one HB rule family: event|rpc|socket|push
-//!   --budget BYTES   HB reachability memory budget
-//!   --reachability E reachability engine: auto (default) | matrix | clocks
+//!   --budget B       HB reachability memory budget (bytes, or `64k`,
+//!                    `64m`, `1g`), checked against the bytes the index holds
+//!   --reachability E reachability engine: auto (default: clock rows while
+//!                    they are smaller than the matrix) | matrix | clocks
 //!   --jobs N         run up to N benchmarks concurrently (default 1);
 //!                    the report is identical for any N
 //!   --trigger-jobs N explore (candidate, ordering) triggering jobs on up
@@ -137,6 +139,27 @@ use dcatch_obs::Json;
 /// message `main` prints before exiting 1.
 type Cmd = Result<ExitCode, String>;
 
+/// Writes to stdout for a reader that may leave early: on a closed pipe
+/// (`dcatch list | head -1`) the process ends quietly — `print!` would
+/// panic; any other write error is reported and exits 1.
+fn out(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `println!` through [`out`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let rest = args.get(1..).unwrap_or_default();
@@ -163,9 +186,9 @@ fn main() -> ExitCode {
 
 fn list(args: &[String]) -> Cmd {
     check_flags(args, &[], &[])?;
-    println!("available benchmarks (TaxDC suite miniatures):");
+    outln!("available benchmarks (TaxDC suite miniatures):");
     for b in dcatch::all_benchmarks() {
-        println!(
+        outln!(
             "  {:8} {:10} {:30} {} / {}",
             b.id,
             b.system.name(),
@@ -187,7 +210,9 @@ fn check_flags(args: &[String], flags: &[&str], valued: &[&str]) -> Result<(), S
         if flags.contains(&a) {
             i += 1;
         } else if valued.contains(&a) {
-            if i + 1 >= args.len() {
+            // `opt` / `flag` look names up anywhere in `args`: a flag taken
+            // for a value would be honoured as a flag as well
+            if args.get(i + 1).is_none_or(|v| v.starts_with("--")) {
                 return Err(format!("flag `{a}` requires a value"));
             }
             i += 2;
@@ -270,8 +295,8 @@ fn build_options(args: &[String]) -> Result<PipelineOptions, String> {
     if flag(args, "--no-trigger") {
         opts.triggering = false;
     }
-    if let Some(budget) = opt::<usize>(args, "--budget")? {
-        opts.hb.memory_budget_bytes = budget;
+    if let Some(spec) = opt_str(args, "--budget") {
+        opts.hb.memory_budget_bytes = dcatch::parse_bytes(spec)?;
     }
     if let Some(engine) = opt_str(args, "--reachability") {
         opts.hb.reachability = engine.parse()?;
@@ -334,9 +359,7 @@ fn emit_json(doc: &Json, args: &[String]) -> Result<(), String> {
     match opt_str(args, "--out") {
         Some(path) => write_file(path, text.as_bytes()),
         None => {
-            // ignore EPIPE so `dcatch … --json | head` exits quietly
-            use std::io::Write;
-            let _ = writeln!(std::io::stdout(), "{text}");
+            outln!("{text}");
             Ok(())
         }
     }
@@ -466,16 +489,16 @@ fn detect(args: &[String]) -> Cmd {
             }
             continue;
         }
-        println!("== {} ({}) ==", b.id, b.system.name());
+        outln!("== {} ({}) ==", b.id, b.system.name());
         match fresh {
-            None => println!("  finished in an earlier run — resumed from journal"),
+            None => outln!("  finished in an earlier run — resumed from journal"),
             Some(Ok(r)) => {
                 print_report(r, &opts, show_metrics);
                 if profile {
                     print_profile(r);
                 }
             }
-            Some(Err(e)) => println!("  error: {e}"),
+            Some(Err(e)) => outln!("  error: {e}"),
         }
     }
     let (entries, fresh): (Vec<Json>, Vec<_>) = outcomes.into_iter().unzip();
@@ -528,7 +551,7 @@ fn entry_exit_code(entry: &Json, triggering: bool) -> u8 {
 fn print_profile(r: &dcatch::BenchmarkReport) {
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1000.0;
     let t = &r.timings;
-    println!(
+    outln!(
         "  profile: tracing {:.2}ms | streaming {:.2}ms | analysis {:.2}ms | pruning {:.2}ms | \
          loop-sync {:.2}ms | triggering {:.2}ms | total {:.2}ms",
         ms(t.tracing),
@@ -539,7 +562,7 @@ fn print_profile(r: &dcatch::BenchmarkReport) {
         ms(t.triggering),
         ms(r.spans.total),
     );
-    println!(
+    outln!(
         "  profile: reach index peak {} bytes; candidates TA {} → SP {} → LP {}",
         r.metrics.gauge("hb_reach_bytes_peak"),
         r.ta_static,
@@ -694,9 +717,11 @@ fn faults(args: &[String]) -> Cmd {
                 if json {
                     rows.push(row(vec![("error", Json::Str(msg))]));
                 } else {
-                    println!(
+                    outln!(
                         "{:8} {:18} seed={:<4} ERROR {msg}",
-                        job.bench.id, job.scenario, job.seed
+                        job.bench.id,
+                        job.scenario,
+                        job.seed
                     );
                 }
                 continue;
@@ -721,9 +746,13 @@ fn faults(args: &[String]) -> Cmd {
             } else {
                 format!("{} failure(s)", failures.len())
             };
-            println!(
+            outln!(
                 "{:8} {:18} seed={:<4} faults={:<3} {}",
-                job.bench.id, job.scenario, job.seed, faults_injected, outcome
+                job.bench.id,
+                job.scenario,
+                job.seed,
+                faults_injected,
+                outcome
             );
         }
     }
@@ -856,7 +885,7 @@ fn synth_emit(cfg: &dcatch::synth::SynthBatchConfig, rows: Vec<Json>, args: &[St
         let id = row.get("id").and_then(Json::as_str).unwrap_or("?");
         if let Some(err) = report_json::entry_error(row) {
             let msg = err.get("message").and_then(Json::as_str).unwrap_or("?");
-            println!("{id:24} ERROR {msg}");
+            outln!("{id:24} ERROR {msg}");
             continue;
         }
         let quarantined = row
@@ -868,7 +897,7 @@ fn synth_emit(cfg: &dcatch::synth::SynthBatchConfig, rows: Vec<Json>, args: &[St
         } else {
             format!("DISCREPANCY ({quarantined} quarantined)")
         };
-        println!(
+        outln!(
             "{id:24} planted={} detected={} fp={} faults={} {status}",
             num(row, "planted"),
             num(row, "detected"),
@@ -889,7 +918,7 @@ fn synth_emit(cfg: &dcatch::synth::SynthBatchConfig, rows: Vec<Json>, args: &[St
             } else {
                 detected as f64 * 100.0 / planted as f64
             };
-            println!(
+            outln!(
                 "protocol {:8} scenarios={} recall {detected}/{planted} ({recall:.0}%) fp={} errors={}",
                 p.get("protocol").and_then(Json::as_str).unwrap_or("?"),
                 num(p, "scenarios"),
@@ -903,23 +932,34 @@ fn synth_emit(cfg: &dcatch::synth::SynthBatchConfig, rows: Vec<Json>, args: &[St
 
 fn print_report(r: &dcatch::BenchmarkReport, opts: &PipelineOptions, show_metrics: bool) {
     for d in &r.degradations {
-        println!(
+        outln!(
             "  degraded: {}: {} → {} ({})",
-            d.stage, d.from, d.to, d.reason
+            d.stage,
+            d.from,
+            d.to,
+            d.reason
         );
     }
     if let Some(oom) = &r.oom {
-        println!("  trace: {} records; {oom}", r.trace_stats.total);
+        outln!("  trace: {} records; {oom}", r.trace_stats.total);
         return;
     }
-    println!(
+    outln!(
         "  candidates: TA {} → +SP {} → +LP {} (callstack: {}/{}/{})",
-        r.ta_static, r.sp_static, r.lp_static, r.ta_stacks, r.sp_stacks, r.lp_stacks
+        r.ta_static,
+        r.sp_static,
+        r.lp_static,
+        r.ta_stacks,
+        r.sp_stacks,
+        r.lp_stacks
     );
     if let Some(s) = &r.streaming {
-        println!(
+        outln!(
             "  streaming: window peak {} entries, {} retired, {} force-evicted, ~{} bytes resident",
-            s.window_peak, s.records_retired, s.records_forced, s.peak_bytes
+            s.window_peak,
+            s.records_retired,
+            s.records_forced,
+            s.peak_bytes
         );
     }
     for rep in &r.reports {
@@ -929,7 +969,7 @@ fn print_report(r: &dcatch::BenchmarkReport, opts: &PipelineOptions, show_metric
             Some(Verdict::Serial) => "serial",
             None => "candidate",
         };
-        println!(
+        outln!(
             "  [{verdict:9}] {} × {}  on `{}`{}",
             rep.candidate.static_pair.0,
             rep.candidate.static_pair.1,
@@ -941,11 +981,11 @@ fn print_report(r: &dcatch::BenchmarkReport, opts: &PipelineOptions, show_metric
             }
         );
         for f in &rep.failures {
-            println!("      {f}");
+            outln!("      {f}");
         }
     }
     if opts.triggering {
-        println!(
+        outln!(
             "  known bug {}",
             if r.detected_known_bug {
                 "CONFIRMED HARMFUL"
@@ -957,12 +997,12 @@ fn print_report(r: &dcatch::BenchmarkReport, opts: &PipelineOptions, show_metric
         );
     }
     if show_metrics {
-        println!("  metrics:");
+        outln!("  metrics:");
         for (name, value) in &r.metrics.counters {
-            println!("    {name:40} {value}");
+            outln!("    {name:40} {value}");
         }
         for (name, value) in &r.metrics.gauges {
-            println!("    {name:40} {value} (gauge)");
+            outln!("    {name:40} {value} (gauge)");
         }
     }
 }
@@ -1013,7 +1053,7 @@ fn stats(args: &[String]) -> Cmd {
         return Ok(ExitCode::SUCCESS);
     }
     // Table-7 style breakdown
-    println!("{}: {} trace records, {} bytes", b.id, s.total, bytes);
+    outln!("{}: {} trace records, {} bytes", b.id, s.total, bytes);
     let rows: &[(&str, usize)] = &[
         ("memory accesses", s.mem),
         ("rpc", s.rpc),
@@ -1030,7 +1070,7 @@ fn stats(args: &[String]) -> Cmd {
         } else {
             100.0 * *count as f64 / s.total as f64
         };
-        println!("  {label:16} {count:8}  ({pct:5.1}%)");
+        outln!("  {label:16} {count:8}  ({pct:5.1}%)");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1045,13 +1085,13 @@ fn trace(args: &[String]) -> Cmd {
     let lines = run.trace.to_lines();
     if let Some(path) = opt_str(args, "--out") {
         write_file(path, lines.as_bytes())?;
-        println!(
+        outln!(
             "wrote {} records ({} bytes) to {path}",
             run.trace.len(),
             lines.len()
         );
     } else {
-        print!("{lines}");
+        out(format_args!("{lines}"));
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1113,7 +1153,7 @@ fn explain(args: &[String]) -> Cmd {
         format!("#{i} {} ({})", r.kind.tag(), r.task)
     };
     if !json {
-        println!("{}: {} traced accesses to `{object}`", b.id, accesses.len());
+        outln!("{}: {} traced accesses to `{object}`", b.id, accesses.len());
     }
     let mut pairs = Vec::new();
     for (p, &i) in accesses.iter().enumerate() {
@@ -1140,13 +1180,13 @@ fn explain(args: &[String]) -> Cmd {
                     } else {
                         ""
                     };
-                    println!("  ordered   {label}{tail}");
-                    println!("            {}", describe(*from));
+                    outln!("  ordered   {label}{tail}");
+                    outln!("            {}", describe(*from));
                     for &(to, rule) in hops {
-                        println!("              —{rule:?}→ {}", describe(to));
+                        outln!("              —{rule:?}→ {}", describe(to));
                     }
                 }
-                None => println!("  CONCURRENT {label}"),
+                None => outln!("  CONCURRENT {label}"),
             }
         }
     }
@@ -1269,18 +1309,21 @@ fn streambench(args: &[String]) -> Cmd {
         emit_json(&doc, args)?;
         return Ok(code);
     }
-    println!(
+    outln!(
         "streambench: {} records ({} bytes as lines) in {:.2}s ({:.0} records/s)",
         out.records,
         out.trace_bytes,
         elapsed.as_secs_f64(),
         out.records as f64 / elapsed.as_secs_f64().max(1e-9),
     );
-    println!(
+    outln!(
         "  window peak {} entries (~{} bytes resident), {} retired, {} force-evicted",
-        out.window_peak, out.peak_bytes, out.records_retired, out.records_forced
+        out.window_peak,
+        out.peak_bytes,
+        out.records_retired,
+        out.records_forced
     );
-    println!(
+    outln!(
         "  candidates: {} static pair(s); planted racer pair {}",
         out.candidates.static_pair_count(),
         if planted_found { "FOUND" } else { "MISSING" },

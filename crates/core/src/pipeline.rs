@@ -9,9 +9,7 @@ use dcatch_detect::{
     analyze_loop_sync, find_candidates, plan_loop_sync, Candidate, CandidateSet, OnlineDetector,
     OnlineOptions, StreamOutcome,
 };
-use dcatch_hb::{
-    apply_ablation, Ablation, ChainClocks, FrontierOptions, HbAnalysis, HbConfig, HbError,
-};
+use dcatch_hb::{apply_ablation, Ablation, FrontierOptions, HbAnalysis, HbConfig, HbError};
 use dcatch_prune::{Impact, Pruner};
 use dcatch_sim::{Failure, FaultPlan, FocusConfig, Prepared, RunError, SimConfig, World};
 use dcatch_trace::TracingMode;
@@ -211,15 +209,18 @@ impl PipelineOptions {
 /// watchdog kill). Each stage consults the ceilings at its boundaries and
 /// steps down to a cheaper strategy (full → rate-sampled memory tracing,
 /// HB graph → streaming window, loop-sync and triggering → skipped or
-/// cancelled), recording every step as a [`DegradationEvent`].
+/// cancelled), recording every step as a [`DegradationEvent`]. It sizes no
+/// index itself: the index rung is an `HbAnalysis::build` that returned
+/// `OutOfMemory` under the governed ceiling.
 ///
 /// A plain value owned by `run` and lent to `run_stages`, the only code
 /// that reads it; the trigger farm's workers get the `deadline` as a
 /// plain `Instant`.
 ///
 /// **Determinism.** Memory-driven rungs decide from deterministic
-/// quantities (trace byte sizes, reachability-index estimates), so the
-/// same inputs and budgets always degrade the same way and the reports
+/// quantities (trace byte sizes, the reachability index's bytes as the
+/// build measured them — no `/proc` or allocator reading), so the same
+/// inputs and budgets always degrade the same way and the reports
 /// stay byte-comparable. Time-driven rungs are wall-clock dependent;
 /// events carry no timestamps so a run that degraded identically
 /// serializes identically.
@@ -443,30 +444,24 @@ impl Pipeline {
             let mut hb_cfg = opts.hb.clone();
             if let Some(m) = gov.mem {
                 hb_cfg.memory_budget_bytes = hb_cfg.memory_budget_bytes.min(m);
-                // ---- governor's last memory rung: the index does not fit -
-                // Ask `HbAnalysis::build`'s own selection rule *before*
-                // committing to a build that would return OutOfMemory, then
-                // drop the materialized trace and stream the same schedule
-                // again: a capped window loses pairs but never invents one.
-                let chains = ChainClocks::chain_count(&analyzed);
-                let (engine, needed) = hb_cfg.select_engine(analyzed.len(), chains);
-                let index_budget = hb_cfg.memory_budget_bytes;
-                if needed > index_budget {
-                    gov.record(DegradationEvent {
-                        stage: "trace_analysis".to_owned(),
-                        from: engine.to_string(),
-                        to: "streaming".to_owned(),
-                        reason: format!(
-                            "reachability index needs {needed} B, budget {index_budget} B"
-                        ),
-                    });
-                    break 'graph None;
-                }
             }
             match HbAnalysis::build(analyzed, &hb_cfg) {
                 Ok(hb) => {
                     let candidates = find_candidates(&hb);
                     Some((hb, candidates, trace_stats, trace_bytes))
+                }
+                // ---- governor's last memory rung: the index does not fit -
+                // The materialized trace went with the failed build; stream
+                // the same schedule again: a capped window loses pairs but
+                // never invents one.
+                Err(HbError::OutOfMemory { needed, budget }) if gov.mem.is_some() => {
+                    gov.record(DegradationEvent {
+                        stage: "trace_analysis".to_owned(),
+                        from: hb_cfg.reachability.to_string(),
+                        to: "streaming".to_owned(),
+                        reason: format!("reachability index needs {needed} B, budget {budget} B"),
+                    });
+                    None
                 }
                 Err(e @ HbError::OutOfMemory { .. }) => {
                     return Ok(BenchmarkReport {

@@ -369,15 +369,26 @@ fn streambench_clocks_are_sized_by_hb_chains() {
         sink.engine.chains(),
         sink.arrivals.len()
     );
-    // offline, the same slots: rows of 4 entries, not of 5 004
+    // offline, the same slots: rows of 4 entries, not of 5 004. The
+    // default's choice and the budget check are made against those rows as
+    // measured, so a 113 MB matrix loses and 64 MiB is plenty
     let trace = stream(30_000, false, 1_024).collect.trace;
     assert_eq!(trace.len(), 30_018);
-    let hb = HbAnalysis::build(trace, &clocks_config()).unwrap();
+    let hb = HbAnalysis::build(trace.clone(), &HbConfig::default()).unwrap();
+    assert_eq!(hb.reachability(), ReachabilityMode::Clocks);
     assert!(
         hb.reach_bytes() <= 1 << 20,
         "{} B of rows",
         hb.reach_bytes()
     );
+    for reachability in [ReachabilityMode::Auto, ReachabilityMode::Clocks] {
+        let cfg = HbConfig {
+            memory_budget_bytes: 64 << 20,
+            reachability,
+        };
+        let fits = HbAnalysis::build(trace.clone(), &cfg).map(|hb| hb.reach_bytes());
+        assert_eq!(fits, Ok(hb.reach_bytes()), "{reachability}");
+    }
 }
 
 /// Table 9 on a stream: every ablation, applied per record on arrival,

@@ -42,10 +42,6 @@
 //! growth forward through successors whose clocks actually change — the
 //! affected suffix of each chain, never the whole trace.
 
-use std::collections::BTreeMap;
-
-use dcatch_trace::TraceSet;
-
 /// Per-vertex slot-frontier clocks over an HB graph's vertices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainClocks {
@@ -57,27 +53,6 @@ pub struct ChainClocks {
 }
 
 impl ChainClocks {
-    /// Upper bound on the memory, in bytes, of the clock rows of `n`
-    /// vertices in `g` program-order chains (`n × g × 4`): the slot rule
-    /// opens at most one slot per program-order chain, and usually far
-    /// fewer. [`HbConfig::select_engine`](crate::HbConfig::select_engine)
-    /// budgets with it, so the choice of index is known before the pass
-    /// that assigns the slots.
-    pub fn estimated_bytes(n: usize, g: usize) -> usize {
-        n.saturating_mul(g).saturating_mul(4)
-    }
-
-    /// Counts the program-order chains of `trace` — one per distinct
-    /// `(task, execution-context)` pair, the `Preg`/`Pnreg` grouping.
-    pub fn chain_count(trace: &TraceSet) -> usize {
-        let mut chains = BTreeMap::new();
-        for r in trace.records() {
-            let next = chains.len();
-            chains.entry((r.task, r.ctx)).or_insert(next);
-        }
-        chains.len()
-    }
-
     /// Creates an empty index expecting `n` vertices, appended in trace
     /// order with [`push_row`](ChainClocks::push_row).
     pub(crate) fn with_capacity(n: usize) -> ChainClocks {
@@ -109,7 +84,8 @@ impl ChainClocks {
         self.len() == 0
     }
 
-    /// Memory held by the clock rows, in bytes.
+    /// Memory held by the clock rows, in bytes: what the index budget and
+    /// `Auto`'s choice are measured in.
     pub fn bytes(&self) -> usize {
         self.clocks.len() * 4
     }
@@ -147,40 +123,6 @@ impl ChainClocks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcatch_model::{FuncId, NodeId, StmtId};
-    use dcatch_trace::{CallStack, ExecCtx, OpKind, Record, TaskId};
-
-    fn task(i: u32) -> TaskId {
-        TaskId {
-            node: NodeId(0),
-            index: i,
-        }
-    }
-
-    fn rec(seq: u64, t: TaskId) -> Record {
-        Record {
-            seq,
-            task: t,
-            ctx: ExecCtx::Regular,
-            kind: OpKind::ThreadBegin,
-            stack: CallStack(vec![StmtId {
-                func: FuncId(0),
-                idx: seq as u32,
-            }]),
-        }
-    }
-
-    fn two_chain_trace() -> TraceSet {
-        // chain 0: vertices 0, 2 — chain 1: vertices 1, 3
-        vec![
-            rec(0, task(0)),
-            rec(1, task(1)),
-            rec(2, task(0)),
-            rec(3, task(1)),
-        ]
-        .into_iter()
-        .collect()
-    }
 
     /// Vertices 0, 2 in one slot and 1, 3 in another, each with the row
     /// the engine would hand over: ordered after its slot's earlier vertex.
@@ -219,24 +161,6 @@ mod tests {
         let cc = two_chains();
         assert_eq!(cc.bytes(), 4 * (1 + 2 + 2 + 2));
         assert!(!cc.covers(0, (1, 1)), "slot 1 is beyond vertex 0's row");
-    }
-
-    #[test]
-    fn estimated_bytes_is_n_times_g_u32s() {
-        assert_eq!(ChainClocks::estimated_bytes(1000, 20), 80_000);
-        // Table-8 regime: ~90k records over ~20 chains is a few MB where
-        // the matrix needs ~1 GB
-        assert!(ChainClocks::estimated_bytes(90_000, 20) < 8 * 1024 * 1024);
-        assert!(
-            crate::BitMatrix::estimated_bytes(90_000) > 512 * 1024 * 1024,
-            "same scale blows the Table-8 matrix budget"
-        );
-    }
-
-    #[test]
-    fn chain_count_bounds_the_slots() {
-        assert_eq!(ChainClocks::chain_count(&two_chain_trace()), 2);
-        assert_eq!(ChainClocks::chain_count(&TraceSet::new()), 0);
     }
 
     #[test]

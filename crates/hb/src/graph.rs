@@ -46,13 +46,13 @@ pub enum EdgeRule {
 /// Which reachability index backs `happens_before`/`concurrent`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReachabilityMode {
-    /// Pick per trace whichever index is *smaller* by the deterministic
-    /// estimates (see [`HbConfig::select_engine`]): the dense
-    /// [`BitMatrix`] on short or handler-heavy traces (few records per
-    /// program-order chain — the estimate counts those, an upper bound on
-    /// the slots [`ChainClocks`] ends up with), chain-decomposition
-    /// [`ChainClocks`] on long traces of few threads — the unselective
-    /// traces where the matrix alone is the Table 8 "Out of Memory" outcome.
+    /// Pick per trace whichever index is *smaller*, by measurement:
+    /// [`HbAnalysis::build`] keeps [`ChainClocks`] rows for as long as they
+    /// are smaller than the dense [`BitMatrix`] of the trace (exact from
+    /// its length) and ends with the matrix once they are not — the rows
+    /// on long traces of few happens-before chains, the unselective and
+    /// handler-heavy traces where the matrix alone is the Table 8 "Out of
+    /// Memory" outcome; the matrix on short or wide ones.
     #[default]
     Auto,
     /// Force the dense O(n²)-bit matrix.
@@ -89,9 +89,11 @@ impl std::str::FromStr for ReachabilityMode {
 /// Configuration of the HB analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HbConfig {
-    /// Budget for the reachability index, in bytes. The paper's trace
-    /// analysis "will run out of JVM memory (50 GB of RAM)" on unselective
-    /// traces (Table 8); this reproduces that failure mode at laptop scale.
+    /// Budget for the reachability index, in bytes, checked against what
+    /// the index holds: the matrix's exact size, or the clock rows as they
+    /// are stored. The paper's trace analysis "will run out of JVM memory
+    /// (50 GB of RAM)" on unselective traces (Table 8); this reproduces
+    /// that failure mode at laptop scale.
     pub memory_budget_bytes: usize,
     /// Which reachability engine to use (see [`ReachabilityMode`]).
     pub reachability: ReachabilityMode,
@@ -106,35 +108,14 @@ impl Default for HbConfig {
     }
 }
 
-impl HbConfig {
-    /// The one engine-selection rule: the concrete engine
-    /// [`HbAnalysis::build`] uses for a trace of `n` records in `chains`
-    /// program-order chains, and the bytes its index needs. `Auto` takes
-    /// the smaller index (the matrix on a tie); whether that fits
-    /// [`memory_budget_bytes`](HbConfig::memory_budget_bytes) is the
-    /// caller's question.
-    pub fn select_engine(&self, n: usize, chains: usize) -> (ReachabilityMode, usize) {
-        let matrix = (ReachabilityMode::Matrix, BitMatrix::estimated_bytes(n));
-        let clocks = (
-            ReachabilityMode::Clocks,
-            ChainClocks::estimated_bytes(n, chains),
-        );
-        match self.reachability {
-            ReachabilityMode::Matrix => matrix,
-            ReachabilityMode::Clocks => clocks,
-            ReachabilityMode::Auto if matrix.1 <= clocks.1 => matrix,
-            ReachabilityMode::Auto => clocks,
-        }
-    }
-}
-
 /// Failure of the HB analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HbError {
-    /// The reachable-set matrix would exceed the configured budget — the
+    /// The reachability index does not fit the configured budget — the
     /// Table 8 "Out of Memory" outcome.
     OutOfMemory {
-        /// Bytes the matrix would need.
+        /// The first size that did not fit: the matrix's, or the clock
+        /// rows' counting the first row that was not stored.
         needed: usize,
         /// Configured budget.
         budget: usize,
@@ -191,18 +172,37 @@ impl ReachIndex {
     }
 }
 
+/// The graph's edges, listed from both ends.
+struct Edges {
+    succs: Vec<Vec<(u32, EdgeRule)>>,
+    /// Reverse adjacency, kept in lockstep with `succs`.
+    preds: Vec<Vec<(u32, EdgeRule)>>,
+    count: usize,
+}
+
+impl Edges {
+    /// Links `u ⇒ v` unless it is linked already; whether it did.
+    fn add(&mut self, u: usize, v: usize, rule: EdgeRule) -> bool {
+        debug_assert!(u < v, "HB edges must go forward in sequence order");
+        if self.succs[u].iter().any(|&(t, _)| t as usize == v) {
+            return false;
+        }
+        self.succs[u].push((v as u32, rule));
+        self.preds[v].push((u as u32, rule));
+        self.count += 1;
+        true
+    }
+}
+
 /// The built HB graph plus its reachability index. Vertices are the trace
 /// record indices (`0..trace.len()`), in sequence order.
 pub struct HbAnalysis {
     trace: TraceSet,
-    edges: Vec<Vec<(u32, EdgeRule)>>,
-    /// Reverse adjacency, kept in lockstep with `edges`.
-    preds: Vec<Vec<(u32, EdgeRule)>>,
+    edges: Edges,
     /// `(slot, pos)` of each vertex: its place in the HB-ordered chain
     /// cover, as the engine placed it.
     at: Vec<(u32, u32)>,
     reach: ReachIndex,
-    edge_count: usize,
 }
 
 impl HbAnalysis {
@@ -214,69 +214,105 @@ impl HbAnalysis {
     /// turns that back into its index, each predecessor the engine lists
     /// becomes an edge (in the order listed, so a duplicate keeps its first
     /// label), and the record's final clock — padded to the slots open on
-    /// arrival — is its row of the clock index, or the OR of its
-    /// predecessors' rows its row of the matrix.
+    /// arrival — is its row of the clock index.
+    ///
+    /// Which index comes out is decided here and nowhere else, from what
+    /// the pass measures: the matrix's size is exact from the trace
+    /// length, the rows' is what has been stored. `Clocks` stores rows
+    /// while they fit the budget; `Auto` while they also stay smaller than
+    /// the matrix (the matrix on a tie) and drops them at the first row
+    /// that would not, the pass going on to list edges. A row that does
+    /// not fit is never stored, so no build holds more than the budget —
+    /// under `Auto` no more than the smaller of budget and matrix. The
+    /// matrix, forced or chosen, is made after the pass from the edges.
     pub fn build(trace: TraceSet, config: &HbConfig) -> Result<HbAnalysis, HbError> {
         let _span = dcatch_obs::span!("hb.build");
         let n = trace.len();
-        let budget = config.memory_budget_bytes;
-        let (mode, needed) = config.select_engine(n, ChainClocks::chain_count(&trace));
-        gauge!("hb_reach_bytes_peak").set_max(needed as u64);
-        if needed > budget {
+        let (mode, budget) = (config.reachability, config.memory_budget_bytes);
+        let matrix_bytes = BitMatrix::estimated_bytes(n);
+        let oom = |needed| {
             counter!("hb_oom_total").inc();
-            return Err(HbError::OutOfMemory { needed, budget });
+            Err(HbError::OutOfMemory { needed, budget })
+        };
+        if mode == ReachabilityMode::Matrix && matrix_bytes > budget {
+            return oom(matrix_bytes);
         }
-        counter!("hb_nodes_total").add(n as u64);
         // adjacency lists before the index: allocated the other way round,
         // `dcbench full_trace` read a peak RSS anywhere from 6 % below to
         // 5 % above this order's (EXPERIMENTS.md "PR 19")
-        let mut a = HbAnalysis {
-            edges: vec![Vec::new(); n],
+        let mut edges = Edges {
+            succs: vec![Vec::new(); n],
             preds: vec![Vec::new(); n],
-            at: Vec::with_capacity(n),
-            reach: match mode {
-                ReachabilityMode::Clocks => ReachIndex::Clocks(ChainClocks::with_capacity(n)),
-                _ => ReachIndex::Matrix(BitMatrix::new(n)),
-            },
-            trace,
-            edge_count: 0,
+            count: 0,
         };
+        let mut at: Vec<(u32, u32)> = Vec::with_capacity(n);
+        let mut rows = (mode != ReachabilityMode::Matrix).then(|| ChainClocks::with_capacity(n));
+        let clocks_only = mode == ReachabilityMode::Clocks;
         let _pass = dcatch_obs::span!("hb.reach");
         let mut engine = FrontierEngine::new(FrontierOptions {
             eserial: true,
             allow_retirement: false,
         });
-        for (&(node, ref queue), &info) in a.trace.queues() {
+        for (&(node, ref queue), &info) in trace.queues() {
             let queue = queue.clone();
             engine.control(&StreamControl::RegisterQueue { node, queue, info });
         }
-        for (event, node, queue) in a.trace.event_queue_entries() {
+        for (event, node, queue) in trace.event_queue_entries() {
             let queue = queue.to_owned();
             engine.control(&StreamControl::RegisterEvent { event, node, queue });
         }
         // the records of each slot, by position
         let mut members: Vec<Vec<u32>> = Vec::new();
-        for v in 0..n {
-            let at = engine.record(&a.trace.records()[v]);
-            if at.slot as usize == members.len() {
+        for (v, record) in trace.records().iter().enumerate() {
+            let arrival = engine.record(record);
+            if arrival.slot as usize == members.len() {
                 members.push(Vec::new());
             }
-            members[at.slot as usize].push(v as u32);
-            a.at.push((at.slot, at.pos));
-            if let ReachIndex::Clocks(c) = &mut a.reach {
-                c.push_row(engine.clock(at.chain), engine.chains());
+            members[arrival.slot as usize].push(v as u32);
+            at.push((arrival.slot, arrival.pos));
+            if let Some(c) = &mut rows {
+                let needed = c.bytes() + engine.chains() * 4;
+                if needed <= budget && (clocks_only || needed < matrix_bytes) {
+                    c.push_row(engine.clock(arrival.chain), engine.chains());
+                    debug_assert_eq!(c.bytes(), needed, "stored more than was checked");
+                } else if clocks_only || matrix_bytes > budget {
+                    return oom(needed);
+                } else {
+                    rows = None;
+                }
             }
             for &((slot, pos), rule) in engine.preds() {
                 let u = members[slot as usize][pos as usize - 1] as usize;
-                // a clock row arrived joined; a matrix row is made here
-                if a.add_edge(u, v, rule) && matches!(a.reach, ReachIndex::Matrix(_)) {
-                    a.reach.join_from(u, v);
-                }
-                debug_assert!(a.reaches(u, v), "{u} ⇒ {v} ({rule:?}) listed, not joined");
+                edges.add(u, v, rule);
+                debug_assert!(
+                    rows.as_ref().is_none_or(|c| c.covers(v, at[u])),
+                    "{u} ⇒ {v} ({rule:?}) listed, not joined"
+                );
             }
         }
-        counter!("hb_edges_total").add(a.edge_count as u64);
-        Ok(a)
+        let reach = match rows {
+            Some(c) => ReachIndex::Clocks(c),
+            None => {
+                // every edge points forward: in index order a predecessor's
+                // row is final by the time it is folded in
+                let mut m = ReachIndex::Matrix(BitMatrix::new(n));
+                for (v, preds) in edges.preds.iter().enumerate() {
+                    for &(u, _) in preds {
+                        m.join_from(u as usize, v);
+                    }
+                }
+                m
+            }
+        };
+        gauge!("hb_reach_bytes_peak").set_max(reach.bytes() as u64);
+        counter!("hb_nodes_total").add(n as u64);
+        counter!("hb_edges_total").add(edges.count as u64);
+        Ok(HbAnalysis {
+            trace,
+            edges,
+            at,
+            reach,
+        })
     }
 
     /// The analyzed trace (possibly ablated by the caller).
@@ -291,7 +327,7 @@ impl HbAnalysis {
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.edges.count
     }
 
     /// The reachability engine actually in use — resolves `Auto` to the
@@ -337,12 +373,12 @@ impl HbAnalysis {
 
     /// Direct successors of a vertex.
     pub fn successors(&self, v: usize) -> impl Iterator<Item = (usize, EdgeRule)> + '_ {
-        self.edges[v].iter().map(|&(t, r)| (t as usize, r))
+        self.edges.succs[v].iter().map(|&(t, r)| (t as usize, r))
     }
 
     /// Direct predecessors of a vertex.
     pub fn predecessors(&self, v: usize) -> Vec<(usize, EdgeRule)> {
-        self.preds[v]
+        self.edges.preds[v]
             .iter()
             .map(|&(u, r)| (u as usize, r))
             .collect()
@@ -431,19 +467,6 @@ impl HbAnalysis {
         }
     }
 
-    // -- construction ------------------------------------------------------
-
-    fn add_edge(&mut self, u: usize, v: usize, rule: EdgeRule) -> bool {
-        debug_assert!(u < v, "HB edges must go forward in sequence order");
-        if self.edges[u].iter().any(|&(t, _)| t as usize == v) {
-            return false;
-        }
-        self.edges[u].push((v as u32, rule));
-        self.preds[v].push((u as u32, rule));
-        self.edge_count += 1;
-        true
-    }
-
     /// Adds the loop-sync edge `u → v` to a built analysis. `v` is no
     /// longer the newest record, so what it gains is pushed forward through
     /// the successors whose ancestor summaries actually grow; a summary
@@ -451,7 +474,7 @@ impl HbAnalysis {
     /// transitively closed over the current edges — nothing beyond it can
     /// change either.
     fn add_edge_incremental(&mut self, u: usize, v: usize) {
-        if !self.add_edge(u, v, EdgeRule::LoopSync) {
+        if !self.edges.add(u, v, EdgeRule::LoopSync) {
             return;
         }
         counter!("hb_reach_delta_edges_total").inc();
@@ -460,8 +483,8 @@ impl HbAnalysis {
         }
         let mut work = vec![v];
         while let Some(w) = work.pop() {
-            for i in 0..self.edges[w].len() {
-                let t = self.edges[w][i].0 as usize;
+            for i in 0..self.edges.succs[w].len() {
+                let t = self.edges.succs[w][i].0 as usize;
                 if self.reach.join_from(w, t) {
                     work.push(t);
                 }

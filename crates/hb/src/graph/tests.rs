@@ -400,39 +400,53 @@ fn memory_budget_is_enforced() {
         .map(|i| mem(i, t0, ExecCtx::Regular, "x", false))
         .collect();
     let trace: TraceSet = records.into_iter().collect();
-    // 16 bytes is too small for either engine, so even Auto must OOM —
-    // and the reported need is the clock engine's (the cheaper fallback)
+    let build = |mode, budget| {
+        let cfg = HbConfig {
+            memory_budget_bytes: budget,
+            reachability: mode,
+        };
+        HbAnalysis::build(trace.clone(), &cfg).map(|a| a.reach_bytes())
+    };
+    // 16 bytes is too small for either index, so even Auto must OOM
     for mode in [
         ReachabilityMode::Auto,
         ReachabilityMode::Matrix,
         ReachabilityMode::Clocks,
     ] {
-        let cfg = HbConfig {
-            memory_budget_bytes: 16,
-            reachability: mode,
-        };
-        match HbAnalysis::build(trace.clone(), &cfg) {
+        match build(mode, 16) {
             Err(HbError::OutOfMemory { needed, budget }) => {
                 assert!(needed > budget, "{mode}");
             }
-            other => panic!(
-                "expected OOM under {mode}, got {:?}",
-                other.map(|a| a.vertex_count())
-            ),
+            other => panic!("expected OOM under {mode}, got {other:?}"),
         }
+    }
+    // the budget is checked against the rows held, not an estimate of
+    // them: 100 records on one chain are exactly 400 B
+    for mode in [ReachabilityMode::Auto, ReachabilityMode::Clocks] {
+        assert_eq!(build(mode, 400), Ok(400), "{mode}");
+        let (needed, budget) = (400, 399);
+        assert_eq!(
+            build(mode, budget),
+            Err(HbError::OutOfMemory { needed, budget }),
+            "{mode}: the row that does not fit is the last one"
+        );
     }
 }
 
-/// `Auto` resolves to whichever index is smaller — the matrix on a short
-/// trace, clocks on a long single-chain one — and does not switch engines
-/// to fit a budget; forcing an engine overrides the choice.
+/// `Auto` ends with whichever index is smaller as measured — clock rows on
+/// a trace of few chains, the matrix on a tie and on a wide trace, where
+/// it drops the rows as soon as they reach the matrix's size — and does
+/// not switch engines to fit a budget; forcing an engine overrides the
+/// choice.
 #[test]
 fn auto_mode_picks_the_smaller_index() {
-    let trace_of = |n: u64, tasks: u64| -> TraceSet {
-        (0..n)
-            .map(|i| mem(i, task(0, (i % tasks) as u32), ExecCtx::Regular, "x", false))
+    let trace_of = |tasks: &[u32]| -> TraceSet {
+        (0u64..)
+            .zip(tasks)
+            .map(|(i, &t)| mem(i, task(0, t), ExecCtx::Regular, "x", false))
             .collect()
     };
+    let round_robin = |n: u32, tasks: u32| trace_of(&(0..n).map(|i| i % tasks).collect::<Vec<_>>());
     let build = |trace: &TraceSet, mode, budget| {
         HbAnalysis::build(
             trace.clone(),
@@ -442,18 +456,30 @@ fn auto_mode_picks_the_smaller_index() {
             },
         )
     };
-    let cfg = HbConfig::default();
-    // n=8 in 2 chains: matrix 8 × 1 × 8 = 64 bytes, clocks 8 × 2 × 4 = 64 —
+    let auto = |trace: &TraceSet| {
+        let a = build(trace, ReachabilityMode::Auto, 1 << 20).unwrap();
+        (a.reachability(), a.reach_bytes())
+    };
+    // n=8 over 2 tasks: the rows are ragged, 4 + 7 × 8 = 60 bytes against a
+    // matrix of 8 × 1 × 8 = 64
+    assert_eq!(auto(&round_robin(8, 2)), (ReachabilityMode::Clocks, 60));
+    // rows of 1, 2, 2 and 3 slots are 32 bytes, and so is a 4 × 4 matrix:
     // the matrix on a tie
-    assert_eq!(cfg.select_engine(8, 2), (ReachabilityMode::Matrix, 64));
-    let auto = build(&trace_of(8, 2), ReachabilityMode::Auto, 1 << 20).unwrap();
-    assert_eq!(auto.reachability(), ReachabilityMode::Matrix);
+    assert_eq!(
+        auto(&trace_of(&[0, 1, 0, 2])),
+        (ReachabilityMode::Matrix, 32)
+    );
+    // wide: 256 records over 64 concurrent tasks. The rows pass the 8 192 B
+    // matrix before every task has been seen once and are dropped there (in
+    // debug, `build` asserts what it holds at every push); kept to the end
+    // they would be several times the matrix
+    let wide = round_robin(256, 64);
+    assert_eq!(auto(&wide), (ReachabilityMode::Matrix, 8192));
+    let kept = build(&wide, ReachabilityMode::Clocks, 1 << 20).unwrap();
+    assert_eq!(kept.reach_bytes(), 57_472, "seven times the matrix");
     // n=100 in 1 chain: matrix 100 × 2 × 8 = 1600 bytes, clocks 100 × 1 × 4 = 400
-    let long = trace_of(100, 1);
-    assert_eq!(cfg.select_engine(100, 1), (ReachabilityMode::Clocks, 400));
-    let auto = build(&long, ReachabilityMode::Auto, 1 << 20).unwrap();
-    assert_eq!(auto.reachability(), ReachabilityMode::Clocks);
-    assert_eq!(auto.reach_bytes(), 400);
+    let long = round_robin(100, 1);
+    assert_eq!(auto(&long), (ReachabilityMode::Clocks, 400));
     // the smaller index not fitting is out-of-memory, not an engine switch
     assert_eq!(
         build(&long, ReachabilityMode::Auto, 399).err(),

@@ -48,8 +48,9 @@
 //!   lets *full-trace* detection keep running at the unselective Table 8
 //!   scale where the matrix blows the budget.
 //!
-//! The default [`ReachabilityMode::Auto`] picks whichever index is smaller
-//! for the trace at hand ([`HbConfig::select_engine`]).
+//! The default [`ReachabilityMode::Auto`] ends with whichever index is
+//! smaller for the trace at hand, by measurement: [`HbAnalysis::build`]
+//! keeps the clock rows for as long as they are smaller than the matrix.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -58,8 +58,20 @@
 #                             # two together) are compared minus what a
 #                             # change to the online engine legitimately moves:
 #                             # `streaming.peak_bytes` and the wording of
-#                             # the window's degradation `reason`. Exits
-#                             # non-zero naming the first differing command
+#                             # the window's degradation `reason`. The three
+#                             # runs that end with a clock index (`--scale 8`
+#                             # and `48` full-traced, `--reachability clocks`)
+#                             # are compared minus its size (`reach`:
+#                             # `trace.reach_bytes`, `hb_reach_bytes_peak`):
+#                             # PR 24 measures it where its parent estimated;
+#                             # the `--mem-budget 256` run additionally minus
+#                             # how the index rung is taken (`index_rung`:
+#                             # the `trace_analysis` step's `from` / `reason`,
+#                             # the failed build's `hb.build` span and
+#                             # `hb_oom_total` — PR 24's parent asked before
+#                             # building). Every other line is compared raw.
+#                             # Exits non-zero naming the first differing
+#                             # command
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -83,7 +95,7 @@ if [[ "${1:-}" == "same" ]]; then
     trap 'rm -rf "$sa_dir"' EXIT
     mkdir "$sa_dir/parent" "$sa_dir/change"
     n=0
-    # same <projection: cat | streaming> <dcatch arguments…>
+    # same <projection: cat | streaming | reach | index_rung> <dcatch arguments…>
     same() {
         local project="$1" side
         shift
@@ -92,16 +104,32 @@ if [[ "${1:-}" == "same" ]]; then
             # a failing command is compared too: its exit status joins its output
             (cd "$sa_dir/$side" && "${!side}" "$@" >"$n.raw" 2>&1) ||
                 echo "exit $?" >>"$sa_dir/$side/$n.raw"
-            if [[ "$project" == streaming ]]; then
-                python3 - "$sa_dir/$side/$n.raw" >"$sa_dir/$side/$n.out" <<'PY'
+            if [[ "$project" != cat ]]; then
+                python3 - "$project" "$sa_dir/$side/$n.raw" >"$sa_dir/$side/$n.out" <<'PY'
 import json, sys
-doc = json.load(open(sys.argv[1]))
+project = sys.argv[1]
+doc = json.load(open(sys.argv[2]))
+def without_span(node, name):
+    node["children"] = [without_span(c, name) for c in node["children"] if c["name"] != name]
+    return node
 for b in doc["benchmarks"]:
-    if b.get("streaming"):
-        del b["streaming"]["peak_bytes"]
-    for d in b.get("degradations", []):
-        if d["stage"] == "streaming":
-            del d["reason"]
+    if project == "streaming":
+        if b.get("streaming"):
+            del b["streaming"]["peak_bytes"]
+        for d in b.get("degradations", []):
+            if d["stage"] == "streaming":
+                del d["reason"]
+    else:
+        del b["trace"]["reach_bytes"]
+        b["metrics"]["gauges"].pop("hb_reach_bytes_peak", None)
+        if b.get("profile"):
+            del b["profile"]["hb_reach_bytes_peak"]
+    if project == "index_rung":
+        for d in b["degradations"]:
+            if d["stage"] == "trace_analysis":
+                del d["from"], d["reason"]
+        without_span(b["spans"], "hb.build")
+        b["metrics"]["counters"].pop("hb_oom_total", None)
 json.dump(doc, sys.stdout, indent=1, sort_keys=True)
 PY
             else
@@ -117,12 +145,12 @@ PY
     }
     echo "== same answers as $parent =="
     same cat detect all --scrub-timings --json
-    same cat detect all --scrub-timings --json --full-tracing --no-trigger --scale 8
-    same cat detect all --scrub-timings --json --full-tracing --no-trigger --scale 48
+    same reach detect all --scrub-timings --json --full-tracing --no-trigger --scale 8
+    same reach detect all --scrub-timings --json --full-tracing --no-trigger --scale 48
     same cat detect all --scrub-timings --json --reachability matrix --scale 4
-    same cat detect all --scrub-timings --json --reachability clocks
+    same reach detect all --scrub-timings --json --reachability clocks
     same cat detect all --scrub-timings --json --mem-budget 2k
-    same cat detect all --scrub-timings --json --mem-budget 256 --full-tracing --no-trigger --scale 8
+    same index_rung detect all --scrub-timings --json --mem-budget 256 --full-tracing --no-trigger --scale 8
     same cat detect all --scrub-timings --json --time-budget 0
     same cat detect all --scrub-timings --json --budget 4096 --mem-budget 1g
     same cat faults all

@@ -108,7 +108,7 @@ fn parallel_detection_report_matches_serial_byte_for_byte() {
 /// (EXPERIMENTS.md repeats this at Table-8 scale with the 512 MB budget.)
 #[test]
 fn clock_engine_completes_full_trace_detection_where_matrix_ooms() {
-    use dcatch::{BitMatrix, ChainClocks, ReachabilityMode};
+    use dcatch::{BitMatrix, HbAnalysis, HbConfig, ReachabilityMode};
     let bench = dcatch::benchmark("MR-3274").unwrap();
     let run = World::run_once(
         &bench.program,
@@ -119,7 +119,9 @@ fn clock_engine_completes_full_trace_detection_where_matrix_ooms() {
     )
     .unwrap();
     let n = run.trace.len();
-    let clock_bytes = ChainClocks::estimated_bytes(n, ChainClocks::chain_count(&run.trace));
+    let clock_bytes = HbAnalysis::build(run.trace, &HbConfig::default())
+        .unwrap()
+        .reach_bytes();
     let budget = BitMatrix::estimated_bytes(n) - 1;
     assert!(
         clock_bytes <= budget,

@@ -1,5 +1,5 @@
 //! Crash-safe checkpoint/resume (`dcatch detect all --resume`, `dcatch
-//! synth --resume`) and the
+//! synth --resume`), the CLI's argument and closed-pipe handling, and the
 //! resource governor's two end-to-end guarantees:
 //!
 //! * a run killed after K benchmarks, resumed from its journal, emits a
@@ -146,6 +146,52 @@ fn finished_journal_skips_every_benchmark_and_tolerates_a_torn_tail() {
     assert_ne!(code, 0, "fingerprint mismatch must be an error");
 }
 
+/// A valued flag does not swallow the flag after it: `opt` / `flag` look
+/// names up anywhere in the arguments, so `--out --json` used to pass the
+/// check, turn JSON on *and* write the report to a file named `--json`.
+#[test]
+fn valued_flag_followed_by_a_flag_is_a_usage_error() {
+    let dir = temp_dir("flags");
+    let dcatch = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_dcatch"))
+            .current_dir(&dir)
+            .args(["detect", "ZK-1144", "--no-trigger"])
+            .args(args)
+            .output()
+            .expect("dcatch runs")
+    };
+    let output = dcatch(&["--out", "--json"]);
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("flag `--out` requires a value"), "{stderr}");
+    assert!(!dir.join("--json").exists(), "wrote a file named `--json`");
+    // `--budget` takes the byte suffixes `--mem-budget` does
+    assert_eq!(dcatch(&["--budget", "64k"]).status.code(), Some(0));
+    assert_eq!(dcatch(&["--budget", "64q"]).status.code(), Some(1));
+}
+
+/// Human-mode output to a reader that leaves early (`dcatch … | head -1`)
+/// ends the run quietly: the 200 KB of `trace` lines outgrow the pipe
+/// buffer, so the writer is still writing when the read end closes.
+#[test]
+fn closed_stdout_pipe_ends_the_run_without_a_panic() {
+    use std::io::{BufRead, BufReader};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dcatch"))
+        .args(["trace", "CA-1011", "--full-tracing", "--scale", "8"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("dcatch runs");
+    let mut first = String::new();
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped"));
+    stdout.read_line(&mut first).expect("a first line");
+    drop(stdout);
+    let output = child.wait_with_output().expect("dcatch exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!first.is_empty() && stderr.is_empty(), "stderr: {stderr}");
+    assert_eq!(output.status.code(), Some(0));
+}
+
 fn static_pairs(report: &BenchmarkReport) -> BTreeSet<(StmtId, StmtId)> {
     report
         .reports
@@ -222,8 +268,8 @@ fn tiny_memory_budget_degrades_instead_of_dying() {
 /// cap — for every benchmark. The miniatures' matrix is smaller than their
 /// trace, so a flat budget stops at the sampling rung above; pinning the
 /// clock engine and sizing the budget from the trace makes the index
-/// estimate bind: at the trace size the trace fits and only the index does
-/// not, at half of it the sampling rung fires first and the sampled
+/// bind: at the trace size the trace fits and only the index does not, at
+/// half of it the sampling rung fires first and the sampled
 /// schedule is the one streamed.
 #[test]
 fn last_memory_rung_is_the_streaming_window_and_never_invents() {
@@ -277,17 +323,17 @@ fn index_budget_below_mem_budget_degrades_in_ladder_order() {
     opts.mem_budget = Some(1 << 40);
     let report = Pipeline::run(&bench, &opts).expect("runs");
     assert_degraded_soundly(bench.id, &report, &free);
-    // `Auto` resolves to the smaller index — the matrix on this selective
-    // trace — and never switches engines to fit: the user's 64 B rule the
-    // index out, and the one rung below it is the streaming window
-    assert_eq!(index_steps(&report), ["matrix → streaming"]);
+    // `Auto` ends with the smaller index and never with one that does not
+    // fit: the user's 64 B rule both out, the step names the mode that was
+    // configured, and the one rung below it is the streaming window
+    assert_eq!(index_steps(&report), ["auto → streaming"]);
 
     // the same single step when the governed ceiling is what binds
     opts.hb = PipelineOptions::full().hb;
     opts.mem_budget = Some(256);
     let report = Pipeline::run(&bench, &opts).expect("runs");
     assert_degraded_soundly(bench.id, &report, &free);
-    assert_eq!(index_steps(&report), ["matrix → streaming"]);
+    assert_eq!(index_steps(&report), ["auto → streaming"]);
 
     // a forced engine is the one the ladder gives up on
     opts.hb.reachability = dcatch::ReachabilityMode::Clocks;
