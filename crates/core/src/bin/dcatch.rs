@@ -1134,12 +1134,17 @@ fn explain(args: &[String]) -> Cmd {
     let run = World::run_once(&b.program, &b.topology, cfg).map_err(|e| e.to_string())?;
     let hb =
         dcatch::HbAnalysis::build(run.trace, &HbConfig::default()).map_err(|e| e.to_string())?;
+    let names = hb.trace().names();
     let accesses: Vec<usize> = hb
         .trace()
         .records()
         .iter()
         .enumerate()
-        .filter(|(_, r)| r.kind.mem_loc().is_some_and(|l| l.object == *object))
+        .filter(|(_, r)| {
+            r.kind
+                .mem_loc()
+                .is_some_and(|l| names.name(l.object) == object)
+        })
         .map(|(i, _)| i)
         .collect();
     if accesses.is_empty() {

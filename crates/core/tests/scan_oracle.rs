@@ -19,32 +19,32 @@ use dcatch_hb::FrontierOptions;
 use dcatch_model::{FuncId, NodeId, StmtId};
 use dcatch_obs::SmallRng;
 use dcatch_trace::{
-    CallStack, ExecCtx, HandlerKind, MemLoc, MemSpace, MsgId, OpKind, Record, TaskId,
+    ExecCtx, HandlerKind, MemLoc, MemSpace, MsgId, Names, OpKind, Record, StackId, TaskId,
 };
 
 const ENGINES: [ReachabilityMode; 2] = [ReachabilityMode::Matrix, ReachabilityMode::Clocks];
 
-/// The O(accesses²) scan: groups by `(space, object)`, walks every pair
-/// `i < j` of a group and applies the filters cheapest first. Collecting
-/// single-pair candidates in encounter order makes `CandidateSet`'s own
-/// merge keep the first pair as the representative.
+/// The O(accesses²) scan: groups by `(space, object name)`, walks every
+/// pair `i < j` of a group and applies the filters cheapest first.
+/// Collecting single-pair candidates in encounter order makes
+/// `CandidateSet`'s own merge keep the first pair as the representative.
 fn all_pairs(hb: &HbAnalysis) -> CandidateSet {
-    let records = hb.trace().records();
+    let (records, names) = (hb.trace().records(), hb.trace().names());
     let mut groups: BTreeMap<(bool, &str), Vec<usize>> = BTreeMap::new();
     for idx in hb.trace().mem_access_indices() {
         let loc = records[idx].kind.mem_loc().expect("memory access");
-        let key = (matches!(loc.space, MemSpace::Zk), loc.object.as_str());
+        let key = (matches!(loc.space, MemSpace::Zk), names.name(loc.object));
         groups.entry(key).or_default().push(idx);
     }
     let site = |idx: usize| {
         let r = &records[idx];
         AccessSite {
             index: idx,
-            stmt: r.stmt().expect("checked"),
-            stack: r.stack.clone(),
+            stmt: names.leaf(r.stack).expect("checked"),
+            stack: names.stack(r.stack),
             task: r.task,
             ctx: r.ctx,
-            loc: r.kind.mem_loc().expect("memory access").clone(),
+            loc: names.location(r.kind.mem_loc().expect("memory access")),
             is_write: r.kind.is_write(),
         }
     };
@@ -63,17 +63,18 @@ fn all_pairs(hb: &HbAnalysis) -> CandidateSet {
                 if !li.conflicts_with(lj) {
                     continue;
                 }
-                let (Some(si), Some(sj)) = (ri.stmt(), rj.stmt()) else {
+                let (Some(si), Some(sj)) = (names.leaf(ri.stack), names.leaf(rj.stack)) else {
                     continue;
                 };
                 if !hb.concurrent(i, j) {
                     continue;
                 }
                 let (first, second) = if (si, i) <= (sj, j) { (i, j) } else { (j, i) };
-                let (sa, sb) = (records[first].stack.clone(), records[second].stack.clone());
+                let (sa, sb) = (ri.stack, rj.stack);
                 dynamic_pairs.push(Candidate {
                     static_pair: if si <= sj { (si, sj) } else { (sj, si) },
-                    stack_pairs: BTreeSet::from([if sa <= sb { (sa, sb) } else { (sb, sa) }]),
+                    // an unordered pair of ids, smaller first
+                    stack_pairs: BTreeSet::from([(sa.min(sb), sa.max(sb))]),
                     rep: (site(first), site(second)),
                     dynamic_count: 1,
                 });
@@ -284,8 +285,8 @@ fn task(node: u32, index: u32) -> TaskId {
     }
 }
 
-fn stack_of(stmt: u32) -> CallStack {
-    CallStack(vec![StmtId {
+fn stack_of(names: &mut Names, stmt: u32) -> StackId {
+    names.stack_of(&[StmtId {
         func: FuncId(0),
         idx: stmt,
     }])
@@ -304,7 +305,10 @@ fn random_trace(rng: &mut SmallRng) -> TraceSet {
     let read_only = rng.gen_range(tasks.len());
     let mut instance = vec![0u64; tasks.len()];
     let mut in_flight: Vec<u64> = Vec::new();
-    let mut records = Vec::new();
+    let mut trace = TraceSet::new();
+    let names = trace.names_mut();
+    let objects = [names.intern("jobs"), names.intern("state")];
+    let keys = [None, Some(names.key("k1")), Some(names.key("k2"))];
     for seq in 0..(40 + rng.gen_range(260)) as u64 {
         let t = rng.gen_range(tasks.len());
         if rng.gen_range(8) == 0 {
@@ -330,8 +334,8 @@ fn random_trace(rng: &mut SmallRng) -> TraceSet {
                 let loc = MemLoc {
                     space: if zk { MemSpace::Zk } else { MemSpace::Heap },
                     node: tasks[t].node,
-                    object: ["jobs", "state"][rng.gen_range(2)].to_owned(),
-                    key: [None, Some("k1"), Some("k2")][rng.gen_range(3)].map(str::to_owned),
+                    object: objects[rng.gen_range(2)],
+                    key: keys[rng.gen_range(3)],
                 };
                 if t == read_only || rng.gen_range(3) == 0 {
                     OpKind::MemRead { loc, value: None }
@@ -341,12 +345,12 @@ fn random_trace(rng: &mut SmallRng) -> TraceSet {
             }
         };
         let stack = if rng.gen_range(12) == 0 {
-            CallStack::default()
+            StackId::EMPTY
         } else {
             // few statements, so static pairs recur across objects and nodes
-            stack_of(rng.gen_range(6) as u32)
+            stack_of(trace.names_mut(), rng.gen_range(6) as u32)
         };
-        records.push(Record {
+        trace.push(Record {
             seq,
             task: tasks[t],
             ctx,
@@ -354,7 +358,7 @@ fn random_trace(rng: &mut SmallRng) -> TraceSet {
             stack,
         });
     }
-    records.into_iter().collect()
+    trace
 }
 
 #[test]
@@ -390,6 +394,7 @@ fn random_traces_through_the_online_window() {
         dynamic += old.iter().map(|c| c.dynamic_count).sum::<usize>();
         for sweep_every in [1, OnlineOptions::default().sweep_every] {
             let mut sink = online(sweep_every, false);
+            sink.names(trace.names());
             for r in trace.records() {
                 sink.record(r);
             }
@@ -449,21 +454,23 @@ fn ordered_pairs_are_never_examined() {
     const PER_THREAD: u32 = 5_000;
     const K: u32 = 7;
     let (a, b) = (task(0, 0), task(0, 1));
-    let mut records = Vec::new();
+    let mut trace = TraceSet::new();
+    let x = trace.names_mut().intern("x");
     let mut push = |task: TaskId, kind: OpKind, stmt: u32| {
-        records.push(Record {
-            seq: records.len() as u64,
+        let stack = stack_of(trace.names_mut(), stmt);
+        trace.push(Record {
+            seq: trace.len() as u64,
             task,
             ctx: ExecCtx::Regular,
             kind,
-            stack: stack_of(stmt),
+            stack,
         });
     };
     let write = || OpKind::MemWrite {
         loc: MemLoc {
             space: MemSpace::Heap,
             node: NodeId(0),
-            object: "x".to_owned(),
+            object: x,
             key: None,
         },
         value: None,
@@ -482,7 +489,6 @@ fn ordered_pairs_are_never_examined() {
     for _ in K..PER_THREAD {
         push(b, write(), 2);
     }
-    let trace: TraceSet = records.into_iter().collect();
     let accesses = u64::from(2 * PER_THREAD);
     assert_eq!(trace.mem_access_indices().len() as u64, accesses);
 

@@ -11,7 +11,7 @@ use dcatch::{
 };
 use dcatch_hb::{Arrival, FrontierEngine, FrontierOptions};
 use dcatch_model::NodeId;
-use dcatch_trace::{CollectSink, ExecCtx, OpKind, Record, StreamControl};
+use dcatch_trace::{CollectSink, ExecCtx, Location, Names, OpKind, Record, StreamControl};
 
 fn soak() -> bool {
     std::env::var_os("DCATCH_SOAK").is_some()
@@ -239,7 +239,7 @@ impl EngineSink {
 
 impl TraceSink for EngineSink {
     fn record(&mut self, record: &Record) {
-        let at = self.engine.record(record);
+        let at = self.engine.record(record, self.collect.trace.names());
         let clock = self.engine.clock(at.chain);
         self.clock_len_peak = self.clock_len_peak.max(clock.len());
         if matches!(record.kind, OpKind::NodeCrash { .. }) {
@@ -257,6 +257,10 @@ impl TraceSink for EngineSink {
     fn control(&mut self, control: StreamControl) {
         self.engine.control(&control);
         self.collect.control(control);
+    }
+
+    fn names(&mut self, names: &Names) {
+        self.collect.names(names);
     }
 }
 
@@ -456,8 +460,8 @@ fn window_cap_degrades_to_subset_and_is_recorded() {
         }
         lost += 1;
         let (a, b) = &rep.candidate.rep;
-        let keyless = |loc: &dcatch_trace::MemLoc| {
-            let loc = dcatch_trace::MemLoc {
+        let keyless = |loc: &Location| {
+            let loc = Location {
                 key: None,
                 ..loc.clone()
             };

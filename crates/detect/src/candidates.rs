@@ -1,12 +1,16 @@
 //! Conflicting concurrent access pair enumeration.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 use dcatch_hb::HbAnalysis;
 use dcatch_model::StmtId;
-use dcatch_trace::{CallStack, ExecCtx, MemLoc, TaskId};
+use dcatch_trace::{
+    CallStack, ExecCtx, Location, MemLoc, MemSpace, NameId, Names, Record, StackId, TaskId,
+};
 
-/// One dynamic access participating in a candidate.
+/// One dynamic access participating in a candidate, its callstack and
+/// location resolved to text: what prune, trigger and the reports read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessSite {
     /// Index of the record in the analyzed trace.
@@ -20,7 +24,7 @@ pub struct AccessSite {
     /// Execution context.
     pub ctx: ExecCtx,
     /// Accessed location.
-    pub loc: MemLoc,
+    pub loc: Location,
     /// Whether this side is a write.
     pub is_write: bool,
 }
@@ -31,8 +35,9 @@ pub struct AccessSite {
 pub struct Candidate {
     /// Canonically ordered static pair (smaller `StmtId` first).
     pub static_pair: (StmtId, StmtId),
-    /// Unique callstack pairs observed for this static pair.
-    pub stack_pairs: BTreeSet<(CallStack, CallStack)>,
+    /// Unique callstack pairs observed for this static pair: unordered
+    /// pairs of ids in the analyzed run's table, smaller id first.
+    pub stack_pairs: BTreeSet<(StackId, StackId)>,
     /// First observed dynamic pair (ordered like `static_pair`).
     pub rep: (AccessSite, AccessSite),
     /// Number of dynamic pairs observed.
@@ -46,6 +51,69 @@ impl Candidate {
     }
 }
 
+/// A dynamic access as the scans hold it while they aggregate: ids only,
+/// resolved into an [`AccessSite`] once per reported candidate side.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Access {
+    pub index: usize,
+    pub stmt: StmtId,
+    pub stack: StackId,
+    pub task: TaskId,
+    pub ctx: ExecCtx,
+    pub loc: MemLoc,
+    pub is_write: bool,
+}
+
+impl Access {
+    /// The access record `r` (at `index`, of statement `stmt`) makes on `loc`.
+    pub fn of(index: usize, r: &Record, loc: MemLoc, stmt: StmtId) -> Access {
+        Access {
+            index,
+            stmt,
+            stack: r.stack,
+            task: r.task,
+            ctx: r.ctx,
+            loc,
+            is_write: r.kind.is_write(),
+        }
+    }
+
+    /// The access with its names rendered from the run's table.
+    pub fn site(&self, names: &Names) -> AccessSite {
+        AccessSite {
+            index: self.index,
+            stmt: self.stmt,
+            stack: names.stack(self.stack),
+            task: self.task,
+            ctx: self.ctx,
+            loc: names.location(&self.loc),
+            is_write: self.is_write,
+        }
+    }
+}
+
+/// A dynamic pair's place in the all-pairs encounter order — `(zk, object,
+/// i, j)` with `i < j` — whose minimum names a static pair's
+/// representative, in the batch scan and in `OnlineDetector` alike.
+pub(crate) type Rank = (bool, NameId, usize, usize);
+
+/// Whether rank `a` comes before `b`. Objects compare by name, as the
+/// all-pairs scan meets them; the ids only decide that two are the same.
+pub(crate) fn ranks_before(names: &Names, a: Rank, b: Rank) -> bool {
+    let object = if a.1 == b.1 {
+        Ordering::Equal
+    } else {
+        names.name(a.1).cmp(names.name(b.1))
+    };
+    let order = a.0.cmp(&b.0).then(object).then((a.2, a.3).cmp(&(b.2, b.3)));
+    order == Ordering::Less
+}
+
+/// The unordered pair of two callstacks.
+pub(crate) fn stack_pair(a: StackId, b: StackId) -> (StackId, StackId) {
+    (a.min(b), a.max(b))
+}
+
 /// All candidates of one analysis, with the paper's two counting
 /// granularities. Backed by a map keyed on the canonical static pair, so
 /// lookups and dedup during merging are O(log n) instead of linear scans;
@@ -54,7 +122,6 @@ impl Candidate {
 pub struct CandidateSet {
     by_pair: BTreeMap<(StmtId, StmtId), Candidate>,
 }
-
 impl CandidateSet {
     /// Number of unique static instruction pairs (Table 4 left half).
     pub fn static_pair_count(&self) -> usize {
@@ -148,35 +215,29 @@ fn canonical(a: StmtId, b: StmtId) -> (StmtId, StmtId) {
 /// A. The cost is O(accesses × chains of the location + concurrent pairs).
 pub fn find_candidates(hb: &HbAnalysis) -> CandidateSet {
     let _span = dcatch_obs::span!("detect.scan");
-    let records = hb.trace().records();
-    // index record indices by location: heap objects per node, zknodes
-    // cluster-wide; keys borrow from the records, so building the index
-    // allocates nothing per access
-    let mut groups: BTreeMap<(bool, &str, u32), Vec<usize>> = BTreeMap::new();
+    let (records, names) = (hb.trace().records(), hb.trace().names());
+    // index record indices by location — heap objects per node, zknodes
+    // cluster-wide — under integer keys
+    let mut groups: BTreeMap<(bool, u32, NameId), Vec<usize>> = BTreeMap::new();
     for (idx, r) in records.iter().enumerate() {
         if let Some(loc) = r.kind.mem_loc() {
-            let zk = matches!(loc.space, dcatch_trace::MemSpace::Zk);
+            let zk = loc.space == MemSpace::Zk;
             let node = if zk { 0 } else { loc.node.0 };
-            groups
-                .entry((zk, loc.object.as_str(), node))
-                .or_default()
-                .push(idx);
+            groups.entry((zk, node, loc.object)).or_default().push(idx);
         }
     }
 
-    // Aggregation state borrows callstacks from the trace records: a
-    // dynamic pair costs two `&CallStack` comparisons and at most one
-    // set insert, never a clone. Owned `Candidate`s are materialized once
-    // per unique static pair after the scan. `rank` is the all-pairs
-    // encounter order — `(space, object, i, j)` with `i < j` — whose
-    // minimum names the representative pair, as in `OnlineDetector`.
-    struct Agg<'t> {
-        stack_pairs: BTreeSet<(&'t CallStack, &'t CallStack)>,
-        rank: (bool, &'t str, usize, usize),
+    // Aggregation state is ids and record indices: a dynamic pair costs a
+    // set insert at most. Owned `Candidate`s are materialized once per
+    // unique static pair after the scan. `rank` is the all-pairs encounter
+    // order ([`Rank`]), as in `OnlineDetector`.
+    struct Agg {
+        stack_pairs: BTreeSet<(StackId, StackId)>,
+        rank: Rank,
         rep: (usize, usize),
         dynamic_count: usize,
     }
-    let mut agg: BTreeMap<(StmtId, StmtId), Agg<'_>> = BTreeMap::new();
+    let mut agg: BTreeMap<(StmtId, StmtId), Agg> = BTreeMap::new();
     let (mut queries, mut examined, mut chain_total) = (0u64, 0u64, 0u64);
     // every HB edge points forward in trace order, so only `a < b` can
     // hold `a ⇒ b`: the index test saves the query
@@ -186,7 +247,7 @@ pub fn find_candidates(hb: &HbAnalysis) -> CandidateSet {
             hb.happens_before(a, b)
         }
     };
-    for (&(zk, object, _), indices) in &groups {
+    for (&(zk, _, object), indices) in &groups {
         // greedy cover: an access extends the chain its own program-order
         // group last extended if that chain's tail happens before it, else
         // the first chain whose tail does, else it opens a new chain
@@ -230,12 +291,11 @@ pub fn find_candidates(hb: &HbAnalysis) -> CandidateSet {
                         if !li.conflicts_with(lj) {
                             continue;
                         }
-                        let (Some(si), Some(sj)) = (ri.stmt(), rj.stmt()) else {
+                        let (Some(si), Some(sj)) = (names.leaf(ri.stack), names.leaf(rj.stack))
+                        else {
                             continue;
                         };
                         let rep = if (si, i) <= (sj, j) { (i, j) } else { (j, i) };
-                        let (sa, sb) = (&records[rep.0].stack, &records[rep.1].stack);
-                        let stack_pair = if sa <= sb { (sa, sb) } else { (sb, sa) };
                         let rank = (zk, object, i, j);
                         let c = agg.entry(canonical(si, sj)).or_insert(Agg {
                             stack_pairs: BTreeSet::new(),
@@ -244,8 +304,8 @@ pub fn find_candidates(hb: &HbAnalysis) -> CandidateSet {
                             dynamic_count: 0,
                         });
                         c.dynamic_count += 1;
-                        c.stack_pairs.insert(stack_pair);
-                        if rank < c.rank {
+                        c.stack_pairs.insert(stack_pair(ri.stack, rj.stack));
+                        if ranks_before(names, rank, c.rank) {
                             (c.rank, c.rep) = (rank, rep);
                         }
                     }
@@ -258,32 +318,17 @@ pub fn find_candidates(hb: &HbAnalysis) -> CandidateSet {
     dcatch_obs::counter!("detect_scan_chains_total").add(chain_total);
     let site = |idx: usize| {
         let r = &records[idx];
-        AccessSite {
-            index: idx,
-            stmt: r
-                .stmt()
-                .expect("representative access was admitted only after stmt() returned Some"),
-            stack: r.stack.clone(),
-            task: r.task,
-            ctx: r.ctx,
-            loc: r
-                .kind
-                .mem_loc()
-                .expect("representative access was admitted only after conflicts_with")
-                .clone(),
-            is_write: r.kind.is_write(),
-        }
+        let (Some(&loc), Some(stmt)) = (r.kind.mem_loc(), names.leaf(r.stack)) else {
+            unreachable!("representative accesses were admitted with a location and a stmt");
+        };
+        Access::of(idx, r, loc, stmt).site(names)
     };
     let by_pair = agg
         .into_iter()
         .map(|(key, a)| {
             let c = Candidate {
                 static_pair: key,
-                stack_pairs: a
-                    .stack_pairs
-                    .into_iter()
-                    .map(|(x, y)| (x.clone(), y.clone()))
-                    .collect(),
+                stack_pairs: a.stack_pairs,
                 rep: (site(a.rep.0), site(a.rep.1)),
                 dynamic_count: a.dynamic_count,
             };

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dcatch_hb::HbAnalysis;
 use dcatch_model::{DependenceAnalysis, FuncKind, LoopId, Program, Stmt, StmtId, StmtKind};
-use dcatch_trace::{OpKind, TaskId, TraceSet};
+use dcatch_trace::{Names, OpKind, Record, TaskId, TraceSet};
 
 use crate::candidates::{find_candidates, CandidateSet};
 
@@ -164,11 +164,11 @@ pub fn plan_loop_sync(
         .collect();
     let read_stmts: BTreeSet<StmtId> = polled.iter().map(|p| p.read).collect();
 
-    let records = focused.records();
+    let (records, names) = (focused.records(), focused.names());
     let mut focus_ordinals: BTreeMap<OccKey, usize> = BTreeMap::new();
     let mut keyed: Vec<Option<(OccKey, usize)>> = Vec::with_capacity(records.len());
     for r in records {
-        match occ_key(r) {
+        match occ_key(r, names) {
             Some(k) => {
                 let ord = focus_ordinals.entry(k).or_insert(0);
                 let this = *ord;
@@ -189,12 +189,12 @@ pub fn plan_loop_sync(
         // last instance of a polled read before this exit (global order)
         let Some((read_idx, read_stmt, value)) =
             records[..i].iter().enumerate().rev().find_map(|(j, c)| {
-                let stmt = c.stmt()?;
+                let stmt = names.leaf(c.stack)?;
                 if !read_stmts.contains(&stmt) {
                     return None;
                 }
-                match &c.kind {
-                    OpKind::MemRead { value: Some(v), .. } => Some((j, stmt, v.clone())),
+                match c.kind {
+                    OpKind::MemRead { value: Some(v), .. } => Some((j, stmt, v)),
                     _ => None,
                 }
             })
@@ -217,7 +217,7 @@ pub fn plan_loop_sync(
                         return None;
                     };
                     if loc.conflicts_with(read_loc) && *v == value {
-                        Some((j, c.stmt()?, c.task))
+                        Some((j, names.leaf(c.stack)?, c.task))
                     } else {
                         None
                     }
@@ -345,16 +345,17 @@ fn for_each_retry_while(
 /// the same seed because the focused run executes the identical schedule.
 pub type OccKey = (TaskId, &'static str, StmtId);
 
-/// The [`OccKey`] of one record, if it carries a static location.
-pub fn occ_key(r: &dcatch_trace::Record) -> Option<OccKey> {
-    let stmt = r.stmt()?;
+/// The [`OccKey`] of one record, whose callstack `names` resolves, if it
+/// carries a static location.
+pub fn occ_key(r: &Record, names: &Names) -> Option<OccKey> {
+    let stmt = names.leaf(r.stack)?;
     Some((r.task, r.kind.tag(), stmt))
 }
 
 fn occurrence_index(trace: &TraceSet) -> BTreeMap<OccKey, Vec<usize>> {
     let mut map: BTreeMap<OccKey, Vec<usize>> = BTreeMap::new();
     for (i, r) in trace.records().iter().enumerate() {
-        if let Some(k) = occ_key(r) {
+        if let Some(k) = occ_key(r, trace.names()) {
             map.entry(k).or_default().push(i);
         }
     }

@@ -37,11 +37,11 @@ use std::collections::{btree_map::Entry, BTreeMap, BTreeSet, VecDeque};
 use dcatch_hb::{ablate_record, Ablation, Arrival, FrontierEngine, FrontierOptions};
 use dcatch_model::{NodeId, StmtId};
 use dcatch_trace::{
-    record_len, CallStack, ExecCtx, MemLoc, MemSpace, Record, StreamControl, TaskId, TraceSink,
-    TraceStats,
+    record_len, ExecCtx, Key, MemLoc, MemSpace, NameId, Names, Record, StackId, StreamControl,
+    TaskId, TraceSink, TraceStats,
 };
 
-use crate::candidates::{AccessSite, Candidate, CandidateSet};
+use crate::candidates::{ranks_before, stack_pair, Access, Candidate, CandidateSet, Rank};
 use crate::loopsync::{occ_key, OccKey};
 
 /// Sweep cadence: provable retirement (and gauge refresh) runs once per
@@ -108,9 +108,10 @@ pub struct StreamOutcome {
     pub records_retired: u64,
     /// Window entries force-evicted by the hard cap (lossy).
     pub records_forced: u64,
-    /// Where the force-evicted accesses were: `space:node:object`, as
-    /// [`MemLoc`] displays it without the key. A candidate the cap lost has
-    /// an access on one of these; every other location was scanned exactly.
+    /// Where the force-evicted accesses were: `space:node:object`, as a
+    /// [`Location`](dcatch_trace::Location) displays without its key. A
+    /// candidate the cap lost has an access on one of these; every other
+    /// location was scanned exactly.
     pub lossy_locations: BTreeSet<String>,
     /// Peak resident-memory estimate (engine + window), in bytes,
     /// sampled at sweep boundaries.
@@ -123,8 +124,8 @@ pub struct StreamOutcome {
 }
 
 /// A still-raceable memory access held in the bounded window, identified
-/// by its engine `(slot, pos)`.
-#[derive(Debug)]
+/// by its engine `(slot, pos)`. It holds no heap memory.
+#[derive(Debug, Clone, Copy)]
 struct WindowEntry {
     slot: u32,
     pos: u32,
@@ -135,23 +136,27 @@ struct WindowEntry {
     /// Space and object are the group's; the node is too, except for a
     /// zknode (cluster-wide group, observer's node kept for the report).
     node: NodeId,
-    key: Option<String>,
+    key: Option<Key>,
     stmt: StmtId,
-    stack: CallStack,
+    stack: StackId,
 }
+
+/// A location group, as the batch scan keys it: zk or not, the heap
+/// object's node (0 for a zknode), the object.
+type Group = (bool, u32, NameId);
 
 /// One location's window: a cover of its entries by HB-ordered chains,
 /// each in arrival order. No chain is ever empty.
 type Cover = Vec<VecDeque<WindowEntry>>;
 
 /// Per-static-pair aggregation in flight. `rank` is the batch scan's
-/// encounter order — `(group key, i, j)` — so the representative pair
-/// min-merges to exactly the one the batch scan keeps.
+/// encounter order, so the representative pair min-merges to exactly the
+/// one the batch scan keeps; it is resolved to text at `finalize`.
 #[derive(Debug)]
 struct PendAgg {
-    rank: (bool, String, usize, usize),
-    rep: (AccessSite, AccessSite),
-    stack_pairs: BTreeSet<(CallStack, CallStack)>,
+    rank: Rank,
+    rep: (Access, Access),
+    stack_pairs: BTreeSet<(StackId, StackId)>,
     dynamic_count: usize,
 }
 
@@ -160,14 +165,15 @@ struct PendAgg {
 #[derive(Debug)]
 pub struct OnlineDetector {
     engine: FrontierEngine,
+    /// The streamed run's name table, as far as the simulator has shown it.
+    names: Names,
     ablation: Ablation,
     window_cap: Option<usize>,
     sweep_every: usize,
-    /// Per location group — keyed `(zk, node-or-0)` then object, as the
-    /// batch scan groups — its [`Cover`]: what any clock covers of a chain
-    /// is a prefix of its deque (clocks are transitively closed). No group
-    /// is ever empty.
-    window: BTreeMap<(bool, u32), BTreeMap<String, Cover>>,
+    /// Per location [`Group`] its [`Cover`]: what any clock covers of a
+    /// chain is a prefix of its deque (clocks are transitively closed). No
+    /// group is ever empty.
+    window: BTreeMap<Group, Cover>,
     window_len: usize,
     window_peak: usize,
     records_retired: u64,
@@ -209,6 +215,7 @@ impl OnlineDetector {
         }
         OnlineDetector {
             engine,
+            names: Names::new(),
             ablation: opts.ablation,
             window_cap: opts.window_cap,
             sweep_every: opts.sweep_every.max(1),
@@ -248,27 +255,18 @@ impl OnlineDetector {
         self.records
     }
 
-    /// Resident-memory estimate, in bytes: the engine, every window entry
-    /// with its map key and callstack, the aggregates in flight and the
-    /// loop-sync source clocks.
+    /// Resident-memory estimate, in bytes: the engine, the run's name
+    /// table, the window's entries and chains, the aggregates in flight and
+    /// the loop-sync source clocks.
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
-        let text = |s: &Option<String>| s.as_ref().map_or(0, String::len);
-        let stack = |s: &CallStack| s.depth() * size_of::<StmtId>();
-        let site = |a: &AccessSite| stack(&a.stack) + a.loc.object.len() + text(&a.loc.key);
-        let pair = |(x, y): &(CallStack, CallStack)| {
-            size_of::<(CallStack, CallStack)>() + stack(x) + stack(y)
-        };
-        let mut b = self.engine.bytes();
-        for (obj, chains) in self.window.values().flatten() {
-            b += obj.len() + 64;
-            for e in chains.iter().flatten() {
-                b += size_of::<WindowEntry>() + text(&e.key) + stack(&e.stack);
-            }
+        let mut b = self.engine.bytes() + self.names.bytes();
+        b += self.window_len * size_of::<WindowEntry>();
+        for chains in self.window.values() {
+            b += 64 + chains.len() * size_of::<VecDeque<WindowEntry>>();
         }
         for a in self.agg.values() {
-            b += size_of::<PendAgg>() + a.rank.1.len() + site(&a.rep.0) + site(&a.rep.1);
-            b += a.stack_pairs.iter().map(pair).sum::<usize>();
+            b += size_of::<PendAgg>() + a.stack_pairs.len() * size_of::<(StackId, StackId)>();
         }
         for c in self.src_clocks.values() {
             b += size_of::<(OccKey, usize, Vec<u32>)>() + 4 * c.len();
@@ -278,19 +276,18 @@ impl OnlineDetector {
 
     fn process(&mut self, r: &Record) {
         self.stats.add(r);
-        self.trace_bytes += record_len(r) + 1;
+        self.trace_bytes += record_len(r, &self.names) + 1;
         let Some(r) = ablate_record(r, self.ablation) else {
             return;
         };
-        let r = &*r;
         let index = self.records;
         self.records += 1;
-        let at = self.engine.record(r);
+        let at = self.engine.record(&r, &self.names);
         if !self.watched_keys.is_empty() {
-            self.fire_sync_edges(r, at);
+            self.fire_sync_edges(&r, at);
         }
-        if let (Some(loc), Some(stmt)) = (r.kind.mem_loc(), r.stmt()) {
-            self.scan_pair(r, at, index, loc, stmt);
+        if let (Some(&loc), Some(stmt)) = (r.kind.mem_loc(), self.names.leaf(r.stack)) {
+            self.scan_pair(&r, at, index, loc, stmt);
         }
         if self.records % self.sweep_every == 0 {
             self.sweep();
@@ -303,7 +300,7 @@ impl OnlineDetector {
     /// arrives simply never fires — mirroring the batch path's dropped
     /// `to_original` translations.
     fn fire_sync_edges(&mut self, r: &Record, at: Arrival) {
-        let Some(k) = occ_key(r) else {
+        let Some(k) = occ_key(r, &self.names) else {
             return;
         };
         if !self.watched_keys.contains(&k) {
@@ -340,18 +337,14 @@ impl OnlineDetector {
     /// — one look-up says a chain is covered whole (its own program-order
     /// chain always is), and no ordered entry is visited. The access then
     /// extends the first chain it covers, or opens a new one.
-    fn scan_pair(&mut self, r: &Record, at: Arrival, index: usize, loc: &MemLoc, stmt: StmtId) {
+    fn scan_pair(&mut self, r: &Record, at: Arrival, index: usize, loc: MemLoc, stmt: StmtId) {
         let is_write = r.kind.is_write();
-        let zk = matches!(loc.space, MemSpace::Zk);
-        let group = (zk, if zk { 0 } else { loc.node.0 });
+        let zk = loc.space == MemSpace::Zk;
+        let group = (zk, if zk { 0 } else { loc.node.0 }, loc.object);
         let clock_j = self.engine.clock(at.chain);
         let covers = |e: &WindowEntry| clock_j.get(e.slot as usize).copied().unwrap_or(0) >= e.pos;
         let [queries, examined, opened] = &mut self.scan_work;
-        let objects = self.window.entry(group).or_default();
-        let chains = match objects.get_mut(loc.object.as_str()) {
-            Some(chains) => chains,
-            None => objects.entry(loc.object.clone()).or_default(),
-        };
+        let chains = self.window.entry(group).or_default();
         let mut home = None;
         for (c, dq) in chains.iter().enumerate() {
             *queries += 1;
@@ -365,74 +358,50 @@ impl OnlineDetector {
                     continue;
                 }
                 // the group already matched space, object and heap node
-                if !MemLoc::keys_alias(&e.key, &loc.key) {
+                if !MemLoc::keys_alias(e.key, loc.key) {
                     continue;
                 }
                 let (si, sj) = (e.stmt, stmt);
                 let key = if si <= sj { (si, sj) } else { (sj, si) };
-                let swap = (si, e.index) > (sj, index);
-                let (sa, sb) = if swap {
-                    (&r.stack, &e.stack)
-                } else {
-                    (&e.stack, &r.stack)
-                };
-                let stack_pair = if sa <= sb {
-                    (sa.clone(), sb.clone())
-                } else {
-                    (sb.clone(), sa.clone())
-                };
                 // the batch scan's representative is the pair of minimal
-                // (space, object, i, j) rank; sites and the rank's object
-                // are built only when one is set
-                let lowers = |a: &PendAgg| {
-                    (zk, loc.object.as_str(), e.index, index)
-                        < (a.rank.0, a.rank.1.as_str(), a.rank.2, a.rank.3)
-                };
-                let rank = || (zk, loc.object.clone(), e.index, index);
-                let make_rep = || {
-                    let site_i = AccessSite {
+                // rank, its sides ordered like the static pair
+                let rank = (zk, loc.object, e.index, index);
+                let rep = || {
+                    let site_i = Access {
                         index: e.index,
                         stmt: e.stmt,
-                        stack: e.stack.clone(),
+                        stack: e.stack,
                         task: e.task,
                         ctx: e.ctx,
                         loc: MemLoc {
-                            space: loc.space,
                             node: e.node,
-                            object: loc.object.clone(),
-                            key: e.key.clone(),
+                            key: e.key,
+                            ..loc
                         },
                         is_write: e.is_write,
                     };
-                    let site_j = AccessSite {
-                        index,
-                        stmt,
-                        stack: r.stack.clone(),
-                        task: r.task,
-                        ctx: r.ctx,
-                        loc: loc.clone(),
-                        is_write,
-                    };
-                    if swap {
+                    let site_j = Access::of(index, r, loc, stmt);
+                    if (si, e.index) > (sj, index) {
                         (site_j, site_i)
                     } else {
                         (site_i, site_j)
                     }
                 };
+                let stacks = stack_pair(e.stack, r.stack);
                 match self.agg.entry(key) {
                     Entry::Occupied(mut o) => {
                         let a = o.get_mut();
                         a.dynamic_count += 1;
-                        a.stack_pairs.insert(stack_pair);
-                        if lowers(a) {
-                            (a.rank, a.rep) = (rank(), make_rep());
+                        a.stack_pairs.insert(stacks);
+                        if ranks_before(&self.names, rank, a.rank) {
+                            (a.rank, a.rep) = (rank, rep());
                         }
                     }
                     Entry::Vacant(v) => {
                         v.insert(PendAgg {
-                            rank: rank(),
-                            rep: make_rep(),
-                            stack_pairs: [stack_pair].into_iter().collect(),
+                            rank,
+                            rep: rep(),
+                            stack_pairs: BTreeSet::from([stacks]),
                             dynamic_count: 1,
                         });
                     }
@@ -452,9 +421,9 @@ impl OnlineDetector {
             ctx: r.ctx,
             is_write,
             node: loc.node,
-            key: loc.key.clone(),
+            key: loc.key,
             stmt,
-            stack: r.stack.clone(),
+            stack: r.stack,
         });
         self.window_len += 1;
         if self.window_len > self.window_peak {
@@ -471,28 +440,26 @@ impl OnlineDetector {
     /// chain, chains being in arrival order (hard-cap overflow; lossy).
     fn evict_oldest(&mut self) {
         let front = |dq: &VecDeque<WindowEntry>| dq.front().map_or(usize::MAX, |e| e.index);
-        let mut oldest: Option<(bool, &String, &mut VecDeque<WindowEntry>)> = None;
-        for (&(zk, _), objects) in &mut self.window {
-            for (object, cover) in objects {
-                for dq in cover {
-                    if oldest.as_ref().is_none_or(|(.., o)| front(dq) < front(o)) {
-                        oldest = Some((zk, object, dq));
-                    }
+        let mut oldest: Option<(Group, &mut VecDeque<WindowEntry>)> = None;
+        for (&group, cover) in &mut self.window {
+            for dq in cover {
+                if oldest.as_ref().is_none_or(|(_, o)| front(dq) < front(o)) {
+                    oldest = Some((group, dq));
                 }
             }
         }
-        let Some((zk, object, Some(evicted))) =
-            oldest.map(|(zk, object, dq)| (zk, object, dq.pop_front()))
+        let Some(((zk, _, object), Some(evicted))) = oldest.map(|(g, dq)| (g, dq.pop_front()))
         else {
             return;
         };
         let loc = MemLoc {
             space: if zk { MemSpace::Zk } else { MemSpace::Heap },
             node: evicted.node,
-            object: object.clone(),
+            object,
             key: None,
         };
-        self.lossy_locations.insert(loc.to_string());
+        let location = self.names.location(&loc);
+        self.lossy_locations.insert(location.to_string());
         self.drop_empty_chains();
         self.window_len -= 1;
         self.records_forced += 1;
@@ -500,12 +467,9 @@ impl OnlineDetector {
     }
 
     fn drop_empty_chains(&mut self) {
-        self.window.retain(|_, objects| {
-            objects.retain(|_, chains| {
-                chains.retain(|dq| !dq.is_empty());
-                !chains.is_empty()
-            });
-            !objects.is_empty()
+        self.window.retain(|_, chains| {
+            chains.retain(|dq| !dq.is_empty());
+            !chains.is_empty()
         });
     }
 
@@ -517,8 +481,7 @@ impl OnlineDetector {
             let covered =
                 |e: &WindowEntry| bound.get(e.slot as usize).copied().unwrap_or(0) >= e.pos;
             let mut dropped = 0usize;
-            let chains = self.window.values_mut().flat_map(BTreeMap::values_mut);
-            for dq in chains.flatten() {
+            for dq in self.window.values_mut().flatten() {
                 let retired = dq.partition_point(covered);
                 dq.drain(..retired);
                 dropped += retired;
@@ -543,8 +506,9 @@ impl OnlineDetector {
         dcatch_obs::gauge!("stream_live_chains_peak").set_max(self.engine.live_chains() as u64);
     }
 
-    /// Closes the pass: materializes the candidate set (with the batch
-    /// scan's counters) and returns everything measured along the way.
+    /// Closes the pass: materializes the candidate set — the one place the
+    /// pass renders names — with the batch scan's counters, and returns
+    /// everything measured along the way.
     pub fn finalize(mut self) -> StreamOutcome {
         let _span = dcatch_obs::span!("detect.stream_finalize");
         let bytes = self.bytes();
@@ -552,13 +516,14 @@ impl OnlineDetector {
             self.peak_bytes = bytes;
         }
         self.refresh_gauges();
+        let names = &self.names;
         let candidates: CandidateSet = self
             .agg
             .into_iter()
             .map(|(key, a)| Candidate {
                 static_pair: key,
                 stack_pairs: a.stack_pairs,
-                rep: a.rep,
+                rep: (a.rep.0.site(names), a.rep.1.site(names)),
                 dynamic_count: a.dynamic_count,
             })
             .collect();
@@ -593,6 +558,10 @@ impl TraceSink for OnlineDetector {
 
     fn control(&mut self, control: StreamControl) {
         self.engine.control(&control);
+    }
+
+    fn names(&mut self, names: &Names) {
+        self.names.extend_from(names);
     }
 }
 

@@ -11,8 +11,6 @@
 //!    *different* handler instances on the same thread become (wrongly)
 //!    ordered (→ false negatives).
 
-use std::borrow::Cow;
-
 use dcatch_trace::{ExecCtx, HandlerKind, OpKind, Record, TraceSet};
 
 /// Which HB-related record category to ignore.
@@ -109,24 +107,24 @@ pub fn apply_ablation(trace: TraceSet, ablation: Ablation) -> TraceSet {
 /// [`apply_ablation`] for one record of a stream: `None` when the ablated
 /// analyzer ignores the record, otherwise the record as it sees it (a
 /// demoted handler context rewritten to regular program order).
-pub fn ablate_record(r: &Record, ablation: Ablation) -> Option<Cow<'_, Record>> {
+pub fn ablate_record(r: &Record, ablation: Ablation) -> Option<Record> {
     if drops(ablation, &r.kind) {
         None
     } else if demotes(ablation, r.ctx) {
-        Some(Cow::Owned(Record {
+        Some(Record {
             ctx: ExecCtx::Regular,
-            ..r.clone()
-        }))
+            ..*r
+        })
     } else {
-        Some(Cow::Borrowed(r))
+        Some(*r)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcatch_model::{FuncId, NodeId, StmtId};
-    use dcatch_trace::{CallStack, EventId, TaskId};
+    use dcatch_model::NodeId;
+    use dcatch_trace::{EventId, StackId, TaskId};
 
     fn rec(seq: u64, ctx: ExecCtx, kind: OpKind) -> Record {
         Record {
@@ -137,11 +135,14 @@ mod tests {
             },
             ctx,
             kind,
-            stack: CallStack(vec![StmtId {
-                func: FuncId(0),
-                idx: 0,
-            }]),
+            stack: StackId::EMPTY,
         }
+    }
+
+    fn trace(records: Vec<Record>) -> TraceSet {
+        let mut trace = TraceSet::new();
+        trace.extend(records);
+        trace
     }
 
     #[test]
@@ -150,7 +151,7 @@ mod tests {
             kind: HandlerKind::Event,
             instance: 1,
         };
-        let trace: TraceSet = vec![
+        let trace = trace(vec![
             rec(
                 0,
                 ExecCtx::Regular,
@@ -158,9 +159,7 @@ mod tests {
             ),
             rec(1, hctx, OpKind::EventBegin { event: EventId(1) }),
             rec(2, hctx, OpKind::ThreadBegin), // stand-in body record
-        ]
-        .into_iter()
-        .collect();
+        ]);
         let ablated = apply_ablation(trace.clone(), Ablation::IgnoreEvent);
         assert_eq!(ablated.len(), 1);
         assert_eq!(ablated.records()[0].ctx, ExecCtx::Regular);
@@ -169,7 +168,6 @@ mod tests {
             .records()
             .iter()
             .filter_map(|r| ablate_record(r, Ablation::IgnoreEvent))
-            .map(|r| r.into_owned())
             .collect();
         assert_eq!(streamed, ablated.records());
     }
@@ -180,18 +178,14 @@ mod tests {
             kind: HandlerKind::Rpc,
             instance: 2,
         };
-        let trace: TraceSet = vec![rec(0, rpc_ctx, OpKind::ThreadBegin)]
-            .into_iter()
-            .collect();
+        let trace = trace(vec![rec(0, rpc_ctx, OpKind::ThreadBegin)]);
         let ablated = apply_ablation(trace, Ablation::IgnoreEvent);
         assert_eq!(ablated.records()[0].ctx, rpc_ctx);
     }
 
     #[test]
     fn none_is_identity() {
-        let trace: TraceSet = vec![rec(0, ExecCtx::Regular, OpKind::ThreadBegin)]
-            .into_iter()
-            .collect();
+        let trace = trace(vec![rec(0, ExecCtx::Regular, OpKind::ThreadBegin)]);
         let same = apply_ablation(trace.clone(), Ablation::None);
         assert_eq!(same.records(), trace.records());
     }

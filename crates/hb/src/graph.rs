@@ -264,7 +264,7 @@ impl HbAnalysis {
         // the records of each slot, by position
         let mut members: Vec<Vec<u32>> = Vec::new();
         for (v, record) in trace.records().iter().enumerate() {
-            let arrival = engine.record(record);
+            let arrival = engine.record(record, trace.names());
             if arrival.slot as usize == members.len() {
                 members.push(Vec::new());
             }
@@ -434,8 +434,7 @@ impl HbAnalysis {
             let _ = writeln!(out, "    label=\"{task}\";");
             for &v in verts {
                 let r = &self.trace.records()[v];
-                let stmt = r
-                    .stmt()
+                let stmt = (self.trace.names().leaf(r.stack))
                     .map(|s| s.to_string())
                     .unwrap_or_else(|| "-".to_owned());
                 let _ = writeln!(out, "    v{v} [label=\"#{v} {} {stmt}\"];", r.kind.tag());

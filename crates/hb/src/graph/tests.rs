@@ -1,7 +1,7 @@
 use dcatch_model::{FuncId, NodeId, StmtId};
 use dcatch_trace::{
-    CallStack, EventId, ExecCtx, HandlerKind, MemLoc, MemSpace, MsgId, OpKind, QueueInfo, Record,
-    RpcId, StreamControl, TaskId, TraceSet,
+    EventId, ExecCtx, HandlerKind, MemLoc, MemSpace, MsgId, NameId, Names, OpKind, QueueInfo,
+    Record, RpcId, StackId, StreamControl, TaskId, TraceSet,
 };
 
 use super::{EdgeRule, HbAnalysis, HbConfig, HbError, ReachabilityMode};
@@ -14,24 +14,51 @@ fn task(node: u32, index: u32) -> TaskId {
     }
 }
 
+/// Every name the tests use, by id.
+const NAMES: &[&str] = &[
+    "x", "y", "before", "inchild", "after", "arg", "served", "result", "payload", "received",
+    "observed", "setup", "handled", "state", "a", "w", "r", "/r",
+];
+
+fn name(text: &str) -> NameId {
+    NameId(
+        NAMES
+            .iter()
+            .position(|n| *n == text)
+            .expect("listed in NAMES") as u32,
+    )
+}
+
+/// A record whose callstack [`traced`] fills in.
 fn rec(seq: u64, t: TaskId, ctx: ExecCtx, kind: OpKind) -> Record {
     Record {
         seq,
         task: t,
         ctx,
         kind,
-        stack: CallStack(vec![StmtId {
-            func: FuncId(0),
-            idx: seq as u32,
-        }]),
+        stack: StackId::EMPTY,
     }
+}
+
+/// The trace of `records`, each given the callstack `f0:<seq>`.
+fn traced(records: Vec<Record>) -> TraceSet {
+    let mut trace = TraceSet::with_names(Names::with_base(NAMES.iter().map(|n| n.to_string())));
+    for mut r in records {
+        let stmt = StmtId {
+            func: FuncId(0),
+            idx: r.seq as u32,
+        };
+        r.stack = trace.names_mut().stack_of(&[stmt]);
+        trace.push(r);
+    }
+    trace
 }
 
 fn mem(seq: u64, t: TaskId, ctx: ExecCtx, object: &str, write: bool) -> Record {
     let loc = MemLoc {
         space: MemSpace::Heap,
         node: t.node,
-        object: object.to_owned(),
+        object: name(object),
         key: None,
     };
     let kind = if write {
@@ -43,8 +70,7 @@ fn mem(seq: u64, t: TaskId, ctx: ExecCtx, object: &str, write: bool) -> Record {
 }
 
 fn build(records: Vec<Record>) -> HbAnalysis {
-    let trace: TraceSet = records.into_iter().collect();
-    HbAnalysis::build(trace, &HbConfig::default()).unwrap()
+    HbAnalysis::build(traced(records), &HbConfig::default()).unwrap()
 }
 
 #[test]
@@ -158,7 +184,7 @@ fn push_edge_pairs_update_with_matching_version() {
             writer,
             ExecCtx::Regular,
             OpKind::ZkUpdate {
-                path: "/r".into(),
+                path: name("/r"),
                 version: 1,
             },
         ),
@@ -167,7 +193,7 @@ fn push_edge_pairs_update_with_matching_version() {
             writer,
             ExecCtx::Regular,
             OpKind::ZkUpdate {
-                path: "/r".into(),
+                path: name("/r"),
                 version: 2,
             },
         ),
@@ -176,7 +202,7 @@ fn push_edge_pairs_update_with_matching_version() {
             watcher,
             wctx,
             OpKind::ZkPushed {
-                path: "/r".into(),
+                path: name("/r"),
                 version: 1,
             },
         ),
@@ -195,7 +221,7 @@ fn eenq_orders_enqueue_before_handling() {
         instance: 1,
     };
     let e = EventId(5);
-    let mut trace: TraceSet = vec![
+    let mut trace = traced(vec![
         mem(0, producer, ExecCtx::Regular, "setup", true),
         rec(
             1,
@@ -206,9 +232,7 @@ fn eenq_orders_enqueue_before_handling() {
         rec(2, worker, hctx, OpKind::EventBegin { event: e }),
         mem(3, worker, hctx, "handled", true),
         rec(4, worker, hctx, OpKind::EventEnd { event: e }),
-    ]
-    .into_iter()
-    .collect();
+    ]);
     trace.register_queue(NodeId(0), "q", QueueInfo { consumers: 1 });
     trace.register_event(e.0, NodeId(0), "q");
     let a = HbAnalysis::build(trace, &HbConfig::default()).unwrap();
@@ -231,7 +255,7 @@ fn two_events(consumers: u32, end_e2: bool) -> TraceSet {
         instance: 2,
     };
     let (e1, e2) = (EventId(1), EventId(2));
-    let mut trace: TraceSet = vec![
+    let mut trace = traced(vec![
         rec(
             0,
             producer,
@@ -249,9 +273,7 @@ fn two_events(consumers: u32, end_e2: bool) -> TraceSet {
         rec(4, worker, h1, OpKind::EventEnd { event: e1 }),
         rec(5, worker, h2, OpKind::EventBegin { event: e2 }),
         mem(6, worker, h2, "state", false),
-    ]
-    .into_iter()
-    .collect();
+    ]);
     if end_e2 {
         trace.push(rec(7, worker, h2, OpKind::EventEnd { event: e2 }));
     }
@@ -305,7 +327,9 @@ fn eserial_orders_a_handler_that_never_ends() {
             queue: queue.to_owned(),
         });
     }
-    let at: Vec<Arrival> = trace.records().iter().map(|r| engine.record(r)).collect();
+    let at: Vec<Arrival> = (trace.records().iter())
+        .map(|r| engine.record(r, trace.names()))
+        .collect();
     // record 6 arrived last, so its chain's clock is record 6's
     let (write, read) = (at[3], at[6]);
     assert!(engine.clock(read.chain)[write.slot as usize] >= write.pos);
@@ -323,7 +347,7 @@ fn eserial_reaches_a_fixed_point_across_rounds() {
         instance: i,
     };
     let (e1, e2, e3) = (EventId(1), EventId(2), EventId(3));
-    let mut trace: TraceSet = vec![
+    let mut trace = traced(vec![
         rec(
             0,
             producer,
@@ -345,9 +369,7 @@ fn eserial_reaches_a_fixed_point_across_rounds() {
         rec(8, worker, hctx(3), OpKind::EventBegin { event: e3 }),
         mem(9, worker, hctx(3), "a", false),
         rec(10, worker, hctx(3), OpKind::EventEnd { event: e3 }),
-    ]
-    .into_iter()
-    .collect();
+    ]);
     trace.register_queue(NodeId(0), "q", QueueInfo { consumers: 1 });
     for e in [e1, e2, e3] {
         trace.register_event(e.0, NodeId(0), "q");
@@ -399,7 +421,7 @@ fn memory_budget_is_enforced() {
     let records: Vec<Record> = (0..100)
         .map(|i| mem(i, t0, ExecCtx::Regular, "x", false))
         .collect();
-    let trace: TraceSet = records.into_iter().collect();
+    let trace = traced(records);
     let build = |mode, budget| {
         let cfg = HbConfig {
             memory_budget_bytes: budget,
@@ -441,10 +463,12 @@ fn memory_budget_is_enforced() {
 #[test]
 fn auto_mode_picks_the_smaller_index() {
     let trace_of = |tasks: &[u32]| -> TraceSet {
-        (0u64..)
-            .zip(tasks)
-            .map(|(i, &t)| mem(i, task(0, t), ExecCtx::Regular, "x", false))
-            .collect()
+        traced(
+            (0u64..)
+                .zip(tasks)
+                .map(|(i, &t)| mem(i, task(0, t), ExecCtx::Regular, "x", false))
+                .collect(),
+        )
     };
     let round_robin = |n: u32, tasks: u32| trace_of(&(0..n).map(|i| i % tasks).collect::<Vec<_>>());
     let build = |trace: &TraceSet, mode, budget| {

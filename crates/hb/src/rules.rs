@@ -9,7 +9,7 @@
 //! too; the rules without a key — program order, `Tjoin`, `Crash`,
 //! `Eserial` — are that function's own bookkeeping.
 
-use dcatch_trace::{CauseKey, OpKind, Record};
+use dcatch_trace::{CauseKey, Names, OpKind, Record};
 
 use crate::graph::EdgeRule;
 
@@ -24,13 +24,14 @@ pub(crate) enum End {
     Target,
 }
 
-/// The keyed rule `r` takes part in, if any. Inlined into the engine's
-/// per-record path: out of line, every record — most take part in no
-/// keyed rule — pays a call that returns 48 bytes through memory
-/// (`dcbench stream_1m` `wall_s` +2.9 % against the parent, +0.5 % inlined;
-/// EXPERIMENTS.md "PR 19").
+/// The keyed rule `r` takes part in, if any. A zknode path is keyed by its
+/// text, the form the simulator's fan-out notifications name it in. Inlined
+/// into the engine's per-record path: out of line, every record — most
+/// take part in no keyed rule — pays a call that returns 48 bytes through
+/// memory (`dcbench stream_1m` `wall_s` +2.9 % against the parent, +0.5 %
+/// inlined; EXPERIMENTS.md "PR 19").
 #[inline]
-pub(crate) fn keyed(r: &Record) -> Option<(CauseKey, EdgeRule, End)> {
+pub(crate) fn keyed(r: &Record, names: &Names) -> Option<(CauseKey, EdgeRule, End)> {
     use End::{Source, Target};
     Some(match &r.kind {
         OpKind::ThreadCreate { child } => (CauseKey::ThreadBegin(*child), EdgeRule::Fork, Source),
@@ -44,12 +45,12 @@ pub(crate) fn keyed(r: &Record) -> Option<(CauseKey, EdgeRule, End)> {
         OpKind::SocketSend { msg } => (CauseKey::SocketRecv(msg.0), EdgeRule::Msoc, Source),
         OpKind::SocketRecv { msg } => (CauseKey::SocketRecv(msg.0), EdgeRule::Msoc, Target),
         OpKind::ZkUpdate { path, version } => (
-            CauseKey::ZkPushed(path.clone(), *version),
+            CauseKey::ZkPushed(names.name(*path).to_owned(), *version),
             EdgeRule::Mpush,
             Source,
         ),
         OpKind::ZkPushed { path, version } => (
-            CauseKey::ZkPushed(path.clone(), *version),
+            CauseKey::ZkPushed(names.name(*path).to_owned(), *version),
             EdgeRule::Mpush,
             Target,
         ),

@@ -59,7 +59,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dcatch_model::NodeId;
-use dcatch_trace::{CauseKey, ExecCtx, OpKind, QueueInfo, Record, StreamControl, TaskId};
+use dcatch_trace::{CauseKey, ExecCtx, Names, OpKind, QueueInfo, Record, StreamControl, TaskId};
 
 use crate::graph::EdgeRule;
 use crate::rules::{self, End};
@@ -176,6 +176,9 @@ pub struct FrontierEngine {
     /// Entry tasks announced but not yet emitting: implicit zero clocks.
     pending_tasks: BTreeSet<TaskId>,
     causes: BTreeMap<CauseKey, Cause>,
+    /// Clock buffers of resolved causes, for the next cause's snapshot: a
+    /// network send costs no allocation once the run is warm.
+    spare: Vec<Vec<u32>>,
     /// Latest restart record per node — its `(slot, pos)` and clock,
     /// joined into every chain the reborn node creates (it carries the
     /// earlier restarts, which program order chains to it).
@@ -261,7 +264,8 @@ impl FrontierEngine {
             .chain(ended().map(|e| &e.end_clock))
             .chain(self.released.values())
             .chain(self.restarts.values().map(|(_, clock)| clock))
-            .chain(self.inj_sources.values());
+            .chain(self.inj_sources.values())
+            .chain(&self.spare);
         let injected = self
             .inj_targets
             .values()
@@ -313,7 +317,7 @@ impl FrontierEngine {
                 if let Some(c) = self.causes.get_mut(key) {
                     let total = c.refs.unwrap_or(0) + copies;
                     if total == 0 {
-                        self.causes.remove(key);
+                        self.forget_cause(key);
                     } else {
                         c.refs = Some(total);
                     }
@@ -329,10 +333,15 @@ impl FrontierEngine {
         if let Some(c) = self.causes.get_mut(key) {
             match c.refs {
                 Some(n) if n > 1 => c.refs = Some(n - 1),
-                _ => {
-                    self.causes.remove(key);
-                }
+                _ => self.forget_cause(key),
             }
+        }
+    }
+
+    /// Removes `key`'s cause, keeping its clock buffer for the next one.
+    fn forget_cause(&mut self, key: &CauseKey) {
+        if let Some(c) = self.causes.remove(key) {
+            self.spare.push(c.clock);
         }
     }
 
@@ -350,9 +359,10 @@ impl FrontierEngine {
         self.idle.push(c);
     }
 
-    /// Processes one trace record; returns where it landed. The returned
-    /// arrival's clock ([`clock`](Self::clock)) is final.
-    pub fn record(&mut self, r: &Record) -> Arrival {
+    /// Processes one trace record, whose ids `names` resolves; returns
+    /// where it landed. The returned arrival's clock ([`clock`](Self::clock))
+    /// is final.
+    pub fn record(&mut self, r: &Record, names: &Names) -> Arrival {
         // what the record is ordered after, each joined into its chain's
         // clock and listed, with its rule, for the slot rule and for
         // `preds()`: program order ...
@@ -361,12 +371,21 @@ impl FrontierEngine {
         let ci = chain as usize;
         // ... `Tfork` / `Eenq` / `Mrpc` / `Msoc` / `Mpush`, `Crash` (restart
         // ⇒ reborn chain), `Eserial` ...
-        let keyed = rules::keyed(r);
+        let keyed = rules::keyed(r, names);
         let target = keyed.as_ref().filter(|k| matches!(k.2, End::Target));
         let delivery = target.and_then(|&(ref key, rule, _)| self.resolve(chain, key, rule));
         self.preds.extend(reborn.map(|at| (at, EdgeRule::Crash)));
-        if let (Some((key, ..)), &OpKind::EventBegin { event }) = (target, &r.kind) {
-            self.event_begin(chain, event.0, key, delivery);
+        match (target, &r.kind, delivery) {
+            (Some((key, ..)), &OpKind::EventBegin { event }, delivery) => {
+                self.event_begin(chain, event.0, key, delivery);
+            }
+            (
+                ..,
+                Some(Delivery {
+                    clock: Some(clock), ..
+                }),
+            ) => self.spare.push(clock),
+            _ => {}
         }
         // ... and `Tjoin` (a killed child has no `ThreadEnd`, and orders
         // nothing)
@@ -480,17 +499,22 @@ impl FrontierEngine {
 
     fn snapshot_cause(&mut self, chain: u32, key: CauseKey, refs: Option<u32>) {
         let c = &self.chains[chain as usize];
-        let (src, clock) = (c.at, c.frontier.clone());
         match self.causes.entry(key) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
                 // a repeated source: last snapshot wins, pending deliveries
                 // carry over
-                let c = e.get_mut();
-                c.clock = clock;
-                c.src = src;
+                let cause = e.get_mut();
+                cause.clock.clone_from(&c.frontier);
+                cause.src = c.at;
             }
             std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(Cause { clock, src, refs });
+                let mut clock = self.spare.pop().unwrap_or_default();
+                clock.clone_from(&c.frontier);
+                e.insert(Cause {
+                    clock,
+                    src: c.at,
+                    refs,
+                });
             }
         }
     }
@@ -525,6 +549,7 @@ impl FrontierEngine {
                     // a clock that did not move out is still pending
                     let clock = clock.unwrap_or_else(|| self.causes[key].clock.clone());
                     self.eserial_begin(chain, event, &queue, create, &clock);
+                    self.spare.push(clock);
                 }
                 self.open.insert(event, EvOpen { queue, create });
             }

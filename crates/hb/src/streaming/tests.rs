@@ -1,8 +1,8 @@
 use dcatch_model::{Expr, FuncKind, NodeId, Program, ProgramBuilder, Value};
 use dcatch_sim::{SimConfig, Topology, World};
 use dcatch_trace::{
-    CallStack, CollectSink, ExecCtx, HandlerKind, MemLoc, MemSpace, OpKind, Record, StreamControl,
-    TaskId, TraceSink,
+    CollectSink, ExecCtx, HandlerKind, MemLoc, MemSpace, Names, OpKind, Record, StackId,
+    StreamControl, TaskId, TraceSet, TraceSink,
 };
 
 use super::{Arrival, FrontierEngine, FrontierOptions};
@@ -45,7 +45,7 @@ impl DualSink {
 
 impl TraceSink for DualSink {
     fn record(&mut self, record: &Record) {
-        let a = self.engine.record(record);
+        let a = self.engine.record(record, self.collect.trace.names());
         self.clocks.push(self.engine.clock(a.chain).to_vec());
         self.live.push((a.slot, a.pos, self.arrivals.len()));
         self.arrivals.push(a);
@@ -74,6 +74,10 @@ impl TraceSink for DualSink {
     fn control(&mut self, control: StreamControl) {
         self.engine.control(&control);
         self.collect.control(control);
+    }
+
+    fn names(&mut self, names: &Names) {
+        self.collect.names(names);
     }
 }
 
@@ -339,7 +343,7 @@ fn verdicts_at_arrival_survive_retirement() {
 ///  2 n0.t2 W      6 n0.t0 Restart(n0)   9 n0.t4 W    12 n0.t5 W
 ///  3 n1.t1 W                              (handler)  13 n1.t1 W
 /// ```
-fn crash_cycles() -> Vec<Record> {
+fn crash_cycles() -> TraceSet {
     let handler = ExecCtx::Handler {
         kind: HandlerKind::Event,
         instance: 1,
@@ -371,28 +375,29 @@ fn crash_cycles() -> Vec<Record> {
         (0, 5, ExecCtx::Regular, None),
         (1, 1, ExecCtx::Regular, None),
     ];
-    script
-        .into_iter()
-        .enumerate()
-        .map(|(seq, (node, index, ctx, fault))| Record {
+    let mut trace = TraceSet::new();
+    for (seq, (node, index, ctx, fault)) in script.into_iter().enumerate() {
+        let object = trace.names_mut().intern(&format!("o{seq}"));
+        trace.push(Record {
             seq: seq as u64,
             task: TaskId {
                 node: NodeId(node),
                 index,
             },
             ctx,
-            kind: fault.unwrap_or_else(|| OpKind::MemWrite {
+            kind: fault.unwrap_or(OpKind::MemWrite {
                 loc: MemLoc {
                     space: MemSpace::Heap,
                     node: NodeId(node),
-                    object: format!("o{seq}"),
+                    object,
                     key: None,
                 },
                 value: None,
             }),
-            stack: CallStack::default(),
-        })
-        .collect()
+            stack: StackId::EMPTY,
+        });
+    }
+    trace
 }
 
 /// Builds a hand-written trace under both indexes and demands that they
@@ -400,9 +405,8 @@ fn crash_cycles() -> Vec<Record> {
 /// the engine lists, a clock row of the joins it performs, so this is the
 /// check that it lists what it joins. Returns the matrix-backed graph for
 /// the test's own assertions.
-fn replay(records: Vec<Record>) -> HbAnalysis {
-    let n = records.len();
-    let trace: dcatch_trace::TraceSet = records.into_iter().collect();
+fn replay(trace: TraceSet) -> HbAnalysis {
+    let n = trace.len();
     let [matrix, clocks] = [HbConfig::default(), clocks_config()]
         .map(|cfg| HbAnalysis::build(trace.clone(), &cfg).unwrap());
     assert_eq!(matrix.reachability(), ReachabilityMode::Matrix);

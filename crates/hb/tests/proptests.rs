@@ -10,8 +10,8 @@ use dcatch_hb::{apply_ablation, Ablation, HbAnalysis, HbConfig, ReachabilityMode
 use dcatch_model::{FuncId, NodeId, StmtId};
 use dcatch_obs::SmallRng;
 use dcatch_trace::{
-    CallStack, EventId, ExecCtx, HandlerKind, MemLoc, MemSpace, MsgId, OpKind, QueueInfo, Record,
-    RpcId, TaskId, TraceSet,
+    EventId, ExecCtx, HandlerKind, MemLoc, MemSpace, MsgId, NameId, Names, OpKind, QueueInfo,
+    Record, RpcId, StackId, TaskId, TraceSet,
 };
 
 /// A compact description of a random but *well-formed* trace: a set of
@@ -79,16 +79,15 @@ fn build_trace(ops: &[Op]) -> TraceSet {
             task: t,
             ctx,
             kind,
-            stack: CallStack(vec![StmtId {
-                func: FuncId(t.index),
-                idx: *seq as u32,
-            }]),
+            // `f<task index>:<seq>`, named below
+            stack: StackId::EMPTY,
         };
         *seq += 1;
         r
     };
     let mut queue_registered = false;
-    let mut trace = TraceSet::new();
+    let objects = (0..4).map(|o| format!("obj{o}"));
+    let mut trace = TraceSet::with_names(Names::with_base(objects));
     for op in ops {
         match *op {
             Op::Access {
@@ -99,7 +98,7 @@ fn build_trace(ops: &[Op]) -> TraceSet {
                 let loc = MemLoc {
                     space: MemSpace::Heap,
                     node: task(t).node,
-                    object: format!("obj{object}"),
+                    object: NameId(u32::from(object)),
                     key: None,
                 };
                 let kind = if write {
@@ -205,6 +204,11 @@ fn build_trace(ops: &[Op]) -> TraceSet {
     }
     // re-sequence the tail after the main body
     for mut r in records.into_iter().chain(tail) {
+        let stmt = StmtId {
+            func: FuncId(r.task.index),
+            idx: r.seq as u32,
+        };
+        r.stack = trace.names_mut().stack_of(&[stmt]);
         r.seq = trace.len() as u64;
         trace.push(r);
     }

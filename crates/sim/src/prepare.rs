@@ -8,9 +8,9 @@
 //! borrows it immutably — so one value serves all workers of a trigger farm.
 
 use dcatch_model::{FuncId, NodeId, Program, Value};
-use dcatch_trace::{QueueInfo, TracedFunctions};
+use dcatch_trace::{NameId, Names, QueueInfo, TracedFunctions};
 
-use crate::compile::{CompiledProgram, QueueId};
+use crate::compile::{CompiledProgram, LockId, QueueId};
 use crate::topology::Topology;
 use crate::world::{RunError, World};
 
@@ -35,6 +35,21 @@ pub struct Prepared {
     pub(crate) nodes: Vec<PreparedNode>,
     /// Watcher subscriptions: (node, path prefix, handler).
     pub(crate) watchers: Vec<(NodeId, String, FuncId)>,
+    /// Every run's name table starts as this one: the object names by
+    /// [`ObjId`](crate::compile::ObjId), then the lock names.
+    pub(crate) names: Names,
+}
+
+impl Prepared {
+    /// The name of heap object `object` in a run's table.
+    pub(crate) fn object_name(object: crate::compile::ObjId) -> NameId {
+        NameId(object as u32)
+    }
+
+    /// The name of lock `lock` in a run's table.
+    pub(crate) fn lock_name(&self, lock: LockId) -> NameId {
+        NameId((self.cp.objects.len() + lock) as u32)
+    }
 }
 
 impl World<'_> {
@@ -73,8 +88,10 @@ impl World<'_> {
             .iter()
             .map(|w| (w.node, w.path_prefix.clone(), func(&w.handler)))
             .collect();
+        let names = Names::with_base(cp.objects.iter().chain(&cp.locks).cloned());
         Ok(Prepared {
             traced: TracedFunctions::compute(program),
+            names,
             cp,
             nodes,
             watchers,

@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 
 use dcatch_obs::timeline::Timeline;
-use dcatch_trace::{OpKind, Record, TaskId, TraceSet};
+use dcatch_trace::{LockRef, Names, OpKind, Record, TaskId, TraceSet};
 
 /// Width of the thin anchor slice drawn under point operations so flow
 /// arrows have something to bind to in the viewer.
@@ -48,10 +48,13 @@ pub fn trace_timeline(trace: &TraceSet) -> Timeline {
     // the records' own ids, filled in sequence order.
     let mut points = Points::default();
     for (i, r) in trace.records().iter().enumerate() {
-        points.index(i, r);
+        points.index(i, r, trace.names());
     }
 
     // Second pass: emit lane content.
+    let names = trace.names();
+    let name = |id| names.name(id);
+    let lock = |l: &LockRef| format!("lock {}:{}", l.node, name(l.name));
     let mut open: BTreeMap<(TaskId, String), u64> = BTreeMap::new();
     for r in trace.records() {
         let (p, t, ts) = at(r);
@@ -77,15 +80,22 @@ pub fn trace_timeline(trace: &TraceSet) -> Timeline {
                     "loop",
                 );
             }
-            OpKind::LockAcquire { lock } => open_slice(&mut open, r, format!("lock {lock}")),
-            OpKind::LockRelease { lock } => {
-                close_slice(&mut tl, &mut open, r, format!("lock {lock}"), "lock");
+            OpKind::LockAcquire { lock: l } => open_slice(&mut open, r, lock(l)),
+            OpKind::LockRelease { lock: l } => {
+                close_slice(&mut tl, &mut open, r, lock(l), "lock");
             }
 
             // ---- instant markers ----
-            OpKind::MemRead { loc, .. } => tl.instant(p, t, "mem", &format!("rd {loc}"), ts),
-            OpKind::MemWrite { loc, .. } => tl.instant(p, t, "mem", &format!("wr {loc}"), ts),
+            OpKind::MemRead { loc, .. } => {
+                let loc = names.location(loc);
+                tl.instant(p, t, "mem", &format!("rd {loc}"), ts);
+            }
+            OpKind::MemWrite { loc, .. } => {
+                let loc = names.location(loc);
+                tl.instant(p, t, "mem", &format!("wr {loc}"), ts);
+            }
             OpKind::ZkUpdate { path, version } => {
+                let path = name(*path);
                 tl.instant(p, t, "zk", &format!("zu {path}@{version}"), ts);
             }
             OpKind::NodeCrash { node } => {
@@ -109,6 +119,7 @@ pub fn trace_timeline(trace: &TraceSet) -> Timeline {
             OpKind::SocketSend { msg } => anchor(&mut tl, r, &format!("send m{}", msg.0)),
             OpKind::SocketRecv { msg } => anchor(&mut tl, r, &format!("recv m{}", msg.0)),
             OpKind::ZkPushed { path, version } => {
+                let path = name(*path);
                 anchor(&mut tl, r, &format!("zp {path}@{version}"));
             }
         }
@@ -175,12 +186,12 @@ struct Points {
     /// msg id → (send index, recv index)
     socket: BTreeMap<u64, (Option<usize>, Option<usize>)>,
     /// (path, version) → (update index, push indices) — one update may
-    /// notify many watchers, each getting its own arrow
+    /// notify many watchers, each getting its own arrow; in path order
     zk: BTreeMap<(String, u64), (Option<usize>, Vec<usize>)>,
 }
 
 impl Points {
-    fn index(&mut self, i: usize, r: &Record) {
+    fn index(&mut self, i: usize, r: &Record, names: &Names) {
         match &r.kind {
             OpKind::ThreadCreate { child } => {
                 self.thread_fork.entry(*child).or_default().0 = Some(i);
@@ -223,11 +234,12 @@ impl Points {
                 self.socket.entry(msg.0).or_default().1 = Some(i);
             }
             OpKind::ZkUpdate { path, version } => {
-                self.zk.entry((path.clone(), *version)).or_default().0 = Some(i);
+                let path = names.name(*path).to_owned();
+                self.zk.entry((path, *version)).or_default().0 = Some(i);
             }
             OpKind::ZkPushed { path, version } => {
                 self.zk
-                    .entry((path.clone(), *version))
+                    .entry((names.name(*path).to_owned(), *version))
                     .or_default()
                     .1
                     .push(i);

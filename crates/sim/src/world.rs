@@ -9,8 +9,8 @@ use dcatch_obs::rng::SmallRng;
 
 use dcatch_model::{BinOp, FuncId, LoopId, NodeId, Program, StmtId, UnOp, Value};
 use dcatch_trace::{
-    CallStack, CauseKey, EventId, ExecCtx, HandlerKind, LockRef, MemLoc, MemSpace, MsgId, OpKind,
-    Record, RpcId, StreamControl, TaskId, TraceSet, TraceSink, TracingMode,
+    CauseKey, EventId, ExecCtx, HandlerKind, Key, LockRef, MemLoc, MemSpace, MsgId, Names, OpKind,
+    Record, RpcId, StackId, StreamControl, TaskId, TraceSet, TraceSink, TracingMode,
 };
 
 use crate::compile::{LockId, ObjId, Op, QueueId, Slot, SlotExpr};
@@ -115,8 +115,9 @@ struct Frame {
     locals: Vec<Option<Value>>,
     /// Caller-side local receiving this frame's return value.
     ret_local: Option<Slot>,
-    /// The `Call` statement that created this frame (None for the root).
-    call_site: Option<StmtId>,
+    /// The call sites that led to this frame, outermost first — empty for a
+    /// task's root frame, and in an untraced run (nothing reads it there).
+    site: StackId,
 }
 
 /// What a worker is currently handling, so the matching End record and
@@ -199,8 +200,9 @@ enum HeapObj {
 
 /// Key of a heap map: equal exactly when the [`Value::key_string`] forms of
 /// the values they were built from are (`5` and `"5"` name one entry, as in
-/// the trace), but rendered only into a record that is written. Heap maps
-/// are never iterated, so the order of keys is unobservable.
+/// the trace). A traced access carries it as a [`Key`]: an integer inline,
+/// a string interned. Heap maps are never iterated, so the order of keys is
+/// unobservable.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum MapKey {
     Int(i64),
@@ -212,20 +214,19 @@ impl MapKey {
     fn of(v: Value) -> MapKey {
         match v {
             Value::Int(i) => MapKey::Int(i),
-            Value::Str(s) => match s.parse::<i64>() {
-                Ok(i) if i.to_string() == s => MapKey::Int(i),
-                _ => MapKey::Str(s),
+            Value::Str(s) => match Key::int_form(&s) {
+                Some(i) => MapKey::Int(i),
+                None => MapKey::Str(s),
             },
             other => MapKey::Str(other.key_string()),
         }
     }
-}
 
-impl fmt::Display for MapKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// The key as a traced access carries it, in the run's table `names`.
+    fn traced(&self, names: &mut Names) -> Key {
         match self {
-            MapKey::Int(i) => i.fmt(f),
-            MapKey::Str(s) => f.write_str(s),
+            MapKey::Int(i) => Key::Int(*i),
+            MapKey::Str(s) => Key::Str(names.intern(s)),
         }
     }
 }
@@ -324,10 +325,15 @@ pub struct World<'g> {
     /// Traceable memory accesses seen so far (drives `mem_sample_rate`).
     mem_samples_seen: u64,
 
+    /// The records (batch mode) and, either way, the run's name table and
+    /// queue/event side tables.
     trace: TraceSet,
     /// Streaming consumer: when present, records bypass `trace` and flow
     /// into the sink as they are emitted (plus lifecycle controls).
     sink: Option<&'g mut (dyn TraceSink + Send)>,
+    /// [`Names::generation`](dcatch_trace::Names::generation) of the table
+    /// the sink was last shown.
+    shown_names: usize,
     failures: Vec<Failure>,
     logs: Vec<LogLine>,
     gate: &'g mut dyn Gate,
@@ -344,6 +350,14 @@ pub struct World<'g> {
     steps_executed: u64,
     sched_rebuilds: u64,
     context_switches: u64,
+}
+
+/// What a memory access touches: a heap object of the task's node, or a
+/// zknode by path.
+#[derive(Clone, Copy)]
+enum Object<'p> {
+    Heap(ObjId),
+    Zk(&'p str),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -415,8 +429,9 @@ impl Prepared {
             msg_fault_hits: vec![0; config.faults.messages.len()],
             faults_injected: 0,
             mem_samples_seen: 0,
-            trace: TraceSet::new(),
+            trace: TraceSet::with_names(self.names.clone()),
             sink,
+            shown_names: 0,
             failures: Vec::new(),
             logs: Vec::new(),
             gate,
@@ -506,7 +521,7 @@ impl<'g> World<'g> {
         }
         for (func, args) in &spec.entries {
             let t = self.new_task(node, TaskKind::Entry, TaskState::Runnable, None);
-            let frame = self.make_frame(*func, args.clone(), None, None);
+            let frame = self.make_frame(*func, args.clone(), None, StackId::EMPTY);
             self.tasks[t].frames.push(frame);
             // entry threads have no `ThreadCreate` cause announcing them:
             // the sink must learn they exist before it retires anything
@@ -549,7 +564,7 @@ impl<'g> World<'g> {
         func: FuncId,
         args: Vec<Value>,
         ret_local: Option<Slot>,
-        call_site: Option<StmtId>,
+        site: StackId,
     ) -> Frame {
         let cf = self.prep.cp.func(func);
         let mut locals = vec![None; cf.locals.len()];
@@ -561,27 +576,22 @@ impl<'g> World<'g> {
             pc: 0,
             locals,
             ret_local,
-            call_site,
+            site,
         }
     }
 
     // -- tracing helpers ---------------------------------------------------
 
-    fn stack_of(&self, t: usize) -> CallStack {
-        let task = &self.tasks[t];
-        let mut ids = Vec::new();
-        for f in &task.frames {
-            if let Some(site) = f.call_site {
-                ids.push(site);
-            }
+    /// The callstack of `t`'s next operation: its frame's call sites plus
+    /// the statement at its pc, if the frame has one left.
+    fn stack_of(&mut self, t: usize) -> StackId {
+        let Some(top) = self.tasks[t].frames.last() else {
+            return StackId::EMPTY;
+        };
+        match self.prep.cp.func(top.func).instrs.get(top.pc) {
+            Some(instr) => self.trace.names_mut().frame(top.site, instr.stmt),
+            None => top.site,
         }
-        if let Some(top) = task.frames.last() {
-            let cf = self.prep.cp.func(top.func);
-            if top.pc < cf.instrs.len() {
-                ids.push(cf.instrs[top.pc].stmt);
-            }
-        }
-        CallStack(ids)
     }
 
     fn emit(&mut self, t: usize, kind: OpKind) {
@@ -590,16 +600,28 @@ impl<'g> World<'g> {
         }
         let stack = self.stack_of(t);
         let task = &self.tasks[t];
-        let rec = Record {
+        self.write(Record {
             seq: self.seq,
             task: task.id,
             ctx: task.ctx,
             kind,
             stack,
-        };
+        });
+    }
+
+    /// Hands one record to the sink — after the names it may use, when the
+    /// table grew since the sink last saw it — or to the trace.
+    fn write(&mut self, rec: Record) {
         self.seq += 1;
         match self.sink.as_mut() {
-            Some(s) => s.record(&rec),
+            Some(s) => {
+                let names = self.trace.names();
+                if names.generation() != self.shown_names {
+                    self.shown_names = names.generation();
+                    s.names(names);
+                }
+                s.record(&rec);
+            }
             None => self.trace.push(rec),
         }
         counter!("sim_trace_records_total").inc();
@@ -621,8 +643,8 @@ impl<'g> World<'g> {
         self.sink.is_some() && self.config.trace_enabled
     }
 
-    /// Whether a memory access in the current top frame of `t` is traced,
-    /// and whether its value should be recorded.
+    /// Whether a memory access to `object` in the current top frame of `t`
+    /// is traced, and whether its value should be recorded.
     fn mem_trace_policy(&self, t: usize, object: &str) -> (bool, bool) {
         if !self.config.trace_enabled {
             return (false, false);
@@ -649,12 +671,15 @@ impl<'g> World<'g> {
         &mut self,
         t: usize,
         write: bool,
-        space: MemSpace,
-        object: &str,
+        object: Object<'_>,
         key: Option<&MapKey>,
         value: &Value,
     ) {
-        let (trace_it, with_value) = self.mem_trace_policy(t, object);
+        let name = match object {
+            Object::Heap(obj) => &self.prep.cp.objects[obj],
+            Object::Zk(path) => path,
+        };
+        let (trace_it, with_value) = self.mem_trace_policy(t, name);
         if !trace_it {
             return;
         }
@@ -670,16 +695,23 @@ impl<'g> World<'g> {
                 return;
             }
         }
+        let names = self.trace.names_mut();
+        let (space, node, object) = match object {
+            Object::Heap(obj) => (
+                MemSpace::Heap,
+                self.tasks[t].node,
+                Prepared::object_name(obj),
+            ),
+            Object::Zk(path) => (MemSpace::Zk, NodeId(0), names.intern(path)),
+        };
+        let key = key.map(|k| k.traced(names));
         let loc = MemLoc {
             space,
-            node: match space {
-                MemSpace::Heap => self.tasks[t].node,
-                MemSpace::Zk => NodeId(0),
-            },
-            object: object.to_owned(),
-            key: key.map(MapKey::to_string),
+            node,
+            object,
+            key,
         };
-        let value = with_value.then(|| value.key_string());
+        let value = with_value.then(|| names.intern(&value.key_string()));
         let kind = if write {
             OpKind::MemWrite { loc, value }
         } else {
@@ -995,19 +1027,13 @@ impl<'g> World<'g> {
         if !self.config.trace_enabled {
             return;
         }
-        let rec = Record {
+        self.write(Record {
             seq: self.seq,
             task: TaskId { node, index: 0 },
             ctx: ExecCtx::Regular,
             kind,
-            stack: CallStack::default(),
-        };
-        self.seq += 1;
-        match self.sink.as_mut() {
-            Some(s) => s.record(&rec),
-            None => self.trace.push(rec),
-        }
-        counter!("sim_trace_records_total").inc();
+            stack: StackId::EMPTY,
+        });
     }
 
     fn count_fault(&mut self) {
@@ -1380,8 +1406,8 @@ impl<'g> World<'g> {
             }
             TaskKind::WatcherWorker => {
                 if let Some(pn) = self.notify_pending[node].pop_front() {
-                    let args = vec![Value::Str(pn.path.clone()), pn.data];
-                    let (path, version) = (pn.path, pn.version);
+                    let (path, version) = (self.trace.names_mut().intern(&pn.path), pn.version);
+                    let args = vec![Value::Str(pn.path), pn.data];
                     let (job, begin) = (HandlerJob::Watcher, OpKind::ZkPushed { path, version });
                     self.start_handler(t, HandlerKind::ZkWatcher, job, pn.handler, args, begin);
                 }
@@ -1403,7 +1429,7 @@ impl<'g> World<'g> {
     ) {
         let instance = self.next_instance;
         self.next_instance += 1;
-        let frame = self.make_frame(func, args, None, None);
+        let frame = self.make_frame(func, args, None, StackId::EMPTY);
         let task = &mut self.tasks[t];
         task.ctx = ExecCtx::Handler { kind, instance };
         task.job = Some(job);
@@ -1534,7 +1560,7 @@ impl<'g> World<'g> {
                     None => Value::Null,
                     Some(_) => return self.throw(t, "ClassCastException", not_a(name, "cell")),
                 };
-                self.emit_mem(t, false, MemSpace::Heap, name, None, &v);
+                self.emit_mem(t, false, Object::Heap(*object), None, &v);
                 self.set_local(t, *local, v);
                 Flow::Next
             }
@@ -1542,7 +1568,7 @@ impl<'g> World<'g> {
                 let Some(v) = self.eval_or_kill(t, value) else {
                     return Flow::Dead;
                 };
-                self.emit_mem(t, true, MemSpace::Heap, &cp.objects[*object], None, &v);
+                self.emit_mem(t, true, Object::Heap(*object), None, &v);
                 *self.heap(t, *object) = Some(HeapObj::Cell(v));
                 Flow::Next
             }
@@ -1556,7 +1582,7 @@ impl<'g> World<'g> {
                 if !matches!(obj, None | Some(HeapObj::Map(_))) {
                     return self.throw(t, "ClassCastException", not_a(name, "map"));
                 }
-                self.emit_mem(t, true, MemSpace::Heap, name, Some(&k), &v);
+                self.emit_mem(t, true, Object::Heap(*map), Some(&k), &v);
                 let obj = self.heap(t, *map);
                 if let HeapObj::Map(m) = obj.get_or_insert_with(|| HeapObj::Map(BTreeMap::new())) {
                     m.insert(k, v);
@@ -1573,7 +1599,7 @@ impl<'g> World<'g> {
                     None => Value::Null,
                     Some(_) => return self.throw(t, "ClassCastException", not_a(name, "map")),
                 };
-                self.emit_mem(t, false, MemSpace::Heap, name, Some(&k), &v);
+                self.emit_mem(t, false, Object::Heap(*map), Some(&k), &v);
                 self.set_local(t, *local, v);
                 Flow::Next
             }
@@ -1585,8 +1611,7 @@ impl<'g> World<'g> {
                 if let Some(HeapObj::Map(m)) = self.heap(t, *map) {
                     m.remove(&k);
                 }
-                let name = &cp.objects[*map];
-                self.emit_mem(t, true, MemSpace::Heap, name, Some(&k), &Value::Null);
+                self.emit_mem(t, true, Object::Heap(*map), Some(&k), &Value::Null);
                 Flow::Next
             }
             Op::MapContains { local, map, key } => {
@@ -1599,7 +1624,7 @@ impl<'g> World<'g> {
                     Some(HeapObj::Map(m)) if m.contains_key(&k)
                 );
                 let v = Value::Bool(present);
-                self.emit_mem(t, false, MemSpace::Heap, &cp.objects[*map], Some(&k), &v);
+                self.emit_mem(t, false, Object::Heap(*map), Some(&k), &v);
                 self.set_local(t, *local, v);
                 Flow::Next
             }
@@ -1612,7 +1637,7 @@ impl<'g> World<'g> {
                 if !matches!(obj, None | Some(HeapObj::List(_))) {
                     return self.throw(t, "ClassCastException", not_a(name, "list"));
                 }
-                self.emit_mem(t, true, MemSpace::Heap, name, None, &v);
+                self.emit_mem(t, true, Object::Heap(*list), None, &v);
                 let obj = self.heap(t, *list);
                 if let HeapObj::List(l) = obj.get_or_insert_with(|| HeapObj::List(Vec::new())) {
                     l.push(v);
@@ -1628,7 +1653,7 @@ impl<'g> World<'g> {
                         l.remove(pos);
                     }
                 }
-                self.emit_mem(t, true, MemSpace::Heap, &cp.objects[*list], None, &v);
+                self.emit_mem(t, true, Object::Heap(*list), None, &v);
                 Flow::Next
             }
             Op::ListIsEmpty { local, list } => {
@@ -1637,7 +1662,7 @@ impl<'g> World<'g> {
                     _ => true,
                 };
                 let v = Value::Bool(empty);
-                self.emit_mem(t, false, MemSpace::Heap, &cp.objects[*list], None, &v);
+                self.emit_mem(t, false, Object::Heap(*list), None, &v);
                 self.set_local(t, *local, v);
                 Flow::Next
             }
@@ -1650,7 +1675,7 @@ impl<'g> World<'g> {
                     Some(HeapObj::List(l)) if l.contains(&v)
                 );
                 let out = Value::Bool(present);
-                self.emit_mem(t, false, MemSpace::Heap, &cp.objects[*list], None, &out);
+                self.emit_mem(t, false, Object::Heap(*list), None, &out);
                 self.set_local(t, *local, out);
                 Flow::Next
             }
@@ -1715,7 +1740,16 @@ impl<'g> World<'g> {
                 if let Some(f) = self.tasks[t].frames.last_mut() {
                     f.pc += 1;
                 }
-                let frame = self.make_frame(*func, vals, *local, Some(stmt));
+                // the callee's call sites, named only where a record can
+                // use them
+                let site = match self.tasks[t].frames.last() {
+                    Some(caller) if self.config.trace_enabled => {
+                        let caller = caller.site;
+                        self.trace.names_mut().frame(caller, stmt)
+                    }
+                    _ => StackId::EMPTY,
+                };
+                let frame = self.make_frame(*func, vals, *local, site);
                 self.tasks[t].frames.push(frame);
                 Flow::Handled
             }
@@ -1742,7 +1776,7 @@ impl<'g> World<'g> {
                 };
                 let node = self.tasks[t].node;
                 let child = self.new_task(node, TaskKind::Thread, TaskState::Runnable, None);
-                let frame = self.make_frame(*func, vals, None, None);
+                let frame = self.make_frame(*func, vals, None, StackId::EMPTY);
                 self.tasks[child].frames.push(frame);
                 let child_id = self.tasks[child].id;
                 let handle = self.tasks[child].handle;
@@ -1812,11 +1846,11 @@ impl<'g> World<'g> {
                 match state.holder {
                     None => {
                         state.holder = Some(t);
-                        if self.config.trace_enabled {
-                            let name = cp.locks[*lock].clone();
-                            let lock = LockRef { node, name };
-                            self.emit(t, OpKind::LockAcquire { lock });
-                        }
+                        let lock = LockRef {
+                            node,
+                            name: self.prep.lock_name(*lock),
+                        };
+                        self.emit(t, OpKind::LockAcquire { lock });
                         Flow::Next
                     }
                     Some(h) if h == t => {
@@ -1838,11 +1872,13 @@ impl<'g> World<'g> {
                     return self.throw(t, "IllegalMonitorState", msg);
                 }
                 state.holder = None;
-                if self.config.trace_enabled {
-                    let name = cp.locks[*lock].clone();
-                    let lock = LockRef { node, name };
-                    self.emit(t, OpKind::LockRelease { lock });
-                }
+                let name = self.prep.lock_name(*lock);
+                self.emit(
+                    t,
+                    OpKind::LockRelease {
+                        lock: LockRef { node, name },
+                    },
+                );
                 self.wake_lock_waiters(node.index(), *lock);
                 Flow::Next
             }
@@ -1969,7 +2005,7 @@ impl<'g> World<'g> {
                     let msg = format!("getData of absent znode `{p}`");
                     return self.throw(t, "NoNodeException", msg);
                 };
-                self.emit_mem(t, false, MemSpace::Zk, &p, None, &v);
+                self.emit_mem(t, false, Object::Zk(&p), None, &v);
                 self.set_local(t, *local, v);
                 Flow::Next
             }
@@ -1979,7 +2015,7 @@ impl<'g> World<'g> {
                 };
                 let p = p.key_string();
                 let v = Value::Bool(self.zk.data.contains_key(&p));
-                self.emit_mem(t, false, MemSpace::Zk, &p, None, &v);
+                self.emit_mem(t, false, Object::Zk(&p), None, &v);
                 self.set_local(t, *local, v);
                 Flow::Next
             }
@@ -2052,9 +2088,9 @@ impl<'g> World<'g> {
                 Value::Null
             }
         };
-        self.emit_mem(t, true, MemSpace::Zk, path, None, &stored);
+        self.emit_mem(t, true, Object::Zk(path), None, &stored);
         if self.config.trace_enabled {
-            let path = path.to_owned();
+            let path = self.trace.names_mut().intern(path);
             self.emit(t, OpKind::ZkUpdate { path, version });
         }
         let from = self.tasks[t].node;

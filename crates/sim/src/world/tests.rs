@@ -129,7 +129,7 @@ fn socket_send_spawns_handler_on_target() {
             && rec
                 .kind
                 .mem_loc()
-                .is_some_and(|l| l.node == receiver && l.object == "last_msg")
+                .is_some_and(|l| l.node == receiver && r.trace.names().name(l.object) == "last_msg")
     });
     assert!(wrote_on_receiver);
 }
@@ -432,23 +432,23 @@ fn selective_tracing_skips_pure_thread_code() {
     topo.node("n").entry("main", vec![]).queue("q", 1);
 
     let sel = World::run_once(&p, &topo, SimConfig::default()).unwrap();
-    let objects: Vec<String> = sel
+    let objects: Vec<&str> = sel
         .trace
         .records()
         .iter()
-        .filter_map(|r| r.kind.mem_loc().map(|l| l.object.clone()))
+        .filter_map(|r| r.kind.mem_loc().map(|l| sel.trace.names().name(l.object)))
         .collect();
-    assert!(objects.contains(&"traced_obj".to_owned()));
-    assert!(!objects.contains(&"untraced_obj".to_owned()));
+    assert!(objects.contains(&"traced_obj"));
+    assert!(!objects.contains(&"untraced_obj"));
 
     let full = World::run_once(&p, &topo, SimConfig::default().with_full_tracing()).unwrap();
-    let objects: Vec<String> = full
+    let objects: Vec<&str> = full
         .trace
         .records()
         .iter()
-        .filter_map(|r| r.kind.mem_loc().map(|l| l.object.clone()))
+        .filter_map(|r| r.kind.mem_loc().map(|l| full.trace.names().name(l.object)))
         .collect();
-    assert!(objects.contains(&"untraced_obj".to_owned()));
+    assert!(objects.contains(&"untraced_obj"));
     assert!(full.trace.len() > sel.trace.len());
 }
 
@@ -475,8 +475,12 @@ fn focused_tracing_records_values_for_focused_objects_only() {
         .filter(|r| r.kind.is_mem())
         .collect();
     assert_eq!(mems.len(), 1);
-    assert_eq!(mems[0].kind.mem_loc().unwrap().object, "jMap");
-    assert_eq!(mems[0].kind.mem_value(), Some("task"));
+    let names = r.trace.names();
+    assert_eq!(names.name(mems[0].kind.mem_loc().unwrap().object), "jMap");
+    assert_eq!(
+        mems[0].kind.mem_value().map(|v| names.name(v)),
+        Some("task")
+    );
 }
 
 #[test]
@@ -536,7 +540,11 @@ fn multi_consumer_queue_handles_events_concurrently() {
         assert!(r.failures.is_empty());
         // check final value via trace: last write to n_done
         let last = r.trace.records().iter().rev().find(|rec| {
-            rec.kind.is_write() && rec.kind.mem_loc().is_some_and(|l| l.object == "n_done")
+            rec.kind.is_write()
+                && rec
+                    .kind
+                    .mem_loc()
+                    .is_some_and(|l| r.trace.names().name(l.object) == "n_done")
         });
         let _ = last;
         lost = true; // concurrency exercised; detailed value check in detect tests
@@ -573,7 +581,8 @@ fn sleep_defers_execution() {
             .records()
             .iter()
             .filter(|rec| rec.kind.is_write())
-            .filter_map(|rec| rec.kind.mem_loc().map(|l| l.object.clone()))
+            .filter_map(|rec| rec.kind.mem_loc().map(|l| r.trace.names().name(l.object)))
+            .map(str::to_owned)
             .collect();
         assert_eq!(writes, vec!["order".to_owned(), "order".to_owned()]);
         // early write must come first on every seed thanks to the sleep
@@ -623,7 +632,11 @@ fn writes_to(r: &super::RunResult, object: &str) -> usize {
         .records()
         .iter()
         .filter(|rec| rec.kind.is_write())
-        .filter(|rec| rec.kind.mem_loc().is_some_and(|l| l.object == object))
+        .filter(|rec| {
+            rec.kind
+                .mem_loc()
+                .is_some_and(|l| r.trace.names().name(l.object) == object)
+        })
         .count()
 }
 
@@ -848,8 +861,10 @@ fn map_keys_are_equal_exactly_when_their_key_strings_are() {
         Value::List(vec![s("5")]),
         s("[5]"),
     ];
+    let mut names = dcatch_trace::Names::new();
     for a in &values {
-        assert_eq!(MapKey::of(a.clone()).to_string(), a.key_string());
+        let traced = MapKey::of(a.clone()).traced(&mut names);
+        assert_eq!(names.key_text(traced), a.key_string());
         for b in &values {
             assert_eq!(
                 MapKey::of(a.clone()) == MapKey::of(b.clone()),

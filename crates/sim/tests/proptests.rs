@@ -417,10 +417,10 @@ fn trace_structure_is_well_formed() {
                     assert!(*c < r.seq, "case {case}");
                 }
                 OpKind::LockAcquire { lock } => {
-                    *lock_depth.entry((r.task, lock.clone())).or_insert(0) += 1;
+                    *lock_depth.entry((r.task, *lock)).or_insert(0) += 1;
                 }
                 OpKind::LockRelease { lock } => {
-                    let d = lock_depth.entry((r.task, lock.clone())).or_insert(0);
+                    let d = lock_depth.entry((r.task, *lock)).or_insert(0);
                     *d -= 1;
                     assert!(*d >= 0, "case {case}: release without acquire");
                 }

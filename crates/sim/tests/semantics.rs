@@ -441,12 +441,15 @@ fn an_integer_and_its_decimal_string_are_one_map_key() {
     assert!(r.failures.is_empty(), "{:?}", r.failures);
     // the records name the key in its `key_string()` form, whatever the
     // type the program used
-    let keys: Vec<&str> = r
+    let names = r.trace.names();
+    let keys: Vec<String> = r
         .trace
         .records()
         .iter()
         .filter_map(|rec| match &rec.kind {
-            OpKind::MemRead { loc, .. } | OpKind::MemWrite { loc, .. } => loc.key.as_deref(),
+            OpKind::MemRead { loc, .. } | OpKind::MemWrite { loc, .. } => {
+                loc.key.map(|k| names.key_text(k))
+            }
             _ => None,
         })
         .collect();

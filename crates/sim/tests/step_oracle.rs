@@ -23,7 +23,7 @@ use dcatch_sim::{
     FaultPlan, FocusConfig, Gate, GateDecision, GateEvent, RunResult, SimConfig, StallAction,
     Topology, World,
 };
-use dcatch_trace::{Record, StreamControl, TaskId, TraceSink};
+use dcatch_trace::{Names, Record, StreamControl, TaskId, TraceSink};
 
 struct Fnv(u64);
 
@@ -75,16 +75,22 @@ fn run_on(program: &Program, topo: &Topology, config: SimConfig) -> (u64, u64) {
     (h.0, r.faults_injected)
 }
 
-/// Sink hashing the record stream and every control as it arrives.
-struct HashSink(Fnv);
+/// Sink hashing the record stream, as lines, and every control as it
+/// arrives.
+struct HashSink(Fnv, Names);
 
 impl TraceSink for HashSink {
     fn record(&mut self, record: &Record) {
-        self.0.bytes(dcatch_trace::format_record(record).as_bytes());
+        self.0
+            .bytes(dcatch_trace::format_record(record, &self.1).as_bytes());
     }
 
     fn control(&mut self, control: StreamControl) {
         self.0.bytes(format!("{control:?}").as_bytes());
+    }
+
+    fn names(&mut self, names: &Names) {
+        self.1.extend_from(names);
     }
 }
 
@@ -93,7 +99,7 @@ fn run_streamed(bench: &Benchmark, config: SimConfig) -> u64 {
 }
 
 fn run_streamed_on(program: &Program, topo: &Topology, config: SimConfig) -> (u64, u64) {
-    let mut sink = HashSink(Fnv::new());
+    let mut sink = HashSink(Fnv::new(), Names::new());
     let r = World::run_streamed(program, topo, config, &mut sink).expect("valid program");
     let mut h = sink.0;
     fold(&mut h, &r);
@@ -160,7 +166,7 @@ fn busiest_stmt(bench: &Benchmark) -> StmtId {
     .expect("valid benchmark");
     let mut tasks_at: BTreeMap<StmtId, Vec<TaskId>> = BTreeMap::new();
     for rec in r.trace.records() {
-        if let Some(stmt) = rec.stmt() {
+        if let Some(stmt) = r.trace.names().leaf(rec.stack) {
             let tasks = tasks_at.entry(stmt).or_default();
             if !tasks.contains(&rec.task) {
                 tasks.push(rec.task);
@@ -469,7 +475,7 @@ fn a_prepared_program_holds_no_run_state() {
         fold(&mut h, &prepared.run_once(&config));
         assert_eq!(h.0, run(&bench, config.clone()), "{config:?}");
     }
-    let mut sink = HashSink(Fnv::new());
+    let mut sink = HashSink(Fnv::new(), Names::new());
     let r = prepared.run_streamed(&full, &mut sink);
     fold(&mut sink.0, &r);
     assert_eq!(sink.0 .0, run_streamed(&bench, full));

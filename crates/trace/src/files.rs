@@ -4,9 +4,10 @@
 //! system at run time" (paper §3.1). [`write_per_task_files`] materializes
 //! a [`TraceSet`] the same way — one file per task, named
 //! `n<node>.t<index>.trace` — plus a `queues.meta` side file carrying the
-//! queue-consumer metadata the `Eserial` rule needs.
-//! [`read_per_task_files`] reassembles the `TraceSet`, merging by sequence
-//! number; the round trip is lossless.
+//! queue-consumer metadata the `Eserial` rule needs. The lines carry the
+//! run's names as text; [`read_per_task_files`] interns them into a fresh
+//! table as it reassembles the `TraceSet`, merging by sequence number; the
+//! round trip is lossless.
 
 use std::fs;
 use std::io::{self, Write};
@@ -15,6 +16,7 @@ use std::path::Path;
 use dcatch_model::NodeId;
 
 use crate::format::{parse_record, write_record};
+use crate::names::Names;
 use crate::set::{QueueInfo, TraceSet};
 
 /// Writes one trace file per task plus queue metadata into `dir`
@@ -26,7 +28,7 @@ pub fn write_per_task_files(trace: &TraceSet, dir: &Path) -> io::Result<usize> {
         let path = dir.join(format!("{task}.trace"));
         let mut lines = String::new();
         for &i in &trace.task_records(task) {
-            write_record(&mut lines, &trace.records()[i]);
+            write_record(&mut lines, &trace.records()[i], trace.names());
             lines.push('\n');
         }
         fs::write(path, lines)?;
@@ -47,16 +49,19 @@ pub fn write_per_task_files(trace: &TraceSet, dir: &Path) -> io::Result<usize> {
 /// [`TraceSet`].
 pub fn read_per_task_files(dir: &Path) -> io::Result<TraceSet> {
     let mut records = Vec::new();
+    let mut names = Names::new();
     let mut queues: Vec<(NodeId, String, QueueInfo)> = Vec::new();
     let mut events: Vec<(u64, NodeId, String)> = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
+    // in name order, so a directory interns its names in one order
+    let mut entries = fs::read_dir(dir)?.collect::<io::Result<Vec<_>>>()?;
+    entries.sort_by_key(fs::DirEntry::file_name);
+    for entry in entries {
         let path = entry.path();
         let name = entry.file_name().to_string_lossy().into_owned();
         let content = fs::read_to_string(&path)?;
         if name.ends_with(".trace") {
             for (lineno, line) in content.lines().enumerate() {
-                let rec = parse_record(line).map_err(|e| {
+                let rec = parse_record(line, &mut names).map_err(|e| {
                     io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!("{name}:{}: {e}", lineno + 1),
@@ -91,7 +96,8 @@ pub fn read_per_task_files(dir: &Path) -> io::Result<TraceSet> {
         }
     }
     records.sort_by_key(|r| r.seq);
-    let mut trace: TraceSet = records.into_iter().collect();
+    let mut trace = TraceSet::with_names(names);
+    trace.extend(records);
     for (node, name, info) in queues {
         trace.register_queue(node, name, info);
     }
@@ -109,7 +115,7 @@ fn bad<E: std::fmt::Display>(e: E) -> io::Error {
 mod tests {
     use super::*;
     use crate::ids::{ExecCtx, MemLoc, MemSpace, TaskId};
-    use crate::record::{CallStack, OpKind, Record};
+    use crate::record::{OpKind, Record};
     use dcatch_model::{FuncId, StmtId};
 
     fn sample_trace() -> TraceSet {
@@ -119,6 +125,11 @@ mod tests {
                 node: NodeId((seq % 2) as u32),
                 index: (seq % 3) as u32,
             };
+            let object = trace.names_mut().intern(&format!("obj{seq}"));
+            let stack = trace.names_mut().stack_of(&[StmtId {
+                func: FuncId(0),
+                idx: seq as u32,
+            }]);
             trace.push(Record {
                 seq,
                 task,
@@ -127,15 +138,12 @@ mod tests {
                     loc: MemLoc {
                         space: MemSpace::Heap,
                         node: task.node,
-                        object: format!("obj{seq}"),
+                        object,
                         key: None,
                     },
                     value: None,
                 },
-                stack: CallStack(vec![StmtId {
-                    func: FuncId(0),
-                    idx: seq as u32,
-                }]),
+                stack,
             });
         }
         trace.register_queue(NodeId(0), "dispatch", QueueInfo { consumers: 1 });

@@ -8,15 +8,20 @@
 //! seq|task|ctx|tag|payload…|stack
 //! ```
 //!
-//! The format is self-inverse: [`parse_record`] ∘ [`format_record`] is the
-//! identity (property-tested in `dcatch-hb`'s integration tests and below).
+//! Names and callstacks are rendered from the run's [`Names`] here, and
+//! interned back into a table on parse. The format is self-inverse:
+//! [`parse_record`] ∘ [`format_record`] is the identity (property-tested
+//! in this crate's integration tests and below).
 
 use std::fmt;
 
 use dcatch_model::{FuncId, LoopId, NodeId, StmtId};
 
-use crate::ids::{EventId, ExecCtx, HandlerKind, LockRef, MemLoc, MemSpace, MsgId, RpcId, TaskId};
-use crate::record::{CallStack, OpKind, Record};
+use crate::ids::{
+    EventId, ExecCtx, HandlerKind, Key, LockRef, MemLoc, MemSpace, MsgId, RpcId, TaskId,
+};
+use crate::names::{Names, StackId};
+use crate::record::{OpKind, Record};
 
 /// Error from [`parse_record`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,10 +49,12 @@ fn err(msg: impl Into<String>) -> FormatError {
 pub(crate) trait LineSink {
     fn str(&mut self, s: &str);
     fn u64(&mut self, v: u64);
-    /// The format uses spaces and pipes as separators; object names, keys
-    /// and paths are sanitized on write — byte for byte, so the length is
-    /// preserved.
+    /// The format uses spaces and pipes as separators and newlines as
+    /// terminators; object names, keys, values and paths are sanitized on
+    /// write — byte for byte, so the length is preserved.
     fn sanitized(&mut self, s: &str);
+    /// A callstack, `f:i` entries outermost first, comma-separated.
+    fn stack(&mut self, names: &Names, stack: StackId);
 }
 
 impl LineSink for String {
@@ -70,13 +77,51 @@ impl LineSink for String {
     }
 
     fn sanitized(&mut self, s: &str) {
-        for (i, clean) in s.split([' ', '|']).enumerate() {
+        for (i, clean) in s.split([' ', '|', '\n', '\r']).enumerate() {
             if i > 0 {
                 self.push('_');
             }
             self.push_str(clean);
         }
     }
+
+    fn stack(&mut self, names: &Names, stack: StackId) {
+        // the call tree is walked innermost first, so each entry is written
+        // into its place counted back from the end of the path's known
+        // length — no recursion, however deep a parsed stack is
+        let len = names.stack_len(stack);
+        let mut end = self.len() + len;
+        self.extend(std::iter::repeat_n(',', len));
+        let mut at = stack;
+        let mut buf = [0u8; 21];
+        while let Some(stmt) = names.leaf(at) {
+            let entry = stack_entry(&mut buf, stmt);
+            self.replace_range(end - entry.len()..end, entry);
+            // the `,` before it is already in place
+            end -= entry.len() + 1;
+            at = names.parent(at);
+        }
+    }
+}
+
+/// One stack entry, `func:idx`, rendered into `buf`.
+fn stack_entry(buf: &mut [u8; 21], stmt: StmtId) -> &str {
+    let mut at = buf.len();
+    for (i, mut v) in [stmt.idx, stmt.func.0].into_iter().enumerate() {
+        if i > 0 {
+            at -= 1;
+            buf[at] = b':';
+        }
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
 }
 
 struct ByteCount(usize);
@@ -92,6 +137,22 @@ impl LineSink for ByteCount {
 
     fn sanitized(&mut self, s: &str) {
         self.0 += s.len();
+    }
+
+    fn stack(&mut self, names: &Names, stack: StackId) {
+        self.0 += names.stack_len(stack);
+    }
+}
+
+fn write_key(out: &mut impl LineSink, names: &Names, key: Key) {
+    match key {
+        Key::Int(i) => {
+            if i < 0 {
+                out.str("-");
+            }
+            out.u64(i.unsigned_abs());
+        }
+        Key::Str(id) => out.sanitized(names.name(id)),
     }
 }
 
@@ -132,7 +193,7 @@ fn parse_ctx(s: &str) -> Result<ExecCtx, FormatError> {
     }
 }
 
-fn parse_loc(parts: &[&str]) -> Result<MemLoc, FormatError> {
+fn parse_loc(parts: &[&str], names: &mut Names) -> Result<MemLoc, FormatError> {
     if parts.len() != 4 {
         return Err(err("memory location needs 4 fields"));
     }
@@ -142,11 +203,11 @@ fn parse_loc(parts: &[&str]) -> Result<MemLoc, FormatError> {
         other => return Err(err(format!("unknown space `{other}`"))),
     };
     let node = NodeId(parts[1].parse().map_err(|_| err("bad node id"))?);
-    let object = parts[2].to_owned();
+    let object = names.intern(parts[2]);
     let key = if parts[3] == "-" {
         None
     } else {
-        Some(parts[3].to_owned())
+        Some(names.key(parts[3]))
     };
     Ok(MemLoc {
         space,
@@ -156,7 +217,7 @@ fn parse_loc(parts: &[&str]) -> Result<MemLoc, FormatError> {
     })
 }
 
-fn write_payload(out: &mut impl LineSink, kind: &OpKind) {
+fn write_payload(out: &mut impl LineSink, names: &Names, kind: &OpKind) {
     match kind {
         OpKind::MemRead { loc, value } | OpKind::MemWrite { loc, value } => {
             out.str(match loc.space {
@@ -164,13 +225,17 @@ fn write_payload(out: &mut impl LineSink, kind: &OpKind) {
                 MemSpace::Zk => "zk ",
             });
             out.u64(loc.node.0.into());
-            for field in [
-                &loc.object,
-                loc.key.as_deref().unwrap_or("-"),
-                value.as_deref().unwrap_or("-"),
-            ] {
-                out.str(" ");
-                out.sanitized(field);
+            out.str(" ");
+            out.sanitized(names.name(loc.object));
+            out.str(" ");
+            match loc.key {
+                Some(key) => write_key(out, names, key),
+                None => out.str("-"),
+            }
+            out.str(" ");
+            match value {
+                Some(v) => out.sanitized(names.name(*v)),
+                None => out.str("-"),
             }
         }
         OpKind::ThreadCreate { child } | OpKind::ThreadJoin { child } => {
@@ -189,14 +254,14 @@ fn write_payload(out: &mut impl LineSink, kind: &OpKind) {
         | OpKind::RpcTimeout { rpc } => out.u64(rpc.0),
         OpKind::SocketSend { msg } | OpKind::SocketRecv { msg } => out.u64(msg.0),
         OpKind::ZkUpdate { path, version } | OpKind::ZkPushed { path, version } => {
-            out.sanitized(path);
+            out.sanitized(names.name(*path));
             out.str(" ");
             out.u64(*version);
         }
         OpKind::LockAcquire { lock } | OpKind::LockRelease { lock } => {
             out.u64(lock.node.0.into());
             out.str(" ");
-            out.sanitized(&lock.name);
+            out.sanitized(names.name(lock.name));
         }
         OpKind::LoopEnter { loop_id } | OpKind::LoopExit { loop_id } => {
             out.u64(loop_id.0.into());
@@ -205,7 +270,7 @@ fn write_payload(out: &mut impl LineSink, kind: &OpKind) {
     }
 }
 
-fn parse_payload(tag: &str, parts: &[&str]) -> Result<OpKind, FormatError> {
+fn parse_payload(tag: &str, parts: &[&str], names: &mut Names) -> Result<OpKind, FormatError> {
     let num = |i: usize| -> Result<u64, FormatError> {
         parts
             .get(i)
@@ -221,10 +286,13 @@ fn parse_payload(tag: &str, parts: &[&str]) -> Result<OpKind, FormatError> {
     };
     Ok(match tag {
         "rd" | "wr" => {
-            let loc = parse_loc(parts.get(0..4).ok_or_else(|| err("short mem payload"))?)?;
+            let loc = parse_loc(
+                parts.get(0..4).ok_or_else(|| err("short mem payload"))?,
+                names,
+            )?;
             let value = match parts.get(4) {
                 Some(&"-") | None => None,
-                Some(v) => Some((*v).to_owned()),
+                Some(v) => Some(names.intern(v)),
             };
             if tag == "rd" {
                 OpKind::MemRead { loc, value }
@@ -264,8 +332,8 @@ fn parse_payload(tag: &str, parts: &[&str]) -> Result<OpKind, FormatError> {
             msg: MsgId(num(0)?),
         },
         "zu" | "zp" => {
-            let path = (*parts.first().ok_or_else(|| err("missing zk path"))?).to_owned();
             let version = num(1)?;
+            let path = names.intern(parts.first().ok_or_else(|| err("missing zk path"))?);
             if tag == "zu" {
                 OpKind::ZkUpdate { path, version }
             } else {
@@ -273,10 +341,9 @@ fn parse_payload(tag: &str, parts: &[&str]) -> Result<OpKind, FormatError> {
             }
         }
         "la" | "lr" => {
-            let lock = LockRef {
-                node: NodeId(num(0)? as u32),
-                name: (*parts.get(1).ok_or_else(|| err("missing lock name"))?).to_owned(),
-            };
+            let node = NodeId(num(0)? as u32);
+            let name = names.intern(parts.get(1).ok_or_else(|| err("missing lock name"))?);
+            let lock = LockRef { node, name };
             if tag == "la" {
                 OpKind::LockAcquire { lock }
             } else {
@@ -305,7 +372,7 @@ fn parse_payload(tag: &str, parts: &[&str]) -> Result<OpKind, FormatError> {
 /// Writes one record's line form (without trailing newline) to `out`,
 /// allocating nothing: the one serializer behind [`format_record`],
 /// [`record_len`] and the trace files.
-pub(crate) fn write_record(out: &mut impl LineSink, r: &Record) {
+pub(crate) fn write_record(out: &mut impl LineSink, r: &Record, names: &Names) {
     out.u64(r.seq);
     out.str("|");
     out.u64(r.task.node.0.into());
@@ -316,34 +383,29 @@ pub(crate) fn write_record(out: &mut impl LineSink, r: &Record) {
     out.str("|");
     out.str(r.kind.tag());
     out.str("|");
-    write_payload(out, &r.kind);
+    write_payload(out, names, &r.kind);
     out.str("|");
-    for (i, s) in r.stack.0.iter().enumerate() {
-        if i > 0 {
-            out.str(",");
-        }
-        out.u64(s.func.0.into());
-        out.str(":");
-        out.u64(s.idx.into());
-    }
+    out.stack(names, r.stack);
 }
 
-/// Serializes one record to its line form (without trailing newline).
-pub fn format_record(r: &Record) -> String {
+/// Serializes one record to its line form (without trailing newline),
+/// rendering its ids from `names`, the table of its run.
+pub fn format_record(r: &Record, names: &Names) -> String {
     let mut line = String::new();
-    write_record(&mut line, r);
+    write_record(&mut line, r, names);
     line
 }
 
 /// Length in bytes of [`format_record`]'s line, computed without building it.
-pub fn record_len(r: &Record) -> usize {
+pub fn record_len(r: &Record, names: &Names) -> usize {
     let mut count = ByteCount(0);
-    write_record(&mut count, r);
+    write_record(&mut count, r, names);
     count.0
 }
 
-/// Parses one line produced by [`format_record`].
-pub fn parse_record(line: &str) -> Result<Record, FormatError> {
+/// Parses one line produced by [`format_record`], interning its names and
+/// callstack into `names`.
+pub fn parse_record(line: &str, names: &mut Names) -> Result<Record, FormatError> {
     let fields: Vec<&str> = line.split('|').collect();
     if fields.len() != 6 {
         return Err(err(format!("expected 6 fields, got {}", fields.len())));
@@ -366,20 +428,18 @@ pub fn parse_record(line: &str) -> Result<Record, FormatError> {
     } else {
         fields[4].split(' ').collect()
     };
-    let kind = parse_payload(fields[3], &payload)?;
-    let stack = if fields[5].is_empty() {
-        CallStack::default()
-    } else {
-        let mut ids = Vec::new();
+    let kind = parse_payload(fields[3], &payload, names)?;
+    let mut stack = StackId::EMPTY;
+    if !fields[5].is_empty() {
         for part in fields[5].split(',') {
             let (f, i) = part.split_once(':').ok_or_else(|| err("bad stack frame"))?;
-            ids.push(StmtId {
+            let stmt = StmtId {
                 func: FuncId(f.parse().map_err(|_| err("bad stack func"))?),
                 idx: i.parse().map_err(|_| err("bad stack idx"))?,
-            });
+            };
+            stack = names.frame(stack, stmt);
         }
-        CallStack(ids)
-    };
+    }
     Ok(Record {
         seq,
         task: TaskId {
@@ -396,14 +456,24 @@ pub fn parse_record(line: &str) -> Result<Record, FormatError> {
 mod tests {
     use super::*;
 
-    fn roundtrip(r: &Record) {
-        let line = format_record(r);
-        assert_eq!(record_len(r), line.len(), "line was: {line}");
-        let back = parse_record(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    fn roundtrip(r: &Record, names: &mut Names) {
+        let line = format_record(r, names);
+        assert_eq!(record_len(r, names), line.len(), "line was: {line}");
+        let back = parse_record(&line, names).unwrap_or_else(|e| panic!("{e}: {line}"));
         assert_eq!(&back, r, "line was: {line}");
     }
 
-    fn base(kind: OpKind) -> Record {
+    fn base(kind: OpKind, names: &mut Names) -> Record {
+        let stack = names.stack_of(&[
+            StmtId {
+                func: FuncId(2),
+                idx: 5,
+            },
+            StmtId {
+                func: FuncId(9),
+                idx: 0,
+            },
+        ]);
         Record {
             seq: 42,
             task: TaskId {
@@ -415,32 +485,28 @@ mod tests {
                 instance: 17,
             },
             kind,
-            stack: CallStack(vec![
-                StmtId {
-                    func: FuncId(2),
-                    idx: 5,
-                },
-                StmtId {
-                    func: FuncId(9),
-                    idx: 0,
-                },
-            ]),
+            stack,
         }
     }
 
     #[test]
     fn roundtrips_every_kind() {
+        let mut names = Names::new();
         let loc = MemLoc {
             space: MemSpace::Heap,
             node: NodeId(0),
-            object: "jMap".into(),
-            key: Some("job_1".into()),
+            object: names.intern("jMap"),
+            key: Some(names.key("job_1")),
         };
         let zloc = MemLoc {
             space: MemSpace::Zk,
             node: NodeId(2),
-            object: "/region/r1".into(),
+            object: names.intern("/region/r1"),
             key: None,
+        };
+        let ikey = MemLoc {
+            key: Some(Key::Int(-12)),
+            ..loc
         };
         let child = TaskId {
             node: NodeId(0),
@@ -448,16 +514,18 @@ mod tests {
         };
         let lock = LockRef {
             node: NodeId(1),
-            name: "master".into(),
+            name: names.intern("master"),
         };
+        let path = names.intern("/p/q");
         let kinds = vec![
-            OpKind::MemRead {
-                loc: loc.clone(),
-                value: None,
-            },
+            OpKind::MemRead { loc, value: None },
             OpKind::MemWrite {
                 loc: zloc,
-                value: Some("OPENED".into()),
+                value: Some(names.intern("OPENED")),
+            },
+            OpKind::MemWrite {
+                loc: ikey,
+                value: None,
             },
             OpKind::ThreadCreate { child },
             OpKind::ThreadBegin,
@@ -472,15 +540,9 @@ mod tests {
             OpKind::RpcJoin { rpc: RpcId(8) },
             OpKind::SocketSend { msg: MsgId(3) },
             OpKind::SocketRecv { msg: MsgId(3) },
-            OpKind::ZkUpdate {
-                path: "/p/q".into(),
-                version: 2,
-            },
-            OpKind::ZkPushed {
-                path: "/p/q".into(),
-                version: 2,
-            },
-            OpKind::LockAcquire { lock: lock.clone() },
+            OpKind::ZkUpdate { path, version: 2 },
+            OpKind::ZkPushed { path, version: 2 },
+            OpKind::LockAcquire { lock },
             OpKind::LockRelease { lock },
             OpKind::LoopEnter { loop_id: LoopId(1) },
             OpKind::LoopExit { loop_id: LoopId(1) },
@@ -489,55 +551,91 @@ mod tests {
             OpKind::RpcTimeout { rpc: RpcId(8) },
         ];
         for k in kinds {
-            roundtrip(&base(k));
+            let r = base(k, &mut names);
+            roundtrip(&r, &mut names);
         }
     }
 
     #[test]
     fn regular_ctx_and_empty_stack() {
-        let mut r = base(OpKind::ThreadBegin);
+        let mut names = Names::new();
+        let mut r = base(OpKind::ThreadBegin, &mut names);
         r.ctx = ExecCtx::Regular;
-        r.stack = CallStack::default();
-        roundtrip(&r);
+        r.stack = StackId::EMPTY;
+        roundtrip(&r, &mut names);
     }
 
     #[test]
     fn separators_in_names_are_sanitized_byte_for_byte() {
-        let r = base(OpKind::MemWrite {
-            loc: MemLoc {
-                space: MemSpace::Heap,
-                node: NodeId(0),
-                object: "a b|c".into(),
-                key: Some(" k|".into()),
-            },
-            value: Some("é |".into()),
-        });
-        let line = format_record(&r);
-        assert!(line.contains("heap 0 a_b_c _k_ é__|"), "{line}");
-        assert_eq!(record_len(&r), line.len());
-        assert_eq!(parse_record(&line).unwrap().stack, r.stack);
+        let mut names = Names::new();
+        let loc = MemLoc {
+            space: MemSpace::Heap,
+            node: NodeId(0),
+            object: names.intern("a b|c"),
+            key: Some(names.key(" k|")),
+        };
+        let value = Some(names.intern("é |\n"));
+        let r = base(OpKind::MemWrite { loc, value }, &mut names);
+        let line = format_record(&r, &names);
+        assert!(line.contains("heap 0 a_b_c _k_ é___|"), "{line}");
+        assert_eq!(record_len(&r, &names), line.len());
+        assert_eq!(parse_record(&line, &mut names).unwrap().stack, r.stack);
     }
 
     #[test]
     fn numbers_at_every_digit_boundary() {
+        let mut names = Names::new();
         let mut seqs = vec![0, u64::MAX];
         for digits in 1..20 {
             seqs.extend([10u64.pow(digits) - 1, 10u64.pow(digits)]);
         }
         for seq in seqs {
-            let mut r = base(OpKind::EventCreate {
-                event: EventId(seq),
-            });
+            let mut r = base(
+                OpKind::EventCreate {
+                    event: EventId(seq),
+                },
+                &mut names,
+            );
             r.seq = seq;
-            assert!(format_record(&r).starts_with(&format!("{seq}|1 3|")));
-            roundtrip(&r);
+            assert!(format_record(&r, &names).starts_with(&format!("{seq}|1 3|")));
+            roundtrip(&r, &mut names);
+        }
+        for key in [i64::MIN, -1, 0, 9, i64::MAX] {
+            let loc = MemLoc {
+                space: MemSpace::Heap,
+                node: NodeId(0),
+                object: names.intern("m"),
+                key: Some(Key::Int(key)),
+            };
+            let r = base(OpKind::MemRead { loc, value: None }, &mut names);
+            assert!(format_record(&r, &names).contains(&format!(" m {key} -|")));
+            roundtrip(&r, &mut names);
         }
     }
 
     #[test]
+    fn a_deep_stack_is_written_without_recursion() {
+        let mut names = Names::new();
+        let stmts: Vec<StmtId> = (0..200_000)
+            .map(|i| StmtId {
+                func: FuncId(i % 7),
+                idx: i,
+            })
+            .collect();
+        let mut r = base(OpKind::ThreadBegin, &mut names);
+        r.stack = names.stack_of(&stmts);
+        let line = format_record(&r, &names);
+        let stack = line.rsplit('|').next().expect("six fields");
+        assert!(stack.starts_with("0:0,1:1,2:2,"), "{}", &stack[..20]);
+        assert!(stack.ends_with(",1:199998,2:199999"));
+        roundtrip(&r, &mut names);
+    }
+
+    #[test]
     fn rejects_garbage() {
-        assert!(parse_record("not a record").is_err());
-        assert!(parse_record("1|0 0|reg|??||").is_err());
-        assert!(parse_record("x|0 0|reg|tb||").is_err());
+        let mut names = Names::new();
+        assert!(parse_record("not a record", &mut names).is_err());
+        assert!(parse_record("1|0 0|reg|??||", &mut names).is_err());
+        assert!(parse_record("x|0 0|reg|tb||", &mut names).is_err());
     }
 }

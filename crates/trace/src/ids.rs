@@ -5,6 +5,8 @@ use std::fmt;
 
 use dcatch_model::NodeId;
 
+use crate::names::NameId;
+
 /// Global identity of a task (thread, event-handler worker, RPC worker…):
 /// the node it runs on plus a per-node index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -69,10 +71,30 @@ pub enum MemSpace {
     Zk,
 }
 
+/// Key of a key-granular map access. An integer key is carried inline, in
+/// the canonical form the simulator keys its maps by (`5` and `"5"` are one
+/// key); any other key is a name in the run's table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Key {
+    /// The canonical decimal of an `i64`.
+    Int(i64),
+    /// Any other key text.
+    Str(NameId),
+}
+
+impl Key {
+    /// The integer `text` is the canonical decimal of, if any: the one
+    /// rule that makes `5` and `"5"` one key and `"05"` another.
+    pub fn int_form(text: &str) -> Option<i64> {
+        text.parse::<i64>().ok().filter(|i| i.to_string() == text)
+    }
+}
+
 /// Identity of a memory location: the paper's "field-offset + object
 /// hashcode" / "variable name + namespace" (§3.1.2), adapted to the
-/// simulator's named heap.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// simulator's named heap. Names are ids into the run's [`Names`](crate::Names);
+/// [`Location`] is the same location rendered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MemLoc {
     /// Namespace. Heap locations also carry the owning node; zknodes are
     /// global (the coordination service is shared).
@@ -80,11 +102,11 @@ pub struct MemLoc {
     /// Owning node for heap locations; the service's view for zk.
     pub node: NodeId,
     /// Object (cell/map/list) name or zknode path.
-    pub object: String,
+    pub object: NameId,
     /// Key within a map, if the access is key-granular. Collection-level
     /// operations (`isEmpty`, `add`…) use `None` and conflict with every
     /// key of the same object.
-    pub key: Option<String>,
+    pub key: Option<Key>,
 }
 
 impl MemLoc {
@@ -97,12 +119,12 @@ impl MemLoc {
         if self.space == MemSpace::Heap && self.node != other.node {
             return false;
         }
-        MemLoc::keys_alias(&self.key, &other.key)
+        MemLoc::keys_alias(self.key, other.key)
     }
 
     /// Whether two keys of one object can alias: equal, or either side
     /// key-less (collection-level).
-    pub fn keys_alias(a: &Option<String>, b: &Option<String>) -> bool {
+    pub fn keys_alias(a: Option<Key>, b: Option<Key>) -> bool {
         match (a, b) {
             (Some(a), Some(b)) => a == b,
             _ => true,
@@ -110,7 +132,21 @@ impl MemLoc {
     }
 }
 
-impl fmt::Display for MemLoc {
+/// A [`MemLoc`] with its names rendered ([`Names::location`](crate::Names::location)):
+/// what the sites of a reported candidate carry.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Location {
+    /// Namespace.
+    pub space: MemSpace,
+    /// Owning node for heap locations; the service's view for zk.
+    pub node: NodeId,
+    /// Object (cell/map/list) name or zknode path.
+    pub object: String,
+    /// Key within a map, if the access is key-granular.
+    pub key: Option<String>,
+}
+
+impl fmt::Display for Location {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let space = match self.space {
             MemSpace::Heap => "heap",
@@ -140,71 +176,70 @@ pub struct MsgId(pub u64);
 pub struct EventId(pub u64);
 
 /// Identity of a lock object: owning node plus lock name.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LockRef {
     /// Node owning the lock.
     pub node: NodeId,
     /// Lock name.
-    pub name: String,
-}
-
-impl fmt::Display for LockRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.node, self.name)
-    }
+    pub name: NameId,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn loc(node: u32, object: &str, key: Option<&str>) -> MemLoc {
+    fn loc(node: u32, object: u32, key: Option<Key>) -> MemLoc {
         MemLoc {
             space: MemSpace::Heap,
             node: NodeId(node),
-            object: object.to_owned(),
-            key: key.map(str::to_owned),
+            object: NameId(object),
+            key,
         }
     }
 
+    const J1: Option<Key> = Some(Key::Str(NameId(7)));
+    const J2: Option<Key> = Some(Key::Int(2));
+
     #[test]
     fn keyed_accesses_conflict_only_on_equal_keys() {
-        assert!(loc(0, "jMap", Some("j1")).conflicts_with(&loc(0, "jMap", Some("j1"))));
-        assert!(!loc(0, "jMap", Some("j1")).conflicts_with(&loc(0, "jMap", Some("j2"))));
+        assert!(loc(0, 0, J1).conflicts_with(&loc(0, 0, J1)));
+        assert!(!loc(0, 0, J1).conflicts_with(&loc(0, 0, J2)));
     }
 
     #[test]
     fn collection_level_access_conflicts_with_any_key() {
-        assert!(loc(0, "jMap", None).conflicts_with(&loc(0, "jMap", Some("j1"))));
-        assert!(loc(0, "jMap", Some("j1")).conflicts_with(&loc(0, "jMap", None)));
+        assert!(loc(0, 0, None).conflicts_with(&loc(0, 0, J1)));
+        assert!(loc(0, 0, J1).conflicts_with(&loc(0, 0, None)));
     }
 
     #[test]
     fn different_nodes_or_objects_never_conflict() {
-        assert!(!loc(0, "jMap", None).conflicts_with(&loc(1, "jMap", None)));
-        assert!(!loc(0, "jMap", None).conflicts_with(&loc(0, "other", None)));
+        assert!(!loc(0, 0, None).conflicts_with(&loc(1, 0, None)));
+        assert!(!loc(0, 0, None).conflicts_with(&loc(0, 1, None)));
     }
 
     #[test]
     fn zk_locations_conflict_across_observing_nodes() {
         let a = MemLoc {
             space: MemSpace::Zk,
-            node: NodeId(0),
-            object: "/region/r1".to_owned(),
-            key: None,
+            ..loc(0, 3, None)
         };
         let b = MemLoc {
-            space: MemSpace::Zk,
             node: NodeId(2),
-            object: "/region/r1".to_owned(),
-            key: None,
+            ..a
         };
         assert!(a.conflicts_with(&b));
     }
 
     #[test]
     fn display_forms() {
-        assert_eq!(loc(1, "m", Some("k")).to_string(), "heap:n1:m[k]");
+        let l = Location {
+            space: MemSpace::Heap,
+            node: NodeId(1),
+            object: "m".to_owned(),
+            key: Some("k".to_owned()),
+        };
+        assert_eq!(l.to_string(), "heap:n1:m[k]");
         assert_eq!(
             TaskId {
                 node: NodeId(2),

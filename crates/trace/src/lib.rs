@@ -14,6 +14,10 @@
 //! * **loop markers**, which feed the pull-based/loop custom
 //!   synchronization analysis (§3.2.1).
 //!
+//! A [`Record`] is `Copy`: names and callstacks are ids into the run's
+//! [`Names`] table, rendered only by the line format and for a reported
+//! candidate's sites.
+//!
 //! The crate also implements the *selective tracing* policy of §3.1.1
 //! ([`TracedFunctions`]): only accesses inside RPC functions, socket-using
 //! functions, event handlers, and their callees are recorded, which is what
@@ -25,6 +29,7 @@
 mod files;
 mod format;
 mod ids;
+mod names;
 mod record;
 mod scope;
 mod set;
@@ -33,7 +38,10 @@ mod stream;
 
 pub use files::{read_per_task_files, write_per_task_files};
 pub use format::{format_record, parse_record, record_len, FormatError};
-pub use ids::{EventId, ExecCtx, HandlerKind, LockRef, MemLoc, MemSpace, MsgId, RpcId, TaskId};
+pub use ids::{
+    EventId, ExecCtx, HandlerKind, Key, Location, LockRef, MemLoc, MemSpace, MsgId, RpcId, TaskId,
+};
+pub use names::{NameId, Names, StackId};
 pub use record::{CallStack, OpKind, Record};
 pub use scope::{TracedFunctions, TracingMode};
 pub use set::{QueueInfo, TraceSet};

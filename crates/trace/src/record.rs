@@ -6,26 +6,16 @@ use std::fmt;
 use dcatch_model::{LoopId, StmtId};
 
 use crate::ids::{EventId, ExecCtx, LockRef, MemLoc, MsgId, RpcId, TaskId};
+use crate::names::{NameId, StackId};
 
-/// A callstack: call-site statement ids from outermost frame inward, ending
-/// with the statement of the recorded operation itself.
+/// A callstack, resolved from its [`StackId`]: call-site statement ids from
+/// outermost frame inward, ending with the statement of the recorded
+/// operation itself.
 ///
 /// Two dynamic accesses with equal callstacks count as the same
 /// "callstack pair" entry in the paper's Table 4.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CallStack(pub Vec<StmtId>);
-
-impl CallStack {
-    /// The statement of the recorded operation (innermost entry).
-    pub fn leaf(&self) -> Option<StmtId> {
-        self.0.last().copied()
-    }
-
-    /// Number of frames (including the leaf operation).
-    pub fn depth(&self) -> usize {
-        self.0.len()
-    }
-}
 
 impl fmt::Display for CallStack {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -37,23 +27,23 @@ impl fmt::Display for CallStack {
 /// The operation a record describes. The HB-related variants are exactly
 /// the rows of the paper's Table 2; memory accesses, lock operations, and
 /// loop markers complete the set.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Read of a shared location. `value` is filled only in the focused
     /// value-tracing re-run used by the loop-synchronization analysis
-    /// (§3.2.1) and holds the value's key form.
+    /// (§3.2.1) and names the value's key form.
     MemRead {
         /// Location read.
         loc: MemLoc,
         /// Observed value (focused re-run only).
-        value: Option<String>,
+        value: Option<NameId>,
     },
     /// Write (or remove) of a shared location.
     MemWrite {
         /// Location written.
         loc: MemLoc,
         /// Stored value (focused re-run only).
-        value: Option<String>,
+        value: Option<NameId>,
     },
 
     /// `Create(t)` — thread spawn, in the parent.
@@ -123,14 +113,14 @@ pub enum OpKind {
     /// (`create`/`setData`/`delete`).
     ZkUpdate {
         /// zknode path.
-        path: String,
+        path: NameId,
         /// Monotonic per-path version, pairing updates with notifications.
         version: u64,
     },
     /// `Pushed(s, n2)` — watcher notification delivery.
     ZkPushed {
         /// zknode path.
-        path: String,
+        path: NameId,
         /// Version this notification reports.
         version: u64,
     },
@@ -198,9 +188,9 @@ impl OpKind {
     }
 
     /// The traced value, if this is a memory access from a value-tracing run.
-    pub fn mem_value(&self) -> Option<&str> {
+    pub fn mem_value(&self) -> Option<NameId> {
         match self {
-            OpKind::MemRead { value, .. } | OpKind::MemWrite { value, .. } => value.as_deref(),
+            OpKind::MemRead { value, .. } | OpKind::MemWrite { value, .. } => *value,
             _ => None,
         }
     }
@@ -244,8 +234,9 @@ impl OpKind {
     }
 }
 
-/// One trace record.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// One trace record. It owns no heap memory: names and the callstack are
+/// ids into the run's [`Names`](crate::Names).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Record {
     /// Global sequence number: the deterministic execution order. Every HB
     /// edge points from a smaller to a larger sequence number, which gives
@@ -258,16 +249,18 @@ pub struct Record {
     pub ctx: ExecCtx,
     /// The operation.
     pub kind: OpKind,
-    /// Callstack of the operation.
-    pub stack: CallStack,
+    /// Callstack of the operation; its leaf
+    /// ([`Names::leaf`](crate::Names::leaf)) is the record's static
+    /// identity ("static instruction").
+    pub stack: StackId,
 }
 
-impl Record {
-    /// The static identity ("static instruction") of this record.
-    pub fn stmt(&self) -> Option<StmtId> {
-        self.stack.leaf()
-    }
-}
+/// A record is copied, never cloned: the simulator emits it, the sink and
+/// the trace take it by value, and nothing of it lives on the heap.
+const _: () = {
+    const fn is_copy<T: Copy>() {}
+    is_copy::<Record>();
+};
 
 #[cfg(test)]
 mod tests {
@@ -282,12 +275,10 @@ mod tests {
     }
 
     #[test]
-    fn callstack_leaf_and_display() {
+    fn callstack_display() {
         let cs = CallStack(vec![sid(0, 3), sid(2, 1)]);
-        assert_eq!(cs.leaf(), Some(sid(2, 1)));
-        assert_eq!(cs.depth(), 2);
         assert_eq!(cs.to_string(), "f0:3>f2:1");
-        assert_eq!(CallStack::default().leaf(), None);
+        assert_eq!(CallStack::default().to_string(), "");
     }
 
     #[test]
@@ -295,20 +286,17 @@ mod tests {
         let loc = MemLoc {
             space: crate::ids::MemSpace::Heap,
             node: NodeId(0),
-            object: "x".into(),
+            object: NameId(0),
             key: None,
         };
-        let r = OpKind::MemRead {
-            loc: loc.clone(),
-            value: None,
-        };
+        let r = OpKind::MemRead { loc, value: None };
         let w = OpKind::MemWrite {
             loc,
-            value: Some("5".into()),
+            value: Some(NameId(5)),
         };
         assert!(r.is_mem() && !r.is_write());
         assert!(w.is_mem() && w.is_write());
-        assert_eq!(w.mem_value(), Some("5"));
+        assert_eq!(w.mem_value(), Some(NameId(5)));
         assert!(!OpKind::ThreadBegin.is_mem());
         assert_eq!(OpKind::ThreadBegin.tag(), "tb");
     }

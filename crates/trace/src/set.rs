@@ -7,7 +7,8 @@ use dcatch_model::NodeId;
 
 use crate::format::{record_len, write_record};
 use crate::ids::TaskId;
-use crate::record::{OpKind, Record};
+use crate::names::Names;
+use crate::record::Record;
 use crate::stats::TraceStats;
 
 /// Metadata about one event queue, captured at run time. `Eserial` only
@@ -26,10 +27,12 @@ impl QueueInfo {
 }
 
 /// All records of one run, in execution (sequence) order, together with the
-/// side tables the analyses need.
+/// run's name table and the side tables the analyses need.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSet {
     records: Vec<Record>,
+    /// What the records' ids name.
+    names: Names,
     /// Queue metadata: (node, queue name) → info.
     queues: BTreeMap<(NodeId, String), QueueInfo>,
     /// Which queue each event was enqueued on: event id → (node, queue).
@@ -37,9 +40,27 @@ pub struct TraceSet {
 }
 
 impl TraceSet {
-    /// Creates an empty trace.
+    /// Creates an empty trace with an empty name table.
     pub fn new() -> TraceSet {
         TraceSet::default()
+    }
+
+    /// Creates an empty trace whose records will name ids of `names`.
+    pub fn with_names(names: Names) -> TraceSet {
+        TraceSet {
+            names,
+            ..TraceSet::default()
+        }
+    }
+
+    /// The table the records' ids refer to.
+    pub fn names(&self) -> &Names {
+        &self.names
+    }
+
+    /// The table, for interning what records about to be pushed name.
+    pub fn names_mut(&mut self) -> &mut Names {
+        &mut self.names
     }
 
     /// Appends a record. Records must arrive in nondecreasing `seq` order.
@@ -134,14 +155,17 @@ impl TraceSet {
     /// The size of the trace in its on-disk line format, in bytes
     /// (paper Tables 6 and 8 report trace sizes).
     pub fn byte_size(&self) -> usize {
-        self.records.iter().map(|r| record_len(r) + 1).sum()
+        self.records
+            .iter()
+            .map(|r| record_len(r, &self.names) + 1)
+            .sum()
     }
 
     /// Serializes the whole trace to the line format.
     pub fn to_lines(&self) -> String {
         let mut out = String::new();
         for r in &self.records {
-            write_record(&mut out, r);
+            write_record(&mut out, r, &self.names);
             out.push('\n');
         }
         out
@@ -152,7 +176,8 @@ impl TraceSet {
     /// are ignored by analyzer").
     pub fn filtered(&self, mut keep: impl FnMut(&Record) -> bool) -> TraceSet {
         TraceSet {
-            records: self.records.iter().filter(|r| keep(r)).cloned().collect(),
+            records: self.records.iter().filter(|r| keep(r)).copied().collect(),
+            names: self.names.clone(),
             queues: self.queues.clone(),
             event_queue: self.event_queue.clone(),
         }
@@ -162,7 +187,8 @@ impl TraceSet {
     /// ablations that demote handler contexts to regular program order.
     pub fn mapped(&self, mut f: impl FnMut(Record) -> Record) -> TraceSet {
         TraceSet {
-            records: self.records.iter().cloned().map(&mut f).collect(),
+            records: self.records.iter().copied().map(&mut f).collect(),
+            names: self.names.clone(),
             queues: self.queues.clone(),
             event_queue: self.event_queue.clone(),
         }
@@ -185,30 +211,25 @@ impl TraceSet {
     }
 }
 
-/// Convenience: build a `TraceSet` from records (testing).
-impl FromIterator<Record> for TraceSet {
-    fn from_iter<T: IntoIterator<Item = Record>>(iter: T) -> Self {
-        let mut ts = TraceSet::new();
+/// Appends records (in sequence order), e.g. the ones a test built against
+/// [`names_mut`](TraceSet::names_mut).
+impl Extend<Record> for TraceSet {
+    fn extend<T: IntoIterator<Item = Record>>(&mut self, iter: T) {
         for r in iter {
-            ts.push(r);
+            self.push(r);
         }
-        ts
     }
-}
-
-#[allow(dead_code)]
-fn _assert_opkind_used(k: &OpKind) -> bool {
-    k.is_mem()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::{ExecCtx, MemLoc, MemSpace};
-    use crate::record::CallStack;
+    use crate::names::StackId;
+    use crate::record::OpKind;
     use dcatch_model::{FuncId, StmtId};
 
-    fn rec(seq: u64, node: u32, task: u32, kind: OpKind) -> Record {
+    fn rec(names: &mut Names, seq: u64, node: u32, task: u32, kind: OpKind) -> Record {
         Record {
             seq,
             task: TaskId {
@@ -217,41 +238,48 @@ mod tests {
             },
             ctx: ExecCtx::Regular,
             kind,
-            stack: CallStack(vec![StmtId {
-                func: FuncId(0),
-                idx: seq as u32,
-            }]),
+            stack: names.frame(
+                StackId::EMPTY,
+                StmtId {
+                    func: FuncId(0),
+                    idx: seq as u32,
+                },
+            ),
         }
     }
 
-    fn mem(seq: u64, node: u32, task: u32, object: &str, write: bool) -> Record {
+    fn mem(names: &mut Names, seq: u64, node: u32, task: u32, object: &str, write: bool) -> Record {
         let loc = MemLoc {
             space: MemSpace::Heap,
             node: NodeId(node),
-            object: object.to_owned(),
+            object: names.intern(object),
             key: None,
         };
-        rec(
-            seq,
-            node,
-            task,
-            if write {
-                OpKind::MemWrite { loc, value: None }
-            } else {
-                OpKind::MemRead { loc, value: None }
-            },
-        )
+        let kind = if write {
+            OpKind::MemWrite { loc, value: None }
+        } else {
+            OpKind::MemRead { loc, value: None }
+        };
+        rec(names, seq, node, task, kind)
+    }
+
+    /// A trace of `build`'s records, interned into its own table.
+    fn trace(build: impl FnOnce(&mut Names) -> Vec<Record>) -> TraceSet {
+        let mut ts = TraceSet::new();
+        let records = build(ts.names_mut());
+        ts.extend(records);
+        ts
     }
 
     #[test]
     fn push_and_query() {
-        let ts: TraceSet = vec![
-            mem(0, 0, 0, "a", true),
-            mem(1, 0, 1, "a", false),
-            rec(2, 1, 0, OpKind::ThreadBegin),
-        ]
-        .into_iter()
-        .collect();
+        let ts = trace(|n| {
+            vec![
+                mem(n, 0, 0, 0, "a", true),
+                mem(n, 1, 0, 1, "a", false),
+                rec(n, 2, 1, 0, OpKind::ThreadBegin),
+            ]
+        });
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.mem_access_indices(), vec![0, 1]);
         assert_eq!(ts.tasks().len(), 3);
@@ -281,13 +309,17 @@ mod tests {
 
     #[test]
     fn filtered_and_mapped_preserve_side_tables() {
-        let mut ts: TraceSet = vec![mem(0, 0, 0, "a", true), rec(1, 0, 0, OpKind::ThreadEnd)]
-            .into_iter()
-            .collect();
+        let mut ts = trace(|n| {
+            vec![
+                mem(n, 0, 0, 0, "a", true),
+                rec(n, 1, 0, 0, OpKind::ThreadEnd),
+            ]
+        });
         ts.register_queue(NodeId(0), "q", QueueInfo { consumers: 2 });
         let only_mem = ts.filtered(|r| r.kind.is_mem());
         assert_eq!(only_mem.len(), 1);
         assert!(only_mem.queue_info(NodeId(0), "q").is_some());
+        assert_eq!(only_mem.to_lines(), "0|0 0|reg|wr|heap 0 a - -|0:0\n");
         let bumped = ts.mapped(|mut r| {
             r.seq += 10;
             r
@@ -297,7 +329,7 @@ mod tests {
 
     #[test]
     fn byte_size_matches_serialized_length() {
-        let ts: TraceSet = vec![mem(0, 0, 0, "a", true)].into_iter().collect();
+        let ts = trace(|n| vec![mem(n, 0, 0, 0, "a", true)]);
         assert_eq!(ts.byte_size(), ts.to_lines().len());
     }
 }

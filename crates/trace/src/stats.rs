@@ -90,7 +90,7 @@ impl fmt::Display for TraceStats {
 mod tests {
     use super::*;
     use crate::ids::{EventId, ExecCtx, LockRef, MemLoc, MemSpace, MsgId, RpcId, TaskId};
-    use crate::record::CallStack;
+    use crate::names::{NameId, StackId};
     use dcatch_model::{LoopId, NodeId};
 
     fn rec(kind: OpKind) -> Record {
@@ -102,7 +102,7 @@ mod tests {
             },
             ctx: ExecCtx::Regular,
             kind,
-            stack: CallStack::default(),
+            stack: StackId::EMPTY,
         }
     }
 
@@ -111,25 +111,22 @@ mod tests {
         let loc = MemLoc {
             space: MemSpace::Heap,
             node: NodeId(0),
-            object: "x".into(),
+            object: NameId(0),
             key: None,
         };
         let records = vec![
-            rec(OpKind::MemRead {
-                loc: loc.clone(),
-                value: None,
-            }),
+            rec(OpKind::MemRead { loc, value: None }),
             rec(OpKind::MemWrite { loc, value: None }),
             rec(OpKind::RpcCreate { rpc: RpcId(1) }),
             rec(OpKind::ThreadBegin),
             rec(OpKind::LockAcquire {
                 lock: LockRef {
                     node: NodeId(0),
-                    name: "l".into(),
+                    name: NameId(1),
                 },
             }),
             rec(OpKind::ZkUpdate {
-                path: "/p".into(),
+                path: NameId(2),
                 version: 1,
             }),
         ];
@@ -150,25 +147,22 @@ mod tests {
         let loc = MemLoc {
             space: MemSpace::Heap,
             node: NodeId(0),
-            object: "x".into(),
+            object: NameId(0),
             key: None,
         };
         let lock = LockRef {
             node: NodeId(0),
-            name: "l".into(),
+            name: NameId(1),
         };
         let child = TaskId {
             node: NodeId(0),
             index: 1,
         };
         let records = vec![
-            rec(OpKind::MemRead {
-                loc: loc.clone(),
-                value: None,
-            }),
+            rec(OpKind::MemRead { loc, value: None }),
             rec(OpKind::MemWrite {
                 loc,
-                value: Some("1".into()),
+                value: Some(NameId(3)),
             }),
             rec(OpKind::ThreadCreate { child }),
             rec(OpKind::ThreadBegin),
@@ -184,14 +178,14 @@ mod tests {
             rec(OpKind::SocketSend { msg: MsgId(1) }),
             rec(OpKind::SocketRecv { msg: MsgId(1) }),
             rec(OpKind::ZkUpdate {
-                path: "/p".into(),
+                path: NameId(2),
                 version: 1,
             }),
             rec(OpKind::ZkPushed {
-                path: "/p".into(),
+                path: NameId(2),
                 version: 1,
             }),
-            rec(OpKind::LockAcquire { lock: lock.clone() }),
+            rec(OpKind::LockAcquire { lock }),
             rec(OpKind::LockRelease { lock }),
             rec(OpKind::LoopEnter { loop_id: LoopId(0) }),
             rec(OpKind::LoopExit { loop_id: LoopId(0) }),

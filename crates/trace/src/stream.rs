@@ -18,6 +18,10 @@
 //!   such as `SocketSend ⇒ SocketRecv` can be retired exactly when its last
 //!   delivery has resolved (or immediately, when the message was dropped).
 //!
+//! Records name objects, paths, locks and callstacks by id; the run's
+//! [`Names`] table reaches the sink through [`TraceSink::names`] before the
+//! first record that uses an id the sink has not been shown.
+//!
 //! The sink runs synchronously on the simulator's thread: `record` returning
 //! is the backpressure. A slow consumer slows the simulated clock, never
 //! grows an unbounded buffer.
@@ -25,6 +29,7 @@
 use dcatch_model::NodeId;
 
 use crate::ids::{ExecCtx, TaskId};
+use crate::names::Names;
 use crate::record::Record;
 use crate::set::{QueueInfo, TraceSet};
 
@@ -108,6 +113,13 @@ pub trait TraceSink {
     fn record(&mut self, record: &Record);
     /// Called for out-of-band lifecycle/causality notifications.
     fn control(&mut self, control: StreamControl);
+    /// The run's name table grew: called before the first record that uses
+    /// an id `names` did not hold at the previous call (so once before the
+    /// first record of all). A sink that renders or resolves ids keeps a
+    /// copy ([`Names::extend_from`]); one that only counts ignores it.
+    fn names(&mut self, names: &Names) {
+        let _ = names;
+    }
 }
 
 /// A sink that materializes the stream back into a [`TraceSet`] and keeps
@@ -123,7 +135,11 @@ pub struct CollectSink {
 
 impl TraceSink for CollectSink {
     fn record(&mut self, record: &Record) {
-        self.trace.push(record.clone());
+        self.trace.push(*record);
+    }
+
+    fn names(&mut self, names: &Names) {
+        self.trace.names_mut().extend_from(names);
     }
 
     fn control(&mut self, control: StreamControl) {

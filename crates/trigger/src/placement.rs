@@ -19,7 +19,8 @@ use std::collections::BTreeMap;
 
 use dcatch_detect::Candidate;
 use dcatch_hb::HbAnalysis;
-use dcatch_trace::{ExecCtx, HandlerKind, LockRef, OpKind, TraceSet};
+use dcatch_model::NodeId;
+use dcatch_trace::{ExecCtx, HandlerKind, OpKind, TraceSet};
 
 use crate::controller::SideSpec;
 
@@ -118,7 +119,7 @@ pub fn plan_candidate(candidate: &Candidate, hb: &HbAnalysis) -> TriggerPlan {
     // rule 3: common lock around the (possibly moved) anchors
     let locks0 = held_locks(trace, anchors[0]);
     let locks1 = held_locks(trace, anchors[1]);
-    let common: Vec<&LockRef> = locks0.keys().filter(|l| locks1.contains_key(*l)).collect();
+    let common: Vec<&(NodeId, &str)> = locks0.keys().filter(|l| locks1.contains_key(*l)).collect();
     if let Some(lock) = common.first() {
         let a0 = locks0[*lock];
         let a1 = locks1[*lock];
@@ -138,7 +139,8 @@ pub fn plan_candidate(candidate: &Candidate, hb: &HbAnalysis) -> TriggerPlan {
     }
 
     let side = |i: usize, access: &dcatch_detect::AccessSite| {
-        let stmt = trace.records()[anchors[i]].stmt().unwrap_or(access.stmt);
+        let anchor = &trace.records()[anchors[i]];
+        let stmt = trace.names().leaf(anchor.stack).unwrap_or(access.stmt);
         SideSpec {
             stmt,
             instance: 1,
@@ -160,7 +162,7 @@ pub fn plan_candidate(candidate: &Candidate, hb: &HbAnalysis) -> TriggerPlan {
 // trace inspection helpers
 
 struct EventInfo {
-    queue: (dcatch_model::NodeId, String),
+    queue: (NodeId, String),
     create_idx: Option<usize>,
 }
 
@@ -227,11 +229,10 @@ fn handler_origin(trace: &TraceSet, idx: usize) -> Option<usize> {
                 .iter()
                 .rev()
                 .find(|c| same_instance(c) && matches!(c.kind, OpKind::ZkPushed { .. }))?;
-            let OpKind::ZkPushed { path, version } = &pushed.kind else {
+            let OpKind::ZkPushed { path, version } = pushed.kind else {
                 unreachable!("matched above");
             };
-            let (path, version) = (path.clone(), *version);
-            trace.find(|c| matches!(&c.kind, OpKind::ZkUpdate { path: p, version: v } if *p == path && *v == version))
+            trace.find(|c| c.kind == OpKind::ZkUpdate { path, version })
         }
         HandlerKind::Event => None,
     }
@@ -243,28 +244,31 @@ fn handler_origin(trace: &TraceSet, idx: usize) -> Option<usize> {
 /// can share a callstack leaf).
 fn occurrence_count(trace: &TraceSet, idx: usize) -> usize {
     let anchor = &trace.records()[idx];
-    let Some(stmt) = anchor.stmt() else {
+    let names = trace.names();
+    let Some(stmt) = names.leaf(anchor.stack) else {
         return 1;
     };
     let tag = anchor.kind.tag();
-    trace.count(|r| r.kind.tag() == tag && r.stmt() == Some(stmt))
+    trace.count(|r| r.kind.tag() == tag && names.leaf(r.stack) == Some(stmt))
 }
 
-/// Locks held by the record's task at the record, mapped to the index of
-/// the currently open acquire record.
-fn held_locks(trace: &TraceSet, idx: usize) -> BTreeMap<LockRef, usize> {
+/// Locks held by the record's task at the record, by node and name (the
+/// order the first common one is picked in), mapped to the index of the
+/// currently open acquire record.
+fn held_locks(trace: &TraceSet, idx: usize) -> BTreeMap<(NodeId, &str), usize> {
     let task = trace.records()[idx].task;
-    let mut held: BTreeMap<LockRef, usize> = BTreeMap::new();
+    let name = |node, id| (node, trace.names().name(id));
+    let mut held = BTreeMap::new();
     for (i, r) in trace.records()[..idx].iter().enumerate() {
         if r.task != task {
             continue;
         }
-        match &r.kind {
+        match r.kind {
             OpKind::LockAcquire { lock } => {
-                held.insert(lock.clone(), i);
+                held.insert(name(lock.node, lock.name), i);
             }
             OpKind::LockRelease { lock } => {
-                held.remove(lock);
+                held.remove(&name(lock.node, lock.name));
             }
             _ => {}
         }
@@ -286,7 +290,7 @@ fn remote_ancestor(hb: &HbAnalysis, idx: usize) -> Option<usize> {
             }
             let r = &trace.records()[p];
             if r.task.node != node
-                && r.stmt().is_some()
+                && r.stack != dcatch_trace::StackId::EMPTY
                 && occurrence_count(trace, p) <= INSTANCE_THRESHOLD
             {
                 return Some(p);

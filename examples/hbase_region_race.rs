@@ -28,27 +28,17 @@ fn main() {
     .expect("traced run");
     let hb = HbAnalysis::build(run.trace, &HbConfig::default()).expect("HB graph");
     let trace = hb.trace();
+    let on_regions = |l: &dcatch_trace::MemLoc| trace.names().name(l.object) == "regionsToOpen";
 
     let w = trace
         .records()
         .iter()
-        .position(|r| {
-            r.kind.is_write()
-                && r.kind
-                    .mem_loc()
-                    .is_some_and(|l| l.object == "regionsToOpen")
-        })
+        .position(|r| r.kind.is_write() && r.kind.mem_loc().is_some_and(on_regions))
         .expect("W = regionsToOpen.add(region)");
     let r = trace
         .records()
         .iter()
-        .position(|rec| {
-            !rec.kind.is_write()
-                && rec
-                    .kind
-                    .mem_loc()
-                    .is_some_and(|l| l.object == "regionsToOpen")
-        })
+        .position(|rec| !rec.kind.is_write() && rec.kind.mem_loc().is_some_and(on_regions))
         .expect("R = regionsToOpen.isEmpty()");
 
     println!("W (add)     = record #{w} on {}", trace.records()[w].task);

@@ -53,7 +53,13 @@
 #                             # batch); `faults all`; `synth --seed 1 --count
 #                             # 8`; `explain --json` on every object the
 #                             # parent's `detect all --no-trigger` reports
-#                             # (13 today). The `--streaming` runs (plain,
+#                             # (13 today); `trace <ID> --full-tracing
+#                             # --scale 4` on each of the seven miniatures
+#                             # (every record kind they emit, in the on-disk
+#                             # line format); and `streambench --records
+#                             # 200000 --json` minus its `peak_bytes` (the
+#                             # window's resident estimate) and `elapsed_ns`
+#                             # (`stream_cli`). The `--streaming` runs (plain,
 #                             # `--stream-window 2`, `--mem-budget 16k`, the
 #                             # two together) are compared minus what a
 #                             # change to the online engine legitimately moves:
@@ -69,7 +75,9 @@
 #                             # the `trace_analysis` step's `from` / `reason`,
 #                             # the failed build's `hb.build` span and
 #                             # `hb_oom_total` — PR 24's parent asked before
-#                             # building). Every other line is compared raw.
+#                             # building) and, as it ends in a streaming
+#                             # window, `streaming.peak_bytes`. Every other
+#                             # line is compared raw.
 #                             # Exits non-zero naming the first differing
 #                             # command
 set -euo pipefail
@@ -95,7 +103,7 @@ if [[ "${1:-}" == "same" ]]; then
     trap 'rm -rf "$sa_dir"' EXIT
     mkdir "$sa_dir/parent" "$sa_dir/change"
     n=0
-    # same <projection: cat | streaming | reach | index_rung> <dcatch arguments…>
+    # same <projection: cat | streaming | reach | index_rung | stream_cli> <dcatch arguments…>
     same() {
         local project="$1" side
         shift
@@ -112,10 +120,12 @@ doc = json.load(open(sys.argv[2]))
 def without_span(node, name):
     node["children"] = [without_span(c, name) for c in node["children"] if c["name"] != name]
     return node
-for b in doc["benchmarks"]:
+if project == "stream_cli":
+    del doc["peak_bytes"], doc["elapsed_ns"]
+for b in doc.get("benchmarks", []):
+    if project in ("streaming", "index_rung") and b.get("streaming"):
+        del b["streaming"]["peak_bytes"]
     if project == "streaming":
-        if b.get("streaming"):
-            del b["streaming"]["peak_bytes"]
         for d in b.get("degradations", []):
             if d["stage"] == "streaming":
                 del d["reason"]
@@ -161,6 +171,10 @@ PY
     same streaming detect all --scrub-timings --json --streaming --mem-budget 16k
     # the one run whose list has both a governor step and the cap's own event
     same streaming detect all --scrub-timings --json --streaming --stream-window 2 --mem-budget 16k
+    for id in CA-1011 HB-4539 HB-4729 MR-3274 MR-4637 ZK-1144 ZK-1270; do
+        same cat trace "$id" --full-tracing --scale 4
+    done
+    same stream_cli streambench --records 200000 --json
     id=""
     "$parent" detect all --no-trigger | while read -r line; do
         case "$line" in

@@ -219,9 +219,11 @@ fn trace_files_roundtrip() {
         SimConfig::default().with_seed(bench.seed),
     )
     .unwrap();
+    let mut names = dcatch_trace::Names::new();
     for (i, line) in run.trace.to_lines().lines().enumerate() {
-        let rec = dcatch_trace::parse_record(line).unwrap_or_else(|e| panic!("line {i}: {e}"));
-        assert_eq!(dcatch_trace::format_record(&rec), line);
+        let rec = dcatch_trace::parse_record(line, &mut names)
+            .unwrap_or_else(|e| panic!("line {i}: {e}"));
+        assert_eq!(dcatch_trace::format_record(&rec, &names), line);
     }
 }
 
@@ -261,26 +263,16 @@ fn figure3_chain_orders_w_before_r() {
     .unwrap();
     let hb = HbAnalysis::build(run.trace, &HbConfig::default()).unwrap();
     let trace = hb.trace();
+    let on_regions = |l: &dcatch_trace::MemLoc| trace.names().name(l.object) == "regionsToOpen";
     let w = trace
         .records()
         .iter()
-        .position(|r| {
-            r.kind.is_write()
-                && r.kind
-                    .mem_loc()
-                    .is_some_and(|l| l.object == "regionsToOpen")
-        })
+        .position(|r| r.kind.is_write() && r.kind.mem_loc().is_some_and(on_regions))
         .expect("W = regionsToOpen.add");
     let r = trace
         .records()
         .iter()
-        .position(|rec| {
-            !rec.kind.is_write()
-                && rec
-                    .kind
-                    .mem_loc()
-                    .is_some_and(|l| l.object == "regionsToOpen")
-        })
+        .position(|rec| !rec.kind.is_write() && rec.kind.mem_loc().is_some_and(on_regions))
         .expect("R = regionsToOpen.isEmpty");
     assert!(hb.happens_before(w, r), "W must be ordered before R");
     let chain = hb.explain(w, r).expect("an explain chain exists");
