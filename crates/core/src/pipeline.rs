@@ -238,7 +238,8 @@ impl Governor {
     fn new(opts: &PipelineOptions) -> Governor {
         Governor {
             mem: opts.mem_budget,
-            deadline: opts.time_budget.map(|t| Instant::now() + t),
+            // a deadline beyond the representable future is no deadline
+            deadline: opts.time_budget.and_then(|t| Instant::now().checked_add(t)),
             events: Vec::new(),
         }
     }
@@ -789,7 +790,7 @@ impl Pipeline {
 /// trigger placement, which needs the graph).
 enum Analysis {
     /// Materialized trace → full HB graph (matrix or chain clocks) →
-    /// batch scan.
+    /// the candidate scan replayed over it.
     Graph(HbAnalysis),
     /// Streaming single-pass detection (DESIGN.md §14): the traced run and
     /// the candidate scan fuse into one pass over the live record stream —
@@ -955,6 +956,15 @@ mod tests {
             ..PipelineOptions::default()
         });
         assert!(gov.time_expired());
+    }
+
+    #[test]
+    fn unrepresentable_time_budget_never_expires() {
+        let gov = Governor::new(&PipelineOptions {
+            time_budget: Some(Duration::MAX),
+            ..PipelineOptions::default()
+        });
+        assert!(!gov.time_expired());
     }
 
     #[test]

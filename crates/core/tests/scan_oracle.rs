@@ -1,12 +1,13 @@
 //! The all-pairs candidate scan as the oracle for `find_candidates`.
 //!
-//! `find_candidates` never visits an HB-ordered pair (chain cover +
-//! monotone windows, DESIGN.md §4). The scan it replaced — every
-//! same-object pair in trace order, filtered one by one — lives on here,
-//! written against public API only, and the two must produce *equal*
-//! `CandidateSet`s: static pairs, callstack pairs, representative sites,
-//! dynamic counts. `OnlineDetector`'s window is held to the same oracle
-//! and the same work bound.
+//! `find_candidates` never visits an HB-ordered pair: it replays the
+//! online window's arrival-order chain cover over the stored trace
+//! (DESIGN.md §4). The scan it replaced — every same-object pair in trace
+//! order, filtered one by one — lives on here, written against public API
+//! only, and the two must produce *equal* `CandidateSet`s: static pairs,
+//! callstack pairs, representative sites, dynamic counts.
+//! `OnlineDetector`'s window is held to the same oracle and the same work
+//! bound, and on the seven benchmarks to the replay's exact work.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -124,6 +125,13 @@ fn scan_counters() -> [u64; 3] {
     ]
 }
 
+/// The scan work done since `before` was read: pairs examined, HB
+/// queries, chains.
+fn scan_work_since(before: [u64; 3]) -> [u64; 3] {
+    let after = scan_counters();
+    [0, 1, 2].map(|i| after[i] - before[i])
+}
+
 fn build(trace: TraceSet, reachability: ReachabilityMode) -> HbAnalysis {
     let cfg = HbConfig {
         reachability,
@@ -146,14 +154,32 @@ fn assert_indexes_agree(label: &str, matrix: &HbAnalysis, clocks: &HbAnalysis) {
     }
 }
 
-fn traced(bench: &dcatch::Benchmark, tracing: TracingMode, faults: FaultPlan) -> TraceSet {
+fn config(bench: &dcatch::Benchmark, tracing: TracingMode, faults: FaultPlan) -> SimConfig {
     let mut cfg = SimConfig::default()
         .with_seed(bench.seed)
         .with_faults(faults);
     cfg.tracing = tracing;
+    cfg
+}
+
+fn traced(bench: &dcatch::Benchmark, tracing: TracingMode, faults: FaultPlan) -> TraceSet {
+    let cfg = config(bench, tracing, faults);
     World::run_once(&bench.program, &bench.topology, cfg)
         .unwrap_or_else(|e| panic!("{}: {e}", bench.id))
         .trace
+}
+
+/// The scan work of the same run streamed through an `OnlineDetector`
+/// that retires nothing: its window ends up holding every access, as the
+/// replay's covers do.
+fn streamed_scan_work(bench: &dcatch::Benchmark, tracing: TracingMode) -> [u64; 3] {
+    let cfg = config(bench, tracing, FaultPlan::default());
+    let mut sink = online(OnlineOptions::default().sweep_every, false);
+    let before = scan_counters();
+    World::run_streamed(&bench.program, &bench.topology, cfg, &mut sink)
+        .unwrap_or_else(|e| panic!("{}: {e}", bench.id));
+    sink.finalize();
+    scan_work_since(before)
 }
 
 #[test]
@@ -163,9 +189,15 @@ fn seven_benchmarks_both_tracing_modes_both_engines() {
         for bench in dcatch::all_benchmarks_scaled(scale) {
             for tracing in [TracingMode::Selective, TracingMode::Full] {
                 let trace = traced(&bench, tracing, FaultPlan::default());
+                // one scan: the replay does the streamed pass's work, not
+                // only finds its pairs
+                let streamed = streamed_scan_work(&bench, tracing);
                 for engine in ENGINES {
                     let label = format!("{} scale {scale} {tracing:?} {engine}", bench.id);
-                    dynamic += assert_scan_matches_oracle(&label, &build(trace.clone(), engine));
+                    let hb = build(trace.clone(), engine);
+                    let before = scan_counters();
+                    dynamic += assert_scan_matches_oracle(&label, &hb);
+                    assert_eq!(scan_work_since(before), streamed, "{label}: scan work");
                 }
             }
         }
@@ -496,8 +528,7 @@ fn ordered_pairs_are_never_examined() {
         let hb = build(trace.clone(), engine);
         let before = scan_counters();
         let found = find_candidates(&hb);
-        let after = scan_counters();
-        let [examined, queries, chains] = [0, 1, 2].map(|i| after[i] - before[i]);
+        let [examined, queries, chains] = scan_work_since(before);
         assert_eq!(found.static_pair_count(), 1);
         assert_eq!(found.iter().next().unwrap().dynamic_count, K as usize);
         assert_eq!(examined, u64::from(K), "{engine}: pairs examined");
@@ -524,8 +555,7 @@ fn online_window_never_walks_ordered_chains() {
         let run = World::run_streamed(&program, &topology, cfg, &mut sink).unwrap();
         assert!(run.failures.is_empty(), "{:?}", run.failures);
         let out = sink.finalize();
-        let after = scan_counters();
-        let [examined, queries, chains] = [0, 1, 2].map(|i| after[i] - before[i]);
+        let [examined, queries, chains] = scan_work_since(before);
         let label = format!("retirement {allow_retirement}");
         assert!(out.records >= 12_000, "{label}: {} records", out.records);
         assert_eq!(

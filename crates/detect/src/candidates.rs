@@ -1,13 +1,14 @@
-//! Conflicting concurrent access pair enumeration.
+//! Conflicting concurrent access pairs: the [`CandidateSet`] both modes
+//! report, and [`find_candidates`], the stored trace's replay of the one
+//! scan (`crate::scan`).
 
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 use dcatch_hb::HbAnalysis;
 use dcatch_model::StmtId;
-use dcatch_trace::{
-    CallStack, ExecCtx, Location, MemLoc, MemSpace, NameId, Names, Record, StackId, TaskId,
-};
+use dcatch_trace::{CallStack, ExecCtx, Location, StackId, TaskId};
+
+use crate::scan::{group, Access, Cover, Group, Pairs};
 
 /// One dynamic access participating in a candidate, its callstack and
 /// location resolved to text: what prune, trigger and the reports read.
@@ -51,69 +52,6 @@ impl Candidate {
     }
 }
 
-/// A dynamic access as the scans hold it while they aggregate: ids only,
-/// resolved into an [`AccessSite`] once per reported candidate side.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Access {
-    pub index: usize,
-    pub stmt: StmtId,
-    pub stack: StackId,
-    pub task: TaskId,
-    pub ctx: ExecCtx,
-    pub loc: MemLoc,
-    pub is_write: bool,
-}
-
-impl Access {
-    /// The access record `r` (at `index`, of statement `stmt`) makes on `loc`.
-    pub fn of(index: usize, r: &Record, loc: MemLoc, stmt: StmtId) -> Access {
-        Access {
-            index,
-            stmt,
-            stack: r.stack,
-            task: r.task,
-            ctx: r.ctx,
-            loc,
-            is_write: r.kind.is_write(),
-        }
-    }
-
-    /// The access with its names rendered from the run's table.
-    pub fn site(&self, names: &Names) -> AccessSite {
-        AccessSite {
-            index: self.index,
-            stmt: self.stmt,
-            stack: names.stack(self.stack),
-            task: self.task,
-            ctx: self.ctx,
-            loc: names.location(&self.loc),
-            is_write: self.is_write,
-        }
-    }
-}
-
-/// A dynamic pair's place in the all-pairs encounter order — `(zk, object,
-/// i, j)` with `i < j` — whose minimum names a static pair's
-/// representative, in the batch scan and in `OnlineDetector` alike.
-pub(crate) type Rank = (bool, NameId, usize, usize);
-
-/// Whether rank `a` comes before `b`. Objects compare by name, as the
-/// all-pairs scan meets them; the ids only decide that two are the same.
-pub(crate) fn ranks_before(names: &Names, a: Rank, b: Rank) -> bool {
-    let object = if a.1 == b.1 {
-        Ordering::Equal
-    } else {
-        names.name(a.1).cmp(names.name(b.1))
-    };
-    let order = a.0.cmp(&b.0).then(object).then((a.2, a.3).cmp(&(b.2, b.3)));
-    order == Ordering::Less
-}
-
-/// The unordered pair of two callstacks.
-pub(crate) fn stack_pair(a: StackId, b: StackId) -> (StackId, StackId) {
-    (a.min(b), a.max(b))
-}
-
 /// All candidates of one analysis, with the paper's two counting
 /// granularities. Backed by a map keyed on the canonical static pair, so
 /// lookups and dedup during merging are O(log n) instead of linear scans;
@@ -145,7 +83,7 @@ impl CandidateSet {
 
     /// Looks up a candidate by its static pair (in either order).
     pub fn find(&self, a: StmtId, b: StmtId) -> Option<&Candidate> {
-        self.by_pair.get(&canonical(a, b))
+        self.by_pair.get(&(a.min(b), a.max(b)))
     }
 
     /// Merges one candidate in: a new static pair is inserted, an existing
@@ -193,152 +131,46 @@ impl FromIterator<Candidate> for CandidateSet {
     }
 }
 
-fn canonical(a: StmtId, b: StmtId) -> (StmtId, StmtId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
 /// Enumerates all conflicting concurrent access pairs of `hb`'s trace.
 ///
 /// Two accesses form a *dynamic pair* when they touch conflicting
 /// locations, at least one writes, and the HB graph orders them in neither
 /// direction (which rules out two accesses of one program-order group).
 ///
-/// No ordered pair is ever visited (DESIGN.md §4). Per location, the
-/// accesses are covered greedily by *HB-ordered chains*; for an access `x`
-/// of chain A, the accesses of another chain B concurrent with `x` are
-/// exactly a window `B[lo..hi)` — `B[..lo]` happen before `x`, `x` happens
-/// before `B[hi..]` — and both bounds only move forward as `x` moves down
-/// A. The cost is O(accesses × chains of the location + concurrent pairs).
+/// This is the stored trace replayed through the one scan, as
+/// `OnlineDetector` runs it on arrival (DESIGN.md §4): the accesses are
+/// indexed by location group as record indices, and each group goes in
+/// trace order through a fresh chain cover that asks the index whether an
+/// earlier access happens before the arriving one. No ordered pair is
+/// visited; the cost is O(accesses × chains of the location + concurrent
+/// pairs).
 pub fn find_candidates(hb: &HbAnalysis) -> CandidateSet {
     let _span = dcatch_obs::span!("detect.scan");
     let (records, names) = (hb.trace().records(), hb.trace().names());
-    // index record indices by location — heap objects per node, zknodes
-    // cluster-wide — under integer keys
-    let mut groups: BTreeMap<(bool, u32, NameId), Vec<usize>> = BTreeMap::new();
-    for (idx, r) in records.iter().enumerate() {
-        if let Some(loc) = r.kind.mem_loc() {
-            let zk = loc.space == MemSpace::Zk;
-            let node = if zk { 0 } else { loc.node.0 };
-            groups.entry((zk, node, loc.object)).or_default().push(idx);
+    let access = |i: u32| Access::at(i as usize, &records[i as usize], names);
+    let mut groups: BTreeMap<Group, Vec<u32>> = BTreeMap::new();
+    let n = u32::try_from(records.len()).expect("the HB graph numbers its vertices in u32");
+    for i in 0..n {
+        if let Some(a) = access(i) {
+            groups.entry(group(&a.loc)).or_default().push(i);
         }
     }
-
-    // Aggregation state is ids and record indices: a dynamic pair costs a
-    // set insert at most. Owned `Candidate`s are materialized once per
-    // unique static pair after the scan. `rank` is the all-pairs encounter
-    // order ([`Rank`]), as in `OnlineDetector`.
-    struct Agg {
-        stack_pairs: BTreeSet<(StackId, StackId)>,
-        rank: Rank,
-        rep: (usize, usize),
-        dynamic_count: usize,
-    }
-    let mut agg: BTreeMap<(StmtId, StmtId), Agg> = BTreeMap::new();
-    let (mut queries, mut examined, mut chain_total) = (0u64, 0u64, 0u64);
-    // every HB edge points forward in trace order, so only `a < b` can
-    // hold `a ⇒ b`: the index test saves the query
-    let mut before = |a: usize, b: usize| {
-        a < b && {
-            queries += 1;
-            hb.happens_before(a, b)
-        }
-    };
-    for (&(zk, _, object), indices) in &groups {
-        // greedy cover: an access extends the chain its own program-order
-        // group last extended if that chain's tail happens before it, else
-        // the first chain whose tail does, else it opens a new chain
-        let mut chains: Vec<Vec<usize>> = Vec::new();
-        let mut own: BTreeMap<(TaskId, ExecCtx), usize> = BTreeMap::new();
-        for &x in indices {
-            let group = (records[x].task, records[x].ctx);
-            let mut extends = |c: &Vec<usize>| before(c[c.len() - 1], x);
-            let home = match own.get(&group) {
-                Some(&c) if extends(&chains[c]) => c,
-                _ => chains.iter().position(extends).unwrap_or(chains.len()),
-            };
-            if home == chains.len() {
-                chains.push(Vec::new());
-            }
-            chains[home].push(x);
-            own.insert(group, home);
-        }
-        chain_total += chains.len() as u64;
-        for (a, chain_a) in chains.iter().enumerate() {
-            for chain_b in &chains[a + 1..] {
-                let (mut lo, mut hi) = (0, 0);
-                for &x in chain_a {
-                    while lo < chain_b.len() && before(chain_b[lo], x) {
-                        lo += 1;
-                    }
-                    hi = hi.max(lo);
-                    while hi < chain_b.len() && !before(x, chain_b[hi]) {
-                        hi += 1;
-                    }
-                    for &y in &chain_b[lo..hi] {
-                        examined += 1;
-                        let (i, j) = (x.min(y), x.max(y));
-                        let (ri, rj) = (&records[i], &records[j]);
-                        if !ri.kind.is_write() && !rj.kind.is_write() {
-                            continue;
-                        }
-                        let (Some(li), Some(lj)) = (ri.kind.mem_loc(), rj.kind.mem_loc()) else {
-                            continue;
-                        };
-                        if !li.conflicts_with(lj) {
-                            continue;
-                        }
-                        let (Some(si), Some(sj)) = (names.leaf(ri.stack), names.leaf(rj.stack))
-                        else {
-                            continue;
-                        };
-                        let rep = if (si, i) <= (sj, j) { (i, j) } else { (j, i) };
-                        let rank = (zk, object, i, j);
-                        let c = agg.entry(canonical(si, sj)).or_insert(Agg {
-                            stack_pairs: BTreeSet::new(),
-                            rank,
-                            rep,
-                            dynamic_count: 0,
-                        });
-                        c.dynamic_count += 1;
-                        c.stack_pairs.insert(stack_pair(ri.stack, rj.stack));
-                        if ranks_before(names, rank, c.rank) {
-                            (c.rank, c.rep) = (rank, rep);
-                        }
-                    }
-                }
-            }
+    let mut pairs = Pairs::default();
+    for indices in groups.values() {
+        let mut cover = Cover::default();
+        for &j in indices {
+            cover.admit(
+                j,
+                |&i| hb.happens_before(i as usize, j as usize),
+                &mut pairs,
+                |pairs, &i| {
+                    let (a, b) = (access(i), access(j));
+                    pairs.add(names, a.expect("indexed"), b.expect("indexed"));
+                },
+            );
         }
     }
-    dcatch_obs::counter!("detect_scan_hb_queries_total").add(queries);
-    dcatch_obs::counter!("detect_scan_pairs_examined_total").add(examined);
-    dcatch_obs::counter!("detect_scan_chains_total").add(chain_total);
-    let site = |idx: usize| {
-        let r = &records[idx];
-        let (Some(&loc), Some(stmt)) = (r.kind.mem_loc(), names.leaf(r.stack)) else {
-            unreachable!("representative accesses were admitted with a location and a stmt");
-        };
-        Access::of(idx, r, loc, stmt).site(names)
-    };
-    let by_pair = agg
-        .into_iter()
-        .map(|(key, a)| {
-            let c = Candidate {
-                static_pair: key,
-                stack_pairs: a.stack_pairs,
-                rep: (site(a.rep.0), site(a.rep.1)),
-                dynamic_count: a.dynamic_count,
-            };
-            (key, c)
-        })
-        .collect();
-    let set = CandidateSet { by_pair };
-    dcatch_obs::counter!("detect_candidates_found_total").add(set.static_pair_count() as u64);
-    dcatch_obs::counter!("detect_stack_pairs_found_total").add(set.callstack_pair_count() as u64);
-    set
+    pairs.finish(names)
 }
 
 #[cfg(test)]

@@ -5,7 +5,10 @@
 //! least one write) and **concurrent** (no happens-before relationship)
 //! and aggregates the dynamic pairs into the two report granularities the
 //! paper counts: unique *static instruction pairs* and unique *callstack
-//! pairs* (Table 4).
+//! pairs* (Table 4). There is one scan (`scan`): [`OnlineDetector`] runs it
+//! as a streamed run's records arrive, and [`find_candidates`] replays it
+//! over a stored trace, asking the reachability index what the streamed
+//! pass asks its frontier clock.
 //!
 //! It also implements the loop-based custom-synchronization analysis of
 //! §3.2.1 — the `Mpull` rule plus local while-loop synchronization. That
@@ -23,6 +26,7 @@
 mod candidates;
 mod loopsync;
 mod online;
+mod scan;
 
 pub use candidates::{find_candidates, AccessSite, Candidate, CandidateSet};
 pub use loopsync::{analyze_loop_sync, occ_key, plan_loop_sync, LoopSyncResult, OccKey, SyncPlan};

@@ -6,9 +6,9 @@
 //! ([`FrontierEngine`]), keeps only a bounded window of still-raceable
 //! memory accesses, and emits candidate pairs incrementally. Resident
 //! memory is `O(window)` — independent of trace length — while the
-//! produced [`CandidateSet`] is exactly what the batch scan
-//! ([`find_candidates`](crate::find_candidates)) would report on the
-//! materialized trace.
+//! produced [`CandidateSet`] is exactly what
+//! [`find_candidates`](crate::find_candidates) reports on the
+//! materialized trace: that is the same scan replayed.
 //!
 //! Exactness hinges on two facts:
 //!
@@ -16,11 +16,11 @@
 //!   earlier to a later record, so when record `j` arrives, an earlier
 //!   record `i` can only be *covered by* `j`, never the reverse. `i` and
 //!   `j` are concurrent iff `j`'s frontier clock does not reach `i`'s
-//!   `(slot, pos)`. Per location the window covers its entries by
-//!   *HB-ordered* chains, as the batch scan does, so that is one array
-//!   look-up per chain whose tail `j` covers and one binary search per
-//!   chain whose tail it does not: the covered entries are a prefix
-//!   nobody visits.
+//!   `(slot, pos)`. Per location the window is the one scan's cover of
+//!   its entries by *HB-ordered* chains (`crate::scan`, DESIGN.md §4):
+//!   one array look-up per chain whose tail `j` covers and one binary
+//!   search per chain whose tail it does not — the covered entries are a
+//!   prefix nobody visits.
 //! * **Provable retirement.** [`FrontierEngine::lower_bound`] returns a
 //!   clock every future record is guaranteed to cover. A window entry at
 //!   or below the bound can never be concurrent with anything yet to
@@ -32,17 +32,14 @@
 //! provable retirement cannot keep up; forced evictions are counted and
 //! surface as a pipeline degradation, because they *can* lose candidates.
 
-use std::collections::{btree_map::Entry, BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use dcatch_hb::{ablate_record, Ablation, Arrival, FrontierEngine, FrontierOptions};
-use dcatch_model::{NodeId, StmtId};
-use dcatch_trace::{
-    record_len, ExecCtx, Key, MemLoc, MemSpace, NameId, Names, Record, StackId, StreamControl,
-    TaskId, TraceSink, TraceStats,
-};
+use dcatch_trace::{record_len, MemLoc, Names, Record, StreamControl, TraceSink, TraceStats};
 
-use crate::candidates::{ranks_before, stack_pair, Access, Candidate, CandidateSet, Rank};
+use crate::candidates::CandidateSet;
 use crate::loopsync::{occ_key, OccKey};
+use crate::scan::{group, Access, Cover, Group, Pairs};
 
 /// Sweep cadence: provable retirement (and gauge refresh) runs once per
 /// this many records.
@@ -92,7 +89,8 @@ impl Default for OnlineOptions {
 /// Everything one streaming pass produced.
 #[derive(Debug, Clone)]
 pub struct StreamOutcome {
-    /// The candidate set — identical to the batch scan's.
+    /// The candidate set — identical to `find_candidates` on the
+    /// materialized trace.
     pub candidates: CandidateSet,
     /// Record-type breakdown of the run as emitted (before any
     /// ablation), folded incrementally.
@@ -129,35 +127,15 @@ pub struct StreamOutcome {
 struct WindowEntry {
     slot: u32,
     pos: u32,
-    index: usize,
-    task: TaskId,
-    ctx: ExecCtx,
-    is_write: bool,
-    /// Space and object are the group's; the node is too, except for a
-    /// zknode (cluster-wide group, observer's node kept for the report).
-    node: NodeId,
-    key: Option<Key>,
-    stmt: StmtId,
-    stack: StackId,
+    access: Access,
 }
 
-/// A location group, as the batch scan keys it: zk or not, the heap
-/// object's node (0 for a zknode), the object.
-type Group = (bool, u32, NameId);
-
-/// One location's window: a cover of its entries by HB-ordered chains,
-/// each in arrival order. No chain is ever empty.
-type Cover = Vec<VecDeque<WindowEntry>>;
-
-/// Per-static-pair aggregation in flight. `rank` is the batch scan's
-/// encounter order, so the representative pair min-merges to exactly the
-/// one the batch scan keeps; it is resolved to text at `finalize`.
-#[derive(Debug)]
-struct PendAgg {
-    rank: Rank,
-    rep: (Access, Access),
-    stack_pairs: BTreeSet<(StackId, StackId)>,
-    dynamic_count: usize,
+impl WindowEntry {
+    /// Whether `clock` — an arrival clock, or the retirement bound — covers
+    /// the entry.
+    fn under(&self, clock: &[u32]) -> bool {
+        clock.get(self.slot as usize).copied().unwrap_or(0) >= self.pos
+    }
 }
 
 /// The streaming detector. Feed it one run via [`TraceSink`], then call
@@ -171,22 +149,19 @@ pub struct OnlineDetector {
     window_cap: Option<usize>,
     sweep_every: usize,
     /// Per location [`Group`] its [`Cover`]: what any clock covers of a
-    /// chain is a prefix of its deque (clocks are transitively closed). No
-    /// group is ever empty.
-    window: BTreeMap<Group, Cover>,
+    /// chain is a prefix of it (clocks are transitively closed). No cover
+    /// is ever empty.
+    window: BTreeMap<Group, Cover<WindowEntry>>,
     window_len: usize,
     window_peak: usize,
     records_retired: u64,
     records_forced: u64,
     lossy_locations: BTreeSet<String>,
     peak_bytes: usize,
-    agg: BTreeMap<(StmtId, StmtId), PendAgg>,
+    pairs: Pairs,
     stats: TraceStats,
     trace_bytes: usize,
     records: usize,
-    /// `detect_scan_{hb_queries,pairs_examined,chains}_total`, as the
-    /// batch scan counts them.
-    scan_work: [u64; 3],
     // --- loop-sync second pass (occurrence-fired injected edges) ---
     watched_keys: BTreeSet<OccKey>,
     occ_counters: BTreeMap<OccKey, usize>,
@@ -226,11 +201,10 @@ impl OnlineDetector {
             records_forced: 0,
             lossy_locations: BTreeSet::new(),
             peak_bytes: 0,
-            agg: BTreeMap::new(),
+            pairs: Pairs::default(),
             stats: TraceStats::default(),
             trace_bytes: 0,
             records: 0,
-            scan_work: [0; 3],
             watched_keys,
             occ_counters: BTreeMap::new(),
             watched_sources,
@@ -261,12 +235,9 @@ impl OnlineDetector {
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
         let mut b = self.engine.bytes() + self.names.bytes();
-        b += self.window_len * size_of::<WindowEntry>();
-        for chains in self.window.values() {
-            b += 64 + chains.len() * size_of::<VecDeque<WindowEntry>>();
-        }
-        for a in self.agg.values() {
-            b += size_of::<PendAgg>() + a.stack_pairs.len() * size_of::<(StackId, StackId)>();
+        b += self.window_len * size_of::<WindowEntry>() + self.pairs.bytes();
+        for cover in self.window.values() {
+            b += 64 + cover.chains() * size_of::<VecDeque<WindowEntry>>();
         }
         for c in self.src_clocks.values() {
             b += size_of::<(OccKey, usize, Vec<u32>)>() + 4 * c.len();
@@ -286,8 +257,8 @@ impl OnlineDetector {
         if !self.watched_keys.is_empty() {
             self.fire_sync_edges(&r, at);
         }
-        if let (Some(&loc), Some(stmt)) = (r.kind.mem_loc(), self.names.leaf(r.stack)) {
-            self.scan_pair(&r, at, index, loc, stmt);
+        if let Some(access) = Access::at(index, &r, &self.names) {
+            self.admit(at, access);
         }
         if self.records % self.sweep_every == 0 {
             self.sweep();
@@ -329,106 +300,25 @@ impl OnlineDetector {
         }
     }
 
-    /// Pairs the arriving access against the window entries of its
-    /// location group that are concurrent with it, then enters the window
-    /// itself. The batch scan's two-sided window is one-sided here: every
-    /// entry arrived earlier, so the entries of an HB-ordered chain this
-    /// record's clock covers are a prefix of it and the rest are concurrent
-    /// — one look-up says a chain is covered whole (its own program-order
-    /// chain always is), and no ordered entry is visited. The access then
-    /// extends the first chain it covers, or opens a new one.
-    fn scan_pair(&mut self, r: &Record, at: Arrival, index: usize, loc: MemLoc, stmt: StmtId) {
-        let is_write = r.kind.is_write();
-        let zk = loc.space == MemSpace::Zk;
-        let group = (zk, if zk { 0 } else { loc.node.0 }, loc.object);
-        let clock_j = self.engine.clock(at.chain);
-        let covers = |e: &WindowEntry| clock_j.get(e.slot as usize).copied().unwrap_or(0) >= e.pos;
-        let [queries, examined, opened] = &mut self.scan_work;
-        let chains = self.window.entry(group).or_default();
-        let mut home = None;
-        for (c, dq) in chains.iter().enumerate() {
-            *queries += 1;
-            if dq.back().is_some_and(covers) {
-                home = home.or(Some(c));
-                continue;
-            }
-            for e in dq.range(dq.partition_point(covers)..) {
-                *examined += 1;
-                if !e.is_write && !is_write {
-                    continue;
-                }
-                // the group already matched space, object and heap node
-                if !MemLoc::keys_alias(e.key, loc.key) {
-                    continue;
-                }
-                let (si, sj) = (e.stmt, stmt);
-                let key = if si <= sj { (si, sj) } else { (sj, si) };
-                // the batch scan's representative is the pair of minimal
-                // rank, its sides ordered like the static pair
-                let rank = (zk, loc.object, e.index, index);
-                let rep = || {
-                    let site_i = Access {
-                        index: e.index,
-                        stmt: e.stmt,
-                        stack: e.stack,
-                        task: e.task,
-                        ctx: e.ctx,
-                        loc: MemLoc {
-                            node: e.node,
-                            key: e.key,
-                            ..loc
-                        },
-                        is_write: e.is_write,
-                    };
-                    let site_j = Access::of(index, r, loc, stmt);
-                    if (si, e.index) > (sj, index) {
-                        (site_j, site_i)
-                    } else {
-                        (site_i, site_j)
-                    }
-                };
-                let stacks = stack_pair(e.stack, r.stack);
-                match self.agg.entry(key) {
-                    Entry::Occupied(mut o) => {
-                        let a = o.get_mut();
-                        a.dynamic_count += 1;
-                        a.stack_pairs.insert(stacks);
-                        if ranks_before(&self.names, rank, a.rank) {
-                            (a.rank, a.rep) = (rank, rep());
-                        }
-                    }
-                    Entry::Vacant(v) => {
-                        v.insert(PendAgg {
-                            rank,
-                            rep: rep(),
-                            stack_pairs: BTreeSet::from([stacks]),
-                            dynamic_count: 1,
-                        });
-                    }
-                }
-            }
-        }
-        let home = home.unwrap_or_else(|| {
-            *opened += 1;
-            chains.push(VecDeque::new());
-            chains.len() - 1
-        });
-        chains[home].push_back(WindowEntry {
+    /// Pairs the arriving access with the entries of its location group
+    /// that its arrival clock does not cover — the one scan's cover
+    /// (DESIGN.md §4) — and enters it in the window.
+    fn admit(&mut self, at: Arrival, access: Access) {
+        let clock = self.engine.clock(at.chain);
+        let names = &self.names;
+        let entry = WindowEntry {
             slot: at.slot,
             pos: at.pos,
-            index,
-            task: r.task,
-            ctx: r.ctx,
-            is_write,
-            node: loc.node,
-            key: loc.key,
-            stmt,
-            stack: r.stack,
-        });
+            access,
+        };
+        self.window.entry(group(&access.loc)).or_default().admit(
+            entry,
+            |e| e.under(clock),
+            &mut self.pairs,
+            |pairs, e| pairs.add(names, e.access, access),
+        );
         self.window_len += 1;
-        if self.window_len > self.window_peak {
-            self.window_peak = self.window_len;
-        }
+        self.window_peak = self.window_peak.max(self.window_len);
         if let Some(cap) = self.window_cap {
             while self.window_len > cap {
                 self.evict_oldest();
@@ -436,41 +326,29 @@ impl OnlineDetector {
         }
     }
 
-    /// Force-evicts the globally oldest window entry — the front of some
-    /// chain, chains being in arrival order (hard-cap overflow; lossy).
+    /// Force-evicts the globally oldest window entry (hard-cap overflow;
+    /// lossy).
     fn evict_oldest(&mut self) {
-        let front = |dq: &VecDeque<WindowEntry>| dq.front().map_or(usize::MAX, |e| e.index);
-        let mut oldest: Option<(Group, &mut VecDeque<WindowEntry>)> = None;
-        for (&group, cover) in &mut self.window {
-            for dq in cover {
-                if oldest.as_ref().is_none_or(|(_, o)| front(dq) < front(o)) {
-                    oldest = Some((group, dq));
-                }
-            }
-        }
-        let Some(((zk, _, object), Some(evicted))) = oldest.map(|(g, dq)| (g, dq.pop_front()))
-        else {
+        let oldest = self.window.iter().filter_map(|(&group, cover)| {
+            let (index, chain) = cover.oldest(|e| e.access.index)?;
+            Some((index, chain, group))
+        });
+        let Some((_, chain, group)) = oldest.min() else {
             return;
         };
-        let loc = MemLoc {
-            space: if zk { MemSpace::Zk } else { MemSpace::Heap },
-            node: evicted.node,
-            object,
+        let cover = self.window.get_mut(&group).expect("the group just found");
+        let evicted = cover.pop_front(chain);
+        if cover.chains() == 0 {
+            self.window.remove(&group);
+        }
+        let location = self.names.location(&MemLoc {
             key: None,
-        };
-        let location = self.names.location(&loc);
+            ..evicted.access.loc
+        });
         self.lossy_locations.insert(location.to_string());
-        self.drop_empty_chains();
         self.window_len -= 1;
         self.records_forced += 1;
         dcatch_obs::counter!("stream_records_forced_total").inc();
-    }
-
-    fn drop_empty_chains(&mut self) {
-        self.window.retain(|_, chains| {
-            chains.retain(|dq| !dq.is_empty());
-            !chains.is_empty()
-        });
     }
 
     /// Provable-retirement sweep plus gauge refresh. What the bound covers
@@ -478,24 +356,17 @@ impl OnlineDetector {
     /// transitively closed clocks.
     fn sweep(&mut self) {
         if let Some(bound) = self.engine.lower_bound() {
-            let covered =
-                |e: &WindowEntry| bound.get(e.slot as usize).copied().unwrap_or(0) >= e.pos;
             let mut dropped = 0usize;
-            for dq in self.window.values_mut().flatten() {
-                let retired = dq.partition_point(covered);
-                dq.drain(..retired);
-                dropped += retired;
-            }
-            self.drop_empty_chains();
+            self.window.retain(|_, cover| {
+                dropped += cover.retire(|e| e.under(&bound));
+                cover.chains() > 0
+            });
             self.window_len -= dropped;
             self.records_retired += dropped as u64;
             dcatch_obs::counter!("stream_records_retired_total").add(dropped as u64);
             self.engine.retire(&bound);
         }
-        let bytes = self.bytes();
-        if bytes > self.peak_bytes {
-            self.peak_bytes = bytes;
-        }
+        self.peak_bytes = self.peak_bytes.max(self.bytes());
         self.refresh_gauges();
     }
 
@@ -506,37 +377,14 @@ impl OnlineDetector {
         dcatch_obs::gauge!("stream_live_chains_peak").set_max(self.engine.live_chains() as u64);
     }
 
-    /// Closes the pass: materializes the candidate set — the one place the
-    /// pass renders names — with the batch scan's counters, and returns
+    /// Closes the pass: materializes the candidate set, and returns
     /// everything measured along the way.
     pub fn finalize(mut self) -> StreamOutcome {
         let _span = dcatch_obs::span!("detect.stream_finalize");
-        let bytes = self.bytes();
-        if bytes > self.peak_bytes {
-            self.peak_bytes = bytes;
-        }
+        self.peak_bytes = self.peak_bytes.max(self.bytes());
         self.refresh_gauges();
-        let names = &self.names;
-        let candidates: CandidateSet = self
-            .agg
-            .into_iter()
-            .map(|(key, a)| Candidate {
-                static_pair: key,
-                stack_pairs: a.stack_pairs,
-                rep: (a.rep.0.site(names), a.rep.1.site(names)),
-                dynamic_count: a.dynamic_count,
-            })
-            .collect();
-        dcatch_obs::counter!("detect_candidates_found_total")
-            .add(candidates.static_pair_count() as u64);
-        dcatch_obs::counter!("detect_stack_pairs_found_total")
-            .add(candidates.callstack_pair_count() as u64);
-        let [queries, examined, opened] = self.scan_work;
-        dcatch_obs::counter!("detect_scan_hb_queries_total").add(queries);
-        dcatch_obs::counter!("detect_scan_pairs_examined_total").add(examined);
-        dcatch_obs::counter!("detect_scan_chains_total").add(opened);
         StreamOutcome {
-            candidates,
+            candidates: self.pairs.finish(&self.names),
             stats: self.stats,
             trace_bytes: self.trace_bytes,
             records: self.records,

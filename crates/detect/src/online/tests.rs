@@ -135,7 +135,7 @@ fn online_matches_batch_scan() {
 /// Window-retirement safety: with an aggressive sweep cadence the
 /// ping-pong chain's accesses provably retire (the window stays far
 /// smaller than the trace's access count), yet the candidate set — the
-/// surviving racer pair included — is still exactly the batch scan's.
+/// surviving racer pair included — is still exactly the offline replay's.
 #[test]
 fn retirement_keeps_candidates_exact() {
     let (p, topo) = ping_pong_with_racers(48);

@@ -76,8 +76,14 @@
 #                             # the failed build's `hb.build` span and
 #                             # `hb_oom_total` — PR 24's parent asked before
 #                             # building) and, as it ends in a streaming
-#                             # window, `streaming.peak_bytes`. Every other
-#                             # line is compared raw.
+#                             # window, `streaming.peak_bytes`. Every offline
+#                             # `detect --json` run (the five `detect`
+#                             # lines, `reach`, `index_rung`) drops the one
+#                             # counter the replayed scan moved:
+#                             # `metrics.counters.detect_scan_hb_queries_total`
+#                             # (one probe per chain per access now, as the
+#                             # online window counts). Every other line is
+#                             # compared raw.
 #                             # Exits non-zero naming the first differing
 #                             # command
 set -euo pipefail
@@ -103,7 +109,7 @@ if [[ "${1:-}" == "same" ]]; then
     trap 'rm -rf "$sa_dir"' EXIT
     mkdir "$sa_dir/parent" "$sa_dir/change"
     n=0
-    # same <projection: cat | streaming | reach | index_rung | stream_cli> <dcatch arguments…>
+    # same <projection: cat | detect | streaming | reach | index_rung | stream_cli> <dcatch arguments…>
     same() {
         local project="$1" side
         shift
@@ -130,6 +136,8 @@ for b in doc.get("benchmarks", []):
             if d["stage"] == "streaming":
                 del d["reason"]
     else:
+        b["metrics"]["counters"].pop("detect_scan_hb_queries_total", None)
+    if project in ("reach", "index_rung"):
         del b["trace"]["reach_bytes"]
         b["metrics"]["gauges"].pop("hb_reach_bytes_peak", None)
         if b.get("profile"):
@@ -154,15 +162,15 @@ PY
         echo "same: dcatch $*"
     }
     echo "== same answers as $parent =="
-    same cat detect all --scrub-timings --json
+    same detect detect all --scrub-timings --json
     same reach detect all --scrub-timings --json --full-tracing --no-trigger --scale 8
     same reach detect all --scrub-timings --json --full-tracing --no-trigger --scale 48
-    same cat detect all --scrub-timings --json --reachability matrix --scale 4
+    same detect detect all --scrub-timings --json --reachability matrix --scale 4
     same reach detect all --scrub-timings --json --reachability clocks
-    same cat detect all --scrub-timings --json --mem-budget 2k
+    same detect detect all --scrub-timings --json --mem-budget 2k
     same index_rung detect all --scrub-timings --json --mem-budget 256 --full-tracing --no-trigger --scale 8
-    same cat detect all --scrub-timings --json --time-budget 0
-    same cat detect all --scrub-timings --json --budget 4096 --mem-budget 1g
+    same detect detect all --scrub-timings --json --time-budget 0
+    same detect detect all --scrub-timings --json --budget 4096 --mem-budget 1g
     same cat faults all
     same cat synth --seed 1 --count 8
     same cat synth --seed 1 --count 4 --mem-budget 8k --no-shrink --json
