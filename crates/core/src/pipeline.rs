@@ -667,13 +667,13 @@ impl Pipeline {
                         .collect()
                 }
             };
-            // A candidate is settled once some fully-executed order produced
-            // a failure its own impact analysis predicted — exactly the
-            // condition that makes `adjust_verdict` say Harmful, which is
-            // sticky — so the farm may cancel its remaining orderings.
-            let confirm = |ci: usize, runs: &[OrderRun]| {
-                runs.iter()
-                    .any(|r| r.completed && failures_attributable(&r.failures, &impacts[ci]))
+            // Evidence of harm (`Verdict::Harmful`): only a failure the
+            // candidate's own impact analysis predicted counts, since holding
+            // a request point can surface *other* bugs' failures (§4/§5).
+            let evidence = |ci: usize, runs: &[OrderRun]| {
+                runs.iter().any(|r| {
+                    r.completed && !r.abandoned && failures_attributable(&r.failures, &impacts[ci])
+                })
             };
             let reports = run_farm(
                 program,
@@ -681,7 +681,7 @@ impl Pipeline {
                 &cfg,
                 &specs,
                 opts.trigger_jobs,
-                Some(&confirm),
+                Some(&evidence),
                 gov.deadline,
             );
             let cancelled = reports.iter().filter(|r| r.cancelled).count();
@@ -709,14 +709,8 @@ impl Pipeline {
             let (verdict, failures) = match trig {
                 Some(report) if !report.cancelled => {
                     let failures: Vec<String> = report.failures().map(|f| f.to_string()).collect();
-                    // Attribution: holding a request point can starve unrelated
-                    // paths and surface *other* bugs' failures. A candidate is
-                    // only confirmed harmful by failures its own static impact
-                    // analysis predicted (the paper's impact analysis plays the
-                    // same role in interpreting triggering results, §4/§5).
-                    let v = adjust_verdict(&report, &impacts);
                     let stacks = candidate.stack_pairs.len();
-                    match v {
+                    match report.verdict {
                         Verdict::Harmful => {
                             verdicts.bug_static += 1;
                             verdicts.bug_stacks += stacks;
@@ -733,7 +727,7 @@ impl Pipeline {
                             verdicts.serial_stacks += stacks;
                         }
                     }
-                    (Some(v), failures)
+                    (Some(report.verdict), failures)
                 }
                 _ => (None, Vec::new()),
             };
@@ -879,29 +873,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
-    }
-}
-
-/// Re-classifies a triggering report so only failures attributable to the
-/// candidate's own predicted failure instructions count as harmful.
-fn adjust_verdict(report: &TriggerReport, impacts: &[Impact]) -> Verdict {
-    if report.verdict != Verdict::Harmful {
-        return report.verdict;
-    }
-    // Only runs that executed the full forced order (both confirms) count:
-    // a run stuck mid-coordination can hang the system through the hold
-    // itself (e.g. branch-exclusive access pairs), which is an artifact of
-    // the controller, not evidence about the race. The same predicate
-    // drives the farm's confirm callback, which keeps the final verdict
-    // independent of whether later orderings were cancelled.
-    let attributable = report
-        .runs
-        .iter()
-        .any(|r| r.completed && failures_attributable(&r.failures, impacts));
-    if attributable {
-        Verdict::Harmful
-    } else {
-        Verdict::BenignRace
     }
 }
 

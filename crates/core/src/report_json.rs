@@ -15,8 +15,7 @@
 //!   "tool": "dcatch-rs",
 //!   "degradations": {
 //!     "faults_injected": …, "benchmarks_failed": …,
-//!     "trigger_retries": …, "watchdog_timeouts": …,
-//!     "governor_degradations": …
+//!     "watchdog_timeouts": …, "governor_degradations": …
 //!   },
 //!   "benchmarks": [
 //!     {
@@ -88,7 +87,9 @@ use crate::report::{BenchmarkReport, DegradationEvent, StageTimings, VerdictCoun
 /// v7: added the per-benchmark `streaming` section (null for offline
 /// runs): window/retirement accounting of `--streaming` detection, plus a
 /// `timings_ns.streaming` entry for the fused pass. Purely additive — see
-/// the `v6_report_still_validates` fixture test.
+/// the `v6_report_still_validates` fixture test. The top-level
+/// `degradations` summary no longer has `trigger_retries`: an ordering is
+/// one run, never retried (`validate_report` never required the key).
 pub const SCHEMA_VERSION: u64 = 7;
 
 /// Oldest schema version [`validate_report`] accepts. Every change since
@@ -147,11 +148,11 @@ pub fn error_exit_code(entry: &Json) -> Option<u8> {
 /// Assembles the run report from `benchmarks` entries (in benchmark
 /// order; freshly serialized, read back from a journal, or both). The
 /// top-level `degradations` summary — what the run survived — is derived
-/// from the entries alone: fault and retry counts from each entry's own
-/// metric deltas, failures from the `error` entries. So the document does
+/// from the entries alone: fault counts from each entry's own metric
+/// deltas, failures from the `error` entries. So the document does
 /// not depend on the worker count or on which entries were journaled.
 pub fn report_doc(entries: Vec<Json>) -> Json {
-    let (mut faults, mut failed, mut retries, mut watchdog, mut governor) = (0, 0, 0, 0, 0);
+    let (mut faults, mut failed, mut watchdog, mut governor) = (0, 0, 0, 0);
     for e in &entries {
         if let Some(err) = entry_error(e) {
             failed += 1;
@@ -163,23 +164,18 @@ pub fn report_doc(entries: Vec<Json>) -> Json {
         let counters = e.get("metrics").and_then(|m| m.get("counters"));
         let counter = |name| counters.and_then(|c| c.get(name)).and_then(Json::as_u64);
         faults += counter("faults_injected").unwrap_or(0);
-        retries += counter("trigger_retries").unwrap_or(0);
         governor += e
             .get("degradations")
             .and_then(Json::as_arr)
             .map_or(0, |d| d.len() as u64);
     }
-    envelope(
-        [faults, failed, retries, watchdog, governor],
-        entries,
-        Json::Null,
-    )
+    envelope([faults, failed, watchdog, governor], entries, Json::Null)
 }
 
 /// The document envelope every report shares; `survived` is the top-level
 /// `degradations` summary in field order.
-pub(crate) fn envelope(survived: [u64; 5], benchmarks: Vec<Json>, synth: Json) -> Json {
-    let [faults, failed, retries, watchdog, governor] = survived.map(Json::UInt);
+pub(crate) fn envelope(survived: [u64; 4], benchmarks: Vec<Json>, synth: Json) -> Json {
+    let [faults, failed, watchdog, governor] = survived.map(Json::UInt);
     Json::obj([
         ("schema_version", Json::UInt(SCHEMA_VERSION)),
         ("tool", Json::Str("dcatch-rs".to_owned())),
@@ -188,7 +184,6 @@ pub(crate) fn envelope(survived: [u64; 5], benchmarks: Vec<Json>, synth: Json) -
             Json::obj([
                 ("faults_injected", faults),
                 ("benchmarks_failed", failed),
-                ("trigger_retries", retries),
                 ("watchdog_timeouts", watchdog),
                 ("governor_degradations", governor),
             ]),
@@ -498,11 +493,7 @@ mod tests {
             ])
         };
         let mut a = entry("A", vec![("faults_injected", Json::UInt(2))], vec![]);
-        let b = entry(
-            "B",
-            vec![("trigger_retries", Json::UInt(5))],
-            vec![Json::Null],
-        );
+        let b = entry("B", vec![], vec![Json::Null]);
         let c = error_json(
             "C",
             &PipelineError::WatchdogTimeout {
@@ -522,7 +513,7 @@ mod tests {
         let deg = doc.get("degradations").unwrap();
         let tally = |name: &str| deg.get(name).unwrap().as_u64();
         assert_eq!(tally("faults_injected"), Some(2));
-        assert_eq!(tally("trigger_retries"), Some(5));
+        assert!(deg.get("trigger_retries").is_none());
         assert_eq!(tally("benchmarks_failed"), Some(1));
         assert_eq!(tally("watchdog_timeouts"), Some(1));
         assert_eq!(tally("governor_degradations"), Some(1));

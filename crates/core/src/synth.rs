@@ -452,7 +452,7 @@ pub fn synth_report_doc(cfg: &SynthBatchConfig, rows: &[Json]) -> Json {
     let governor = rows.iter().map(|r| num(r, "degradations")).sum();
     let failed = rows.iter().filter(|r| entry_error(r).is_some()).count() as u64;
     crate::report_json::envelope(
-        [faults, failed, 0, 0, governor],
+        [faults, failed, 0, governor],
         Vec::new(),
         synth_section(cfg, rows),
     )

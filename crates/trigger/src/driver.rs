@@ -8,6 +8,10 @@
 //! true race with no failure), or **harmful** (a true race causing a
 //! failure).
 //!
+//! Each ordering is one run. A run in which the controller gave up on a
+//! stall did not force its order: it is never re-run and never evidence
+//! ([`Verdict::Harmful`]).
+//!
 //! The exploration itself lives in the [farm](crate::farm):
 //! [`trigger_candidate`] is the one-candidate wrapper, running both
 //! orderings to completion (no cancellation) on a single worker.
@@ -34,19 +38,20 @@ pub struct OrderRun {
     pub abandoned: bool,
     /// Failures observed during this run.
     pub failures: Vec<Failure>,
-    /// Whether this run used the naive direct placement as a fallback.
-    pub used_direct_fallback: bool,
 }
 
 /// The paper's three report categories (§7.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// `s` and `t` are not truly concurrent (custom synchronization the HB
-    /// model missed).
+    /// model missed): no run coordinated both parties.
     Serial,
-    /// Truly concurrent, but no forced order produced a failure.
+    /// Truly concurrent, but no run is evidence of harm.
     BenignRace,
-    /// Truly concurrent and at least one order produced a failure.
+    /// Truly concurrent, and some run is evidence of harm: it completed the
+    /// forced order, was never abandoned, and showed a failure the
+    /// evidence predicate accepts ([`ConfirmFn`](crate::ConfirmFn); without
+    /// one, any failure).
     Harmful,
 }
 
@@ -72,7 +77,8 @@ impl TriggerReport {
     }
 }
 
-/// Explores both orders of `candidate` and classifies it.
+/// Explores both orders of `candidate` and classifies it, counting any
+/// failure as evidence.
 ///
 /// `config` must be the configuration of the traced run (same seed) so the
 /// controller's placements hit the same dynamic instances. Tracing is
@@ -98,67 +104,26 @@ pub fn trigger_candidate(
     .expect("one report per spec")
 }
 
+/// Runs `plan` once with side `first` forced first.
 pub(crate) fn run_order(
     prepared: &Prepared,
     config: &SimConfig,
     plan: &TriggerPlan,
     first: usize,
-    used_direct_fallback: bool,
 ) -> OrderRun {
     let _span = dcatch_obs::span!("trigger.order");
     dcatch_obs::counter!("trigger_order_runs_total").inc();
-    if used_direct_fallback {
-        dcatch_obs::counter!("trigger_direct_fallbacks_total").inc();
-    }
-    // An abandoned run means the gate blocked one side past its patience
-    // budget and gave up — often a scheduling accident of the particular
-    // seed rather than a property of the ordering. Retry a bounded number
-    // of times with a derived seed before accepting the abandonment.
-    const MAX_RETRIES: u64 = 2;
-    let mut attempt: u64 = 0;
     let mut cfg = config.clone();
     cfg.trace_enabled = false;
-    loop {
-        let mut gate = ControllerGate::new(plan.sides, first);
-        if attempt > 0 {
-            cfg.seed = config.seed ^ retry_seed(plan, first, attempt);
-        }
-        let result = prepared.run_with_gate(&cfg, &mut gate);
-        if gate.abandoned() && attempt < MAX_RETRIES {
-            attempt += 1;
-            dcatch_obs::counter!("trigger_retries").inc();
-            continue;
-        }
-        return OrderRun {
-            first,
-            coordinated: gate.both_requested(),
-            completed: gate.completed(),
-            abandoned: gate.abandoned(),
-            failures: result.failures,
-            used_direct_fallback,
-        };
+    let mut gate = ControllerGate::new(plan.sides, first);
+    let result = prepared.run_with_gate(&cfg, &mut gate);
+    OrderRun {
+        first,
+        coordinated: gate.both_requested(),
+        completed: gate.completed(),
+        abandoned: gate.abandoned(),
+        failures: result.failures,
     }
-}
-
-/// Deterministic retry-seed stream per (plan, ordering, attempt). Salting
-/// with the plan's *content* — not the candidate's position in whatever
-/// batch it came from — means a retried job draws the same seeds whether
-/// it runs serially, on farm worker 3, or alone through
-/// [`trigger_candidate`].
-fn retry_seed(plan: &TriggerPlan, first: usize, attempt: u64) -> u64 {
-    let mut acc = 0x9E37_79B9_7F4A_7C15u64 ^ first as u64;
-    for side in &plan.sides {
-        for v in [
-            u64::from(side.stmt.func.0),
-            u64::from(side.stmt.idx),
-            side.instance as u64,
-            u64::from(side.access.func.0),
-            u64::from(side.access.idx),
-        ] {
-            acc = dcatch_obs::SmallRng::seed_from_u64(acc ^ v).next_u64();
-        }
-    }
-    dcatch_obs::SmallRng::seed_from_u64(acc ^ attempt).next_u64()
 }
 
 #[cfg(test)]

@@ -11,13 +11,13 @@
 //! count.
 //!
 //! **Cancellation.** When a [`ConfirmFn`] is supplied, a job whose runs
-//! settle its candidate publishes the ordering index in a per-candidate
-//! atomic; sibling workers consult it before starting a higher ordering
-//! of the same candidate and skip the job entirely. Crucially the merge
-//! *never reads those atomics* — it re-evaluates the (pure) confirm
-//! predicate on the lower orderings' results — so cancellation only ever
-//! saves work: a higher ordering that slipped through before the flag was
-//! set is executed but invisible, its runs, metrics, and spans discarded.
+//! satisfy it publishes the ordering index in a per-candidate atomic;
+//! sibling workers consult it before starting a higher ordering of the
+//! same candidate and skip the job entirely. Crucially the merge *never
+//! reads those atomics* — it re-evaluates the (pure) predicate on the
+//! lower orderings' results — so cancellation only ever saves work: a
+//! higher ordering that slipped through before the flag was set is
+//! executed but invisible, its runs, metrics, and spans discarded.
 //! Ordering 0 can never be skipped, which is what makes every visible
 //! result available at merge time.
 //!
@@ -44,16 +44,17 @@ use crate::placement::{plan_candidate, TriggerPlan};
 /// Orderings explored per candidate (§5.1: both permutations of the pair).
 pub const ORDERINGS: usize = 2;
 
-/// Decides whether one ordering's runs settle its candidate — once true,
-/// remaining orderings of that candidate may be cancelled. Arguments are
-/// the candidate index and the ordering's runs. The predicate must be
-/// pure (same runs → same answer): the deterministic merge re-evaluates
-/// it instead of trusting worker-side cancellation flags.
+/// The evidence predicate: whether some run among a candidate's runs is
+/// evidence of harm ([`Verdict::Harmful`]). It decides the verdict and
+/// permits cancellation of the candidate's remaining orderings. Arguments
+/// are the candidate index and the runs. It must be pure and hold of a
+/// run set iff it holds of one of its runs: the merge re-evaluates it per
+/// ordering and over all visible runs instead of trusting worker flags.
 pub type ConfirmFn<'a> = &'a (dyn Fn(usize, &[OrderRun]) -> bool + Sync);
 
 /// Work description for one candidate: the placement plan plus the naive
-/// direct fallback the driver retries with when the plan fails to
-/// coordinate (`None` when the plan is already direct).
+/// direct fallback run when the plan fails to coordinate (`None` when the
+/// plan is already direct).
 #[derive(Debug, Clone)]
 pub struct FarmSpec {
     /// Placement plan from the §5.2 analysis.
@@ -84,10 +85,11 @@ struct JobOutcome {
 /// Explores every spec's orderings on up to `jobs` worker threads and
 /// returns one [`TriggerReport`] per spec, in spec order.
 ///
-/// With `confirm` set, orderings above the first confirming one are
+/// With `confirm` set, orderings above the first one satisfying it are
 /// cancelled (cooperatively, see the module docs) and excluded from the
 /// report either way — so the report, the absorbed metrics, and the
-/// grafted spans are identical for any `jobs`, including 1.
+/// grafted spans are identical for any `jobs`, including 1. `None` counts
+/// any failure as evidence and explores every ordering.
 ///
 /// With `deadline` set, jobs that would start after the instant are
 /// skipped entirely and their candidates' reports come back with
@@ -166,15 +168,9 @@ pub fn run_farm(
                     break; // higher orderings are invisible, ran or not
                 }
             }
-            let coordinated = runs.iter().any(|r| r.coordinated);
-            let failed = runs.iter().any(|r| r.coordinated && !r.failures.is_empty());
-            let verdict = if !coordinated {
-                Verdict::Serial
-            } else if failed {
-                Verdict::Harmful
-            } else {
-                Verdict::BenignRace
-            };
+            let verdict = classify(&runs, |rs| {
+                confirm.map_or_else(|| shows_harm(rs), |f| f(c, rs))
+            });
             if !cancelled {
                 match verdict {
                     Verdict::Serial => dcatch_obs::counter!("trigger_verdict_serial_total").inc(),
@@ -194,25 +190,39 @@ pub fn run_farm(
         .collect()
 }
 
+/// The [`Verdict`] rule over a candidate's visible runs.
+fn classify(runs: &[OrderRun], evidence: impl Fn(&[OrderRun]) -> bool) -> Verdict {
+    if !runs.iter().any(|r| r.coordinated) {
+        Verdict::Serial
+    } else if evidence(runs) {
+        Verdict::Harmful
+    } else {
+        Verdict::BenignRace
+    }
+}
+
+/// The evidence predicate when the caller gives none.
+fn shows_harm(runs: &[OrderRun]) -> bool {
+    runs.iter()
+        .any(|r| r.completed && !r.abandoned && !r.failures.is_empty())
+}
+
 /// One ordering of one candidate: the planned run, plus the naive direct
-/// placement as a fallback when the plan fails to coordinate (exactly the
-/// serial driver's sequence, so concatenating job results reproduces it).
+/// placement as a fallback when the plan fails to coordinate.
 fn explore_ordering(
     prepared: &Prepared,
     config: &SimConfig,
     spec: &FarmSpec,
     first: usize,
 ) -> Vec<OrderRun> {
-    let mut runs = Vec::new();
-    let run = run_order(prepared, config, &spec.plan, first, false);
-    let coordinated = run.coordinated;
-    runs.push(run);
-    if !coordinated {
-        if let Some(direct) = &spec.direct {
-            runs.push(run_order(prepared, config, direct, first, true));
+    let run = run_order(prepared, config, &spec.plan, first);
+    match &spec.direct {
+        Some(direct) if !run.coordinated => {
+            dcatch_obs::counter!("trigger_direct_fallbacks_total").inc();
+            vec![run, run_order(prepared, config, direct, first)]
         }
+        _ => vec![run],
     }
-    runs
 }
 
 /// Runs `total` independent index-addressed jobs on up to `jobs` scoped

@@ -2,10 +2,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dcatch_detect::find_candidates;
 use dcatch_hb::{HbAnalysis, HbConfig};
-use dcatch_model::{Expr, FuncKind, Program, ProgramBuilder};
-use dcatch_sim::{SimConfig, Topology, World};
+use dcatch_model::{Expr, FuncKind, LoopId, NodeId, Program, ProgramBuilder};
+use dcatch_sim::{Failure, RunFailureKind, SimConfig, Topology, World};
 
-use super::{run_farm, steal_map, FarmSpec, ORDERINGS};
+use super::{classify, run_farm, shows_harm, steal_map, FarmSpec, OrderRun, Verdict, ORDERINGS};
 
 #[test]
 fn steal_map_runs_every_index_once_in_index_order() {
@@ -173,4 +173,44 @@ fn farm_spans_graft_under_the_callers_capture() {
         order.count,
         reports.iter().map(|r| r.runs.len() as u64).sum::<u64>()
     );
+}
+
+/// A hand-built order run; `failed` gives it the retry-loop hang a hold can
+/// cause.
+fn order_run(coordinated: bool, completed: bool, abandoned: bool, failed: bool) -> OrderRun {
+    let hang = Failure {
+        kind: RunFailureKind::RetryLoopHang(LoopId(0)),
+        node: NodeId(0),
+        task: None,
+        stmt: None,
+        msg: "retry loop 0 spun past 200 iterations".to_owned(),
+    };
+    OrderRun {
+        first: 0,
+        coordinated,
+        completed,
+        abandoned,
+        failures: if failed { vec![hang] } else { Vec::new() },
+    }
+}
+
+/// The verdict rule: a run the controller abandoned is never evidence,
+/// even when it completed the forced order and failed.
+#[test]
+fn an_abandoned_run_is_never_evidence() {
+    let abandoned = [order_run(true, true, true, true)];
+    assert_eq!(classify(&abandoned, shows_harm), Verdict::BenignRace);
+    let kept = [order_run(true, true, false, true)];
+    assert_eq!(classify(&kept, shows_harm), Verdict::Harmful);
+    // an uncompleted order is no evidence either
+    let stuck = [order_run(true, false, false, true)];
+    assert_eq!(classify(&stuck, shows_harm), Verdict::BenignRace);
+    // nothing coordinated: serial, whatever the predicate says
+    let serial = [
+        order_run(false, false, true, true),
+        order_run(false, false, false, false),
+    ];
+    assert_eq!(classify(&serial, |_| true), Verdict::Serial);
+    // the caller's predicate decides, not the default one
+    assert_eq!(classify(&kept, |_| false), Verdict::BenignRace);
 }

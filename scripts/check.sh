@@ -82,7 +82,24 @@
 #                             # counter the replayed scan moved:
 #                             # `metrics.counters.detect_scan_hb_queries_total`
 #                             # (one probe per chain per access now, as the
-#                             # online window counts). Every other line is
+#                             # online window counts). Every JSON document
+#                             # drops the top-level `degradations.trigger_retries`,
+#                             # a key the summary no longer writes. The lines
+#                             # that trigger (the plain `detect` line,
+#                             # `--reachability matrix --scale 4`,
+#                             # `--reachability clocks`, `--mem-budget 2k`,
+#                             # `--budget 4096 --mem-budget 1g`, the four
+#                             # `--streaming` lines, both `synth` lines) also
+#                             # take `rerun`, the re-run volume, which moved
+#                             # when an ordering became one run: the top-level
+#                             # `degradations.faults_injected`, the
+#                             # per-benchmark counters `trigger_retries`,
+#                             # `trigger_verdict_*_total` and `sim_*`, the span
+#                             # `count`s under `pipeline.triggering`, and the
+#                             # synth rows' `faults_injected` (the text `synth`
+#                             # line's `faults=N` column). Verdicts, candidates,
+#                             # per-candidate reports, `degradations` lists and
+#                             # `trace` stay compared. Every other line is
 #                             # compared raw.
 #                             # Exits non-zero naming the first differing
 #                             # command
@@ -109,7 +126,7 @@ if [[ "${1:-}" == "same" ]]; then
     trap 'rm -rf "$sa_dir"' EXIT
     mkdir "$sa_dir/parent" "$sa_dir/change"
     n=0
-    # same <projection: cat | detect | streaming | reach | index_rung | stream_cli> <dcatch arguments…>
+    # same <projection: cat | rerun | [detect | streaming | reach | index_rung | stream_cli][+rerun]> <dcatch arguments…>
     same() {
         local project="$1" side
         shift
@@ -120,12 +137,26 @@ if [[ "${1:-}" == "same" ]]; then
                 echo "exit $?" >>"$sa_dir/$side/$n.raw"
             if [[ "$project" != cat ]]; then
                 python3 - "$project" "$sa_dir/$side/$n.raw" >"$sa_dir/$side/$n.out" <<'PY'
-import json, sys
-project = sys.argv[1]
-doc = json.load(open(sys.argv[2]))
+import json, re, sys
+project, rerun = sys.argv[1].removesuffix("+rerun"), sys.argv[1].endswith("rerun")
+text = open(sys.argv[2]).read()
+if project == "rerun" and not text.startswith("{"):
+    sys.stdout.write(re.sub(r"faults=\d+", "faults=_", text))  # the text `synth` rows
+    sys.exit()
+doc = json.loads(text)
+if "degradations" in doc:
+    doc["degradations"].pop("trigger_retries", None)  # the summary no longer has it
 def without_span(node, name):
     node["children"] = [without_span(c, name) for c in node["children"] if c["name"] != name]
     return node
+def without_counts(node):
+    for c in node["children"]:
+        del c["count"]
+        without_counts(c)
+if rerun:
+    doc["degradations"].pop("faults_injected", None)
+    for row in (doc.get("synth") or {}).get("scenarios", []):
+        row.pop("faults_injected", None)
 if project == "stream_cli":
     del doc["peak_bytes"], doc["elapsed_ns"]
 for b in doc.get("benchmarks", []):
@@ -148,6 +179,13 @@ for b in doc.get("benchmarks", []):
                 del d["from"], d["reason"]
         without_span(b["spans"], "hb.build")
         b["metrics"]["counters"].pop("hb_oom_total", None)
+    if rerun and "metrics" in b:
+        counters = b["metrics"]["counters"]
+        for k in [k for k in counters if k == "trigger_retries" or k.startswith(("trigger_verdict_", "sim_"))]:
+            del counters[k]
+        for stage in b["spans"]["children"]:
+            if stage["name"] == "pipeline.triggering":
+                without_counts(stage)
 json.dump(doc, sys.stdout, indent=1, sort_keys=True)
 PY
             else
@@ -162,23 +200,23 @@ PY
         echo "same: dcatch $*"
     }
     echo "== same answers as $parent =="
-    same detect detect all --scrub-timings --json
+    same detect+rerun detect all --scrub-timings --json
     same reach detect all --scrub-timings --json --full-tracing --no-trigger --scale 8
     same reach detect all --scrub-timings --json --full-tracing --no-trigger --scale 48
-    same detect detect all --scrub-timings --json --reachability matrix --scale 4
-    same reach detect all --scrub-timings --json --reachability clocks
-    same detect detect all --scrub-timings --json --mem-budget 2k
+    same detect+rerun detect all --scrub-timings --json --reachability matrix --scale 4
+    same reach+rerun detect all --scrub-timings --json --reachability clocks
+    same detect+rerun detect all --scrub-timings --json --mem-budget 2k
     same index_rung detect all --scrub-timings --json --mem-budget 256 --full-tracing --no-trigger --scale 8
     same detect detect all --scrub-timings --json --time-budget 0
-    same detect detect all --scrub-timings --json --budget 4096 --mem-budget 1g
+    same detect+rerun detect all --scrub-timings --json --budget 4096 --mem-budget 1g
     same cat faults all
-    same cat synth --seed 1 --count 8
-    same cat synth --seed 1 --count 4 --mem-budget 8k --no-shrink --json
-    same streaming detect all --scrub-timings --json --streaming
-    same streaming detect all --scrub-timings --json --streaming --stream-window 2
-    same streaming detect all --scrub-timings --json --streaming --mem-budget 16k
+    same rerun synth --seed 1 --count 8
+    same rerun synth --seed 1 --count 4 --mem-budget 8k --no-shrink --json
+    same streaming+rerun detect all --scrub-timings --json --streaming
+    same streaming+rerun detect all --scrub-timings --json --streaming --stream-window 2
+    same streaming+rerun detect all --scrub-timings --json --streaming --mem-budget 16k
     # the one run whose list has both a governor step and the cap's own event
-    same streaming detect all --scrub-timings --json --streaming --stream-window 2 --mem-budget 16k
+    same streaming+rerun detect all --scrub-timings --json --streaming --stream-window 2 --mem-budget 16k
     for id in CA-1011 HB-4539 HB-4729 MR-3274 MR-4637 ZK-1144 ZK-1270; do
         same cat trace "$id" --full-tracing --scale 4
     done

@@ -2,13 +2,13 @@
 //! detail. The serialized report must be byte-identical for any worker
 //! count, across the whole benchmark × fault-scenario matrix.
 
-use dcatch::{Pipeline, PipelineOptions};
+use dcatch::{BenchmarkReport, Pipeline, PipelineError, PipelineOptions};
 
 /// Serializes one benchmark run with wall-clock fields scrubbed; pipeline
 /// errors (e.g. a fault plan failing the traced run) compare as their
 /// deterministic display strings.
-fn scrubbed(bench: &dcatch::Benchmark, opts: &PipelineOptions) -> String {
-    match Pipeline::run(bench, opts) {
+fn scrubbed(run: Result<BenchmarkReport, PipelineError>) -> String {
+    match run {
         Ok(mut report) => {
             report.scrub_timings();
             dcatch::report_json::run_report(&[report]).to_pretty()
@@ -19,7 +19,8 @@ fn scrubbed(bench: &dcatch::Benchmark, opts: &PipelineOptions) -> String {
 
 /// Property: for every benchmark, fault-free and under its first fault
 /// scenario, the full-pipeline report is byte-identical for
-/// `trigger_jobs` ∈ {1, 2, 8}.
+/// `trigger_jobs` ∈ {1, 2, 8}; and its `trigger_verdict_*_total` counters
+/// count the verdicts the report states.
 ///
 /// Each cell gets a discarded warm-up run first: metric *names* intern in
 /// a global table on first use, so the first run of a scenario can mint
@@ -36,12 +37,27 @@ fn trigger_jobs_count_never_changes_the_report() {
         for (name, plan) in scenarios {
             let mut opts = PipelineOptions::full();
             opts.faults = plan;
-            let _warmup = scrubbed(&bench, &opts);
-            let baseline = scrubbed(&bench, &opts);
+            let _warmup = Pipeline::run(&bench, &opts);
+            let run = Pipeline::run(&bench, &opts);
+            if let Ok(report) = &run {
+                let counted = ["harmful", "benign", "serial"].map(|v| {
+                    report
+                        .metrics
+                        .counter(&format!("trigger_verdict_{v}_total"))
+                });
+                let v = &report.verdicts;
+                let stated = [v.bug_static, v.benign_static, v.serial_static].map(|n| n as u64);
+                assert_eq!(
+                    counted, stated,
+                    "{} under `{name}`: verdict counters contradict the report",
+                    bench.id
+                );
+            }
+            let baseline = scrubbed(run);
             for jobs in [2, 8] {
                 opts.trigger_jobs = jobs;
                 assert_eq!(
-                    scrubbed(&bench, &opts),
+                    scrubbed(Pipeline::run(&bench, &opts)),
                     baseline,
                     "{} under `{name}`: report depends on --trigger-jobs {jobs}",
                     bench.id
