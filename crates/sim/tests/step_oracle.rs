@@ -20,8 +20,8 @@ use dcatch_apps::synth::{generate, Protocol, ScenarioSpec, SynthParams};
 use dcatch_apps::{all_benchmarks_scaled, fault_scenarios, Benchmark};
 use dcatch_model::{Expr, FuncKind, NodeId, Program, ProgramBuilder, StmtId, Value};
 use dcatch_sim::{
-    FaultPlan, FocusConfig, Gate, GateDecision, GateEvent, RunResult, SimConfig, StallAction,
-    Topology, World,
+    FaultPlan, FocusConfig, Gate, GateDecision, GateEvent, RunFailureKind, RunResult, SimConfig,
+    StallAction, Topology, World,
 };
 use dcatch_trace::{Names, Record, StreamControl, TaskId, TraceSink};
 
@@ -326,6 +326,148 @@ fn stretch_rows(rows: &mut Vec<(String, u64)>) {
     }
 }
 
+/// One entry thread per expression: every `BinOp` over every pair of
+/// operand kinds and every `UnOp` over every kind, each operand a local,
+/// then the cases whose outcome rests on how evaluation is ordered — an
+/// undefined local, the left operand's error winning over the right's,
+/// wrapping at `i64::MAX`, an `And` / `Or` whose right side fails while
+/// its left already decides, `Concat` of a node and `Null`, operands that
+/// are themselves computed. A thread writes its result to `out` (traced
+/// with its value under a focus on `out`); a failing one dies of an
+/// `EvalError` whose message is in the run's failures.
+fn expression_program() -> (Program, Topology) {
+    use dcatch_model::{BinOp, UnOp};
+    let local = |name: &str| Box::new(Expr::local(name));
+    let kinds = [
+        Value::Unit,
+        Value::Null,
+        Value::Int(7),
+        Value::Int(-2),
+        Value::Bool(true),
+        Value::Bool(false),
+        Value::Str("7".to_owned()),
+        Value::Str(String::new()),
+        Value::Node(NodeId(0)),
+        Value::Thread(3),
+        Value::List(vec![Value::Int(7), Value::Str("x".to_owned())]),
+    ];
+    let binary = [
+        ("add", BinOp::Add),
+        ("sub", BinOp::Sub),
+        ("eq", BinOp::Eq),
+        ("ne", BinOp::Ne),
+        ("lt", BinOp::Lt),
+        ("le", BinOp::Le),
+        ("gt", BinOp::Gt),
+        ("ge", BinOp::Ge),
+        ("and", BinOp::And),
+        ("or", BinOp::Or),
+        ("concat", BinOp::Concat),
+    ];
+    let unary = [("not", UnOp::Not), ("neg", UnOp::Neg)];
+    let special = [
+        Expr::local("nope").add(Expr::val(1)),
+        Expr::val(1).add(Expr::local("nope")),
+        Expr::local("nope_a").add(Expr::local("nope_b")),
+        Expr::val(true).add(Expr::val(1)).add(Expr::local("nope")),
+        Expr::val(i64::MAX).add(Expr::val(1)),
+        Expr::val(i64::MIN).sub(Expr::val(1)),
+        Expr::val(false).and(Expr::local("nope")),
+        Expr::val(true).or(Expr::val(1).add(Expr::val("x"))),
+        Expr::local("nope").or(Expr::val(1).add(Expr::val("x"))),
+        Expr::SelfNode.concat(Expr::null()),
+        Expr::SelfNode.eq(Expr::val(Value::Node(NodeId(0)))),
+        Expr::val(3)
+            .sub(Expr::val(5))
+            .lt(Expr::val(0))
+            .eq(Expr::val(true)),
+        Expr::Unary(UnOp::Neg, Box::new(Expr::val(1).lt(Expr::val(2)))),
+        Expr::Unary(UnOp::Neg, Box::new(Expr::val(3).sub(Expr::val(5)))),
+        Expr::local("nope").not(),
+        Expr::val("k").concat(Expr::val(4).add(Expr::val(5))),
+    ];
+    let mut pb = ProgramBuilder::new();
+    for (name, op) in binary {
+        pb.func(name, &["a", "b"], FuncKind::Regular, |b| {
+            b.assign("r", Expr::Binary(op, local("a"), local("b")));
+            b.write("out", Expr::local("r"));
+        });
+    }
+    for (name, op) in unary {
+        pb.func(name, &["a"], FuncKind::Regular, |b| {
+            b.assign("r", Expr::Unary(op, local("a")));
+            b.write("out", Expr::local("r"));
+        });
+    }
+    for (i, expr) in special.iter().enumerate() {
+        pb.func(format!("special{i}"), &[], FuncKind::Regular, |b| {
+            b.assign("r", expr.clone());
+            b.write("out", Expr::local("r"));
+        });
+    }
+    let program = pb.build().expect("valid program");
+    let mut topo = Topology::new();
+    let mut node = topo.node("evaluator");
+    for (name, _) in binary {
+        for a in &kinds {
+            for b in &kinds {
+                node.entry(name, vec![a.clone(), b.clone()]);
+            }
+        }
+    }
+    for (name, _) in unary {
+        for a in &kinds {
+            node.entry(name, vec![a.clone()]);
+        }
+    }
+    for i in 0..special.len() {
+        node.entry(format!("special{i}"), vec![]);
+    }
+    (program, topo)
+}
+
+/// The expression row pins something only if its cases ran as meant: each
+/// thread either wrote `out` or died of an `EvalError`, and the cases that
+/// rest on evaluation order end the way they always have.
+#[test]
+fn the_expression_row_covers_its_cases() {
+    let (program, topo) = expression_program();
+    let focused = SimConfig::default().with_focus(FocusConfig::on(["out"]));
+    let r = World::run_once(&program, &topo, focused).expect("valid program");
+    let names = r.trace.names();
+    let written: Vec<&str> = r
+        .trace
+        .records()
+        .iter()
+        .filter_map(|rec| rec.kind.mem_value().map(|v| names.name(v)))
+        .collect();
+    let errors: Vec<&str> = r
+        .failures
+        .iter()
+        .inspect(|f| assert_eq!(f.kind, RunFailureKind::UncaughtThrow("EvalError".into())))
+        .map(|f| f.msg.as_str())
+        .collect();
+    assert_eq!(written.len() + errors.len(), topo.nodes[0].entries.len());
+    for msg in [
+        "undefined local `nope`",
+        "undefined local `nope_a`",
+        "arithmetic on non-integers (true, 1)",
+        "arithmetic on non-integers (1, x)",
+        "arithmetic on non-integers ([7,x], n0)",
+        "negation of non-integer",
+    ] {
+        assert!(errors.contains(&msg), "no thread failed with {msg:?}");
+    }
+    for value in [
+        "-9223372036854775808",
+        "9223372036854775807",
+        "n0null",
+        "k9",
+    ] {
+        assert!(written.contains(&value), "no thread wrote {value:?}");
+    }
+}
+
 /// Every oracle run, by name. The order is the order of `EXPECTED`.
 fn observe() -> Vec<(String, u64)> {
     let mut rows = Vec::new();
@@ -399,6 +541,10 @@ fn observe() -> Vec<(String, u64)> {
         }
     }
     stretch_rows(&mut rows);
+    let (program, topo) = expression_program();
+    let focused = SimConfig::default().with_focus(FocusConfig::on(["out"]));
+    let (hash, _) = run_on(&program, &topo, focused);
+    rows.push(("expressions focused".to_owned(), hash));
     rows
 }
 
@@ -663,4 +809,6 @@ const EXPECTED: &[(&str, u64)] = &[
         "stretch full gated patient=false held=2 stalls=1 abandoned=true",
         0x4608f4ab9c002804,
     ),
+    // recorded at the commit before the evaluator borrowed its operands
+    ("expressions focused", 0xbcbc3614ccec0156),
 ];
