@@ -569,6 +569,22 @@ fn print_profile(r: &dcatch::BenchmarkReport) {
         r.sp_static,
         r.lp_static
     );
+    // the step core: every simulator run of every stage, traced or not
+    fn sim_time(node: &dcatch_obs::SpanNode) -> std::time::Duration {
+        let below = node.children.iter().map(sim_time).sum();
+        if node.name == "sim.run" {
+            below + node.total
+        } else {
+            below
+        }
+    }
+    let steps = r.metrics.counter("sim_steps_total");
+    outln!(
+        "  profile: simulator {} runs, {} executed steps, {:.1} ns/step",
+        r.metrics.counter("sim_runs_total"),
+        steps,
+        sim_time(&r.spans).as_nanos() as f64 / steps.max(1) as f64
+    );
 }
 
 /// `dcatch faults <BUG-ID|all>` — runs each benchmark's simulation under a

@@ -145,10 +145,28 @@ struct Task {
     rpc_ret_local: Option<Slot>,
     /// Current handler job (workers).
     job: Option<HandlerJob>,
-    /// Per-loop iteration counters of the *current activation*.
-    loop_iters: BTreeMap<LoopId, u32>,
+    /// Iteration counters of the retry loops this task has entered, one
+    /// per loop id, in first-entry order: `LoopEnter` resets a loop's
+    /// counter, so it counts the task's latest activation of that loop —
+    /// and a recursive re-entry of the loop shares the caller's counter.
+    /// Plain loops have no budget and are not counted.
+    loop_iters: Vec<(LoopId, u32)>,
     /// Step at which the task last entered `BlockedRpc` (for timeouts).
     blocked_at: u64,
+}
+
+impl Task {
+    /// The iteration counter of retry loop `loop_id`, 0 when first used.
+    fn iters_of(&mut self, loop_id: LoopId) -> &mut u32 {
+        let at = match self.loop_iters.iter().position(|&(id, _)| id == loop_id) {
+            Some(at) => at,
+            None => {
+                self.loop_iters.push((loop_id, 0));
+                self.loop_iters.len() - 1
+            }
+        };
+        &mut self.loop_iters[at].1
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -553,7 +571,7 @@ impl<'g> World<'g> {
             handle,
             rpc_ret_local: None,
             job: None,
-            loop_iters: BTreeMap::new(),
+            loop_iters: Vec::new(),
             blocked_at: 0,
         });
         self.tasks.len() - 1
@@ -1692,8 +1710,8 @@ impl<'g> World<'g> {
             }
             Op::Jump { target } => Flow::Goto(*target),
             Op::LoopEnter { loop_id, retry } => {
-                self.tasks[t].loop_iters.insert(*loop_id, 0);
                 if *retry {
+                    *self.tasks[t].iters_of(*loop_id) = 0;
                     self.emit(t, OpKind::LoopEnter { loop_id: *loop_id });
                 }
                 Flow::Next
@@ -1710,9 +1728,12 @@ impl<'g> World<'g> {
                 if !v.truthy() {
                     return Flow::Goto(*exit);
                 }
-                let iters = self.tasks[t].loop_iters.entry(*loop_id).or_insert(0);
+                if !*retry {
+                    return Flow::Next;
+                }
+                let iters = self.tasks[t].iters_of(*loop_id);
                 *iters += 1;
-                if *retry && *iters > self.config.retry_loop_budget {
+                if *iters > self.config.retry_loop_budget {
                     self.kill(
                         t,
                         RunFailureKind::RetryLoopHang(*loop_id),
@@ -2053,7 +2074,7 @@ impl<'g> World<'g> {
                 };
                 let n = v.as_int().unwrap_or(0).max(0) as u64;
                 self.tasks[t].state = TaskState::Sleeping {
-                    until: self.step + n,
+                    until: self.step.saturating_add(n),
                 };
                 if let Some(f) = self.tasks[t].frames.last_mut() {
                     f.pc += 1;
@@ -2118,8 +2139,13 @@ impl<'g> World<'g> {
     }
 }
 
-/// Evaluates `e` over a frame's `locals`; `names` (by slot) only feed the
-/// "undefined local" message.
+/// Evaluates `e` over a frame's `locals`. An operator reads its operands
+/// where they live — a constant in the compiled program, a local in the
+/// frame — and builds only its result; an operand that is itself an
+/// operator is evaluated once, into a temporary. Both operands of a binary
+/// operator are evaluated, left first, whatever the operator (`And` / `Or`
+/// included), so the left operand's error is the one reported. `names`
+/// (by slot) only feed the "undefined local" message.
 fn eval_in(
     locals: &[Option<Value>],
     names: &[String],
@@ -2127,63 +2153,91 @@ fn eval_in(
     e: &SlotExpr,
 ) -> Result<Value, String> {
     match e {
-        SlotExpr::Const(v) => Ok(v.clone()),
-        SlotExpr::Local(slot) => locals[*slot]
-            .clone()
-            .ok_or_else(|| format!("undefined local `{}`", names[*slot])),
-        SlotExpr::SelfNode => Ok(Value::Node(node)),
+        SlotExpr::Binary(op, a, b) => {
+            let (mut ta, mut tb) = (None, None);
+            let a = operand(locals, names, node, a, &mut ta)?;
+            let b = operand(locals, names, node, b, &mut tb)?;
+            binary(*op, a, b)
+        }
         SlotExpr::Unary(op, a) => {
-            let a = eval_in(locals, names, node, a)?;
-            match op {
-                UnOp::Not => Ok(Value::Bool(!a.truthy())),
-                UnOp::Neg => a
-                    .as_int()
-                    .map(|i| Value::Int(-i))
-                    .ok_or_else(|| "negation of non-integer".to_owned()),
+            let mut ta = None;
+            match (op, operand(locals, names, node, a, &mut ta)?) {
+                (UnOp::Not, a) => Ok(Value::Bool(!a.truthy())),
+                (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(-i)),
+                (UnOp::Neg, _) => Err(negation_of_non_integer()),
             }
         }
-        SlotExpr::Binary(op, a, b) => {
-            let a = eval_in(locals, names, node, a)?;
-            let b = eval_in(locals, names, node, b)?;
-            let ints = || -> Result<(i64, i64), String> {
-                match (a.as_int(), b.as_int()) {
-                    (Some(x), Some(y)) => Ok((x, y)),
-                    _ => Err(format!("arithmetic on non-integers ({a}, {b})")),
-                }
-            };
-            Ok(match op {
-                BinOp::Add => {
-                    let (x, y) = ints()?;
-                    Value::Int(x.wrapping_add(y))
-                }
-                BinOp::Sub => {
-                    let (x, y) = ints()?;
-                    Value::Int(x.wrapping_sub(y))
-                }
-                BinOp::Eq => Value::Bool(a == b),
-                BinOp::Ne => Value::Bool(a != b),
-                BinOp::Lt => {
-                    let (x, y) = ints()?;
-                    Value::Bool(x < y)
-                }
-                BinOp::Le => {
-                    let (x, y) = ints()?;
-                    Value::Bool(x <= y)
-                }
-                BinOp::Gt => {
-                    let (x, y) = ints()?;
-                    Value::Bool(x > y)
-                }
-                BinOp::Ge => {
-                    let (x, y) = ints()?;
-                    Value::Bool(x >= y)
-                }
-                BinOp::And => Value::Bool(a.truthy() && b.truthy()),
-                BinOp::Or => Value::Bool(a.truthy() || b.truthy()),
-                BinOp::Concat => Value::Str(format!("{}{}", a.key_string(), b.key_string())),
-            })
-        }
+        SlotExpr::SelfNode => Ok(Value::Node(node)),
+        SlotExpr::Const(v) => Ok(v.clone()),
+        SlotExpr::Local(slot) => local(locals, names, *slot).cloned(),
     }
+}
+
+/// Local `slot` of the frame, in place.
+fn local<'v>(
+    locals: &'v [Option<Value>],
+    names: &[String],
+    slot: Slot,
+) -> Result<&'v Value, String> {
+    locals[slot]
+        .as_ref()
+        .ok_or_else(|| undefined_local(&names[slot]))
+}
+
+/// Operand `e` in place when it is a constant or a local; otherwise
+/// evaluated into `tmp`.
+fn operand<'v>(
+    locals: &'v [Option<Value>],
+    names: &[String],
+    node: NodeId,
+    e: &'v SlotExpr,
+    tmp: &'v mut Option<Value>,
+) -> Result<&'v Value, String> {
+    match e {
+        SlotExpr::Const(v) => Ok(v),
+        SlotExpr::Local(slot) => local(locals, names, *slot),
+        e => Ok(tmp.insert(eval_in(locals, names, node, e)?)),
+    }
+}
+
+/// `a op b` over borrowed operands. `Eq` / `Ne` compare values of any
+/// kinds (`Int(1) ≠ Bool(true)`), `And` / `Or` their truthiness, `Concat`
+/// their key forms; the rest take two integers, and `Add` / `Sub` wrap.
+fn binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, String> {
+    use Value::{Bool, Int};
+    Ok(match (op, a, b) {
+        (BinOp::Add, Int(x), Int(y)) => Int(x.wrapping_add(*y)),
+        (BinOp::Sub, Int(x), Int(y)) => Int(x.wrapping_sub(*y)),
+        (BinOp::Lt, Int(x), Int(y)) => Bool(x < y),
+        (BinOp::Le, Int(x), Int(y)) => Bool(x <= y),
+        (BinOp::Gt, Int(x), Int(y)) => Bool(x > y),
+        (BinOp::Ge, Int(x), Int(y)) => Bool(x >= y),
+        (BinOp::Eq, ..) => Bool(a == b),
+        (BinOp::Ne, ..) => Bool(a != b),
+        (BinOp::And, ..) => Bool(a.truthy() && b.truthy()),
+        (BinOp::Or, ..) => Bool(a.truthy() || b.truthy()),
+        (BinOp::Concat, ..) => Value::Str(format!("{}{}", a.key_string(), b.key_string())),
+        (BinOp::Add | BinOp::Sub | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge, ..) => {
+            return Err(arithmetic_on_non_integers(a, b))
+        }
+    })
+}
+
+// The `EvalError` messages, built only when an evaluation fails.
+
+#[cold]
+fn undefined_local(name: &str) -> String {
+    format!("undefined local `{name}`")
+}
+
+#[cold]
+fn negation_of_non_integer() -> String {
+    "negation of non-integer".to_owned()
+}
+
+#[cold]
+fn arithmetic_on_non_integers(a: &Value, b: &Value) -> String {
+    format!("arithmetic on non-integers ({a}, {b})")
 }
 
 #[cfg(test)]

@@ -257,6 +257,66 @@ fn retry_loop_exceeding_budget_hangs() {
     ));
 }
 
+/// A retry loop of `iters` iterations: `i` counts 0 → `iters`.
+fn counted_retry_loop(b: &mut dcatch_model::BlockBuilder<'_>, i: &str, iters: i64) {
+    b.assign(i, Expr::val(0));
+    b.retry_while(Expr::local(i).lt(Expr::val(iters)), |b| {
+        b.assign(i, Expr::local(i).add(Expr::val(1)));
+    });
+}
+
+/// The budget (200) is per activation: `LoopEnter` resets the counter, so
+/// one task entering a 150-iteration retry loop twice spins 300 times in
+/// all without hanging.
+#[test]
+fn a_retry_loop_entered_again_counts_afresh() {
+    let mut pb = ProgramBuilder::new();
+    pb.func("main", &[], FuncKind::Regular, |b| {
+        b.call_void("spin", vec![]);
+        b.call_void("spin", vec![]);
+    });
+    pb.func("spin", &[], FuncKind::Regular, |b| {
+        counted_retry_loop(b, "i", 150);
+    });
+    let p = pb.build().unwrap();
+    let mut topo = Topology::new();
+    topo.node("n").entry("main", vec![]);
+    assert_eq!(SimConfig::default().retry_loop_budget, 200);
+    let r = run(&p, &topo);
+    assert!(r.failures.is_empty(), "{:?}", r.failures);
+}
+
+/// Nested retry loops keep one counter each: entering the inner loop does
+/// not reset the outer one, and the inner loop's iterations do not count
+/// against the outer one's budget.
+#[test]
+fn nested_retry_loops_count_independently() {
+    let nested = |outer: i64, inner: i64| {
+        let mut pb = ProgramBuilder::new();
+        pb.func("main", &[], FuncKind::Regular, |b| {
+            b.assign("i", Expr::val(0));
+            b.retry_while(Expr::local("i").lt(Expr::val(outer)), |b| {
+                counted_retry_loop(b, "j", inner);
+                b.assign("i", Expr::local("i").add(Expr::val(1)));
+            });
+        });
+        let p = pb.build().unwrap();
+        let mut topo = Topology::new();
+        topo.node("n").entry("main", vec![]);
+        run(&p, &topo).failures
+    };
+    // 150 × 100 inner iterations, and neither loop past 200 by itself
+    assert_eq!(nested(150, 100), []);
+    // the outer loop (the program's first, `LoopId(0)`) hangs at its 201st
+    // iteration although the inner one is entered — and reset — every time
+    let hung = nested(250, 1);
+    assert_eq!(hung.len(), 1, "{hung:?}");
+    assert_eq!(
+        hung[0].kind,
+        RunFailureKind::RetryLoopHang(dcatch_model::LoopId(0))
+    );
+}
+
 #[test]
 fn join_of_never_finishing_thread_deadlocks() {
     // two threads deadlocking on two locks; main joins both

@@ -273,6 +273,33 @@ fn step_budget_exhaustion_is_reported() {
         .any(|f| matches!(f.kind, RunFailureKind::StepBudgetExhausted)));
 }
 
+#[test]
+fn a_sleep_past_the_end_of_the_clock_saturates() {
+    // three sleeps of i64::MAX ticks: the third wakes after step u64::MAX,
+    // so its wake-up step saturates there, and the run ends at the budget
+    // instead of overflowing the clock
+    let mut pb = ProgramBuilder::new();
+    pb.func("main", &[], FuncKind::Regular, |b| {
+        for _ in 0..3 {
+            b.sleep(Expr::val(i64::MAX));
+        }
+    });
+    let p = pb.build().unwrap();
+    let mut topo = Topology::new();
+    topo.node("n").entry("main", vec![]);
+    let cfg = SimConfig {
+        max_steps: u64::MAX,
+        ..SimConfig::default()
+    };
+    let r = World::run_once(&p, &topo, cfg).unwrap();
+    assert_eq!(r.steps, u64::MAX);
+    assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
+    assert!(matches!(
+        r.failures[0].kind,
+        RunFailureKind::StepBudgetExhausted
+    ));
+}
+
 // ---- worker pools -------------------------------------------------------------
 
 #[test]

@@ -388,8 +388,10 @@ cargo test --offline -q
 echo "== interpreter oracles, release build =="
 # the debug suite above re-derives every action list the step loop reuses
 # and asserts they agree; release compiles that check out, and must match
-# the same recorded executions and verdicts without it
-cargo test --offline --release -q -p dcatch-sim --test step_oracle --test semantics --test fault_fuzz
+# the same recorded executions, verdicts and scheduler work without it —
+# release is the build dcbench measures
+cargo test --offline --release -q -p dcatch-sim --test step_oracle --test semantics --test fault_fuzz \
+    --test sched_work
 cargo test --offline --release -q -p dcatch --test trigger_farm --test triggering
 
 echo "== clock engines and their oracles, release build =="
