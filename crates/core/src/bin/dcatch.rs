@@ -2,23 +2,20 @@
 //!
 //! ```text
 //! dcatch list
-//! dcatch detect  <BUG-ID|all> [options]
-//! dcatch stats   <BUG-ID> [--full-tracing] [--scale N] [--seed N] [--json]
-//!                [--out FILE]
-//! dcatch trace   <BUG-ID> [--full-tracing] [--scale N] [--seed N] [--out FILE]
-//! dcatch timeline <BUG-ID> [--full-tracing] [--scale N] [--seed N]
-//!                 [--fault-plan FILE] [--out FILE]
-//! dcatch explain <BUG-ID> <OBJECT> [--json] [--out FILE]
-//! dcatch faults  <BUG-ID|all> [--fault-plan FILE] [--seeds CSV] [--scale N]
-//!                [--trigger-jobs N] [--timeout SECS] [--json] [--out FILE]
-//! dcatch synth   [--seed N] [--count N] [--protocol le|2pc|pb|gossip]
-//!                [--nodes K] [--clients C] [--fan-out F] [--bugs B]
-//!                [--quarantine DIR] [--no-shrink] [--shrink-budget N]
-//!                [--replay FILE] [--fault-plan-out FILE] [--jobs N]
-//!                [--resume FILE] [--json] [--out FILE]
-//! dcatch streambench [--records N] [--stream-window N] [--seed N]
-//!                [--json] [--out FILE]
+//! dcatch detect      <BUG-ID|all> [flags]
+//! dcatch stats       <BUG-ID> [flags]
+//! dcatch trace       <BUG-ID> [flags]
+//! dcatch timeline    <BUG-ID> [flags]
+//! dcatch explain     <BUG-ID> <OBJECT> [flags]
+//! dcatch faults      <BUG-ID|all> [flags]
+//! dcatch synth       [flags]
+//! dcatch streambench [flags]
 //! ```
+//!
+//! Each subcommand's flags are one table in [`dcatch::cli`]: `dcatch
+//! <command> --help` prints it, and a flag it does not list, a repeated
+//! flag, a missing value or a stray positional is a usage error (exit 1)
+//! that prints the subcommand's synopsis.
 //!
 //! `explain` prints, for the named shared object, which access pairs the
 //! HB analysis orders (with the full hop-by-hop rule chain, à la the
@@ -42,6 +39,10 @@
 //! discrepancy, 3/5/6 on pipeline failures, folded worst-wins across the
 //! batch. Output is byte-deterministic for a given seed.
 //!
+//! Multi-benchmark runs (`detect all`, `faults all`, `synth`) paint a
+//! live progress line on stderr when it is a terminal
+//! (`DCATCH_PROGRESS=1/0` overrides).
+//!
 //! `streambench` measures the streaming detector on a synthetic two-node
 //! ping-pong workload whose trace grows linearly with `--records` while
 //! the online window stays O(1): it drives `World::run_streamed` straight
@@ -49,76 +50,13 @@
 //! window peak, retirements, and the resident-memory estimate. Exit code
 //! 2 if the planted racer pair is not the sole surviving candidate.
 //!
-//! Detect options:
-//!   --scale N        workload scale factor (default 1)
-//!   --seed N         scheduler seed (default: benchmark seed)
-//!   --full-tracing   unselective memory tracing (Table 8 mode)
-//!   --no-prune       skip static pruning
-//!   --no-loop-sync   skip the loop/pull synchronization analysis
-//!   --no-trigger     skip the triggering module
-//!   --streaming      online single-pass detection: the simulator streams
-//!                    records into frontier clocks and a bounded candidate
-//!                    window instead of materializing the trace; the
-//!                    candidate set is identical to the offline mode's
-//!                    (no full HB graph, so triggering falls back to
-//!                    direct placement)
-//!   --stream-window N  hard cap on resident window entries for
-//!                    --streaming; exceeding it force-evicts (lossy,
-//!                    recorded as a degradation)
-//!   --ablation K     ignore one HB rule family: event|rpc|socket|push
-//!   --budget B       HB reachability memory budget (bytes, or `64k`,
-//!                    `64m`, `1g`), checked against the bytes the index holds
-//!   --reachability E reachability engine: auto (default: clock rows while
-//!                    they are smaller than the matrix) | matrix | clocks
-//!   --jobs N         run up to N benchmarks concurrently (default 1);
-//!                    the report is identical for any N
-//!   --trigger-jobs N explore (candidate, ordering) triggering jobs on up
-//!                    to N farm workers (default 1); the report is
-//!                    identical for any N. Also accepted by `faults`,
-//!                    where it parallelizes the scenario × seed matrix.
-//!   --scrub-timings  zero all wall-clock measurements in the report so
-//!                    two runs of the same work compare byte-identically
-//!   --fault-plan F   inject the fault plan in file F into every run
-//!   --fault-target B apply the fault plan only to benchmark B
-//!   --timeout SECS   per-benchmark wall-clock watchdog (also accepted by
-//!                    `faults`, where it bounds each scenario × seed run)
-//!   --mem-budget B   resource-governor memory budget (bytes, or `512k`,
-//!                    `64m`, `1g`); the pipeline degrades — sampled
-//!                    tracing, then streaming detection under a window
-//!                    cap — instead of dying when a stage would exceed it
-//!   --time-budget S  resource-governor wall-clock budget in seconds;
-//!                    remaining optional stages are skipped and triggering
-//!                    is cancelled once it expires
-//!   --resume FILE    crash-safe checkpoint journal: every benchmark's
-//!                    result is appended to FILE the moment it finishes,
-//!                    and benchmarks already completed in FILE are skipped;
-//!                    the merged report is byte-identical to an
-//!                    uninterrupted run (not valid with --profile)
-//!   --json           emit the versioned machine-readable run report
-//!   --out FILE       write the JSON report to FILE instead of stdout
-//!   --profile        capture per-stage spans and counter tracks; writes a
-//!                    Perfetto timeline and fills the report's `profile`
-//!                    section
-//!   --profile-out F  where to write the profile timeline
-//!                    (default profile.trace.json; implies --profile)
-//!   --metrics        print per-run counter deltas (human mode)
-//!   --verbose        stream span enter/exit lines to stderr
-//!
-//! Multi-benchmark runs (`detect all`, `faults all`) paint a live
-//! progress line on stderr when it is a terminal (`DCATCH_PROGRESS=1/0`
-//! overrides), with per-benchmark queued/running/done/degraded states and
-//! a median-based ETA.
-//!
-//! Unknown flags are rejected with an error instead of being silently
-//! ignored.
-//!
 //! `detect` exit codes (worst across the batch wins; documented in the
 //! README):
 //!
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | success — every known bug confirmed, or the run degraded under an explicit budget |
-//! | 1    | usage error (unknown flag, bad value, unreadable file) |
+//! | 1    | usage error (unknown flag, bad value, unreadable file, journal mismatch) |
 //! | 2    | a known bug was not confirmed by an undegraded triggering run |
 //! | 3    | the (traced) run itself failed |
 //! | 4    | HB analysis ran out of memory |
@@ -126,7 +64,9 @@
 //! | 6    | a benchmark exceeded the `--timeout` watchdog |
 
 use std::process::ExitCode;
+use std::time::Duration;
 
+use dcatch::cli::{self, Parsed};
 use dcatch::journal::Journal;
 use dcatch::report_json::{self, SCHEMA_VERSION};
 use dcatch::{
@@ -162,30 +102,43 @@ macro_rules! outln {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let rest = args.get(1..).unwrap_or_default();
-    let result = match args.first().map(String::as_str) {
-        Some("list") => list(rest),
-        Some("detect") => detect(rest),
-        Some("stats") => stats(rest),
-        Some("trace") => trace(rest),
-        Some("timeline") => timeline(rest),
-        Some("explain") => explain(rest),
-        Some("faults") => faults(rest),
-        Some("synth") => synth(rest),
-        Some("streambench") => streambench(rest),
-        _ => Err(
-            "usage: dcatch <list|detect|stats|trace|timeline|explain|faults|synth|streambench> …  (see the README)"
-                .to_owned(),
-        ),
+    let name = args.first().map_or("", String::as_str);
+    let Some(command) = cli::COMMANDS.iter().find(|c| c.name == name) else {
+        let names: Vec<&str> = cli::COMMANDS.iter().map(|c| c.name).collect();
+        eprintln!("usage: dcatch <{}> [--help]", names.join("|"));
+        return ExitCode::FAILURE;
     };
-    result.unwrap_or_else(|e| {
+    let parsed = match cli::parse(command, &args[1..]) {
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => {
+            outln!("{}", command.help());
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("{e}\n{}", command.usage());
+            return ExitCode::FAILURE;
+        }
+    };
+    let run = match command.name {
+        "list" => list,
+        "detect" => detect,
+        "stats" => stats,
+        "trace" => trace,
+        "timeline" => timeline,
+        "explain" => explain,
+        "faults" => faults,
+        "synth" => synth,
+        "streambench" => streambench,
+        other => unreachable!("no subcommand `{other}`"),
+    };
+    dcatch_obs::trace::set_verbose(parsed.on("--verbose"));
+    run(&parsed).unwrap_or_else(|e| {
         eprintln!("{e}");
         ExitCode::FAILURE
     })
 }
 
-fn list(args: &[String]) -> Cmd {
-    check_flags(args, &[], &[])?;
+fn list(_: &Parsed) -> Cmd {
     outln!("available benchmarks (TaxDC suite miniatures):");
     for b in dcatch::all_benchmarks() {
         outln!(
@@ -200,141 +153,50 @@ fn list(args: &[String]) -> Cmd {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Validates that every `--flag` in `args` is known: `flags` take no
-/// value, `valued` consume the next argument. Positional arguments (the
-/// BUG-ID etc.) are stripped by callers before this runs.
-fn check_flags(args: &[String], flags: &[&str], valued: &[&str]) -> Result<(), String> {
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if flags.contains(&a) {
-            i += 1;
-        } else if valued.contains(&a) {
-            // `opt` / `flag` look names up anywhere in `args`: a flag taken
-            // for a value would be honoured as a flag as well
-            if args.get(i + 1).is_none_or(|v| v.starts_with("--")) {
-                return Err(format!("flag `{a}` requires a value"));
-            }
-            i += 2;
-        } else if a.starts_with('-') {
-            return Err(format!("unknown flag `{a}` — see the usage in the README"));
-        } else {
-            return Err(format!("unexpected argument `{a}`"));
-        }
-    }
-    Ok(())
+/// The options `detect` and `synth` share: the full pipeline under the
+/// governed-pipeline flags.
+fn governed_options(p: &Parsed) -> Result<PipelineOptions, String> {
+    let secs = |name| Ok::<_, String>(p.get(name)?.map(Duration::from_secs));
+    Ok(PipelineOptions {
+        trigger_jobs: p.value::<usize>("--trigger-jobs")?.max(1),
+        timeout: secs("--timeout")?,
+        mem_budget: p.str("--mem-budget").map(dcatch::parse_bytes).transpose()?,
+        time_budget: secs("--time-budget")?,
+        ..PipelineOptions::full()
+    })
 }
 
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-/// Value of `name`, parsed; a present-but-malformed value is an error
-/// rather than being silently ignored.
-fn opt<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    let v = args
-        .get(i + 1)
-        .ok_or_else(|| format!("flag `{name}` requires a value"))?;
-    v.parse()
-        .map(Some)
-        .map_err(|_| format!("invalid value `{v}` for `{name}`"))
-}
-
-fn opt_str<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-}
-
-const DETECT_FLAGS: &[&str] = &[
-    "--full-tracing",
-    "--no-prune",
-    "--no-loop-sync",
-    "--no-trigger",
-    "--json",
-    "--metrics",
-    "--verbose",
-    "--profile",
-    "--scrub-timings",
-    "--streaming",
-];
-const DETECT_VALUED: &[&str] = &[
-    "--scale",
-    "--seed",
-    "--ablation",
-    "--budget",
-    "--reachability",
-    "--out",
-    "--jobs",
-    "--trigger-jobs",
-    "--fault-plan",
-    "--fault-target",
-    "--timeout",
-    "--profile-out",
-    "--mem-budget",
-    "--time-budget",
-    "--resume",
-    "--stream-window",
-];
-
-fn build_options(args: &[String]) -> Result<PipelineOptions, String> {
-    let mut opts = PipelineOptions::full();
-    opts.seed = opt(args, "--seed")?;
-    if flag(args, "--full-tracing") {
+fn detect_options(p: &Parsed) -> Result<PipelineOptions, String> {
+    let mut opts = governed_options(p)?;
+    opts.seed = p.get("--seed")?;
+    if p.on("--full-tracing") {
         opts.tracing = TracingMode::Full;
     }
-    if flag(args, "--no-prune") {
-        opts.static_pruning = false;
-    }
-    if flag(args, "--no-loop-sync") {
-        opts.loop_sync = false;
-    }
-    if flag(args, "--no-trigger") {
-        opts.triggering = false;
-    }
-    if let Some(spec) = opt_str(args, "--budget") {
+    opts.static_pruning = !p.on("--no-prune");
+    opts.loop_sync = !p.on("--no-loop-sync");
+    opts.triggering = !p.on("--no-trigger");
+    if let Some(spec) = p.str("--budget") {
         opts.hb.memory_budget_bytes = dcatch::parse_bytes(spec)?;
     }
-    if let Some(engine) = opt_str(args, "--reachability") {
+    if let Some(engine) = p.str("--reachability") {
         opts.hb.reachability = engine.parse()?;
     }
-    if let Some(k) = opt_str(args, "--ablation") {
-        opts.ablation = match k.as_str() {
-            "event" => Ablation::IgnoreEvent,
-            "rpc" => Ablation::IgnoreRpc,
-            "socket" => Ablation::IgnoreSocket,
-            "push" => Ablation::IgnorePush,
-            other => return Err(format!("unknown ablation `{other}`")),
-        };
+    if let Some(k) = p.str("--ablation") {
+        let ablation = Ablation::TABLE9
+            .into_iter()
+            .find(|a| a.label().strip_prefix('-') == Some(k));
+        opts.ablation = ablation.ok_or_else(|| format!("unknown ablation `{k}`"))?;
     }
-    if let Some(path) = opt_str(args, "--fault-plan") {
-        opts.faults = load_fault_plan(path)?;
+    if let Some(path) = p.str("--fault-plan") {
+        opts.faults = cli::load_fault_plan(path)?;
     }
-    opts.fault_target = opt_str(args, "--fault-target").cloned();
-    if let Some(secs) = opt::<u64>(args, "--timeout")? {
-        opts.timeout = Some(std::time::Duration::from_secs(secs));
-    }
-    if let Some(spec) = opt_str(args, "--mem-budget") {
-        opts.mem_budget = Some(dcatch::parse_bytes(spec)?);
-    }
-    if let Some(secs) = opt::<u64>(args, "--time-budget")? {
-        opts.time_budget = Some(std::time::Duration::from_secs(secs));
-    }
-    opts.trigger_jobs = opt::<usize>(args, "--trigger-jobs")?.unwrap_or(1).max(1);
-    opts.streaming = flag(args, "--streaming");
-    opts.stream_window = opt::<usize>(args, "--stream-window")?;
+    opts.fault_target = p.str("--fault-target").map(str::to_owned);
+    opts.streaming = p.on("--streaming");
+    opts.stream_window = p.get("--stream-window")?;
     if opts.stream_window.is_some() && !opts.streaming {
         return Err("`--stream-window` requires `--streaming`".to_owned());
     }
     Ok(opts)
-}
-
-fn load_fault_plan(path: &str) -> Result<dcatch::FaultPlan, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    dcatch::FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 /// The benchmarks `id` names at `scale` (`all`, or one id): never empty.
@@ -354,9 +216,9 @@ fn write_file(path: &str, bytes: &[u8]) -> Result<(), String> {
 }
 
 /// Writes a JSON document to `--out FILE` or stdout.
-fn emit_json(doc: &Json, args: &[String]) -> Result<(), String> {
+fn emit_json(doc: &Json, p: &Parsed) -> Result<(), String> {
     let text = doc.to_pretty();
-    match opt_str(args, "--out") {
+    match p.str("--out") {
         Some(path) => write_file(path, text.as_bytes()),
         None => {
             outln!("{text}");
@@ -373,46 +235,40 @@ fn emit_json(doc: &Json, args: &[String]) -> Result<(), String> {
 /// it exists — from the worker thread, so a kill at any point leaves a
 /// resumable journal — and items the journal already finished are not
 /// run: their journaled entry is spliced in with `fresh` = `None`. The
-/// fingerprint pins everything that shapes an entry; resuming under
-/// different options is refused rather than splicing incomparable ones.
+/// journal is pinned to [`cli::fingerprint`]: resuming under flags that
+/// shape an entry differently is refused rather than splicing
+/// incomparable entries.
 fn run_resumable<T: Sync, R: Send>(
-    label: &str,
-    args: &[String],
-    fingerprint: &str,
+    p: &Parsed,
     items: &[T],
     id_of: impl Fn(&T) -> String,
     run: impl Fn(&T) -> (Json, R) + Sync,
     degraded: impl Fn(&Json) -> bool + Sync,
 ) -> Result<Vec<(Json, Option<R>)>, String> {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let jobs = opt::<usize>(args, "--jobs")?.unwrap_or(1).max(1);
-    let journal = match opt_str(args, "--resume") {
-        Some(path) => Some(Journal::open_or_create(
-            std::path::Path::new(path),
-            fingerprint,
-        )?),
-        None => None,
-    };
+    let jobs = p.value::<usize>("--jobs")?.max(1);
+    let journal = p
+        .str("--resume")
+        .map(|path| Journal::open_or_create(path.as_ref(), &cli::fingerprint(p)?))
+        .transpose()?;
     let ids: Vec<String> = items.iter().map(id_of).collect();
     let journaled = |id: &String| journal.as_ref().filter(|j| j.finished_ok(id));
     let pending: Vec<usize> = (0..items.len())
         .filter(|&i| journaled(&ids[i]).is_none())
         .collect();
     let progress = dcatch_obs::Progress::with_enabled(
-        label,
+        p.command.name,
         pending.iter().map(|&i| ids[i].clone()),
-        pending.len() > 1
-            && !flag(args, "--verbose")
-            && dcatch_obs::progress::stderr_wants_progress(),
+        pending.len() > 1 && !p.on("--verbose") && dcatch_obs::progress::stderr_wants_progress(),
     );
     // test hook: die as abruptly as a crash would, K checkpoints in
     let exit_after: Option<usize> = std::env::var("DCATCH_TEST_EXIT_AFTER")
         .ok()
         .and_then(|v| v.parse().ok());
     let recorded = AtomicUsize::new(0);
-    let mut fresh = dcatch::steal_map(jobs, pending.len(), |p| {
-        let i = pending[p];
-        progress.start(p);
+    let mut fresh = dcatch::steal_map(jobs, pending.len(), |k| {
+        let i = pending[k];
+        progress.start(k);
         let (entry, result) = run(&items[i]);
         if let Some(j) = &journal {
             if let Err(e) = j.record(&ids[i], &entry) {
@@ -422,7 +278,7 @@ fn run_resumable<T: Sync, R: Send>(
                 std::process::exit(70);
             }
         }
-        progress.complete(p, degraded(&entry));
+        progress.complete(k, degraded(&entry));
         Some((entry, Some(result)))
     })
     .into_iter();
@@ -439,28 +295,16 @@ fn run_resumable<T: Sync, R: Send>(
         .collect())
 }
 
-fn detect(args: &[String]) -> Cmd {
-    let id = args
-        .first()
-        .ok_or("usage: dcatch detect <BUG-ID|all> [options]")?;
-    check_flags(&args[1..], DETECT_FLAGS, DETECT_VALUED)?;
-    let scale = opt(args, "--scale")?.unwrap_or(1);
-    let benches = benchmarks_for(id, scale)?;
-    let opts = build_options(&args[1..])?;
-    let json = flag(args, "--json");
-    let show_metrics = flag(args, "--metrics");
-    if flag(args, "--verbose") {
-        dcatch_obs::trace::set_verbose(true);
-    }
-    let profile = flag(args, "--profile") || opt_str(args, "--profile-out").is_some();
-    if profile && opt_str(args, "--resume").is_some() {
+fn detect(p: &Parsed) -> Cmd {
+    let benches = benchmarks_for(&p.positionals[0], p.value("--scale")?)?;
+    let opts = detect_options(p)?;
+    let json = p.on("--json");
+    let profile = p.on("--profile") || p.on("--profile-out");
+    if profile && p.on("--resume") {
         return Err("--resume cannot be combined with --profile".to_owned());
     }
-    let ids: Vec<&str> = benches.iter().map(|b| b.id).collect();
     let mut outcomes = run_resumable(
-        "detect",
-        args,
-        &format!("scale={scale};ids={ids:?};opts={opts:?}"),
+        p,
         &benches,
         |b| b.id.to_owned(),
         |b| {
@@ -469,7 +313,7 @@ fn detect(args: &[String]) -> Cmd {
         },
         |entry| report_json::entry_error(entry).is_some(),
     )?;
-    if flag(args, "--scrub-timings") {
+    if p.on("--scrub-timings") {
         for (entry, fresh) in &mut outcomes {
             report_json::scrub_entry(entry);
             if let Some(Ok(r)) = fresh {
@@ -493,7 +337,7 @@ fn detect(args: &[String]) -> Cmd {
         match fresh {
             None => outln!("  finished in an earlier run — resumed from journal"),
             Some(Ok(r)) => {
-                print_report(r, &opts, show_metrics);
+                print_report(r, &opts, p.on("--metrics"));
                 if profile {
                     print_profile(r);
                 }
@@ -504,12 +348,13 @@ fn detect(args: &[String]) -> Cmd {
     let (entries, fresh): (Vec<Json>, Vec<_>) = outcomes.into_iter().unzip();
     if profile {
         // `--resume` is excluded above, so every outcome is a fresh one
-        let results: Vec<_> = ids.into_iter().zip(fresh.into_iter().flatten()).collect();
+        let ids = benches.iter().map(|b| b.id);
+        let results: Vec<_> = ids.zip(fresh.into_iter().flatten()).collect();
         let doc = dcatch::profile_timeline(&results).to_json();
         let summary = dcatch_obs::timeline::validate(&doc)
             .map_err(|e| format!("internal error: profile timeline failed validation: {e}"))?;
-        let path = opt_str(args, "--profile-out").map_or("profile.trace.json", String::as_str);
-        write_file(path, doc.to_pretty().as_bytes())?;
+        let path: String = p.value("--profile-out")?;
+        write_file(&path, doc.to_pretty().as_bytes())?;
         eprintln!(
             "profile timeline: {} events, {} lanes -> {path}",
             summary.events,
@@ -517,7 +362,7 @@ fn detect(args: &[String]) -> Cmd {
         );
     }
     if json {
-        emit_json(&report_json::report_doc(entries), args)?;
+        emit_json(&report_json::report_doc(entries), p)?;
     }
     Ok(ExitCode::from(worst))
 }
@@ -599,39 +444,21 @@ fn print_profile(r: &dcatch::BenchmarkReport) {
 /// work-stealing pool the triggering farm uses (`--trigger-jobs N`), with
 /// a deterministic grid-order merge — rows and exit code are identical
 /// for any N.
-fn faults(args: &[String]) -> Cmd {
-    let id = args.first().ok_or(
-        "usage: dcatch faults <BUG-ID|all> [--fault-plan FILE] [--seeds CSV] [--scale N] \
-         [--trigger-jobs N] [--timeout SECS] [--json] [--out FILE]",
-    )?;
-    check_flags(
-        &args[1..],
-        &["--json"],
-        &[
-            "--fault-plan",
-            "--seeds",
-            "--scale",
-            "--out",
-            "--trigger-jobs",
-            "--timeout",
-        ],
-    )?;
-    let tjobs = opt::<usize>(args, "--trigger-jobs")?.unwrap_or(1).max(1);
-    let timeout = opt::<u64>(args, "--timeout")?.map(std::time::Duration::from_secs);
-    let scale = opt(args, "--scale")?.unwrap_or(1);
-    let benches = benchmarks_for(id, scale)?;
-    let seeds: Vec<u64> = match opt_str(args, "--seeds") {
-        Some(csv) => csv
-            .split(',')
-            .map(|s| s.trim().parse())
-            .collect::<Result<_, _>>()
-            .map_err(|_| format!("invalid value `{csv}` for `--seeds` (expected e.g. 1,2,3)"))?,
-        None => vec![1, 2, 3],
-    };
-    let custom = opt_str(args, "--fault-plan")
-        .map(|p| load_fault_plan(p))
+fn faults(p: &Parsed) -> Cmd {
+    let tjobs = p.value::<usize>("--trigger-jobs")?.max(1);
+    let timeout = p.get("--timeout")?.map(Duration::from_secs);
+    let benches = benchmarks_for(&p.positionals[0], p.value("--scale")?)?;
+    let csv: String = p.value("--seeds")?;
+    let seeds: Vec<u64> = csv
+        .split(',')
+        .map(|s| s.trim().parse())
+        .collect::<Result<_, _>>()
+        .map_err(|_| format!("invalid value `{csv}` for `--seeds` (expected e.g. 1,2,3)"))?;
+    let custom = p
+        .str("--fault-plan")
+        .map(cli::load_fault_plan)
         .transpose()?;
-    let json = flag(args, "--json");
+    let json = p.on("--json");
     // Flatten the benchmark × scenario × seed grid into one job list.
     // Workers drain it out of order; the merge below walks it in grid
     // order, so output is independent of `tjobs`.
@@ -777,32 +604,10 @@ fn faults(args: &[String]) -> Cmd {
             ("schema_version", Json::UInt(SCHEMA_VERSION)),
             ("runs", Json::Arr(rows)),
         ]);
-        emit_json(&doc, args)?;
+        emit_json(&doc, p)?;
     }
     Ok(ExitCode::from(worst))
 }
-
-const SYNTH_FLAGS: &[&str] = &["--json", "--no-shrink", "--verbose"];
-const SYNTH_VALUED: &[&str] = &[
-    "--seed",
-    "--count",
-    "--protocol",
-    "--nodes",
-    "--clients",
-    "--fan-out",
-    "--bugs",
-    "--fault-plan-out",
-    "--quarantine",
-    "--replay",
-    "--shrink-budget",
-    "--out",
-    "--jobs",
-    "--trigger-jobs",
-    "--timeout",
-    "--mem-budget",
-    "--time-budget",
-    "--resume",
-];
 
 /// `dcatch synth` — the generative protocol fuzzer (recall gate).
 ///
@@ -815,52 +620,45 @@ const SYNTH_VALUED: &[&str] = &[
 /// (`--quarantine DIR`, default `synth-quarantine`; `--no-shrink`
 /// disables). `--replay FILE` re-runs a quarantined case. Exit code: 0
 /// clean, 2 on any scoring discrepancy, 3/5/6 on pipeline failures.
-fn synth(args: &[String]) -> Cmd {
+fn synth(p: &Parsed) -> Cmd {
     use dcatch::synth::{row_exit_code, score_json, SynthBatchConfig};
     use dcatch_apps::synth::{Protocol, ScenarioSpec};
 
-    check_flags(args, SYNTH_FLAGS, SYNTH_VALUED)?;
-    let mut opts = build_options(args)?;
-    // for `synth`, --seed is the generator base seed, not a scheduler
-    // override: each scenario runs under its own spec seed
-    opts.seed = None;
-    if flag(args, "--verbose") {
-        dcatch_obs::trace::set_verbose(true);
-    }
-    let protocols = match opt_str(args, "--protocol") {
-        Some(p) => vec![Protocol::parse(p)
-            .ok_or_else(|| format!("unknown protocol `{p}` (expected le, 2pc, pb, or gossip)"))?],
+    // each scenario runs under its own spec seed: `--seed` is the
+    // generator's base seed, not a scheduler override
+    let opts = governed_options(p)?;
+    let protocols = match p.str("--protocol") {
+        Some(s) => vec![Protocol::parse(s)
+            .ok_or_else(|| format!("unknown protocol `{s}` (expected le, 2pc, pb, or gossip)"))?],
         None => Protocol::all().to_vec(),
     };
     let mut cfg = SynthBatchConfig {
         protocols,
-        base_seed: opt::<u64>(args, "--seed")?.unwrap_or(1),
-        count: opt::<u32>(args, "--count")?.unwrap_or(1).max(1),
-        workers: opt::<u32>(args, "--nodes")?,
-        clients: opt::<u32>(args, "--clients")?,
-        fan_out: opt::<u32>(args, "--fan-out")?,
-        bugs: opt::<u32>(args, "--bugs")?,
-        quarantine_dir: None,
-        shrink_budget: opt::<usize>(args, "--shrink-budget")?.unwrap_or(40),
+        base_seed: p.value("--seed")?,
+        count: p.value::<u32>("--count")?.max(1),
+        workers: p.get("--nodes")?,
+        clients: p.get("--clients")?,
+        fan_out: p.get("--fan-out")?,
+        bugs: p.get("--bugs")?,
+        quarantine_dir: (!p.on("--no-shrink"))
+            .then(|| p.value("--quarantine"))
+            .transpose()?,
+        shrink_budget: p.value("--shrink-budget")?,
     };
-    if !flag(args, "--no-shrink") {
-        let dir = opt_str(args, "--quarantine").map_or("synth-quarantine", String::as_str);
-        cfg.quarantine_dir = Some(std::path::PathBuf::from(dir));
-    }
 
     // --replay FILE: one quarantined case (or bare spec), no journal
-    if let Some(path) = opt_str(args, "--replay") {
+    if let Some(path) = p.str("--replay") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let doc = dcatch_obs::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
         let spec_doc = doc.get("spec").unwrap_or(&doc);
         let spec = ScenarioSpec::from_json(spec_doc).map_err(|e| format!("{path}: {e}"))?;
         cfg.protocols = vec![spec.protocol];
         let row = score_json(&dcatch::run_scenario(&spec, &opts, &cfg));
-        return synth_emit(&cfg, vec![row], args);
+        return synth_emit(&cfg, vec![row], p);
     }
 
     let specs = dcatch::batch_specs(&cfg);
-    if let Some(path) = opt_str(args, "--fault-plan-out") {
+    if let Some(path) = p.str("--fault-plan-out") {
         if specs.len() != 1 {
             return Err(
                 "--fault-plan-out needs exactly one scenario (--count 1 and a single --protocol)"
@@ -869,31 +667,28 @@ fn synth(args: &[String]) -> Cmd {
         }
         write_file(path, specs[0].fault_plan.as_bytes())?;
     }
-    // crash-safe resume: same journal as `detect`, keyed by scenario id,
-    // fingerprinted over every generator parameter
+    // crash-safe resume: same journal as `detect`, keyed by scenario id
     let outcomes = run_resumable(
-        "synth",
-        args,
-        &cfg.fingerprint(&opts),
+        p,
         &specs,
         ScenarioSpec::id,
         |spec| (score_json(&dcatch::run_scenario(spec, &opts, &cfg)), ()),
         |row| row_exit_code(row) != 0,
     )?;
     let rows = outcomes.into_iter().map(|(row, _)| row).collect();
-    synth_emit(&cfg, rows, args)
+    synth_emit(&cfg, rows, p)
 }
 
 /// Prints/emits a synth batch report and folds rows into the exit code.
-fn synth_emit(cfg: &dcatch::synth::SynthBatchConfig, rows: Vec<Json>, args: &[String]) -> Cmd {
+fn synth_emit(cfg: &dcatch::synth::SynthBatchConfig, rows: Vec<Json>, p: &Parsed) -> Cmd {
     let worst = rows
         .iter()
         .map(dcatch::synth::row_exit_code)
         .max()
         .unwrap_or(0);
     let doc = dcatch::synth::synth_report_doc(cfg, &rows);
-    if flag(args, "--json") {
-        emit_json(&doc, args)?;
+    if p.on("--json") {
+        emit_json(&doc, p)?;
         return Ok(ExitCode::from(worst));
     }
     let num = |row: &Json, k: &str| row.get(k).and_then(Json::as_u64).unwrap_or(0);
@@ -926,9 +721,9 @@ fn synth_emit(cfg: &dcatch::synth::SynthBatchConfig, rows: Vec<Json>, args: &[St
         .and_then(|s| s.get("protocols"))
         .and_then(Json::as_arr)
     {
-        for p in protos {
-            let planted = num(p, "planted");
-            let detected = num(p, "detected");
+        for proto in protos {
+            let planted = num(proto, "planted");
+            let detected = num(proto, "detected");
             let recall = if planted == 0 {
                 100.0
             } else {
@@ -936,10 +731,10 @@ fn synth_emit(cfg: &dcatch::synth::SynthBatchConfig, rows: Vec<Json>, args: &[St
             };
             outln!(
                 "protocol {:8} scenarios={} recall {detected}/{planted} ({recall:.0}%) fp={} errors={}",
-                p.get("protocol").and_then(Json::as_str).unwrap_or("?"),
-                num(p, "scenarios"),
-                num(p, "false_positives"),
-                num(p, "errors"),
+                proto.get("protocol").and_then(Json::as_str).unwrap_or("?"),
+                num(proto, "scenarios"),
+                num(proto, "false_positives"),
+                num(proto, "errors"),
             );
         }
     }
@@ -1025,47 +820,33 @@ fn print_report(r: &dcatch::BenchmarkReport, opts: &PipelineOptions, show_metric
 
 /// The preamble `stats`, `trace` and `timeline` share: resolve the
 /// BUG-ID at `--scale`, then run its simulation once under `--seed`,
-/// `--full-tracing` and (where `valued` accepts it) `--fault-plan`.
-/// `usage` is the error for a missing BUG-ID.
-fn run_one(
-    args: &[String],
-    usage: &str,
-    flags: &[&str],
-    valued: &[&str],
-) -> Result<(dcatch::Benchmark, dcatch::RunResult), String> {
-    let id = args.first().ok_or(usage)?;
-    check_flags(&args[1..], flags, valued)?;
-    let scale = opt(args, "--scale")?.unwrap_or(1);
-    let seed = opt(args, "--seed")?;
-    let b = benchmarks_for(id, scale)?.swap_remove(0);
+/// `--full-tracing` and (`timeline` only) `--fault-plan`.
+fn run_one(p: &Parsed) -> Result<(dcatch::Benchmark, dcatch::RunResult), String> {
+    let seed = p.get("--seed")?;
+    let b = benchmarks_for(&p.positionals[0], p.value("--scale")?)?.swap_remove(0);
     let mut cfg = SimConfig::default().with_seed(seed.unwrap_or(b.seed));
-    if flag(args, "--full-tracing") {
+    if p.on("--full-tracing") {
         cfg.tracing = TracingMode::Full;
     }
-    if let Some(path) = opt_str(args, "--fault-plan") {
-        cfg = cfg.with_faults(load_fault_plan(path)?);
+    if let Some(path) = p.str("--fault-plan") {
+        cfg = cfg.with_faults(cli::load_fault_plan(path)?);
     }
     let run = World::run_once(&b.program, &b.topology, cfg).map_err(|e| e.to_string())?;
     Ok((b, run))
 }
 
-fn stats(args: &[String]) -> Cmd {
-    let (b, run) = run_one(
-        args,
-        "usage: dcatch stats <BUG-ID> [--full-tracing] [--scale N] [--seed N] [--json] [--out FILE]",
-        &["--full-tracing", "--json"],
-        &["--scale", "--seed", "--out"],
-    )?;
+fn stats(p: &Parsed) -> Cmd {
+    let (b, run) = run_one(p)?;
     let s = TraceStats::of(run.trace.records());
     let bytes = run.trace.to_lines().len();
-    if flag(args, "--json") {
+    if p.on("--json") {
         let doc = Json::obj([
             ("schema_version", Json::UInt(SCHEMA_VERSION)),
             ("id", Json::Str(b.id.to_string())),
             ("bytes", Json::UInt(bytes as u64)),
             ("stats", report_json::trace_stats_json(&s)),
         ]);
-        emit_json(&doc, args)?;
+        emit_json(&doc, p)?;
         return Ok(ExitCode::SUCCESS);
     }
     // Table-7 style breakdown
@@ -1081,25 +862,16 @@ fn stats(args: &[String]) -> Cmd {
         ("loop markers", s.loops),
     ];
     for (label, count) in rows {
-        let pct = if s.total == 0 {
-            0.0
-        } else {
-            100.0 * *count as f64 / s.total as f64
-        };
+        let pct = 100.0 * *count as f64 / s.total.max(1) as f64;
         outln!("  {label:16} {count:8}  ({pct:5.1}%)");
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn trace(args: &[String]) -> Cmd {
-    let (_, run) = run_one(
-        args,
-        "usage: dcatch trace <BUG-ID> [--full-tracing] [--scale N] [--seed N] [--out FILE]",
-        &["--full-tracing"],
-        &["--scale", "--seed", "--out"],
-    )?;
+fn trace(p: &Parsed) -> Cmd {
+    let (_, run) = run_one(p)?;
     let lines = run.trace.to_lines();
-    if let Some(path) = opt_str(args, "--out") {
+    if let Some(path) = p.str("--out") {
         write_file(path, lines.as_bytes())?;
         outln!(
             "wrote {} records ({} bytes) to {path}",
@@ -1117,18 +889,12 @@ fn trace(args: &[String]) -> Cmd {
 /// lane per (node, task), flow arrows for messages, instant markers for
 /// fault injections. The document is validated before it is written, and
 /// is byte-identical for a given (benchmark, seed, fault plan).
-fn timeline(args: &[String]) -> Cmd {
-    let (b, run) = run_one(
-        args,
-        "usage: dcatch timeline <BUG-ID> [--full-tracing] [--scale N] [--seed N] \
-         [--fault-plan FILE] [--out FILE]",
-        &["--full-tracing"],
-        &["--scale", "--seed", "--fault-plan", "--out"],
-    )?;
+fn timeline(p: &Parsed) -> Cmd {
+    let (b, run) = run_one(p)?;
     let doc = dcatch::trace_timeline(&run.trace).to_json();
     let summary = dcatch_obs::timeline::validate(&doc)
         .map_err(|e| format!("internal error: timeline failed validation: {e}"))?;
-    emit_json(&doc, args)?;
+    emit_json(&doc, p)?;
     // summary on stderr so `--out`-less stdout stays pure JSON
     eprintln!(
         "{}: {} events, {} flows, {} lanes (load at ui.perfetto.dev)",
@@ -1140,45 +906,40 @@ fn timeline(args: &[String]) -> Cmd {
     Ok(ExitCode::SUCCESS)
 }
 
-fn explain(args: &[String]) -> Cmd {
-    let (Some(id), Some(object)) = (args.first(), args.get(1)) else {
-        return Err("usage: dcatch explain <BUG-ID> <OBJECT> [--json] [--out FILE]".to_owned());
-    };
-    check_flags(&args[2..], &["--json"], &["--out"])?;
+fn explain(p: &Parsed) -> Cmd {
+    let (id, object) = (&p.positionals[0], &p.positionals[1]);
     let b = benchmarks_for(id, 1)?.swap_remove(0);
     let cfg = SimConfig::default().with_seed(b.seed);
     let run = World::run_once(&b.program, &b.topology, cfg).map_err(|e| e.to_string())?;
     let hb =
         dcatch::HbAnalysis::build(run.trace, &HbConfig::default()).map_err(|e| e.to_string())?;
-    let names = hb.trace().names();
-    let accesses: Vec<usize> = hb
-        .trace()
-        .records()
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| {
-            r.kind
-                .mem_loc()
-                .is_some_and(|l| names.name(l.object) == object)
+    let (records, names) = (hb.trace().records(), hb.trace().names());
+    let accesses: Vec<usize> = (0..records.len())
+        .filter(|&i| {
+            let loc = records[i].kind.mem_loc();
+            loc.is_some_and(|l| names.name(l.object) == object)
         })
-        .map(|(i, _)| i)
         .collect();
     if accesses.is_empty() {
         return Err(format!(
             "no traced accesses to `{object}` in {id}'s correct run"
         ));
     }
-    let json = flag(args, "--json");
-    let describe = |i: usize| {
-        let r = &hb.trace().records()[i];
-        format!("#{i} {} ({})", r.kind.tag(), r.task)
+    let json = p.on("--json");
+    let describe = |i: usize| format!("#{i} {} ({})", records[i].kind.tag(), records[i].task);
+    // a record in `--json` output: the fields that place it, then its tag
+    // and task
+    let record_json = |mut fields: Vec<(&'static str, Json)>, i: usize| {
+        fields.push(("tag", Json::Str(records[i].kind.tag().to_owned())));
+        fields.push(("task", Json::Str(records[i].task.to_string())));
+        Json::obj(fields)
     };
     if !json {
         outln!("{}: {} traced accesses to `{object}`", b.id, accesses.len());
     }
     let mut pairs = Vec::new();
-    for (p, &i) in accesses.iter().enumerate() {
-        for &j in &accesses[p + 1..] {
+    for (k, &i) in accesses.iter().enumerate() {
+        for &j in &accesses[k + 1..] {
             let (a, z) = (i.min(j), i.max(j));
             let label = format!("{} ↔ {}", describe(a), describe(z));
             // the HB chain may run in either direction; capture whichever
@@ -1191,7 +952,19 @@ fn explain(args: &[String]) -> Cmd {
                 },
             };
             if json {
-                pairs.push(pair_json(&hb, a, z, relation, chain.as_ref()));
+                let hops = chain.iter().flat_map(|(_, hops)| hops).map(|&(to, rule)| {
+                    let at = vec![
+                        ("rule", Json::Str(format!("{rule:?}"))),
+                        ("to", Json::UInt(to as u64)),
+                    ];
+                    record_json(at, to)
+                });
+                pairs.push(Json::obj([
+                    ("a", Json::UInt(a as u64)),
+                    ("b", Json::UInt(z as u64)),
+                    ("relation", Json::Str(relation.to_owned())),
+                    ("chain", Json::Arr(hops.collect())),
+                ]));
                 continue;
             }
             match &chain {
@@ -1212,61 +985,19 @@ fn explain(args: &[String]) -> Cmd {
         }
     }
     if json {
+        let accesses = accesses
+            .iter()
+            .map(|&i| record_json(vec![("index", Json::UInt(i as u64))], i));
         let doc = Json::obj([
             ("schema_version", Json::UInt(SCHEMA_VERSION)),
             ("id", Json::Str(b.id.to_owned())),
-            ("object", Json::Str((*object).clone())),
-            (
-                "accesses",
-                Json::Arr(accesses.iter().map(|&i| access_json(&hb, i)).collect()),
-            ),
+            ("object", Json::Str(object.clone())),
+            ("accesses", Json::Arr(accesses.collect())),
             ("pairs", Json::Arr(pairs)),
         ]);
-        emit_json(&doc, args)?;
+        emit_json(&doc, p)?;
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// One trace record reference in `explain --json` output.
-fn access_json(hb: &dcatch::HbAnalysis, i: usize) -> Json {
-    let r = &hb.trace().records()[i];
-    Json::obj([
-        ("index", Json::UInt(i as u64)),
-        ("tag", Json::Str(r.kind.tag().to_owned())),
-        ("task", Json::Str(r.task.to_string())),
-    ])
-}
-
-/// One access pair with its HB verdict and (when ordered) the hop-by-hop
-/// rule chain.
-fn pair_json(
-    hb: &dcatch::HbAnalysis,
-    a: usize,
-    z: usize,
-    relation: &str,
-    chain: Option<&(usize, Vec<(usize, dcatch::EdgeRule)>)>,
-) -> Json {
-    let hops = match chain {
-        Some((_, hops)) => hops
-            .iter()
-            .map(|&(to, rule)| {
-                let r = &hb.trace().records()[to];
-                Json::obj([
-                    ("rule", Json::Str(format!("{rule:?}"))),
-                    ("to", Json::UInt(to as u64)),
-                    ("tag", Json::Str(r.kind.tag().to_owned())),
-                    ("task", Json::Str(r.task.to_string())),
-                ])
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    Json::obj([
-        ("a", Json::UInt(a as u64)),
-        ("b", Json::UInt(z as u64)),
-        ("relation", Json::Str(relation.to_owned())),
-        ("chain", Json::Arr(hops)),
-    ])
 }
 
 /// `dcatch streambench` — drives the synthetic ping-pong workload through
@@ -1274,15 +1005,10 @@ fn pair_json(
 /// materialized) and reports window/retirement accounting plus wall-clock
 /// throughput. The workload plants exactly one racer pair; exit code 2 if
 /// the detector does not report exactly that one surviving candidate.
-fn streambench(args: &[String]) -> Cmd {
-    check_flags(
-        args,
-        &["--json"],
-        &["--records", "--stream-window", "--seed", "--out"],
-    )?;
-    let records = opt::<u64>(args, "--records")?.unwrap_or(1_000_000);
-    let window = opt::<usize>(args, "--stream-window")?;
-    let seed = opt::<u64>(args, "--seed")?.unwrap_or(7);
+fn streambench(p: &Parsed) -> Cmd {
+    let records = p.value("--records")?;
+    let window = p.get("--stream-window")?;
+    let seed = p.value("--seed")?;
     let rounds = dcatch::streambench_rounds(records);
     let (program, topo) = dcatch::streambench(rounds);
     // full tracing so the planted racer pair (plain threads, no
@@ -1311,7 +1037,7 @@ fn streambench(args: &[String]) -> Cmd {
     let planted_found = out.candidates.static_pair_count() == 1
         && out.candidates.iter().all(|c| c.object() == "shared_flag");
     let code = ExitCode::from(if planted_found { 0 } else { 2 });
-    if flag(args, "--json") {
+    if p.on("--json") {
         let doc = Json::obj([
             ("schema_version", Json::UInt(SCHEMA_VERSION)),
             ("records", Json::UInt(out.records as u64)),
@@ -1327,7 +1053,7 @@ fn streambench(args: &[String]) -> Cmd {
             ("planted_pair_found", Json::Bool(planted_found)),
             ("elapsed_ns", Json::UInt(elapsed.as_nanos() as u64)),
         ]);
-        emit_json(&doc, args)?;
+        emit_json(&doc, p)?;
         return Ok(code);
     }
     outln!(

@@ -3,8 +3,9 @@
 //!
 //! The journal is an append-only JSON-lines file. Line 1 is a meta
 //! record pinning the journal format and a *fingerprint* of the run
-//! configuration (benchmark set, scale, pipeline options); every later
-//! line is one benchmark's completion record:
+//! configuration ([`crate::cli::fingerprint`]: the subcommand, its
+//! positionals and every flag that shapes an entry); every later line is
+//! one benchmark's completion record:
 //!
 //! ```text
 //! {"journal_version":2,"tool":"dcatch-rs","schema_version":7,"fingerprint":"…"}

@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod journal;
 mod pipeline;
 pub mod profile;

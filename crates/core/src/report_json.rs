@@ -96,20 +96,10 @@ pub const SCHEMA_VERSION: u64 = 7;
 /// v2 has been additive, so older documents still validate.
 pub const MIN_SCHEMA_VERSION: u64 = 2;
 
-/// Builds the versioned top-level run report for a set of benchmark runs
-/// that all succeeded.
-pub fn run_report(reports: &[BenchmarkReport]) -> Json {
-    report_doc(reports.iter().map(benchmark_json).collect())
-}
-
 /// Builds the run report from per-benchmark pipeline *results*, keeping
-/// errored benchmarks in the document as structured `error` entries.
-pub fn run_report_results(results: &[(&str, Result<BenchmarkReport, PipelineError>)]) -> Json {
-    run_report_results_with(results, false)
-}
-
-/// As [`run_report_results`]; `profile: true` fills the per-benchmark
-/// `profile` section (the `--profile` path).
+/// errored benchmarks in the document as structured `error` entries;
+/// `profile: true` fills the per-benchmark `profile` section (the
+/// `--profile` path).
 pub fn run_report_results_with(
     results: &[(&str, Result<BenchmarkReport, PipelineError>)],
     profile: bool,
@@ -236,12 +226,6 @@ pub fn error_json(id: &str, e: &PipelineError) -> Json {
             ]),
         ),
     ])
-}
-
-/// One benchmark's section of the run report (without a `profile`
-/// section — see [`benchmark_json_with`]).
-pub fn benchmark_json(r: &BenchmarkReport) -> Json {
-    benchmark_json_with(r, false)
 }
 
 /// One benchmark's section of the run report; `profile: true` fills the
@@ -435,7 +419,7 @@ mod tests {
 
     #[test]
     fn empty_report_list_still_carries_version() {
-        let doc = run_report(&[]);
+        let doc = report_doc(Vec::new());
         assert_eq!(
             doc.get("schema_version").unwrap().as_u64(),
             Some(SCHEMA_VERSION)
@@ -454,7 +438,7 @@ mod tests {
             "ZK-9999",
             Err::<BenchmarkReport, _>(PipelineError::Panicked("boom".to_owned())),
         )];
-        let doc = run_report_results(&results);
+        let doc = run_report_results_with(&results, false);
         let benches = doc.get("benchmarks").unwrap().as_arr().unwrap();
         assert_eq!(benches.len(), 1);
         let err = benches[0].get("error").unwrap();
@@ -556,7 +540,7 @@ mod tests {
         let doc = dcatch_obs::json::parse(fixture).expect("fixture parses");
         assert_eq!(validate_report(&doc), Ok(6));
         // and the current writer's output validates at the new version
-        let now = run_report(&[]);
+        let now = report_doc(Vec::new());
         assert_eq!(validate_report(&now), Ok(SCHEMA_VERSION));
     }
 }

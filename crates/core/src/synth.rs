@@ -82,18 +82,6 @@ impl SynthBatchConfig {
             bugs: self.bugs,
         }
     }
-
-    /// The `--resume` journal fingerprint: every generator setting that
-    /// shapes scenario contents, plus the pipeline options. A journal
-    /// written under different synth parameters is refused.
-    pub fn fingerprint(&self, opts: &PipelineOptions) -> String {
-        let protos: Vec<&str> = self.protocols.iter().map(|p| p.name()).collect();
-        format!(
-            "synth;protos={protos:?};base_seed={};count={};workers={:?};clients={:?};\
-             fan_out={:?};bugs={:?};opts={opts:?}",
-            self.base_seed, self.count, self.workers, self.clients, self.fan_out, self.bugs
-        )
-    }
 }
 
 /// How one scenario's verdicts disagreed with its planted ground truth.

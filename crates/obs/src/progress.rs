@@ -78,12 +78,8 @@ pub fn stderr_wants_progress() -> bool {
 
 impl Progress {
     /// A reporter over `labels.len()` queued items. `label` prefixes the
-    /// status line (`detect`, `faults`…).
-    pub fn new(label: &str, labels: impl IntoIterator<Item = String>) -> Progress {
-        Progress::with_enabled(label, labels, stderr_wants_progress())
-    }
-
-    /// As [`Progress::new`] with an explicit on/off switch (tests).
+    /// status line (`detect`, `faults`…); `enabled` is usually
+    /// [`stderr_wants_progress`].
     pub fn with_enabled(
         label: &str,
         labels: impl IntoIterator<Item = String>,
@@ -124,11 +120,6 @@ impl Progress {
                 ItemState::Done
             },
         );
-    }
-
-    /// Current state of item `index`.
-    pub fn state_of(&self, index: usize) -> ItemState {
-        self.state.lock().expect("progress state").items[index].state
     }
 
     /// Clears the status line and prints a final one-line summary (always
@@ -265,14 +256,15 @@ mod tests {
     #[test]
     fn state_machine_transitions() {
         let p = Progress::with_enabled("t", ["a".to_owned(), "b".to_owned()], false);
-        assert_eq!(p.state_of(0), ItemState::Queued);
+        let state_of = |p: &Progress, i: usize| p.state.lock().expect("state").items[i].state;
+        assert_eq!(state_of(&p, 0), ItemState::Queued);
         p.start(0);
-        assert_eq!(p.state_of(0), ItemState::Running);
+        assert_eq!(state_of(&p, 0), ItemState::Running);
         p.complete(0, false);
-        assert_eq!(p.state_of(0), ItemState::Done);
+        assert_eq!(state_of(&p, 0), ItemState::Done);
         p.start(1);
         p.complete(1, true);
-        assert_eq!(p.state_of(1), ItemState::Degraded);
+        assert_eq!(state_of(&p, 1), ItemState::Degraded);
         p.finish(); // disabled: must not write or panic
     }
 

@@ -68,31 +68,6 @@ impl SpanNode {
     pub fn duration_of(&self, name: &str) -> Duration {
         self.find(name).map_or(Duration::ZERO, |n| n.total)
     }
-
-    /// Renders the tree as an indented text block (for `--verbose` and
-    /// debugging).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out
-    }
-
-    fn render_into(&self, out: &mut String, depth: usize) {
-        use std::fmt::Write as _;
-        let ms = self.total.as_secs_f64() * 1000.0;
-        let _ = writeln!(
-            out,
-            "{:indent$}{} {:.3}ms ×{}",
-            "",
-            self.name,
-            ms,
-            self.count,
-            indent = depth * 2
-        );
-        for c in &self.children {
-            c.render_into(out, depth + 1);
-        }
-    }
 }
 
 struct Tracer {
@@ -176,11 +151,6 @@ fn merge_into(parent: &mut SpanNode, sub: &SpanNode) {
     for c in &sub.children {
         merge_into(node, c);
     }
-}
-
-/// Whether a capture is currently active on this thread.
-pub fn capturing() -> bool {
-    TRACER.with_borrow(|t| t.root.is_some())
 }
 
 /// Enables or disables printing of span enter/exit lines to stderr.
@@ -322,7 +292,7 @@ mod tests {
 
     #[test]
     fn spans_outside_capture_are_noops() {
-        assert!(!capturing());
+        assert!(TRACER.with_borrow(|t| t.root.is_none()));
         let g = span("orphan");
         drop(g);
         begin_capture("run");
@@ -360,7 +330,7 @@ mod tests {
 
     #[test]
     fn graft_outside_a_capture_is_a_noop() {
-        assert!(!capturing());
+        assert!(TRACER.with_borrow(|t| t.root.is_none()));
         graft(&SpanNode::new("orphan"));
         begin_capture("run");
         let tree = end_capture();

@@ -38,69 +38,28 @@
 #                             # "same answers" against a release build of the
 #                             # parent commit (git clone it into a scratch
 #                             # directory and `cargo build --release` there):
-#                             # runs a fixed command list on both binaries
-#                             # and `cmp`s each output — `detect all
-#                             # --scrub-timings --json` selective with
-#                             # triggering, `--full-tracing --no-trigger` at
-#                             # `--scale 8` and `48`, `--reachability matrix
-#                             # --scale 4`, `--reachability clocks`; the
-#                             # governor's rungs (`--mem-budget 2k`: sampled
-#                             # tracing; `256` full-traced: index → streaming
-#                             # under a window cap; `--time-budget 0`:
-#                             # loop-sync and triggering skipped; `--budget
-#                             # 4096 --mem-budget 1g`: the user's index
-#                             # ceiling under a governor; a governed `synth`
-#                             # batch); `faults all`; `synth --seed 1 --count
-#                             # 8`; `explain --json` on every object the
-#                             # parent's `detect all --no-trigger` reports
-#                             # (13 today); `trace <ID> --full-tracing
-#                             # --scale 4` on each of the seven miniatures
-#                             # (every record kind they emit, in the on-disk
-#                             # line format); and `streambench --records
-#                             # 200000 --json` minus its `peak_bytes` (the
-#                             # window's resident estimate) and `elapsed_ns`
-#                             # (`stream_cli`). The `--streaming` runs (plain,
-#                             # `--stream-window 2`, `--mem-budget 16k`, the
-#                             # two together) are compared minus what a
-#                             # change to the online engine legitimately moves:
-#                             # `streaming.peak_bytes` and the wording of
-#                             # the window's degradation `reason`. The three
-#                             # runs that end with a clock index (`--scale 8`
-#                             # and `48` full-traced, `--reachability clocks`)
-#                             # are compared minus its size (`reach`:
-#                             # `trace.reach_bytes`, `hb_reach_bytes_peak`):
-#                             # PR 24 measures it where its parent estimated;
-#                             # the `--mem-budget 256` run additionally minus
-#                             # how the index rung is taken (`index_rung`:
-#                             # the `trace_analysis` step's `from` / `reason`,
-#                             # the failed build's `hb.build` span and
-#                             # `hb_oom_total` — PR 24's parent asked before
-#                             # building) and, as it ends in a streaming
-#                             # window, `streaming.peak_bytes`. Every offline
-#                             # `detect --json` run (the five `detect`
-#                             # lines, `reach`, `index_rung`) drops the one
-#                             # counter the replayed scan moved:
-#                             # `metrics.counters.detect_scan_hb_queries_total`
-#                             # (one probe per chain per access now, as the
-#                             # online window counts). Every JSON document
-#                             # drops the top-level `degradations.trigger_retries`,
-#                             # a key the summary no longer writes. The lines
-#                             # that trigger (the plain `detect` line,
-#                             # `--reachability matrix --scale 4`,
-#                             # `--reachability clocks`, `--mem-budget 2k`,
-#                             # `--budget 4096 --mem-budget 1g`, the four
-#                             # `--streaming` lines, both `synth` lines) also
-#                             # take `rerun`, the re-run volume, which moved
-#                             # when an ordering became one run: the top-level
-#                             # `degradations.faults_injected`, the
-#                             # per-benchmark counters `trigger_retries`,
-#                             # `trigger_verdict_*_total` and `sim_*`, the span
-#                             # `count`s under `pipeline.triggering`, and the
-#                             # synth rows' `faults_injected` (the text `synth`
-#                             # line's `faults=N` column). Verdicts, candidates,
-#                             # per-candidate reports, `degradations` lists and
-#                             # `trace` stay compared. Every other line is
-#                             # compared raw.
+#                             # runs a fixed command list on both binaries and
+#                             # `cmp`s each output, exit status appended —
+#                             # `detect all --scrub-timings --json` selective
+#                             # with triggering, `--full-tracing --no-trigger`
+#                             # at `--scale 8` and `48`, `--reachability
+#                             # matrix --scale 4`, `--reachability clocks`;
+#                             # the governor's rungs (`--mem-budget 2k`:
+#                             # sampled tracing; `256` full-traced: index →
+#                             # streaming under a window cap; `--time-budget
+#                             # 0`: loop-sync and triggering skipped; `--budget
+#                             # 4096 --mem-budget 1g`: the user's index ceiling
+#                             # under a governor; a governed `synth` batch);
+#                             # the four `--streaming` variants; `faults all`;
+#                             # `synth --seed 1 --count 8`; `trace <ID>
+#                             # --full-tracing --scale 4` on each of the seven
+#                             # miniatures (every record kind, as on-disk
+#                             # lines); `streambench --records 200000 --json`;
+#                             # and `explain --json` on every object the
+#                             # parent's `detect all --no-trigger` reports.
+#                             # Every output is compared raw, except
+#                             # streambench's wall-clock `elapsed_ns`, the one
+#                             # field two runs of one binary disagree on.
 #                             # Exits non-zero naming the first differing
 #                             # command
 set -euo pipefail
@@ -126,70 +85,20 @@ if [[ "${1:-}" == "same" ]]; then
     trap 'rm -rf "$sa_dir"' EXIT
     mkdir "$sa_dir/parent" "$sa_dir/change"
     n=0
-    # same <projection: cat | rerun | [detect | streaming | reach | index_rung | stream_cli][+rerun]> <dcatch arguments…>
+    # same [-i FIELD] <dcatch arguments…>; `-i` leaves FIELD's JSON lines out
     same() {
-        local project="$1" side
-        shift
+        local field="" side
+        if [[ "$1" == -i ]]; then
+            field="$2"
+            shift 2
+        fi
         n=$((n + 1))
         for side in parent change; do
             # a failing command is compared too: its exit status joins its output
-            (cd "$sa_dir/$side" && "${!side}" "$@" >"$n.raw" 2>&1) ||
-                echo "exit $?" >>"$sa_dir/$side/$n.raw"
-            if [[ "$project" != cat ]]; then
-                python3 - "$project" "$sa_dir/$side/$n.raw" >"$sa_dir/$side/$n.out" <<'PY'
-import json, re, sys
-project, rerun = sys.argv[1].removesuffix("+rerun"), sys.argv[1].endswith("rerun")
-text = open(sys.argv[2]).read()
-if project == "rerun" and not text.startswith("{"):
-    sys.stdout.write(re.sub(r"faults=\d+", "faults=_", text))  # the text `synth` rows
-    sys.exit()
-doc = json.loads(text)
-if "degradations" in doc:
-    doc["degradations"].pop("trigger_retries", None)  # the summary no longer has it
-def without_span(node, name):
-    node["children"] = [without_span(c, name) for c in node["children"] if c["name"] != name]
-    return node
-def without_counts(node):
-    for c in node["children"]:
-        del c["count"]
-        without_counts(c)
-if rerun:
-    doc["degradations"].pop("faults_injected", None)
-    for row in (doc.get("synth") or {}).get("scenarios", []):
-        row.pop("faults_injected", None)
-if project == "stream_cli":
-    del doc["peak_bytes"], doc["elapsed_ns"]
-for b in doc.get("benchmarks", []):
-    if project in ("streaming", "index_rung") and b.get("streaming"):
-        del b["streaming"]["peak_bytes"]
-    if project == "streaming":
-        for d in b.get("degradations", []):
-            if d["stage"] == "streaming":
-                del d["reason"]
-    else:
-        b["metrics"]["counters"].pop("detect_scan_hb_queries_total", None)
-    if project in ("reach", "index_rung"):
-        del b["trace"]["reach_bytes"]
-        b["metrics"]["gauges"].pop("hb_reach_bytes_peak", None)
-        if b.get("profile"):
-            del b["profile"]["hb_reach_bytes_peak"]
-    if project == "index_rung":
-        for d in b["degradations"]:
-            if d["stage"] == "trace_analysis":
-                del d["from"], d["reason"]
-        without_span(b["spans"], "hb.build")
-        b["metrics"]["counters"].pop("hb_oom_total", None)
-    if rerun and "metrics" in b:
-        counters = b["metrics"]["counters"]
-        for k in [k for k in counters if k == "trigger_retries" or k.startswith(("trigger_verdict_", "sim_"))]:
-            del counters[k]
-        for stage in b["spans"]["children"]:
-            if stage["name"] == "pipeline.triggering":
-                without_counts(stage)
-json.dump(doc, sys.stdout, indent=1, sort_keys=True)
-PY
-            else
-                cp "$sa_dir/$side/$n.raw" "$sa_dir/$side/$n.out"
+            (cd "$sa_dir/$side" && "${!side}" "$@" >"$n.out" 2>&1) ||
+                echo "exit $?" >>"$sa_dir/$side/$n.out"
+            if [[ -n "$field" ]]; then
+                sed -i "/\"$field\":/d" "$sa_dir/$side/$n.out"
             fi
         done
         if ! cmp -s "$sa_dir/parent/$n.out" "$sa_dir/change/$n.out"; then
@@ -200,27 +109,27 @@ PY
         echo "same: dcatch $*"
     }
     echo "== same answers as $parent =="
-    same detect+rerun detect all --scrub-timings --json
-    same reach detect all --scrub-timings --json --full-tracing --no-trigger --scale 8
-    same reach detect all --scrub-timings --json --full-tracing --no-trigger --scale 48
-    same detect+rerun detect all --scrub-timings --json --reachability matrix --scale 4
-    same reach+rerun detect all --scrub-timings --json --reachability clocks
-    same detect+rerun detect all --scrub-timings --json --mem-budget 2k
-    same index_rung detect all --scrub-timings --json --mem-budget 256 --full-tracing --no-trigger --scale 8
-    same detect detect all --scrub-timings --json --time-budget 0
-    same detect+rerun detect all --scrub-timings --json --budget 4096 --mem-budget 1g
-    same cat faults all
-    same rerun synth --seed 1 --count 8
-    same rerun synth --seed 1 --count 4 --mem-budget 8k --no-shrink --json
-    same streaming+rerun detect all --scrub-timings --json --streaming
-    same streaming+rerun detect all --scrub-timings --json --streaming --stream-window 2
-    same streaming+rerun detect all --scrub-timings --json --streaming --mem-budget 16k
+    same detect all --scrub-timings --json
+    same detect all --scrub-timings --json --full-tracing --no-trigger --scale 8
+    same detect all --scrub-timings --json --full-tracing --no-trigger --scale 48
+    same detect all --scrub-timings --json --reachability matrix --scale 4
+    same detect all --scrub-timings --json --reachability clocks
+    same detect all --scrub-timings --json --mem-budget 2k
+    same detect all --scrub-timings --json --mem-budget 256 --full-tracing --no-trigger --scale 8
+    same detect all --scrub-timings --json --time-budget 0
+    same detect all --scrub-timings --json --budget 4096 --mem-budget 1g
+    same faults all
+    same synth --seed 1 --count 8
+    same synth --seed 1 --count 4 --mem-budget 8k --no-shrink --json
+    same detect all --scrub-timings --json --streaming
+    same detect all --scrub-timings --json --streaming --stream-window 2
+    same detect all --scrub-timings --json --streaming --mem-budget 16k
     # the one run whose list has both a governor step and the cap's own event
-    same streaming+rerun detect all --scrub-timings --json --streaming --stream-window 2 --mem-budget 16k
+    same detect all --scrub-timings --json --streaming --stream-window 2 --mem-budget 16k
     for id in CA-1011 HB-4539 HB-4729 MR-3274 MR-4637 ZK-1144 ZK-1270; do
-        same cat trace "$id" --full-tracing --scale 4
+        same trace "$id" --full-tracing --scale 4
     done
-    same stream_cli streambench --records 200000 --json
+    same -i elapsed_ns streambench --records 200000 --json
     id=""
     "$parent" detect all --no-trigger | while read -r line; do
         case "$line" in
@@ -229,7 +138,7 @@ PY
         esac
     done | sort -u >"$sa_dir/objects"
     while read -r id obj; do
-        same cat explain "$id" "$obj" --json
+        same explain "$id" "$obj" --json
     done <"$sa_dir/objects"
     echo "Same answers: $n commands."
     exit 0

@@ -104,7 +104,7 @@ fn rigged_panic_yields_error_entry(at: u64) {
 
     // the JSON report is complete: one entry per benchmark, the rigged
     // one carrying the structured error
-    let doc = dcatch::report_json::run_report_results(&paired);
+    let doc = dcatch::report_json::run_report_results_with(&paired, false);
     let entries = doc.get("benchmarks").unwrap().as_arr().unwrap();
     assert_eq!(entries.len(), benches.len());
     let rigged_entry = entries

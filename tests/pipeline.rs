@@ -93,7 +93,10 @@ fn parallel_detection_report_matches_serial_byte_for_byte() {
             r.timings = dcatch::StageTimings::default();
             zero_durations(&mut r.spans);
         }
-        dcatch::report_json::run_report(&reports).to_pretty()
+        let entries = reports
+            .iter()
+            .map(|r| dcatch::report_json::benchmark_json_with(r, false));
+        dcatch::report_json::report_doc(entries.collect()).to_pretty()
     }
     let serial = scrubbed_json(1);
     let parallel = scrubbed_json(4);

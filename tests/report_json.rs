@@ -10,7 +10,7 @@ use dcatch_obs::json::{self, Json};
 fn small_run_doc() -> Json {
     let bench = dcatch::benchmark("ZK-1144").unwrap();
     let report = Pipeline::run(&bench, &PipelineOptions::full()).unwrap();
-    let doc = report_json::run_report(std::slice::from_ref(&report));
+    let doc = report_json::report_doc(vec![report_json::benchmark_json_with(&report, false)]);
     // serialize → parse round trip, both layouts
     let parsed = json::parse(&doc.to_pretty()).unwrap();
     assert_eq!(parsed, json::parse(&doc.to_compact()).unwrap());

@@ -113,6 +113,71 @@ fn killed_synth_batch_resumes_to_a_byte_identical_report() {
     assert_eq!(journal_lines(), 1 + 8, "resume journaled the other five");
 }
 
+/// `--trigger-jobs` shapes no entry — the report is byte-identical for any
+/// worker count — so a journal written under one count resumes under
+/// another.
+#[test]
+fn a_journal_resumes_under_another_trigger_job_count() {
+    let dir = temp_dir("trigger-jobs");
+    let plain = dir.join("plain.json");
+    let resumed = dir.join("resumed.json");
+    let journal = dir.join("journal.jsonl");
+    let journal_arg = journal.to_str().unwrap();
+    assert_eq!(detect_all(&plain, &[], &[]), 0, "uninterrupted run");
+    let code = detect_all(
+        &resumed,
+        &["--resume", journal_arg, "--trigger-jobs", "1"],
+        &[("DCATCH_TEST_EXIT_AFTER", "3")],
+    );
+    assert_eq!(code, 70, "the test hook kills the process mid-batch");
+    let code = detect_all(
+        &resumed,
+        &["--resume", journal_arg, "--trigger-jobs", "2"],
+        &[],
+    );
+    assert_eq!(code, 0, "a worker count is no reason to refuse the journal");
+    assert_eq!(
+        std::fs::read(&plain).unwrap(),
+        std::fs::read(&resumed).unwrap(),
+        "resumed report must be byte-identical"
+    );
+}
+
+/// A synth row's `quarantined` list depends on the shrink settings, so a
+/// journal written under `--no-shrink`, or under another
+/// `--shrink-budget`, is refused rather than spliced.
+#[test]
+fn synth_journal_from_other_shrink_settings_is_refused() {
+    let dir = temp_dir("synth-shrink");
+    let synth = |journal: &str, extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_dcatch"))
+            .current_dir(&dir)
+            .args([
+                "synth",
+                "--protocol",
+                "le",
+                "--json",
+                "--out",
+                "report.json",
+            ])
+            .args(["--resume", journal])
+            .args(extra)
+            .output()
+            .expect("dcatch runs")
+    };
+    let cases: [(&str, &[&str], &[&str]); 2] = [
+        ("no-shrink.jsonl", &["--no-shrink"], &[]),
+        ("budget.jsonl", &[], &["--shrink-budget", "3"]),
+    ];
+    for (journal, written, resumed) in cases {
+        assert_eq!(synth(journal, written).status.code(), Some(0), "{journal}");
+        let output = synth(journal, resumed);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{journal}: {stderr}");
+        assert!(stderr.contains("fingerprint mismatch"), "{stderr}");
+    }
+}
+
 #[test]
 fn finished_journal_skips_every_benchmark_and_tolerates_a_torn_tail() {
     let dir = temp_dir("skip");
@@ -346,7 +411,8 @@ fn index_budget_below_mem_budget_degrades_in_ladder_order() {
 /// projection the CLI's `--scrub-timings` compares).
 fn scrubbed(mut report: BenchmarkReport) -> String {
     report.scrub_timings();
-    dcatch::report_json::run_report(&[report]).to_pretty()
+    let entry = dcatch::report_json::benchmark_json_with(&report, false);
+    dcatch::report_json::report_doc(vec![entry]).to_pretty()
 }
 
 /// Property (per benchmark): a governor whose budgets are far above any

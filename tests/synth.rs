@@ -6,6 +6,7 @@
 //! full pipeline work); `DCATCH_SOAK=1` widens the seed sweep. The
 //! committed recall baseline itself is gated by `scripts/check.sh synth`.
 
+use dcatch::cli;
 use dcatch::synth::{row_exit_code, score_json};
 use dcatch::{batch_specs, run_scenario, run_spec, shrink, PipelineOptions, SynthBatchConfig};
 use dcatch_apps::synth::{Protocol, ScenarioSpec, SynthParams};
@@ -182,53 +183,54 @@ fn discrepancies_are_quarantined_as_replayable_cases() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `--resume` journal fingerprint must change whenever a generator
-/// parameter changes, so a journal from different synth settings is
-/// refused instead of spliced.
+/// The `--resume` journal fingerprint moves with every flag that shapes a
+/// scenario row — each generator parameter, the shrink settings, the
+/// governed-pipeline options — so a journal from different synth settings
+/// is refused instead of spliced; a flag that shapes nothing, or one given
+/// its default, leaves it alone.
 #[test]
 fn fingerprint_covers_every_generator_parameter() {
-    let opts = PipelineOptions::fast();
-    let base = SynthBatchConfig::default();
-    let fp = |c: &SynthBatchConfig| c.fingerprint(&opts);
-    let mutations: Vec<SynthBatchConfig> = vec![
-        SynthBatchConfig {
-            base_seed: 2,
-            ..base.clone()
-        },
-        SynthBatchConfig {
-            count: 3,
-            ..base.clone()
-        },
-        SynthBatchConfig {
-            protocols: vec![Protocol::Gossip],
-            ..base.clone()
-        },
-        SynthBatchConfig {
-            workers: Some(5),
-            ..base.clone()
-        },
-        SynthBatchConfig {
-            clients: Some(2),
-            ..base.clone()
-        },
-        SynthBatchConfig {
-            fan_out: Some(3),
-            ..base.clone()
-        },
-        SynthBatchConfig {
-            bugs: Some(0),
-            ..base.clone()
-        },
-    ];
-    for m in &mutations {
-        assert_ne!(
-            fp(&base),
-            fp(m),
-            "fingerprint ignores a generator parameter"
-        );
+    let synth = cli::COMMANDS
+        .iter()
+        .find(|c| c.name == "synth")
+        .expect("a table");
+    let fp = |args: &[&str]| {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let parsed = cli::parse(synth, &args)
+            .expect("parses")
+            .expect("not --help");
+        cli::fingerprint(&parsed).expect("fingerprints")
+    };
+    let base = fp(&[]);
+    for flag in synth.flags {
+        let given = match flag.value {
+            Some(_) => fp(&[flag.name, "3"]),
+            None => fp(&[flag.name]),
+        };
+        assert_eq!(given != base, flag.shapes, "`{}` {given}", flag.name);
+        if let Some(default) = flag.default {
+            assert_eq!(
+                fp(&[flag.name, default]),
+                base,
+                "`{}` at its default",
+                flag.name
+            );
+        }
     }
-    // and the pipeline options too
-    let mut opts2 = opts.clone();
-    opts2.static_pruning = !opts2.static_pruning;
-    assert_ne!(base.fingerprint(&opts), base.fingerprint(&opts2));
+    let generator = [
+        "--seed",
+        "--count",
+        "--protocol",
+        "--nodes",
+        "--clients",
+        "--fan-out",
+        "--bugs",
+        "--quarantine",
+        "--no-shrink",
+        "--shrink-budget",
+    ];
+    for name in generator {
+        let row = synth.flags.iter().find(|f| f.name == name);
+        assert!(row.is_some_and(|f| f.shapes), "`{name}` must shape a row");
+    }
 }

@@ -11,7 +11,8 @@ fn scrubbed(run: Result<BenchmarkReport, PipelineError>) -> String {
     match run {
         Ok(mut report) => {
             report.scrub_timings();
-            dcatch::report_json::run_report(&[report]).to_pretty()
+            let entry = dcatch::report_json::benchmark_json_with(&report, false);
+            dcatch::report_json::report_doc(vec![entry]).to_pretty()
         }
         Err(e) => format!("error: {e}"),
     }
