@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 
 use dcatch_apps::synth::{generate, Protocol, ScenarioSpec, SynthParams};
 use dcatch_apps::{all_benchmarks_scaled, fault_scenarios, Benchmark};
-use dcatch_model::{Expr, FuncKind, NodeId, Program, ProgramBuilder, StmtId, Value};
+use dcatch_model::{BlockBuilder, Expr, FuncKind, NodeId, Program, ProgramBuilder, StmtId, Value};
 use dcatch_sim::{
     FaultPlan, FocusConfig, Gate, GateDecision, GateEvent, RunFailureKind, RunResult, SimConfig,
     StallAction, Topology, World,
@@ -426,6 +426,181 @@ fn expression_program() -> (Program, Topology) {
     (program, topo)
 }
 
+/// `i = from; while i < to (i > to when step < 0) { body; i = i + step }`.
+fn count_loop(
+    b: &mut BlockBuilder<'_>,
+    (from, to, step): (i64, i64, i64),
+    body: impl FnOnce(&mut BlockBuilder<'_>),
+) {
+    let i = || Expr::local("i");
+    b.assign("i", Expr::val(from));
+    let cond = if step > 0 {
+        i().lt(Expr::val(to))
+    } else {
+        i().gt(Expr::val(to))
+    };
+    b.while_(cond, |b| {
+        body(b);
+        b.assign("i", i().add(Expr::val(step)));
+    });
+}
+
+/// Entries a map of the `maps focused` row grows to: past several blocks of
+/// the map's layout.
+const MAP_ROW_KEYS: i64 = 640;
+
+/// Three threads, one heap map each. `ascending` grows `asc` by appending,
+/// overwrites every seventh key, probes present, absent and aliased keys
+/// (`i` and `"" ++ i` name one entry), removes a middle range, then the
+/// even keys through their string forms, then the odd keys from the top
+/// down to empty, and grows it again. `descending` fills `desc`'s even keys
+/// from the top down and then its odd keys from the bottom up — an insert
+/// between two entries each time — probes it, removes it from the front
+/// and grows it again downwards. `strings` grows `strs` under `"k" ++ i`
+/// (not monotone: `"k10"` sorts before `"k2"`), mixes in integer keys and
+/// their aliases, overwrites, probes, empties and regrows it. Every access
+/// is traced with its value under a focus on the three maps, so the row
+/// pins what each `map_get` / `map_contains` saw; a thread aborts if a
+/// spot check reads back the wrong value.
+fn maps_program() -> (Program, Topology) {
+    const N: i64 = MAP_ROW_KEYS;
+    let i = || Expr::local("i");
+    let text = |prefix: &str| Expr::val(prefix).concat(Expr::local("i"));
+    let expect = |b: &mut BlockBuilder<'_>, map: &str, key: Expr, want: Expr| {
+        b.map_get("g", map, key);
+        b.if_(Expr::local("g").ne(want), |b| {
+            b.abort("a map read back the wrong value");
+        });
+    };
+    let mut pb = ProgramBuilder::new();
+    pb.func("ascending", &[], FuncKind::Regular, |b| {
+        count_loop(b, (0, N, 1), |b| {
+            b.map_put("asc", i(), i());
+        });
+        count_loop(b, (0, N, 7), |b| {
+            b.map_put("asc", i(), text("v"));
+        });
+        count_loop(b, (-5, N + 5, 3), |b| {
+            b.map_get("g", "asc", i());
+            b.map_contains("c", "asc", text(""));
+        });
+        expect(b, "asc", Expr::val("14"), Expr::val("v14"));
+        expect(b, "asc", Expr::val(N - 1), Expr::val(N - 1));
+        count_loop(b, (N / 2 - 100, N / 2 + 150, 1), |b| {
+            b.map_remove("asc", i());
+        });
+        count_loop(b, (0, N, 2), |b| {
+            b.map_remove("asc", text(""));
+        });
+        count_loop(b, (N - 1, 0, -2), |b| {
+            b.map_remove("asc", i());
+        });
+        b.map_contains("c", "asc", Expr::val(1));
+        expect(b, "asc", Expr::val(0), Expr::null());
+        count_loop(b, (0, N / 2, 1), |b| {
+            b.map_put("asc", text(""), i());
+        });
+        count_loop(b, (-1, N / 2 + 1, 50), |b| {
+            b.map_get("g", "asc", i());
+        });
+    });
+    pb.func("descending", &[], FuncKind::Regular, |b| {
+        count_loop(b, (2 * N - 2, -1, -2), |b| {
+            b.map_put("desc", i(), i());
+        });
+        count_loop(b, (1, 2 * N, 2), |b| {
+            b.map_put("desc", i(), text("o"));
+        });
+        count_loop(b, (-3, 2 * N + 3, 11), |b| {
+            b.map_get("g", "desc", i());
+            b.map_contains("c", "desc", i());
+        });
+        expect(
+            b,
+            "desc",
+            Expr::val(2 * N - 1),
+            Expr::val(format!("o{}", 2 * N - 1)),
+        );
+        count_loop(b, (0, 2 * N, 1), |b| {
+            b.map_remove("desc", i());
+        });
+        b.map_contains("c", "desc", Expr::val(0));
+        count_loop(b, (N / 4, 0, -1), |b| {
+            b.map_put("desc", i(), text("r"));
+        });
+        count_loop(b, (-1, N / 4 + 2, 7), |b| {
+            b.map_get("g", "desc", text(""));
+        });
+    });
+    pb.func("strings", &[], FuncKind::Regular, |b| {
+        count_loop(b, (0, N, 1), |b| {
+            b.map_put("strs", text("k"), i());
+        });
+        count_loop(b, (0, 40, 1), |b| {
+            b.map_put("strs", i(), text("int"));
+            b.map_get("g", "strs", text(""));
+            b.map_contains("c", "strs", text("0"));
+        });
+        expect(b, "strs", Expr::val("7"), Expr::val("int7"));
+        count_loop(b, (0, N, 5), |b| {
+            b.map_put("strs", text("k"), text("w"));
+        });
+        count_loop(b, (0, N + 10, 13), |b| {
+            b.map_get("g", "strs", text("k"));
+            b.map_contains("c", "strs", text("k"));
+        });
+        expect(b, "strs", Expr::val("k10"), Expr::val("w10"));
+        count_loop(b, (N - 1, -1, -1), |b| {
+            b.map_remove("strs", text("k"));
+        });
+        count_loop(b, (0, 40, 1), |b| {
+            b.map_remove("strs", text(""));
+        });
+        b.map_contains("c", "strs", Expr::val("k0"));
+        count_loop(b, (0, N / 3, 1), |b| {
+            b.map_put("strs", text("k"), i());
+        });
+        expect(b, "strs", Expr::val("k99"), Expr::val(99));
+    });
+    let program = pb.build().expect("valid program");
+    let mut topo = Topology::new();
+    topo.node("maps")
+        .entry("ascending", vec![])
+        .entry("descending", vec![])
+        .entry("strings", vec![]);
+    (program, topo)
+}
+
+fn maps_focused() -> SimConfig {
+    SimConfig::default().with_focus(FocusConfig::on(["asc", "desc", "strs"]))
+}
+
+/// The maps row pins something only if its threads ran to the end: no
+/// spot check failed, and each map was read back empty and then regrown.
+#[test]
+fn the_maps_row_covers_its_cases() {
+    let (program, topo) = maps_program();
+    let r = World::run_once(&program, &topo, maps_focused()).expect("valid program");
+    assert!(r.failures.is_empty(), "{:?}", r.failures);
+    assert!(r.completed);
+    let names = r.trace.names();
+    let values: Vec<&str> = r
+        .trace
+        .records()
+        .iter()
+        .filter_map(|rec| rec.kind.mem_value().map(|v| names.name(v)))
+        .collect();
+    // the three `map_contains` on an emptied map, then the regrowth
+    let empty_probes = values.iter().filter(|v| **v == "false").count();
+    assert!(empty_probes >= 3, "{empty_probes} absent probes");
+    let writes = 3 * MAP_ROW_KEYS as usize;
+    assert!(
+        values.len() > 2 * writes,
+        "{} traced accesses",
+        values.len()
+    );
+}
+
 /// The expression row pins something only if its cases ran as meant: each
 /// thread either wrote `out` or died of an `EvalError`, and the cases that
 /// rest on evaluation order end the way they always have.
@@ -545,6 +720,9 @@ fn observe() -> Vec<(String, u64)> {
     let focused = SimConfig::default().with_focus(FocusConfig::on(["out"]));
     let (hash, _) = run_on(&program, &topo, focused);
     rows.push(("expressions focused".to_owned(), hash));
+    let (program, topo) = maps_program();
+    let (hash, _) = run_on(&program, &topo, maps_focused());
+    rows.push(("maps focused".to_owned(), hash));
     rows
 }
 
@@ -811,4 +989,6 @@ const EXPECTED: &[(&str, u64)] = &[
     ),
     // recorded at the commit before the evaluator borrowed its operands
     ("expressions focused", 0xbcbc3614ccec0156),
+    // recorded at the commit before heap maps were stored as sorted blocks
+    ("maps focused", 0xf93a55423c4c741e),
 ];
