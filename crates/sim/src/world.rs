@@ -21,6 +21,9 @@ use crate::gate::{Gate, GateDecision, GateEvent, NoGate, StallAction};
 use crate::prepare::Prepared;
 use crate::topology::Topology;
 
+mod heap_map;
+use heap_map::HeapMap;
+
 /// Error preventing a run from starting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunError {
@@ -209,10 +212,10 @@ struct InFlight {
     not_before: u64,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 enum HeapObj {
     Cell(Value),
-    Map(BTreeMap<MapKey, Value>),
+    Map(HeapMap),
     List(Vec<Value>),
 }
 
@@ -1554,6 +1557,15 @@ impl<'g> World<'g> {
         &mut self.heaps[self.tasks[t].node.index()][object]
     }
 
+    /// Throws `ClassCastException` from task `t`: a heap op that works on
+    /// a `kind` found `object` to be another kind. Every heap op checks
+    /// before it touches the object or emits its record.
+    #[cold]
+    fn not_a(&mut self, t: usize, object: ObjId, kind: &str) -> Flow {
+        let msg = format!("`{}` is not a {kind}", self.prep.cp.objects[object]);
+        self.throw(t, "ClassCastException", msg)
+    }
+
     // -- instruction execution ---------------------------------------------------
 
     /// Executes one instruction of task `t`. Names are taken from the
@@ -1562,7 +1574,6 @@ impl<'g> World<'g> {
     #[allow(clippy::too_many_lines)]
     fn exec(&mut self, t: usize, op: &Op, stmt: StmtId) -> Flow {
         let cp = &self.prep.cp;
-        let not_a = |name: &str, what: &str| format!("`{name}` is not a {what}");
         match op {
             Op::Assign { local, expr } => {
                 let Some(v) = self.eval_or_kill(t, expr) else {
@@ -1572,11 +1583,10 @@ impl<'g> World<'g> {
                 Flow::Next
             }
             Op::Read { local, object } => {
-                let name = &cp.objects[*object];
                 let v = match self.heap(t, *object) {
                     Some(HeapObj::Cell(v)) => v.clone(),
                     None => Value::Null,
-                    Some(_) => return self.throw(t, "ClassCastException", not_a(name, "cell")),
+                    Some(_) => return self.not_a(t, *object, "cell"),
                 };
                 self.emit_mem(t, false, Object::Heap(*object), None, &v);
                 self.set_local(t, *local, v);
@@ -1586,6 +1596,9 @@ impl<'g> World<'g> {
                 let Some(v) = self.eval_or_kill(t, value) else {
                     return Flow::Dead;
                 };
+                if !matches!(self.heap(t, *object), None | Some(HeapObj::Cell(_))) {
+                    return self.not_a(t, *object, "cell");
+                }
                 self.emit_mem(t, true, Object::Heap(*object), None, &v);
                 *self.heap(t, *object) = Some(HeapObj::Cell(v));
                 Flow::Next
@@ -1595,14 +1608,14 @@ impl<'g> World<'g> {
                 else {
                     return Flow::Dead;
                 };
-                let (k, name) = (MapKey::of(k), &cp.objects[*map]);
-                let obj = self.heap(t, *map);
-                if !matches!(obj, None | Some(HeapObj::Map(_))) {
-                    return self.throw(t, "ClassCastException", not_a(name, "map"));
+                if !matches!(self.heap(t, *map), None | Some(HeapObj::Map(_))) {
+                    return self.not_a(t, *map, "map");
                 }
+                let k = MapKey::of(k);
                 self.emit_mem(t, true, Object::Heap(*map), Some(&k), &v);
                 let obj = self.heap(t, *map);
-                if let HeapObj::Map(m) = obj.get_or_insert_with(|| HeapObj::Map(BTreeMap::new())) {
+                if let HeapObj::Map(m) = obj.get_or_insert_with(|| HeapObj::Map(HeapMap::default()))
+                {
                     m.insert(k, v);
                 }
                 Flow::Next
@@ -1611,11 +1624,11 @@ impl<'g> World<'g> {
                 let Some(k) = self.eval_or_kill(t, key) else {
                     return Flow::Dead;
                 };
-                let (k, name) = (MapKey::of(k), &cp.objects[*map]);
+                let k = MapKey::of(k);
                 let v = match self.heap(t, *map) {
                     Some(HeapObj::Map(m)) => m.get(&k).cloned().unwrap_or(Value::Null),
                     None => Value::Null,
-                    Some(_) => return self.throw(t, "ClassCastException", not_a(name, "map")),
+                    Some(_) => return self.not_a(t, *map, "map"),
                 };
                 self.emit_mem(t, false, Object::Heap(*map), Some(&k), &v);
                 self.set_local(t, *local, v);
@@ -1626,8 +1639,10 @@ impl<'g> World<'g> {
                     return Flow::Dead;
                 };
                 let k = MapKey::of(k);
-                if let Some(HeapObj::Map(m)) = self.heap(t, *map) {
-                    m.remove(&k);
+                match self.heap(t, *map) {
+                    Some(HeapObj::Map(m)) => m.remove(&k),
+                    None => {}
+                    Some(_) => return self.not_a(t, *map, "map"),
                 }
                 self.emit_mem(t, true, Object::Heap(*map), Some(&k), &Value::Null);
                 Flow::Next
@@ -1637,10 +1652,11 @@ impl<'g> World<'g> {
                     return Flow::Dead;
                 };
                 let k = MapKey::of(k);
-                let present = matches!(
-                    self.heap(t, *map),
-                    Some(HeapObj::Map(m)) if m.contains_key(&k)
-                );
+                let present = match self.heap(t, *map) {
+                    Some(HeapObj::Map(m)) => m.contains_key(&k),
+                    None => false,
+                    Some(_) => return self.not_a(t, *map, "map"),
+                };
                 let v = Value::Bool(present);
                 self.emit_mem(t, false, Object::Heap(*map), Some(&k), &v);
                 self.set_local(t, *local, v);
@@ -1650,10 +1666,8 @@ impl<'g> World<'g> {
                 let Some(v) = self.eval_or_kill(t, value) else {
                     return Flow::Dead;
                 };
-                let name = &cp.objects[*list];
-                let obj = self.heap(t, *list);
-                if !matches!(obj, None | Some(HeapObj::List(_))) {
-                    return self.throw(t, "ClassCastException", not_a(name, "list"));
+                if !matches!(self.heap(t, *list), None | Some(HeapObj::List(_))) {
+                    return self.not_a(t, *list, "list");
                 }
                 self.emit_mem(t, true, Object::Heap(*list), None, &v);
                 let obj = self.heap(t, *list);
@@ -1666,10 +1680,14 @@ impl<'g> World<'g> {
                 let Some(v) = self.eval_or_kill(t, value) else {
                     return Flow::Dead;
                 };
-                if let Some(HeapObj::List(l)) = self.heap(t, *list) {
-                    if let Some(pos) = l.iter().position(|x| x == &v) {
-                        l.remove(pos);
+                match self.heap(t, *list) {
+                    Some(HeapObj::List(l)) => {
+                        if let Some(pos) = l.iter().position(|x| x == &v) {
+                            l.remove(pos);
+                        }
                     }
+                    None => {}
+                    Some(_) => return self.not_a(t, *list, "list"),
                 }
                 self.emit_mem(t, true, Object::Heap(*list), None, &v);
                 Flow::Next
@@ -1677,7 +1695,8 @@ impl<'g> World<'g> {
             Op::ListIsEmpty { local, list } => {
                 let empty = match self.heap(t, *list) {
                     Some(HeapObj::List(l)) => l.is_empty(),
-                    _ => true,
+                    None => true,
+                    Some(_) => return self.not_a(t, *list, "list"),
                 };
                 let v = Value::Bool(empty);
                 self.emit_mem(t, false, Object::Heap(*list), None, &v);
@@ -1688,10 +1707,11 @@ impl<'g> World<'g> {
                 let Some(v) = self.eval_or_kill(t, value) else {
                     return Flow::Dead;
                 };
-                let present = matches!(
-                    self.heap(t, *list),
-                    Some(HeapObj::List(l)) if l.contains(&v)
-                );
+                let present = match self.heap(t, *list) {
+                    Some(HeapObj::List(l)) => l.contains(&v),
+                    None => false,
+                    Some(_) => return self.not_a(t, *list, "list"),
+                };
                 let out = Value::Bool(present);
                 self.emit_mem(t, false, Object::Heap(*list), None, &out);
                 self.set_local(t, *local, out);

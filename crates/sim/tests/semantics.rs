@@ -100,15 +100,71 @@ fn zk_versions_increase_across_recreation() {
 // ---- type and evaluation failures ------------------------------------------
 
 #[test]
-fn map_op_on_cell_is_a_class_cast_failure() {
-    let r = run_entry(|b| {
-        b.write("x", Expr::val(1));
-        b.map_put("x", Expr::val("k"), Expr::val(2));
-    });
-    assert!(matches!(
-        &r.failures[0].kind,
-        RunFailureKind::UncaughtThrow(k) if k == "ClassCastException"
-    ));
+fn every_heap_op_on_another_kind_is_a_class_cast_failure() {
+    type Make = fn(&mut dcatch_model::BlockBuilder<'_>);
+    type Use = fn(&mut dcatch_model::BlockBuilder<'_>);
+    let kinds: [(&str, Make); 3] = [
+        ("cell", |b| {
+            b.write("x", Expr::val(1));
+        }),
+        ("map", |b| {
+            b.map_put("x", Expr::val("k"), Expr::val(1));
+        }),
+        ("list", |b| {
+            b.list_add("x", Expr::val(1));
+        }),
+    ];
+    let ops: [(&str, &str, Use); 10] = [
+        ("cell", "read", |b| {
+            b.read("v", "x");
+        }),
+        ("cell", "write", |b| {
+            b.write("x", Expr::val(2));
+        }),
+        ("map", "map_put", |b| {
+            b.map_put("x", Expr::val("k"), Expr::val(2));
+        }),
+        ("map", "map_get", |b| {
+            b.map_get("v", "x", Expr::val("k"));
+        }),
+        ("map", "map_remove", |b| {
+            b.map_remove("x", Expr::val("k"));
+        }),
+        ("map", "map_contains", |b| {
+            b.map_contains("v", "x", Expr::val("k"));
+        }),
+        ("list", "list_add", |b| {
+            b.list_add("x", Expr::val(2));
+        }),
+        ("list", "list_remove", |b| {
+            b.list_remove("x", Expr::val(1));
+        }),
+        ("list", "list_is_empty", |b| {
+            b.list_is_empty("v", "x");
+        }),
+        ("list", "list_contains", |b| {
+            b.list_contains("v", "x", Expr::val(1));
+        }),
+    ];
+    let mut wrong = Vec::new();
+    for (op_kind, op, use_it) in ops {
+        for (kind, make) in kinds.iter().filter(|(kind, _)| *kind != op_kind) {
+            let r = run_entry(|b| {
+                make(b);
+                use_it(b);
+                b.write("reached", Expr::val(true));
+            });
+            let thrown = r.failures.iter().map(|f| (&f.kind, f.msg.as_str()));
+            let want = (
+                &RunFailureKind::UncaughtThrow("ClassCastException".into()),
+                format!("`x` is not a {op_kind}"),
+            );
+            if !thrown.eq([(want.0, want.1.as_str())]) {
+                wrong.push(format!("{op} on a {kind}: {:?}", r.failures));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
 #[test]
