@@ -13,9 +13,7 @@ use dcatch_hb::{apply_ablation, Ablation, FrontierOptions, HbAnalysis, HbConfig,
 use dcatch_prune::{Impact, Pruner};
 use dcatch_sim::{Failure, FaultPlan, FocusConfig, Prepared, RunError, SimConfig, World};
 use dcatch_trace::TracingMode;
-use dcatch_trigger::{
-    run_farm, steal_map, FarmSpec, OrderRun, TriggerPlan, TriggerReport, Verdict,
-};
+use dcatch_trigger::{run_farm, steal_map, FarmSpec, TriggerPlan, TriggerReport, Verdict};
 
 use crate::report::{
     BenchmarkReport, BugReport, DegradationEvent, StageTimings, StreamingStats, VerdictCounts,
@@ -670,11 +668,10 @@ impl Pipeline {
             // Evidence of harm (`Verdict::Harmful`): only a failure the
             // candidate's own impact analysis predicted counts, since holding
             // a request point can surface *other* bugs' failures (§4/§5).
-            let evidence = |ci: usize, runs: &[OrderRun]| {
-                runs.iter().any(|r| {
-                    r.completed && !r.abandoned && failures_attributable(&r.failures, &impacts[ci])
-                })
-            };
+            // Monotone, as the farm requires: a failure list that holds one
+            // such failure holds it in every extension.
+            let evidence =
+                |ci: usize, failures: &[Failure]| failures_attributable(failures, &impacts[ci]);
             let reports = run_farm(
                 program,
                 topo,

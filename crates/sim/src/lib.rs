@@ -66,7 +66,7 @@ pub use failure::{Failure, LogLevel, LogLine, RunFailureKind};
 pub use fault::{
     ChannelKind, CrashFault, FaultPlan, FaultPlanError, MessageAction, MessageFault, TimeoutFault,
 };
-pub use gate::{Gate, GateDecision, GateEvent, NoGate, StallAction};
+pub use gate::{Gate, GateDecision, GateEvent, NoGate, StallAction, MAX_WATCHED};
 pub use prepare::Prepared;
 pub use timeline::trace_timeline;
 pub use topology::{NodeSpec, QueueSpec, Topology, WatcherSpec};

@@ -17,7 +17,7 @@ use crate::compile::{LockId, ObjId, Op, QueueId, Slot, SlotExpr};
 use crate::config::SimConfig;
 use crate::failure::{Failure, LogLevel, LogLine, RunFailureKind};
 use crate::fault::{ChannelKind, CrashFault, MessageAction};
-use crate::gate::{Gate, GateDecision, GateEvent, NoGate, StallAction};
+use crate::gate::{Gate, GateDecision, GateEvent, NoGate, StallAction, WatchSet};
 use crate::prepare::Prepared;
 use crate::topology::Topology;
 
@@ -52,6 +52,9 @@ pub struct RunResult {
     pub steps: u64,
     /// Whether the run reached quiescence without deadlock/budget failures.
     pub completed: bool,
+    /// Whether the gate declared the run decided ([`Gate::decided`]) and
+    /// the world stopped it there, before quiescence.
+    pub decided: bool,
     /// Whether an installed gate gave up coordinating (the requested
     /// ordering was infeasible — a "serial" verdict for triggering).
     pub gate_abandoned: bool,
@@ -358,6 +361,10 @@ pub struct World<'g> {
     failures: Vec<Failure>,
     logs: Vec<LogLine>,
     gate: &'g mut dyn Gate,
+    /// The statements `gate` watches, as it last said.
+    watch: WatchSet,
+    /// The gate declared the run decided: `run_loop` stops after this step.
+    decided: bool,
     gate_abandoned: bool,
 
     next_event: u64,
@@ -455,7 +462,9 @@ impl Prepared {
             shown_names: 0,
             failures: Vec::new(),
             logs: Vec::new(),
+            watch: WatchSet::of(gate),
             gate,
+            decided: false,
             gate_abandoned: false,
             next_event: 0,
             next_rpc: 0,
@@ -502,7 +511,7 @@ impl<'g> World<'g> {
     }
 
     /// Runs `program` on `topo`, consulting `gate` before and after every
-    /// statement (the triggering module's controller).
+    /// statement it watches (the triggering module's controller).
     pub fn run_with_gate(
         program: &Program,
         topo: &Topology,
@@ -756,6 +765,7 @@ impl<'g> World<'g> {
             stmt,
             msg: msg.into(),
         });
+        self.decided |= self.gate.decided(&self.failures);
     }
 
     fn kill(&mut self, t: usize, kind: RunFailureKind, msg: impl Into<String>) {
@@ -853,7 +863,9 @@ impl<'g> World<'g> {
                 self.actions_valid = false;
                 if !self.held.is_empty() {
                     let held: Vec<TaskId> = self.held.iter().map(|&i| self.tasks[i].id).collect();
-                    match self.gate.on_stall(&held) {
+                    let action = self.gate.on_stall(&held);
+                    self.watch = WatchSet::of(self.gate);
+                    match action {
                         StallAction::Release(ids) => {
                             for id in ids {
                                 if let Some(i) = self.tasks.iter().position(|t| t.id == id) {
@@ -891,6 +903,9 @@ impl<'g> World<'g> {
             };
             self.step += 1;
             self.steps_executed += 1;
+            if self.decided {
+                return;
+            }
         }
     }
 
@@ -1033,6 +1048,7 @@ impl<'g> World<'g> {
             logs: self.logs,
             steps: self.step,
             completed: !deadlocked,
+            decided: self.decided,
             gate_abandoned: self.gate_abandoned,
             faults_injected: self.faults_injected,
         }
@@ -1364,14 +1380,18 @@ impl<'g> World<'g> {
         // borrowed from the prepared program, not from `self`, which `exec` mutates
         let instr = &self.prep.cp.func(frame.func).instrs[frame.pc];
 
-        // gate consultation
+        // gate consultation, on the statements the gate watches only
         let ev = GateEvent {
             task: self.tasks[t].id,
             stmt: instr.stmt,
         };
-        if self.gate.before(&ev) == GateDecision::Hold {
-            self.tasks[t].state = TaskState::HeldByGate;
-            return false;
+        if self.watch.contains(ev.stmt) {
+            let decision = self.gate.before(&ev);
+            self.watch = WatchSet::of(self.gate);
+            if decision == GateDecision::Hold {
+                self.tasks[t].state = TaskState::HeldByGate;
+                return false;
+            }
         }
 
         let before = (self.tasks[t].state, self.tasks.len());
@@ -1393,8 +1413,10 @@ impl<'g> World<'g> {
         // instruction (Flow::Stay) re-runs later and must not advance the
         // controller's protocol
         let completed = !matches!(flow, Flow::Dead | Flow::Stay);
-        if completed {
+        if completed && self.watch.contains(ev.stmt) {
             self.gate.after(&ev);
+            self.watch = WatchSet::of(self.gate);
+            self.decided |= self.gate.decided(&self.failures);
         }
         completed && instr.op.is_local() && before == (self.tasks[t].state, self.tasks.len())
     }

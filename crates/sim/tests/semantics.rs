@@ -561,13 +561,17 @@ fn gate_abandon_lets_the_run_finish() {
     use dcatch_sim::{Gate, GateDecision, GateEvent, StallAction};
     use dcatch_trace::TaskId;
 
-    /// Holds everything at its first statement, then abandons on stall.
+    /// Holds everything at `main`'s one statement, then abandons on stall.
     struct HoldAll {
+        main: StmtId,
         held: std::collections::BTreeSet<TaskId>,
         released: bool,
         stalls: usize,
     }
     impl Gate for HoldAll {
+        fn watched(&self) -> &[StmtId] {
+            std::slice::from_ref(&self.main)
+        }
         fn before(&mut self, ev: &GateEvent) -> GateDecision {
             if !self.released && self.held.insert(ev.task) {
                 GateDecision::Hold
@@ -585,11 +589,6 @@ fn gate_abandon_lets_the_run_finish() {
             StallAction::Abandon
         }
     }
-    let _ = StmtId {
-        func: dcatch_model::FuncId(0),
-        idx: 0,
-    };
-
     let mut pb = ProgramBuilder::new();
     pb.func("main", &[], FuncKind::Regular, |b| {
         b.write("done", Expr::val(true));
@@ -598,6 +597,10 @@ fn gate_abandon_lets_the_run_finish() {
     let mut topo = Topology::new();
     topo.node("n").entry("main", vec![]);
     let mut gate = HoldAll {
+        main: StmtId {
+            func: dcatch_model::FuncId(0),
+            idx: 0,
+        },
         held: Default::default(),
         released: false,
         stalls: 0,

@@ -120,6 +120,10 @@ struct HoldTwo {
 }
 
 impl Gate for HoldTwo {
+    fn watched(&self) -> &[StmtId] {
+        std::slice::from_ref(&self.stmt)
+    }
+
     fn before(&mut self, ev: &GateEvent) -> GateDecision {
         if ev.stmt != self.stmt || self.held.contains(&ev.task) || self.held.len() == 2 {
             return GateDecision::Proceed;

@@ -1,7 +1,15 @@
 //! The timing controller, realized as a simulator [`Gate`].
+//!
+//! The controller reacts to four statements at most — the two request
+//! points while it waits, then one side's access at a time — and to nothing
+//! once it is done or has given up, so that is all it watches
+//! ([`Gate::watched`]): the simulator consults it nowhere else. Once the
+//! forced order has executed and the run's failures are evidence (the
+//! caller's predicate), no later step can change what the run shows, and
+//! the controller declares the run decided ([`Gate::decided`]).
 
 use dcatch_model::StmtId;
-use dcatch_sim::{Gate, GateDecision, GateEvent, StallAction};
+use dcatch_sim::{Failure, Gate, GateDecision, GateEvent, StallAction};
 use dcatch_trace::TaskId;
 
 /// Where one party must request permission: hold the task that executes
@@ -30,9 +38,13 @@ pub enum Phase {
     Done,
 }
 
+/// Whether a run's failures so far are evidence of harm. It must be
+/// monotone: once it holds of a failure list, it holds of every extension
+/// of that list — a decided run is stopped on that promise.
+pub type Evidence<'e> = &'e (dyn Fn(&[Failure]) -> bool + Sync);
+
 /// Gate forcing one of the two orders of a candidate pair.
-#[derive(Debug)]
-pub struct ControllerGate {
+pub struct ControllerGate<'e> {
     specs: [SideSpec; 2],
     /// Index (0/1) of the party released first.
     first: usize,
@@ -43,13 +55,20 @@ pub struct ControllerGate {
     /// experimental proof that the accesses are truly concurrent.
     both_requested: bool,
     /// The world stalled and the controller gave up (ordering infeasible).
+    /// An abandoned controller watches nothing and holds nothing.
     abandoned: bool,
+    /// Both sides' request points: what the controller watches while
+    /// `Waiting`.
+    request_points: [StmtId; 2],
+    /// Whether a completed run's failures decide it.
+    evidence: Evidence<'e>,
 }
 
-impl ControllerGate {
+impl<'e> ControllerGate<'e> {
     /// Creates a controller forcing side `first` (0 or 1) to execute its
-    /// access before the other side.
-    pub fn new(specs: [SideSpec; 2], first: usize) -> ControllerGate {
+    /// access before the other side. Once both confirms are seen and
+    /// `evidence` holds of the run's failures, the run is decided.
+    pub fn new(specs: [SideSpec; 2], first: usize, evidence: Evidence<'e>) -> ControllerGate<'e> {
         assert!(first < 2);
         ControllerGate {
             specs,
@@ -59,6 +78,8 @@ impl ControllerGate {
             phase: Phase::Waiting,
             both_requested: false,
             abandoned: false,
+            request_points: [specs[0].stmt, specs[1].stmt],
+            evidence,
         }
     }
 
@@ -98,9 +119,21 @@ impl ControllerGate {
     }
 }
 
-impl Gate for ControllerGate {
+impl Gate for ControllerGate<'_> {
+    /// Both request points while waiting, then the access whose confirm
+    /// is due, then nothing.
+    fn watched(&self) -> &[StmtId] {
+        match self.phase {
+            _ if self.abandoned => &[],
+            Phase::Waiting => &self.request_points,
+            Phase::FirstGo => std::slice::from_ref(&self.specs[self.first].access),
+            Phase::SecondGo => std::slice::from_ref(&self.specs[self.second()].access),
+            Phase::Done => &[],
+        }
+    }
+
     fn before(&mut self, ev: &GateEvent) -> GateDecision {
-        if self.phase != Phase::Waiting {
+        if self.phase != Phase::Waiting || self.abandoned {
             return GateDecision::Proceed;
         }
         for i in 0..2 {
@@ -132,6 +165,7 @@ impl Gate for ControllerGate {
 
     fn after(&mut self, ev: &GateEvent) {
         match self.phase {
+            _ if self.abandoned => {}
             Phase::FirstGo => {
                 if self.confirms(self.first, ev) {
                     self.phase = Phase::SecondGo;
@@ -162,6 +196,13 @@ impl Gate for ControllerGate {
         }
         StallAction::Abandon
     }
+
+    /// A completed run cannot be abandoned any more, and `evidence` is
+    /// monotone: once it holds, the rest of the run cannot change the
+    /// verdict this run supports.
+    fn decided(&mut self, failures: &[Failure]) -> bool {
+        self.phase == Phase::Done && (self.evidence)(failures)
+    }
 }
 
 #[cfg(test)]
@@ -187,6 +228,14 @@ mod tests {
         GateEvent { task: t, stmt }
     }
 
+    fn never(_: &[Failure]) -> bool {
+        false
+    }
+
+    fn gate(specs: [SideSpec; 2], first: usize) -> ControllerGate<'static> {
+        ControllerGate::new(specs, first, &never)
+    }
+
     fn specs() -> [SideSpec; 2] {
         [
             SideSpec {
@@ -204,7 +253,7 @@ mod tests {
 
     #[test]
     fn holds_both_then_releases_in_order() {
-        let mut g = ControllerGate::new(specs(), 0);
+        let mut g = gate(specs(), 0);
         let (ta, tb) = (task(0), task(1));
         // side 0 arrives: held
         assert_eq!(g.before(&ev(ta, sid(0, 1))), GateDecision::Hold);
@@ -229,7 +278,7 @@ mod tests {
 
     #[test]
     fn instance_counting_skips_early_hits() {
-        let mut g = ControllerGate::new(
+        let mut g = gate(
             [
                 SideSpec {
                     stmt: sid(0, 1),
@@ -253,7 +302,7 @@ mod tests {
     #[test]
     fn one_task_cannot_claim_both_sides() {
         let shared = sid(0, 1);
-        let mut g = ControllerGate::new(
+        let mut g = gate(
             [
                 SideSpec {
                     stmt: shared,
@@ -276,12 +325,149 @@ mod tests {
 
     #[test]
     fn stall_before_completion_abandons() {
-        let mut g = ControllerGate::new(specs(), 0);
+        let mut g = gate(specs(), 0);
         let ta = task(0);
         assert_eq!(g.before(&ev(ta, sid(0, 1))), GateDecision::Hold);
         let action = g.on_stall(&[ta]);
         assert_eq!(action, StallAction::Abandon);
         assert!(g.abandoned());
         assert!(!g.both_requested());
+    }
+
+    /// Once it gave up, the controller no longer controls: a later arrival
+    /// at a request point is neither held nor counted as coordination.
+    #[test]
+    fn an_abandoned_controller_holds_nothing() {
+        let mut g = gate(specs(), 0);
+        let (ta, tb) = (task(0), task(1));
+        assert_eq!(g.before(&ev(ta, sid(0, 1))), GateDecision::Hold);
+        assert_eq!(g.on_stall(&[ta]), StallAction::Abandon);
+        assert!(g.watched().is_empty());
+        assert_eq!(g.before(&ev(tb, sid(1, 5))), GateDecision::Proceed);
+        assert!(!g.both_requested());
+        assert_eq!(g.phase(), Phase::Waiting);
+        assert_eq!(g.claimed, [Some(ta), None]);
+    }
+
+    #[test]
+    fn watches_by_phase() {
+        let mut g = gate(specs(), 1);
+        let (ta, tb) = (task(0), task(1));
+        assert_eq!(g.watched(), [sid(0, 1), sid(1, 5)]);
+        g.before(&ev(ta, sid(0, 1)));
+        assert_eq!(g.watched(), [sid(0, 1), sid(1, 5)]);
+        g.before(&ev(tb, sid(1, 5)));
+        assert_eq!(g.watched(), [sid(1, 6)], "first side 1's access");
+        g.after(&ev(tb, sid(1, 6)));
+        assert_eq!(g.watched(), [sid(0, 2)], "then side 0's");
+        g.after(&ev(ta, sid(0, 2)));
+        assert!(g.completed());
+        assert!(g.watched().is_empty());
+    }
+
+    #[test]
+    fn a_completed_run_is_decided_by_its_evidence() {
+        let abort = Failure {
+            kind: dcatch_sim::RunFailureKind::Abort,
+            node: NodeId(0),
+            task: None,
+            stmt: None,
+            msg: "boom".to_owned(),
+        };
+        let any = |fs: &[Failure]| !fs.is_empty();
+        let mut g = ControllerGate::new(specs(), 0, &any);
+        let (ta, tb) = (task(0), task(1));
+        let failed = [abort];
+        g.before(&ev(ta, sid(0, 1)));
+        g.before(&ev(tb, sid(1, 5)));
+        g.after(&ev(ta, sid(0, 2)));
+        assert!(!g.decided(&failed), "the order is not complete yet");
+        g.after(&ev(tb, sid(1, 6)));
+        assert!(!g.decided(&[]), "complete, but no evidence yet");
+        assert!(g.decided(&failed));
+    }
+
+    /// Everything the oracle compares of a controller's state.
+    fn state(g: &ControllerGate<'_>) -> impl PartialEq + std::fmt::Debug {
+        (g.phase, g.hits, g.claimed, g.both_requested, g.abandoned)
+    }
+
+    /// The watch set is exact: a controller that is shown only the events
+    /// on statements it watches makes the same decisions and reaches the
+    /// same state as one shown every event. The streams mix request points,
+    /// accesses, sides whose request point is their access, both sides on
+    /// one statement, noise statements and several tasks.
+    #[test]
+    fn watched_events_are_all_a_controller_needs() {
+        use dcatch_obs::SmallRng;
+        let mut reached = [0usize; 4];
+        for case in 0..400u64 {
+            let mut rng = SmallRng::seed_from_u64(0x3A7C_4000 ^ case);
+            // statements 0..4 make up the sides, so sides often share
+            // one; 4..7 are noise
+            let side = |rng: &mut SmallRng| {
+                let stmt = sid(0, rng.gen_range(4) as u32);
+                let access = if rng.gen_bool() {
+                    stmt
+                } else {
+                    sid(0, rng.gen_range(4) as u32)
+                };
+                SideSpec {
+                    stmt,
+                    instance: 1 + rng.gen_range(3),
+                    access,
+                }
+            };
+            let specs = [side(&mut rng), side(&mut rng)];
+            let first = rng.gen_range(2);
+            let mut all = gate(specs, first);
+            let mut watched = gate(specs, first);
+            for step in 0..120 {
+                let t = task(rng.gen_range(4) as u32);
+                let stmt = sid(0, rng.gen_range(7) as u32);
+                let e = ev(t, stmt);
+                let what = match rng.gen_range(10) {
+                    0..=4 => {
+                        let sees = watched.watched().contains(&stmt);
+                        let d = all.before(&e);
+                        let dw = if sees {
+                            watched.before(&e)
+                        } else {
+                            GateDecision::Proceed
+                        };
+                        assert_eq!(d, dw, "case {case} step {step}: before {e:?}");
+                        "before"
+                    }
+                    5..=7 => {
+                        if watched.watched().contains(&stmt) {
+                            watched.after(&e);
+                        }
+                        all.after(&e);
+                        "after"
+                    }
+                    8 => {
+                        assert_eq!(
+                            all.is_released(t),
+                            watched.is_released(t),
+                            "case {case} step {step}: is_released {t:?}"
+                        );
+                        "is_released"
+                    }
+                    _ => {
+                        let held = [t];
+                        assert_eq!(all.on_stall(&held), watched.on_stall(&held));
+                        "on_stall"
+                    }
+                };
+                assert_eq!(
+                    state(&all),
+                    state(&watched),
+                    "case {case} step {step}: {what} {e:?} with {specs:?}, first {first}"
+                );
+            }
+            reached[all.phase as usize] += 1;
+        }
+        // the streams reach every phase, so every watch set is exercised
+        assert!(reached.iter().all(|&n| n > 0), "{reached:?}");
     }
 }

@@ -10,7 +10,9 @@
 //!
 //! Each ordering is one run. A run in which the controller gave up on a
 //! stall did not force its order: it is never re-run and never evidence
-//! ([`Verdict::Harmful`]).
+//! ([`Verdict::Harmful`]). A run that completed the forced order and has
+//! shown evidence is stopped there ([`OrderRun::decided`]): nothing it
+//! would do afterwards could change the verdict.
 //!
 //! The exploration itself lives in the [farm](crate::farm):
 //! [`trigger_candidate`] is the one-candidate wrapper, running both
@@ -21,7 +23,7 @@ use dcatch_hb::HbAnalysis;
 use dcatch_model::Program;
 use dcatch_sim::{Failure, Prepared, SimConfig, Topology};
 
-use crate::controller::ControllerGate;
+use crate::controller::{ControllerGate, Evidence};
 use crate::farm::{run_farm, FarmSpec};
 use crate::placement::TriggerPlan;
 
@@ -36,6 +38,10 @@ pub struct OrderRun {
     pub completed: bool,
     /// The controller gave up on a stall.
     pub abandoned: bool,
+    /// The run was stopped at its decision: it completed the forced order
+    /// and its failures were already evidence of harm, so the simulator
+    /// ran no further. Its `failures` end at the step that decided it.
+    pub decided: bool,
     /// Failures observed during this run.
     pub failures: Vec<Failure>,
 }
@@ -104,24 +110,30 @@ pub fn trigger_candidate(
     .expect("one report per spec")
 }
 
-/// Runs `plan` once with side `first` forced first.
+/// Runs `plan` once with side `first` forced first, stopping once the
+/// order has executed and `evidence` holds of the failures.
 pub(crate) fn run_order(
     prepared: &Prepared,
     config: &SimConfig,
     plan: &TriggerPlan,
     first: usize,
+    evidence: Evidence<'_>,
 ) -> OrderRun {
     let _span = dcatch_obs::span!("trigger.order");
     dcatch_obs::counter!("trigger_order_runs_total").inc();
     let mut cfg = config.clone();
     cfg.trace_enabled = false;
-    let mut gate = ControllerGate::new(plan.sides, first);
+    let mut gate = ControllerGate::new(plan.sides, first, evidence);
     let result = prepared.run_with_gate(&cfg, &mut gate);
+    if result.decided {
+        dcatch_obs::counter!("trigger_runs_decided_total").inc();
+    }
     OrderRun {
         first,
         coordinated: gate.both_requested(),
         completed: gate.completed(),
         abandoned: gate.abandoned(),
+        decided: result.decided,
         failures: result.failures,
     }
 }

@@ -3,7 +3,7 @@ use dcatch_hb::{HbAnalysis, HbConfig};
 use dcatch_model::{Expr, FuncKind, Program, ProgramBuilder};
 use dcatch_sim::{RunFailureKind, SimConfig, Topology, World};
 
-use super::{trigger_candidate, Verdict};
+use super::{run_order, trigger_candidate, Verdict};
 use crate::placement::{plan_candidate, PlacementRule};
 
 fn setup(p: &Program, topo: &Topology) -> (SimConfig, HbAnalysis) {
@@ -20,9 +20,19 @@ fn setup(p: &Program, topo: &Topology) -> (SimConfig, HbAnalysis) {
     (cfg, hb)
 }
 
+/// Executed simulator steps of `run`, from `sim_steps_total` (metrics are
+/// per thread, and `run` runs on this one).
+fn executed_steps<T>(run: impl FnOnce() -> T) -> (T, u64) {
+    let before = dcatch_obs::metrics::snapshot();
+    let out = run();
+    let delta = dcatch_obs::metrics::snapshot().delta_since(&before);
+    (out, delta.counter("sim_steps_total"))
+}
+
 /// An order violation: the reader aborts when it runs before the writer.
 /// The natural run is correct (the reader sleeps); triggering must force
-/// the bad order and classify the candidate as harmful.
+/// the bad order and classify the candidate as harmful. The harmful run
+/// stops at the failure that decides it, before the natural run's end.
 #[test]
 fn order_violation_is_confirmed_harmful() {
     let mut pb = ProgramBuilder::new();
@@ -32,6 +42,10 @@ fn order_violation_is_confirmed_harmful() {
     });
     pb.func("writer", &[], FuncKind::Regular, |b| {
         b.write("init", Expr::val(1));
+        // the rest of the run, which a decided run never reaches
+        for step in 0..8 {
+            b.write("progress", Expr::val(step));
+        }
     });
     pb.func("reader", &[], FuncKind::Regular, |b| {
         b.sleep(Expr::val(50)); // natural timing: writer wins
@@ -60,6 +74,36 @@ fn order_violation_is_confirmed_harmful() {
         .runs
         .iter()
         .any(|r| r.coordinated && r.failures.is_empty()));
+
+    let harmful = report
+        .runs
+        .iter()
+        .find(|r| r.decided)
+        .expect("the harmful run stops at its decision");
+    let last = harmful.failures.last().expect("a decided run failed");
+    assert!(matches!(last.kind, RunFailureKind::Abort), "{harmful:#?}");
+    assert_eq!(harmful.failures.len(), 1, "nothing runs past the decision");
+    // the correct order shows nothing, so it runs to quiescence
+    assert!(report
+        .runs
+        .iter()
+        .all(|r| r.decided != r.failures.is_empty()));
+
+    let prepared = World::prepare(&p, &topo).expect("program prepares");
+    let untraced = SimConfig {
+        trace_enabled: false,
+        ..cfg.clone()
+    };
+    let (natural, natural_steps) = executed_steps(|| prepared.run_once(&untraced));
+    assert!(natural.failures.is_empty());
+    let any_failure = |fs: &[dcatch_sim::Failure]| !fs.is_empty();
+    let (rerun, rerun_steps) =
+        executed_steps(|| run_order(&prepared, &cfg, &report.plan, harmful.first, &any_failure));
+    assert!(rerun.decided);
+    assert!(
+        rerun_steps < natural_steps,
+        "the decided run executed {rerun_steps} steps, the natural run {natural_steps}"
+    );
 }
 
 /// Two racing writers with no failure impact in either order: a true but
@@ -88,6 +132,8 @@ fn harmless_race_is_benign() {
         .expect("the racing writes on `stat` must survive detection");
     let report = trigger_candidate(&p, &topo, &cfg, c, &hb);
     assert_eq!(report.verdict, Verdict::BenignRace, "{report:#?}");
+    // nothing decides a benign race early: every run reaches quiescence
+    assert!(report.runs.iter().all(|r| !r.decided), "{report:#?}");
 }
 
 /// Custom synchronization the HB model cannot see (a spin-wait barrier):

@@ -10,11 +10,11 @@
 //! reports, metrics, and span trees are byte-identical for any worker
 //! count.
 //!
-//! **Cancellation.** When a [`ConfirmFn`] is supplied, a job whose runs
-//! satisfy it publishes the ordering index in a per-candidate atomic;
+//! **Cancellation.** When a [`ConfirmFn`] is supplied, a job with a run
+//! that is evidence of harm publishes the ordering index in a per-candidate atomic;
 //! sibling workers consult it before starting a higher ordering of the
 //! same candidate and skip the job entirely. Crucially the merge *never
-//! reads those atomics* — it re-evaluates the (pure) predicate on the
+//! reads those atomics* — it re-evaluates the (pure) evidence rule on the
 //! lower orderings' results — so cancellation only ever saves work: a
 //! higher ordering that slipped through before the flag was set is
 //! executed but invisible, its runs, metrics, and spans discarded.
@@ -36,21 +36,27 @@ use std::time::Instant;
 use dcatch_detect::Candidate;
 use dcatch_hb::HbAnalysis;
 use dcatch_model::Program;
-use dcatch_sim::{Prepared, SimConfig, Topology, World};
+use dcatch_sim::{Failure, Prepared, SimConfig, Topology, World};
 
+use crate::controller::Evidence;
 use crate::driver::{run_order, OrderRun, TriggerReport, Verdict};
 use crate::placement::{plan_candidate, TriggerPlan};
 
 /// Orderings explored per candidate (§5.1: both permutations of the pair).
 pub const ORDERINGS: usize = 2;
 
-/// The evidence predicate: whether some run among a candidate's runs is
-/// evidence of harm ([`Verdict::Harmful`]). It decides the verdict and
-/// permits cancellation of the candidate's remaining orderings. Arguments
-/// are the candidate index and the runs. It must be pure and hold of a
-/// run set iff it holds of one of its runs: the merge re-evaluates it per
-/// ordering and over all visible runs instead of trusting worker flags.
-pub type ConfirmFn<'a> = &'a (dyn Fn(usize, &[OrderRun]) -> bool + Sync);
+/// The evidence predicate: whether a run's failure list is evidence of
+/// harm for candidate `c` ([`Verdict::Harmful`]). Arguments are the
+/// candidate index and the failures. The farm applies the rest of the
+/// evidence rule itself — the run completed the forced order and was never
+/// abandoned — so the predicate sees only failures.
+///
+/// It must be pure, and monotone: once it holds of a failure list, it holds
+/// of every extension of that list. The merge re-evaluates it instead of
+/// trusting worker flags, and a re-run is stopped as soon as it holds of a
+/// completed run's failures so far, on the promise that the failures the
+/// rest of the run would add cannot take the evidence back.
+pub type ConfirmFn<'a> = &'a (dyn Fn(usize, &[Failure]) -> bool + Sync);
 
 /// Work description for one candidate: the placement plan plus the naive
 /// direct fallback run when the plan fails to coordinate (`None` when the
@@ -85,11 +91,13 @@ struct JobOutcome {
 /// Explores every spec's orderings on up to `jobs` worker threads and
 /// returns one [`TriggerReport`] per spec, in spec order.
 ///
-/// With `confirm` set, orderings above the first one satisfying it are
-/// cancelled (cooperatively, see the module docs) and excluded from the
-/// report either way — so the report, the absorbed metrics, and the
-/// grafted spans are identical for any `jobs`, including 1. `None` counts
-/// any failure as evidence and explores every ordering.
+/// With `confirm` set, orderings above the first one with a run that is
+/// evidence are cancelled (cooperatively, see the module docs) and
+/// excluded from the report either way — so the report, the absorbed
+/// metrics, and the grafted spans are identical for any `jobs`, one
+/// included. `None` counts any failure as evidence and explores every
+/// ordering. Either way each run stops once it is evidence
+/// ([`OrderRun::decided`]).
 ///
 /// With `deadline` set, jobs that would start after the instant are
 /// skipped entirely and their candidates' reports come back with
@@ -108,6 +116,8 @@ pub fn run_farm(
     if specs.is_empty() {
         return Vec::new(); // nothing to re-run: nothing to prepare
     }
+    let any_failure = |_: usize, failures: &[Failure]| shows_harm(failures);
+    let evidence = confirm.unwrap_or(&any_failure);
     let total = specs.len() * ORDERINGS;
     // validated and compiled once for every re-run on every worker
     let prepared = World::prepare(program, topo).expect("triggering re-run must start");
@@ -124,13 +134,11 @@ pub fn run_farm(
         }
         let before = dcatch_obs::metrics::snapshot();
         dcatch_obs::trace::begin_capture("trigger.job");
-        let runs = explore_ordering(&prepared, config, &specs[c], o);
+        let runs = explore_ordering(&prepared, config, &specs[c], o, &|fs| evidence(c, fs));
         let spans = dcatch_obs::trace::end_capture();
         let metrics = dcatch_obs::metrics::snapshot().delta_since(&before);
-        if let Some(confirm) = confirm {
-            if confirm(c, &runs) {
-                confirmed[c].fetch_min(o, Ordering::Relaxed);
-            }
+        if confirm.is_some() && any_evidence(&runs, |fs| evidence(c, fs)) {
+            confirmed[c].fetch_min(o, Ordering::Relaxed);
         }
         Some(JobOutcome {
             runs,
@@ -160,7 +168,8 @@ pub fn run_farm(
                     cancelled = true;
                     break;
                 };
-                let settles = confirm.is_some_and(|f| f(c, &outcome.runs));
+                let settles =
+                    confirm.is_some() && any_evidence(&outcome.runs, |fs| evidence(c, fs));
                 dcatch_obs::metrics::absorb(&outcome.metrics);
                 dcatch_obs::trace::graft(&outcome.spans);
                 runs.extend(outcome.runs);
@@ -168,9 +177,7 @@ pub fn run_farm(
                     break; // higher orderings are invisible, ran or not
                 }
             }
-            let verdict = classify(&runs, |rs| {
-                confirm.map_or_else(|| shows_harm(rs), |f| f(c, rs))
-            });
+            let verdict = classify(&runs, |fs| evidence(c, fs));
             if !cancelled {
                 match verdict {
                     Verdict::Serial => dcatch_obs::counter!("trigger_verdict_serial_total").inc(),
@@ -190,21 +197,33 @@ pub fn run_farm(
         .collect()
 }
 
-/// The [`Verdict`] rule over a candidate's visible runs.
-fn classify(runs: &[OrderRun], evidence: impl Fn(&[OrderRun]) -> bool) -> Verdict {
+/// The [`Verdict`] rule over a candidate's visible runs: **Serial** when
+/// none coordinated both parties, **Harmful** when one is evidence of harm
+/// ([`any_evidence`]), **BenignRace** otherwise.
+fn classify(runs: &[OrderRun], evidence: impl Fn(&[Failure]) -> bool) -> Verdict {
     if !runs.iter().any(|r| r.coordinated) {
         Verdict::Serial
-    } else if evidence(runs) {
+    } else if any_evidence(runs, evidence) {
         Verdict::Harmful
     } else {
         Verdict::BenignRace
     }
 }
 
-/// The evidence predicate when the caller gives none.
-fn shows_harm(runs: &[OrderRun]) -> bool {
+/// The evidence rule: some run completed the forced order, was never
+/// abandoned, and its failures satisfy the caller's predicate. The
+/// controller stops a run on the same rule ([`ControllerGate`]'s
+/// `decided`: the order is done, which a stall can no longer abandon).
+///
+/// [`ControllerGate`]: crate::ControllerGate
+fn any_evidence(runs: &[OrderRun], evidence: impl Fn(&[Failure]) -> bool) -> bool {
     runs.iter()
-        .any(|r| r.completed && !r.abandoned && !r.failures.is_empty())
+        .any(|r| r.completed && !r.abandoned && evidence(&r.failures))
+}
+
+/// The evidence predicate when the caller gives none: any failure.
+fn shows_harm(failures: &[Failure]) -> bool {
+    !failures.is_empty()
 }
 
 /// One ordering of one candidate: the planned run, plus the naive direct
@@ -214,12 +233,13 @@ fn explore_ordering(
     config: &SimConfig,
     spec: &FarmSpec,
     first: usize,
+    evidence: Evidence<'_>,
 ) -> Vec<OrderRun> {
-    let run = run_order(prepared, config, &spec.plan, first);
+    let run = run_order(prepared, config, &spec.plan, first, evidence);
     match &spec.direct {
         Some(direct) if !run.coordinated => {
             dcatch_obs::counter!("trigger_direct_fallbacks_total").inc();
-            vec![run, run_order(prepared, config, direct, first)]
+            vec![run, run_order(prepared, config, direct, first, evidence)]
         }
         _ => vec![run],
     }

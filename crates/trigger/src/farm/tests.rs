@@ -99,14 +99,16 @@ fn run_farm_is_invariant_in_worker_count() {
 
 /// With a confirm predicate that settles on the first ordering, the second
 /// ordering is cancelled (or executed-but-discarded) — either way it must
-/// contribute nothing: no run in the report, no absorbed metrics.
+/// contribute nothing: no run in the report, no absorbed metrics. The
+/// settling run itself is evidence as soon as its order completes, so it
+/// stops there.
 #[test]
 fn cancelled_orderings_contribute_no_runs_and_no_metrics() {
     let (p, topo, cfg, hb) = two_race_setup();
     let candidates = find_candidates(&hb);
     let c = candidates.iter().next().expect("a candidate");
     let specs = [FarmSpec::new(c, &hb)];
-    let confirm = |_ci: usize, runs: &[super::OrderRun]| runs.iter().any(|r| r.completed);
+    let confirm = |_ci: usize, _failures: &[Failure]| true;
 
     for jobs in [1, 2] {
         let before = dcatch_obs::metrics::snapshot();
@@ -116,6 +118,12 @@ fn cancelled_orderings_contribute_no_runs_and_no_metrics() {
         assert!(
             report.runs.iter().all(|r| r.first == 0),
             "jobs={jobs}: only ordering 0 may be visible: {report:#?}"
+        );
+        assert!(report.runs.iter().all(|r| r.decided), "{report:#?}");
+        assert_eq!(
+            delta.counters.get("trigger_runs_decided_total"),
+            Some(&1),
+            "jobs={jobs}"
         );
         assert_eq!(
             delta.counters.get("trigger_order_runs_total"),
@@ -130,6 +138,9 @@ fn cancelled_orderings_contribute_no_runs_and_no_metrics() {
     let delta = dcatch_obs::metrics::snapshot().delta_since(&before);
     assert_eq!(reports[0].runs.len(), ORDERINGS);
     assert_eq!(delta.counters.get("trigger_order_runs_total"), Some(&2));
+    // a benign race shows no failure: no run is decided, each runs out
+    assert!(reports[0].runs.iter().all(|r| !r.decided));
+    assert_eq!(delta.counter("trigger_runs_decided_total"), 0);
 }
 
 /// An already-expired deadline skips every job; each report comes back
@@ -190,6 +201,7 @@ fn order_run(coordinated: bool, completed: bool, abandoned: bool, failed: bool) 
         coordinated,
         completed,
         abandoned,
+        decided: false,
         failures: if failed { vec![hang] } else { Vec::new() },
     }
 }

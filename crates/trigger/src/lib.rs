@@ -29,7 +29,7 @@ mod driver;
 mod farm;
 mod placement;
 
-pub use controller::{ControllerGate, Phase, SideSpec};
+pub use controller::{ControllerGate, Evidence, Phase, SideSpec};
 pub use driver::{trigger_candidate, OrderRun, TriggerReport, Verdict};
 pub use farm::{run_farm, steal_map, ConfirmFn, FarmSpec, ORDERINGS};
 pub use placement::{plan_candidate, PlacementRule, TriggerPlan};

@@ -59,7 +59,11 @@
 #                             # parent's `detect all --no-trigger` reports.
 #                             # Every output is compared raw, except
 #                             # streambench's wall-clock `elapsed_ns`, the one
-#                             # field two runs of one binary disagree on.
+#                             # field two runs of one binary disagree on, and,
+#                             # on the lines that trigger, the re-runs' work:
+#                             # `sim_*` counters, `trigger_runs_decided_total`,
+#                             # `faults_injected` (synth text: `faults=N`) —
+#                             # a re-run stops once its verdict is decided.
 #                             # Exits non-zero naming the first differing
 #                             # command
 set -euo pipefail
@@ -85,11 +89,12 @@ if [[ "${1:-}" == "same" ]]; then
     trap 'rm -rf "$sa_dir"' EXIT
     mkdir "$sa_dir/parent" "$sa_dir/change"
     n=0
-    # same [-i FIELD] <dcatch arguments…>; `-i` leaves FIELD's JSON lines out
+    # same [-i SED] <dcatch arguments…>; `-i` runs the sed script SED
+    # (extended regular expressions) over both outputs before comparing
     same() {
-        local field="" side
+        local scrub="" side
         if [[ "$1" == -i ]]; then
-            field="$2"
+            scrub="$2"
             shift 2
         fi
         n=$((n + 1))
@@ -97,8 +102,8 @@ if [[ "${1:-}" == "same" ]]; then
             # a failing command is compared too: its exit status joins its output
             (cd "$sa_dir/$side" && "${!side}" "$@" >"$n.out" 2>&1) ||
                 echo "exit $?" >>"$sa_dir/$side/$n.out"
-            if [[ -n "$field" ]]; then
-                sed -i "/\"$field\":/d" "$sa_dir/$side/$n.out"
+            if [[ -n "$scrub" ]]; then
+                sed -E -i "$scrub" "$sa_dir/$side/$n.out"
             fi
         done
         if ! cmp -s "$sa_dir/parent/$n.out" "$sa_dir/change/$n.out"; then
@@ -109,27 +114,32 @@ if [[ "${1:-}" == "same" ]]; then
         echo "same: dcatch $*"
     }
     echo "== same answers as $parent =="
-    same detect all --scrub-timings --json
+    # A trigger re-run stops once its verdict is decided, so on the lines
+    # that trigger, how much the re-runs simulated — the `sim_*` counters,
+    # the decided-run count, the faults the re-runs injected — is no answer;
+    # the verdicts are, and stay compared.
+    rerun='/"(sim_[a-z_]*_total|trigger_runs_decided_total|faults_injected)":/d'
+    same -i "$rerun" detect all --scrub-timings --json
     same detect all --scrub-timings --json --full-tracing --no-trigger --scale 8
     same detect all --scrub-timings --json --full-tracing --no-trigger --scale 48
-    same detect all --scrub-timings --json --reachability matrix --scale 4
-    same detect all --scrub-timings --json --reachability clocks
-    same detect all --scrub-timings --json --mem-budget 2k
+    same -i "$rerun" detect all --scrub-timings --json --reachability matrix --scale 4
+    same -i "$rerun" detect all --scrub-timings --json --reachability clocks
+    same -i "$rerun" detect all --scrub-timings --json --mem-budget 2k
     same detect all --scrub-timings --json --mem-budget 256 --full-tracing --no-trigger --scale 8
     same detect all --scrub-timings --json --time-budget 0
-    same detect all --scrub-timings --json --budget 4096 --mem-budget 1g
+    same -i "$rerun" detect all --scrub-timings --json --budget 4096 --mem-budget 1g
     same faults all
-    same synth --seed 1 --count 8
-    same synth --seed 1 --count 4 --mem-budget 8k --no-shrink --json
-    same detect all --scrub-timings --json --streaming
-    same detect all --scrub-timings --json --streaming --stream-window 2
-    same detect all --scrub-timings --json --streaming --mem-budget 16k
+    same -i 's/faults=[0-9]+/faults=N/' synth --seed 1 --count 8
+    same -i "$rerun" synth --seed 1 --count 4 --mem-budget 8k --no-shrink --json
+    same -i "$rerun" detect all --scrub-timings --json --streaming
+    same -i "$rerun" detect all --scrub-timings --json --streaming --stream-window 2
+    same -i "$rerun" detect all --scrub-timings --json --streaming --mem-budget 16k
     # the one run whose list has both a governor step and the cap's own event
-    same detect all --scrub-timings --json --streaming --stream-window 2 --mem-budget 16k
+    same -i "$rerun" detect all --scrub-timings --json --streaming --stream-window 2 --mem-budget 16k
     for id in CA-1011 HB-4539 HB-4729 MR-3274 MR-4637 ZK-1144 ZK-1270; do
         same trace "$id" --full-tracing --scale 4
     done
-    same -i elapsed_ns streambench --records 200000 --json
+    same -i '/"elapsed_ns":/d' streambench --records 200000 --json
     id=""
     "$parent" detect all --no-trigger | while read -r line; do
         case "$line" in

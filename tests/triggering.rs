@@ -108,3 +108,36 @@ fn serial_pairs_never_coordinate() {
     assert_eq!(trep.verdict, Verdict::Serial);
     assert!(trep.runs.iter().all(|r| !r.coordinated));
 }
+
+/// A controller that gave up holds nothing afterwards. Streamed detection
+/// triggers with direct placement, and in these four pairs one party
+/// reaches its request point only after a stall abandoned the other: no
+/// run ever held both, so the pair is serial — a hold after the abandon
+/// used to count as coordination and read the pair as a benign race.
+#[test]
+fn an_abandoned_controller_coordinates_nothing() {
+    let mut opts = PipelineOptions::full();
+    opts.streaming = true;
+    for (id, object, pairs) in [
+        (
+            "MR-3274",
+            "commit_count",
+            ["f12:1 × f12:4", "f12:3 × f12:4"],
+        ),
+        ("ZK-1270", "epoch_ack_count", ["f1:4 × f1:7", "f1:6 × f1:7"]),
+    ] {
+        let bench = dcatch::benchmark(id).unwrap();
+        let report = Pipeline::run(&bench, &opts).unwrap();
+        for pair in pairs {
+            let rep = report
+                .reports
+                .iter()
+                .find(|r| {
+                    let (s, t) = r.candidate.static_pair;
+                    r.object() == object && format!("{s} × {t}") == pair
+                })
+                .unwrap_or_else(|| panic!("{id}: no candidate {pair} on `{object}`"));
+            assert_eq!(rep.verdict, Some(Verdict::Serial), "{id}: {pair}");
+        }
+    }
+}
