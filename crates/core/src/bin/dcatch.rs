@@ -153,15 +153,26 @@ fn list(_: &Parsed) -> Cmd {
     Ok(ExitCode::SUCCESS)
 }
 
+/// The `--timeout` watchdog. A zero limit is refused: it would race each
+/// run against its own watchdog, and which one won would decide the
+/// output.
+fn watchdog(p: &Parsed) -> Result<Option<Duration>, String> {
+    match p.get("--timeout")? {
+        Some(0) => Err("`--timeout 0` would race every run against its watchdog; \
+                        `--time-budget 0` is the way to shed work"
+            .to_owned()),
+        secs => Ok(secs.map(Duration::from_secs)),
+    }
+}
+
 /// The options `detect` and `synth` share: the full pipeline under the
 /// governed-pipeline flags.
 fn governed_options(p: &Parsed) -> Result<PipelineOptions, String> {
-    let secs = |name| Ok::<_, String>(p.get(name)?.map(Duration::from_secs));
     Ok(PipelineOptions {
         trigger_jobs: p.value::<usize>("--trigger-jobs")?.max(1),
-        timeout: secs("--timeout")?,
+        timeout: watchdog(p)?,
         mem_budget: p.str("--mem-budget").map(dcatch::parse_bytes).transpose()?,
-        time_budget: secs("--time-budget")?,
+        time_budget: p.get("--time-budget")?.map(Duration::from_secs),
         ..PipelineOptions::full()
     })
 }
@@ -232,11 +243,11 @@ fn emit_json(doc: &Json, p: &Parsed) -> Result<(), String> {
 /// returns one `(entry, fresh)` per item, in input order.
 ///
 /// With `--resume FILE`, each entry is appended to the journal the moment
-/// it exists — from the worker thread, so a kill at any point leaves a
-/// resumable journal — and items the journal already finished are not
-/// run: their journaled entry is spliced in with `fresh` = `None`. The
-/// journal is pinned to [`cli::fingerprint`]: resuming under flags that
-/// shape an entry differently is refused rather than splicing
+/// it exists — by whichever thread ran the item, so a kill at any point
+/// leaves a resumable journal — and items the journal already finished
+/// are not run: their journaled entry is spliced in with `fresh` =
+/// `None`. The journal is pinned to [`cli::fingerprint`]: resuming under
+/// flags that shape an entry differently is refused rather than splicing
 /// incomparable entries.
 fn run_resumable<T: Sync, R: Send>(
     p: &Parsed,
@@ -446,7 +457,7 @@ fn print_profile(r: &dcatch::BenchmarkReport) {
 /// for any N.
 fn faults(p: &Parsed) -> Cmd {
     let tjobs = p.value::<usize>("--trigger-jobs")?.max(1);
-    let timeout = p.get("--timeout")?.map(Duration::from_secs);
+    let timeout = watchdog(p)?;
     let benches = benchmarks_for(&p.positionals[0], p.value("--scale")?)?;
     let csv: String = p.value("--seeds")?;
     let seeds: Vec<u64> = csv

@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Records are appended and flushed the moment each benchmark finishes
-//! (from the worker thread), so a process killed mid-batch leaves a
+//! (by whichever thread ran it), so a process killed mid-batch leaves a
 //! journal describing exactly the benchmarks that completed.
 //! `--resume <journal>`:
 //!
@@ -152,7 +152,8 @@ impl Journal {
     }
 
     /// Appends one benchmark's completion entry and flushes it to disk.
-    /// Called from worker threads the moment the benchmark finishes.
+    /// Called by whichever thread ran the benchmark, the moment it
+    /// finishes.
     pub fn record(&self, id: &str, entry: &Json) -> Result<(), String> {
         let line =
             Json::obj([("id", Json::Str(id.to_owned())), ("entry", entry.clone())]).to_compact();

@@ -29,8 +29,8 @@ pub enum PipelineError {
     /// runs would be meaningless (DCatch predicts bugs from *correct*
     /// runs, §1).
     TracedRunFailed(String),
-    /// The benchmark's worker thread panicked. Caught at the thread
-    /// boundary so one bad benchmark cannot poison a `detect all` batch.
+    /// The benchmark panicked. Caught by [`run_bounded`] so one bad
+    /// benchmark cannot poison a `detect all` batch.
     Panicked(String),
     /// The benchmark exceeded the per-benchmark wall-clock watchdog.
     WatchdogTimeout {
@@ -286,10 +286,11 @@ pub struct Pipeline;
 impl Pipeline {
     /// Runs the configured pipeline stages on one benchmark.
     ///
-    /// Brackets the run in a span capture and a metrics snapshot, so the
-    /// returned report carries a per-run timing tree and per-run counter
-    /// deltas even when many benchmarks run in one process. Stage timings
-    /// are derived from the captured tree (single source of truth).
+    /// Runs in a [`dcatch_obs::scope`], so the returned report carries a
+    /// per-run timing tree and per-run metrics even when many benchmarks
+    /// run on one thread, and the caller's own counts and open capture
+    /// are left as they were. Stage timings are derived from the captured
+    /// tree (single source of truth).
     ///
     /// The run's `Governor` is built here from `opts.mem_budget` /
     /// `opts.time_budget`; the stages consult it at their boundaries and
@@ -299,12 +300,10 @@ impl Pipeline {
         bench: &Benchmark,
         opts: &PipelineOptions,
     ) -> Result<BenchmarkReport, PipelineError> {
-        let metrics_before = dcatch_obs::metrics::snapshot();
-        dcatch_obs::trace::begin_capture(&format!("pipeline.{}", bench.id));
         let mut gov = Governor::new(opts);
-        let result = Pipeline::run_stages(bench, opts, &mut gov);
-        let spans = dcatch_obs::trace::end_capture();
-        let metrics = dcatch_obs::metrics::snapshot().delta_since(&metrics_before);
+        let (result, metrics, spans) = dcatch_obs::scope(&format!("pipeline.{}", bench.id), || {
+            Pipeline::run_stages(bench, opts, &mut gov)
+        });
         result.map(|mut report| {
             report.timings = StageTimings::from_spans(&spans);
             report.metrics = metrics;
@@ -317,14 +316,13 @@ impl Pipeline {
     /// Runs the pipeline on every benchmark, at most `jobs` concurrently,
     /// returning the results in benchmark order.
     ///
-    /// Every benchmark gets a *fresh* thread regardless of `jobs` (see
-    /// [`run_guarded`](Pipeline::run_guarded)): metric values, gauges, and
-    /// span captures are thread-local, so a dedicated thread per run gives
-    /// each report a cleanly scoped metrics delta — no gauge readings or
-    /// capture state leak between benchmarks that happen to share a
-    /// worker. A snapshot names only what its own thread counted, so that
-    /// isolation is all it takes to make `--json` output independent of
-    /// the worker count.
+    /// Each benchmark runs in its own [`dcatch_obs::scope`] (see
+    /// [`run`](Pipeline::run)): metric values, gauges and span captures
+    /// are thread-local, and the scope starts them empty, so no reading
+    /// or capture state leaks between benchmarks that share a thread. A
+    /// report names only what its own scope counted, so that is all it
+    /// takes to make `--json` output independent of the worker count.
+    /// With `jobs` 1 and no `opts.timeout` no thread is spawned.
     pub fn run_all(
         benches: &[Benchmark],
         opts: &PipelineOptions,
@@ -338,11 +336,11 @@ impl Pipeline {
         .collect()
     }
 
-    /// One crash-isolated benchmark through [`run_bounded`]: a panic
-    /// inside the run is caught at the thread boundary and reported as
-    /// [`PipelineError::Panicked`], and `opts.timeout` (when set) bounds
-    /// its wall-clock via the watchdog. A misbehaving benchmark therefore
-    /// degrades to a structured error entry instead of aborting a batch.
+    /// One crash-isolated benchmark through [`run_bounded`]: a panic inside
+    /// the run is caught and reported as [`PipelineError::Panicked`], and
+    /// `opts.timeout` (when set) bounds its wall-clock via the watchdog. A
+    /// misbehaving benchmark therefore degrades to a structured error
+    /// entry instead of aborting a batch.
     pub fn run_guarded(
         bench: &Benchmark,
         opts: &PipelineOptions,
@@ -824,43 +822,48 @@ fn failure_free(failures: &[Failure]) -> Result<(), PipelineError> {
     }
 }
 
-/// Runs `f` on a dedicated `'static` thread so that panics are caught at
-/// the join boundary and an optional wall-clock watchdog can give up on a
-/// hung computation. On timeout the worker thread is *detached*, not
-/// cancelled — it keeps burning its core until the process exits, which is
-/// the price of not poisoning shared state by killing it mid-run.
+/// Runs `f` with its panics caught and reported as
+/// [`PipelineError::Panicked`], and with an optional wall-clock watchdog
+/// that gives up on a hung computation.
+///
+/// Without a `timeout`, `f` runs on the caller's thread, [`isolated`] so
+/// that whatever it counts or captures leaves the caller's observability
+/// state as it was, on return and on panic alike. With one, `f` runs on a
+/// thread named `name`, because the watchdog needs a thread it can
+/// abandon: on timeout the worker is *detached*, not cancelled — it keeps
+/// burning its core until the process exits, which is the price of not
+/// poisoning shared state by killing it mid-run. The worker inherits the
+/// caller's span verbosity.
 ///
 /// This is the one guard every execution path shares: `detect all` wraps
 /// whole benchmarks in it and `faults all` wraps per-scenario jobs, so a
-/// `--timeout` bounds both the same way. The worker inherits the caller's
-/// span verbosity.
+/// `--timeout` bounds both the same way.
+///
+/// [`isolated`]: dcatch_obs::isolated
 pub fn run_bounded<T: Send + 'static>(
     name: &str,
     timeout: Option<Duration>,
     f: impl FnOnce() -> T + Send + 'static,
 ) -> Result<T, PipelineError> {
-    use std::sync::mpsc;
-    let (tx, rx) = mpsc::channel();
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let caught =
+        |payload: Box<dyn std::any::Any + Send>| PipelineError::Panicked(panic_message(&*payload));
+    let Some(limit) = timeout else {
+        return dcatch_obs::isolated(|| catch_unwind(AssertUnwindSafe(f))).map_err(caught);
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
     let verbose = dcatch_obs::trace::is_verbose();
     std::thread::Builder::new()
         .name(name.to_owned())
         .spawn(move || {
             dcatch_obs::trace::set_verbose(verbose);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-                .map_err(|payload| PipelineError::Panicked(panic_message(&*payload)));
             // the receiver is gone iff the watchdog already fired; the
             // result is then intentionally dropped
-            let _ = tx.send(result);
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(f)).map_err(caught));
         })
         .expect("spawn bounded worker thread");
-    match timeout {
-        Some(limit) => rx
-            .recv_timeout(limit)
-            .unwrap_or(Err(PipelineError::WatchdogTimeout { limit })),
-        None => rx
-            .recv()
-            .unwrap_or_else(|_| Err(PipelineError::Panicked("worker vanished".to_owned()))),
-    }
+    rx.recv_timeout(limit)
+        .unwrap_or(Err(PipelineError::WatchdogTimeout { limit }))
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

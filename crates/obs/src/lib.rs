@@ -30,10 +30,10 @@
 //!   multi-item runs (`detect all --jobs N`, `faults all`), with per-item
 //!   queued/running/done/degraded states and a median-based ETA.
 //!
-//! Cross-run hygiene: the pipeline brackets each benchmark run with
-//! [`trace::begin_capture`]/[`trace::end_capture`] and diffs
-//! [`metrics::snapshot`]s, so one process can run many benchmarks and
-//! still report per-run numbers.
+//! Cross-run hygiene: the pipeline runs each benchmark, and the trigger
+//! farm each job, inside a [`scope`]: the thread's metric values and span
+//! capture are set aside for the run ([`isolated`]) and put back after it,
+//! so one thread can run many benchmarks and still report per-run numbers.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,6 +42,7 @@ pub mod json;
 pub mod metrics;
 pub mod progress;
 pub mod rng;
+mod scope;
 pub mod timeline;
 pub mod trace;
 
@@ -49,5 +50,6 @@ pub use json::Json;
 pub use metrics::{Counter, Gauge, MetricsSnapshot};
 pub use progress::Progress;
 pub use rng::SmallRng;
+pub use scope::{isolated, scope};
 pub use timeline::Timeline;
 pub use trace::{SpanGuard, SpanNode};

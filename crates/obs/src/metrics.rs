@@ -53,6 +53,23 @@ thread_local! {
     static GAUGES: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
+/// One thread's counter and gauge values, as [`crate::isolated`] sets
+/// them aside.
+#[derive(Default)]
+pub(crate) struct Values {
+    counters: Vec<u64>,
+    gauges: Vec<u64>,
+}
+
+/// Installs `with` as this thread's metric values and returns the ones it
+/// replaces.
+pub(crate) fn replace_values(with: Values) -> Values {
+    Values {
+        counters: COUNTERS.replace(with.counters),
+        gauges: GAUGES.replace(with.gauges),
+    }
+}
+
 /// Slot `id` of a thread's value vector, grown on first touch.
 fn slot(v: &mut Vec<u64>, id: u32) -> &mut u64 {
     let i = id as usize;
@@ -204,8 +221,8 @@ impl MetricsSnapshot {
     }
 }
 
-/// Folds a snapshot (typically a [`MetricsSnapshot::delta_since`] delta
-/// captured on a worker thread) into *this* thread's metric values:
+/// Folds a snapshot (typically the reading of a [`scope`](crate::scope),
+/// on this thread or a worker) into *this* thread's metric values:
 /// counters add, gauges merge via max (they are
 /// high-water readings — `hb_reach_bytes_peak` — so the maximum across
 /// workers is the honest aggregate). Names the delta mentions that were

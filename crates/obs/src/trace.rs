@@ -1,7 +1,8 @@
 //! Span tracing: RAII guards building a hierarchical timing tree.
 //!
 //! The pipeline brackets each benchmark run with [`begin_capture`] /
-//! [`end_capture`]; in between, any layer may open a span:
+//! [`end_capture`] (inside a [`scope`](crate::scope)); in between, any
+//! layer may open a span:
 //!
 //! ```
 //! dcatch_obs::trace::begin_capture("demo");
@@ -90,6 +91,25 @@ thread_local! {
     };
 }
 
+/// One thread's capture in progress — everything but its verbosity — as
+/// [`crate::isolated`] sets it aside.
+#[derive(Default)]
+pub(crate) struct Capture {
+    root: Option<SpanNode>,
+    stack: Vec<usize>,
+    started: Option<Instant>,
+}
+
+/// Installs `with` as this thread's capture state and returns the state it
+/// replaces. Verbosity stays as it is.
+pub(crate) fn replace_capture(with: Capture) -> Capture {
+    TRACER.with_borrow_mut(|t| Capture {
+        root: std::mem::replace(&mut t.root, with.root),
+        stack: std::mem::replace(&mut t.stack, with.stack),
+        started: std::mem::replace(&mut t.started, with.started),
+    })
+}
+
 /// Starts a capture on this thread, discarding any capture in progress.
 pub fn begin_capture(label: &str) {
     TRACER.with_borrow_mut(|t| {
@@ -115,13 +135,14 @@ pub fn end_capture() -> SpanNode {
     })
 }
 
-/// Merges a span tree captured on another thread into the currently open
-/// span of this thread's capture. Each *child* of `tree` is merged by
-/// name (find-or-create, totals and counts add, grandchildren recurse) —
-/// the root of `tree` itself is discarded, since it is the worker-side
-/// capture wrapper rather than a span anyone opened here. Grafting the
-/// same trees in the same order therefore rebuilds exactly the tree the
-/// work would have produced had it run inline. No-op outside a capture.
+/// Merges a span tree captured in a [`scope`](crate::scope) — on this
+/// thread or another — into the currently open span of this thread's
+/// capture. Each *child* of `tree` is merged by name (find-or-create,
+/// totals and counts add, grandchildren recurse) — the root of `tree`
+/// itself is discarded, since it is the scope's capture wrapper rather
+/// than a span anyone opened here. Grafting the same trees in the same
+/// order therefore rebuilds exactly the tree the work would have produced
+/// had it run inline. No-op outside a capture.
 pub fn graft(tree: &SpanNode) {
     TRACER.with_borrow_mut(|t| {
         let Some(root) = t.root.as_mut() else {

@@ -21,13 +21,13 @@
 //! Ordering 0 can never be skipped, which is what makes every visible
 //! result available at merge time.
 //!
-//! **Observability.** Worker threads have their own thread-local metric
-//! values and span storage, so each job runs inside a private capture and
-//! metrics snapshot; the merge folds *visible* jobs back into the calling
-//! thread via [`dcatch_obs::metrics::absorb`] and
-//! [`dcatch_obs::trace::graft`]. A pipeline report therefore carries the
-//! same counters and the same `trigger.candidate → trigger.order →
-//! sim.run` span tree whether the farm ran on one worker or eight.
+//! **Observability.** Each job runs in its own [`dcatch_obs::scope`], a
+//! private capture and metrics reading on whichever thread runs it; the
+//! merge folds *visible* jobs back into the calling thread via
+//! [`dcatch_obs::metrics::absorb`] and [`dcatch_obs::trace::graft`]. A
+//! pipeline report therefore carries the same counters and the same
+//! `trigger.candidate → trigger.order → sim.run` span tree whether the
+//! farm ran on one worker or eight.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -80,8 +80,7 @@ impl FarmSpec {
     }
 }
 
-/// One job's worker-side harvest: the runs plus the thread-local
-/// observability captured around them.
+/// One job's harvest: the runs plus the observability its scope captured.
 struct JobOutcome {
     runs: Vec<OrderRun>,
     metrics: dcatch_obs::MetricsSnapshot,
@@ -132,11 +131,9 @@ pub fn run_farm(
         if confirm.is_some() && confirmed[c].load(Ordering::Relaxed) < o {
             return None; // a lower ordering already settled this candidate
         }
-        let before = dcatch_obs::metrics::snapshot();
-        dcatch_obs::trace::begin_capture("trigger.job");
-        let runs = explore_ordering(&prepared, config, &specs[c], o, &|fs| evidence(c, fs));
-        let spans = dcatch_obs::trace::end_capture();
-        let metrics = dcatch_obs::metrics::snapshot().delta_since(&before);
+        let (runs, metrics, spans) = dcatch_obs::scope("trigger.job", || {
+            explore_ordering(&prepared, config, &specs[c], o, &|fs| evidence(c, fs))
+        });
         if confirm.is_some() && any_evidence(&runs, |fs| evidence(c, fs)) {
             confirmed[c].fetch_min(o, Ordering::Relaxed);
         }
@@ -254,9 +251,11 @@ fn explore_ordering(
 /// own stripe is exhausted it sweeps the other stripes and steals their
 /// remaining indices the same way. Claims are single atomic increments —
 /// no index is ever run twice, nothing blocks, and an overshooting claim
-/// on a drained stripe is harmless. Even at `jobs == 1` the job runs on a
-/// (single) worker thread, never inline: thread-local captures on the
-/// caller must not be disturbed by job-side captures.
+/// on a drained stripe is harmless. With one worker there is nothing to
+/// share: the jobs run in index order on the caller's thread, inside one
+/// [`dcatch_obs::isolated`] scope — the state the single worker thread
+/// would have started with — so the caller's metrics and capture are
+/// never disturbed by job-side ones.
 ///
 /// `run` may return `None` (a skipped job); the slot stays `None` in the
 /// result. Worker threads inherit the caller's span verbosity.
@@ -266,6 +265,9 @@ where
     F: Fn(usize) -> Option<T> + Sync,
 {
     let workers = jobs.max(1).min(total.max(1));
+    if workers == 1 {
+        return dcatch_obs::isolated(|| (0..total).map(run).collect());
+    }
     // stripe w covers bounds[w]..bounds[w+1]
     let bounds: Vec<usize> = (0..=workers).map(|w| w * total / workers).collect();
     let cursors: Vec<AtomicUsize> = bounds[..workers]

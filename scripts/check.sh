@@ -51,7 +51,9 @@
 #                             # 4096 --mem-budget 1g`: the user's index ceiling
 #                             # under a governor; a governed `synth` batch);
 #                             # the four `--streaming` variants; `faults all`;
-#                             # `synth --seed 1 --count 8`; `trace <ID>
+#                             # `synth --seed 1 --count 8`; the default
+#                             # `detect all` and that `synth` again under
+#                             # `--timeout 600` (the watchdog thread); `trace <ID>
 #                             # --full-tracing --scale 4` on each of the seven
 #                             # miniatures (every record kind, as on-disk
 #                             # lines); `streambench --records 200000 --json`;
@@ -130,6 +132,10 @@ if [[ "${1:-}" == "same" ]]; then
     same -i "$rerun" detect all --scrub-timings --json --budget 4096 --mem-budget 1g
     same faults all
     same -i 's/faults=[0-9]+/faults=N/' synth --seed 1 --count 8
+    # without `--timeout` a run stays on the caller's thread; these two
+    # keep the watchdog's own thread compared as well
+    same -i "$rerun" detect all --scrub-timings --json --timeout 600
+    same -i 's/faults=[0-9]+/faults=N/' synth --seed 1 --count 8 --timeout 600
     same -i "$rerun" synth --seed 1 --count 4 --mem-budget 8k --no-shrink --json
     same -i "$rerun" detect all --scrub-timings --json --streaming
     same -i "$rerun" detect all --scrub-timings --json --streaming --stream-window 2

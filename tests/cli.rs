@@ -162,3 +162,16 @@ fn readme_documents_every_flag() {
         }
     }
 }
+
+/// `--timeout 0` raced each run against its own watchdog, so the output
+/// depended on which won; it is refused, pointing at `--time-budget 0`.
+#[test]
+fn a_zero_timeout_is_refused() {
+    for args in [&["detect", "all"][..], &["synth"], &["faults", "all"]] {
+        let output = dcatch(&[args, &["--timeout", "0"]].concat());
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("--time-budget 0"), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?}");
+    }
+}

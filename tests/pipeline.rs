@@ -289,3 +289,88 @@ fn figure3_chain_orders_w_before_r() {
     }
     let _ = EdgeRule::Program;
 }
+
+/// `run_bounded` without a timeout spawns nothing: `f` runs on the
+/// caller's thread.
+#[test]
+fn unbounded_runs_on_the_callers_thread() {
+    let caller = std::thread::current().id();
+    let ran_on = dcatch::run_bounded("dcatch-test", None, || std::thread::current().id());
+    assert_eq!(ran_on.expect("no panic"), caller);
+}
+
+/// A panic under `run_bounded` without a timeout is reported, and the
+/// caller's open capture — its open span included — and its counts
+/// come through untouched.
+#[test]
+fn unbounded_panic_is_reported_and_leaves_the_callers_capture() {
+    let counter = dcatch_obs::counter!("test_pipeline_caller_total");
+    counter.add(3);
+    dcatch_obs::trace::begin_capture("caller");
+    let open = dcatch_obs::span!("caller.span");
+    let result = dcatch::run_bounded("dcatch-test", None, move || {
+        dcatch_obs::counter!("test_pipeline_caller_total").add(100);
+        dcatch_obs::trace::begin_capture("inside");
+        let _g = dcatch_obs::span!("inside.span");
+        panic!("boom")
+    });
+    assert!(
+        matches!(&result, Err(dcatch::PipelineError::Panicked(m)) if m == "boom"),
+        "{result:?}"
+    );
+    assert_eq!(counter.get(), 3);
+    drop(dcatch_obs::span!("after"));
+    drop(open);
+    let tree = dcatch_obs::trace::end_capture();
+    assert_eq!(tree.name, "caller");
+    let span = tree.child("caller.span").expect("the caller's span");
+    assert_eq!(span.count, 1);
+    assert!(span.child("after").is_some(), "{tree:?}");
+    assert!(tree.find("inside.span").is_none(), "{tree:?}");
+}
+
+/// The watchdog gives up on a run that outlives its limit.
+#[test]
+fn watchdog_gives_up_on_a_hung_run() {
+    let limit = std::time::Duration::from_millis(50);
+    let result = dcatch::run_bounded("dcatch-test", Some(limit), || {
+        std::thread::sleep(std::time::Duration::from_secs(2));
+    });
+    assert!(
+        matches!(result, Err(dcatch::PipelineError::WatchdogTimeout { limit: l }) if l == limit),
+        "{result:?}"
+    );
+}
+
+/// A watchdog that does not fire changes nothing: the same scrubbed
+/// report as the inline run, for a benchmark and for a generated scenario
+/// with a fault plan.
+#[test]
+fn a_watchdog_that_does_not_fire_changes_no_report() {
+    fn scrubbed(run: Result<dcatch::BenchmarkReport, dcatch::PipelineError>) -> String {
+        let mut report = run.expect("the pipeline runs");
+        report.scrub_timings();
+        let entry = dcatch::report_json::benchmark_json_with(&report, false);
+        dcatch::report_json::report_doc(vec![entry]).to_pretty()
+    }
+    let inline = PipelineOptions::full();
+    let watched = PipelineOptions {
+        timeout: Some(std::time::Duration::from_secs(600)),
+        ..PipelineOptions::full()
+    };
+    let bench = dcatch::benchmark("MR-3274").unwrap();
+    assert_eq!(
+        scrubbed(Pipeline::run_guarded(&bench, &inline)),
+        scrubbed(Pipeline::run_guarded(&bench, &watched)),
+    );
+    let spec = dcatch::batch_specs(&dcatch::SynthBatchConfig::default())
+        .into_iter()
+        .find(|s| !s.fault_plan.trim().is_empty())
+        .expect("a default batch plans faults");
+    assert_eq!(
+        scrubbed(dcatch::run_spec(&spec, &inline).1),
+        scrubbed(dcatch::run_spec(&spec, &watched).1),
+        "{}",
+        spec.id()
+    );
+}
