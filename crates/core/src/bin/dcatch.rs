@@ -63,6 +63,7 @@
 //! | 5    | a benchmark worker panicked |
 //! | 6    | a benchmark exceeded the `--timeout` watchdog |
 
+use std::num::{NonZeroU32, NonZeroUsize};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -169,7 +170,7 @@ fn watchdog(p: &Parsed) -> Result<Option<Duration>, String> {
 /// governed-pipeline flags.
 fn governed_options(p: &Parsed) -> Result<PipelineOptions, String> {
     Ok(PipelineOptions {
-        trigger_jobs: p.value::<usize>("--trigger-jobs")?.max(1),
+        trigger_jobs: p.value::<NonZeroUsize>("--trigger-jobs")?.get(),
         timeout: watchdog(p)?,
         mem_budget: p.str("--mem-budget").map(dcatch::parse_bytes).transpose()?,
         time_budget: p.get("--time-budget")?.map(Duration::from_secs),
@@ -257,7 +258,7 @@ fn run_resumable<T: Sync, R: Send>(
     degraded: impl Fn(&Json) -> bool + Sync,
 ) -> Result<Vec<(Json, Option<R>)>, String> {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let jobs = p.value::<usize>("--jobs")?.max(1);
+    let jobs = p.value::<NonZeroUsize>("--jobs")?.get();
     let journal = p
         .str("--resume")
         .map(|path| Journal::open_or_create(path.as_ref(), &cli::fingerprint(p)?))
@@ -456,7 +457,7 @@ fn print_profile(r: &dcatch::BenchmarkReport) {
 /// a deterministic grid-order merge — rows and exit code are identical
 /// for any N.
 fn faults(p: &Parsed) -> Cmd {
-    let tjobs = p.value::<usize>("--trigger-jobs")?.max(1);
+    let tjobs = p.value::<NonZeroUsize>("--trigger-jobs")?.get();
     let timeout = watchdog(p)?;
     let benches = benchmarks_for(&p.positionals[0], p.value("--scale")?)?;
     let csv: String = p.value("--seeds")?;
@@ -646,7 +647,7 @@ fn synth(p: &Parsed) -> Cmd {
     let mut cfg = SynthBatchConfig {
         protocols,
         base_seed: p.value("--seed")?,
-        count: p.value::<u32>("--count")?.max(1),
+        count: p.value::<NonZeroU32>("--count")?.get(),
         workers: p.get("--nodes")?,
         clients: p.get("--clients")?,
         fan_out: p.get("--fan-out")?,

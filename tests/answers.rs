@@ -1,54 +1,39 @@
-//! Same answers: a fixed list of `dcatch` commands whose outputs, exit
-//! status appended, must equal the committed `tests/answers/<slug>`.
-//!
-//! The list takes every rung of the governor (sampling, index → streaming,
-//! window cap, loop-sync and triggering skipped), both reachability
-//! indexes, every candidate's verdict offline and streamed, the four
-//! `--streaming` variants, the `--timeout` watchdog's thread, `faults`,
-//! `synth`, a timeline, every record kind the seven miniatures emit (as
-//! on-disk trace lines), `streambench`, and `explain` on every object
-//! `detect all --no-trigger` reports. Each command runs in a scratch
-//! directory with stdout and stderr in one file, as a shell `>out 2>&1`
-//! would. Outputs are compared raw: the one scrub is
-//! streambench's wall-clock `elapsed_ns`, the only field two runs of one
-//! binary disagree on. The full traces (55–121 KB each) are stored as
-//! FNV-1a digests. A change that moves an answer on purpose copies the
-//! file the failure names from `target/answers/` over the committed one.
+//! Same answers: each command below runs against this build's `dcatch`,
+//! in a scratch directory with stdout and stderr in one file (as `>out
+//! 2>&1`), and its output, exit status appended, must equal the committed
+//! `tests/answers/<slug>`. The list takes both indexes, every governor
+//! rung, every `--streaming` variant, the `--timeout` thread, every record
+//! kind of the seven miniatures (full traces, stored as FNV-1a digests)
+//! and `explain` on every object `detect all` reports. The one scrub is
+//! streambench's wall-clock `elapsed_ns`. A moved answer is written to
+//! `target/answers/`; re-blessing it is copying that file over the
+//! committed one.
 
-use std::fmt::Write as _;
 use std::fs::{self, File};
 use std::process::Command;
 
 mod corpus;
 
 const COMMANDS: &[&str] = &[
-    // the text report lists every candidate's verdict; `--json` only tallies
-    "detect all",
+    "detect all", // every candidate's verdict; `--json` prints only tallies
     "detect all --streaming",
     "detect all --scrub-timings --json",
     "detect all --scrub-timings --json --full-tracing --no-trigger --scale 8",
     "detect all --scrub-timings --json --full-tracing --no-trigger --scale 48",
     "detect all --scrub-timings --json --reachability matrix --scale 4",
     "detect all --scrub-timings --json --reachability clocks",
-    // the governor's rungs: sampled tracing; index → streaming under a
-    // window cap; loop-sync and triggering skipped; the user's index
-    // ceiling under a governor
     "detect all --scrub-timings --json --mem-budget 2k",
     "detect all --scrub-timings --json --mem-budget 256 --full-tracing --no-trigger --scale 8",
     "detect all --scrub-timings --json --time-budget 0",
     "detect all --scrub-timings --json --budget 4096 --mem-budget 1g",
     "faults all",
     "synth --seed 1 --count 8",
-    // without `--timeout` a run stays on the caller's thread; these two
-    // take the watchdog's own thread
-    "detect all --scrub-timings --json --timeout 600",
+    "detect all --scrub-timings --json --timeout 600", // the watchdog's thread
     "synth --seed 1 --count 8 --timeout 600",
     "synth --seed 1 --count 4 --mem-budget 8k --no-shrink --json",
     "detect all --scrub-timings --json --streaming",
     "detect all --scrub-timings --json --streaming --stream-window 2",
     "detect all --scrub-timings --json --streaming --mem-budget 16k",
-    // the one report whose degradations list both a governor step and
-    // the cap's own event
     "detect all --scrub-timings --json --streaming --stream-window 2 --mem-budget 16k",
     "trace CA-1011 --full-tracing --scale 4",
     "trace HB-4539 --full-tracing --scale 4",
@@ -74,18 +59,14 @@ const COMMANDS: &[&str] = &[
     "explain ZK-1270 epoch_ack_count --json",
 ];
 
-/// The answer file's name: the command's words, flags without their
-/// dashes, joined by `_`.
+/// The answer file: the command's words, flags undashed, joined by `_`.
 fn slug(command: &str) -> String {
-    let words = command.split(' ').map(|w| w.trim_start_matches("--"));
-    let name = words.collect::<Vec<_>>().join("_");
-    name.replace(
-        |c: char| !c.is_ascii_alphanumeric() && c != '-' && c != '.',
-        "_",
-    )
+    let keep = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '.';
+    command.replace(" --", " ").replace(|c| !keep(c), "_")
 }
 
-/// What the command prints, exit status appended unless it is 0.
+/// What the command prints, exit status appended unless it is 0; a full
+/// trace as its FNV-1a digest, size and line count.
 fn run(command: &str, dir: &std::path::Path) -> String {
     let path = dir.join("out");
     let out = File::create(&path).unwrap();
@@ -98,59 +79,38 @@ fn run(command: &str, dir: &std::path::Path) -> String {
         .expect("dcatch runs");
     let mut text = fs::read_to_string(&path).unwrap();
     if !status.success() {
-        writeln!(text, "{status}").unwrap();
+        text += &format!("{status}\n");
     }
-    if command.starts_with("streambench") {
-        text = text
-            .split_inclusive('\n')
-            .filter(|l| !l.contains("\"elapsed_ns\":"))
-            .collect();
+    let wall_clock = |l: &&str| l.contains("\"elapsed_ns\":") && command.starts_with("streambench");
+    let text: String = text
+        .split_inclusive('\n')
+        .filter(|l| !wall_clock(l))
+        .collect();
+    if !command.starts_with("trace") {
+        return text;
     }
-    if command.starts_with("trace") {
-        text = digest(&text);
-    }
-    text
-}
-
-/// A full trace as its FNV-1a digest, size and line count.
-fn digest(text: &str) -> String {
     let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
-    format!(
-        "fnv1a {hash:016x}, {} bytes, {} lines\n",
-        text.len(),
-        text.lines().count()
-    )
+    let (bytes, lines) = (text.len(), text.lines().count());
+    format!("fnv1a {hash:016x}, {bytes} bytes, {lines} lines\n")
 }
 
 #[test]
 fn every_answer_is_the_committed_one() {
     let slugs: Vec<String> = COMMANDS.iter().map(|c| slug(c)).collect();
-    let mut unique = slugs.clone();
-    unique.sort();
-    unique.dedup();
-    assert_eq!(
-        unique.len(),
-        slugs.len(),
-        "two commands share an answer file"
-    );
-    for entry in fs::read_dir(corpus::dir()).unwrap() {
-        let entry = entry.unwrap();
+    for entry in fs::read_dir(corpus::dir()).unwrap().map(Result::unwrap) {
         let name = entry.file_name().into_string().unwrap();
-        assert!(
-            entry.path().is_dir() || slugs.contains(&name),
-            "tests/answers/{name} answers no command"
-        );
+        let stale = entry.path().is_file() && !slugs.contains(&name);
+        assert!(!stale, "tests/answers/{name} answers no command");
     }
-
     let dir = std::env::temp_dir().join(format!("dcatch-answers-{}", std::process::id()));
     fs::create_dir_all(&dir).unwrap();
-    let answers: Vec<_> = COMMANDS
-        .iter()
-        .zip(slugs)
-        .map(|(c, slug)| (slug, run(c, &dir)))
-        .collect();
+    let answers = slugs
+        .into_iter()
+        .zip(COMMANDS)
+        .map(|(s, c)| (s, run(c, &dir)));
+    let answers: Vec<_> = answers.collect();
     fs::remove_dir_all(&dir).unwrap();
     corpus::check(env!("CARGO_BIN_EXE_dcatch"), answers);
 }

@@ -163,15 +163,33 @@ fn readme_documents_every_flag() {
     }
 }
 
-/// `--timeout 0` raced each run against its own watchdog, so the output
-/// depended on which won; it is refused, pointing at `--time-budget 0`.
+/// A zero `--timeout` raced each run against its own watchdog, so it is
+/// refused, pointing at `--time-budget 0`; a zero `--jobs`,
+/// `--trigger-jobs` or `--count` is refused instead of read as 1.
 #[test]
-fn a_zero_timeout_is_refused() {
-    for args in [&["detect", "all"][..], &["synth"], &["faults", "all"]] {
-        let output = dcatch(&[args, &["--timeout", "0"]].concat());
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(stderr.contains("--time-budget 0"), "{args:?}: {stderr}");
-        assert!(output.stdout.is_empty(), "{args:?}");
+fn a_zero_timeout_or_count_is_refused() {
+    let mut refused = 0;
+    for command in COMMANDS {
+        for flag in ["--timeout", "--jobs", "--trigger-jobs", "--count"] {
+            if command.flags.iter().all(|f| f.name != flag) {
+                continue;
+            }
+            let mut args = vec![command.name];
+            args.extend(command.positionals.iter().map(|m| sample(m)));
+            args.extend([flag, "0"]);
+            let output = dcatch(&args);
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            let why = match flag {
+                "--timeout" => "--time-budget 0".to_owned(),
+                _ => format!("invalid value `0` for `{flag}`"),
+            };
+            assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains(&why), "{args:?}: {stderr}");
+            assert!(output.stdout.is_empty(), "{args:?}");
+            refused += 1;
+        }
     }
+    // --timeout on detect, synth and faults; --jobs on detect and synth;
+    // --trigger-jobs on all three; --count on synth
+    assert_eq!(refused, 9);
 }

@@ -1,8 +1,7 @@
 //! The committed answer corpus, `tests/answers/`: one file per pinned
-//! output. A test hands [`check`] what its outputs are now; each one that
-//! differs from its file is written to `target/answers/<name>` and the
-//! test fails naming it, so re-blessing an answer that moved on purpose is
-//! copying that file over the committed one — and the diff shows the move.
+//! output. An output that differs from its file is written to
+//! `target/answers/<name>` and fails the test, so re-blessing an answer
+//! that moved on purpose is copying that file over the committed one.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -12,46 +11,39 @@ pub fn dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/answers")
 }
 
-/// Compares every `(name, actual)` with `tests/answers/<name>`. `bin` is
-/// any binary of this build (`CARGO_BIN_EXE_*`): the differing outputs go
-/// to `answers/` in its target directory. Panics naming every differing
-/// answer and its first differing line.
-pub fn check(bin: &str, answers: impl IntoIterator<Item = (String, String)>) {
-    let out = Path::new(bin)
-        .ancestors()
-        .nth(2)
-        .expect("target/<profile>/bin")
-        .join("answers");
+/// Compares every `(name, actual)` with `tests/answers/<name>` and panics
+/// naming each that differs and its first differing line. `bin` is a
+/// `CARGO_BIN_EXE_*` of this build; its target directory gets `answers/`.
+pub fn check(bin: &str, answers: Vec<(String, String)>) {
+    let out = Path::new(bin).ancestors().nth(2).unwrap().join("answers");
     let mut failures = Vec::new();
-    for (name, actual) in answers {
-        let expected = fs::read_to_string(dir().join(&name)).unwrap_or_default();
-        if actual == expected {
+    for (name, actual) in &answers {
+        let expected = fs::read_to_string(dir().join(name)).unwrap_or_default();
+        if *actual == expected {
             continue;
         }
-        let path = out.join(&name);
+        let path = out.join(name);
         fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, &actual).unwrap();
-        let (want, got): (Vec<_>, Vec<_>) = (expected.lines().collect(), actual.lines().collect());
-        // past both ends, they differ only in a final newline
-        let line = (0..)
-            .find(|&i| want.get(i) != got.get(i) || i >= want.len().max(got.len()))
-            .unwrap();
-        let at = |lines: &[&str]| -> String {
-            let text = lines.get(line).copied().unwrap_or("<end of file>");
+        fs::write(&path, actual).unwrap();
+        let line = expected
+            .lines()
+            .zip(actual.lines())
+            .take_while(|(e, a)| e == a)
+            .count();
+        let at = |text: &str| -> String {
+            let text = text.lines().nth(line).unwrap_or("<end of file>");
             text.chars().take(200).collect()
         };
+        let (want, got, path) = (at(&expected), at(actual), path.display());
+        let n = line + 1;
         failures.push(format!(
-            "{name}, line {}:\n  answer: {}\n  actual: {}\n  (written to {})",
-            line + 1,
-            at(&want),
-            at(&got),
-            path.display()
+            "{name}, line {n}:\n  answer: {want}\n  actual: {got}\n  written to {path}"
         ));
     }
+    let (moved, total) = (failures.len(), answers.len());
     assert!(
-        failures.is_empty(),
-        "{} answers moved:\n{}",
-        failures.len(),
+        moved == 0,
+        "{moved} of {total} answers moved:\n{}",
         failures.join("\n")
     );
 }
