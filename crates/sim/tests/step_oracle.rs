@@ -330,6 +330,82 @@ fn stretch_rows(rows: &mut Vec<(String, u64)>) {
     }
 }
 
+/// The `rpc timeout` deadline of [`reply_program`]'s caller.
+const REPLY_DEADLINE: u64 = 1500;
+
+/// A caller whose RPC reply arrives long before its `rpc timeout`
+/// deadline. Afterwards the caller either naps (`ends` false) — every task
+/// then sleeps or idles, so the clock must jump, and it must land on the
+/// nap's end, not on the deadline the reply made moot — or returns, and
+/// the run ends there: a finished run's clock stops at its last step, not
+/// at a deadline nobody waits for any more.
+fn reply_program(ends: bool) -> (Program, Topology) {
+    let mut pb = ProgramBuilder::new();
+    pb.func("caller", &[], FuncKind::Regular, |b| {
+        b.rpc("r", Expr::val(Value::Node(NodeId(1))), "quick", vec![]);
+        b.write("reply", Expr::local("r"));
+        if !ends {
+            b.sleep(Expr::val(300));
+            b.write("woke", Expr::val(1));
+        }
+    });
+    pb.func("quick", &[], FuncKind::RpcHandler, |b| {
+        b.ret(Expr::val(1));
+    });
+    let program = pb.build().expect("valid program");
+    let mut topo = Topology::new();
+    topo.node("client").entry("caller", vec![]);
+    topo.node("server");
+    (program, topo)
+}
+
+fn reply_plan() -> FaultPlan {
+    FaultPlan::parse(&format!("timeout after={REPLY_DEADLINE}")).expect("plan parses")
+}
+
+/// The rows of [`reply_program`], untraced, fully traced and streamed.
+fn reply_rows(rows: &mut Vec<(String, u64)>) {
+    let full = SimConfig::default()
+        .with_full_tracing()
+        .with_faults(reply_plan());
+    let untraced = SimConfig {
+        trace_enabled: false,
+        ..full.clone()
+    };
+    for (what, ends) in [("naps", false), ("ends", true)] {
+        let (program, topo) = reply_program(ends);
+        for (mode, (hash, faults)) in [
+            ("untraced", run_on(&program, &topo, untraced.clone())),
+            ("full", run_on(&program, &topo, full.clone())),
+            ("streamed", run_streamed_on(&program, &topo, full.clone())),
+        ] {
+            rows.push((
+                format!("reply before timeout {what} {mode} faults={faults}"),
+                hash,
+            ));
+        }
+    }
+}
+
+/// The reply rows pin something only if the reply beat the deadline and
+/// both runs finished well before it.
+#[test]
+fn the_reply_rows_cover_their_case() {
+    for ends in [false, true] {
+        let (program, topo) = reply_program(ends);
+        let config = SimConfig::default().with_faults(reply_plan());
+        let r = World::run_once(&program, &topo, config).expect("valid program");
+        assert!(r.failures.is_empty(), "{:?}", r.failures);
+        assert!(r.completed);
+        assert_eq!(r.faults_injected, 0, "the timeout fired");
+        assert!(
+            r.steps < REPLY_DEADLINE / 2,
+            "ends={ends}: {} steps",
+            r.steps
+        );
+    }
+}
+
 /// One entry thread per expression: every `BinOp` over every pair of
 /// operand kinds and every `UnOp` over every kind, each operand a local,
 /// then the cases whose outcome rests on how evaluation is ordered — an
@@ -727,6 +803,7 @@ fn observe() -> Vec<(String, u64)> {
     let (program, topo) = maps_program();
     let (hash, _) = run_on(&program, &topo, maps_focused());
     rows.push(("maps focused".to_owned(), hash));
+    reply_rows(&mut rows);
     rows
 }
 
@@ -995,4 +1072,29 @@ const EXPECTED: &[(&str, u64)] = &[
     ("expressions focused", 0xbcbc3614ccec0156),
     // recorded at the commit before heap maps were stored as sorted blocks
     ("maps focused", 0xf93a55423c4c741e),
+    // recorded at the commit before the scheduler kept its ready list
+    (
+        "reply before timeout naps untraced faults=0",
+        0x67377d0101efe712,
+    ),
+    (
+        "reply before timeout naps full faults=0",
+        0xd2d292d4ff0db227,
+    ),
+    (
+        "reply before timeout naps streamed faults=0",
+        0xcef3461ac59d00ba,
+    ),
+    (
+        "reply before timeout ends untraced faults=0",
+        0x3af000d7681ba09e,
+    ),
+    (
+        "reply before timeout ends full faults=0",
+        0xa4e5a5bc0461bd12,
+    ),
+    (
+        "reply before timeout ends streamed faults=0",
+        0x4f1ec3f031bd8762,
+    ),
 ];
