@@ -437,9 +437,10 @@ fn print_profile(r: &dcatch::BenchmarkReport) {
     }
     let steps = r.metrics.counter("sim_steps_total");
     outln!(
-        "  profile: simulator {} runs, {} executed steps, {:.1} ns/step",
+        "  profile: simulator {} runs, {} executed steps, {} full scans, {:.1} ns/step",
         r.metrics.counter("sim_runs_total"),
         steps,
+        r.metrics.counter("sim_sched_rebuilds_total"),
         sim_time(&r.spans).as_nanos() as f64 / steps.max(1) as f64
     );
 }

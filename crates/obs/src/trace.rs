@@ -122,8 +122,9 @@ pub fn begin_capture(label: &str) {
 }
 
 /// Ends the capture and returns the finished timing tree. Open spans that
-/// have not been dropped yet are left with their partial totals. Returns
-/// an empty tree when no capture was active.
+/// have not been dropped yet are left with their partial totals. Every
+/// node's total is at least the sum of its children's ([`cover_children`]).
+/// Returns an empty tree when no capture was active.
 pub fn end_capture() -> SpanNode {
     TRACER.with_borrow_mut(|t| {
         let mut root = t.root.take().unwrap_or_else(|| SpanNode::new("(none)"));
@@ -131,8 +132,24 @@ pub fn end_capture() -> SpanNode {
             root.total = started.elapsed();
         }
         t.stack.clear();
+        cover_children(&mut root);
         root
     })
+}
+
+/// Raises each node's total, bottom up, to the sum of its children's
+/// where it is less. A [`graft`]ed subtree ran before the span it lands
+/// under was opened, and jobs that ran on several threads add up to more
+/// than the wall time of the span around them; either way a parent would
+/// be shorter than its children, and a timeline's slices would overflow
+/// it.
+fn cover_children(node: &mut SpanNode) {
+    let mut below = Duration::ZERO;
+    for child in &mut node.children {
+        cover_children(child);
+        below += child.total;
+    }
+    node.total = node.total.max(below);
 }
 
 /// Merges a span tree captured in a [`scope`](crate::scope) — on this
@@ -141,8 +158,11 @@ pub fn end_capture() -> SpanNode {
 /// totals and counts add, grandchildren recurse) — the root of `tree`
 /// itself is discarded, since it is the scope's capture wrapper rather
 /// than a span anyone opened here. Grafting the same trees in the same
-/// order therefore rebuilds exactly the tree the work would have produced
-/// had it run inline. No-op outside a capture.
+/// order therefore rebuilds the names, counts and nesting the work would
+/// have produced had it run inline. The grafted totals are the work's own;
+/// the open span measures only its own time, which may be far less (the
+/// work ran before it was opened), and [`end_capture`] raises it to cover
+/// them. No-op outside a capture.
 pub fn graft(tree: &SpanNode) {
     TRACER.with_borrow_mut(|t| {
         let Some(root) = t.root.as_mut() else {
@@ -347,6 +367,31 @@ mod tests {
             tree.child("worker.job").is_none(),
             "the worker capture wrapper is discarded"
         );
+    }
+
+    /// A span opened only to merge work that already ran is shorter than
+    /// the work; the finished tree still nests: every parent covers its
+    /// children.
+    #[test]
+    fn a_grafted_parent_covers_its_children() {
+        begin_capture("worker.job");
+        {
+            let _o = span("trigger.order");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let job = end_capture();
+        begin_capture("pipeline");
+        {
+            let _c = span("trigger.candidate");
+            graft(&job);
+        }
+        let tree = end_capture();
+        let cand = tree.child("trigger.candidate").expect("candidate span");
+        let order = cand.child("trigger.order").expect("grafted order span");
+        assert!(order.total >= Duration::from_millis(2));
+        assert!(cand.total >= order.total, "{cand:?}");
+        assert!(tree.total >= cand.total, "{tree:?}");
+        assert_eq!((cand.count, order.count), (1, 1));
     }
 
     #[test]

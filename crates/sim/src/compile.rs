@@ -215,38 +215,6 @@ pub enum Op {
     Nop,
 }
 
-impl Op {
-    /// Whether executing the op can touch nothing but the running task's
-    /// frame and its node's heap, so that no task's readiness depends on
-    /// it. An allow-list on purpose: the scheduler keeps its action list
-    /// across such a step only, and a new variant must opt in.
-    pub fn is_local(&self) -> bool {
-        use Op::*;
-        matches!(
-            self,
-            Assign { .. }
-                | Read { .. }
-                | Write { .. }
-                | MapPut { .. }
-                | MapGet { .. }
-                | MapRemove { .. }
-                | MapContains { .. }
-                | ListAdd { .. }
-                | ListRemove { .. }
-                | ListIsEmpty { .. }
-                | ListContains { .. }
-                | Branch { .. }
-                | Jump { .. }
-                | LoopEnter { .. }
-                | LoopHead { .. }
-                | LoopExit { .. }
-                | Call { .. }
-                | Yield
-                | Nop
-        )
-    }
-}
-
 /// A compiled function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledFunc {

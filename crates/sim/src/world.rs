@@ -22,7 +22,9 @@ use crate::prepare::Prepared;
 use crate::topology::Topology;
 
 mod heap_map;
+mod ready;
 use heap_map::HeapMap;
+use ready::{Action, ReadyList, Timer};
 
 /// Error preventing a run from starting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -314,15 +316,18 @@ pub struct World<'g> {
     seq: u64,
 
     tasks: Vec<Task>,
-    /// What the scheduler may pick this step, as `collect_actions` left it.
-    actions: Vec<Action>,
-    /// Whether no step since that scan can have changed the list. Dropped
-    /// by default: only `run_task_step` vouches for a step.
-    actions_valid: bool,
-    /// The earliest step after that scan at which time alone changes
-    /// something (`collect_actions`); `u64::MAX` when there is none.
-    wake_at: u64,
-    /// Tasks that scan left `HeldByGate`, by index.
+    /// What the scheduler may pick, kept across steps (`world/ready.rs`).
+    ready: ReadyList,
+    /// Whether the next step must re-derive the list by a full scan
+    /// (`collect_actions`): at boot, after a gate hold or stall, and after
+    /// an RPC call that a timeout policy gives a deadline.
+    rescan: bool,
+    /// The earliest fault-plan event (crash, restart, RPC-timeout
+    /// deadline) after the last full scan; `u64::MAX` when there is none.
+    /// Never later than the true next event, but a reply can make the
+    /// deadline it names moot.
+    fault_wake: u64,
+    /// Tasks the last full scan left `HeldByGate`, by index.
     held: Vec<usize>,
     /// `heaps[node][object]`: `None` until first written.
     heaps: Vec<Vec<Option<HeapObj>>>,
@@ -388,12 +393,6 @@ enum Object<'p> {
     Zk(&'p str),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Action {
-    RunTask(usize),
-    Deliver(usize),
-}
-
 /// Aftermath of executing one instruction.
 enum Flow {
     /// Advance to the next instruction.
@@ -442,9 +441,9 @@ impl Prepared {
             step: 0,
             seq: 0,
             tasks: Vec::new(),
-            actions: Vec::new(),
-            actions_valid: false,
-            wake_at: 0,
+            ready: ReadyList::default(),
+            rescan: true,
+            fault_wake: u64::MAX,
             held: Vec::new(),
             rpc_pending: vec![VecDeque::new(); nodes],
             socket_pending: vec![VecDeque::new(); nodes],
@@ -586,7 +585,42 @@ impl<'g> World<'g> {
             loop_iters: Vec::new(),
             blocked_at: 0,
         });
-        self.tasks.len() - 1
+        let t = self.tasks.len() - 1;
+        if let Some(source) = self.source(node, kind) {
+            self.ready.add_worker(source, t);
+        }
+        self.ready.mark(t);
+        t
+    }
+
+    /// Sets task `t`'s state and marks it for the ready list.
+    fn set_state(&mut self, t: usize, state: TaskState) {
+        self.tasks[t].state = state;
+        self.ready.mark(t);
+    }
+
+    /// The ready list's index of the work source an idle worker of `kind`
+    /// on `node` waits on: the node's queues by id, then its RPC, socket
+    /// and watcher pools. `None` for a thread.
+    fn source(&self, node: NodeId, kind: TaskKind) -> Option<usize> {
+        let queues = self.prep.cp.queues.len();
+        let pool = match kind {
+            TaskKind::EventWorker { queue } => queue,
+            TaskKind::RpcWorker => queues,
+            TaskKind::SocketWorker => queues + 1,
+            TaskKind::WatcherWorker => queues + 2,
+            TaskKind::Entry | TaskKind::Thread => return None,
+        };
+        Some(node.index() * (queues + 3) + pool)
+    }
+
+    /// Marks the workers of `node`'s source for `kind`: it became empty or
+    /// non-empty. Pushes to a non-empty source and pops that leave work
+    /// change no worker's readiness, and mark nothing.
+    fn mark_source(&mut self, node: NodeId, kind: TaskKind) {
+        if let Some(source) = self.source(node, kind) {
+            self.ready.mark_source(source);
+        }
     }
 
     fn make_frame(
@@ -770,7 +804,7 @@ impl<'g> World<'g> {
 
     fn kill(&mut self, t: usize, kind: RunFailureKind, msg: impl Into<String>) {
         self.fail(t, kind, msg);
-        self.tasks[t].state = TaskState::Killed;
+        self.set_state(t, TaskState::Killed);
         let (task, ctx) = (self.tasks[t].id, self.tasks[t].ctx);
         self.ctl(StreamControl::ChainDone { task, ctx });
         self.release_locks_of(t);
@@ -788,9 +822,9 @@ impl<'g> World<'g> {
     }
 
     fn wake_lock_waiters(&mut self, node: usize, lock: LockId) {
-        for w in self.locks[node][lock].waiters.drain(..) {
+        while let Some(w) = self.locks[node][lock].waiters.pop() {
             if matches!(self.tasks[w].state, TaskState::BlockedLock { .. }) {
-                self.tasks[w].state = TaskState::Runnable;
+                self.set_state(w, TaskState::Runnable);
             }
         }
     }
@@ -800,7 +834,7 @@ impl<'g> World<'g> {
         for i in 0..self.tasks.len() {
             if matches!(&self.tasks[i].state, TaskState::BlockedJoin { handle: h } if *h == handle)
             {
-                self.tasks[i].state = TaskState::Runnable;
+                self.set_state(i, TaskState::Runnable);
             }
         }
     }
@@ -826,42 +860,47 @@ impl<'g> World<'g> {
             if self.step >= panic_at {
                 panic!("fault plan injected a host panic at step {panic_at} (chaos hook)")
             }
-            // The previous step's list stands when that step vouched for it
-            // and no time-driven change is due. The held tasks are still
-            // asked, once each and in index order, as a scan asks them.
-            let polled = self.actions_valid && self.step < self.wake_at;
-            let mut reuse = polled;
-            if polled {
-                for &i in &self.held {
+            self.wake_due();
+            // A pending `rescan` or a fault-plan event that may be due
+            // re-derives the list by a full scan. Otherwise the held tasks
+            // are asked, once each and in index order, as a scan asks them
+            // (a release rescans too), and the kept list is settled.
+            let mut scanned = self.rescan || self.step >= self.fault_wake;
+            if scanned {
+                self.apply_due_faults();
+                self.collect_actions(false);
+            } else {
+                let mut released = false;
+                for k in 0..self.held.len() {
+                    let i = self.held[k];
                     if self.gate.is_released(self.tasks[i].id) {
-                        self.tasks[i].state = TaskState::Runnable;
-                        reuse = false;
+                        self.set_state(i, TaskState::Runnable);
+                        released = true;
                     }
                 }
-            }
-            if reuse {
-                #[cfg(debug_assertions)]
-                {
-                    let (mut kept, step) = (self.actions.iter(), self.step);
-                    self.ready_actions(|a| debug_assert_eq!(kept.next(), Some(&a), "step {step}"));
-                    debug_assert_eq!(kept.next(), None, "step {step}");
+                if released {
+                    self.collect_actions(true);
+                    scanned = true;
+                } else {
+                    self.settle();
                 }
-            } else {
-                if !polled {
-                    // fault-plan events whose step has come; below `wake_at`
-                    // none has
-                    self.apply_due_faults();
-                }
-                self.collect_actions(polled);
             }
-            if self.actions.is_empty() {
-                if self.wake_at != u64::MAX {
-                    counter!("sim_clock_advances_total").add(self.wake_at - self.step);
-                    self.step = self.wake_at;
+            if self.ready.is_empty() {
+                let timer = self.next_timer();
+                if !scanned && self.fault_wake != u64::MAX && self.fault_wake <= timer {
+                    // the clock would jump to a fault event found by an
+                    // earlier scan, which a reply since may have made moot
+                    self.collect_actions(true);
+                    debug_assert!(self.ready.is_empty(), "step {}", self.step);
+                }
+                let wake = timer.min(self.fault_wake);
+                if wake != u64::MAX {
+                    counter!("sim_clock_advances_total").add(wake - self.step);
+                    self.step = wake;
                     continue;
                 }
-                self.actions_valid = false;
                 if !self.held.is_empty() {
+                    self.rescan = true;
                     let held: Vec<TaskId> = self.held.iter().map(|&i| self.tasks[i].id).collect();
                     let action = self.gate.on_stall(&held);
                     self.watch = WatchSet::of(self.gate);
@@ -870,15 +909,15 @@ impl<'g> World<'g> {
                             for id in ids {
                                 if let Some(i) = self.tasks.iter().position(|t| t.id == id) {
                                     if self.tasks[i].state == TaskState::HeldByGate {
-                                        self.tasks[i].state = TaskState::Runnable;
+                                        self.set_state(i, TaskState::Runnable);
                                     }
                                 }
                             }
                         }
                         StallAction::Abandon => {
                             self.gate_abandoned = true;
-                            for &i in &self.held {
-                                self.tasks[i].state = TaskState::Runnable;
+                            for k in 0..self.held.len() {
+                                self.set_state(self.held[k], TaskState::Runnable);
                             }
                         }
                     }
@@ -887,20 +926,17 @@ impl<'g> World<'g> {
                 self.detect_quiescence_outcome();
                 return;
             }
-            let pick = self.rng.gen_range(self.actions.len());
-            self.actions_valid = match self.actions[pick] {
+            let pick = self.rng.gen_range(self.ready.len());
+            match self.ready.get(pick) {
                 Action::RunTask(i) => {
                     if last_task.is_some_and(|prev| prev != i) {
                         self.context_switches += 1;
                     }
                     last_task = Some(i);
-                    self.run_task_step(i)
+                    self.run_task_step(i);
                 }
-                Action::Deliver(m) => {
-                    self.deliver(m);
-                    false
-                }
-            };
+                Action::Deliver(m) => self.deliver(m),
+            }
             self.step += 1;
             self.steps_executed += 1;
             if self.decided {
@@ -909,49 +945,116 @@ impl<'g> World<'g> {
         }
     }
 
+    /// Whether task `i` may be picked now: runnable, a sleeper whose step
+    /// has come, or an idle worker whose source has work.
+    fn task_ready(&self, i: usize) -> bool {
+        let t = &self.tasks[i];
+        match (t.state, t.kind) {
+            (TaskState::Runnable, _) => true,
+            (TaskState::Sleeping { until }, _) => until <= self.step,
+            (TaskState::Idle, kind) => self.has_work(t.node.index(), kind),
+            _ => false,
+        }
+    }
+
+    /// Whether the source an idle worker of `kind` on `node` waits on has
+    /// work; never for a thread.
+    fn has_work(&self, node: usize, kind: TaskKind) -> bool {
+        match kind {
+            TaskKind::EventWorker { queue } => self.queues[node][queue]
+                .as_ref()
+                .is_some_and(|q| !q.is_empty()),
+            TaskKind::RpcWorker => !self.rpc_pending[node].is_empty(),
+            TaskKind::SocketWorker => !self.socket_pending[node].is_empty(),
+            TaskKind::WatcherWorker => !self.notify_pending[node].is_empty(),
+            TaskKind::Entry | TaskKind::Thread => false,
+        }
+    }
+
     /// What the scheduler may pick, for the task states, pending sources and
     /// network as they are: ready tasks by index, then deliverable messages
     /// by index. That order is part of the execution contract — the seeded
     /// pick is an index into it. Read-only and gate-free: `collect_actions`
-    /// fills the list with it, a debug build checks every reused list by it.
+    /// fills the list with it, a debug build checks every kept list by it.
     fn ready_actions(&self, mut out: impl FnMut(Action)) {
-        let now = self.step;
-        for (i, t) in self.tasks.iter().enumerate() {
-            let node = t.node.index();
-            let ready = match (t.state, t.kind) {
-                (TaskState::Runnable, _) => true,
-                (TaskState::Sleeping { until }, _) => until <= now,
-                // an idle worker is ready when its source has work
-                (TaskState::Idle, TaskKind::EventWorker { queue }) => self.queues[node][queue]
-                    .as_ref()
-                    .is_some_and(|q| !q.is_empty()),
-                (TaskState::Idle, TaskKind::RpcWorker) => !self.rpc_pending[node].is_empty(),
-                (TaskState::Idle, TaskKind::SocketWorker) => !self.socket_pending[node].is_empty(),
-                (TaskState::Idle, TaskKind::WatcherWorker) => !self.notify_pending[node].is_empty(),
-                _ => false,
-            };
-            if ready {
+        for i in 0..self.tasks.len() {
+            if self.task_ready(i) {
                 out(Action::RunTask(i));
             }
         }
         for (m, f) in self.net.iter().enumerate() {
-            if f.not_before <= now {
+            if f.not_before <= self.step {
                 out(Action::Deliver(m));
             }
         }
     }
 
-    /// Wakes due sleepers and gate-released tasks (`polled`: the held tasks
-    /// have been asked this step already), refills `actions`, and notes
-    /// what a later step needs in order to keep the list: the tasks still
-    /// held, and the earliest future step at which a sleeper wakes, a
-    /// message becomes deliverable or a fault-plan event (crash, restart,
-    /// RPC-timeout deadline) falls due — also where a quiescent clock jumps
-    /// to. Fault events at or past the step budget are unreachable, ignored.
+    /// Fires the timers due by now: sleepers wake, and a delayed message
+    /// that came due re-derives the deliverable messages.
+    fn wake_due(&mut self) {
+        let now = self.step;
+        let mut delivery = false;
+        while let Some((at, timer)) = self.ready.pop_due(now) {
+            match timer {
+                Timer::Wake(t) => {
+                    if self.tasks[t].state == (TaskState::Sleeping { until: at }) {
+                        self.set_state(t, TaskState::Runnable);
+                    }
+                }
+                Timer::Delivery => delivery = true,
+            }
+        }
+        if delivery {
+            let due = self
+                .net
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| f.not_before <= now);
+            self.ready.set_messages(due.map(|(m, _)| m));
+        }
+    }
+
+    /// The step of the earliest timer still in force, `u64::MAX` when there
+    /// is none. A sleeper past the step budget counts (it runs the budget
+    /// out); a delayed message past it never gets a timer.
+    fn next_timer(&mut self) -> u64 {
+        while let Some((at, timer)) = self.ready.next_timer() {
+            let live = match timer {
+                Timer::Wake(t) => self.tasks[t].state == (TaskState::Sleeping { until: at }),
+                Timer::Delivery => true,
+            };
+            if live {
+                return at;
+            }
+            self.ready.drop_next_timer();
+        }
+        u64::MAX
+    }
+
+    /// Asks the readiness of every marked task again, and checks the kept
+    /// list against a full scan in a debug build.
+    fn settle(&mut self) {
+        while let Some(t) = self.ready.take_mark() {
+            let ready = self.task_ready(t);
+            self.ready.set_ready(t, ready);
+        }
+        #[cfg(debug_assertions)]
+        {
+            let (mut kept, step) = (self.ready.iter(), self.step);
+            self.ready_actions(|a| debug_assert_eq!(kept.next(), Some(a), "step {step}"));
+            debug_assert_eq!(kept.next(), None, "step {step}");
+        }
+    }
+
+    /// The full scan: wakes gate-released tasks (`polled`: the held tasks
+    /// have been asked this step already), refills the list, and notes the
+    /// tasks still held and the earliest future fault-plan event (crash,
+    /// restart, RPC-timeout deadline). Events at or past the step budget
+    /// are unreachable, ignored.
     fn collect_actions(&mut self, polled: bool) {
         let (now, budget) = (self.step, self.config.max_steps);
         let faults = &self.config.faults;
-        let (mut wake, mut fault_wake) = (u64::MAX, u64::MAX);
+        let mut fault_wake = u64::MAX;
         let mut fault_at = |s: u64| {
             if s > now && s < budget {
                 fault_wake = fault_wake.min(s);
@@ -960,9 +1063,6 @@ impl<'g> World<'g> {
         self.held.clear();
         for (i, t) in self.tasks.iter_mut().enumerate() {
             match t.state {
-                TaskState::Sleeping { until } if until <= now => t.state = TaskState::Runnable,
-                // unlike a fault, a sleeper past the budget runs it out
-                TaskState::Sleeping { until } => wake = wake.min(until),
                 TaskState::HeldByGate if !polled && self.gate.is_released(t.id) => {
                     t.state = TaskState::Runnable;
                 }
@@ -977,13 +1077,12 @@ impl<'g> World<'g> {
         }
         self.crash_queue.iter().for_each(|c| fault_at(c.at_step));
         self.pending_restarts.iter().for_each(|(s, _)| fault_at(*s));
-        self.net.iter().for_each(|f| fault_at(f.not_before));
-        self.wake_at = wake.min(fault_wake);
-        let mut actions = std::mem::take(&mut self.actions);
-        actions.clear();
-        self.ready_actions(|a| actions.push(a));
-        self.actions = actions;
-        self.actions_valid = true;
+        self.fault_wake = fault_wake;
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.clear();
+        self.ready_actions(|a| ready.push(a));
+        self.ready = ready;
+        self.rescan = false;
         self.sched_rebuilds += 1;
     }
 
@@ -1127,6 +1226,13 @@ impl<'g> World<'g> {
         let not_before = self.step.saturating_add(delay);
         let in_flight = InFlight { msg, not_before };
         self.net.extend(std::iter::repeat_n(in_flight, copies));
+        if copies > 0 && delay == 0 {
+            for m in self.net.len() - copies..self.net.len() {
+                self.ready.sent(m);
+            }
+        } else if copies > 0 && not_before < self.config.max_steps {
+            self.ready.add_timer(not_before, Timer::Delivery);
+        }
         copies
     }
 
@@ -1166,13 +1272,14 @@ impl<'g> World<'g> {
         counter!("sim_node_crashes_total").inc();
         self.emit_node(node, OpKind::NodeCrash { node });
         let mut controls = Vec::new();
-        for t in &mut self.tasks {
+        for i in 0..self.tasks.len() {
+            let t = &self.tasks[i];
             if t.node == node && !matches!(t.state, TaskState::Done | TaskState::Killed) {
-                t.state = TaskState::Crashed;
                 controls.push(StreamControl::ChainDone {
                     task: t.id,
                     ctx: t.ctx,
                 });
+                self.set_state(i, TaskState::Crashed);
             }
         }
         // the node loses all volatile state; queued-but-undispatched work
@@ -1268,6 +1375,7 @@ impl<'g> World<'g> {
 
     fn deliver(&mut self, m: usize) {
         let msg = self.net.remove(m).msg;
+        self.ready.delivered(m);
         // messages to a crashed node are lost at delivery time
         let target = match &msg {
             Message::RpcRequest { target, .. }
@@ -1299,12 +1407,16 @@ impl<'g> World<'g> {
                 args,
                 caller,
             } => {
-                self.rpc_pending[target.index()].push_back(PendingRpc {
+                let pending = &mut self.rpc_pending[target.index()];
+                pending.push_back(PendingRpc {
                     rpc,
                     func,
                     args,
                     caller,
                 });
+                if pending.len() == 1 {
+                    self.mark_source(target, TaskKind::RpcWorker);
+                }
             }
             Message::RpcReply { rpc, caller, value } => {
                 if self.tasks[caller].state == (TaskState::BlockedRpc { rpc: rpc.0 }) {
@@ -1326,7 +1438,11 @@ impl<'g> World<'g> {
                 func,
                 args,
             } => {
-                self.socket_pending[target.index()].push_back(PendingSocket { msg, func, args });
+                let pending = &mut self.socket_pending[target.index()];
+                pending.push_back(PendingSocket { msg, func, args });
+                if pending.len() == 1 {
+                    self.mark_source(target, TaskKind::SocketWorker);
+                }
             }
             Message::ZkNotify {
                 target,
@@ -1335,12 +1451,16 @@ impl<'g> World<'g> {
                 version,
                 data,
             } => {
-                self.notify_pending[target.index()].push_back(PendingNotify {
+                let pending = &mut self.notify_pending[target.index()];
+                pending.push_back(PendingNotify {
                     handler,
                     path,
                     version,
                     data,
                 });
+                if pending.len() == 1 {
+                    self.mark_source(target, TaskKind::WatcherWorker);
+                }
             }
         }
     }
@@ -1352,24 +1472,21 @@ impl<'g> World<'g> {
         if let (Some(local), Some(frame)) = (task.rpc_ret_local.take(), task.frames.last_mut()) {
             frame.locals[local] = Some(value);
         }
-        task.state = TaskState::Runnable;
+        self.set_state(t, TaskState::Runnable);
     }
 
     // -- task stepping ----------------------------------------------------------
 
-    /// Runs one step of task `t`; returns whether the action list survives
-    /// it: only when an [`Op::is_local`] op ran to completion and left `t`'s
-    /// state and the task table as they were. Everything else — dispatch, a
-    /// gate hold, a blocked, killed or unlisted op — drops the list.
-    fn run_task_step(&mut self, t: usize) -> bool {
+    /// Runs one step of task `t`.
+    fn run_task_step(&mut self, t: usize) {
         if self.tasks[t].state == TaskState::Idle {
             self.dispatch(t);
-            return false;
+            return;
         }
         if self.tasks[t].frames.is_empty() {
             // nothing to run (shouldn't happen); park the task
-            self.tasks[t].state = TaskState::Done;
-            return false;
+            self.set_state(t, TaskState::Done);
+            return;
         }
         if !self.tasks[t].begun && matches!(self.tasks[t].kind, TaskKind::Entry | TaskKind::Thread)
         {
@@ -1389,12 +1506,12 @@ impl<'g> World<'g> {
             let decision = self.gate.before(&ev);
             self.watch = WatchSet::of(self.gate);
             if decision == GateDecision::Hold {
-                self.tasks[t].state = TaskState::HeldByGate;
-                return false;
+                self.set_state(t, TaskState::HeldByGate);
+                self.rescan = true;
+                return;
             }
         }
 
-        let before = (self.tasks[t].state, self.tasks.len());
         let flow = self.exec(t, &instr.op, instr.stmt);
         match flow {
             Flow::Next => {
@@ -1418,13 +1535,13 @@ impl<'g> World<'g> {
             self.watch = WatchSet::of(self.gate);
             self.decided |= self.gate.decided(&self.failures);
         }
-        completed && instr.op.is_local() && before == (self.tasks[t].state, self.tasks.len())
     }
 
-    /// Gives the idle worker `t` the next unit of work from its source.
+    /// Gives the idle worker `t` the next unit of work from its source
+    /// (which has some: the worker was ready).
     fn dispatch(&mut self, t: usize) {
-        let node = self.tasks[t].node.index();
-        match self.tasks[t].kind {
+        let (node, kind) = (self.tasks[t].node.index(), self.tasks[t].kind);
+        match kind {
             TaskKind::EventWorker { queue } => {
                 let queue = self.queues[node][queue].as_mut();
                 if let Some(pe) = queue.and_then(VecDeque::pop_front) {
@@ -1457,6 +1574,10 @@ impl<'g> World<'g> {
             }
             TaskKind::Entry | TaskKind::Thread => {}
         }
+        // the last unit of work leaves the source's other workers idle
+        if !self.has_work(node, kind) {
+            self.mark_source(self.tasks[t].node, kind);
+        }
     }
 
     /// Puts worker `t` into a fresh handler context running `func(args)`
@@ -1476,8 +1597,8 @@ impl<'g> World<'g> {
         let task = &mut self.tasks[t];
         task.ctx = ExecCtx::Handler { kind, instance };
         task.job = Some(job);
-        task.state = TaskState::Runnable;
         task.frames.push(frame);
+        self.set_state(t, TaskState::Runnable);
         self.emit(t, begin);
     }
 
@@ -1489,14 +1610,14 @@ impl<'g> World<'g> {
         match self.tasks[t].kind {
             TaskKind::Entry | TaskKind::Thread => {
                 self.emit(t, OpKind::ThreadEnd);
-                self.tasks[t].state = TaskState::Done;
+                self.set_state(t, TaskState::Done);
                 self.ctl(StreamControl::ChainDone { task, ctx });
                 self.wake_joiners(t);
             }
             TaskKind::SocketWorker | TaskKind::WatcherWorker => {
                 self.tasks[t].job = None;
                 self.tasks[t].ctx = ExecCtx::Regular;
-                self.tasks[t].state = TaskState::Idle;
+                self.set_state(t, TaskState::Idle);
                 self.ctl(StreamControl::ChainDone { task, ctx });
             }
             TaskKind::EventWorker { .. } => {
@@ -1504,7 +1625,7 @@ impl<'g> World<'g> {
                     self.emit(t, OpKind::EventEnd { event });
                 }
                 self.tasks[t].ctx = ExecCtx::Regular;
-                self.tasks[t].state = TaskState::Idle;
+                self.set_state(t, TaskState::Idle);
                 self.ctl(StreamControl::ChainDone { task, ctx });
             }
             TaskKind::RpcWorker => {
@@ -1520,7 +1641,7 @@ impl<'g> World<'g> {
                     }
                 }
                 self.tasks[t].ctx = ExecCtx::Regular;
-                self.tasks[t].state = TaskState::Idle;
+                self.set_state(t, TaskState::Idle);
                 self.ctl(StreamControl::ChainDone { task, ctx });
             }
         }
@@ -1868,7 +1989,7 @@ impl<'g> World<'g> {
                         Flow::Next
                     }
                     _ => {
-                        self.tasks[t].state = TaskState::BlockedJoin { handle: h };
+                        self.set_state(t, TaskState::BlockedJoin { handle: h });
                         Flow::Stay
                     }
                 }
@@ -1895,12 +2016,15 @@ impl<'g> World<'g> {
                     });
                 }
                 self.emit(t, OpKind::EventCreate { event });
-                let pending = self.queues[node.index()][*queue].as_mut();
-                pending.expect("checked").push_back(PendingEvent {
+                let pending = self.queues[node.index()][*queue].as_mut().expect("checked");
+                pending.push_back(PendingEvent {
                     event,
                     func: *func,
                     args: vals,
                 });
+                if pending.len() == 1 {
+                    self.mark_source(node, TaskKind::EventWorker { queue: *queue });
+                }
                 Flow::Next
             }
             Op::Lock { lock } => {
@@ -1922,7 +2046,7 @@ impl<'g> World<'g> {
                     }
                     Some(_) => {
                         state.waiters.push(t);
-                        self.tasks[t].state = TaskState::BlockedLock { lock: *lock };
+                        self.set_state(t, TaskState::BlockedLock { lock: *lock });
                         Flow::Stay
                     }
                 }
@@ -1980,8 +2104,10 @@ impl<'g> World<'g> {
                     });
                 }
                 self.tasks[t].rpc_ret_local = *local;
-                self.tasks[t].state = TaskState::BlockedRpc { rpc: rpc.0 };
                 self.tasks[t].blocked_at = self.step;
+                self.set_state(t, TaskState::BlockedRpc { rpc: rpc.0 });
+                // its deadline is a fault-plan event: a full scan notes it
+                self.rescan |= self.config.faults.rpc_deadline(from, self.step).is_some();
                 // advance pc now; the task resumes after the reply
                 if let Some(f) = self.tasks[t].frames.last_mut() {
                     f.pc += 1;
@@ -2114,10 +2240,11 @@ impl<'g> World<'g> {
                 let Some(v) = self.eval_or_kill(t, ticks) else {
                     return Flow::Dead;
                 };
-                let n = v.as_int().unwrap_or(0).max(0) as u64;
-                self.tasks[t].state = TaskState::Sleeping {
-                    until: self.step.saturating_add(n),
-                };
+                let until = self
+                    .step
+                    .saturating_add(v.as_int().unwrap_or(0).max(0) as u64);
+                self.set_state(t, TaskState::Sleeping { until });
+                self.ready.add_timer(until, Timer::Wake(t));
                 if let Some(f) = self.tasks[t].frames.last_mut() {
                     f.pc += 1;
                 }

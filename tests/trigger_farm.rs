@@ -83,3 +83,35 @@ fn known_bugs_stay_confirmed_at_any_trigger_jobs() {
         );
     }
 }
+
+/// A triggered report's span tree nests: every node's total covers its
+/// children's. The farm's jobs run before the `trigger.candidate` span they
+/// are grafted under opens, and on several threads at once with
+/// `--trigger-jobs 4`.
+#[test]
+fn every_span_of_a_triggered_report_covers_its_children() {
+    fn check(node: &dcatch_obs::SpanNode, path: &str) {
+        let path = format!("{path}/{}", node.name);
+        let below: std::time::Duration = node.children.iter().map(|c| c.total).sum();
+        assert!(
+            node.total >= below,
+            "{path}: {:?} < its children's {below:?}",
+            node.total
+        );
+        for child in &node.children {
+            check(child, &path);
+        }
+    }
+    let bench = dcatch::benchmark("MR-3274").expect("MR-3274 exists");
+    for jobs in [1, 4] {
+        let mut opts = PipelineOptions::full();
+        opts.trigger_jobs = jobs;
+        let report = Pipeline::run(&bench, &opts).expect("pipeline run");
+        let candidate = report.spans.find("trigger.candidate");
+        assert!(
+            candidate.and_then(|c| c.child("trigger.order")).is_some(),
+            "jobs={jobs}: no order run was grafted"
+        );
+        check(&report.spans, "");
+    }
+}
