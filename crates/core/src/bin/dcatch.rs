@@ -63,7 +63,7 @@
 //! | 5    | a benchmark worker panicked |
 //! | 6    | a benchmark exceeded the `--timeout` watchdog |
 
-use std::num::{NonZeroU32, NonZeroUsize};
+use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -204,7 +204,9 @@ fn detect_options(p: &Parsed) -> Result<PipelineOptions, String> {
     }
     opts.fault_target = p.str("--fault-target").map(str::to_owned);
     opts.streaming = p.on("--streaming");
-    opts.stream_window = p.get("--stream-window")?;
+    opts.stream_window = p
+        .get::<NonZeroUsize>("--stream-window")?
+        .map(NonZeroUsize::get);
     if opts.stream_window.is_some() && !opts.streaming {
         return Err("`--stream-window` requires `--streaming`".to_owned());
     }
@@ -308,7 +310,7 @@ fn run_resumable<T: Sync, R: Send>(
 }
 
 fn detect(p: &Parsed) -> Cmd {
-    let benches = benchmarks_for(&p.positionals[0], p.value("--scale")?)?;
+    let benches = benchmarks_for(&p.positionals[0], p.value::<NonZeroU32>("--scale")?.get())?;
     let opts = detect_options(p)?;
     let json = p.on("--json");
     let profile = p.on("--profile") || p.on("--profile-out");
@@ -437,11 +439,14 @@ fn print_profile(r: &dcatch::BenchmarkReport) {
     }
     let steps = r.metrics.counter("sim_steps_total");
     outln!(
-        "  profile: simulator {} runs, {} executed steps, {} full scans, {:.1} ns/step",
+        "  profile: simulator {} runs, {} executed steps, {} full scans, {:.1} ns/step, \
+         {} forked, {} shared order runs",
         r.metrics.counter("sim_runs_total"),
         steps,
         r.metrics.counter("sim_sched_rebuilds_total"),
-        sim_time(&r.spans).as_nanos() as f64 / steps.max(1) as f64
+        sim_time(&r.spans).as_nanos() as f64 / steps.max(1) as f64,
+        r.metrics.counter("trigger_runs_forked_total"),
+        r.metrics.counter("trigger_runs_shared_total"),
     );
 }
 
@@ -460,7 +465,7 @@ fn print_profile(r: &dcatch::BenchmarkReport) {
 fn faults(p: &Parsed) -> Cmd {
     let tjobs = p.value::<NonZeroUsize>("--trigger-jobs")?.get();
     let timeout = watchdog(p)?;
-    let benches = benchmarks_for(&p.positionals[0], p.value("--scale")?)?;
+    let benches = benchmarks_for(&p.positionals[0], p.value::<NonZeroU32>("--scale")?.get())?;
     let csv: String = p.value("--seeds")?;
     let seeds: Vec<u64> = csv
         .split(',')
@@ -836,7 +841,8 @@ fn print_report(r: &dcatch::BenchmarkReport, opts: &PipelineOptions, show_metric
 /// `--full-tracing` and (`timeline` only) `--fault-plan`.
 fn run_one(p: &Parsed) -> Result<(dcatch::Benchmark, dcatch::RunResult), String> {
     let seed = p.get("--seed")?;
-    let b = benchmarks_for(&p.positionals[0], p.value("--scale")?)?.swap_remove(0);
+    let b =
+        benchmarks_for(&p.positionals[0], p.value::<NonZeroU32>("--scale")?.get())?.swap_remove(0);
     let mut cfg = SimConfig::default().with_seed(seed.unwrap_or(b.seed));
     if p.on("--full-tracing") {
         cfg.tracing = TracingMode::Full;
@@ -1019,8 +1025,10 @@ fn explain(p: &Parsed) -> Cmd {
 /// throughput. The workload plants exactly one racer pair; exit code 2 if
 /// the detector does not report exactly that one surviving candidate.
 fn streambench(p: &Parsed) -> Cmd {
-    let records = p.value("--records")?;
-    let window = p.get("--stream-window")?;
+    let records = p.value::<NonZeroU64>("--records")?.get();
+    let window = p
+        .get::<NonZeroUsize>("--stream-window")?
+        .map(NonZeroUsize::get);
     let seed = p.value("--seed")?;
     let rounds = dcatch::streambench_rounds(records);
     let (program, topo) = dcatch::streambench(rounds);

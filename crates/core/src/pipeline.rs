@@ -13,7 +13,7 @@ use dcatch_hb::{apply_ablation, Ablation, FrontierOptions, HbAnalysis, HbConfig,
 use dcatch_prune::{Impact, Pruner};
 use dcatch_sim::{Failure, FaultPlan, FocusConfig, Prepared, RunError, SimConfig, World};
 use dcatch_trace::TracingMode;
-use dcatch_trigger::{run_farm, steal_map, FarmSpec, TriggerPlan, TriggerReport, Verdict};
+use dcatch_trigger::{run_farm_prepared, steal_map, FarmSpec, TriggerPlan, TriggerReport, Verdict};
 
 use crate::report::{
     BenchmarkReport, BugReport, DegradationEvent, StageTimings, StreamingStats, VerdictCounts,
@@ -361,8 +361,8 @@ impl Pipeline {
         gov: &mut Governor,
     ) -> Result<BenchmarkReport, PipelineError> {
         let (program, topo) = (&bench.program, &bench.topology);
-        // validated and compiled once for every simulated run below (the
-        // trigger farm prepares its own)
+        // validated and compiled once for every simulated run below, the
+        // trigger farm's re-runs included
         let prepared = World::prepare(program, topo)?;
         let seed = opts.seed.unwrap_or(bench.seed);
         // the fault plan applies to every simulated run of this pipeline,
@@ -670,9 +670,8 @@ impl Pipeline {
             // such failure holds it in every extension.
             let evidence =
                 |ci: usize, failures: &[Failure]| failures_attributable(failures, &impacts[ci]);
-            let reports = run_farm(
-                program,
-                topo,
+            let reports = run_farm_prepared(
+                &prepared,
                 &cfg,
                 &specs,
                 opts.trigger_jobs,

@@ -18,7 +18,14 @@
 //! A gate may also end a run early: once its outcome can no longer change,
 //! [`Gate::decided`] answers `true` and the world stops stepping. The world
 //! asks only at the points where the answer can change — after a watched
-//! `after` call and after a failure is recorded — never once per step.
+//! `after` call and after a statement that recorded failures — never once
+//! per step.
+//!
+//! The world does not keep its gate: the step loop is handed it on entry.
+//! So a run paused after a hold can be copied and go on under another gate
+//! ([`Prepared::run_forking`](crate::Prepared::run_forking)) — the trigger
+//! farm's two orderings of a pair share a run until the forced order
+//! matters.
 
 use dcatch_model::{FuncId, StmtId};
 use dcatch_trace::TaskId;
@@ -59,17 +66,18 @@ pub enum StallAction {
 
 /// Controller interface for timing manipulation.
 ///
-/// `Send` is a supertrait so that a [`World`](crate::World) holding a
-/// `&mut dyn Gate` is itself `Send`-clean: the trigger farm runs one
-/// gated world per worker thread, and every gate is plain owned data.
+/// `Send` is a supertrait so that a gated run is `Send`-clean: the trigger
+/// farm runs one gated world per worker thread, and every gate is plain
+/// owned data.
 pub trait Gate: Send {
     /// The statements the gate reacts to, at most [`MAX_WATCHED`]. The
     /// world calls [`before`](Gate::before) and [`after`](Gate::after)
     /// only for a statement in this set, so a skipped call must be one that
     /// would have returned [`GateDecision::Proceed`] and changed nothing.
-    /// The world reads the set at the start of a run and again after every
-    /// `before`, `after` and [`on_stall`](Gate::on_stall) call; the set may
-    /// change only inside those calls.
+    /// The world reads the set whenever its step loop is entered (the start
+    /// of a run, a resumed fork) and again after every `before`, `after` and
+    /// [`on_stall`](Gate::on_stall) call; the set may change only inside
+    /// those calls.
     fn watched(&self) -> &[StmtId];
 
     /// Consulted before a watched statement executes.
@@ -89,8 +97,9 @@ pub trait Gate: Send {
     /// Whether the run is decided: nothing the rest of it could do would
     /// change what its caller concludes. `failures` are the run's failures
     /// so far, in occurrence order. Asked after every watched `after` call
-    /// and after every recorded failure; on `true` the world stops the run
-    /// after the current step. The default never stops a run.
+    /// and after every statement that recorded failures (once, with all of
+    /// them); on `true` the world stops the run after the current step. The
+    /// default never stops a run.
     fn decided(&mut self, _failures: &[Failure]) -> bool {
         false
     }

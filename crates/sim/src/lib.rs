@@ -70,4 +70,4 @@ pub use gate::{Gate, GateDecision, GateEvent, NoGate, StallAction, MAX_WATCHED};
 pub use prepare::Prepared;
 pub use timeline::trace_timeline;
 pub use topology::{NodeSpec, QueueSpec, Topology, WatcherSpec};
-pub use world::{RunError, RunResult, World};
+pub use world::{Fork, RunError, RunResult, World};

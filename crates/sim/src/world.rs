@@ -42,7 +42,7 @@ impl fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// Everything a finished run produced.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// The execution trace.
     pub trace: TraceSet,
@@ -138,7 +138,7 @@ enum HandlerJob {
     Watcher,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Task {
     id: TaskId,
     node: NodeId,
@@ -294,7 +294,7 @@ struct PendingNotify {
     data: Value,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct ZkStore {
     /// path → data (present zknodes only).
     data: BTreeMap<String, Value>,
@@ -307,9 +307,14 @@ struct ZkStore {
 
 /// The simulation state and step engine. Most callers use
 /// [`World::run_once`] or [`World::run_with_gate`].
-pub struct World<'g> {
-    prep: &'g Prepared,
-    config: &'g SimConfig,
+///
+/// The gate is not part of the state: the step loop is handed one each time
+/// it is entered, so a world paused between two steps can be copied
+/// ([`Prepared::run_forking`]) and each copy go on under its own gate.
+#[derive(Clone)]
+pub struct World<'p> {
+    prep: &'p Prepared,
+    config: &'p SimConfig,
 
     rng: SmallRng,
     step: u64,
@@ -359,14 +364,13 @@ pub struct World<'g> {
     trace: TraceSet,
     /// Streaming consumer: when present, records bypass `trace` and flow
     /// into the sink as they are emitted (plus lifecycle controls).
-    sink: Option<&'g mut (dyn TraceSink + Send)>,
+    sink: SinkSlot<'p>,
     /// [`Names::generation`](dcatch_trace::Names::generation) of the table
     /// the sink was last shown.
     shown_names: usize,
     failures: Vec<Failure>,
     logs: Vec<LogLine>,
-    gate: &'g mut dyn Gate,
-    /// The statements `gate` watches, as it last said.
+    /// The statements the gate watches, as it last said.
     watch: WatchSet,
     /// The gate declared the run decided: `run_loop` stops after this step.
     decided: bool,
@@ -378,11 +382,51 @@ pub struct World<'g> {
     next_instance: u64,
     next_handle: u64,
     task_counters: Vec<u32>,
+    /// The task the last step ran (context switches are counted against it).
+    last_task: Option<usize>,
     /// `sim_steps_total` / `sim_sched_rebuilds_total` /
     /// `sim_context_switches_total`, flushed by `finish`.
     steps_executed: u64,
     sched_rebuilds: u64,
     context_switches: u64,
+}
+
+/// A world's streaming sink, if any. Only a sink-less run is ever copied
+/// (`run_forking` installs none), so a copy has no sink either.
+struct SinkSlot<'p>(Option<&'p mut (dyn TraceSink + Send)>);
+
+impl Clone for SinkSlot<'_> {
+    fn clone(&self) -> Self {
+        assert!(self.0.is_none(), "a streamed run cannot be copied");
+        SinkSlot(None)
+    }
+}
+
+/// A run paused after the step at which its gate held a task, with a copy
+/// of the gate as it was there ([`Prepared::run_forking`]).
+pub struct Fork<'p, G> {
+    world: World<'p>,
+    gate: G,
+}
+
+impl<G: Gate> Fork<'_, G> {
+    /// The gate the fork resumes under: a copy of the original's at the
+    /// pause, to adjust before [`resume`](Fork::resume).
+    pub fn gate_mut(&mut self) -> &mut G {
+        &mut self.gate
+    }
+
+    /// Steps the copy to the end under its gate. The result — clock,
+    /// failures, logs, faults — is the one a fresh run gives under a gate
+    /// that answers as the original did up to the pause and as this one
+    /// does from there. Only the
+    /// steps taken after the pause are counted (`sim_steps_total` and the
+    /// other step counters); `sim_runs_total` counts boots, not forks.
+    pub fn resume(mut self) -> (RunResult, G) {
+        let _span = dcatch_obs::span!("sim.run");
+        self.world.run_loop(&mut self.gate, false);
+        (self.world.finish(), self.gate)
+    }
 }
 
 /// What a memory access touches: a heap object of the task's node, or a
@@ -423,13 +467,52 @@ impl Prepared {
         self.run(config, gate, None)
     }
 
+    /// [`run_with_gate`](Prepared::run_with_gate), pausing after each step at
+    /// which `gate` held a task: the first time `fork_at` holds of the gate
+    /// there, the paused world and the gate are copied into a [`Fork`]
+    /// before the run goes on. A world depends on its gate only through
+    /// the gate's answers, so a fork resumed under a gate that answers as
+    /// the original would from the pause on runs as the original would
+    /// have run under it from boot.
+    pub fn run_forking<'p, G: Gate + Clone>(
+        &'p self,
+        config: &'p SimConfig,
+        gate: &mut G,
+        fork_at: impl Fn(&G) -> bool,
+    ) -> (RunResult, Option<Fork<'p, G>>) {
+        let _span = dcatch_obs::span!("sim.run");
+        let mut world = self.boot(config, None);
+        let mut fork = None;
+        while world.run_loop(gate, fork.is_none()) {
+            if fork_at(gate) {
+                fork = Some(Fork {
+                    world: world.fork(),
+                    gate: gate.clone(),
+                });
+            }
+        }
+        (world.finish(), fork)
+    }
+
     /// The one run path: a fresh `World`, booted and stepped to quiescence.
     fn run<'w>(
         &'w self,
         config: &'w SimConfig,
-        gate: &'w mut dyn Gate,
+        gate: &mut dyn Gate,
         sink: Option<&'w mut (dyn TraceSink + Send)>,
     ) -> RunResult {
+        let _span = dcatch_obs::span!("sim.run");
+        let mut world = self.boot(config, sink);
+        world.run_loop(gate, false);
+        world.finish()
+    }
+
+    /// A fresh `World` with every node set up, before its first step.
+    fn boot<'w>(
+        &'w self,
+        config: &'w SimConfig,
+        sink: Option<&'w mut (dyn TraceSink + Send)>,
+    ) -> World<'w> {
         let (cp, nodes) = (&self.cp, self.nodes.len());
         let mut world = World {
             prep: self,
@@ -457,12 +540,11 @@ impl Prepared {
             faults_injected: 0,
             mem_samples_seen: 0,
             trace: TraceSet::with_names(self.names.clone()),
-            sink,
+            sink: SinkSlot(sink),
             shown_names: 0,
             failures: Vec::new(),
             logs: Vec::new(),
-            watch: WatchSet::of(gate),
-            gate,
+            watch: WatchSet::of(&NoGate),
             decided: false,
             gate_abandoned: false,
             next_event: 0,
@@ -471,21 +553,20 @@ impl Prepared {
             next_instance: 0,
             next_handle: 0,
             task_counters: vec![0; nodes],
+            last_task: None,
             steps_executed: 0,
             sched_rebuilds: 0,
             context_switches: 0,
         };
-        let _span = dcatch_obs::span!("sim.run");
         counter!("sim_runs_total").inc();
         for node in 0..nodes {
             world.setup_node(NodeId(node as u32));
         }
-        world.run_loop();
-        world.finish()
+        world
     }
 }
 
-impl<'g> World<'g> {
+impl<'p> World<'p> {
     /// Runs `program` on `topo` with the default (no-op) gate.
     pub fn run_once(
         program: &Program,
@@ -515,7 +596,7 @@ impl<'g> World<'g> {
         program: &Program,
         topo: &Topology,
         config: SimConfig,
-        gate: &'g mut dyn Gate,
+        gate: &mut dyn Gate,
     ) -> Result<RunResult, RunError> {
         Ok(World::prepare(program, topo)?.run_with_gate(&config, gate))
     }
@@ -677,7 +758,7 @@ impl<'g> World<'g> {
     /// table grew since the sink last saw it — or to the trace.
     fn write(&mut self, rec: Record) {
         self.seq += 1;
-        match self.sink.as_mut() {
+        match self.sink.0.as_mut() {
             Some(s) => {
                 let names = self.trace.names();
                 if names.generation() != self.shown_names {
@@ -696,7 +777,7 @@ impl<'g> World<'g> {
         if !self.config.trace_enabled {
             return;
         }
-        if let Some(s) = self.sink.as_mut() {
+        if let Some(s) = self.sink.0.as_mut() {
             s.control(control);
         }
     }
@@ -704,7 +785,7 @@ impl<'g> World<'g> {
     /// Whether the streaming sink (and tracing) is active, used to skip
     /// building control payloads on the batch path.
     fn streaming(&self) -> bool {
-        self.sink.is_some() && self.config.trace_enabled
+        self.sink.0.is_some() && self.config.trace_enabled
     }
 
     /// Whether a memory access to `object` in the current top frame of `t`
@@ -799,7 +880,6 @@ impl<'g> World<'g> {
             stmt,
             msg: msg.into(),
         });
-        self.decided |= self.gate.decided(&self.failures);
     }
 
     fn kill(&mut self, t: usize, kind: RunFailureKind, msg: impl Into<String>) {
@@ -841,9 +921,24 @@ impl<'g> World<'g> {
 
     // -- main loop -----------------------------------------------------------
 
-    fn run_loop(&mut self) {
+    /// A copy of this (sink-less) world that counts only its own steps
+    /// from here on.
+    fn fork(&self) -> World<'p> {
+        World {
+            steps_executed: 0,
+            sched_rebuilds: 0,
+            context_switches: 0,
+            ..self.clone()
+        }
+    }
+
+    /// Steps under `gate` until the run ends — or, with `pause`, until a
+    /// step at which the gate held a task; returns whether it paused. The
+    /// gate's watch set is read on entry, so a resumed world follows the
+    /// gate it is handed now.
+    fn run_loop(&mut self, gate: &mut dyn Gate, pause: bool) -> bool {
         let panic_at = self.config.faults.panic_at_step.unwrap_or(u64::MAX);
-        let mut last_task: Option<usize> = None;
+        self.watch = WatchSet::of(gate);
         loop {
             if self.step >= self.config.max_steps {
                 self.failures.push(Failure {
@@ -853,7 +948,7 @@ impl<'g> World<'g> {
                     stmt: None,
                     msg: format!("exceeded {} steps", self.config.max_steps),
                 });
-                return;
+                return false;
             }
             // `>=`, not `==`: a quiescent clock jump can pass the planned step
             // without ever stopping on it
@@ -868,18 +963,18 @@ impl<'g> World<'g> {
             let mut scanned = self.rescan || self.step >= self.fault_wake;
             if scanned {
                 self.apply_due_faults();
-                self.collect_actions(false);
+                self.collect_actions(gate, false);
             } else {
                 let mut released = false;
                 for k in 0..self.held.len() {
                     let i = self.held[k];
-                    if self.gate.is_released(self.tasks[i].id) {
+                    if gate.is_released(self.tasks[i].id) {
                         self.set_state(i, TaskState::Runnable);
                         released = true;
                     }
                 }
                 if released {
-                    self.collect_actions(true);
+                    self.collect_actions(gate, true);
                     scanned = true;
                 } else {
                     self.settle();
@@ -890,7 +985,7 @@ impl<'g> World<'g> {
                 if !scanned && self.fault_wake != u64::MAX && self.fault_wake <= timer {
                     // the clock would jump to a fault event found by an
                     // earlier scan, which a reply since may have made moot
-                    self.collect_actions(true);
+                    self.collect_actions(gate, true);
                     debug_assert!(self.ready.is_empty(), "step {}", self.step);
                 }
                 let wake = timer.min(self.fault_wake);
@@ -902,8 +997,8 @@ impl<'g> World<'g> {
                 if !self.held.is_empty() {
                     self.rescan = true;
                     let held: Vec<TaskId> = self.held.iter().map(|&i| self.tasks[i].id).collect();
-                    let action = self.gate.on_stall(&held);
-                    self.watch = WatchSet::of(self.gate);
+                    let action = gate.on_stall(&held);
+                    self.watch = WatchSet::of(gate);
                     match action {
                         StallAction::Release(ids) => {
                             for id in ids {
@@ -924,23 +1019,29 @@ impl<'g> World<'g> {
                     continue;
                 }
                 self.detect_quiescence_outcome();
-                return;
+                return false;
             }
             let pick = self.rng.gen_range(self.ready.len());
-            match self.ready.get(pick) {
+            let held = match self.ready.get(pick) {
                 Action::RunTask(i) => {
-                    if last_task.is_some_and(|prev| prev != i) {
+                    if self.last_task.is_some_and(|prev| prev != i) {
                         self.context_switches += 1;
                     }
-                    last_task = Some(i);
-                    self.run_task_step(i);
+                    self.last_task = Some(i);
+                    self.run_task_step(i, gate)
                 }
-                Action::Deliver(m) => self.deliver(m),
-            }
+                Action::Deliver(m) => {
+                    self.deliver(m);
+                    false
+                }
+            };
             self.step += 1;
             self.steps_executed += 1;
             if self.decided {
-                return;
+                return false;
+            }
+            if held && pause {
+                return true;
             }
         }
     }
@@ -1051,7 +1152,7 @@ impl<'g> World<'g> {
     /// tasks still held and the earliest future fault-plan event (crash,
     /// restart, RPC-timeout deadline). Events at or past the step budget
     /// are unreachable, ignored.
-    fn collect_actions(&mut self, polled: bool) {
+    fn collect_actions(&mut self, gate: &mut dyn Gate, polled: bool) {
         let (now, budget) = (self.step, self.config.max_steps);
         let faults = &self.config.faults;
         let mut fault_wake = u64::MAX;
@@ -1063,7 +1164,7 @@ impl<'g> World<'g> {
         self.held.clear();
         for (i, t) in self.tasks.iter_mut().enumerate() {
             match t.state {
-                TaskState::HeldByGate if !polled && self.gate.is_released(t.id) => {
+                TaskState::HeldByGate if !polled && gate.is_released(t.id) => {
                     t.state = TaskState::Runnable;
                 }
                 TaskState::HeldByGate => self.held.push(i),
@@ -1294,7 +1395,7 @@ impl<'g> World<'g> {
             let Some(q) = &mut self.queues[i][q] else {
                 continue;
             };
-            if self.sink.is_some() {
+            if self.sink.0.is_some() {
                 for pe in q.iter() {
                     controls.push(StreamControl::CauseDropped {
                         key: CauseKey::EventBegin(pe.event.0),
@@ -1303,7 +1404,7 @@ impl<'g> World<'g> {
             }
             q.clear();
         }
-        if self.sink.is_some() {
+        if self.sink.0.is_some() {
             for pr in &self.rpc_pending[i] {
                 controls.push(StreamControl::CauseDropped {
                     key: CauseKey::RpcBegin(pr.rpc.0),
@@ -1477,16 +1578,17 @@ impl<'g> World<'g> {
 
     // -- task stepping ----------------------------------------------------------
 
-    /// Runs one step of task `t`.
-    fn run_task_step(&mut self, t: usize) {
+    /// Runs one step of task `t` under `gate`; returns whether the gate
+    /// held the task instead.
+    fn run_task_step(&mut self, t: usize, gate: &mut dyn Gate) -> bool {
         if self.tasks[t].state == TaskState::Idle {
             self.dispatch(t);
-            return;
+            return false;
         }
         if self.tasks[t].frames.is_empty() {
             // nothing to run (shouldn't happen); park the task
             self.set_state(t, TaskState::Done);
-            return;
+            return false;
         }
         if !self.tasks[t].begun && matches!(self.tasks[t].kind, TaskKind::Entry | TaskKind::Thread)
         {
@@ -1503,16 +1605,20 @@ impl<'g> World<'g> {
             stmt: instr.stmt,
         };
         if self.watch.contains(ev.stmt) {
-            let decision = self.gate.before(&ev);
-            self.watch = WatchSet::of(self.gate);
+            let decision = gate.before(&ev);
+            self.watch = WatchSet::of(gate);
             if decision == GateDecision::Hold {
                 self.set_state(t, TaskState::HeldByGate);
                 self.rescan = true;
-                return;
+                return true;
             }
         }
 
+        let failed = self.failures.len();
         let flow = self.exec(t, &instr.op, instr.stmt);
+        if self.failures.len() > failed {
+            self.decided |= gate.decided(&self.failures);
+        }
         match flow {
             Flow::Next => {
                 if let Some(f) = self.tasks[t].frames.last_mut() {
@@ -1531,10 +1637,11 @@ impl<'g> World<'g> {
         // controller's protocol
         let completed = !matches!(flow, Flow::Dead | Flow::Stay);
         if completed && self.watch.contains(ev.stmt) {
-            self.gate.after(&ev);
-            self.watch = WatchSet::of(self.gate);
-            self.decided |= self.gate.decided(&self.failures);
+            gate.after(&ev);
+            self.watch = WatchSet::of(gate);
+            self.decided |= gate.decided(&self.failures);
         }
+        false
     }
 
     /// Gives the idle worker `t` the next unit of work from its source

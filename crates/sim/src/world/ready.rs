@@ -37,7 +37,7 @@ pub(super) enum Timer {
     Delivery,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(super) struct ReadyList {
     /// Ready tasks, ascending.
     tasks: Vec<usize>,

@@ -44,6 +44,7 @@ pub enum Phase {
 pub type Evidence<'e> = &'e (dyn Fn(&[Failure]) -> bool + Sync);
 
 /// Gate forcing one of the two orders of a candidate pair.
+#[derive(Clone)]
 pub struct ControllerGate<'e> {
     specs: [SideSpec; 2],
     /// Index (0/1) of the party released first.
@@ -81,6 +82,24 @@ impl<'e> ControllerGate<'e> {
             request_points: [specs[0].stmt, specs[1].stmt],
             evidence,
         }
+    }
+
+    /// Index (0/1) of the side forced first.
+    pub(crate) fn first(&self) -> usize {
+        self.first
+    }
+
+    /// Makes side `first` the one released first. Until both parties are
+    /// held nothing the controller does depends on which side that is, so
+    /// a copy taken at the hold that made both requested (or earlier) may
+    /// be reordered and resumed as if it had been built with `first`.
+    pub(crate) fn reorder(&mut self, first: usize) {
+        assert!(first < 2);
+        assert!(
+            matches!(self.phase, Phase::Waiting | Phase::FirstGo),
+            "the first party has already confirmed"
+        );
+        self.first = first;
     }
 
     /// Current phase.

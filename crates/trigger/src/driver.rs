@@ -12,16 +12,20 @@
 //! stall did not force its order: it is never re-run and never evidence
 //! ([`Verdict::Harmful`]). A run that completed the forced order and has
 //! shown evidence is stopped there ([`OrderRun::decided`]): nothing it
-//! would do afterwards could change the verdict.
+//! would do afterwards could change the verdict. The two orderings share
+//! what they have in common: ordering 1 reuses ordering 0's run when the
+//! pair was never held and resumes a copy of it taken where both parties
+//! were held otherwise, with the result a fresh run would
+//! give ([`run_both_orders`]).
 //!
 //! The exploration itself lives in the [farm](crate::farm):
 //! [`trigger_candidate`] is the one-candidate wrapper, running both
-//! orderings to completion (no cancellation) on a single worker.
+//! orderings to completion (no settling) on a single worker.
 
 use dcatch_detect::Candidate;
 use dcatch_hb::HbAnalysis;
 use dcatch_model::Program;
-use dcatch_sim::{Failure, Prepared, SimConfig, Topology};
+use dcatch_sim::{Failure, Fork, Prepared, RunResult, SimConfig, Topology};
 
 use crate::controller::{ControllerGate, Evidence};
 use crate::farm::{run_farm, FarmSpec};
@@ -110,31 +114,93 @@ pub fn trigger_candidate(
     .expect("one report per spec")
 }
 
-/// Runs `plan` once with side `first` forced first, stopping once the
-/// order has executed and `evidence` holds of the failures.
-pub(crate) fn run_order(
+/// Ordering 0's run paused where both parties were held, with its
+/// controller as it was there. Until then the controller never reads which
+/// side goes first (while `Waiting` it holds, counts and abandons alike for
+/// either), so the two orderings are one run up to that point.
+pub(crate) type PairFork<'p, 'e> = Fork<'p, ControllerGate<'e>>;
+
+/// Runs `plan` with side 0 forced first, stopping once the order has
+/// executed and `evidence` holds of the failures. `config` is untraced.
+/// Returns the run, the simulator's result, and the run's [`PairFork`] —
+/// `None` when the pair was never held.
+pub(crate) fn first_order<'p, 'e>(
+    prepared: &'p Prepared,
+    config: &'p SimConfig,
+    plan: &TriggerPlan,
+    evidence: Evidence<'e>,
+) -> (OrderRun, RunResult, Option<PairFork<'p, 'e>>) {
+    let _span = dcatch_obs::span!("trigger.order");
+    let mut gate = ControllerGate::new(plan.sides, 0, evidence);
+    let (result, fork) = prepared.run_forking(config, &mut gate, ControllerGate::both_requested);
+    (order_run(&gate, &result), result, fork)
+}
+
+/// Runs ordering 1 of the plan whose ordering 0 gave `first` and `fork`.
+/// Without a fork the pair was never held and the run is shared: ordering
+/// 1's run is `first` again, with side 1 named first, and its simulator
+/// result is ordering 0's (`None` here). With one, ordering 1 resumes the
+/// fork with side 1 released first.
+pub(crate) fn second_order(
+    first: &OrderRun,
+    fork: Option<PairFork<'_, '_>>,
+) -> (OrderRun, Option<RunResult>) {
+    let _span = dcatch_obs::span!("trigger.order");
+    match fork {
+        None => {
+            dcatch_obs::counter!("trigger_runs_shared_total").inc();
+            let run = OrderRun {
+                first: 1,
+                failures: first.failures.clone(),
+                ..*first
+            };
+            count_run(&run);
+            (run, None)
+        }
+        Some(mut fork) => {
+            dcatch_obs::counter!("trigger_runs_forked_total").inc();
+            fork.gate_mut().reorder(1);
+            let (result, gate) = fork.resume();
+            (order_run(&gate, &result), Some(result))
+        }
+    }
+}
+
+/// Both orderings of `plan` as the farm runs them — ordering 1 shares or
+/// forks ordering 0's run — each with its simulator result (a shared run's
+/// is a copy of ordering 0's). They equal two fresh [`ControllerGate`] runs
+/// through [`Prepared::run_with_gate`]; the fork oracle holds them to that.
+/// `config` must be untraced.
+pub fn run_both_orders(
     prepared: &Prepared,
     config: &SimConfig,
     plan: &TriggerPlan,
-    first: usize,
     evidence: Evidence<'_>,
-) -> OrderRun {
-    let _span = dcatch_obs::span!("trigger.order");
-    dcatch_obs::counter!("trigger_order_runs_total").inc();
-    let mut cfg = config.clone();
-    cfg.trace_enabled = false;
-    let mut gate = ControllerGate::new(plan.sides, first, evidence);
-    let result = prepared.run_with_gate(&cfg, &mut gate);
-    if result.decided {
-        dcatch_obs::counter!("trigger_runs_decided_total").inc();
-    }
-    OrderRun {
-        first,
+) -> [(OrderRun, RunResult); 2] {
+    let (run0, result0, fork) = first_order(prepared, config, plan, evidence);
+    let (run1, result1) = second_order(&run0, fork);
+    let result1 = result1.unwrap_or_else(|| result0.clone());
+    [(run0, result0), (run1, result1)]
+}
+
+/// The order run a controller and its run's result describe.
+fn order_run(gate: &ControllerGate<'_>, result: &RunResult) -> OrderRun {
+    let run = OrderRun {
+        first: gate.first(),
         coordinated: gate.both_requested(),
         completed: gate.completed(),
         abandoned: gate.abandoned(),
         decided: result.decided,
-        failures: result.failures,
+        failures: result.failures.clone(),
+    };
+    count_run(&run);
+    run
+}
+
+fn count_run(run: &OrderRun) {
+    dcatch_obs::counter!("trigger_order_runs_total").inc();
+    if run.decided {
+        dcatch_obs::counter!("trigger_runs_decided_total").inc();
     }
 }
 

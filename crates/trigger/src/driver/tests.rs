@@ -3,8 +3,9 @@ use dcatch_hb::{HbAnalysis, HbConfig};
 use dcatch_model::{Expr, FuncKind, Program, ProgramBuilder};
 use dcatch_sim::{RunFailureKind, SimConfig, Topology, World};
 
-use super::{run_order, trigger_candidate, Verdict};
+use super::{trigger_candidate, Verdict};
 use crate::placement::{plan_candidate, PlacementRule};
+use crate::ControllerGate;
 
 fn setup(p: &Program, topo: &Topology) -> (SimConfig, HbAnalysis) {
     let cfg = SimConfig::default().with_seed(42).with_full_tracing();
@@ -97,8 +98,8 @@ fn order_violation_is_confirmed_harmful() {
     let (natural, natural_steps) = executed_steps(|| prepared.run_once(&untraced));
     assert!(natural.failures.is_empty());
     let any_failure = |fs: &[dcatch_sim::Failure]| !fs.is_empty();
-    let (rerun, rerun_steps) =
-        executed_steps(|| run_order(&prepared, &cfg, &report.plan, harmful.first, &any_failure));
+    let mut gate = ControllerGate::new(report.plan.sides, harmful.first, &any_failure);
+    let (rerun, rerun_steps) = executed_steps(|| prepared.run_with_gate(&untraced, &mut gate));
     assert!(rerun.decided);
     assert!(
         rerun_steps < natural_steps,

@@ -1,33 +1,36 @@
 //! Work-stealing trigger farm: parallel ordering exploration.
 //!
 //! Triggering dominates end-to-end cost (paper §6, Table 6), and each
-//! (candidate, ordering) experiment is an independent deterministic
-//! simulation — embarrassingly parallel. The farm flattens the candidate
-//! list into a job grid of `candidates × ORDERINGS`, drains it with
-//! scoped worker threads over a striped work-stealing queue, and then
-//! performs a **deterministic merge**: results are consumed in candidate
-//! order then ordering order, never in completion order, so verdicts,
-//! reports, metrics, and span trees are byte-identical for any worker
-//! count.
+//! candidate's experiments are an independent deterministic simulation —
+//! embarrassingly parallel. The farm makes one job per candidate, drains
+//! the jobs with scoped worker threads over a striped work-stealing queue,
+//! and then performs a **deterministic merge**: results are consumed in
+//! candidate order, never in completion order, so verdicts, reports,
+//! metrics, and span trees are byte-identical for any worker count.
 //!
-//! **Cancellation.** When a [`ConfirmFn`] is supplied, a job with a run
-//! that is evidence of harm publishes the ordering index in a per-candidate atomic;
-//! sibling workers consult it before starting a higher ordering of the
-//! same candidate and skip the job entirely. Crucially the merge *never
-//! reads those atomics* — it re-evaluates the (pure) evidence rule on the
-//! lower orderings' results — so cancellation only ever saves work: a
-//! higher ordering that slipped through before the flag was set is
-//! executed but invisible, its runs, metrics, and spans discarded.
-//! Ordering 0 can never be skipped, which is what makes every visible
-//! result available at merge time.
+//! **One job, both orderings.** The two orderings of a candidate are one
+//! run until both parties are held: before that the controller never reads
+//! which side goes first. So a job runs ordering 0 and copies its world
+//! where both parties were held; ordering 1 resumes that copy with the
+//! other side first ([`Fork`](dcatch_sim::Fork)), or — when the pair was
+//! never held — *is* ordering 0's run, reused without simulating it again.
+//! The direct-placement fallback run is shared or forked the same way.
+//! Each run equals a fresh one, field by field and clock for clock (the
+//! fork oracle, `tests/fork_oracle.rs`).
+//!
+//! **Settling.** When a [`ConfirmFn`] is supplied and ordering 0 already
+//! has a run that is evidence of harm, the job stops there: ordering 1
+//! never starts, so it adds no run, metric, or span, whichever worker ran
+//! the job.
 //!
 //! **Observability.** Each job runs in its own [`dcatch_obs::scope`], a
 //! private capture and metrics reading on whichever thread runs it; the
-//! merge folds *visible* jobs back into the calling thread via
+//! merge folds every job back into the calling thread via
 //! [`dcatch_obs::metrics::absorb`] and [`dcatch_obs::trace::graft`]. A
 //! pipeline report therefore carries the same counters and the same
 //! `trigger.candidate → trigger.order → sim.run` span tree whether the
-//! farm ran on one worker or eight.
+//! farm ran on one worker or eight; a shared run has its `trigger.order`
+//! span but no `sim.run` under it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -39,7 +42,7 @@ use dcatch_model::Program;
 use dcatch_sim::{Failure, Prepared, SimConfig, Topology, World};
 
 use crate::controller::Evidence;
-use crate::driver::{run_order, OrderRun, TriggerReport, Verdict};
+use crate::driver::{first_order, second_order, OrderRun, TriggerReport, Verdict};
 use crate::placement::{plan_candidate, TriggerPlan};
 
 /// Orderings explored per candidate (§5.1: both permutations of the pair).
@@ -52,10 +55,9 @@ pub const ORDERINGS: usize = 2;
 /// abandoned — so the predicate sees only failures.
 ///
 /// It must be pure, and monotone: once it holds of a failure list, it holds
-/// of every extension of that list. The merge re-evaluates it instead of
-/// trusting worker flags, and a re-run is stopped as soon as it holds of a
-/// completed run's failures so far, on the promise that the failures the
-/// rest of the run would add cannot take the evidence back.
+/// of every extension of that list. A re-run is stopped as soon as it holds
+/// of a completed run's failures so far, on the promise that the failures
+/// the rest of the run would add cannot take the evidence back.
 pub type ConfirmFn<'a> = &'a (dyn Fn(usize, &[Failure]) -> bool + Sync);
 
 /// Work description for one candidate: the placement plan plus the naive
@@ -83,26 +85,13 @@ impl FarmSpec {
 /// One job's harvest: the runs plus the observability its scope captured.
 struct JobOutcome {
     runs: Vec<OrderRun>,
+    /// The deadline passed before an ordering the job needed could start.
+    cancelled: bool,
     metrics: dcatch_obs::MetricsSnapshot,
     spans: dcatch_obs::SpanNode,
 }
 
-/// Explores every spec's orderings on up to `jobs` worker threads and
-/// returns one [`TriggerReport`] per spec, in spec order.
-///
-/// With `confirm` set, orderings above the first one with a run that is
-/// evidence are cancelled (cooperatively, see the module docs) and
-/// excluded from the report either way — so the report, the absorbed
-/// metrics, and the grafted spans are identical for any `jobs`, one
-/// included. `None` counts any failure as evidence and explores every
-/// ordering. Either way each run stops once it is evidence
-/// ([`OrderRun::decided`]).
-///
-/// With `deadline` set, jobs that would start after the instant are
-/// skipped entirely and their candidates' reports come back with
-/// [`TriggerReport::cancelled`] set. This rung is inherently wall-clock
-/// dependent — it is the resource governor's time budget, not part of the
-/// deterministic contract above.
+/// [`run_farm_prepared`] on `program` and `topo`, prepared here.
 pub fn run_farm(
     program: &Program,
     topo: &Topology,
@@ -115,38 +104,58 @@ pub fn run_farm(
     if specs.is_empty() {
         return Vec::new(); // nothing to re-run: nothing to prepare
     }
+    let prepared = World::prepare(program, topo).expect("triggering re-run must start");
+    run_farm_prepared(&prepared, config, specs, jobs, confirm, deadline)
+}
+
+/// Explores every spec's orderings, one job per spec on up to `jobs`
+/// worker threads, and returns one [`TriggerReport`] per spec, in spec
+/// order. `config` is the traced run's; the re-runs are untraced.
+///
+/// With `confirm` set, a candidate whose ordering 0 has a run that is
+/// evidence is settled there: ordering 1 is not explored. `None` counts
+/// any failure as evidence and explores every ordering. Either way each
+/// run stops once it is evidence ([`OrderRun::decided`]). The report, the
+/// absorbed metrics, and the grafted spans are identical for any `jobs`,
+/// one included.
+///
+/// With `deadline` set, an ordering that would start after the instant is
+/// skipped, and its candidate's report comes back with
+/// [`TriggerReport::cancelled`] set. This rung is inherently wall-clock
+/// dependent — it is the resource governor's time budget, not part of the
+/// deterministic contract above.
+pub fn run_farm_prepared(
+    prepared: &Prepared,
+    config: &SimConfig,
+    specs: &[FarmSpec],
+    jobs: usize,
+    confirm: Option<ConfirmFn<'_>>,
+    deadline: Option<Instant>,
+) -> Vec<TriggerReport> {
     let any_failure = |_: usize, failures: &[Failure]| shows_harm(failures);
     let evidence = confirm.unwrap_or(&any_failure);
-    let total = specs.len() * ORDERINGS;
-    // validated and compiled once for every re-run on every worker
-    let prepared = World::prepare(program, topo).expect("triggering re-run must start");
-    // lowest ordering that confirmed each candidate; purely a work-skip
-    // hint for sibling workers — the merge below never reads it
-    let confirmed: Vec<AtomicUsize> = specs.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
-    let mut outcomes = steal_map(jobs, total, |i| {
-        let (c, o) = (i / ORDERINGS, i % ORDERINGS);
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return None; // time budget exhausted: skip, report as cancelled
-        }
-        if confirm.is_some() && confirmed[c].load(Ordering::Relaxed) < o {
-            return None; // a lower ordering already settled this candidate
-        }
-        let (runs, metrics, spans) = dcatch_obs::scope("trigger.job", || {
-            explore_ordering(&prepared, config, &specs[c], o, &|fs| evidence(c, fs))
+    let mut untraced = config.clone();
+    untraced.trace_enabled = false;
+    let mut outcomes = steal_map(jobs, specs.len(), |c| {
+        let ((runs, cancelled), metrics, spans) = dcatch_obs::scope("trigger.job", || {
+            explore(
+                prepared,
+                &untraced,
+                &specs[c],
+                &|fs| evidence(c, fs),
+                confirm.is_some(),
+                deadline,
+            )
         });
-        if confirm.is_some() && any_evidence(&runs, |fs| evidence(c, fs)) {
-            confirmed[c].fetch_min(o, Ordering::Relaxed);
-        }
         Some(JobOutcome {
             runs,
+            cancelled,
             metrics,
             spans,
         })
     });
 
-    // Deterministic merge: candidate-major, ordering-minor. Visibility of
-    // ordering `o` depends only on whether a lower ordering's results
-    // confirm — a property of the (deterministic) runs, not of timing.
+    // Deterministic merge, in candidate order.
     specs
         .iter()
         .enumerate()
@@ -155,27 +164,11 @@ pub fn run_farm(
             dcatch_obs::counter!("trigger_attempts_total").inc();
             dcatch_obs::counter!("trigger_placement_rules_total")
                 .add(spec.plan.rules.iter().map(Vec::len).sum::<usize>() as u64);
-            let mut runs: Vec<OrderRun> = Vec::new();
-            let mut cancelled = false;
-            for o in 0..ORDERINGS {
-                // A confirm-skipped job is never reached here: the settle
-                // break below fires on the lower ordering first. So a
-                // missing outcome can only mean the deadline skipped it.
-                let Some(outcome) = outcomes[c * ORDERINGS + o].take() else {
-                    cancelled = true;
-                    break;
-                };
-                let settles =
-                    confirm.is_some() && any_evidence(&outcome.runs, |fs| evidence(c, fs));
-                dcatch_obs::metrics::absorb(&outcome.metrics);
-                dcatch_obs::trace::graft(&outcome.spans);
-                runs.extend(outcome.runs);
-                if settles {
-                    break; // higher orderings are invisible, ran or not
-                }
-            }
-            let verdict = classify(&runs, |fs| evidence(c, fs));
-            if !cancelled {
+            let outcome = outcomes[c].take().expect("every job returns an outcome");
+            dcatch_obs::metrics::absorb(&outcome.metrics);
+            dcatch_obs::trace::graft(&outcome.spans);
+            let verdict = classify(&outcome.runs, |fs| evidence(c, fs));
+            if !outcome.cancelled {
                 match verdict {
                     Verdict::Serial => dcatch_obs::counter!("trigger_verdict_serial_total").inc(),
                     Verdict::BenignRace => {
@@ -187,15 +180,15 @@ pub fn run_farm(
             TriggerReport {
                 verdict,
                 plan: spec.plan.clone(),
-                runs,
-                cancelled,
+                runs: outcome.runs,
+                cancelled: outcome.cancelled,
             }
         })
         .collect()
 }
 
-/// The [`Verdict`] rule over a candidate's visible runs: **Serial** when
-/// none coordinated both parties, **Harmful** when one is evidence of harm
+/// The [`Verdict`] rule over a candidate's runs: **Serial** when none
+/// coordinated both parties, **Harmful** when one is evidence of harm
 /// ([`any_evidence`]), **BenignRace** otherwise.
 fn classify(runs: &[OrderRun], evidence: impl Fn(&[Failure]) -> bool) -> Verdict {
     if !runs.iter().any(|r| r.coordinated) {
@@ -223,23 +216,51 @@ fn shows_harm(failures: &[Failure]) -> bool {
     !failures.is_empty()
 }
 
-/// One ordering of one candidate: the planned run, plus the naive direct
-/// placement as a fallback when the plan fails to coordinate.
-fn explore_ordering(
+/// One candidate's job: ordering 0 — the planned run, plus the naive direct
+/// placement as a fallback when the plan fails to coordinate — then, unless
+/// `settle` finds evidence in it, ordering 1 run for run from ordering 0's
+/// (shared or forked). Returns the runs and whether the deadline cut the
+/// exploration short.
+fn explore(
     prepared: &Prepared,
-    config: &SimConfig,
+    untraced: &SimConfig,
     spec: &FarmSpec,
-    first: usize,
     evidence: Evidence<'_>,
-) -> Vec<OrderRun> {
-    let run = run_order(prepared, config, &spec.plan, first, evidence);
-    match &spec.direct {
-        Some(direct) if !run.coordinated => {
-            dcatch_obs::counter!("trigger_direct_fallbacks_total").inc();
-            vec![run, run_order(prepared, config, direct, first, evidence)]
-        }
-        _ => vec![run],
+    settle: bool,
+    deadline: Option<Instant>,
+) -> (Vec<OrderRun>, bool) {
+    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+    if expired() {
+        return (Vec::new(), true);
     }
+    let mut runs = Vec::new();
+    let mut forks = Vec::new();
+    for plan in std::iter::once(&spec.plan).chain(&spec.direct) {
+        if !runs.is_empty() {
+            dcatch_obs::counter!("trigger_direct_fallbacks_total").inc();
+        }
+        let (run, _, fork) = first_order(prepared, untraced, plan, evidence);
+        let coordinated = run.coordinated;
+        runs.push(run);
+        forks.push(fork);
+        if coordinated {
+            break;
+        }
+    }
+    if settle && any_evidence(&runs, evidence) {
+        return (runs, false);
+    }
+    if expired() {
+        return (runs, true);
+    }
+    for (k, fork) in forks.into_iter().enumerate() {
+        if k > 0 {
+            dcatch_obs::counter!("trigger_direct_fallbacks_total").inc();
+        }
+        let (run, _) = second_order(&runs[k], fork);
+        runs.push(run);
+    }
+    (runs, false)
 }
 
 /// Runs `total` independent index-addressed jobs on up to `jobs` scoped

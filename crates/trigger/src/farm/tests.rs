@@ -6,6 +6,7 @@ use dcatch_model::{Expr, FuncKind, LoopId, NodeId, Program, ProgramBuilder};
 use dcatch_sim::{Failure, RunFailureKind, SimConfig, Topology, World};
 
 use super::{classify, run_farm, shows_harm, steal_map, FarmSpec, OrderRun, Verdict, ORDERINGS};
+use crate::ControllerGate;
 
 #[test]
 fn steal_map_runs_every_index_once_in_index_order() {
@@ -97,11 +98,11 @@ fn run_farm_is_invariant_in_worker_count() {
     }
 }
 
-/// With a confirm predicate that settles on the first ordering, the second
-/// ordering is cancelled (or executed-but-discarded) — either way it must
-/// contribute nothing: no run in the report, no absorbed metrics. The
-/// settling run itself is evidence as soon as its order completes, so it
-/// stops there.
+/// With a confirm predicate that settles on the first ordering, the job
+/// stops after ordering 0: ordering 1 never runs, so it adds no run to the
+/// report and no metric or span to the caller's — whichever worker count
+/// ran the job. The settling run itself is evidence as soon as its order
+/// completes, so it stops there.
 #[test]
 fn cancelled_orderings_contribute_no_runs_and_no_metrics() {
     let (p, topo, cfg, hb) = two_race_setup();
@@ -112,35 +113,150 @@ fn cancelled_orderings_contribute_no_runs_and_no_metrics() {
 
     for jobs in [1, 2] {
         let before = dcatch_obs::metrics::snapshot();
+        dcatch_obs::trace::begin_capture("test");
         let reports = run_farm(&p, &topo, &cfg, &specs, jobs, Some(&confirm), None);
+        let tree = dcatch_obs::trace::end_capture();
         let delta = dcatch_obs::metrics::snapshot().delta_since(&before);
         let report = &reports[0];
-        assert!(
-            report.runs.iter().all(|r| r.first == 0),
-            "jobs={jobs}: only ordering 0 may be visible: {report:#?}"
-        );
-        assert!(report.runs.iter().all(|r| r.decided), "{report:#?}");
-        assert_eq!(
-            delta.counters.get("trigger_runs_decided_total"),
-            Some(&1),
-            "jobs={jobs}"
-        );
-        assert_eq!(
-            delta.counters.get("trigger_order_runs_total"),
-            Some(&1),
-            "jobs={jobs}: exactly the one visible order run is absorbed"
-        );
+        assert!(!report.cancelled);
+        assert_eq!(report.runs.len(), 1, "jobs={jobs}: {report:#?}");
+        assert_eq!(report.runs[0].first, 0, "jobs={jobs}");
+        assert!(report.runs[0].decided, "{report:#?}");
+        for (counter, n) in [
+            ("trigger_order_runs_total", 1),
+            ("trigger_runs_decided_total", 1),
+            ("sim_runs_total", 1),
+            ("trigger_runs_forked_total", 0),
+            ("trigger_runs_shared_total", 0),
+        ] {
+            assert_eq!(delta.counter(counter), n, "jobs={jobs}: {counter}");
+        }
+        let order = tree
+            .child("trigger.candidate")
+            .and_then(|c| c.child("trigger.order"))
+            .expect("the order span grafts under its candidate");
+        assert_eq!(order.count, 1, "jobs={jobs}: one ordering ran");
+        assert_eq!(order.child("sim.run").map(|s| s.count), Some(1));
     }
 
-    // without confirm, the same candidate explores both orderings
+    // without confirm, the same candidate explores both orderings: the
+    // pair is held, so ordering 1 resumes a fork of ordering 0's run
     let before = dcatch_obs::metrics::snapshot();
     let reports = run_farm(&p, &topo, &cfg, &specs, 1, None, None);
     let delta = dcatch_obs::metrics::snapshot().delta_since(&before);
     assert_eq!(reports[0].runs.len(), ORDERINGS);
-    assert_eq!(delta.counters.get("trigger_order_runs_total"), Some(&2));
+    assert_eq!(delta.counter("trigger_order_runs_total"), 2);
+    assert_eq!(delta.counter("trigger_runs_forked_total"), 1);
+    assert_eq!(delta.counter("sim_runs_total"), 1, "one boot for both");
     // a benign race shows no failure: no run is decided, each runs out
     assert!(reports[0].runs.iter().all(|r| !r.decided));
     assert_eq!(delta.counter("trigger_runs_decided_total"), 0);
+}
+
+/// A consumer spins on a flag its producer sets after writing the data: a
+/// `data` pair the HB model calls concurrent but no controller can hold
+/// together (the paper's "serial" category).
+fn never_held_setup() -> (Program, Topology, SimConfig, HbAnalysis) {
+    let mut pb = ProgramBuilder::new();
+    pb.func("main", &[], FuncKind::Regular, |b| {
+        b.spawn_detached("producer", vec![]);
+        b.spawn_detached("consumer", vec![]);
+    });
+    pb.func("producer", &[], FuncKind::Regular, |b| {
+        b.write("data", Expr::val(7));
+        b.write("flag", Expr::val(true));
+    });
+    pb.func("consumer", &[], FuncKind::Regular, |b| {
+        b.assign("go", Expr::val(false));
+        b.retry_while(Expr::local("go").not(), |b| {
+            b.read("f", "flag");
+            b.assign("go", Expr::local("f"));
+        });
+        b.read("d", "data");
+    });
+    let p = pb.build().expect("custom-sync program builds");
+    let mut topo = Topology::new();
+    topo.node("n").entry("main", vec![]);
+    let cfg = SimConfig::default().with_seed(42).with_full_tracing();
+    let run = World::run_once(&p, &topo, cfg.clone()).expect("base run starts");
+    let hb = HbAnalysis::build(run.trace, &HbConfig::default()).expect("hb builds");
+    (p, topo, cfg, hb)
+}
+
+/// A pair that is never held leaves the controller `Waiting`, where it
+/// never reads which side goes first: both orderings are one run. The farm
+/// executes it once and reports it twice, and the reused run is the one a
+/// fresh run with side 1 first gives.
+#[test]
+fn a_never_held_pair_gives_two_identical_runs_and_executes_one() {
+    let (p, topo, cfg, hb) = never_held_setup();
+    let candidates = find_candidates(&hb);
+    let c = candidates
+        .iter()
+        .find(|c| c.object() == "data")
+        .expect("data candidate");
+    let specs = [FarmSpec::new(c, &hb)];
+    let before = dcatch_obs::metrics::snapshot();
+    dcatch_obs::trace::begin_capture("test");
+    let reports = run_farm(&p, &topo, &cfg, &specs, 1, None, None);
+    let tree = dcatch_obs::trace::end_capture();
+    let delta = dcatch_obs::metrics::snapshot().delta_since(&before);
+    let runs = &reports[0].runs;
+    assert_eq!(reports[0].verdict, Verdict::Serial, "{:#?}", reports[0]);
+    let half = runs.len() / 2;
+    assert!(half >= 1 && runs.len() == 2 * half, "{runs:#?}");
+    for (r0, r1) in runs[..half].iter().zip(&runs[half..]) {
+        assert_eq!((r0.first, r1.first), (0, 1));
+        assert!(!r0.coordinated, "{r0:#?}");
+        assert_eq!(
+            format!(
+                "{:?}",
+                OrderRun {
+                    first: 1,
+                    failures: r0.failures.clone(),
+                    ..*r0
+                }
+            ),
+            format!("{r1:?}"),
+            "ordering 1 is ordering 0's run"
+        );
+    }
+    assert_eq!(delta.counter("trigger_order_runs_total"), runs.len() as u64);
+    assert_eq!(delta.counter("trigger_runs_shared_total"), half as u64);
+    assert_eq!(delta.counter("trigger_runs_forked_total"), 0);
+    assert_eq!(
+        delta.counter("sim_runs_total"),
+        half as u64,
+        "executed once"
+    );
+    let order = tree
+        .child("trigger.candidate")
+        .and_then(|c| c.child("trigger.order"))
+        .expect("order spans");
+    assert_eq!(
+        order.count,
+        runs.len() as u64,
+        "a shared run keeps its span"
+    );
+    assert_eq!(order.child("sim.run").map(|s| s.count), Some(half as u64));
+
+    // the reused run is what a fresh run with side 1 first gives
+    let prepared = World::prepare(&p, &topo).expect("program prepares");
+    let untraced = SimConfig {
+        trace_enabled: false,
+        ..cfg
+    };
+    let mut gate = ControllerGate::new(reports[0].plan.sides, 1, &shows_harm);
+    let fresh = prepared.run_with_gate(&untraced, &mut gate);
+    assert_eq!(fresh.failures, runs[half].failures);
+    assert_eq!(
+        (gate.both_requested(), gate.completed(), gate.abandoned()),
+        (
+            runs[half].coordinated,
+            runs[half].completed,
+            runs[half].abandoned
+        )
+    );
 }
 
 /// An already-expired deadline skips every job; each report comes back

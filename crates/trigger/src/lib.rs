@@ -30,6 +30,6 @@ mod farm;
 mod placement;
 
 pub use controller::{ControllerGate, Evidence, Phase, SideSpec};
-pub use driver::{trigger_candidate, OrderRun, TriggerReport, Verdict};
-pub use farm::{run_farm, steal_map, ConfirmFn, FarmSpec, ORDERINGS};
+pub use driver::{run_both_orders, trigger_candidate, OrderRun, TriggerReport, Verdict};
+pub use farm::{run_farm, run_farm_prepared, steal_map, ConfirmFn, FarmSpec, ORDERINGS};
 pub use placement::{plan_candidate, PlacementRule, TriggerPlan};

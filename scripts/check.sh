@@ -132,7 +132,9 @@ echo "== interpreter oracles, release build =="
 # and the allocation bounds run in it too
 cargo test --offline --release -q -p dcatch-sim --lib --test step_oracle --test semantics \
     --test fault_fuzz --test sched_work --test alloc_budget
-cargo test --offline --release -q -p dcatch --test trigger_farm --test triggering
+# the fork oracle: a shared or forked ordering equals a fresh run
+cargo test --offline --release -q -p dcatch --test trigger_farm --test triggering \
+    --test fork_oracle
 
 echo "== answer corpus, release build =="
 # debug-only assertions compile out here; the answers must not move

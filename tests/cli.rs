@@ -165,12 +165,23 @@ fn readme_documents_every_flag() {
 
 /// A zero `--timeout` raced each run against its own watchdog, so it is
 /// refused, pointing at `--time-budget 0`; a zero `--jobs`,
-/// `--trigger-jobs` or `--count` is refused instead of read as 1.
+/// `--trigger-jobs` or `--count` is refused instead of read as 1, a zero
+/// `--scale` instead of running the workload with its scaled loops removed,
+/// a zero `--records` instead of streaming a minimum-length trace, and a
+/// zero `--stream-window` instead of a window that keeps one entry.
 #[test]
 fn a_zero_timeout_or_count_is_refused() {
     let mut refused = 0;
     for command in COMMANDS {
-        for flag in ["--timeout", "--jobs", "--trigger-jobs", "--count"] {
+        for flag in [
+            "--timeout",
+            "--jobs",
+            "--trigger-jobs",
+            "--count",
+            "--scale",
+            "--records",
+            "--stream-window",
+        ] {
             if command.flags.iter().all(|f| f.name != flag) {
                 continue;
             }
@@ -190,6 +201,8 @@ fn a_zero_timeout_or_count_is_refused() {
         }
     }
     // --timeout on detect, synth and faults; --jobs on detect and synth;
-    // --trigger-jobs on all three; --count on synth
-    assert_eq!(refused, 9);
+    // --trigger-jobs on all three; --count on synth; --scale on detect,
+    // stats, trace, timeline and faults; --records on streambench;
+    // --stream-window on detect and streambench
+    assert_eq!(refused, 17);
 }
