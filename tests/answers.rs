@@ -42,6 +42,8 @@ const COMMANDS: &[&str] = &[
     "trace MR-4637 --full-tracing --scale 4",
     "trace ZK-1144 --full-tracing --scale 4",
     "trace ZK-1270 --full-tracing --scale 4",
+    "stats MR-3274",
+    "stats MR-4637 --json --full-tracing --scale 4",
     "streambench --records 200000 --json",
     "timeline HB-4729",
     "explain CA-1011 ca_phase --json",
