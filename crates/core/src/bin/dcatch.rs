@@ -10,6 +10,7 @@
 //! dcatch faults      <BUG-ID|all> [flags]
 //! dcatch synth       [flags]
 //! dcatch streambench [flags]
+//! dcatch tables      <N> [flags]
 //! ```
 //!
 //! Each subcommand's flags are one table in [`dcatch::cli`]: `dcatch
@@ -49,6 +50,9 @@
 //! into an `OnlineDetector` (no materialized trace) and reports records,
 //! window peak, retirements, and the resident-memory estimate. Exit code
 //! 2 if the planted racer pair is not the sole surviving candidate.
+//!
+//! `tables N` prints Table N (1..9) of the paper's evaluation (§7) as
+//! regenerated on the miniatures; tables 6 and 8 print wall-clock columns.
 //!
 //! `detect` exit codes (worst across the batch wins; documented in the
 //! README):
@@ -130,6 +134,7 @@ fn main() -> ExitCode {
         "faults" => faults,
         "synth" => synth,
         "streambench" => streambench,
+        "tables" => tables,
         other => unreachable!("no subcommand `{other}`"),
     };
     dcatch_obs::trace::set_verbose(parsed.on("--verbose"));
@@ -857,7 +862,7 @@ fn run_one(p: &Parsed) -> Result<(dcatch::Benchmark, dcatch::RunResult), String>
 fn stats(p: &Parsed) -> Cmd {
     let (b, run) = run_one(p)?;
     let s = TraceStats::of(run.trace.records());
-    let bytes = run.trace.to_lines().len();
+    let bytes = run.trace.byte_size();
     if p.on("--json") {
         let doc = Json::obj([
             ("schema_version", Json::UInt(SCHEMA_VERSION)),
@@ -1097,4 +1102,30 @@ fn streambench(p: &Parsed) -> Cmd {
         if planted_found { "FOUND" } else { "MISSING" },
     );
     Ok(code)
+}
+
+/// `dcatch tables <N>` — Table N of the paper's evaluation. A flag the
+/// table does not read is refused, as is a malformed value; a failed
+/// pipeline run exits with its `detect` code.
+fn tables(p: &Parsed) -> Cmd {
+    let arg = &p.positionals[0];
+    let n = arg.parse().ok().filter(|n| (1..=9).contains(n));
+    let n: u8 = n.ok_or_else(|| format!("no table `{arg}`: the paper's are 1 to 9"))?;
+    for (flag, readers) in dcatch::tables::FLAGS {
+        if p.on(flag) && !readers.contains(&n) {
+            return Err(format!("table {n} does not read `{flag}`"));
+        }
+    }
+    let scale = p.get::<NonZeroU32>("--scale")?.map(NonZeroU32::get);
+    let reachability = p.str("--reachability").map(str::parse).transpose()?;
+    match dcatch::tables::table(n, scale, reachability) {
+        Ok(text) => {
+            outln!("{text}");
+            Ok(ExitCode::SUCCESS)
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            Ok(ExitCode::from(e.exit_code()))
+        }
+    }
 }

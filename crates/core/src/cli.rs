@@ -146,6 +146,11 @@ pub static COMMANDS: &[Command] = {
             valued("--fault-plan-out", "FILE", "write the one scenario's fault plan to FILE"),
             JOBS, TRIGGER_JOBS, TIMEOUT, MEM_BUDGET, TIME_BUDGET, RESUME, VERBOSE, JSON, OUT,
         ] },
+        Command { name: "tables", positionals: &["<N>"], flags: &[
+            valued("--scale", "N", "workload scale of tables 6, 7 and 8 (default 160)"),
+            valued("--reachability", "E",
+                   "index of tables 6 and 8: auto|matrix|clocks (default auto / matrix)"),
+        ] },
         Command { name: "streambench", positionals: &[], flags: &[
             valued("--records", "N", "trace length to stream").or("1000000"),
             STREAM_WINDOW,

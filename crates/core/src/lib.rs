@@ -41,6 +41,7 @@ pub mod profile;
 mod report;
 pub mod report_json;
 pub mod synth;
+pub mod tables;
 
 pub use pipeline::{parse_bytes, run_bounded, Pipeline, PipelineError, PipelineOptions};
 pub use profile::{profile_json, profile_timeline};

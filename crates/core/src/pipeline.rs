@@ -109,10 +109,11 @@ pub struct PipelineOptions {
     pub loop_sync: bool,
     /// Run the triggering module on every surviving candidate (§5).
     pub triggering: bool,
-    /// Worker threads for the triggering farm: (candidate, ordering) jobs
-    /// are explored concurrently, with orderings past the first confirmed
-    /// one cancelled cooperatively. Output is byte-identical for any
-    /// value. Default 1.
+    /// Worker threads for the triggering farm: one job per candidate,
+    /// which runs ordering 0 and then, unless that settled the candidate,
+    /// ordering 1 from ordering 0's run (reused, or a copy resumed where
+    /// both parties were held). Output is byte-identical for any value.
+    /// Default 1.
     pub trigger_jobs: usize,
     /// Measure the un-traced base run (Table 6's "Base" column).
     pub measure_base: bool,

@@ -416,42 +416,6 @@ impl HbAnalysis {
         Some(chain)
     }
 
-    /// Renders the HB graph in Graphviz DOT form for debugging, with one
-    /// cluster per task and edges labelled by rule. Intended for the small
-    /// selective traces; `max_vertices` guards against dumping a full
-    /// trace by accident.
-    pub fn to_dot(&self, max_vertices: usize) -> String {
-        use std::fmt::Write as _;
-        let n = self.trace.len().min(max_vertices);
-        let mut out =
-            String::from("digraph hb {\n  rankdir=TB;\n  node [shape=box, fontsize=9];\n");
-        let mut by_task: BTreeMap<_, Vec<usize>> = BTreeMap::new();
-        for (i, r) in self.trace.records().iter().take(n).enumerate() {
-            by_task.entry(r.task).or_default().push(i);
-        }
-        for (task, verts) in &by_task {
-            let _ = writeln!(out, "  subgraph \"cluster_{task}\" {{");
-            let _ = writeln!(out, "    label=\"{task}\";");
-            for &v in verts {
-                let r = &self.trace.records()[v];
-                let stmt = (self.trace.names().leaf(r.stack))
-                    .map(|s| s.to_string())
-                    .unwrap_or_else(|| "-".to_owned());
-                let _ = writeln!(out, "    v{v} [label=\"#{v} {} {stmt}\"];", r.kind.tag());
-            }
-            let _ = writeln!(out, "  }}");
-        }
-        for v in 0..n {
-            for (t, rule) in self.successors(v) {
-                if t < n {
-                    let _ = writeln!(out, "  v{v} -> v{t} [label=\"{rule:?}\", fontsize=8];");
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Adds extra edges (e.g. inferred `Mpull`/loop-sync causality) and
     /// folds each one into the reachability index incrementally — no
     /// rebuild.

@@ -529,21 +529,3 @@ fn edge_and_vertex_counts() {
     assert_eq!(a.successors(0).count(), 1);
     assert_eq!(a.predecessors(1).len(), 1);
 }
-
-#[test]
-fn dot_export_contains_clusters_and_labelled_edges() {
-    let parent = task(0, 0);
-    let child = task(0, 1);
-    let a = build(vec![
-        rec(0, parent, ExecCtx::Regular, OpKind::ThreadCreate { child }),
-        rec(1, child, ExecCtx::Regular, OpKind::ThreadBegin),
-    ]);
-    let dot = a.to_dot(100);
-    assert!(dot.starts_with("digraph hb {"));
-    assert!(dot.contains("cluster_n0.t0"));
-    assert!(dot.contains("cluster_n0.t1"));
-    assert!(dot.contains("label=\"Fork\""));
-    // the vertex cap truncates output
-    let capped = a.to_dot(1);
-    assert!(!capped.contains("v0 -> v1"));
-}

@@ -404,7 +404,9 @@ pub fn record_len(r: &Record, names: &Names) -> usize {
 }
 
 /// Parses one line produced by [`format_record`], interning its names and
-/// callstack into `names`.
+/// callstack into `names`. Nothing reads trace text back in a run: this is
+/// the round-trip oracle the tests hold [`format_record`] to, so a change
+/// to the line format cannot drop or merge a field unnoticed.
 pub fn parse_record(line: &str, names: &mut Names) -> Result<Record, FormatError> {
     let fields: Vec<&str> = line.split('|').collect();
     if fields.len() != 6 {

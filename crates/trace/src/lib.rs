@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod files;
 mod format;
 mod ids;
 mod names;
@@ -36,7 +35,6 @@ mod set;
 mod stats;
 mod stream;
 
-pub use files::{read_per_task_files, write_per_task_files};
 pub use format::{format_record, parse_record, record_len, FormatError};
 pub use ids::{
     EventId, ExecCtx, HandlerKind, Key, Location, LockRef, MemLoc, MemSpace, MsgId, RpcId, TaskId,

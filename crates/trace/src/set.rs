@@ -119,16 +119,6 @@ impl TraceSet {
             .map(|(e, (n, q))| (*e, *n, q.as_str()))
     }
 
-    /// Indices of records belonging to `task`, in order.
-    pub fn task_records(&self, task: TaskId) -> Vec<usize> {
-        self.records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.task == task)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// All distinct tasks appearing in the trace, ordered.
     pub fn tasks(&self) -> Vec<TaskId> {
         let mut tasks: Vec<TaskId> = self.records.iter().map(|r| r.task).collect();
@@ -283,13 +273,6 @@ mod tests {
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.mem_access_indices(), vec![0, 1]);
         assert_eq!(ts.tasks().len(), 3);
-        assert_eq!(
-            ts.task_records(TaskId {
-                node: NodeId(0),
-                index: 1
-            }),
-            vec![1]
-        );
         assert_eq!(ts.count_tag("wr"), 1);
     }
 

@@ -23,8 +23,8 @@
 #                             # crates' public items and runs its tests:
 #                             # all four workloads at --size smoke
 #
-# "Same answers" are the tests `answers` (dcatch) and `tables`
-# (dcatch-bench): a moved answer is written to target/answers/.
+# "Same answers" is the test `answers` (dcatch), the paper's timing-free
+# tables included: a moved answer is written to target/answers/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -139,7 +139,6 @@ cargo test --offline --release -q -p dcatch --test trigger_farm --test triggerin
 echo "== answer corpus, release build =="
 # debug-only assertions compile out here; the answers must not move
 cargo test --offline --release -q -p dcatch --test answers
-cargo test --offline --release -q -p dcatch-bench --test tables
 
 echo "== clock engines and their oracles, release build =="
 # likewise: in debug every record a `FrontierEngine` places asserts that its

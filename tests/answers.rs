@@ -4,7 +4,8 @@
 //! `tests/answers/<slug>`. The list takes both indexes, every governor
 //! rung, every `--streaming` variant, the `--timeout` thread, every record
 //! kind of the seven miniatures (full traces, stored as FNV-1a digests)
-//! and `explain` on every object `detect all` reports. The one scrub is
+//! `explain` on every object `detect all` reports, `stats`, and the
+//! paper's tables that print no wall-clock column. The one scrub is
 //! streambench's wall-clock `elapsed_ns`. A moved answer is written to
 //! `target/answers/`; re-blessing it is copying that file over the
 //! committed one.
@@ -45,6 +46,13 @@ const COMMANDS: &[&str] = &[
     "stats MR-3274",
     "stats MR-4637 --json --full-tracing --scale 4",
     "streambench --records 200000 --json",
+    "tables 1",
+    "tables 2",
+    "tables 3",
+    "tables 4",
+    "tables 5",
+    "tables 7", // 6 and 8 print wall-clock columns
+    "tables 9",
     "timeline HB-4729",
     "explain CA-1011 ca_phase --json",
     "explain CA-1011 token_map --json",

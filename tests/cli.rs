@@ -35,6 +35,7 @@ fn command(name: &str) -> &'static cli::Command {
 fn sample(metavar: &str) -> &'static str {
     match metavar {
         "<OBJECT>" => "jMap",
+        "<N>" => "7",
         _ => "MR-3274",
     }
 }
@@ -202,7 +203,36 @@ fn a_zero_timeout_or_count_is_refused() {
     }
     // --timeout on detect, synth and faults; --jobs on detect and synth;
     // --trigger-jobs on all three; --count on synth; --scale on detect,
-    // stats, trace, timeline and faults; --records on streambench;
+    // stats, trace, timeline, faults and tables; --records on streambench;
     // --stream-window on detect and streambench
-    assert_eq!(refused, 17);
+    assert_eq!(refused, 18);
+}
+
+/// `tables` names one of the paper's nine tables, and takes only the
+/// flags that table reads, with a well-formed value: `table6 abc` used to
+/// run at the default scale and `table8 160 bogus` to panic.
+#[test]
+fn tables_refuses_a_table_or_flag_it_does_not_have() {
+    for (args, why) in [
+        (&["tables", "0"][..], "no table `0`"),
+        (&["tables", "10"], "no table `10`"),
+        (
+            &["tables", "4", "--scale", "8"],
+            "table 4 does not read `--scale`",
+        ),
+        (
+            &["tables", "6", "--scale", "abc"],
+            "invalid value `abc` for `--scale`",
+        ),
+        (
+            &["tables", "6", "--reachability", "bogus"],
+            "unknown reachability engine `bogus`",
+        ),
+    ] {
+        let output = dcatch(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(why), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?}");
+    }
 }
