@@ -138,7 +138,7 @@ cargo test --offline --release -q -p dcatch --test trigger_farm --test triggerin
 
 echo "== answer corpus, release build =="
 # debug-only assertions compile out here; the answers must not move
-cargo test --offline --release -q -p dcatch --test answers
+cargo test --offline --release -q -p dcatch --test answers --test tables
 
 echo "== clock engines and their oracles, release build =="
 # likewise: in debug every record a `FrontierEngine` places asserts that its
