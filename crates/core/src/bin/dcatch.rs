@@ -634,6 +634,15 @@ fn faults(p: &Parsed) -> Cmd {
 
 /// `dcatch synth` — the generative protocol fuzzer (recall gate).
 ///
+/// The value of `flag`, refused below `min`: the generator would raise
+/// it silently, while `--resume`'s fingerprint keeps what was asked for.
+fn at_least(p: &Parsed, flag: &str, min: u32) -> Result<Option<u32>, String> {
+    match p.get(flag)? {
+        Some(v) if v < min => Err(format!("invalid value `{v}` for `{flag}`: at least {min}")),
+        v => Ok(v),
+    }
+}
+
 /// Generates `--count` seeded scenarios per protocol (`--seed N` is the
 /// *generator* base seed; scenario `i` uses `N + i`), runs each through
 /// the full detection pipeline with its generated fault plan, and scores
@@ -659,9 +668,9 @@ fn synth(p: &Parsed) -> Cmd {
         protocols,
         base_seed: p.value("--seed")?,
         count: p.value::<NonZeroU32>("--count")?.get(),
-        workers: p.get("--nodes")?,
-        clients: p.get("--clients")?,
-        fan_out: p.get("--fan-out")?,
+        workers: at_least(p, "--nodes", 2)?,
+        clients: at_least(p, "--clients", 1)?,
+        fan_out: at_least(p, "--fan-out", 1)?,
         bugs: p.get("--bugs")?,
         quarantine_dir: (!p.on("--no-shrink"))
             .then(|| p.value("--quarantine"))

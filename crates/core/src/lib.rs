@@ -59,7 +59,7 @@ pub use dcatch_apps::{
     streambench_rounds, Benchmark, ErrorPattern, FaultScenario, Mechanisms, RootCause, System,
 };
 pub use dcatch_detect::{
-    find_candidates, AccessSite, Candidate, CandidateSet, OnlineDetector, OnlineOptions,
+    find_candidates, AccessSite, Anchor, Candidate, CandidateSet, OnlineDetector, OnlineOptions,
     StreamOutcome,
 };
 pub use dcatch_hb::{

@@ -13,7 +13,7 @@ use dcatch_hb::{apply_ablation, Ablation, FrontierOptions, HbAnalysis, HbConfig,
 use dcatch_prune::{Impact, Pruner};
 use dcatch_sim::{Failure, FaultPlan, FocusConfig, Prepared, RunError, SimConfig, World};
 use dcatch_trace::TracingMode;
-use dcatch_trigger::{run_farm_prepared, steal_map, FarmSpec, TriggerPlan, TriggerReport, Verdict};
+use dcatch_trigger::{run_farm_prepared, steal_map, FarmSpec, TriggerReport, Verdict};
 
 use crate::report::{
     BenchmarkReport, BugReport, DegradationEvent, StageTimings, StreamingStats, VerdictCounts,
@@ -251,9 +251,7 @@ impl Governor {
     /// Records one ladder step (and counts it in
     /// `governor_degradations_total`). A no-op when no ceiling is set —
     /// pressure then surfaces as the hard outcomes — so stages call it
-    /// unconditionally and an ungoverned report stays what it was: a
-    /// `--streaming` run's direct trigger placement is a ladder step only
-    /// for a run that was asked to degrade.
+    /// unconditionally and an ungoverned report stays what it was.
     fn record(&mut self, event: DegradationEvent) {
         if self.mem.is_some() || self.deadline.is_some() {
             dcatch_obs::counter!("governor_degradations_total").inc();
@@ -642,28 +640,7 @@ impl Pipeline {
             candidates.iter().map(|_| None).collect()
         } else if opts.triggering {
             let _span = dcatch_obs::span!("pipeline.triggering");
-            let specs: Vec<FarmSpec> = match &analysis {
-                Analysis::Graph(hb) => candidates.iter().map(|c| FarmSpec::new(c, hb)).collect(),
-                Analysis::Stream { .. } => {
-                    // placement planning needs the full HB graph; without
-                    // one fall back to naive direct placement
-                    if !candidates.is_empty() {
-                        gov.record(DegradationEvent {
-                            stage: "triggering".to_owned(),
-                            from: "planned_placement".to_owned(),
-                            to: "direct_placement".to_owned(),
-                            reason: "no full HB graph (streaming detection)".to_owned(),
-                        });
-                    }
-                    candidates
-                        .iter()
-                        .map(|c| FarmSpec {
-                            plan: TriggerPlan::direct(c),
-                            direct: None,
-                        })
-                        .collect()
-                }
-            };
+            let specs: Vec<FarmSpec> = candidates.iter().map(FarmSpec::of).collect();
             // Evidence of harm (`Verdict::Harmful`): only a failure the
             // candidate's own impact analysis predicted counts, since holding
             // a request point can surface *other* bugs' failures (§4/§5).
@@ -774,9 +751,9 @@ impl Pipeline {
     }
 }
 
-/// The two ways trace analysis runs. The stages differ only in how
-/// candidates are found and how loop-sync edges are folded in (plus
-/// trigger placement, which needs the graph).
+/// The two ways trace analysis runs. The stages differ only in where the
+/// records come from and how loop-sync edges are folded in: both scans
+/// keep the facts trigger placement reads.
 enum Analysis {
     /// Materialized trace → full HB graph (matrix or chain clocks) →
     /// the candidate scan replayed over it.

@@ -1,9 +1,11 @@
 //! Online ≡ offline: the streaming pipeline must report *exactly* the
 //! candidate sets the materialize-then-analyze pipeline reports — same
-//! static pairs, same representative dynamic pairs, same callstack pairs,
-//! same trace bookkeeping — across the seven paper benchmarks, workload
-//! scales, seeds, the per-system fault matrix, and the Table 9 HB-rule
-//! ablations. `DCATCH_SOAK=1` widens every matrix but the last.
+//! static pairs, same representative dynamic pairs with their placement
+//! facts, same callstack pairs, same trace bookkeeping, same trigger plans
+//! and, when triggering runs, same verdicts — across the seven paper
+//! benchmarks, workload scales, seeds, the per-system fault matrix, and
+//! the Table 9 HB-rule ablations. `DCATCH_SOAK=1` widens every matrix but
+//! the last.
 
 use dcatch::{
     Ablation, FaultPlan, HbAnalysis, HbConfig, Pipeline, PipelineError, PipelineOptions,
@@ -26,7 +28,7 @@ fn opts(streaming: bool) -> PipelineOptions {
 
 /// Everything detection-relevant in a report, normalized for comparison.
 /// Stage timings, spans, and metrics legitimately differ between modes;
-/// candidates, counts, and trace bookkeeping may not.
+/// candidates, plans, verdicts, counts, and trace bookkeeping may not.
 fn fingerprint(r: &dcatch::BenchmarkReport) -> String {
     use std::fmt::Write;
     let mut s = format!(
@@ -42,15 +44,19 @@ fn fingerprint(r: &dcatch::BenchmarkReport) -> String {
     );
     for rep in &r.reports {
         let c = &rep.candidate;
+        let plan = dcatch::plan_candidate(c);
         writeln!(
             s,
-            "{:?} rep={:?} stacks={} dyn={} impacts={} known={}",
+            "{:?} rep={:?} stacks={} dyn={} impacts={} known={} plan={:?} {:?} verdict={:?}",
             c.static_pair,
             c.rep,
             c.stack_pairs.len(),
             c.dynamic_count,
             rep.impacts.len(),
-            rep.known_bug_object
+            rep.known_bug_object,
+            plan.sides,
+            plan.rules,
+            rep.verdict
         )
         .unwrap();
     }
@@ -125,6 +131,22 @@ fn online_equals_offline_on_all_benchmarks() {
                     |o| o.seed = Some(seed),
                 );
             }
+        }
+    }
+}
+
+/// Both modes plan every candidate from the same facts, so with
+/// triggering on they reach the same verdicts: on the seven benchmarks and
+/// under the per-system fault matrix.
+#[test]
+fn online_equals_offline_with_triggering() {
+    for bench in dcatch::all_benchmarks_scaled(1) {
+        assert_equivalent(bench.id, "triggering", &bench, |o| o.triggering = true);
+        for sc in dcatch::fault_scenarios(&bench) {
+            assert_equivalent(bench.id, sc.name, &bench, |o| {
+                o.triggering = true;
+                o.faults = sc.plan.clone();
+            });
         }
     }
 }

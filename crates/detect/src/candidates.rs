@@ -6,8 +6,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dcatch_hb::HbAnalysis;
 use dcatch_model::StmtId;
-use dcatch_trace::{CallStack, ExecCtx, Location, StackId, TaskId};
+use dcatch_trace::{CallStack, ExecCtx, Location, OpKind, StackId, TaskId};
 
+use crate::facts::{Anchor, Fact, Facts, NONE};
 use crate::scan::{group, Access, Cover, Group, Pairs};
 
 /// One dynamic access participating in a candidate, its callstack and
@@ -28,6 +29,9 @@ pub struct AccessSite {
     pub loc: Location,
     /// Whether this side is a write.
     pub is_write: bool,
+    /// Where §5.2's placement may put this side's request point: at the
+    /// access, or at what its task held or what caused its context.
+    pub anchor: Anchor,
 }
 
 /// A DCbug candidate: a unique *static instruction pair* with all its
@@ -143,16 +147,34 @@ impl FromIterator<Candidate> for CandidateSet {
 /// trace order through a fresh chain cover that asks the index whether an
 /// earlier access happens before the arriving one. No ordered pair is
 /// visited; the cost is O(accesses × chains of the location + concurrent
-/// pairs).
+/// pairs). The placement facts are taken in by the forward pass that
+/// indexes the accesses, the trace's side tables first.
 pub fn find_candidates(hb: &HbAnalysis) -> CandidateSet {
     let _span = dcatch_obs::span!("detect.scan");
     let (records, names) = (hb.trace().records(), hb.trace().names());
-    let access = |i: u32| Access::at(i as usize, &records[i as usize], names);
-    let mut groups: BTreeMap<Group, Vec<u32>> = BTreeMap::new();
+    let mut facts = Facts::default();
+    for control in hb.trace().controls() {
+        facts.control(&control);
+    }
+    let access = |(i, fact): (u32, Fact)| Access::at(i as usize, &records[i as usize], names, fact);
+    let mut groups: BTreeMap<Group, Vec<(u32, Fact)>> = BTreeMap::new();
+    // the sites of the records the engine tagged, by index
+    let mut tags = BTreeMap::new();
     let n = u32::try_from(records.len()).expect("the HB graph numbers its vertices in u32");
-    for i in 0..n {
-        if let Some(a) = access(i) {
-            groups.entry(group(&a.loc)).or_default().push(i);
+    for (i, r) in (0..n).zip(records) {
+        let begun = hb.cause(i as usize);
+        let tag = |tags: &BTreeMap<_, _>| begun.and_then(|c| tags.get(&c)).map_or(NONE, |&t| t);
+        // the engine tags every source, and a thread's begin only when no
+        // source began it
+        if begun == Some(i as usize) || r.kind != OpKind::ThreadBegin {
+            let site = facts.cause(r, names, tag(&tags));
+            if site != NONE {
+                tags.insert(i as usize, site);
+            }
+        }
+        let fact = facts.record(r, names, tag(&tags));
+        if let Some(a) = Access::at(i as usize, r, names, fact) {
+            groups.entry(group(&a.loc)).or_default().push((i, a.fact));
         }
     }
     let mut pairs = Pairs::default();
@@ -161,7 +183,7 @@ pub fn find_candidates(hb: &HbAnalysis) -> CandidateSet {
         for &j in indices {
             cover.admit(
                 j,
-                |&i| hb.happens_before(i as usize, j as usize),
+                |&(i, _)| hb.happens_before(i as usize, j.0 as usize),
                 &mut pairs,
                 |pairs, &i| {
                     let (a, b) = (access(i), access(j));
@@ -170,7 +192,7 @@ pub fn find_candidates(hb: &HbAnalysis) -> CandidateSet {
             );
         }
     }
-    pairs.finish(names)
+    pairs.finish(names, &facts)
 }
 
 #[cfg(test)]

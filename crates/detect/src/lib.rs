@@ -24,10 +24,12 @@
 #![forbid(unsafe_code)]
 
 mod candidates;
+mod facts;
 mod loopsync;
 mod online;
 mod scan;
 
 pub use candidates::{find_candidates, AccessSite, Candidate, CandidateSet};
+pub use facts::{Anchor, FEW_INSTANCES};
 pub use loopsync::{analyze_loop_sync, occ_key, plan_loop_sync, LoopSyncResult, OccKey, SyncPlan};
 pub use online::{OnlineDetector, OnlineOptions, StreamOutcome, SWEEP_EVERY};

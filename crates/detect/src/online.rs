@@ -38,6 +38,7 @@ use dcatch_hb::{ablate_record, Ablation, Arrival, FrontierEngine, FrontierOption
 use dcatch_trace::{record_len, MemLoc, Names, Record, StreamControl, TraceSink, TraceStats};
 
 use crate::candidates::CandidateSet;
+use crate::facts::Facts;
 use crate::loopsync::{occ_key, OccKey};
 use crate::scan::{group, Access, Cover, Group, Pairs};
 
@@ -159,6 +160,7 @@ pub struct OnlineDetector {
     lossy_locations: BTreeSet<String>,
     peak_bytes: usize,
     pairs: Pairs,
+    facts: Facts,
     stats: TraceStats,
     trace_bytes: usize,
     records: usize,
@@ -202,6 +204,7 @@ impl OnlineDetector {
             lossy_locations: BTreeSet::new(),
             peak_bytes: 0,
             pairs: Pairs::default(),
+            facts: Facts::default(),
             stats: TraceStats::default(),
             trace_bytes: 0,
             records: 0,
@@ -230,11 +233,11 @@ impl OnlineDetector {
     }
 
     /// Resident-memory estimate, in bytes: the engine, the run's name
-    /// table, the window's entries and chains, the aggregates in flight and
-    /// the loop-sync source clocks.
+    /// table, the placement facts, the window's entries and chains, the
+    /// aggregates in flight and the loop-sync source clocks.
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut b = self.engine.bytes() + self.names.bytes();
+        let mut b = self.engine.bytes() + self.names.bytes() + self.facts.bytes();
         b += self.window_len * size_of::<WindowEntry>() + self.pairs.bytes();
         for cover in self.window.values() {
             b += 64 + cover.chains() * size_of::<VecDeque<WindowEntry>>();
@@ -253,11 +256,15 @@ impl OnlineDetector {
         };
         let index = self.records;
         self.records += 1;
-        let at = self.engine.record(&r, &self.names);
+        let (facts, names) = (&mut self.facts, &self.names);
+        let at = self
+            .engine
+            .record_with(&r, names, |c| facts.cause(&r, names, c));
+        let fact = self.facts.record(&r, &self.names, at.cause);
         if !self.watched_keys.is_empty() {
             self.fire_sync_edges(&r, at);
         }
-        if let Some(access) = Access::at(index, &r, &self.names) {
+        if let Some(access) = Access::at(index, &r, &self.names, fact) {
             self.admit(at, access);
         }
         if self.records % self.sweep_every == 0 {
@@ -384,7 +391,7 @@ impl OnlineDetector {
         self.peak_bytes = self.peak_bytes.max(self.bytes());
         self.refresh_gauges();
         StreamOutcome {
-            candidates: self.pairs.finish(&self.names),
+            candidates: self.pairs.finish(&self.names, &self.facts),
             stats: self.stats,
             trace_bytes: self.trace_bytes,
             records: self.records,
@@ -405,6 +412,7 @@ impl TraceSink for OnlineDetector {
     }
 
     fn control(&mut self, control: StreamControl) {
+        self.facts.control(&control);
         self.engine.control(&control);
     }
 

@@ -146,7 +146,7 @@ fn retirement_keeps_candidates_exact() {
     let (out, offline, trace) = run_both(&p, &topo, opts);
     assert_same_candidates(&out.candidates, &offline);
     assert!(out.records_retired > 0, "nothing retired");
-    let mem_accesses = trace.mem_access_indices().len();
+    let mem_accesses = trace.stats().mem;
     assert!(
         out.window_peak < mem_accesses / 2,
         "window did not stay bounded: peak {} of {mem_accesses} accesses",

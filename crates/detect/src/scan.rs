@@ -14,6 +14,7 @@ use dcatch_model::StmtId;
 use dcatch_trace::{ExecCtx, MemLoc, MemSpace, NameId, Names, Record, StackId, TaskId};
 
 use crate::candidates::{AccessSite, Candidate, CandidateSet};
+use crate::facts::{Fact, Facts};
 
 /// A location group: zk or not, the heap object's node (0 for a zknode,
 /// which is cluster-wide), the object.
@@ -36,12 +37,14 @@ pub(crate) struct Access {
     pub ctx: ExecCtx,
     pub loc: MemLoc,
     pub is_write: bool,
+    pub fact: Fact,
 }
 
 impl Access {
     /// The access record `r`, at `index`, makes — if it accesses memory
-    /// and its callstack, resolved in `names`, ends in a statement.
-    pub fn at(index: usize, r: &Record, names: &Names) -> Option<Access> {
+    /// and its callstack, resolved in `names`, ends in a statement — with
+    /// its placement facts.
+    pub fn at(index: usize, r: &Record, names: &Names, fact: Fact) -> Option<Access> {
         let loc = *r.kind.mem_loc()?;
         Some(Access {
             index,
@@ -51,11 +54,12 @@ impl Access {
             ctx: r.ctx,
             loc,
             is_write: r.kind.is_write(),
+            fact,
         })
     }
 
     /// The access with its names rendered from the run's table.
-    fn site(&self, names: &Names) -> AccessSite {
+    fn site(&self, names: &Names, facts: &Facts) -> AccessSite {
         AccessSite {
             index: self.index,
             stmt: self.stmt,
@@ -64,6 +68,7 @@ impl Access {
             ctx: self.ctx,
             loc: names.location(&self.loc),
             is_write: self.is_write,
+            anchor: facts.anchor(self, names),
         }
     }
 }
@@ -231,15 +236,15 @@ impl Pairs {
     }
 
     /// Closes the scan: renders the candidates — the one place it renders
-    /// names — and counts them and the scan's work.
-    pub fn finish(self, names: &Names) -> CandidateSet {
+    /// names and placement facts — and counts them and the scan's work.
+    pub fn finish(self, names: &Names, facts: &Facts) -> CandidateSet {
         let set: CandidateSet = self
             .by_pair
             .into_iter()
             .map(|(static_pair, a)| Candidate {
                 static_pair,
                 stack_pairs: a.stack_pairs,
-                rep: (a.rep.0.site(names), a.rep.1.site(names)),
+                rep: (a.rep.0.site(names, facts), a.rep.1.site(names, facts)),
                 dynamic_count: a.dynamic_count,
             })
             .collect();

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use dcatch_obs::{counter, gauge};
-use dcatch_trace::{StreamControl, TraceSet};
+use dcatch_trace::TraceSet;
 
 use crate::bitmatrix::BitMatrix;
 use crate::chainclocks::ChainClocks;
@@ -172,11 +172,9 @@ impl ReachIndex {
     }
 }
 
-/// The graph's edges, listed from both ends.
+/// The graph's edges, listed from their sources.
 struct Edges {
     succs: Vec<Vec<(u32, EdgeRule)>>,
-    /// Reverse adjacency, kept in lockstep with `succs`.
-    preds: Vec<Vec<(u32, EdgeRule)>>,
     count: usize,
 }
 
@@ -188,7 +186,6 @@ impl Edges {
             return false;
         }
         self.succs[u].push((v as u32, rule));
-        self.preds[v].push((u as u32, rule));
         self.count += 1;
         true
     }
@@ -202,6 +199,9 @@ pub struct HbAnalysis {
     /// `(slot, pos)` of each vertex: its place in the HB-ordered chain
     /// cover, as the engine placed it.
     at: Vec<(u32, u32)>,
+    /// Per vertex, the vertex that began its context ([`Self::cause`]),
+    /// `u32::MAX` for none.
+    causes: Vec<u32>,
     reach: ReachIndex,
 }
 
@@ -242,10 +242,10 @@ impl HbAnalysis {
         // 5 % above this order's (EXPERIMENTS.md "PR 19")
         let mut edges = Edges {
             succs: vec![Vec::new(); n],
-            preds: vec![Vec::new(); n],
             count: 0,
         };
         let mut at: Vec<(u32, u32)> = Vec::with_capacity(n);
+        let mut causes = Vec::with_capacity(n);
         let mut rows = (mode != ReachabilityMode::Matrix).then(|| ChainClocks::with_capacity(n));
         let clocks_only = mode == ReachabilityMode::Clocks;
         let _pass = dcatch_obs::span!("hb.reach");
@@ -253,23 +253,20 @@ impl HbAnalysis {
             eserial: true,
             allow_retirement: false,
         });
-        for (&(node, ref queue), &info) in trace.queues() {
-            let queue = queue.clone();
-            engine.control(&StreamControl::RegisterQueue { node, queue, info });
-        }
-        for (event, node, queue) in trace.event_queue_entries() {
-            let queue = queue.to_owned();
-            engine.control(&StreamControl::RegisterEvent { event, node, queue });
+        for control in trace.controls() {
+            engine.control(&control);
         }
         // the records of each slot, by position
         let mut members: Vec<Vec<u32>> = Vec::new();
         for (v, record) in trace.records().iter().enumerate() {
-            let arrival = engine.record(record, trace.names());
+            // each context is tagged by the vertex that began it
+            let arrival = engine.record_with(record, trace.names(), |_| v as u32);
             if arrival.slot as usize == members.len() {
                 members.push(Vec::new());
             }
             members[arrival.slot as usize].push(v as u32);
             at.push((arrival.slot, arrival.pos));
+            causes.push(arrival.cause);
             if let Some(c) = &mut rows {
                 let needed = c.bytes() + engine.chains() * 4;
                 if needed <= budget && (clocks_only || needed < matrix_bytes) {
@@ -293,12 +290,12 @@ impl HbAnalysis {
         let reach = match rows {
             Some(c) => ReachIndex::Clocks(c),
             None => {
-                // every edge points forward: in index order a predecessor's
-                // row is final by the time it is folded in
+                // every edge points forward: in index order a row is final
+                // by the time it is folded into its successors
                 let mut m = ReachIndex::Matrix(BitMatrix::new(n));
-                for (v, preds) in edges.preds.iter().enumerate() {
-                    for &(u, _) in preds {
-                        m.join_from(u as usize, v);
+                for (u, succs) in edges.succs.iter().enumerate() {
+                    for &(v, _) in succs {
+                        m.join_from(u, v as usize);
                     }
                 }
                 m
@@ -311,6 +308,7 @@ impl HbAnalysis {
             trace,
             edges,
             at,
+            causes,
             reach,
         })
     }
@@ -371,17 +369,17 @@ impl HbAnalysis {
         a != b && !self.reaches(a, b) && !self.reaches(b, a)
     }
 
+    /// The vertex that began `v`'s context: the keyed source its first
+    /// record took, or an entry task's own begin
+    /// ([`FrontierEngine::record_with`]).
+    pub fn cause(&self, v: usize) -> Option<usize> {
+        let c = self.causes[v];
+        (c != u32::MAX).then_some(c as usize)
+    }
+
     /// Direct successors of a vertex.
     pub fn successors(&self, v: usize) -> impl Iterator<Item = (usize, EdgeRule)> + '_ {
         self.edges.succs[v].iter().map(|&(t, r)| (t as usize, r))
-    }
-
-    /// Direct predecessors of a vertex.
-    pub fn predecessors(&self, v: usize) -> Vec<(usize, EdgeRule)> {
-        self.edges.preds[v]
-            .iter()
-            .map(|&(u, r)| (u as usize, r))
-            .collect()
     }
 
     /// A happens-before chain from `a` to `b`, if one exists: the list of

@@ -101,6 +101,9 @@ pub struct Arrival {
     pub slot: u32,
     /// 1-based position within the slot.
     pub pos: u32,
+    /// The tag of the source that began the record's context, as
+    /// [`FrontierEngine::record_with`] was given it; `u32::MAX` for none.
+    pub cause: u32,
 }
 
 /// One program-order chain `(task, ctx)`.
@@ -114,6 +117,8 @@ struct Chain {
     ended: bool,
     /// `(slot, pos)` of the chain's `ThreadEnd`, the `Tjoin` source.
     thread_end: Option<(u32, u32)>,
+    /// The tag of the source that began the chain.
+    cause: u32,
 }
 
 #[derive(Debug)]
@@ -124,6 +129,8 @@ struct Cause {
     /// Remaining deliveries. `None` = fan-out not announced yet (network
     /// sends announce after the record); treated as a retirement blocker.
     refs: Option<u32>,
+    /// The source's tag.
+    tag: u32,
 }
 
 /// One delivery of a [`Cause`].
@@ -363,6 +370,20 @@ impl FrontierEngine {
     /// where it landed. The returned arrival's clock ([`clock`](Self::clock))
     /// is final.
     pub fn record(&mut self, r: &Record, names: &Names) -> Arrival {
+        self.record_with(r, names, |_| u32::MAX)
+    }
+
+    /// [`record`](Self::record), naming contexts by their causes: a source
+    /// record gets the tag `tag` returns, given its own context's; a
+    /// context begun by a target record (all but an RPC's reply) carries
+    /// the tag of the source it took ([`Arrival::cause`]), and a thread
+    /// begun by none — an entry task — the tag of its begin, given none.
+    pub fn record_with(
+        &mut self,
+        r: &Record,
+        names: &Names,
+        mut tag: impl FnMut(u32) -> u32,
+    ) -> Arrival {
         // what the record is ordered after, each joined into its chain's
         // clock and listed, with its rule, for the slot rule and for
         // `preds()`: program order ...
@@ -374,6 +395,9 @@ impl FrontierEngine {
         let keyed = rules::keyed(r, names);
         let target = keyed.as_ref().filter(|k| matches!(k.2, End::Target));
         let delivery = target.and_then(|&(ref key, rule, _)| self.resolve(chain, key, rule));
+        if delivery.is_none() && r.kind == OpKind::ThreadBegin {
+            self.chains[ci].cause = tag(u32::MAX);
+        }
         self.preds.extend(reborn.map(|at| (at, EdgeRule::Crash)));
         match (target, &r.kind, delivery) {
             (Some((key, ..)), &OpKind::EventBegin { event }, delivery) => {
@@ -414,7 +438,8 @@ impl FrontierEngine {
         // what later records may be ordered after
         if let Some((key, rule, End::Source)) = keyed {
             // a network send announces its fan-out after the record
-            self.snapshot_cause(chain, key, rules::delivers_once(rule).then_some(1));
+            let refs = rules::delivers_once(rule).then_some(1);
+            self.snapshot_cause(chain, key, refs, tag(self.chains[ci].cause));
         }
         match r.kind {
             OpKind::ThreadEnd => self.chains[ci].thread_end = Some((slot, pos)),
@@ -458,7 +483,13 @@ impl FrontierEngine {
             // only
             _ => {}
         }
-        Arrival { chain, slot, pos }
+        let cause = self.chains[ci].cause;
+        Arrival {
+            chain,
+            slot,
+            pos,
+            cause,
+        }
     }
 
     /// The direct predecessors of the record that just arrived, each with
@@ -489,6 +520,7 @@ impl FrontierEngine {
         let chain = &mut self.chains[c as usize];
         // the frontier keeps its buffer from the handle's last owner
         (chain.at, chain.ended, chain.thread_end) = ((0, 0), false, None);
+        chain.cause = u32::MAX;
         self.registry.insert((task, ctx), c);
         let restart = self.restarts.get(&task.node);
         if let Some((_, clock)) = restart {
@@ -497,7 +529,7 @@ impl FrontierEngine {
         (c, restart.map(|(at, _)| *at))
     }
 
-    fn snapshot_cause(&mut self, chain: u32, key: CauseKey, refs: Option<u32>) {
+    fn snapshot_cause(&mut self, chain: u32, key: CauseKey, refs: Option<u32>, tag: u32) {
         let c = &self.chains[chain as usize];
         match self.causes.entry(key) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
@@ -505,7 +537,7 @@ impl FrontierEngine {
                 // carry over
                 let cause = e.get_mut();
                 cause.clock.clone_from(&c.frontier);
-                cause.src = c.at;
+                (cause.src, cause.tag) = (c.at, tag);
             }
             std::collections::btree_map::Entry::Vacant(e) => {
                 let mut clock = self.spare.pop().unwrap_or_default();
@@ -514,6 +546,7 @@ impl FrontierEngine {
                     clock,
                     src: c.at,
                     refs,
+                    tag,
                 });
             }
         }
@@ -526,6 +559,10 @@ impl FrontierEngine {
         let c = self.causes.get_mut(key)?;
         join_clock(&mut self.chains[chain as usize].frontier, &c.clock);
         self.preds.push((c.src, rule));
+        if !matches!(key, CauseKey::RpcJoin(_)) {
+            // the record begins a context
+            self.chains[chain as usize].cause = c.tag;
+        }
         let (src, mut clock) = (c.src, None);
         match c.refs {
             Some(n) if n > 1 => c.refs = Some(n - 1),

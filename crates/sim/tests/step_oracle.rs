@@ -55,11 +55,17 @@ fn fold(h: &mut Fnv, r: &RunResult) {
     h.bytes(format!("{:?}", r.failures).as_bytes());
     h.bytes(format!("{:?}", r.logs).as_bytes());
     h.bytes(r.trace.to_lines().as_bytes());
-    for ((node, name), info) in r.trace.queues() {
-        h.bytes(format!("{node} {name} {info:?}").as_bytes());
-    }
-    for (event, node, queue) in r.trace.event_queue_entries() {
-        h.bytes(format!("{event} {node} {queue}").as_bytes());
+    for control in r.trace.controls() {
+        let text = match control {
+            StreamControl::RegisterQueue { node, queue, info } => {
+                format!("{node} {queue} {info:?}")
+            }
+            StreamControl::RegisterEvent { event, node, queue } => {
+                format!("{event} {node} {queue}")
+            }
+            _ => continue,
+        };
+        h.bytes(text.as_bytes());
     }
 }
 

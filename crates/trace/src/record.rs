@@ -224,14 +224,6 @@ impl OpKind {
             OpKind::RpcTimeout { .. } => "rt",
         }
     }
-
-    /// Whether this record was produced by the fault-injection engine.
-    pub fn is_fault(&self) -> bool {
-        matches!(
-            self,
-            OpKind::NodeCrash { .. } | OpKind::NodeRestart { .. } | OpKind::RpcTimeout { .. }
-        )
-    }
 }
 
 /// One trace record. It owns no heap memory: names and the callstack are

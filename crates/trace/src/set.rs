@@ -10,6 +10,7 @@ use crate::ids::TaskId;
 use crate::names::Names;
 use crate::record::Record;
 use crate::stats::TraceStats;
+use crate::stream::StreamControl;
 
 /// Metadata about one event queue, captured at run time. `Eserial` only
 /// applies to single-consumer FIFO queues (paper §2.2).
@@ -97,26 +98,19 @@ impl TraceSet {
         self.records.is_empty()
     }
 
-    /// Queue metadata for `(node, name)`.
-    pub fn queue_info(&self, node: NodeId, name: &str) -> Option<QueueInfo> {
-        self.queues.get(&(node, name.to_owned())).copied()
-    }
-
-    /// The queue an event was placed on.
-    pub fn event_queue(&self, event: u64) -> Option<(&NodeId, &str)> {
-        self.event_queue.get(&event).map(|(n, q)| (n, q.as_str()))
-    }
-
-    /// Iterates over all registered queues.
-    pub fn queues(&self) -> impl Iterator<Item = (&(NodeId, String), &QueueInfo)> {
-        self.queues.iter()
-    }
-
-    /// Iterates over all event→queue associations: `(event id, node, queue)`.
-    pub fn event_queue_entries(&self) -> impl Iterator<Item = (u64, NodeId, &str)> {
-        self.event_queue
-            .iter()
-            .map(|(e, (n, q))| (*e, *n, q.as_str()))
+    /// The side tables as a stream announces them: every queue, then
+    /// every event's queue — what a sink fed this trace's records is told
+    /// before them.
+    pub fn controls(&self) -> impl Iterator<Item = StreamControl> + '_ {
+        let queues = self.queues.iter().map(|(&(node, ref queue), &info)| {
+            let queue = queue.clone();
+            StreamControl::RegisterQueue { node, queue, info }
+        });
+        let events = self.event_queue.iter().map(|(&event, &(node, ref queue))| {
+            let queue = queue.clone();
+            StreamControl::RegisterEvent { event, node, queue }
+        });
+        queues.chain(events)
     }
 
     /// All distinct tasks appearing in the trace, ordered.
@@ -125,16 +119,6 @@ impl TraceSet {
         tasks.sort_unstable();
         tasks.dedup();
         tasks
-    }
-
-    /// Indices of memory-access records.
-    pub fn mem_access_indices(&self) -> Vec<usize> {
-        self.records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.kind.is_mem())
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Record-type breakdown (paper Table 7).
@@ -184,20 +168,10 @@ impl TraceSet {
         }
     }
 
-    /// Looks up the first record index matching a predicate.
-    pub fn find(&self, pred: impl FnMut(&Record) -> bool) -> Option<usize> {
-        self.records.iter().position(pred)
-    }
-
-    /// Counts records matching a predicate.
-    pub fn count(&self, mut pred: impl FnMut(&Record) -> bool) -> usize {
-        self.records.iter().filter(|r| pred(r)).count()
-    }
-
     /// Counts records whose kind matches the given tag (see
     /// [`OpKind::tag`]).
     pub fn count_tag(&self, tag: &str) -> usize {
-        self.count(|r| r.kind.tag() == tag)
+        self.records.iter().filter(|r| r.kind.tag() == tag).count()
     }
 }
 
@@ -271,7 +245,7 @@ mod tests {
             ]
         });
         assert_eq!(ts.len(), 3);
-        assert_eq!(ts.mem_access_indices(), vec![0, 1]);
+        assert_eq!(ts.stats().mem, 2);
         assert_eq!(ts.tasks().len(), 3);
         assert_eq!(ts.count_tag("wr"), 1);
     }
@@ -279,15 +253,23 @@ mod tests {
     #[test]
     fn queue_registration() {
         let mut ts = TraceSet::new();
-        ts.register_queue(NodeId(0), "dispatch", QueueInfo { consumers: 1 });
+        let info = QueueInfo { consumers: 1 };
+        ts.register_queue(NodeId(0), "dispatch", info);
         ts.register_event(7, NodeId(0), "dispatch");
-        assert!(ts
-            .queue_info(NodeId(0), "dispatch")
-            .unwrap()
-            .is_single_consumer());
-        assert!(ts.queue_info(NodeId(0), "other").is_none());
-        let (n, q) = ts.event_queue(7).unwrap();
-        assert_eq!((*n, q), (NodeId(0), "dispatch"));
+        assert!(info.is_single_consumer());
+        let queue = "dispatch".to_owned();
+        let (node, event) = (NodeId(0), 7);
+        assert_eq!(
+            ts.controls().collect::<Vec<_>>(),
+            [
+                StreamControl::RegisterQueue {
+                    node,
+                    queue: queue.clone(),
+                    info
+                },
+                StreamControl::RegisterEvent { event, node, queue },
+            ]
+        );
     }
 
     #[test]
@@ -301,7 +283,7 @@ mod tests {
         ts.register_queue(NodeId(0), "q", QueueInfo { consumers: 2 });
         let only_mem = ts.filtered(|r| r.kind.is_mem());
         assert_eq!(only_mem.len(), 1);
-        assert!(only_mem.queue_info(NodeId(0), "q").is_some());
+        assert_eq!(only_mem.controls().count(), 1);
         assert_eq!(only_mem.to_lines(), "0|0 0|reg|wr|heap 0 a - -|0:0\n");
         let bumped = ts.mapped(|mut r| {
             r.seq += 10;

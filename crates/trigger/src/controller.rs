@@ -12,15 +12,13 @@ use dcatch_model::StmtId;
 use dcatch_sim::{Failure, Gate, GateDecision, GateEvent, StallAction};
 use dcatch_trace::TaskId;
 
-/// Where one party must request permission: hold the task that executes
-/// the `instance`-th dynamic occurrence of `stmt`.
+/// Where one party must request permission: hold the first task that
+/// executes `stmt` (the paper's prototype "focuses on the first dynamic
+/// instance of every racing instruction").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SideSpec {
     /// Request-point statement.
     pub stmt: StmtId,
-    /// Which dynamic occurrence to hold at (1-based; the paper's prototype
-    /// "focuses on the first dynamic instance of every racing instruction").
-    pub instance: usize,
     /// The racing access statement itself — executing it is the `confirm`.
     pub access: StmtId,
 }
@@ -49,7 +47,6 @@ pub struct ControllerGate<'e> {
     specs: [SideSpec; 2],
     /// Index (0/1) of the party released first.
     first: usize,
-    hits: [usize; 2],
     claimed: [Option<TaskId>; 2],
     phase: Phase,
     /// Both parties were simultaneously held at their request points — the
@@ -74,7 +71,6 @@ impl<'e> ControllerGate<'e> {
         ControllerGate {
             specs,
             first,
-            hits: [0; 2],
             claimed: [None; 2],
             phase: Phase::Waiting,
             both_requested: false,
@@ -167,15 +163,12 @@ impl Gate for ControllerGate<'_> {
                     if self.claimed[1 - i] == Some(ev.task) {
                         continue;
                     }
-                    self.hits[i] += 1;
-                    if self.hits[i] == self.specs[i].instance {
-                        self.claimed[i] = Some(ev.task);
-                        if self.claimed[0].is_some() && self.claimed[1].is_some() {
-                            self.both_requested = true;
-                            self.phase = Phase::FirstGo;
-                        }
-                        return GateDecision::Hold;
+                    self.claimed[i] = Some(ev.task);
+                    if self.claimed[0].is_some() && self.claimed[1].is_some() {
+                        self.both_requested = true;
+                        self.phase = Phase::FirstGo;
                     }
+                    return GateDecision::Hold;
                 }
             }
         }
@@ -259,12 +252,10 @@ mod tests {
         [
             SideSpec {
                 stmt: sid(0, 1),
-                instance: 1,
                 access: sid(0, 2),
             },
             SideSpec {
                 stmt: sid(1, 5),
-                instance: 1,
                 access: sid(1, 6),
             },
         ]
@@ -296,41 +287,16 @@ mod tests {
     }
 
     #[test]
-    fn instance_counting_skips_early_hits() {
-        let mut g = gate(
-            [
-                SideSpec {
-                    stmt: sid(0, 1),
-                    instance: 3,
-                    access: sid(0, 1),
-                },
-                SideSpec {
-                    stmt: sid(1, 1),
-                    instance: 1,
-                    access: sid(1, 1),
-                },
-            ],
-            0,
-        );
-        let ta = task(0);
-        assert_eq!(g.before(&ev(ta, sid(0, 1))), GateDecision::Proceed);
-        assert_eq!(g.before(&ev(ta, sid(0, 1))), GateDecision::Proceed);
-        assert_eq!(g.before(&ev(ta, sid(0, 1))), GateDecision::Hold);
-    }
-
-    #[test]
     fn one_task_cannot_claim_both_sides() {
         let shared = sid(0, 1);
         let mut g = gate(
             [
                 SideSpec {
                     stmt: shared,
-                    instance: 1,
                     access: shared,
                 },
                 SideSpec {
                     stmt: shared,
-                    instance: 1,
                     access: shared,
                 },
             ],
@@ -408,7 +374,7 @@ mod tests {
 
     /// Everything the oracle compares of a controller's state.
     fn state(g: &ControllerGate<'_>) -> impl PartialEq + std::fmt::Debug {
-        (g.phase, g.hits, g.claimed, g.both_requested, g.abandoned)
+        (g.phase, g.claimed, g.both_requested, g.abandoned)
     }
 
     /// The watch set is exact: a controller that is shown only the events
@@ -431,11 +397,7 @@ mod tests {
                 } else {
                     sid(0, rng.gen_range(4) as u32)
                 };
-                SideSpec {
-                    stmt,
-                    instance: 1 + rng.gen_range(3),
-                    access,
-                }
+                SideSpec { stmt, access }
             };
             let specs = [side(&mut rng), side(&mut rng)];
             let first = rng.gen_range(2);

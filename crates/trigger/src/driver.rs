@@ -23,7 +23,6 @@
 //! orderings to completion (no settling) on a single worker.
 
 use dcatch_detect::Candidate;
-use dcatch_hb::HbAnalysis;
 use dcatch_model::Program;
 use dcatch_sim::{Failure, Fork, Prepared, RunResult, SimConfig, Topology};
 
@@ -98,9 +97,8 @@ pub fn trigger_candidate(
     topo: &Topology,
     config: &SimConfig,
     candidate: &Candidate,
-    hb: &HbAnalysis,
 ) -> TriggerReport {
-    let spec = FarmSpec::new(candidate, hb);
+    let spec = FarmSpec::of(candidate);
     run_farm(
         program,
         topo,

@@ -65,7 +65,7 @@ fn order_violation_is_confirmed_harmful() {
         .find(|c| c.object() == "init")
         .expect("init candidate");
 
-    let report = trigger_candidate(&p, &topo, &cfg, c, &hb);
+    let report = trigger_candidate(&p, &topo, &cfg, c);
     assert_eq!(report.verdict, Verdict::Harmful, "{report:#?}");
     assert!(report
         .failures()
@@ -131,7 +131,7 @@ fn harmless_race_is_benign() {
         .iter()
         .next()
         .expect("the racing writes on `stat` must survive detection");
-    let report = trigger_candidate(&p, &topo, &cfg, c, &hb);
+    let report = trigger_candidate(&p, &topo, &cfg, c);
     assert_eq!(report.verdict, Verdict::BenignRace, "{report:#?}");
     // nothing decides a benign race early: every run reaches quiescence
     assert!(report.runs.iter().all(|r| !r.decided), "{report:#?}");
@@ -171,7 +171,7 @@ fn custom_sync_pair_is_classified_serial() {
         .iter()
         .find(|c| c.object() == "data")
         .expect("data candidate");
-    let report = trigger_candidate(&p, &topo, &cfg, c, &hb);
+    let report = trigger_candidate(&p, &topo, &cfg, c);
     assert_eq!(report.verdict, Verdict::Serial, "{report:#?}");
 }
 
@@ -213,13 +213,13 @@ fn single_consumer_queue_placement_moves_to_enqueue_sites() {
         .find(|c| c.object() == "attempt_state" && (c.rep.0.is_write != c.rep.1.is_write))
         .expect("read/write candidate on attempt_state");
 
-    let plan = plan_candidate(c, &hb);
+    let plan = plan_candidate(c);
     assert!(
         plan.rules[0].contains(&PlacementRule::EnqueueSite),
         "{plan:#?}"
     );
 
-    let report = trigger_candidate(&p, &topo, &cfg, c, &hb);
+    let report = trigger_candidate(&p, &topo, &cfg, c);
     assert!(
         report.runs.iter().any(|r| r.coordinated),
         "enqueue-site placement must coordinate: {report:#?}"
@@ -259,12 +259,12 @@ fn lock_guarded_race_moves_before_critical_section() {
         .iter()
         .find(|c| c.object() == "shared")
         .expect("shared candidate");
-    let plan = plan_candidate(c, &hb);
+    let plan = plan_candidate(c);
     assert!(
         plan.rules[0].contains(&PlacementRule::CriticalSectionEntry),
         "{plan:#?}"
     );
-    let report = trigger_candidate(&p, &topo, &cfg, c, &hb);
+    let report = trigger_candidate(&p, &topo, &cfg, c);
     assert!(report.runs.iter().any(|r| r.coordinated), "{report:#?}");
     assert_eq!(report.verdict, Verdict::Harmful, "{report:#?}");
 }

@@ -73,12 +73,16 @@ pub struct FarmSpec {
 }
 
 impl FarmSpec {
-    /// Plans `candidate` against the HB graph. Planning needs `hb`; the
-    /// farm's workers do not — specs are built up front on the caller.
-    pub fn new(candidate: &Candidate, hb: &HbAnalysis) -> FarmSpec {
-        let plan = plan_candidate(candidate, hb);
+    /// Plans `candidate` from the facts its scan kept.
+    pub fn of(candidate: &Candidate) -> FarmSpec {
+        let plan = plan_candidate(candidate);
         let direct = (!plan.is_direct()).then(|| TriggerPlan::direct(candidate));
         FarmSpec { plan, direct }
+    }
+
+    /// [`FarmSpec::of`]; planning reads no graph.
+    pub fn new(candidate: &Candidate, _hb: &HbAnalysis) -> FarmSpec {
+        FarmSpec::of(candidate)
     }
 }
 

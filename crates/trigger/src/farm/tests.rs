@@ -76,10 +76,7 @@ fn two_race_setup() -> (Program, Topology, SimConfig, HbAnalysis) {
 #[test]
 fn run_farm_is_invariant_in_worker_count() {
     let (p, topo, cfg, hb) = two_race_setup();
-    let specs: Vec<FarmSpec> = find_candidates(&hb)
-        .iter()
-        .map(|c| FarmSpec::new(c, &hb))
-        .collect();
+    let specs: Vec<FarmSpec> = find_candidates(&hb).iter().map(FarmSpec::of).collect();
     assert!(specs.len() >= 2, "want a multi-candidate grid");
 
     let mut baseline: Option<(String, dcatch_obs::MetricsSnapshot)> = None;
@@ -108,7 +105,7 @@ fn cancelled_orderings_contribute_no_runs_and_no_metrics() {
     let (p, topo, cfg, hb) = two_race_setup();
     let candidates = find_candidates(&hb);
     let c = candidates.iter().next().expect("a candidate");
-    let specs = [FarmSpec::new(c, &hb)];
+    let specs = [FarmSpec::of(c)];
     let confirm = |_ci: usize, _failures: &[Failure]| true;
 
     for jobs in [1, 2] {
@@ -195,7 +192,7 @@ fn a_never_held_pair_gives_two_identical_runs_and_executes_one() {
         .iter()
         .find(|c| c.object() == "data")
         .expect("data candidate");
-    let specs = [FarmSpec::new(c, &hb)];
+    let specs = [FarmSpec::of(c)];
     let before = dcatch_obs::metrics::snapshot();
     dcatch_obs::trace::begin_capture("test");
     let reports = run_farm(&p, &topo, &cfg, &specs, 1, None, None);
@@ -264,10 +261,7 @@ fn a_never_held_pair_gives_two_identical_runs_and_executes_one() {
 #[test]
 fn expired_deadline_cancels_every_job() {
     let (p, topo, cfg, hb) = two_race_setup();
-    let specs: Vec<FarmSpec> = find_candidates(&hb)
-        .iter()
-        .map(|c| FarmSpec::new(c, &hb))
-        .collect();
+    let specs: Vec<FarmSpec> = find_candidates(&hb).iter().map(FarmSpec::of).collect();
     let past = std::time::Instant::now();
     let reports = run_farm(&p, &topo, &cfg, &specs, 2, None, Some(past));
     assert_eq!(reports.len(), specs.len());
@@ -286,10 +280,7 @@ fn expired_deadline_cancels_every_job() {
 #[test]
 fn farm_spans_graft_under_the_callers_capture() {
     let (p, topo, cfg, hb) = two_race_setup();
-    let specs: Vec<FarmSpec> = find_candidates(&hb)
-        .iter()
-        .map(|c| FarmSpec::new(c, &hb))
-        .collect();
+    let specs: Vec<FarmSpec> = find_candidates(&hb).iter().map(FarmSpec::of).collect();
     dcatch_obs::trace::begin_capture("test");
     let reports = run_farm(&p, &topo, &cfg, &specs, 4, None, None);
     let tree = dcatch_obs::trace::end_capture();

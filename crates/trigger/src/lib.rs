@@ -18,8 +18,8 @@
 //! can deadlock the system (single-consumer event handlers, RPC handlers
 //! sharing a worker, lock critical sections) or drown the controller in
 //! dynamic instances — the plan moves request points to enqueue sites, RPC
-//! callers, critical-section entries, or remote causal ancestors along the
-//! HB graph.
+//! callers, critical-section entries, or remote causal ancestors, reading
+//! only the facts the candidate scan kept of each side.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -11,16 +11,15 @@
 //! 3. holding inside a lock critical section that the other party also
 //!    needs deadlocks — move the request *before the critical section*;
 //! 4. racing instructions executed under the same callstack many times
-//!    flood the controller — move the request along the happens-before
-//!    graph to a causally preceding operation *on a different node* with
-//!    few dynamic instances.
+//!    flood the controller — move the request to a causally preceding
+//!    operation *on a different node* with few dynamic instances: the
+//!    nearest such cause up the chain of records that caused its context.
+//!
+//! The rules read only the facts the candidate scan kept of each side
+//! ([`AccessSite::anchor`]), so a streamed and a stored run plan alike.
 
-use std::collections::BTreeMap;
-
-use dcatch_detect::Candidate;
-use dcatch_hb::HbAnalysis;
-use dcatch_model::NodeId;
-use dcatch_trace::{ExecCtx, HandlerKind, OpKind, TraceSet};
+use dcatch_detect::{AccessSite, Anchor, Candidate, FEW_INSTANCES};
+use dcatch_trace::{ExecCtx, HandlerKind};
 
 use crate::controller::SideSpec;
 
@@ -35,7 +34,7 @@ pub enum PlacementRule {
     RpcCaller,
     /// Moved before the enclosing critical section (rule 3).
     CriticalSectionEntry,
-    /// Moved along the HB graph to a remote causal ancestor (rule 4).
+    /// Moved up the cause chain to a remote causal ancestor (rule 4).
     RemoteAncestor,
 }
 
@@ -51,9 +50,8 @@ pub struct TriggerPlan {
 impl TriggerPlan {
     /// The naive plan: request right before each racing access.
     pub fn direct(candidate: &Candidate) -> TriggerPlan {
-        let spec = |s: &dcatch_detect::AccessSite| SideSpec {
+        let spec = |s: &AccessSite| SideSpec {
             stmt: s.stmt,
-            instance: 1,
             access: s.stmt,
         };
         TriggerPlan {
@@ -68,235 +66,82 @@ impl TriggerPlan {
     }
 }
 
-/// How many dynamic instances of a request point are considered "too many"
-/// (rule 4).
-const INSTANCE_THRESHOLD: usize = 3;
-
-/// Computes the §5.2 placement for `candidate` against the traced run.
-pub fn plan_candidate(candidate: &Candidate, hb: &HbAnalysis) -> TriggerPlan {
-    let trace = hb.trace();
-    let mut anchors = [candidate.rep.0.index, candidate.rep.1.index];
-    let mut rules: [Vec<PlacementRule>; 2] = [Vec::new(), Vec::new()];
+/// Computes the §5.2 placement for `candidate` from the facts the scan
+/// kept of its sides ([`AccessSite::anchor`]): each rule moves both
+/// request points, or one, from one anchor to another.
+pub fn plan_candidate(candidate: &Candidate) -> TriggerPlan {
+    let sides = [&candidate.rep.0, &candidate.rep.1];
+    let mut anchors = sides.map(|s| &s.anchor);
+    // rules 1–3 move both sides
+    let mut both = Vec::new();
 
     // rule 1: both in event handlers of the same single-consumer queue
-    let ev0 = event_of(trace, anchors[0]);
-    let ev1 = event_of(trace, anchors[1]);
-    if let (Some(e0), Some(e1)) = (&ev0, &ev1) {
-        if e0.queue == e1.queue {
-            let single = trace
-                .queue_info(e0.queue.0, &e0.queue.1)
-                .is_some_and(|q| q.is_single_consumer());
-            if single {
-                if let (Some(c0), Some(c1)) = (e0.create_idx, e1.create_idx) {
-                    anchors = [c0, c1];
-                    rules[0].push(PlacementRule::EnqueueSite);
-                    rules[1].push(PlacementRule::EnqueueSite);
-                }
-            }
+    let single = |c: &Anchor| c.queue.as_ref().is_some_and(|q| q.1.is_single_consumer());
+    if let [Some(c0), Some(c1)] = anchors.map(|a| a.cause.as_deref()) {
+        if single(c0) && c0.queue == c1.queue {
+            anchors = [c0, c1];
+            both.push(PlacementRule::EnqueueSite);
         }
     }
 
     // rule 2: both in handlers executed by the same worker thread — RPC
     // functions (paper case), socket messages, or watcher notifications;
-    // holding one would starve the other. Move to the causally preceding
-    // operation on the other side (RPC caller / socket sender / zk update).
-    if rules[0].is_empty() {
-        let same_worker = trace.records()[anchors[0]].task == trace.records()[anchors[1]].task
-            && trace.records()[anchors[0]].ctx != trace.records()[anchors[1]].ctx;
-        if same_worker {
-            let sites = [
-                handler_origin(trace, anchors[0]),
-                handler_origin(trace, anchors[1]),
-            ];
-            if let [Some(c0), Some(c1)] = sites {
-                anchors = [c0, c1];
-                rules[0].push(PlacementRule::RpcCaller);
-                rules[1].push(PlacementRule::RpcCaller);
+    // holding one would starve the other. Move to the operation that
+    // caused each (RPC caller / socket sender / zk update).
+    fn origin(s: &AccessSite) -> Option<&Anchor> {
+        match s.ctx {
+            ExecCtx::Handler {
+                kind: HandlerKind::Rpc | HandlerKind::Socket | HandlerKind::ZkWatcher,
+                ..
+            } => s.anchor.cause.as_deref(),
+            _ => None,
+        }
+    }
+    let same_worker = sides[0].task == sides[1].task && sides[0].ctx != sides[1].ctx;
+    if both.is_empty() && same_worker {
+        if let [Some(c0), Some(c1)] = sides.map(origin) {
+            anchors = [c0, c1];
+            both.push(PlacementRule::RpcCaller);
+        }
+    }
+
+    // rule 3: the first lock, by (node, name), held around both anchors
+    let common = anchors[0].locks.iter().find_map(|(lock, a0)| {
+        let a1 = anchors[1].locks.iter().find(|(l, _)| l == lock);
+        a1.map(|(_, a1)| [a0, a1])
+    });
+    if let Some(entries) = common {
+        anchors = entries;
+        both.push(PlacementRule::CriticalSectionEntry);
+    }
+
+    // rule 4: too many dynamic instances → move to the nearest cause up
+    // the anchor's chain on another node with few
+    let mut rules = [both.clone(), both];
+    for (anchor, rules) in anchors.iter_mut().zip(&mut rules) {
+        if anchor.instances > FEW_INSTANCES {
+            let mut chain = std::iter::successors(anchor.cause.as_deref(), |c| c.cause.as_deref());
+            let remote = |c: &&Anchor| {
+                c.node != anchor.node && c.stmt.is_some() && c.instances <= FEW_INSTANCES
+            };
+            if let Some(c) = chain.find(remote) {
+                *anchor = c;
+                rules.push(PlacementRule::RemoteAncestor);
             }
         }
     }
 
-    // rule 3: common lock around the (possibly moved) anchors
-    let locks0 = held_locks(trace, anchors[0]);
-    let locks1 = held_locks(trace, anchors[1]);
-    let common: Vec<&(NodeId, &str)> = locks0.keys().filter(|l| locks1.contains_key(*l)).collect();
-    if let Some(lock) = common.first() {
-        let a0 = locks0[*lock];
-        let a1 = locks1[*lock];
-        anchors = [a0, a1];
-        rules[0].push(PlacementRule::CriticalSectionEntry);
-        rules[1].push(PlacementRule::CriticalSectionEntry);
-    }
-
-    // rule 4: too many dynamic instances → move to a remote causal ancestor
-    for (i, anchor) in anchors.iter_mut().enumerate() {
-        if occurrence_count(trace, *anchor) > INSTANCE_THRESHOLD {
-            if let Some(better) = remote_ancestor(hb, *anchor) {
-                *anchor = better;
-                rules[i].push(PlacementRule::RemoteAncestor);
-            }
-        }
-    }
-
-    let side = |i: usize, access: &dcatch_detect::AccessSite| {
-        let anchor = &trace.records()[anchors[i]];
-        let stmt = trace.names().leaf(anchor.stack).unwrap_or(access.stmt);
-        SideSpec {
-            stmt,
-            instance: 1,
-            access: access.stmt,
-        }
-    };
     for r in &mut rules {
         if r.is_empty() {
             r.push(PlacementRule::Direct);
         }
     }
+    let side = |i: usize| SideSpec {
+        stmt: anchors[i].stmt.unwrap_or(sides[i].stmt),
+        access: sides[i].stmt,
+    };
     TriggerPlan {
-        sides: [side(0, &candidate.rep.0), side(1, &candidate.rep.1)],
+        sides: [side(0), side(1)],
         rules,
     }
-}
-
-// ---------------------------------------------------------------------------
-// trace inspection helpers
-
-struct EventInfo {
-    queue: (NodeId, String),
-    create_idx: Option<usize>,
-}
-
-/// If the record executes inside an event handler, its event identity and
-/// enqueue site.
-fn event_of(trace: &TraceSet, idx: usize) -> Option<EventInfo> {
-    let r = &trace.records()[idx];
-    let ExecCtx::Handler {
-        kind: HandlerKind::Event,
-        ..
-    } = r.ctx
-    else {
-        return None;
-    };
-    // the EventBegin of this handler instance: same task + same ctx
-    let begin = trace.records()[..=idx].iter().rev().find(|c| {
-        c.task == r.task && c.ctx == r.ctx && matches!(c.kind, OpKind::EventBegin { .. })
-    })?;
-    let OpKind::EventBegin { event } = begin.kind else {
-        unreachable!("matched above");
-    };
-    let (node, queue) = trace.event_queue(event.0)?;
-    let create_idx =
-        trace.find(|c| matches!(c.kind, OpKind::EventCreate { event: e } if e == event));
-    Some(EventInfo {
-        queue: (*node, queue.to_owned()),
-        create_idx,
-    })
-}
-
-/// For a record inside an RPC/socket/watcher handler, the record of the
-/// operation that *caused* the handler instance: the `RpcCreate` at the
-/// caller, the `SocketSend` at the sender, or the `ZkUpdate` that fired
-/// the notification.
-fn handler_origin(trace: &TraceSet, idx: usize) -> Option<usize> {
-    let r = &trace.records()[idx];
-    let ExecCtx::Handler { kind, .. } = r.ctx else {
-        return None;
-    };
-    let same_instance = |c: &dcatch_trace::Record| c.task == r.task && c.ctx == r.ctx;
-    match kind {
-        HandlerKind::Rpc => {
-            let begin = trace.records()[..=idx]
-                .iter()
-                .rev()
-                .find(|c| same_instance(c) && matches!(c.kind, OpKind::RpcBegin { .. }))?;
-            let OpKind::RpcBegin { rpc } = begin.kind else {
-                unreachable!("matched above");
-            };
-            trace.find(|c| matches!(c.kind, OpKind::RpcCreate { rpc: x } if x == rpc))
-        }
-        HandlerKind::Socket => {
-            let recv = trace.records()[..=idx]
-                .iter()
-                .rev()
-                .find(|c| same_instance(c) && matches!(c.kind, OpKind::SocketRecv { .. }))?;
-            let OpKind::SocketRecv { msg } = recv.kind else {
-                unreachable!("matched above");
-            };
-            trace.find(|c| matches!(c.kind, OpKind::SocketSend { msg: m } if m == msg))
-        }
-        HandlerKind::ZkWatcher => {
-            let pushed = trace.records()[..=idx]
-                .iter()
-                .rev()
-                .find(|c| same_instance(c) && matches!(c.kind, OpKind::ZkPushed { .. }))?;
-            let OpKind::ZkPushed { path, version } = pushed.kind else {
-                unreachable!("matched above");
-            };
-            trace.find(|c| c.kind == OpKind::ZkUpdate { path, version })
-        }
-        HandlerKind::Event => None,
-    }
-}
-
-/// Dynamic instances of the same *operation* as the record at `idx`:
-/// same statement and same record kind (different record kinds — e.g. a
-/// handler's first statement and the `SocketRecv` marking its dispatch —
-/// can share a callstack leaf).
-fn occurrence_count(trace: &TraceSet, idx: usize) -> usize {
-    let anchor = &trace.records()[idx];
-    let names = trace.names();
-    let Some(stmt) = names.leaf(anchor.stack) else {
-        return 1;
-    };
-    let tag = anchor.kind.tag();
-    trace.count(|r| r.kind.tag() == tag && names.leaf(r.stack) == Some(stmt))
-}
-
-/// Locks held by the record's task at the record, by node and name (the
-/// order the first common one is picked in), mapped to the index of the
-/// currently open acquire record.
-fn held_locks(trace: &TraceSet, idx: usize) -> BTreeMap<(NodeId, &str), usize> {
-    let task = trace.records()[idx].task;
-    let name = |node, id| (node, trace.names().name(id));
-    let mut held = BTreeMap::new();
-    for (i, r) in trace.records()[..idx].iter().enumerate() {
-        if r.task != task {
-            continue;
-        }
-        match r.kind {
-            OpKind::LockAcquire { lock } => {
-                held.insert(name(lock.node, lock.name), i);
-            }
-            OpKind::LockRelease { lock } => {
-                held.remove(&name(lock.node, lock.name));
-            }
-            _ => {}
-        }
-    }
-    held
-}
-
-/// Walks HB predecessors of `idx` looking for a record on a different node
-/// whose statement has few dynamic instances.
-fn remote_ancestor(hb: &HbAnalysis, idx: usize) -> Option<usize> {
-    let trace = hb.trace();
-    let node = trace.records()[idx].task.node;
-    let mut frontier = vec![idx];
-    let mut seen = std::collections::BTreeSet::new();
-    while let Some(v) = frontier.pop() {
-        for (p, _) in hb.predecessors(v) {
-            if !seen.insert(p) {
-                continue;
-            }
-            let r = &trace.records()[p];
-            if r.task.node != node
-                && r.stack != dcatch_trace::StackId::EMPTY
-                && occurrence_count(trace, p) <= INSTANCE_THRESHOLD
-            {
-                return Some(p);
-            }
-            frontier.push(p);
-        }
-    }
-    None
 }

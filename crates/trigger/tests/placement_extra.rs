@@ -65,7 +65,7 @@ fn many_instance_race_moves_to_remote_ancestor() {
         .iter()
         .find(|c| c.object() == "status")
         .expect("status candidate");
-    let plan = plan_candidate(c, &hb);
+    let plan = plan_candidate(c);
     assert!(
         plan.rules
             .iter()
@@ -73,7 +73,7 @@ fn many_instance_race_moves_to_remote_ancestor() {
             .any(|r| *r == PlacementRule::RemoteAncestor),
         "{plan:#?}"
     );
-    let report = trigger_candidate(&p, &topo, &cfg, c, &hb);
+    let report = trigger_candidate(&p, &topo, &cfg, c);
     assert!(
         report.runs.iter().any(|r| r.coordinated),
         "rule-4 placement must coordinate: {report:#?}"
@@ -109,7 +109,7 @@ fn direct_fallback_is_recorded() {
         .iter()
         .find(|c| c.object() == "cell")
         .expect("cell candidate");
-    let report = trigger_candidate(&p, &topo, &cfg, c, &hb);
+    let report = trigger_candidate(&p, &topo, &cfg, c);
     // multi-consumer queue → rule 1 does not fire → plan is direct, and
     // the two handlers coordinate directly
     assert!(report.runs.iter().any(|r| r.coordinated), "{report:#?}");
@@ -155,7 +155,7 @@ fn same_socket_worker_placement_moves_to_senders() {
         .iter()
         .find(|c| c.object() == "inbox")
         .expect("inbox candidate");
-    let plan = plan_candidate(c, &hb);
+    let plan = plan_candidate(c);
     assert!(
         plan.rules
             .iter()
@@ -163,6 +163,6 @@ fn same_socket_worker_placement_moves_to_senders() {
             .any(|r| *r == PlacementRule::RpcCaller),
         "same-worker socket handlers must move to senders: {plan:#?}"
     );
-    let report = trigger_candidate(&p, &topo, &cfg, c, &hb);
+    let report = trigger_candidate(&p, &topo, &cfg, c);
     assert!(report.runs.iter().any(|r| r.coordinated), "{report:#?}");
 }

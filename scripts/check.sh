@@ -14,7 +14,8 @@
 #   scripts/check.sh stream   # streaming-mode smoke: one benchmark run
 #                             # offline and with --streaming in separate
 #                             # processes must agree byte-for-byte on every
-#                             # detection-relevant report section
+#                             # detection-relevant report section, the
+#                             # trigger verdicts included
 #   scripts/check.sh synth    # protocol-fuzzer recall gate: 50 scenarios
 #                             # per protocol; fails if planted-bug recall
 #                             # drops below SYNTH_BASELINE.json
@@ -86,9 +87,9 @@ if [[ "${1:-}" == "stream" ]]; then
     st_dir="$(mktemp -d)"
     trap 'rm -rf "$st_dir"' EXIT
     echo "== streaming equivalence smoke (offline vs --streaming, cross-process) =="
-    cargo run --offline --release -q --bin dcatch -- detect MR-3274 --no-trigger \
+    cargo run --offline --release -q --bin dcatch -- detect MR-3274 \
         --json --scrub-timings --out "$st_dir/offline.json"
-    cargo run --offline --release -q --bin dcatch -- detect MR-3274 --no-trigger \
+    cargo run --offline --release -q --bin dcatch -- detect MR-3274 \
         --json --scrub-timings --streaming --out "$st_dir/streaming.json"
     # project the detection-relevant subset of each report (stage timings,
     # span shapes, metrics, and the streaming section itself legitimately

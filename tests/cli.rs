@@ -168,8 +168,10 @@ fn readme_documents_every_flag() {
 /// refused, pointing at `--time-budget 0`; a zero `--jobs`,
 /// `--trigger-jobs` or `--count` is refused instead of read as 1, a zero
 /// `--scale` instead of running the workload with its scaled loops removed,
-/// a zero `--records` instead of streaming a minimum-length trace, and a
-/// zero `--stream-window` instead of a window that keeps one entry.
+/// a zero `--records` instead of streaming a minimum-length trace, a zero
+/// `--stream-window` instead of a window that keeps one entry, and a zero
+/// `--nodes`, `--clients` or `--fan-out` instead of generating with 2, 1
+/// or 1 while the `--resume` fingerprint records 0.
 #[test]
 fn a_zero_timeout_or_count_is_refused() {
     let mut refused = 0;
@@ -182,6 +184,9 @@ fn a_zero_timeout_or_count_is_refused() {
             "--scale",
             "--records",
             "--stream-window",
+            "--nodes",
+            "--clients",
+            "--fan-out",
         ] {
             if command.flags.iter().all(|f| f.name != flag) {
                 continue;
@@ -204,8 +209,18 @@ fn a_zero_timeout_or_count_is_refused() {
     // --timeout on detect, synth and faults; --jobs on detect and synth;
     // --trigger-jobs on all three; --count on synth; --scale on detect,
     // stats, trace, timeline, faults and tables; --records on streambench;
-    // --stream-window on detect and streambench
-    assert_eq!(refused, 18);
+    // --stream-window on detect and streambench; --nodes, --clients and
+    // --fan-out on synth
+    assert_eq!(refused, 21);
+    // a scenario has at least two worker nodes
+    let output = dcatch(&["synth", "--nodes", "1"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("invalid value `1` for `--nodes`"),
+        "{stderr}"
+    );
+    assert!(output.stdout.is_empty());
 }
 
 /// `tables` names one of the paper's nine tables, and takes only the

@@ -10,7 +10,7 @@
 //!
 //! The candidates are every candidate the scan finds (a superset of what
 //! the pipeline triggers) on `detect all` at scales 1 and 4, under their
-//! offline placement plans and the direct plans `--streaming` uses, and on
+//! placement plans and the direct plans the farm falls back to, and on
 //! `synth --seed 1 --count 4` under each scenario's fault plan. Each pair
 //! is checked twice: with any failure as evidence (so a decided run stops
 //! early) and with none (so every run reaches quiescence).
@@ -84,7 +84,7 @@ fn check_plan(
 }
 
 /// Every candidate of `bench`'s traced run under `faults`, under its
-/// offline plan, the offline fallback and the streaming direct plan.
+/// placement plan and its direct fallback.
 fn check_bench(bench: &dcatch::Benchmark, faults: FaultPlan, tally: &mut Tally) -> usize {
     let prepared = World::prepare(&bench.program, &bench.topology).expect("benchmark prepares");
     let cfg = SimConfig::default()
@@ -98,7 +98,7 @@ fn check_bench(bench: &dcatch::Benchmark, faults: FaultPlan, tally: &mut Tally) 
     };
     let candidates = find_candidates(&hb);
     for (i, c) in candidates.iter().enumerate() {
-        let spec = FarmSpec::new(c, &hb);
+        let spec = FarmSpec::of(c);
         let what = format!("{} candidate {i} ({})", bench.id, c.object());
         check_plan(
             &prepared,
@@ -107,7 +107,7 @@ fn check_bench(bench: &dcatch::Benchmark, faults: FaultPlan, tally: &mut Tally) 
             &format!("{what}, plan"),
             tally,
         );
-        // the offline fallback and the streaming plan are the one direct plan
+        // the fallback: the direct plan, when the plan is not already it
         if !spec.plan.is_direct() {
             let direct = TriggerPlan::direct(c);
             check_plan(

@@ -2,8 +2,8 @@
 //! "Triggering" discussion).
 
 use dcatch::{
-    plan_candidate, trigger_candidate, HbAnalysis, HbConfig, Pipeline, PipelineOptions, SimConfig,
-    Verdict, World,
+    plan_candidate, run_farm, trigger_candidate, FarmSpec, HbAnalysis, HbConfig, Pipeline,
+    PipelineOptions, SimConfig, TriggerPlan, Verdict, World,
 };
 
 /// For every confirmed harmful bug, the *other* order is failure-free:
@@ -19,15 +19,7 @@ fn harmful_bugs_have_one_failing_and_one_clean_order() {
             .unwrap_or_else(|| panic!("{id}: no harmful known report"));
         // re-trigger manually to inspect the per-order outcomes
         let cfg = SimConfig::default().with_seed(bench.seed);
-        let run = World::run_once(&bench.program, &bench.topology, cfg.clone()).unwrap();
-        let hb = HbAnalysis::build(run.trace, &HbConfig::default()).unwrap();
-        let trep = trigger_candidate(
-            &bench.program,
-            &bench.topology,
-            &cfg,
-            &harmful.candidate,
-            &hb,
-        );
+        let trep = trigger_candidate(&bench.program, &bench.topology, &cfg, &harmful.candidate);
         assert_eq!(trep.verdict, Verdict::Harmful, "{id}");
         let clean_order = trep
             .runs
@@ -47,7 +39,6 @@ fn harmful_bugs_have_one_failing_and_one_clean_order() {
 /// single-consumer queue.
 #[test]
 fn placement_rules_fire_on_event_driven_benchmarks() {
-    use dcatch::TriggerPlan;
     let mut non_direct = 0;
     for id in ["MR-3274", "CA-1011", "HB-4539"] {
         let bench = dcatch::benchmark(id).unwrap();
@@ -56,7 +47,7 @@ fn placement_rules_fire_on_event_driven_benchmarks() {
         let hb = HbAnalysis::build(run.trace, &HbConfig::default()).unwrap();
         let candidates = dcatch::find_candidates(&hb);
         for c in &candidates {
-            let plan: TriggerPlan = plan_candidate(c, &hb);
+            let plan: TriggerPlan = plan_candidate(c);
             if !plan.is_direct() {
                 non_direct += 1;
             }
@@ -79,8 +70,8 @@ fn verdicts_are_deterministic() {
         .iter()
         .find(|c| c.object() == "/unassigned/r2")
         .expect("zknode candidate");
-    let v1 = trigger_candidate(&bench.program, &bench.topology, &cfg, c, &hb).verdict;
-    let v2 = trigger_candidate(&bench.program, &bench.topology, &cfg, c, &hb).verdict;
+    let v1 = trigger_candidate(&bench.program, &bench.topology, &cfg, c).verdict;
+    let v2 = trigger_candidate(&bench.program, &bench.topology, &cfg, c).verdict;
     assert_eq!(v1, v2);
 }
 
@@ -96,28 +87,18 @@ fn serial_pairs_never_coordinate() {
         .find(|r| r.verdict == Some(Verdict::Serial))
         .expect("a serial report");
     let cfg = SimConfig::default().with_seed(bench.seed);
-    let run = World::run_once(&bench.program, &bench.topology, cfg.clone()).unwrap();
-    let hb = HbAnalysis::build(run.trace, &HbConfig::default()).unwrap();
-    let trep = trigger_candidate(
-        &bench.program,
-        &bench.topology,
-        &cfg,
-        &serial.candidate,
-        &hb,
-    );
+    let trep = trigger_candidate(&bench.program, &bench.topology, &cfg, &serial.candidate);
     assert_eq!(trep.verdict, Verdict::Serial);
     assert!(trep.runs.iter().all(|r| !r.coordinated));
 }
 
-/// A controller that gave up holds nothing afterwards. Streamed detection
-/// triggers with direct placement, and in these four pairs one party
-/// reaches its request point only after a stall abandoned the other: no
-/// run ever held both, so the pair is serial — a hold after the abandon
-/// used to count as coordination and read the pair as a benign race.
+/// A controller that gave up holds nothing afterwards. Under direct
+/// placement, in these four pairs one party reaches its request point only
+/// after a stall abandoned the other: no run ever held both, so the pair
+/// is serial — a hold after the abandon used to count as coordination and
+/// read the pair as a benign race.
 #[test]
 fn an_abandoned_controller_coordinates_nothing() {
-    let mut opts = PipelineOptions::full();
-    opts.streaming = true;
     for (id, object, pairs) in [
         (
             "MR-3274",
@@ -127,17 +108,33 @@ fn an_abandoned_controller_coordinates_nothing() {
         ("ZK-1270", "epoch_ack_count", ["f1:4 × f1:7", "f1:6 × f1:7"]),
     ] {
         let bench = dcatch::benchmark(id).unwrap();
-        let report = Pipeline::run(&bench, &opts).unwrap();
-        for pair in pairs {
-            let rep = report
-                .reports
-                .iter()
-                .find(|r| {
+        let report = Pipeline::run(&bench, &PipelineOptions::full()).unwrap();
+        let direct: Vec<FarmSpec> = pairs
+            .iter()
+            .map(|pair| {
+                let rep = report.reports.iter().find(|r| {
                     let (s, t) = r.candidate.static_pair;
-                    r.object() == object && format!("{s} × {t}") == pair
-                })
-                .unwrap_or_else(|| panic!("{id}: no candidate {pair} on `{object}`"));
-            assert_eq!(rep.verdict, Some(Verdict::Serial), "{id}: {pair}");
+                    r.object() == object && format!("{s} × {t}") == *pair
+                });
+                let c = &rep
+                    .unwrap_or_else(|| panic!("{id}: no {pair} on `{object}`"))
+                    .candidate;
+                let plan = TriggerPlan::direct(c);
+                FarmSpec { plan, direct: None }
+            })
+            .collect();
+        let cfg = SimConfig::default().with_seed(bench.seed);
+        let reports = run_farm(
+            &bench.program,
+            &bench.topology,
+            &cfg,
+            &direct,
+            1,
+            None,
+            None,
+        );
+        for (pair, trep) in pairs.iter().zip(reports) {
+            assert_eq!(trep.verdict, Verdict::Serial, "{id}: {pair}");
         }
     }
 }
