@@ -109,6 +109,36 @@ mod tests {
         }
     }
 
+    /// `gen_range`'s stream, folded into one FNV-1a value: three seeds,
+    /// bounds from 1 up to `usize::MAX`. Near `2⁶³` and `2⁶⁴` a draw falls
+    /// in the rejection zone often, so the value also pins which draws the
+    /// loop throws away.
+    #[test]
+    fn gen_range_stream_is_pinned() {
+        let bounds = [1, 2, 3, 10, 1_000, (1 << 32) + 1, (1 << 63) + 1, usize::MAX];
+        let (mut h, mut draws) = (0xcbf2_9ce4_8422_2325_u64, 0);
+        for seed in [0, 7, 0xdead_beef] {
+            let mut r = SmallRng::seed_from_u64(seed);
+            for _ in 0..64 {
+                for bound in bounds {
+                    let v = r.gen_range(bound);
+                    assert!(v < bound);
+                    for b in (v as u64).to_le_bytes() {
+                        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+            }
+            let mut raw = SmallRng::seed_from_u64(seed);
+            while raw != r {
+                raw.next_u64();
+                draws += 1;
+            }
+        }
+        assert_eq!(h, 0x98c1_d81b_9643_f893);
+        let rejected = draws - 3 * 64 * bounds.len();
+        assert!(rejected > 0, "no draw fell in a rejection zone");
+    }
+
     #[test]
     fn splitmix_reference_vector() {
         // Reference output for seed 1234567 from the SplitMix64 paper's

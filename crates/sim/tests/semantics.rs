@@ -12,6 +12,23 @@ fn single_node(_p: &Program, entry: &str) -> Topology {
 }
 
 fn run_entry(body: impl FnOnce(&mut dcatch_model::BlockBuilder<'_>)) -> dcatch_sim::RunResult {
+    run_entry_in(SimConfig::default(), body)
+}
+
+/// The default configuration, which traces, and the same untraced: a
+/// failure exit must not depend on whether the run records.
+fn traced_and_untraced() -> [SimConfig; 2] {
+    let untraced = SimConfig {
+        trace_enabled: false,
+        ..SimConfig::default()
+    };
+    [SimConfig::default(), untraced]
+}
+
+fn run_entry_in(
+    config: SimConfig,
+    body: impl FnOnce(&mut dcatch_model::BlockBuilder<'_>),
+) -> dcatch_sim::RunResult {
     let mut pb = ProgramBuilder::new();
     pb.func("main", &[], FuncKind::Regular, body);
     pb.func("handler", &["v"], FuncKind::EventHandler, |b| {
@@ -19,7 +36,7 @@ fn run_entry(body: impl FnOnce(&mut dcatch_model::BlockBuilder<'_>)) -> dcatch_s
     });
     let p = pb.build().unwrap();
     let topo = single_node(&p, "main");
-    World::run_once(&p, &topo, SimConfig::default()).unwrap()
+    World::run_once(&p, &topo, config).unwrap()
 }
 
 // ---- ZooKeeper edge cases ---------------------------------------------------
@@ -147,20 +164,26 @@ fn every_heap_op_on_another_kind_is_a_class_cast_failure() {
         }),
     ];
     let mut wrong = Vec::new();
-    for (op_kind, op, use_it) in ops {
-        for (kind, make) in kinds.iter().filter(|(kind, _)| *kind != op_kind) {
-            let r = run_entry(|b| {
-                make(b);
-                use_it(b);
-                b.write("reached", Expr::val(true));
-            });
-            let thrown = r.failures.iter().map(|f| (&f.kind, f.msg.as_str()));
-            let want = (
-                &RunFailureKind::UncaughtThrow("ClassCastException".into()),
-                format!("`x` is not a {op_kind}"),
-            );
-            if !thrown.eq([(want.0, want.1.as_str())]) {
-                wrong.push(format!("{op} on a {kind}: {:?}", r.failures));
+    for config in traced_and_untraced() {
+        for (op_kind, op, use_it) in ops {
+            for (kind, make) in kinds.iter().filter(|(kind, _)| *kind != op_kind) {
+                let r = run_entry_in(config.clone(), |b| {
+                    make(b);
+                    use_it(b);
+                    b.write("reached", Expr::val(true));
+                });
+                let thrown = r.failures.iter().map(|f| (&f.kind, f.msg.as_str()));
+                let want = (
+                    &RunFailureKind::UncaughtThrow("ClassCastException".into()),
+                    format!("`x` is not a {op_kind}"),
+                );
+                if !thrown.eq([(want.0, want.1.as_str())]) {
+                    let traced = config.trace_enabled;
+                    wrong.push(format!(
+                        "{op} on a {kind} (traced {traced}): {:?}",
+                        r.failures
+                    ));
+                }
             }
         }
     }
@@ -169,13 +192,55 @@ fn every_heap_op_on_another_kind_is_a_class_cast_failure() {
 
 #[test]
 fn undefined_local_kills_the_task() {
-    let r = run_entry(|b| {
-        b.assign("x", Expr::local("never_defined"));
-    });
-    assert!(matches!(
-        &r.failures[0].kind,
-        RunFailureKind::UncaughtThrow(k) if k == "EvalError"
-    ));
+    type Use = fn(&mut dcatch_model::BlockBuilder<'_>);
+    let ops: [(&str, Use); 7] = [
+        ("assign", |b| {
+            b.assign("x", Expr::local("never_defined"));
+        }),
+        ("write", |b| {
+            b.write("x", Expr::local("never_defined"));
+        }),
+        ("map_put key", |b| {
+            b.map_put("x", Expr::local("never_defined"), Expr::val(1));
+        }),
+        ("map_put value", |b| {
+            b.map_put("x", Expr::val("k"), Expr::local("never_defined"));
+        }),
+        ("if", |b| {
+            b.if_(Expr::local("never_defined"), |b| {
+                b.nop();
+            });
+        }),
+        ("while", |b| {
+            b.while_(Expr::local("never_defined"), |b| {
+                b.nop();
+            });
+        }),
+        ("retry_while", |b| {
+            b.retry_while(Expr::local("never_defined"), |b| {
+                b.nop();
+            });
+        }),
+    ];
+    let mut wrong = Vec::new();
+    for config in traced_and_untraced() {
+        for (op, use_it) in ops {
+            let r = run_entry_in(config.clone(), |b| {
+                use_it(b);
+                b.write("reached", Expr::val(true));
+            });
+            let thrown = r.failures.iter().map(|f| (&f.kind, f.msg.as_str()));
+            let want = (
+                &RunFailureKind::UncaughtThrow("EvalError".into()),
+                "undefined local `never_defined`",
+            );
+            if !thrown.eq([want]) {
+                let traced = config.trace_enabled;
+                wrong.push(format!("{op} (traced {traced}): {:?}", r.failures));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
 #[test]

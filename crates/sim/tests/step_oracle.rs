@@ -806,6 +806,12 @@ fn observe() -> Vec<(String, u64)> {
     let focused = SimConfig::default().with_focus(FocusConfig::on(["out"]));
     let (hash, _) = run_on(&program, &topo, focused);
     rows.push(("expressions focused".to_owned(), hash));
+    let untraced = SimConfig {
+        trace_enabled: false,
+        ..SimConfig::default()
+    };
+    let (hash, _) = run_on(&program, &topo, untraced);
+    rows.push(("expressions untraced".to_owned(), hash));
     let (program, topo) = maps_program();
     let (hash, _) = run_on(&program, &topo, maps_focused());
     rows.push(("maps focused".to_owned(), hash));
@@ -1076,6 +1082,8 @@ const EXPECTED: &[(&str, u64)] = &[
     ),
     // recorded at the commit before the evaluator borrowed its operands
     ("expressions focused", 0xbcbc3614ccec0156),
+    // recorded at the commit before the hot arms were inlined into the step
+    ("expressions untraced", 0xb20959493b01d385),
     // recorded at the commit before heap maps were stored as sorted blocks
     ("maps focused", 0xf93a55423c4c741e),
     // recorded at the commit before the scheduler kept its ready list
