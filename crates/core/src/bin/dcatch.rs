@@ -416,8 +416,9 @@ fn print_profile(r: &dcatch::BenchmarkReport) {
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1000.0;
     let t = &r.timings;
     outln!(
-        "  profile: tracing {:.2}ms | streaming {:.2}ms | analysis {:.2}ms | pruning {:.2}ms | \
-         loop-sync {:.2}ms | triggering {:.2}ms | total {:.2}ms",
+        "  profile: base {:.2}ms | tracing {:.2}ms | streaming {:.2}ms | analysis {:.2}ms | \
+         pruning {:.2}ms | loop-sync {:.2}ms | triggering {:.2}ms | total {:.2}ms",
+        ms(t.base),
         ms(t.tracing),
         ms(t.streaming),
         ms(t.trace_analysis),

@@ -20,6 +20,7 @@ impl SmallRng {
     }
 
     /// Next raw 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -33,18 +34,21 @@ impl SmallRng {
     ///
     /// # Panics
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn gen_range(&mut self, bound: usize) -> usize {
         assert!(bound > 0, "gen_range bound must be positive");
         let bound = bound as u64;
-        // Lemire's method: multiply-shift with a rejection zone.
-        let threshold = bound.wrapping_neg() % bound;
-        loop {
-            let x = self.next_u64();
-            let m = u128::from(x) * u128::from(bound);
-            if (m as u64) >= threshold {
-                return (m >> 64) as usize;
+        // Lemire's nearly-divisionless method: the rejection zone is the
+        // low words below `2⁶⁴ mod bound`, which is less than `bound`, so
+        // the division is needed only for a low word below `bound`.
+        let mut m = u128::from(self.next_u64()) * u128::from(bound);
+        if (m as u64) < bound {
+            let threshold = bound.wrapping_neg() % bound;
+            while (m as u64) < threshold {
+                m = u128::from(self.next_u64()) * u128::from(bound);
             }
         }
+        (m >> 64) as usize
     }
 
     /// Uniform `i64` in `[lo, hi)`.

@@ -13,7 +13,7 @@ use dcatch_trace::{
     Record, RpcId, StackId, StreamControl, TaskId, TraceSet, TraceSink, TracingMode,
 };
 
-use crate::compile::{LockId, ObjId, Op, QueueId, Slot, SlotExpr};
+use crate::compile::{CompiledFunc, LockId, ObjId, Op, QueueId, Slot, SlotExpr};
 use crate::config::SimConfig;
 use crate::failure::{Failure, LogLevel, LogLine, RunFailureKind};
 use crate::fault::{ChannelKind, CrashFault, MessageAction};
@@ -237,6 +237,7 @@ enum MapKey {
 }
 
 impl MapKey {
+    #[inline]
     fn of(v: Value) -> MapKey {
         match v {
             Value::Int(i) => MapKey::Int(i),
@@ -789,11 +790,8 @@ impl<'p> World<'p> {
     }
 
     /// Whether a memory access to `object` in the current top frame of `t`
-    /// is traced, and whether its value should be recorded.
+    /// is traced, and whether its value should be recorded (tracing on).
     fn mem_trace_policy(&self, t: usize, object: &str) -> (bool, bool) {
-        if !self.config.trace_enabled {
-            return (false, false);
-        }
         if let Some(focus) = &self.config.focus {
             return (focus.objects.contains(object), true);
         }
@@ -810,9 +808,27 @@ impl<'p> World<'p> {
     }
 
     /// Records a memory access to `object` (a heap object of the task's
-    /// node, or a zknode path). The location is built only once the policy
-    /// and the sampler have decided the record will exist.
+    /// node, or a zknode path). Inlined into every access, so an untraced
+    /// run tests one flag and never enters the record builder.
+    #[inline(always)]
     fn emit_mem(
+        &mut self,
+        t: usize,
+        write: bool,
+        object: Object<'_>,
+        key: Option<&MapKey>,
+        value: &Value,
+    ) {
+        if self.config.trace_enabled {
+            self.record_mem(t, write, object, key, value);
+        }
+    }
+
+    /// [`emit_mem`](World::emit_mem)'s record builder, tracing on. The
+    /// location is built only once the policy and the sampler have decided
+    /// the record will exist.
+    #[inline(never)]
+    fn record_mem(
         &mut self,
         t: usize,
         write: bool,
@@ -1597,7 +1613,8 @@ impl<'p> World<'p> {
         }
         let frame = self.tasks[t].frames.last().expect("frame");
         // borrowed from the prepared program, not from `self`, which `exec` mutates
-        let instr = &self.prep.cp.func(frame.func).instrs[frame.pc];
+        let cf = self.prep.cp.func(frame.func);
+        let instr = &cf.instrs[frame.pc];
 
         // gate consultation, on the statements the gate watches only
         let ev = GateEvent {
@@ -1615,7 +1632,7 @@ impl<'p> World<'p> {
         }
 
         let failed = self.failures.len();
-        let flow = self.exec(t, &instr.op, instr.stmt);
+        let flow = self.exec(t, cf, &instr.op, instr.stmt);
         if self.failures.len() > failed {
             self.decided |= gate.decided(&self.failures);
         }
@@ -1769,11 +1786,17 @@ impl<'p> World<'p> {
         Flow::Dead
     }
 
+    /// Kills `t` with the `EvalError` an expression of its failed with.
+    #[cold]
+    fn eval_failed(&mut self, t: usize, msg: String) -> Flow {
+        self.throw(t, "EvalError", msg)
+    }
+
     fn eval_or_kill(&mut self, t: usize, e: &SlotExpr) -> Option<Value> {
         match self.eval(t, e) {
             Ok(v) => Some(v),
             Err(msg) => {
-                self.throw(t, "EvalError", msg);
+                self.eval_failed(t, msg);
                 None
             }
         }
@@ -1796,6 +1819,7 @@ impl<'p> World<'p> {
         }
     }
 
+    #[inline]
     fn set_local(&mut self, t: usize, local: Slot, v: Value) {
         if let Some(f) = self.tasks[t].frames.last_mut() {
             f.locals[local] = Some(v);
@@ -1818,22 +1842,60 @@ impl<'p> World<'p> {
 
     // -- instruction execution ---------------------------------------------------
 
-    /// Executes one instruction of task `t`. Names are taken from the
+    /// Executes one instruction of task `t`, an instruction of `cf`. The
+    /// seven operations nearly every executed step is — a loop's head,
+    /// assignment, jumps and the plain heap accesses — run here, inlined
+    /// into the step: they evaluate over the frame and index the node's
+    /// heap that one look-up of the task gives, and enter the trace only
+    /// when the run records. Every other operation is
+    /// [`exec_cold`](World::exec_cold)'s. Names are taken from the
     /// compiled program only to build what leaves the simulator (trace
     /// records, failure messages).
-    #[allow(clippy::too_many_lines)]
-    fn exec(&mut self, t: usize, op: &Op, stmt: StmtId) -> Flow {
-        let cp = &self.prep.cp;
+    #[inline(always)]
+    fn exec(&mut self, t: usize, cf: &CompiledFunc, op: &Op, stmt: StmtId) -> Flow {
+        let task = &mut self.tasks[t];
+        let node = task.node;
+        let frame = task.frames.last_mut().expect("frame");
+        let eval = |e| eval_in(&frame.locals, &cf.locals, node, e);
         match op {
-            Op::Assign { local, expr } => {
-                let Some(v) = self.eval_or_kill(t, expr) else {
-                    return Flow::Dead;
+            Op::LoopHead {
+                loop_id,
+                retry,
+                cond,
+                exit,
+            } => {
+                let truthy = match eval(cond) {
+                    Ok(v) => v.truthy(),
+                    Err(msg) => return self.eval_failed(t, msg),
                 };
-                self.set_local(t, *local, v);
+                if !truthy {
+                    return Flow::Goto(*exit);
+                }
+                if !*retry {
+                    return Flow::Next;
+                }
+                let iters = task.iters_of(*loop_id);
+                *iters += 1;
+                if *iters > self.config.retry_loop_budget {
+                    return self.retry_hang(t, *loop_id);
+                }
                 Flow::Next
             }
+            Op::Assign { local, expr } => match eval(expr) {
+                Ok(v) => {
+                    frame.locals[*local] = Some(v);
+                    Flow::Next
+                }
+                Err(msg) => self.eval_failed(t, msg),
+            },
+            Op::Jump { target } => Flow::Goto(*target),
+            Op::Branch { cond, target } => match eval(cond) {
+                Ok(v) if v.truthy() => Flow::Next,
+                Ok(_) => Flow::Goto(*target),
+                Err(msg) => self.eval_failed(t, msg),
+            },
             Op::Read { local, object } => {
-                let v = match self.heap(t, *object) {
+                let v = match &self.heaps[node.index()][*object] {
                     Some(HeapObj::Cell(v)) => v.clone(),
                     None => Value::Null,
                     Some(_) => return self.not_a(t, *object, "cell"),
@@ -1843,33 +1905,76 @@ impl<'p> World<'p> {
                 Flow::Next
             }
             Op::Write { object, value } => {
-                let Some(v) = self.eval_or_kill(t, value) else {
-                    return Flow::Dead;
+                let v = match eval(value) {
+                    Ok(v) => v,
+                    Err(msg) => return self.eval_failed(t, msg),
                 };
-                if !matches!(self.heap(t, *object), None | Some(HeapObj::Cell(_))) {
+                if !matches!(
+                    self.heaps[node.index()][*object],
+                    None | Some(HeapObj::Cell(_))
+                ) {
                     return self.not_a(t, *object, "cell");
                 }
                 self.emit_mem(t, true, Object::Heap(*object), None, &v);
-                *self.heap(t, *object) = Some(HeapObj::Cell(v));
+                self.heaps[node.index()][*object] = Some(HeapObj::Cell(v));
                 Flow::Next
             }
             Op::MapPut { map, key, value } => {
-                let (Some(k), Some(v)) = (self.eval_or_kill(t, key), self.eval_or_kill(t, value))
-                else {
-                    return Flow::Dead;
+                // both operands are evaluated, whatever the first gives
+                let (k, v) = match (eval(key), eval(value)) {
+                    (Ok(k), Ok(v)) => (k, v),
+                    (k, v) => return self.eval_errors(t, [k.err(), v.err()]),
                 };
-                if !matches!(self.heap(t, *map), None | Some(HeapObj::Map(_))) {
+                if !matches!(self.heaps[node.index()][*map], None | Some(HeapObj::Map(_))) {
                     return self.not_a(t, *map, "map");
                 }
                 let k = MapKey::of(k);
                 self.emit_mem(t, true, Object::Heap(*map), Some(&k), &v);
-                let obj = self.heap(t, *map);
-                if let HeapObj::Map(m) = obj.get_or_insert_with(|| HeapObj::Map(HeapMap::default()))
+                let cell = &mut self.heaps[node.index()][*map];
+                if let HeapObj::Map(m) =
+                    cell.get_or_insert_with(|| HeapObj::Map(HeapMap::default()))
                 {
                     m.insert(k, v);
                 }
                 Flow::Next
             }
+            op => self.exec_cold(t, op, stmt),
+        }
+    }
+
+    /// Kills `t` with the `EvalError` of each of an operation's operands
+    /// that failed, in operand order.
+    #[cold]
+    fn eval_errors(&mut self, t: usize, errors: [Option<String>; 2]) -> Flow {
+        for msg in errors.into_iter().flatten() {
+            self.eval_failed(t, msg);
+        }
+        Flow::Dead
+    }
+
+    /// Kills `t`, whose retry loop `loop_id` spun past the budget.
+    #[cold]
+    fn retry_hang(&mut self, t: usize, loop_id: LoopId) -> Flow {
+        self.kill(
+            t,
+            RunFailureKind::RetryLoopHang(loop_id),
+            format!(
+                "retry loop {} spun past {} iterations",
+                loop_id.0, self.config.retry_loop_budget
+            ),
+        );
+        Flow::Dead
+    }
+
+    /// Executes every operation [`exec`](World::exec) does not run inline.
+    /// A new [`Op`] belongs here unless the step counts of a workload show
+    /// it among the operations nearly every step is.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_lines)]
+    fn exec_cold(&mut self, t: usize, op: &Op, stmt: StmtId) -> Flow {
+        let cp = &self.prep.cp;
+        match op {
             Op::MapGet { local, map, key } => {
                 let Some(k) = self.eval_or_kill(t, key) else {
                     return Flow::Dead;
@@ -1968,51 +2073,10 @@ impl<'p> World<'p> {
                 Flow::Next
             }
 
-            Op::Branch { cond, target } => {
-                let Some(v) = self.eval_or_kill(t, cond) else {
-                    return Flow::Dead;
-                };
-                if v.truthy() {
-                    Flow::Next
-                } else {
-                    Flow::Goto(*target)
-                }
-            }
-            Op::Jump { target } => Flow::Goto(*target),
             Op::LoopEnter { loop_id, retry } => {
                 if *retry {
                     *self.tasks[t].iters_of(*loop_id) = 0;
                     self.emit(t, OpKind::LoopEnter { loop_id: *loop_id });
-                }
-                Flow::Next
-            }
-            Op::LoopHead {
-                loop_id,
-                retry,
-                cond,
-                exit,
-            } => {
-                let Some(v) = self.eval_or_kill(t, cond) else {
-                    return Flow::Dead;
-                };
-                if !v.truthy() {
-                    return Flow::Goto(*exit);
-                }
-                if !*retry {
-                    return Flow::Next;
-                }
-                let iters = self.tasks[t].iters_of(*loop_id);
-                *iters += 1;
-                if *iters > self.config.retry_loop_budget {
-                    self.kill(
-                        t,
-                        RunFailureKind::RetryLoopHang(*loop_id),
-                        format!(
-                            "retry loop {} spun past {} iterations",
-                            loop_id.0, self.config.retry_loop_budget
-                        ),
-                    );
-                    return Flow::Dead;
                 }
                 Flow::Next
             }
@@ -2358,6 +2422,13 @@ impl<'p> World<'p> {
                 Flow::Handled
             }
             Op::Yield | Op::Nop => Flow::Next,
+            Op::LoopHead { .. }
+            | Op::Assign { .. }
+            | Op::Jump { .. }
+            | Op::Branch { .. }
+            | Op::Read { .. }
+            | Op::Write { .. }
+            | Op::MapPut { .. } => unreachable!("`exec` runs {op:?} inline"),
         }
     }
 
@@ -2462,6 +2533,7 @@ fn local<'v>(
 
 /// Operand `e` in place when it is a constant or a local; otherwise
 /// evaluated into `tmp`.
+#[inline]
 fn operand<'v>(
     locals: &'v [Option<Value>],
     names: &[String],

@@ -130,9 +130,11 @@ echo "== interpreter oracles, release build =="
 # and asserts they agree; release compiles that check out, and must match
 # the same recorded executions, verdicts and scheduler work without it —
 # release is the build dcbench measures, so the heap-map oracle (`--lib`)
-# and the allocation bounds run in it too
+# and the allocation bounds run in it too, and so does the pin of the
+# scheduler's random stream (`dcatch-obs --lib`)
 cargo test --offline --release -q -p dcatch-sim --lib --test step_oracle --test semantics \
     --test fault_fuzz --test sched_work --test alloc_budget
+cargo test --offline --release -q -p dcatch-obs --lib
 # the fork oracle: a shared or forked ordering equals a fresh run
 cargo test --offline --release -q -p dcatch --test trigger_farm --test triggering \
     --test fork_oracle

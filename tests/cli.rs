@@ -251,3 +251,46 @@ fn tables_refuses_a_table_or_flag_it_does_not_have() {
         assert!(output.stdout.is_empty(), "{args:?}");
     }
 }
+
+/// `detect --profile`'s stage line names every Table 6 stage, base first,
+/// then the total they add up to.
+#[test]
+fn profile_line_names_every_stage() {
+    let dir = std::env::temp_dir().join(format!("dcatch-profile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let timeline = dir.join("profile.trace.json");
+    let output = dcatch(&[
+        "detect",
+        "MR-3274",
+        "--no-trigger",
+        "--profile",
+        "--profile-out",
+        timeline.to_str().expect("utf-8 path"),
+    ]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(output.status.code(), Some(0), "{stdout}");
+    let line = stdout
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("profile: base "))
+        .map(|rest| format!("base {rest}"))
+        .unwrap_or_else(|| panic!("no stage line starting with base:\n{stdout}"));
+    let names: Vec<&str> = line
+        .split(" | ")
+        .map(|stage| stage.split_whitespace().next().expect("a stage name"))
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "base",
+            "tracing",
+            "streaming",
+            "analysis",
+            "pruning",
+            "loop-sync",
+            "triggering",
+            "total"
+        ],
+        "{line}"
+    );
+}
