@@ -23,7 +23,7 @@ use dcatch_sim::{
     FaultPlan, FocusConfig, Gate, GateDecision, GateEvent, RunFailureKind, RunResult, SimConfig,
     StallAction, Topology, World,
 };
-use dcatch_trace::{Names, Record, StreamControl, TaskId, TraceSink};
+use dcatch_trace::{CauseKey, Names, Record, StreamControl, TaskId, TraceSink};
 
 struct Fnv(u64);
 
@@ -410,6 +410,149 @@ fn the_reply_rows_cover_their_case() {
             r.steps
         );
     }
+}
+
+/// Steps a handler on [`inbox_program`]'s server sleeps: every worker is
+/// still busy with its first unit of work when the crash comes.
+const INBOX_HOLD: i64 = 1000;
+
+/// The crash of [`inbox_program`]'s server, with the delay that keeps the
+/// third RPC request, socket message and watcher notification in flight
+/// across it: they come due while the server is down.
+const INBOX_PLAN: &str = "delay rpc nth=3 steps=200\n\
+                          delay socket nth=3 steps=200\n\
+                          delay zk nth=3 steps=200\n\
+                          crash node=1 at=150 restart=400";
+
+/// A server with one worker per work source — two event queues, declared
+/// out of name order, one RPC worker, one socket worker and the watcher
+/// thread — and a client that sends it three RPC requests, three socket
+/// messages and three watcher notifications while the server enqueues two
+/// events on each queue. Every handler sleeps, so when [`INBOX_PLAN`]
+/// crashes the server each of its sources holds one undispatched unit of
+/// work, and the third message of each kind is still in flight.
+fn inbox_program() -> (Program, Topology) {
+    let server = || Expr::val(Value::Node(NodeId(1)));
+    let mut pb = ProgramBuilder::new();
+    pb.func("boot", &[], FuncKind::Regular, |b| {
+        for (queue, v) in [("zq", 1), ("aq", 2), ("zq", 3), ("aq", 4)] {
+            b.enqueue(queue, "on_event", vec![Expr::val(v)]);
+        }
+    });
+    pb.func("call", &[], FuncKind::Regular, |b| {
+        b.rpc("r", server(), "serve", vec![]);
+        b.write("replies", Expr::local("r"));
+    });
+    pb.func("send", &[], FuncKind::Regular, |b| {
+        for v in 1..=3 {
+            b.socket_send(server(), "on_msg", vec![Expr::val(v)]);
+        }
+    });
+    pb.func("publish", &[], FuncKind::Regular, |b| {
+        for v in 1..=3 {
+            b.zk_create(Expr::val(format!("/inbox/{v}")), Expr::val(v));
+        }
+    });
+    for (name, kind, params) in [
+        ("on_event", FuncKind::EventHandler, &["v"][..]),
+        ("serve", FuncKind::RpcHandler, &[][..]),
+        ("on_msg", FuncKind::SocketHandler, &["v"][..]),
+        ("on_watch", FuncKind::ZkWatcher, &["path", "data"][..]),
+    ] {
+        pb.func(name, params, kind, |b| {
+            b.sleep(Expr::val(INBOX_HOLD));
+            b.write(name, Expr::val(1));
+            if kind == FuncKind::RpcHandler {
+                b.ret(Expr::val(1));
+            }
+        });
+    }
+    let program = pb.build().expect("valid program");
+    let mut topo = Topology::new();
+    topo.node("client")
+        .entry("call", vec![])
+        .entry("call", vec![])
+        .entry("call", vec![])
+        .entry("send", vec![])
+        .entry("publish", vec![]);
+    topo.node("server")
+        .queue("zq", 1)
+        .queue("aq", 1)
+        .rpc_workers(1)
+        .socket_workers(1)
+        .entry("boot", vec![]);
+    topo.watch(NodeId(1), "/inbox", "on_watch");
+    (program, topo)
+}
+
+/// The rows of [`inbox_program`] under [`INBOX_PLAN`], untraced, fully
+/// traced and streamed.
+fn inbox_rows(rows: &mut Vec<(String, u64)>) {
+    let (program, topo) = inbox_program();
+    let plan = FaultPlan::parse(INBOX_PLAN).expect("plan parses");
+    let full = SimConfig::default().with_full_tracing().with_faults(plan);
+    let untraced = SimConfig {
+        trace_enabled: false,
+        ..full.clone()
+    };
+    for (mode, (hash, faults)) in [
+        ("untraced", run_on(&program, &topo, untraced)),
+        ("full", run_on(&program, &topo, full.clone())),
+        ("streamed", run_streamed_on(&program, &topo, full)),
+    ] {
+        rows.push((format!("inbox crash {mode} faults={faults}"), hash));
+    }
+}
+
+/// Sink keeping every control, in arrival order.
+struct Controls(Vec<StreamControl>);
+
+impl TraceSink for Controls {
+    fn record(&mut self, _: &Record) {}
+
+    fn control(&mut self, control: StreamControl) {
+        self.0.push(control);
+    }
+}
+
+/// The inbox rows pin the order in which a crash announces the work it
+/// drops only if the crash found work in every source and messages in
+/// flight: the streamed run drops the two queues' events in name order,
+/// then the RPC request, the socket message and the notification waiting
+/// on the server, and later the three that arrive while it is down.
+#[test]
+fn the_inbox_rows_cover_their_case() {
+    let (program, topo) = inbox_program();
+    let plan = FaultPlan::parse(INBOX_PLAN).expect("plan parses");
+    let config = SimConfig::default().with_full_tracing().with_faults(plan);
+    let mut sink = Controls(Vec::new());
+    World::run_streamed(&program, &topo, config, &mut sink).expect("valid program");
+    let mut queue_of = BTreeMap::new();
+    let mut dropped = Vec::new();
+    for control in &sink.0 {
+        match control {
+            StreamControl::RegisterEvent { event, queue, .. } => {
+                queue_of.insert(*event, queue.clone());
+            }
+            StreamControl::CauseDropped { key } => dropped.push(match key {
+                CauseKey::EventBegin(e) => format!("event {}", queue_of[e]),
+                CauseKey::RpcBegin(_) => "rpc".to_owned(),
+                CauseKey::SocketRecv(_) => "socket".to_owned(),
+                CauseKey::ZkPushed(..) => "zk".to_owned(),
+                other => format!("{other:?}"),
+            }),
+            _ => {}
+        }
+    }
+    let (at_crash, in_flight) = dropped.split_at(dropped.len().min(5));
+    assert_eq!(
+        at_crash,
+        ["event aq", "event zq", "rpc", "socket", "zk"],
+        "{dropped:?}"
+    );
+    let mut in_flight = in_flight.to_vec();
+    in_flight.sort();
+    assert_eq!(in_flight, ["rpc", "socket", "zk"], "{dropped:?}");
 }
 
 /// One entry thread per expression: every `BinOp` over every pair of
@@ -816,6 +959,7 @@ fn observe() -> Vec<(String, u64)> {
     let (hash, _) = run_on(&program, &topo, maps_focused());
     rows.push(("maps focused".to_owned(), hash));
     reply_rows(&mut rows);
+    inbox_rows(&mut rows);
     rows
 }
 
@@ -1111,4 +1255,8 @@ const EXPECTED: &[(&str, u64)] = &[
         "reply before timeout ends streamed faults=0",
         0x4f1ec3f031bd8762,
     ),
+    // recorded at the commit before the four pending queues became one inbox
+    ("inbox crash untraced faults=5", 0x3f6de18ff36d84d0),
+    ("inbox crash full faults=5", 0xcffeec4307eb72bd),
+    ("inbox crash streamed faults=5", 0x89e94a39c3bc50fe),
 ];
