@@ -69,14 +69,15 @@
 
 use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use dcatch::cli::{self, Parsed};
 use dcatch::journal::Journal;
 use dcatch::report_json::{self, SCHEMA_VERSION};
 use dcatch::{
-    Ablation, HbConfig, Pipeline, PipelineOptions, SimConfig, TraceStats, TracingMode, Verdict,
-    World,
+    Ablation, HbConfig, Pipeline, PipelineOptions, Prepared, SimConfig, TraceStats, TracingMode,
+    Verdict, World,
 };
 use dcatch_obs::Json;
 
@@ -461,8 +462,9 @@ fn print_profile(r: &dcatch::BenchmarkReport) {
 /// each seed in `--seeds`, and reports whether the run completed cleanly
 /// or degraded into classified failures. Exit code follows the `detect`
 /// table: 2 when a run neither completes nor reports failures (a silent
-/// wedge), 3 when the simulation itself errors, 5/6 for panics and
-/// `--timeout` watchdog kills; the worst across the grid wins.
+/// wedge), 5/6 for panics and `--timeout` watchdog kills; the worst
+/// across the grid wins. A benchmark that cannot be prepared for
+/// simulation exits 3 before any run.
 ///
 /// The benchmark × scenario × seed grid is drained by the same
 /// work-stealing pool the triggering farm uses (`--trigger-jobs N`), with
@@ -483,6 +485,17 @@ fn faults(p: &Parsed) -> Cmd {
         .map(cli::load_fault_plan)
         .transpose()?;
     let json = p.on("--json");
+    // each benchmark is prepared once, for all of its scenario runs
+    let mut prepared: Vec<Arc<Prepared>> = Vec::with_capacity(benches.len());
+    for b in &benches {
+        match World::prepare(&b.program, &b.topology) {
+            Ok(p) => prepared.push(Arc::new(p)),
+            Err(e) => {
+                eprintln!("{}: {e}", b.id);
+                return Ok(ExitCode::from(3));
+            }
+        }
+    }
     // Flatten the benchmark × scenario × seed grid into one job list.
     // Workers drain it out of order; the merge below walks it in grid
     // order, so output is independent of `tjobs`.
@@ -537,14 +550,11 @@ fn faults(p: &Parsed) -> Cmd {
             .with_faults(job.plan.clone());
         // every scenario run gets the panic guard the detect pipeline
         // applies per benchmark; `--timeout` adds its watchdog
-        let program = job.bench.program.clone();
-        let topology = job.bench.topology.clone();
+        let prepared = Arc::clone(&prepared[job.bi]);
         let name = format!("dcatch-faults-{}", job.bench.id);
-        let run_result = dcatch::run_bounded(&name, timeout, move || {
-            World::run_once(&program, &topology, cfg)
-        });
+        let run_result = dcatch::run_bounded(&name, timeout, move || prepared.run_once(&cfg));
         let result = match run_result {
-            Ok(Ok(run)) => {
+            Ok(run) => {
                 // a faulted run must end in a *classified* state
                 if !run.completed && run.failures.is_empty() {
                     bench_wedged[job.bi].store(true, Ordering::Relaxed);
@@ -552,7 +562,6 @@ fn faults(p: &Parsed) -> Cmd {
                 let failures: Vec<String> = run.failures.iter().map(|f| f.to_string()).collect();
                 Ok((run.completed, failures, run.faults_injected))
             }
-            Ok(Err(e)) => Err((format!("{}: {e}", job.bench.id), 3)),
             Err(e) => {
                 bench_wedged[job.bi].store(true, Ordering::Relaxed);
                 Err((format!("{}: {e}", job.bench.id), e.exit_code()))

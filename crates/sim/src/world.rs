@@ -1,7 +1,7 @@
 //! The simulated world: nodes, tasks, network, ZooKeeper service, and the
 //! deterministic step engine.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use dcatch_obs::counter;
@@ -16,14 +16,16 @@ use dcatch_trace::{
 use crate::compile::{CompiledFunc, LockId, ObjId, Op, QueueId, Slot, SlotExpr};
 use crate::config::SimConfig;
 use crate::failure::{Failure, LogLevel, LogLine, RunFailureKind};
-use crate::fault::{ChannelKind, CrashFault, MessageAction};
+use crate::fault::CrashFault;
 use crate::gate::{Gate, GateDecision, GateEvent, NoGate, StallAction, WatchSet};
 use crate::prepare::Prepared;
 use crate::topology::Topology;
 
 mod heap_map;
+mod net;
 mod ready;
 use heap_map::HeapMap;
+use net::{InFlight, Inbox, Job, JobKind, Message, Pool};
 use ready::{Action, ReadyList, Timer};
 
 /// Error preventing a run from starting.
@@ -81,14 +83,9 @@ enum TaskKind {
     Entry,
     /// Thread created by `Spawn`.
     Thread,
-    /// Dedicated worker consuming one event queue.
-    EventWorker { queue: QueueId },
-    /// Worker of the node's RPC server pool.
-    RpcWorker,
-    /// Worker of the node's socket message-handling pool.
-    SocketWorker,
-    /// The node's ZooKeeper-watcher notification thread.
-    WatcherWorker,
+    /// Worker handling the jobs of one work source: an event queue's
+    /// consumer, or a member of the node's RPC, socket or watcher pool.
+    Worker { source: usize },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,16 +125,6 @@ struct Frame {
     site: StackId,
 }
 
-/// What a worker is currently handling, so the matching End record and
-/// reply can be produced when the handler function returns.
-#[derive(Debug, Clone)]
-enum HandlerJob {
-    Event { event: EventId },
-    Rpc { rpc: RpcId, caller: usize },
-    Socket,
-    Watcher,
-}
-
 #[derive(Debug, Clone)]
 struct Task {
     id: TaskId,
@@ -151,8 +138,9 @@ struct Task {
     handle: u64,
     /// Local awaiting an RPC reply.
     rpc_ret_local: Option<Slot>,
-    /// Current handler job (workers).
-    job: Option<HandlerJob>,
+    /// What caused the handler a worker runs, so that its end record and
+    /// reply can be produced when the handler function returns.
+    job: Option<JobKind>,
     /// Iteration counters of the retry loops this task has entered, one
     /// per loop id, in first-entry order: `LoopEnter` resets a loop's
     /// counter, so it counts the task's latest activation of that loop —
@@ -178,44 +166,7 @@ impl Task {
 }
 
 // ---------------------------------------------------------------------------
-// network & services
-
-#[derive(Debug, Clone)]
-enum Message {
-    RpcRequest {
-        rpc: RpcId,
-        target: NodeId,
-        func: FuncId,
-        args: Vec<Value>,
-        caller: usize,
-    },
-    RpcReply {
-        rpc: RpcId,
-        caller: usize,
-        value: Value,
-    },
-    Socket {
-        msg: MsgId,
-        target: NodeId,
-        func: FuncId,
-        args: Vec<Value>,
-    },
-    ZkNotify {
-        target: NodeId,
-        handler: FuncId,
-        path: String,
-        version: u64,
-        data: Value,
-    },
-}
-
-/// A network message plus the earliest step it may be delivered at
-/// (later than its send step only when a delay fault applies).
-#[derive(Debug, Clone)]
-struct InFlight {
-    msg: Message,
-    not_before: u64,
-}
+// heaps, locks & services
 
 #[derive(Debug, Clone)]
 enum HeapObj {
@@ -265,36 +216,6 @@ struct LockState {
     waiters: Vec<usize>,
 }
 
-#[derive(Debug, Clone)]
-struct PendingEvent {
-    event: EventId,
-    func: FuncId,
-    args: Vec<Value>,
-}
-
-#[derive(Debug, Clone)]
-struct PendingRpc {
-    rpc: RpcId,
-    func: FuncId,
-    args: Vec<Value>,
-    caller: usize,
-}
-
-#[derive(Debug, Clone)]
-struct PendingSocket {
-    msg: MsgId,
-    func: FuncId,
-    args: Vec<Value>,
-}
-
-#[derive(Debug, Clone)]
-struct PendingNotify {
-    handler: FuncId,
-    path: String,
-    version: u64,
-    data: Value,
-}
-
 #[derive(Debug, Default, Clone)]
 struct ZkStore {
     /// path → data (present zknodes only).
@@ -339,11 +260,8 @@ pub struct World<'p> {
     heaps: Vec<Vec<Option<HeapObj>>>,
     /// `locks[node][lock]`.
     locks: Vec<Vec<LockState>>,
-    /// `queues[node][queue]`: `None` when the node does not declare it.
-    queues: Vec<Vec<Option<VecDeque<PendingEvent>>>>,
-    rpc_pending: Vec<VecDeque<PendingRpc>>,
-    socket_pending: Vec<VecDeque<PendingSocket>>,
-    notify_pending: Vec<VecDeque<PendingNotify>>,
+    /// Every node's undispatched jobs, by work source (`world/net.rs`).
+    inbox: Inbox,
     net: Vec<InFlight>,
     zk: ZkStore,
 
@@ -520,7 +438,7 @@ impl Prepared {
             config,
             heaps: vec![vec![None; cp.objects.len()]; nodes],
             locks: vec![vec![LockState::default(); cp.locks.len()]; nodes],
-            queues: vec![vec![None; cp.queues.len()]; nodes],
+            inbox: Inbox::new(nodes, cp.queues.len()),
             rng: SmallRng::seed_from_u64(config.seed),
             step: 0,
             seq: 0,
@@ -529,9 +447,6 @@ impl Prepared {
             rescan: true,
             fault_wake: u64::MAX,
             held: Vec::new(),
-            rpc_pending: vec![VecDeque::new(); nodes],
-            socket_pending: vec![VecDeque::new(); nodes],
-            notify_pending: vec![VecDeque::new(); nodes],
             net: Vec::new(),
             zk: ZkStore::default(),
             crashed: vec![false; nodes],
@@ -602,12 +517,11 @@ impl<'p> World<'p> {
         Ok(World::prepare(program, topo)?.run_with_gate(&config, gate))
     }
 
-    /// Creates a node's queues, worker pool, and entry tasks. Called once
-    /// per node at boot, and again when a crashed node restarts.
+    /// Registers a node's queues and creates its workers and entry tasks.
+    /// Called once per node at boot, and again when a crashed node restarts.
     fn setup_node(&mut self, node: NodeId) {
         let spec = &self.prep.nodes[node.index()];
         for &(queue, info) in &spec.queues {
-            self.queues[node.index()][queue] = Some(VecDeque::new());
             let name = &self.prep.cp.queues[queue];
             self.trace.register_queue(node, name.clone(), info);
             if self.streaming() {
@@ -617,21 +531,24 @@ impl<'p> World<'p> {
                     info,
                 });
             }
+            let source = self.inbox.queue(node, queue);
             for _ in 0..info.consumers {
-                self.new_task(node, TaskKind::EventWorker { queue }, TaskState::Idle, None);
+                self.new_task(node, TaskKind::Worker { source }, TaskState::Idle);
             }
         }
-        for _ in 0..spec.rpc_workers {
-            self.new_task(node, TaskKind::RpcWorker, TaskState::Idle, None);
-        }
-        for _ in 0..spec.socket_workers {
-            self.new_task(node, TaskKind::SocketWorker, TaskState::Idle, None);
-        }
-        if spec.watches {
-            self.new_task(node, TaskKind::WatcherWorker, TaskState::Idle, None);
+        let pools = [
+            (Pool::Rpc, spec.rpc_workers),
+            (Pool::Socket, spec.socket_workers),
+            (Pool::Watch, u32::from(spec.watches)),
+        ];
+        for (pool, workers) in pools {
+            let source = self.inbox.pool(node, pool);
+            for _ in 0..workers {
+                self.new_task(node, TaskKind::Worker { source }, TaskState::Idle);
+            }
         }
         for (func, args) in &spec.entries {
-            let t = self.new_task(node, TaskKind::Entry, TaskState::Runnable, None);
+            let t = self.new_task(node, TaskKind::Entry, TaskState::Runnable);
             let frame = self.make_frame(*func, args.clone(), None, StackId::EMPTY);
             self.tasks[t].frames.push(frame);
             // entry threads have no `ThreadCreate` cause announcing them:
@@ -642,13 +559,7 @@ impl<'p> World<'p> {
         }
     }
 
-    fn new_task(
-        &mut self,
-        node: NodeId,
-        kind: TaskKind,
-        state: TaskState,
-        ctx: Option<ExecCtx>,
-    ) -> usize {
+    fn new_task(&mut self, node: NodeId, kind: TaskKind, state: TaskState) -> usize {
         let index = self.task_counters[node.index()];
         self.task_counters[node.index()] += 1;
         let handle = self.next_handle;
@@ -659,7 +570,7 @@ impl<'p> World<'p> {
             kind,
             state,
             frames: Vec::new(),
-            ctx: ctx.unwrap_or(ExecCtx::Regular),
+            ctx: ExecCtx::Regular,
             begun: false,
             handle,
             rpc_ret_local: None,
@@ -668,7 +579,7 @@ impl<'p> World<'p> {
             blocked_at: 0,
         });
         let t = self.tasks.len() - 1;
-        if let Some(source) = self.source(node, kind) {
+        if let TaskKind::Worker { source } = kind {
             self.ready.add_worker(source, t);
         }
         self.ready.mark(t);
@@ -679,30 +590,6 @@ impl<'p> World<'p> {
     fn set_state(&mut self, t: usize, state: TaskState) {
         self.tasks[t].state = state;
         self.ready.mark(t);
-    }
-
-    /// The ready list's index of the work source an idle worker of `kind`
-    /// on `node` waits on: the node's queues by id, then its RPC, socket
-    /// and watcher pools. `None` for a thread.
-    fn source(&self, node: NodeId, kind: TaskKind) -> Option<usize> {
-        let queues = self.prep.cp.queues.len();
-        let pool = match kind {
-            TaskKind::EventWorker { queue } => queue,
-            TaskKind::RpcWorker => queues,
-            TaskKind::SocketWorker => queues + 1,
-            TaskKind::WatcherWorker => queues + 2,
-            TaskKind::Entry | TaskKind::Thread => return None,
-        };
-        Some(node.index() * (queues + 3) + pool)
-    }
-
-    /// Marks the workers of `node`'s source for `kind`: it became empty or
-    /// non-empty. Pushes to a non-empty source and pops that leave work
-    /// change no worker's readiness, and mark nothing.
-    fn mark_source(&mut self, node: NodeId, kind: TaskKind) {
-        if let Some(source) = self.source(node, kind) {
-            self.ready.mark_source(source);
-        }
     }
 
     fn make_frame(
@@ -1069,22 +956,8 @@ impl<'p> World<'p> {
         match (t.state, t.kind) {
             (TaskState::Runnable, _) => true,
             (TaskState::Sleeping { until }, _) => until <= self.step,
-            (TaskState::Idle, kind) => self.has_work(t.node.index(), kind),
+            (TaskState::Idle, TaskKind::Worker { source }) => self.inbox.has_work(source),
             _ => false,
-        }
-    }
-
-    /// Whether the source an idle worker of `kind` on `node` waits on has
-    /// work; never for a thread.
-    fn has_work(&self, node: usize, kind: TaskKind) -> bool {
-        match kind {
-            TaskKind::EventWorker { queue } => self.queues[node][queue]
-                .as_ref()
-                .is_some_and(|q| !q.is_empty()),
-            TaskKind::RpcWorker => !self.rpc_pending[node].is_empty(),
-            TaskKind::SocketWorker => !self.socket_pending[node].is_empty(),
-            TaskKind::WatcherWorker => !self.notify_pending[node].is_empty(),
-            TaskKind::Entry | TaskKind::Thread => false,
         }
     }
 
@@ -1294,65 +1167,6 @@ impl<'p> World<'p> {
         counter!("faults_injected").inc();
     }
 
-    /// Puts `msg` on the network, applying any matching message faults.
-    /// With an empty plan this is exactly `net.push` (no rng involved).
-    /// Returns how many copies were actually accepted (0 when a drop fault
-    /// consumed the message, 2 when duplicated) so streaming mode can tell
-    /// the sink how many deliveries the pending cause should wait for.
-    fn send(&mut self, from: NodeId, msg: Message) -> usize {
-        let channel = match &msg {
-            Message::RpcRequest { .. } => ChannelKind::RpcRequest,
-            Message::RpcReply { .. } => ChannelKind::RpcReply,
-            Message::Socket { .. } => ChannelKind::Socket,
-            Message::ZkNotify { .. } => ChannelKind::ZkNotify,
-        };
-        let to = match &msg {
-            Message::RpcRequest { target, .. }
-            | Message::Socket { target, .. }
-            | Message::ZkNotify { target, .. } => *target,
-            Message::RpcReply { caller, .. } => self.tasks[*caller].node,
-        };
-        let mut copies = 1usize;
-        let mut delay = 0u64;
-        for i in 0..self.config.faults.messages.len() {
-            let (applies, nth, action) = {
-                let f = &self.config.faults.messages[i];
-                (f.applies(channel, from, to), f.nth, f.action)
-            };
-            if !applies {
-                continue;
-            }
-            self.msg_fault_hits[i] += 1;
-            if let Some(k) = nth {
-                if self.msg_fault_hits[i] != k {
-                    continue;
-                }
-            }
-            match action {
-                MessageAction::Drop => copies = 0,
-                MessageAction::Delay(s) => delay = delay.max(s),
-                MessageAction::Duplicate => {
-                    if copies > 0 {
-                        copies = 2;
-                    }
-                }
-            }
-            self.count_fault();
-            counter!("sim_message_faults_total").inc();
-        }
-        let not_before = self.step.saturating_add(delay);
-        let in_flight = InFlight { msg, not_before };
-        self.net.extend(std::iter::repeat_n(in_flight, copies));
-        if copies > 0 && delay == 0 {
-            for m in self.net.len() - copies..self.net.len() {
-                self.ready.sent(m);
-            }
-        } else if copies > 0 && not_before < self.config.max_steps {
-            self.ready.add_timer(not_before, Timer::Delivery);
-        }
-        copies
-    }
-
     /// Applies every fault whose time has come: due crashes, due restarts,
     /// and RPC timeouts (the chaos panic hook is `run_loop`'s).
     fn apply_due_faults(&mut self) {
@@ -1388,60 +1202,29 @@ impl<'p> World<'p> {
         self.count_fault();
         counter!("sim_node_crashes_total").inc();
         self.emit_node(node, OpKind::NodeCrash { node });
-        let mut controls = Vec::new();
         for i in 0..self.tasks.len() {
             let t = &self.tasks[i];
             if t.node == node && !matches!(t.state, TaskState::Done | TaskState::Killed) {
-                controls.push(StreamControl::ChainDone {
-                    task: t.id,
-                    ctx: t.ctx,
-                });
+                let (task, ctx) = (t.id, t.ctx);
                 self.set_state(i, TaskState::Crashed);
+                self.ctl(StreamControl::ChainDone { task, ctx });
             }
         }
-        // the node loses all volatile state; queued-but-undispatched work
-        // dies with it, so its pending causes are announced as dropped
+        // the node loses all volatile state; its undispatched jobs die with
+        // it, and their causes are announced as dropped: the event queues'
+        // in queue-name order, then the RPC, socket and watcher pools'
         let i = node.index();
         self.heaps[i].fill(None);
         self.locks[i].fill_with(LockState::default);
-        // queues in name order: the order their drops are announced in
-        let mut by_name: Vec<QueueId> = (0..self.queues[i].len()).collect();
+        let mut by_name: Vec<QueueId> = (0..self.prep.cp.queues.len()).collect();
         by_name.sort_by_key(|&q| &self.prep.cp.queues[q]);
-        for q in by_name {
-            let Some(q) = &mut self.queues[i][q] else {
-                continue;
-            };
-            if self.sink.0.is_some() {
-                for pe in q.iter() {
-                    controls.push(StreamControl::CauseDropped {
-                        key: CauseKey::EventBegin(pe.event.0),
-                    });
-                }
+        let queues = by_name.into_iter().map(|q| self.inbox.queue(node, q));
+        let pools = [Pool::Rpc, Pool::Socket, Pool::Watch].map(|p| self.inbox.pool(node, p));
+        let sources: Vec<usize> = queues.chain(pools).collect();
+        for source in sources {
+            for job in self.inbox.take(source, &mut self.ready) {
+                self.lost(|| job.kind.cause());
             }
-            q.clear();
-        }
-        if self.sink.0.is_some() {
-            for pr in &self.rpc_pending[i] {
-                controls.push(StreamControl::CauseDropped {
-                    key: CauseKey::RpcBegin(pr.rpc.0),
-                });
-            }
-            for ps in &self.socket_pending[i] {
-                controls.push(StreamControl::CauseDropped {
-                    key: CauseKey::SocketRecv(ps.msg.0),
-                });
-            }
-            for pn in &self.notify_pending[i] {
-                controls.push(StreamControl::CauseDropped {
-                    key: CauseKey::ZkPushed(pn.path.clone(), pn.version),
-                });
-            }
-        }
-        self.rpc_pending[i].clear();
-        self.socket_pending[i].clear();
-        self.notify_pending[i].clear();
-        for c in controls {
-            self.ctl(c);
         }
         if let Some(r) = c.restart_after {
             self.pending_restarts
@@ -1489,98 +1272,6 @@ impl<'p> World<'p> {
     }
 
     // -- delivery -------------------------------------------------------------
-
-    fn deliver(&mut self, m: usize) {
-        let msg = self.net.remove(m).msg;
-        self.ready.delivered(m);
-        // messages to a crashed node are lost at delivery time
-        let target = match &msg {
-            Message::RpcRequest { target, .. }
-            | Message::Socket { target, .. }
-            | Message::ZkNotify { target, .. } => *target,
-            Message::RpcReply { caller, .. } => self.tasks[*caller].node,
-        };
-        if self.crashed[target.index()] {
-            counter!("sim_messages_dropped_total").inc();
-            if self.streaming() {
-                let key = match &msg {
-                    Message::RpcRequest { rpc, .. } => CauseKey::RpcBegin(rpc.0),
-                    Message::RpcReply { rpc, .. } => CauseKey::RpcJoin(rpc.0),
-                    Message::Socket { msg, .. } => CauseKey::SocketRecv(msg.0),
-                    Message::ZkNotify { path, version, .. } => {
-                        CauseKey::ZkPushed(path.clone(), *version)
-                    }
-                };
-                self.ctl(StreamControl::CauseDropped { key });
-            }
-            return;
-        }
-        counter!("sim_messages_delivered_total").inc();
-        match msg {
-            Message::RpcRequest {
-                rpc,
-                target,
-                func,
-                args,
-                caller,
-            } => {
-                let pending = &mut self.rpc_pending[target.index()];
-                pending.push_back(PendingRpc {
-                    rpc,
-                    func,
-                    args,
-                    caller,
-                });
-                if pending.len() == 1 {
-                    self.mark_source(target, TaskKind::RpcWorker);
-                }
-            }
-            Message::RpcReply { rpc, caller, value } => {
-                if self.tasks[caller].state == (TaskState::BlockedRpc { rpc: rpc.0 }) {
-                    self.resume_rpc_caller(caller, value);
-                    self.emit(caller, OpKind::RpcJoin { rpc });
-                    counter!("sim_rpcs_completed_total").inc();
-                } else {
-                    // late reply after an RPC timeout (or a duplicated
-                    // reply): the caller no longer waits on this id, so
-                    // the pending `RpcEnd ⇒ RpcJoin` cause loses a copy
-                    self.ctl(StreamControl::CauseDropped {
-                        key: CauseKey::RpcJoin(rpc.0),
-                    });
-                }
-            }
-            Message::Socket {
-                msg,
-                target,
-                func,
-                args,
-            } => {
-                let pending = &mut self.socket_pending[target.index()];
-                pending.push_back(PendingSocket { msg, func, args });
-                if pending.len() == 1 {
-                    self.mark_source(target, TaskKind::SocketWorker);
-                }
-            }
-            Message::ZkNotify {
-                target,
-                handler,
-                path,
-                version,
-                data,
-            } => {
-                let pending = &mut self.notify_pending[target.index()];
-                pending.push_back(PendingNotify {
-                    handler,
-                    path,
-                    version,
-                    data,
-                });
-                if pending.len() == 1 {
-                    self.mark_source(target, TaskKind::WatcherWorker);
-                }
-            }
-        }
-    }
 
     /// Hands the value of a finished (or timed-out) RPC to the blocked
     /// caller `t` and makes it runnable again.
@@ -1661,114 +1352,66 @@ impl<'p> World<'p> {
         false
     }
 
-    /// Gives the idle worker `t` the next unit of work from its source
-    /// (which has some: the worker was ready).
+    /// Gives the idle worker `t` the next job from its source (which has
+    /// one: the worker was ready).
     fn dispatch(&mut self, t: usize) {
-        let (node, kind) = (self.tasks[t].node.index(), self.tasks[t].kind);
-        match kind {
-            TaskKind::EventWorker { queue } => {
-                let queue = self.queues[node][queue].as_mut();
-                if let Some(pe) = queue.and_then(VecDeque::pop_front) {
-                    counter!("sim_events_dispatched_total").inc();
-                    let (event, job) = (pe.event, HandlerJob::Event { event: pe.event });
-                    let begin = OpKind::EventBegin { event };
-                    self.start_handler(t, HandlerKind::Event, job, pe.func, pe.args, begin);
-                }
-            }
-            TaskKind::RpcWorker => {
-                if let Some(pr) = self.rpc_pending[node].pop_front() {
-                    let (rpc, caller) = (pr.rpc, pr.caller);
-                    let (job, begin) = (HandlerJob::Rpc { rpc, caller }, OpKind::RpcBegin { rpc });
-                    self.start_handler(t, HandlerKind::Rpc, job, pr.func, pr.args, begin);
-                }
-            }
-            TaskKind::SocketWorker => {
-                if let Some(ps) = self.socket_pending[node].pop_front() {
-                    let (job, begin) = (HandlerJob::Socket, OpKind::SocketRecv { msg: ps.msg });
-                    self.start_handler(t, HandlerKind::Socket, job, ps.func, ps.args, begin);
-                }
-            }
-            TaskKind::WatcherWorker => {
-                if let Some(pn) = self.notify_pending[node].pop_front() {
-                    let (path, version) = (self.trace.names_mut().intern(&pn.path), pn.version);
-                    let args = vec![Value::Str(pn.path), pn.data];
-                    let (job, begin) = (HandlerJob::Watcher, OpKind::ZkPushed { path, version });
-                    self.start_handler(t, HandlerKind::ZkWatcher, job, pn.handler, args, begin);
-                }
-            }
-            TaskKind::Entry | TaskKind::Thread => {}
-        }
-        // the last unit of work leaves the source's other workers idle
-        if !self.has_work(node, kind) {
-            self.mark_source(self.tasks[t].node, kind);
-        }
+        let TaskKind::Worker { source } = self.tasks[t].kind else {
+            unreachable!("only a worker idles")
+        };
+        let job = self.inbox.pop(source, &mut self.ready);
+        self.start_handler(t, job.expect("a ready worker's source has work"));
     }
 
-    /// Puts worker `t` into a fresh handler context running `func(args)`
-    /// and emits the handler's `begin` record.
-    fn start_handler(
-        &mut self,
-        t: usize,
-        kind: HandlerKind,
-        job: HandlerJob,
-        func: FuncId,
-        args: Vec<Value>,
-        begin: OpKind,
-    ) {
+    /// Puts worker `t` into a fresh handler context running `job` and
+    /// emits the handler's begin record.
+    fn start_handler(&mut self, t: usize, job: Job) {
+        let kind = match job.kind {
+            JobKind::Event { .. } => {
+                counter!("sim_events_dispatched_total").inc();
+                HandlerKind::Event
+            }
+            JobKind::Rpc { .. } => HandlerKind::Rpc,
+            JobKind::Socket { .. } => HandlerKind::Socket,
+            JobKind::Watch { .. } => HandlerKind::ZkWatcher,
+        };
         let instance = self.next_instance;
         self.next_instance += 1;
-        let frame = self.make_frame(func, args, None, StackId::EMPTY);
+        let frame = self.make_frame(job.func, job.args, None, StackId::EMPTY);
         let task = &mut self.tasks[t];
         task.ctx = ExecCtx::Handler { kind, instance };
-        task.job = Some(job);
         task.frames.push(frame);
         self.set_state(t, TaskState::Runnable);
-        self.emit(t, begin);
+        if self.config.trace_enabled {
+            let begin = job.kind.begin(self.trace.names_mut());
+            self.emit(t, begin);
+        }
+        self.tasks[t].job = Some(job.kind);
     }
 
     /// The task's function body finished with `value`.
     fn task_body_finished(&mut self, t: usize, value: Value) {
         // the chain that is ending is (task, current ctx) — captured before
-        // worker arms reset their context back to Regular
+        // a worker's context is reset back to Regular
         let (task, ctx) = (self.tasks[t].id, self.tasks[t].ctx);
-        match self.tasks[t].kind {
-            TaskKind::Entry | TaskKind::Thread => {
-                self.emit(t, OpKind::ThreadEnd);
-                self.set_state(t, TaskState::Done);
-                self.ctl(StreamControl::ChainDone { task, ctx });
-                self.wake_joiners(t);
+        let Some(job) = self.tasks[t].job.take() else {
+            self.emit(t, OpKind::ThreadEnd);
+            self.set_state(t, TaskState::Done);
+            self.ctl(StreamControl::ChainDone { task, ctx });
+            self.wake_joiners(t);
+            return;
+        };
+        match job {
+            JobKind::Event { event } => self.emit(t, OpKind::EventEnd { event }),
+            JobKind::Rpc { rpc, caller } => {
+                self.emit(t, OpKind::RpcEnd { rpc });
+                let reply = Message::RpcReply { rpc, caller, value };
+                self.post(self.tasks[t].node, reply);
             }
-            TaskKind::SocketWorker | TaskKind::WatcherWorker => {
-                self.tasks[t].job = None;
-                self.tasks[t].ctx = ExecCtx::Regular;
-                self.set_state(t, TaskState::Idle);
-                self.ctl(StreamControl::ChainDone { task, ctx });
-            }
-            TaskKind::EventWorker { .. } => {
-                if let Some(HandlerJob::Event { event }) = self.tasks[t].job.take() {
-                    self.emit(t, OpKind::EventEnd { event });
-                }
-                self.tasks[t].ctx = ExecCtx::Regular;
-                self.set_state(t, TaskState::Idle);
-                self.ctl(StreamControl::ChainDone { task, ctx });
-            }
-            TaskKind::RpcWorker => {
-                if let Some(HandlerJob::Rpc { rpc, caller }) = self.tasks[t].job.take() {
-                    self.emit(t, OpKind::RpcEnd { rpc });
-                    let from = self.tasks[t].node;
-                    let copies = self.send(from, Message::RpcReply { rpc, caller, value });
-                    if self.streaming() {
-                        self.ctl(StreamControl::CauseFanout {
-                            key: CauseKey::RpcJoin(rpc.0),
-                            copies: copies as u32,
-                        });
-                    }
-                }
-                self.tasks[t].ctx = ExecCtx::Regular;
-                self.set_state(t, TaskState::Idle);
-                self.ctl(StreamControl::ChainDone { task, ctx });
-            }
+            JobKind::Socket { .. } | JobKind::Watch { .. } => {}
         }
+        self.tasks[t].ctx = ExecCtx::Regular;
+        self.set_state(t, TaskState::Idle);
+        self.ctl(StreamControl::ChainDone { task, ctx });
     }
 
     // -- expression evaluation ----------------------------------------------------
@@ -2130,7 +1773,7 @@ impl<'p> World<'p> {
                     return Flow::Dead;
                 };
                 let node = self.tasks[t].node;
-                let child = self.new_task(node, TaskKind::Thread, TaskState::Runnable, None);
+                let child = self.new_task(node, TaskKind::Thread, TaskState::Runnable);
                 let frame = self.make_frame(*func, vals, None, StackId::EMPTY);
                 self.tasks[child].frames.push(frame);
                 let child_id = self.tasks[child].id;
@@ -2170,7 +1813,8 @@ impl<'p> World<'p> {
                     return Flow::Dead;
                 };
                 let (node, name) = (self.tasks[t].node, &cp.queues[*queue]);
-                if self.queues[node.index()][*queue].is_none() {
+                let declared = &self.prep.nodes[node.index()].queues;
+                if !declared.iter().any(|&(q, _)| q == *queue) {
                     let msg = format!("queue `{name}` not declared on {node}");
                     return self.throw(t, "NoSuchQueueException", msg);
                 }
@@ -2187,15 +1831,13 @@ impl<'p> World<'p> {
                     });
                 }
                 self.emit(t, OpKind::EventCreate { event });
-                let pending = self.queues[node.index()][*queue].as_mut().expect("checked");
-                pending.push_back(PendingEvent {
-                    event,
+                let job = Job {
                     func: *func,
                     args: vals,
-                });
-                if pending.len() == 1 {
-                    self.mark_source(node, TaskKind::EventWorker { queue: *queue });
-                }
+                    kind: JobKind::Event { event },
+                };
+                let source = self.inbox.queue(node, *queue);
+                self.inbox.push(source, job, &mut self.ready);
                 Flow::Next
             }
             Op::Lock { lock } => {
@@ -2258,22 +1900,12 @@ impl<'p> World<'p> {
                 counter!("sim_rpcs_issued_total").inc();
                 self.emit(t, OpKind::RpcCreate { rpc });
                 let from = self.tasks[t].node;
-                let copies = self.send(
-                    from,
-                    Message::RpcRequest {
-                        rpc,
-                        target,
-                        func: *func,
-                        args: vals,
-                        caller: t,
-                    },
-                );
-                if self.streaming() {
-                    self.ctl(StreamControl::CauseFanout {
-                        key: CauseKey::RpcBegin(rpc.0),
-                        copies: copies as u32,
-                    });
-                }
+                let job = Job {
+                    func: *func,
+                    args: vals,
+                    kind: JobKind::Rpc { rpc, caller: t },
+                };
+                self.post(from, Message::Work { target, job });
                 self.tasks[t].rpc_ret_local = *local;
                 self.tasks[t].blocked_at = self.step;
                 self.set_state(t, TaskState::BlockedRpc { rpc: rpc.0 });
@@ -2295,22 +1927,12 @@ impl<'p> World<'p> {
                 let msg = MsgId(self.next_msg);
                 self.next_msg += 1;
                 self.emit(t, OpKind::SocketSend { msg });
-                let from = self.tasks[t].node;
-                let copies = self.send(
-                    from,
-                    Message::Socket {
-                        msg,
-                        target,
-                        func: *func,
-                        args: vals,
-                    },
-                );
-                if self.streaming() {
-                    self.ctl(StreamControl::CauseFanout {
-                        key: CauseKey::SocketRecv(msg.0),
-                        copies: copies as u32,
-                    });
-                }
+                let job = Job {
+                    func: *func,
+                    args: vals,
+                    kind: JobKind::Socket { msg },
+                };
+                self.post(self.tasks[t].node, Message::Work { target, job });
                 Flow::Next
             }
 
@@ -2465,14 +2087,19 @@ impl<'p> World<'p> {
         let mut copies = 0usize;
         for (target, prefix, handler) in &self.prep.watchers {
             if path.starts_with(prefix) {
-                copies += self.send(
-                    from,
-                    Message::ZkNotify {
-                        target: *target,
-                        handler: *handler,
+                let job = Job {
+                    func: *handler,
+                    args: vec![Value::Str(path.to_owned()), stored.clone()],
+                    kind: JobKind::Watch {
                         path: path.to_owned(),
                         version,
-                        data: stored.clone(),
+                    },
+                };
+                copies += self.send(
+                    from,
+                    Message::Work {
+                        target: *target,
+                        job,
                     },
                 );
             }

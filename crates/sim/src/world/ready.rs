@@ -4,8 +4,8 @@
 //! then deliverable messages by network index. [`ReadyList`] holds it as
 //! two sorted vectors and changes them in place. Whatever changes a task's
 //! state marks the task ([`ReadyList::mark`]); whatever makes a work source
-//! empty or non-empty marks the idle workers that wait on it
-//! ([`ReadyList::mark_source`]). Before the next pick the world asks the
+//! empty or non-empty — the inbox of `world/net.rs` — marks the idle
+//! workers that wait on it ([`ReadyList::mark_source`]). Before the next pick the world asks the
 //! readiness predicate again for the marked tasks only
 //! ([`ReadyList::take_mark`], [`ReadyList::set_ready`]). A message enters
 //! the list when it is sent and leaves it when it is delivered. Time alone

@@ -938,3 +938,59 @@ fn map_keys_are_equal_exactly_when_their_key_strings_are() {
     assert_eq!(MapKey::of(s("-9223372036854775808")), MapKey::Int(i64::MIN));
     assert_eq!(MapKey::of(s("05")), MapKey::Str("05".to_owned()));
 }
+
+/// The inbox's oracle: over random pushes, pops and takes, each source
+/// keeps its jobs in arrival order, and its workers are marked exactly
+/// when it turns empty or non-empty.
+#[test]
+fn the_inbox_marks_a_source_exactly_when_it_turns_empty_or_non_empty() {
+    use std::collections::VecDeque;
+
+    use dcatch_obs::rng::SmallRng;
+    use dcatch_trace::EventId;
+
+    use super::net::{Inbox, Job, JobKind};
+    use super::ready::ReadyList;
+
+    let job = |n: u64| Job {
+        func: dcatch_model::FuncId(0),
+        args: Vec::new(),
+        kind: JobKind::Event { event: EventId(n) },
+    };
+    let event = |job: Job| match job.kind {
+        JobKind::Event { event } => event.0,
+        other => panic!("pushed only events, got {other:?}"),
+    };
+    // two nodes of two queues each: eight sources, one worker each
+    let (mut inbox, sources) = (Inbox::new(2, 2), 8);
+    let mut ready = ReadyList::default();
+    for s in 0..sources {
+        ready.add_worker(s, s);
+    }
+    let mut model: Vec<VecDeque<u64>> = vec![VecDeque::new(); sources];
+    let mut rng = SmallRng::seed_from_u64(7);
+    for n in 0..4000 {
+        let s = rng.gen_range(sources);
+        let had = !model[s].is_empty();
+        match rng.gen_range(5) {
+            0 | 1 => {
+                inbox.push(s, job(n), &mut ready);
+                model[s].push_back(n);
+            }
+            2 | 3 => assert_eq!(inbox.pop(s, &mut ready).map(event), model[s].pop_front()),
+            _ => {
+                let taken: Vec<u64> = inbox.take(s, &mut ready).into_iter().map(event).collect();
+                assert_eq!(taken, Vec::from(std::mem::take(&mut model[s])));
+            }
+        }
+        let mut marked = Vec::new();
+        while let Some(t) = ready.take_mark() {
+            marked.push(t);
+        }
+        let has = !model[s].is_empty();
+        assert_eq!(marked, if had != has { vec![s] } else { vec![] }, "op {n}");
+        for (x, jobs) in model.iter().enumerate() {
+            assert_eq!(inbox.has_work(x), !jobs.is_empty(), "op {n}");
+        }
+    }
+}

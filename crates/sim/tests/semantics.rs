@@ -675,3 +675,29 @@ fn gate_abandon_lets_the_run_finish() {
     assert!(r.gate_abandoned);
     assert_eq!(gate.stalls, 1);
 }
+
+/// An untraced run builds no record, so it interns nothing: the two
+/// benchmarks whose ZooKeeper watchers get notified end with the name
+/// table they booted with, the one a run stopped before its first step has.
+#[test]
+fn an_untraced_run_interns_no_zookeeper_path() {
+    for bench in dcatch_apps::all_benchmarks_scaled(1) {
+        if !["HB-4539", "HB-4729"].contains(&bench.id) {
+            continue;
+        }
+        assert!(!bench.topology.watchers.is_empty(), "{}", bench.id);
+        let untraced = SimConfig {
+            trace_enabled: false,
+            ..SimConfig::default().with_seed(bench.seed)
+        };
+        let booted = SimConfig {
+            max_steps: 0,
+            ..untraced.clone()
+        };
+        let names = |config| {
+            let r = World::run_once(&bench.program, &bench.topology, config).expect("valid");
+            r.trace.names().generation()
+        };
+        assert_eq!(names(untraced), names(booted), "{}", bench.id);
+    }
+}
