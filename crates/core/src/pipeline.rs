@@ -469,7 +469,9 @@ impl Pipeline {
         };
 
         let (mut analysis, mut candidates, trace_stats, trace_bytes) = match graph {
-            Some((hb, candidates, stats, bytes)) => (Analysis::Graph(hb), candidates, stats, bytes),
+            Some((hb, candidates, stats, bytes)) => {
+                (Analysis::Graph(Box::new(hb)), candidates, stats, bytes)
+            }
             None => {
                 // ---- governor rung: window cap under a memory budget ----
                 // Window entries cost ~O(chain count) bytes each (clock
@@ -756,8 +758,9 @@ impl Pipeline {
 /// keep the facts trigger placement reads.
 enum Analysis {
     /// Materialized trace → full HB graph (matrix or chain clocks) →
-    /// the candidate scan replayed over it.
-    Graph(HbAnalysis),
+    /// the candidate scan replayed over it. Boxed: the graph's trace and
+    /// flat indexes outweigh the stream arm's bookkeeping.
+    Graph(Box<HbAnalysis>),
     /// Streaming single-pass detection (DESIGN.md §14): the traced run and
     /// the candidate scan fuse into one pass over the live record stream —
     /// per-chain frontier clocks instead of a reachability index, a

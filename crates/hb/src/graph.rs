@@ -90,10 +90,10 @@ impl std::str::FromStr for ReachabilityMode {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HbConfig {
     /// Budget for the reachability index, in bytes, checked against what
-    /// the index holds: the matrix's exact size, or the clock rows as they
-    /// are stored. The paper's trace analysis "will run out of JVM memory
-    /// (50 GB of RAM)" on unselective traces (Table 8); this reproduces
-    /// that failure mode at laptop scale.
+    /// the index holds: the matrix's exact size, or every byte of the
+    /// clock index as it is stored. The paper's trace analysis "will run
+    /// out of JVM memory (50 GB of RAM)" on unselective traces (Table 8);
+    /// this reproduces that failure mode at laptop scale.
     pub memory_budget_bytes: usize,
     /// Which reachability engine to use (see [`ReachabilityMode`]).
     pub reachability: ReachabilityMode,
@@ -115,7 +115,7 @@ pub enum HbError {
     /// Table 8 "Out of Memory" outcome.
     OutOfMemory {
         /// The first size that did not fit: the matrix's, or the clock
-        /// rows' counting the first row that was not stored.
+        /// index's counting the first record's entry that was not stored.
         needed: usize,
         /// Configured budget.
         budget: usize,
@@ -157,35 +157,83 @@ impl ReachIndex {
         }
     }
 
-    /// Folds the edge `u ⇒ v` in: `v`'s ancestors absorb `u` and `u`'s.
-    /// Returns whether `v`'s summary grew — if not, nothing downstream of
-    /// `v` can change either.
-    fn join_from(&mut self, u: usize, v: usize) -> bool {
+    /// Folds the edge `u ⇒ v` in: `v`'s ancestors absorb `u` and `u`'s;
+    /// `at` is every vertex's `(slot, pos)`. Returns whether `v`'s summary
+    /// grew — if not, nothing downstream of `v` can change either.
+    fn join_from(&mut self, u: usize, v: usize, at: &[(u32, u32)]) -> bool {
         match self {
             ReachIndex::Matrix(m) => {
                 let new = !m.get(v, u);
                 m.set(v, u);
                 m.or_row_into_changed(u, v) | new
             }
-            ReachIndex::Clocks(c) => c.join_from(u, v),
+            ReachIndex::Clocks(c) => c.join_from(u, v, at),
         }
     }
 }
 
-/// The graph's edges, listed from their sources.
+/// The graph's edges, listed from their sources: the pass's in one flat
+/// array, the few added after it (loop-sync) beside it.
 struct Edges {
-    succs: Vec<Vec<(u32, EdgeRule)>>,
+    /// The pass's edges out of `u` are `targets[starts[u]..starts[u + 1]]`,
+    /// in the order the pass listed them.
+    starts: Vec<u32>,
+    targets: Vec<(u32, EdgeRule)>,
+    /// Edges added after the pass, by source, in the order added: each
+    /// source's come after its `targets`.
+    late: BTreeMap<u32, Vec<(u32, EdgeRule)>>,
     count: usize,
 }
 
 impl Edges {
-    /// Links `u ⇒ v` unless it is linked already; whether it did.
+    /// Lays out the `(source, target, rule)` edges of an `n`-vertex graph
+    /// by source, keeping the order of `listed` within each source.
+    fn from_listed(n: usize, listed: &[(u32, u32, EdgeRule)]) -> Edges {
+        let count = listed.len();
+        assert!(count <= u32::MAX as usize, "offsets are u32: {count} edges");
+        // out-degrees, then each source's first slot, which the fill
+        // advances to the next source's first: shifted back after
+        let mut starts = vec![0u32; n + 1];
+        for &(u, ..) in listed {
+            starts[u as usize + 1] += 1;
+        }
+        for u in 0..n {
+            starts[u + 1] += starts[u];
+        }
+        let mut targets = vec![(0, EdgeRule::Program); count];
+        for &(u, v, rule) in listed {
+            let next = &mut starts[u as usize];
+            targets[*next as usize] = (v, rule);
+            *next += 1;
+        }
+        starts.copy_within(0..n, 1);
+        starts[0] = 0;
+        Edges {
+            starts,
+            targets,
+            late: BTreeMap::new(),
+            count,
+        }
+    }
+
+    /// The edges out of `u`, as [`HbAnalysis::successors`] lists them.
+    fn out(&self, u: usize) -> impl Iterator<Item = (usize, EdgeRule)> + '_ {
+        let listed = &self.targets[self.starts[u] as usize..self.starts[u + 1] as usize];
+        let late = self.late.get(&(u as u32)).into_iter().flatten();
+        listed.iter().chain(late).map(|&(t, r)| (t as usize, r))
+    }
+
+    /// Links `u ⇒ v` after the pass unless it is linked already; whether
+    /// it did.
     fn add(&mut self, u: usize, v: usize, rule: EdgeRule) -> bool {
         debug_assert!(u < v, "HB edges must go forward in sequence order");
-        if self.succs[u].iter().any(|&(t, _)| t as usize == v) {
+        if self.out(u).any(|(t, _)| t == v) {
             return false;
         }
-        self.succs[u].push((v as u32, rule));
+        self.late
+            .entry(u as u32)
+            .or_default()
+            .push((v as u32, rule));
         self.count += 1;
         true
     }
@@ -213,17 +261,21 @@ impl HbAnalysis {
     /// is memory: the engine names a record by `(slot, pos)`, `members`
     /// turns that back into its index, each predecessor the engine lists
     /// becomes an edge (in the order listed, so a duplicate keeps its first
-    /// label), and the record's final clock — padded to the slots open on
-    /// arrival — is its row of the clock index.
+    /// label; laid out by source in one array after the pass), and the
+    /// record's final clock is its entry in the clock index — a row padded
+    /// to the slots open on arrival, or, for a record ordered after nothing
+    /// but the tail of the slot it extends, a share of that tail's row.
     ///
     /// Which index comes out is decided here and nowhere else, from what
     /// the pass measures: the matrix's size is exact from the trace
-    /// length, the rows' is what has been stored. `Clocks` stores rows
-    /// while they fit the budget; `Auto` while they also stay smaller than
-    /// the matrix (the matrix on a tie) and drops them at the first row
-    /// that would not, the pass going on to list edges. A row that does
-    /// not fit is never stored, so no build holds more than the budget —
-    /// under `Auto` no more than the smaller of budget and matrix. The
+    /// length, the clock index's is every byte it holds
+    /// ([`ChainClocks::bytes`]: row ids, row table and rows). `Clocks`
+    /// stores a record's entry while the index still fits the budget with
+    /// it; `Auto` while it also stays smaller than the matrix (the matrix
+    /// on a tie) and drops the index at the first entry that would not,
+    /// the pass going on to list edges. An entry that does not fit is
+    /// never stored, so no build holds an index larger than the budget —
+    /// under `Auto` none larger than the smaller of budget and matrix. The
     /// matrix, forced or chosen, is made after the pass from the edges.
     pub fn build(trace: TraceSet, config: &HbConfig) -> Result<HbAnalysis, HbError> {
         let _span = dcatch_obs::span!("hb.build");
@@ -237,13 +289,9 @@ impl HbAnalysis {
         if mode == ReachabilityMode::Matrix && matrix_bytes > budget {
             return oom(matrix_bytes);
         }
-        // adjacency lists before the index: allocated the other way round,
-        // `dcbench full_trace` read a peak RSS anywhere from 6 % below to
-        // 5 % above this order's (EXPERIMENTS.md "PR 19")
-        let mut edges = Edges {
-            succs: vec![Vec::new(); n],
-            count: 0,
-        };
+        // `(source, target, rule)` in the order listed, laid out by source
+        // after the pass
+        let mut listed: Vec<(u32, u32, EdgeRule)> = Vec::with_capacity(n);
         let mut at: Vec<(u32, u32)> = Vec::with_capacity(n);
         let mut causes = Vec::with_capacity(n);
         let mut rows = (mode != ReachabilityMode::Matrix).then(|| ChainClocks::with_capacity(n));
@@ -267,35 +315,65 @@ impl HbAnalysis {
             members[arrival.slot as usize].push(v as u32);
             at.push((arrival.slot, arrival.pos));
             causes.push(arrival.cause);
+            let preds = engine.preds();
             if let Some(c) = &mut rows {
-                let needed = c.bytes() + engine.chains() * 4;
+                // ordered after the tail it extends and nothing else: its
+                // clock is that tail's but for its own slot
+                let tail = match preds {
+                    [((s, p), EdgeRule::Program)] if (*s, p + 1) == (arrival.slot, arrival.pos) => {
+                        Some(members[*s as usize][*p as usize - 1] as usize)
+                    }
+                    _ => None,
+                };
+                let needed = c.bytes()
+                    + tail.map_or(ChainClocks::row_bytes(engine.chains()), |_| {
+                        ChainClocks::SHARED_ROW_BYTES
+                    });
                 if needed <= budget && (clocks_only || needed < matrix_bytes) {
-                    c.push_row(engine.clock(arrival.chain), engine.chains());
+                    let clock = engine.clock(arrival.chain);
+                    match tail {
+                        Some(u) => c.share_row(u),
+                        None => c.push_row(clock, engine.chains()),
+                    }
                     debug_assert_eq!(c.bytes(), needed, "stored more than was checked");
+                    debug_assert!(
+                        (0..engine.chains() as u32).all(|s| {
+                            c.entry(v, at[v], s) == clock.get(s as usize).copied().unwrap_or(0)
+                        }),
+                        "{v}: stored clock is not the engine's"
+                    );
                 } else if clocks_only || matrix_bytes > budget {
                     return oom(needed);
                 } else {
                     rows = None;
                 }
             }
-            for &((slot, pos), rule) in engine.preds() {
-                let u = members[slot as usize][pos as usize - 1] as usize;
-                edges.add(u, v, rule);
+            // a duplicate predecessor keeps its first label
+            let first = listed.len();
+            for &((slot, pos), rule) in preds {
+                let u = members[slot as usize][pos as usize - 1];
+                if !listed[first..].iter().any(|&(s, ..)| s == u) {
+                    listed.push((u, v as u32, rule));
+                }
                 debug_assert!(
-                    rows.as_ref().is_none_or(|c| c.covers(v, at[u])),
+                    rows.as_ref()
+                        .is_none_or(|c| c.covers(v, at[v], at[u as usize])),
                     "{u} ⇒ {v} ({rule:?}) listed, not joined"
                 );
             }
         }
+        let edges = Edges::from_listed(n, &listed);
+        // freed before a matrix is allocated
+        drop(listed);
         let reach = match rows {
             Some(c) => ReachIndex::Clocks(c),
             None => {
                 // every edge points forward: in index order a row is final
                 // by the time it is folded into its successors
                 let mut m = ReachIndex::Matrix(BitMatrix::new(n));
-                for (u, succs) in edges.succs.iter().enumerate() {
-                    for &(v, _) in succs {
-                        m.join_from(u, v as usize);
+                for u in 0..n {
+                    for (v, _) in edges.out(u) {
+                        m.join_from(u, v, &at);
                     }
                 }
                 m
@@ -355,7 +433,7 @@ impl HbAnalysis {
     fn reaches(&self, a: usize, b: usize) -> bool {
         match &self.reach {
             ReachIndex::Matrix(m) => m.get(b, a),
-            ReachIndex::Clocks(c) => c.covers(b, self.at[a]),
+            ReachIndex::Clocks(c) => c.covers(b, self.at[b], self.at[a]),
         }
     }
 
@@ -379,7 +457,7 @@ impl HbAnalysis {
 
     /// Direct successors of a vertex.
     pub fn successors(&self, v: usize) -> impl Iterator<Item = (usize, EdgeRule)> + '_ {
-        self.edges.succs[v].iter().map(|&(t, r)| (t as usize, r))
+        self.edges.out(v)
     }
 
     /// A happens-before chain from `a` to `b`, if one exists: the list of
@@ -439,14 +517,13 @@ impl HbAnalysis {
             return;
         }
         counter!("hb_reach_delta_edges_total").inc();
-        if !self.reach.join_from(u, v) {
+        if !self.reach.join_from(u, v, &self.at) {
             return;
         }
         let mut work = vec![v];
         while let Some(w) = work.pop() {
-            for i in 0..self.edges.succs[w].len() {
-                let t = self.edges.succs[w][i].0 as usize;
-                if self.reach.join_from(w, t) {
+            for (t, _) in self.edges.out(w) {
+                if self.reach.join_from(w, t, &self.at) {
                     work.push(t);
                 }
             }

@@ -431,15 +431,16 @@ fn memory_budget_is_enforced() {
             other => panic!("expected OOM under {mode}, got {other:?}"),
         }
     }
-    // the budget is checked against the rows held, not an estimate of
-    // them: 100 records on one chain are exactly 400 B
+    // the budget is checked against what the index holds, not an
+    // estimate of it: 100 records on one chain are one 1-slot row of 20 B
+    // (row id, start, user count, clock) and 99 row ids sharing it, 416 B
     for mode in [ReachabilityMode::Auto, ReachabilityMode::Clocks] {
-        assert_eq!(build(mode, 400), Ok(400), "{mode}");
-        let (needed, budget) = (400, 399);
+        assert_eq!(build(mode, 416), Ok(416), "{mode}");
+        let (needed, budget) = (416, 415);
         assert_eq!(
             build(mode, budget),
             Err(HbError::OutOfMemory { needed, budget }),
-            "{mode}: the row that does not fit is the last one"
+            "{mode}: the entry that does not fit is the last one"
         );
     }
 }
@@ -473,32 +474,36 @@ fn auto_mode_picks_the_smaller_index() {
         let a = build(trace, ReachabilityMode::Auto, 1 << 20).unwrap();
         (a.reachability(), a.reach_bytes())
     };
-    // n=8 over 2 tasks: the rows are ragged, 4 + 7 × 8 = 60 bytes against a
-    // matrix of 8 × 1 × 8 = 64
-    assert_eq!(auto(&round_robin(8, 2)), (ReachabilityMode::Clocks, 60));
-    // rows of 1, 2, 2 and 3 slots are 32 bytes, and so is a 4 × 4 matrix:
-    // the matrix on a tie
+    // a row is 16 B of row id, start and user count plus 4 B a slot; a
+    // record sharing the row of the tail it extends is a 4 B row id.
+    // n=16 over 2 tasks: the rows are ragged, a 1-slot row for the first
+    // record and a 2-slot one for the second, 20 + 24 + 14 × 4 = 100 bytes
+    // against a matrix of 16 × 1 × 8 = 128
+    assert_eq!(auto(&round_robin(16, 2)), (ReachabilityMode::Clocks, 100));
+    // one row and three shares are 32 bytes, and so is a 4 × 4 matrix: the
+    // matrix on a tie
     assert_eq!(
-        auto(&trace_of(&[0, 1, 0, 2])),
+        auto(&trace_of(&[0, 0, 0, 0])),
         (ReachabilityMode::Matrix, 32)
     );
     // wide: 256 records over 64 concurrent tasks. The rows pass the 8 192 B
     // matrix before every task has been seen once and are dropped there (in
     // debug, `build` asserts what it holds at every push); kept to the end
-    // they would be several times the matrix
+    // they are 64 rows of 1 to 64 slots, 9 344 B, and 192 shares
     let wide = round_robin(256, 64);
     assert_eq!(auto(&wide), (ReachabilityMode::Matrix, 8192));
     let kept = build(&wide, ReachabilityMode::Clocks, 1 << 20).unwrap();
-    assert_eq!(kept.reach_bytes(), 57_472, "seven times the matrix");
-    // n=100 in 1 chain: matrix 100 × 2 × 8 = 1600 bytes, clocks 100 × 1 × 4 = 400
+    assert_eq!(kept.reach_bytes(), 10_112, "larger than the matrix");
+    // n=100 in 1 chain: matrix 100 × 2 × 8 = 1600 bytes, clocks one row and
+    // 99 shares, 20 + 99 × 4 = 416
     let long = round_robin(100, 1);
-    assert_eq!(auto(&long), (ReachabilityMode::Clocks, 400));
+    assert_eq!(auto(&long), (ReachabilityMode::Clocks, 416));
     // the smaller index not fitting is out-of-memory, not an engine switch
     assert_eq!(
-        build(&long, ReachabilityMode::Auto, 399).err(),
+        build(&long, ReachabilityMode::Auto, 415).err(),
         Some(HbError::OutOfMemory {
-            needed: 400,
-            budget: 399
+            needed: 416,
+            budget: 415
         })
     );
     let forced = build(&long, ReachabilityMode::Matrix, 1 << 20).unwrap();

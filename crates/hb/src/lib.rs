@@ -42,9 +42,11 @@
 //!   tracing matters, and why the unselective baseline of Table 8 runs
 //!   out of memory ([`HbError::OutOfMemory`]).
 //! * [`ChainClocks`] — chain-decomposition vector clocks: one u32 frontier
-//!   per *HB-ordered* chain ("slot") per record, `O(n·G)` memory with
-//!   `G ≪ n` slots — the one slot rule folds handler instances into the
-//!   chain that causes them — exact for arbitrary HB DAGs. This is what
+//!   per *HB-ordered* chain ("slot"), with `G ≪ n` slots — the one slot
+//!   rule folds handler instances into the chain that causes them — in a
+//!   row per record that joins another chain and a shared row for every
+//!   record ordered after its program-order predecessor alone; exact for
+//!   arbitrary HB DAGs. This is what
 //!   lets *full-trace* detection keep running at the unselective Table 8
 //!   scale where the matrix blows the budget.
 //!

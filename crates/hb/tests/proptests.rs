@@ -335,12 +335,49 @@ fn explain_returns_valid_chains() {
     }
 }
 
+/// `ops` with 1 to 3 runs of 4 to 15 accesses by one task spliced in at
+/// random places: long program-order runs, whose records the clock index
+/// keeps as shares of one row.
+fn with_runs(rng: &mut SmallRng, mut ops: Vec<Op>) -> Vec<Op> {
+    for _ in 0..1 + rng.gen_range(3) {
+        let at = rng.gen_range(ops.len() + 1);
+        let task = rng.gen_range(6) as u8;
+        let run = (0..4 + rng.gen_range(12)).map(|i| Op::Access {
+            task,
+            object: (i % 4) as u8,
+            write: i % 2 == 0,
+        });
+        ops.splice(at..at, run);
+    }
+    ops
+}
+
+/// `(head, end)` of every run of at least three consecutive records of
+/// one task and context.
+fn program_order_runs(trace: &TraceSet) -> Vec<(usize, usize)> {
+    let records = trace.records();
+    let mut runs = Vec::new();
+    let mut head = 0;
+    for v in 1..=records.len() {
+        let same = |r: &Record| (r.task, r.ctx) == (records[head].task, records[head].ctx);
+        if records.get(v).is_none_or(|r| !same(r)) {
+            if v - head >= 3 {
+                runs.push((head, v - 1));
+            }
+            head = v;
+        }
+    }
+    runs
+}
+
 /// The chain-decomposition clock engine answers every `happens_before`
 /// and `concurrent` query exactly like the bit matrix, on arbitrary
-/// well-formed traces — including after interleaved incremental growth
-/// via `add_edges_and_rebuild` (the public path onto
-/// `add_edge_incremental`). This is the equivalence property the `auto`
-/// engine selection rests on.
+/// well-formed traces with long program-order runs — including after
+/// incremental growth via `add_edges_and_rebuild` (the public path onto
+/// `add_edge_incremental`): edges into the head, the middle and the end
+/// of each run, where a row the run shares is copied before it grows,
+/// then interleaved random ones. This is the equivalence property the
+/// `auto` engine selection rests on.
 #[test]
 fn chain_clocks_agree_with_bit_matrix() {
     let cases = if std::env::var_os("DCATCH_SOAK").is_some() {
@@ -350,7 +387,9 @@ fn chain_clocks_agree_with_bit_matrix() {
     };
     for case in 0..cases {
         let mut rng = SmallRng::seed_from_u64(0xC1A5 ^ case);
-        let trace = build_trace(&arb_ops(&mut rng, 40));
+        let ops = arb_ops(&mut rng, 40);
+        let trace = build_trace(&with_runs(&mut rng, ops));
+        let runs = program_order_runs(&trace);
         let cfg = |mode| HbConfig {
             reachability: mode,
             ..HbConfig::default()
@@ -377,7 +416,16 @@ fn chain_clocks_agree_with_bit_matrix() {
             }
         };
         check(&matrix, &clocks, "after build");
-        // grow both graphs identically through the public incremental path
+        // grow both graphs identically through the public incremental path,
+        // one edge into each part of each run from a record before it
+        for &(head, end) in runs.iter().filter(|&&(head, _)| head > 0) {
+            for target in [head, (head + end) / 2, end] {
+                let edge = [(rng.gen_range(head), target)];
+                matrix.add_edges_and_rebuild(&edge);
+                clocks.add_edges_and_rebuild(&edge);
+                check(&matrix, &clocks, &format!("after edge {edge:?}"));
+            }
+        }
         for round in 0..3 {
             if n < 2 {
                 break;

@@ -330,17 +330,19 @@ fn tiny_memory_budget_degrades_instead_of_dying() {
 }
 
 /// The ladder's last memory rung — streaming detection under a window
-/// cap — for every benchmark. The miniatures' matrix is smaller than their
-/// trace, so a flat budget stops at the sampling rung above; pinning the
-/// clock engine and sizing the budget from the trace makes the index
-/// bind: at the trace size the trace fits and only the index does not, at
-/// half of it the sampling rung fires first and the sampled
-/// schedule is the one streamed.
+/// cap — for every benchmark. Either index is smaller than the trace it
+/// is built from, so a flat budget stops at the sampling rung above;
+/// pinning the clock engine under an index ceiling (`--budget`) of 64 B,
+/// below any clock index of a miniature, makes the index bind: with the
+/// budget at the trace size the trace fits and only the index does not,
+/// at half of it the sampling rung fires first and the sampled schedule
+/// is the one streamed.
 #[test]
 fn last_memory_rung_is_the_streaming_window_and_never_invents() {
     let plain = PipelineOptions::full();
     let mut governed = PipelineOptions::full();
     governed.hb.reachability = dcatch::ReachabilityMode::Clocks;
+    governed.hb.memory_budget_bytes = 64;
     for bench in dcatch::all_benchmarks() {
         let free = Pipeline::run(&bench, &plain).expect("ungoverned run");
         for (divisor, expect_sampling) in [(1, false), (2, true)] {
