@@ -6,6 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dcatch_hb::HbAnalysis;
 use dcatch_model::StmtId;
+use dcatch_obs::FxMap;
 use dcatch_trace::{CallStack, ExecCtx, Location, OpKind, StackId, TaskId};
 
 use crate::facts::{Anchor, Fact, Facts, NONE};
@@ -157,20 +158,19 @@ pub fn find_candidates(hb: &HbAnalysis) -> CandidateSet {
         facts.control(&control);
     }
     let access = |(i, fact): (u32, Fact)| Access::at(i as usize, &records[i as usize], names, fact);
-    let mut groups: BTreeMap<Group, Vec<(u32, Fact)>> = BTreeMap::new();
-    // the sites of the records the engine tagged, by index
-    let mut tags = BTreeMap::new();
+    // the groups' order is no output's: a static pair's representative is
+    // its pair of least rank, whichever group meets it first
+    let mut groups: FxMap<Group, Vec<(u32, Fact)>> = FxMap::default();
+    // the site of each record the engine tagged
+    let mut tags = vec![NONE; records.len()];
     let n = u32::try_from(records.len()).expect("the HB graph numbers its vertices in u32");
     for (i, r) in (0..n).zip(records) {
         let begun = hb.cause(i as usize);
-        let tag = |tags: &BTreeMap<_, _>| begun.and_then(|c| tags.get(&c)).map_or(NONE, |&t| t);
+        let tag = |tags: &[u32]| begun.map_or(NONE, |c| tags[c]);
         // the engine tags every source, and a thread's begin only when no
         // source began it
         if begun == Some(i as usize) || r.kind != OpKind::ThreadBegin {
-            let site = facts.cause(r, names, tag(&tags));
-            if site != NONE {
-                tags.insert(i as usize, site);
-            }
+            tags[i as usize] = facts.cause(r, names, tag(&tags));
         }
         let fact = facts.record(r, names, tag(&tags));
         if let Some(a) = Access::at(i as usize, r, names, fact) {
@@ -199,8 +199,9 @@ pub fn find_candidates(hb: &HbAnalysis) -> CandidateSet {
 mod tests {
     use super::*;
     use dcatch_hb::{HbAnalysis, HbConfig};
-    use dcatch_model::{Expr, FuncKind, ProgramBuilder};
+    use dcatch_model::{Expr, FuncId, FuncKind, NodeId, ProgramBuilder};
     use dcatch_sim::{SimConfig, Topology, World};
+    use dcatch_trace::{MemLoc, MemSpace, Record, TraceSet};
 
     /// Two threads racing on a cell, plus a properly fork/join-ordered
     /// access that must NOT be reported.
@@ -334,5 +335,47 @@ mod tests {
             .find(|c| c.rep.0.is_write && c.rep.1.is_write)
             .unwrap();
         assert_eq!(ww.dynamic_count, 3); // 3 choose 2
+    }
+
+    /// One static pair raced on in two location groups — object `x` of
+    /// node 1, then of node 0, the reverse of the groups' key order: the
+    /// representative is the pair of least rank (object name, then record
+    /// indices), node 1's, whatever order the groups are scanned in.
+    #[test]
+    fn representative_does_not_follow_group_order() {
+        let mut trace = TraceSet::new();
+        let names = trace.names_mut();
+        let object = names.intern("x");
+        let stacks = [1, 2].map(|idx| {
+            names.stack_of(&[StmtId {
+                func: FuncId(0),
+                idx,
+            }])
+        });
+        for (seq, (node, side)) in [(1, 0), (1, 1), (0, 0), (0, 1)].into_iter().enumerate() {
+            let loc = MemLoc {
+                space: MemSpace::Heap,
+                node: NodeId(node),
+                object,
+                key: None,
+            };
+            trace.push(Record {
+                seq: seq as u64,
+                task: TaskId {
+                    node: NodeId(node),
+                    index: side,
+                },
+                ctx: ExecCtx::Regular,
+                kind: OpKind::MemWrite { loc, value: None },
+                stack: stacks[side as usize],
+            });
+        }
+        let hb = HbAnalysis::build(trace, &HbConfig::default()).unwrap();
+        let cs = find_candidates(&hb);
+        assert_eq!(cs.static_pair_count(), 1, "{cs:#?}");
+        let c = cs.iter().next().unwrap();
+        assert_eq!(c.dynamic_count, 2);
+        assert_eq!((c.rep.0.index, c.rep.1.index), (0, 1));
+        assert_eq!(c.rep.0.loc.node, NodeId(1));
     }
 }

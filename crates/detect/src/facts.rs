@@ -11,9 +11,8 @@
 //! [`FEW_INSTANCES`] instances when they ran — a count only grows, so no
 //! other can be rule 4's pick.
 
-use std::collections::BTreeMap;
-
 use dcatch_model::{NodeId, StmtId};
+use dcatch_obs::FxMap;
 use dcatch_trace::{NameId, Names, OpKind, QueueInfo, Record, StreamControl, TaskId};
 
 use crate::scan::Access;
@@ -77,7 +76,7 @@ pub(crate) struct Fact {
 
 /// A cause or a lock acquire, as [`Anchor`] renders it. The acquires open
 /// at it are a list: each links the one before through its own `locks`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Site {
     node: NodeId,
     stmt: Option<StmtId>,
@@ -105,14 +104,14 @@ pub(crate) struct Facts {
     /// `[func][idx][column]`: dynamic instances so far.
     counts: Vec<Vec<[u32; 9]>>,
     /// Each task's lock set, once it has locked.
-    held: BTreeMap<TaskId, u32>,
+    held: FxMap<TaskId, u32>,
     /// Each registered event's queue, until its `EventCreate`.
-    events: BTreeMap<u64, u32>,
+    events: FxMap<u64, u32>,
     /// The queues events were registered on, with their consumers once
     /// registered themselves.
     queues: Vec<((NodeId, String), Option<QueueInfo>)>,
     sites: Vec<Site>,
-    ids: BTreeMap<Site, u32>,
+    ids: FxMap<Site, u32>,
     /// The last two sites numbered: a run repeats a few over and over.
     recent: [u32; 2],
 }

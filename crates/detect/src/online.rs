@@ -35,6 +35,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use dcatch_hb::{ablate_record, Ablation, Arrival, FrontierEngine, FrontierOptions};
+use dcatch_obs::FxMap;
 use dcatch_trace::{record_len, MemLoc, Names, Record, StreamControl, TraceSink, TraceStats};
 
 use crate::candidates::CandidateSet;
@@ -152,7 +153,7 @@ pub struct OnlineDetector {
     /// Per location [`Group`] its [`Cover`]: what any clock covers of a
     /// chain is a prefix of it (clocks are transitively closed). No cover
     /// is ever empty.
-    window: BTreeMap<Group, Cover<WindowEntry>>,
+    window: FxMap<Group, Cover<WindowEntry>>,
     window_len: usize,
     window_peak: usize,
     records_retired: u64,
@@ -196,7 +197,7 @@ impl OnlineDetector {
             ablation: opts.ablation,
             window_cap: opts.window_cap,
             sweep_every: opts.sweep_every.max(1),
-            window: BTreeMap::new(),
+            window: FxMap::default(),
             window_len: 0,
             window_peak: 0,
             records_retired: 0,

@@ -56,9 +56,10 @@
 //! closure before it is provable — the engine's own state stays bounded by
 //! the live chains all the same.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{hash_map::Entry, BTreeMap};
 
 use dcatch_model::NodeId;
+use dcatch_obs::{FxMap, FxSet};
 use dcatch_trace::{CauseKey, ExecCtx, Names, OpKind, QueueInfo, Record, StreamControl, TaskId};
 
 use crate::graph::EdgeRule;
@@ -176,13 +177,15 @@ pub struct FrontierEngine {
     chains: Vec<Chain>,
     /// Handles of `chains` entries no live chain owns.
     idle: Vec<u32>,
-    registry: BTreeMap<(TaskId, ExecCtx), u32>,
+    /// The live chains' handles. Where its order shows — a crash record's
+    /// fan-in, the handles retirement frees — the keys are sorted.
+    registry: FxMap<(TaskId, ExecCtx), u32>,
     /// Per node, the join of the clocks of its released chains: all a
     /// `NodeCrash` record still needs of them.
     released: BTreeMap<NodeId, Vec<u32>>,
     /// Entry tasks announced but not yet emitting: implicit zero clocks.
-    pending_tasks: BTreeSet<TaskId>,
-    causes: BTreeMap<CauseKey, Cause>,
+    pending_tasks: FxSet<TaskId>,
+    causes: FxMap<CauseKey, Cause>,
     /// Clock buffers of resolved causes, for the next cause's snapshot: a
     /// network send costs no allocation once the run is warm.
     spare: Vec<Vec<u32>>,
@@ -192,15 +195,15 @@ pub struct FrontierEngine {
     restarts: BTreeMap<NodeId, ((u32, u32), Vec<u32>)>,
     // --- Eserial state ---
     queues: BTreeMap<(u32, String), QueueInfo>,
-    event_queue: BTreeMap<u64, (u32, String)>,
-    open: BTreeMap<u64, EvOpen>,
+    event_queue: FxMap<u64, (u32, String)>,
+    open: FxMap<u64, EvOpen>,
     ended: BTreeMap<(u32, String), Vec<EvEnded>>,
     /// `(e1, e2)` pairs derived natively this run, for the loop-sync pass.
     eserial_log: Vec<(u64, u64)>,
     // --- injected edges (loop-sync second pass) ---
-    inj_source_set: BTreeSet<u64>,
-    inj_targets: BTreeMap<u64, Vec<u64>>,
-    inj_sources: BTreeMap<u64, Vec<u32>>,
+    inj_source_set: FxSet<u64>,
+    inj_targets: FxMap<u64, Vec<u64>>,
+    inj_sources: FxMap<u64, Vec<u32>>,
 }
 
 fn join_clock(dst: &mut Vec<u32>, src: &[u32]) {
@@ -463,12 +466,17 @@ impl FrontierEngine {
             // node has chains, is not for the slot rule to walk
             OpKind::NodeCrash { node } => {
                 let mut clock = std::mem::take(&mut self.chains[ci].frontier);
-                for (&(t, _), &c) in &self.registry {
-                    if t.node == node && c != chain {
-                        let other = &self.chains[c as usize];
-                        join_clock(&mut clock, &other.frontier);
-                        self.preds.push((other.at, EdgeRule::Crash));
-                    }
+                let mut fan_in: Vec<_> = self
+                    .registry
+                    .iter()
+                    .filter(|&(&(t, _), &c)| t.node == node && c != chain)
+                    .collect();
+                // listed in key order: the batch builder's edge order
+                fan_in.sort_unstable();
+                for (_, &c) in fan_in {
+                    let other = &self.chains[c as usize];
+                    join_clock(&mut clock, &other.frontier);
+                    self.preds.push((other.at, EdgeRule::Crash));
                 }
                 if let Some(dead) = self.released.get(&node) {
                     join_clock(&mut clock, dead);
@@ -532,14 +540,14 @@ impl FrontierEngine {
     fn snapshot_cause(&mut self, chain: u32, key: CauseKey, refs: Option<u32>, tag: u32) {
         let c = &self.chains[chain as usize];
         match self.causes.entry(key) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
+            Entry::Occupied(mut e) => {
                 // a repeated source: last snapshot wins, pending deliveries
                 // carry over
                 let cause = e.get_mut();
                 cause.clock.clone_from(&c.frontier);
                 (cause.src, cause.tag) = (c.at, tag);
             }
-            std::collections::btree_map::Entry::Vacant(e) => {
+            Entry::Vacant(e) => {
                 let mut clock = self.spare.pop().unwrap_or_default();
                 clock.clone_from(&c.frontier);
                 e.insert(Cause {
@@ -655,10 +663,12 @@ impl FrontierEngine {
         self.ended.retain(|_, list| !list.is_empty());
         let done = |c: &Chain| c.ended && covers(bound, c.at);
         let chains = self.registry.iter();
-        let dead: Vec<_> = chains
+        let mut dead: Vec<_> = chains
             .filter(|&(_, &c)| done(&self.chains[c as usize]))
             .map(|(key, _)| *key)
             .collect();
+        // released in key order: the handle freed last is the next taken
+        dead.sort_unstable();
         for key in &dead {
             self.release(key);
         }

@@ -478,3 +478,113 @@ fn consecutive_restarts_chain_through() {
     assert!(hb.happens_before(6, 12) && hb.happens_before(7, 12) && hb.happens_before(0, 12));
     assert!(hb.concurrent(12, 13));
 }
+
+/// A crash record's fan-in lists the chains of its node in `(task, ctx)`
+/// order, whatever order they were first seen in: the batch builder takes
+/// `preds()` as the record's incoming edges, so this order is its edge
+/// order and the labels `explain` prints.
+#[test]
+fn crash_fan_in_is_listed_in_chain_key_order() {
+    let handler = |instance| ExecCtx::Handler {
+        kind: HandlerKind::Event,
+        instance,
+    };
+    let n0 = NodeId(0);
+    // first seen in arrival order 0..5; in key order 4, 3, 1, 2, 0, and
+    // the chain of node 1 is no part of the fan-in
+    let script = [
+        (0, 3, ExecCtx::Regular, None),
+        (0, 1, handler(7), None),
+        (0, 2, ExecCtx::Regular, None),
+        (0, 1, handler(2), None),
+        (0, 1, ExecCtx::Regular, None),
+        (1, 1, ExecCtx::Regular, None),
+        (0, 0, ExecCtx::Regular, Some(OpKind::NodeCrash { node: n0 })),
+    ];
+    let mut names = Names::new();
+    let object = names.intern("o");
+    let mut engine = FrontierEngine::new(FrontierOptions::default());
+    let mut arrivals = Vec::new();
+    for (seq, (node, index, ctx, fault)) in script.into_iter().enumerate() {
+        let record = Record {
+            seq: seq as u64,
+            task: TaskId {
+                node: NodeId(node),
+                index,
+            },
+            ctx,
+            kind: fault.unwrap_or(OpKind::MemWrite {
+                loc: MemLoc {
+                    space: MemSpace::Heap,
+                    node: NodeId(node),
+                    object,
+                    key: None,
+                },
+                value: None,
+            }),
+            stack: StackId::EMPTY,
+        };
+        arrivals.push(engine.record(&record, &names));
+    }
+    let expected: Vec<_> = [4, 3, 1, 2, 0]
+        .map(|i: usize| ((arrivals[i].slot, arrivals[i].pos), EdgeRule::Crash))
+        .into();
+    assert_eq!(engine.preds(), expected);
+}
+
+/// Retirement releases ended chains in `(task, ctx)` order, and a new
+/// chain takes the handle released last — with its clock buffer, whose
+/// capacity the engine's byte estimate counts.
+#[test]
+fn retire_releases_chains_in_key_order() {
+    let mut names = Names::new();
+    let object = names.intern("o");
+    let write = |seq: u64, index| Record {
+        seq,
+        task: TaskId {
+            node: NodeId(0),
+            index,
+        },
+        ctx: ExecCtx::Regular,
+        kind: OpKind::MemWrite {
+            loc: MemLoc {
+                space: MemSpace::Heap,
+                node: NodeId(0),
+                object,
+                key: None,
+            },
+            value: None,
+        },
+        stack: StackId::EMPTY,
+    };
+    let mut engine = FrontierEngine::new(FrontierOptions::default());
+    let first: Vec<u32> = [3, 1, 2]
+        .into_iter()
+        .enumerate()
+        .map(|(seq, index)| engine.record(&write(seq as u64, index), &names).chain)
+        .collect();
+    assert_eq!(first, [0, 1, 2]);
+    for index in [3, 1, 2] {
+        engine.control(&StreamControl::ChainDone {
+            task: TaskId {
+                node: NodeId(0),
+                index,
+            },
+            ctx: ExecCtx::Regular,
+        });
+    }
+    engine.retire(&vec![u32::MAX; engine.chains()]);
+    assert_eq!(engine.live_chains(), 0);
+    // a later bound that covers nothing: the new records, ordered after
+    // none of the old, open slots of their own
+    engine.retire(&[]);
+    let reused: Vec<u32> = [4, 5, 6]
+        .into_iter()
+        .map(|index| {
+            engine
+                .record(&write(10 + index as u64, index), &names)
+                .chain
+        })
+        .collect();
+    assert_eq!(reused, [0, 2, 1], "t3's handle was released last");
+}

@@ -19,6 +19,9 @@
 //! * [`json`] — a minimal hand-rolled JSON value type, serializer, and
 //!   parser used by the versioned machine-readable run reports
 //!   (`dcatch detect … --json`).
+//! * [`fxhash`] — rustc's FxHash, a deterministic multiply-rotate hasher,
+//!   and the [`FxMap`] / [`FxSet`] aliases for maps keyed by the
+//!   program's own integer ids (replacing the external `rustc-hash`).
 //! * [`rng`] — a small deterministic PRNG (SplitMix64) replacing the
 //!   external `rand` dependency for the simulator's scheduler and the
 //!   in-repo property-test harnesses.
@@ -38,6 +41,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod fxhash;
 pub mod json;
 pub mod metrics;
 pub mod progress;
@@ -46,6 +50,7 @@ mod scope;
 pub mod timeline;
 pub mod trace;
 
+pub use fxhash::{FxHasher, FxMap, FxSet};
 pub use json::Json;
 pub use metrics::{Counter, Gauge, MetricsSnapshot};
 pub use progress::Progress;

@@ -42,6 +42,10 @@ impl StackId {
     pub const EMPTY: StackId = StackId(0);
 }
 
+/// Bound on the function ids and statement indexes a parsed callstack may
+/// name: [`Names`] indexes its frames by statement, densely.
+pub(crate) const MAX_STMT_ID: u32 = 1 << 20;
+
 /// One node of the call tree: its parent path, its innermost statement,
 /// and the length of the whole path in the line format.
 #[derive(Debug, Clone, Copy)]
@@ -49,6 +53,9 @@ struct Frame {
     parent: StackId,
     stmt: StmtId,
     text_len: u32,
+    /// The frame added before it that ends in the same statement (under
+    /// another parent); `EMPTY` for none.
+    next: StackId,
 }
 
 /// The names and callstacks of one run (see the module docs).
@@ -61,7 +68,11 @@ pub struct Names {
     index: HashMap<Arc<str>, NameId>,
     /// `StackId(i + 1)`'s node.
     frames: Vec<Frame>,
-    frame_index: HashMap<(StackId, StmtId), StackId>,
+    /// Per function, per statement index: the latest frame ending in that
+    /// statement, the head of its `Frame::next` list. A statement is
+    /// reached by few call paths, so finding a record's frame — once per
+    /// traced record — is two indexes and a step or two down the list.
+    by_stmt: Vec<Vec<StackId>>,
 }
 
 impl Names {
@@ -131,20 +142,46 @@ impl Names {
 
     /// The callstack `parent` extended by `stmt`, added on first use.
     pub fn frame(&mut self, parent: StackId, stmt: StmtId) -> StackId {
-        if let Some(&id) = self.frame_index.get(&(parent, stmt)) {
-            return id;
+        let head = self.head(stmt);
+        let mut at = head;
+        while let Some(f) = self.node(at) {
+            if f.parent == parent {
+                return at;
+            }
+            at = f.next;
         }
         let digits = |v: u32| 1 + v.checked_ilog10().unwrap_or(0);
         let sep = u32::from(parent != StackId::EMPTY);
         let own = digits(stmt.func.0) + 1 + digits(stmt.idx);
         let text_len = self.stack_len(parent) as u32 + sep + own;
-        self.frames.push(Frame {
+        self.push_frame(Frame {
             parent,
             stmt,
             text_len,
-        });
+            next: head,
+        })
+    }
+
+    /// The latest frame ending in `stmt`; `EMPTY` for none.
+    fn head(&self, stmt: StmtId) -> StackId {
+        let row = self.by_stmt.get(stmt.func.0 as usize);
+        let head = row.and_then(|row| row.get(stmt.idx as usize));
+        head.copied().unwrap_or(StackId::EMPTY)
+    }
+
+    /// Adds `f`, the latest frame ending in its statement; returns its id.
+    fn push_frame(&mut self, f: Frame) -> StackId {
+        self.frames.push(f);
         let id = StackId(self.frames.len() as u32);
-        self.frame_index.insert((parent, stmt), id);
+        let (func, idx) = (f.stmt.func.0 as usize, f.stmt.idx as usize);
+        if self.by_stmt.len() <= func {
+            self.by_stmt.resize_with(func + 1, Vec::new);
+        }
+        let row = &mut self.by_stmt[func];
+        if row.len() <= idx {
+            row.resize(idx + 1, StackId::EMPTY);
+        }
+        row[idx] = id;
         id
     }
 
@@ -209,10 +246,9 @@ impl Names {
             self.added.push(Arc::clone(name));
             self.index.insert(Arc::clone(name), id);
         }
+        // the frames keep their ids, so their lists stay valid as copied
         for &f in &other.frames[self.frames.len()..] {
-            self.frames.push(f);
-            let id = StackId(self.frames.len() as u32);
-            self.frame_index.insert((f.parent, f.stmt), id);
+            self.push_frame(f);
         }
     }
 

@@ -28,7 +28,8 @@ pub enum TracingMode {
 /// [`TracingMode::Selective`].
 #[derive(Debug, Clone)]
 pub struct TracedFunctions {
-    traced: BTreeSet<FuncId>,
+    /// Indexed by `FuncId`: the test is one load per traced access.
+    traced: Vec<bool>,
 }
 
 impl TracedFunctions {
@@ -52,29 +53,32 @@ impl TracedFunctions {
                 seeds.insert(fid);
             }
         });
-        TracedFunctions {
-            traced: cg.call_closure(seeds),
+        let mut traced = vec![false; program.funcs().len()];
+        for f in cg.call_closure(seeds) {
+            traced[f.0 as usize] = true;
         }
+        TracedFunctions { traced }
     }
 
     /// Whether memory accesses in `func` should be traced.
     pub fn contains(&self, func: FuncId) -> bool {
-        self.traced.contains(&func)
+        self.traced.get(func.0 as usize).copied().unwrap_or(false)
     }
 
     /// Number of traced functions.
     pub fn len(&self) -> usize {
-        self.traced.len()
+        self.iter().count()
     }
 
     /// Whether no function is traced.
     pub fn is_empty(&self) -> bool {
-        self.traced.is_empty()
+        !self.traced.contains(&true)
     }
 
-    /// Iterates the traced function ids.
+    /// Iterates the traced function ids, in id order.
     pub fn iter(&self) -> impl Iterator<Item = FuncId> + '_ {
-        self.traced.iter().copied()
+        let ids = (0..).map(FuncId);
+        ids.zip(&self.traced).filter(|&(_, &t)| t).map(|(f, _)| f)
     }
 }
 

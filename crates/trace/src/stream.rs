@@ -36,7 +36,7 @@ use crate::set::{QueueInfo, TraceSet};
 /// Identity of a pending happens-before *cause*: an already-seen source
 /// record whose target record(s) have not arrived yet. The key is what the
 /// eventual target record resolves the cause by.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CauseKey {
     /// `ThreadCreate(child)` waiting for the child's `ThreadBegin`.
     ThreadBegin(TaskId),

@@ -131,12 +131,16 @@ echo "== interpreter oracles, release build =="
 # the same recorded executions, verdicts and scheduler work without it —
 # release is the build dcbench measures, so the heap-map oracle (`--lib`)
 # and the allocation bounds run in it too — the simulator's, the online
-# detector's and the HB build's — and so does the pin of the scheduler's
-# random stream (`dcatch-obs --lib`)
+# detector's and the HB build's — and so do the pins of the scheduler's
+# random stream and of the id hasher (`dcatch-obs --lib`)
 cargo test --offline --release -q -p dcatch-sim --lib --test step_oracle --test semantics \
     --test fault_fuzz --test sched_work --test alloc_budget
 cargo test --offline --release -q -p dcatch-detect -p dcatch-hb --test alloc_budget
 cargo test --offline --release -q -p dcatch-obs --lib
+# the per-record maps' own suites (the name table and its line-format
+# round trip, the scan's facts and candidates) in the build dcbench times
+cargo test --offline --release -q -p dcatch-trace --lib --test proptests
+cargo test --offline --release -q -p dcatch-detect --lib
 # the fork oracle: a shared or forked ordering equals a fresh run
 cargo test --offline --release -q -p dcatch --test trigger_farm --test triggering \
     --test fork_oracle
