@@ -3,9 +3,9 @@
 //! The analysis looks up small integer keys — tasks, chains, record
 //! indices, event ids, cause keys — once or more per trace record. The
 //! standard library's SipHash is built to resist keys crafted to collide
-//! and costs tens of cycles per key; this is rustc's FxHash (one rotate,
-//! xor and multiply per word, no per-process seed), as the `rustc-hash`
-//! crate ships it, without the dependency.
+//! and costs tens of cycles per key; this is the word step of rustc's
+//! FxHash (one rotate, xor and multiply per word, no per-process seed),
+//! the hasher of the `rustc-hash` crate, without the dependency.
 //!
 //! **The rule:** use [`FxMap`] / [`FxSet`] only for keys the program makes
 //! up itself — ids, indexes, counters and keys built of them. A key that
