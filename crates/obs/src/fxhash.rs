@@ -7,15 +7,16 @@
 //! FxHash (one rotate, xor and multiply per word, no per-process seed),
 //! the hasher of the `rustc-hash` crate, without the dependency.
 //!
-//! **The rule:** use [`FxMap`] / [`FxSet`] only for keys the program makes
-//! up itself — ids, indexes, counters and keys built of them. A key that
-//! holds program text keeps the standard hasher, whose seeded SipHash a
-//! crafted input cannot make collide: the run's name table
-//! (`Names::index`), the model's builder, program and dependence tables,
-//! and loop-sync's `OccKey` maps. (The happens-before engine's cause keys
-//! are ids but for a zk update's path, hashed with them: it names one of
-//! the zknodes the run wrote.) A map whose iteration order reaches output
-//! sorts its entries where it is read, or stays a `BTreeMap`.
+//! **The rule:** [`FxMap`] / [`FxSet`] take the keys the program makes up
+//! itself: ids, indexes, counters, keys built of them, and the
+//! happens-before engine's cause keys, whose one text part is the path of
+//! a zknode the simulated run wrote. A key holding text that a program
+//! model or a trace file supplies keeps the standard hasher, whose seeded
+//! SipHash a crafted input cannot make collide: the run's name table
+//! (`Names::index`, which `parse_record` fills from trace lines), the
+//! model's builder, program and dependence tables, and loop-sync's
+//! `OccKey` maps. A map whose iteration order reaches output sorts its
+//! entries where it is read, or stays a `BTreeMap`.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

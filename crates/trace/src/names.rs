@@ -23,6 +23,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dcatch_model::StmtId;
+use dcatch_obs::FxMap;
 
 use crate::ids::{Key, Location, MemLoc};
 use crate::record::CallStack;
@@ -42,10 +43,6 @@ impl StackId {
     pub const EMPTY: StackId = StackId(0);
 }
 
-/// Bound on the function ids and statement indexes a parsed callstack may
-/// name: [`Names`] indexes its frames by statement, densely.
-pub(crate) const MAX_STMT_ID: u32 = 1 << 20;
-
 /// One node of the call tree: its parent path, its innermost statement,
 /// and the length of the whole path in the line format.
 #[derive(Debug, Clone, Copy)]
@@ -53,9 +50,6 @@ struct Frame {
     parent: StackId,
     stmt: StmtId,
     text_len: u32,
-    /// The frame added before it that ends in the same statement (under
-    /// another parent); `EMPTY` for none.
-    next: StackId,
 }
 
 /// The names and callstacks of one run (see the module docs).
@@ -68,11 +62,9 @@ pub struct Names {
     index: HashMap<Arc<str>, NameId>,
     /// `StackId(i + 1)`'s node.
     frames: Vec<Frame>,
-    /// Per function, per statement index: the latest frame ending in that
-    /// statement, the head of its `Frame::next` list. A statement is
-    /// reached by few call paths, so finding a record's frame — once per
-    /// traced record — is two indexes and a step or two down the list.
-    by_stmt: Vec<Vec<StackId>>,
+    /// Looked up once per traced record; keyed by ids, so hashed by
+    /// [`FxMap`]'s hasher.
+    frame_index: FxMap<(StackId, StmtId), StackId>,
 }
 
 impl Names {
@@ -142,46 +134,20 @@ impl Names {
 
     /// The callstack `parent` extended by `stmt`, added on first use.
     pub fn frame(&mut self, parent: StackId, stmt: StmtId) -> StackId {
-        let head = self.head(stmt);
-        let mut at = head;
-        while let Some(f) = self.node(at) {
-            if f.parent == parent {
-                return at;
-            }
-            at = f.next;
+        if let Some(&id) = self.frame_index.get(&(parent, stmt)) {
+            return id;
         }
         let digits = |v: u32| 1 + v.checked_ilog10().unwrap_or(0);
         let sep = u32::from(parent != StackId::EMPTY);
         let own = digits(stmt.func.0) + 1 + digits(stmt.idx);
         let text_len = self.stack_len(parent) as u32 + sep + own;
-        self.push_frame(Frame {
+        self.frames.push(Frame {
             parent,
             stmt,
             text_len,
-            next: head,
-        })
-    }
-
-    /// The latest frame ending in `stmt`; `EMPTY` for none.
-    fn head(&self, stmt: StmtId) -> StackId {
-        let row = self.by_stmt.get(stmt.func.0 as usize);
-        let head = row.and_then(|row| row.get(stmt.idx as usize));
-        head.copied().unwrap_or(StackId::EMPTY)
-    }
-
-    /// Adds `f`, the latest frame ending in its statement; returns its id.
-    fn push_frame(&mut self, f: Frame) -> StackId {
-        self.frames.push(f);
+        });
         let id = StackId(self.frames.len() as u32);
-        let (func, idx) = (f.stmt.func.0 as usize, f.stmt.idx as usize);
-        if self.by_stmt.len() <= func {
-            self.by_stmt.resize_with(func + 1, Vec::new);
-        }
-        let row = &mut self.by_stmt[func];
-        if row.len() <= idx {
-            row.resize(idx + 1, StackId::EMPTY);
-        }
-        row[idx] = id;
+        self.frame_index.insert((parent, stmt), id);
         id
     }
 
@@ -246,9 +212,10 @@ impl Names {
             self.added.push(Arc::clone(name));
             self.index.insert(Arc::clone(name), id);
         }
-        // the frames keep their ids, so their lists stay valid as copied
         for &f in &other.frames[self.frames.len()..] {
-            self.push_frame(f);
+            self.frames.push(f);
+            let id = StackId(self.frames.len() as u32);
+            self.frame_index.insert((f.parent, f.stmt), id);
         }
     }
 
