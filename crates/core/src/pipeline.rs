@@ -12,7 +12,7 @@ use dcatch_detect::{
 use dcatch_hb::{apply_ablation, Ablation, FrontierOptions, HbAnalysis, HbConfig, HbError};
 use dcatch_prune::{Impact, Pruner};
 use dcatch_sim::{Failure, FaultPlan, FocusConfig, Prepared, RunError, SimConfig, World};
-use dcatch_trace::TracingMode;
+use dcatch_trace::{TraceSet, TracingMode};
 use dcatch_trigger::{run_farm_prepared, steal_map, FarmSpec, TriggerReport, Verdict};
 
 use crate::report::{
@@ -549,11 +549,17 @@ impl Pipeline {
                 });
             } else {
                 let _span = dcatch_obs::span!("pipeline.loop_sync");
+                // The focused run repeats the traced run's schedule, and
+                // the plan reads nothing past a loop exit: it stops at the
+                // traced run's last loop marker (counted before ablation;
+                // markers are never sampled out).
+                let markers = trace_stats.loops;
                 let mut rerun = |objects: &BTreeSet<String>| {
-                    let focus_cfg = cfg
-                        .clone()
-                        .with_focus(FocusConfig::on(objects.iter().cloned()));
-                    prepared.run_once(&focus_cfg).trace
+                    if markers == 0 {
+                        return TraceSet::new();
+                    }
+                    let focus = FocusConfig::on(objects.iter().cloned()).stop_after(markers);
+                    prepared.run_once(&cfg.clone().with_focus(focus)).trace
                 };
                 // loop-sync edges may order candidates SP had already
                 // scored; re-apply the pruning filter to a refreshed set

@@ -13,7 +13,8 @@
 //!    of an RPC function invoked inside a remote retry loop (pull-based
 //!    distributed sync, Rule-Mpull);
 //! 2. re-runs the system with focused value tracing on the polled objects
-//!    ("tracing only such r's and all writes that touch the same object");
+//!    ("tracing only such r's and all writes that touch the same object"),
+//!    up to the traced run's last loop marker;
 //! 3. for each dynamic loop exit, finds the last read instance before it
 //!    and the write `w*` that provided its value, and infers
 //!    `w* ⇒ LoopExit`;
@@ -88,7 +89,8 @@ struct PolledRead {
 
 /// Runs the full analysis. `rerun` must re-execute the same workload with
 /// the same seed, tracing only the given objects with values (the
-/// simulator's focused mode guarantees an identical schedule).
+/// simulator's focused mode guarantees an identical schedule). It may stop
+/// right after the traced run's last loop marker: nothing past it is read.
 ///
 /// Returns the pruned candidate set and a description of what happened.
 pub fn analyze_loop_sync(
@@ -104,10 +106,8 @@ pub fn analyze_loop_sync(
 
     // translate occurrence-space causality into the original trace's
     // index space; an occurrence the original run never reached drops out
-    let original_index = occurrence_index(hb.trace());
-    let to_original = |(k, ord): &(OccKey, usize)| -> Option<usize> {
-        original_index.get(k).and_then(|v| v.get(*ord)).copied()
-    };
+    let original = locate(hb.trace(), plan.edges.iter().flat_map(|(w, x)| [*w, *x]));
+    let to_original = |occ: &(OccKey, usize)| original.get(occ).copied();
     let edges: Vec<(usize, usize)> = plan
         .edges
         .iter()
@@ -352,14 +352,34 @@ pub fn occ_key(r: &Record, names: &Names) -> Option<OccKey> {
     Some((r.task, r.kind.tag(), stmt))
 }
 
-fn occurrence_index(trace: &TraceSet) -> BTreeMap<OccKey, Vec<usize>> {
-    let mut map: BTreeMap<OccKey, Vec<usize>> = BTreeMap::new();
+/// The trace index of each `wanted` occurrence, walking `trace` only until
+/// the last of them is found. Ordinals count from the trace's start, so
+/// the prefix up to the plan's last loop exit translates as the whole
+/// trace would; an occurrence the trace never reaches is absent.
+fn locate(
+    trace: &TraceSet,
+    wanted: impl IntoIterator<Item = (OccKey, usize)>,
+) -> BTreeMap<(OccKey, usize), usize> {
+    let mut left: BTreeSet<(OccKey, usize)> = wanted.into_iter().collect();
+    // occurrences seen so far, of the keys the plan names only
+    let mut seen: BTreeMap<OccKey, usize> = left.iter().map(|&(k, _)| (k, 0)).collect();
+    let mut found = BTreeMap::new();
     for (i, r) in trace.records().iter().enumerate() {
-        if let Some(k) = occ_key(r, trace.names()) {
-            map.entry(k).or_default().push(i);
+        if left.is_empty() {
+            break;
         }
+        let Some(k) = occ_key(r, trace.names()) else {
+            continue;
+        };
+        let Some(count) = seen.get_mut(&k) else {
+            continue;
+        };
+        if left.remove(&(k, *count)) {
+            found.insert((k, *count), i);
+        }
+        *count += 1;
     }
-    map
+    found
 }
 
 #[cfg(test)]

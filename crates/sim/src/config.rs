@@ -15,13 +15,27 @@ pub struct FocusConfig {
     /// Shared object names whose accesses are traced *with values*.
     /// All other memory accesses are dropped from the focused trace.
     pub objects: BTreeSet<String>,
+    /// Where the run stops: right after the step that emits its n-th loop
+    /// marker (a retry loop's `LoopEnter` or `LoopExit` record); `Some(0)`
+    /// stops it before its first step. `None` runs it to the end.
+    pub stop_after_loop_markers: Option<usize>,
 }
 
 impl FocusConfig {
-    /// Focus on the given object names.
+    /// Focus on the given object names, for the whole run.
     pub fn on(objects: impl IntoIterator<Item = impl Into<String>>) -> FocusConfig {
         FocusConfig {
             objects: objects.into_iter().map(Into::into).collect(),
+            stop_after_loop_markers: None,
+        }
+    }
+
+    /// The same focus, stopping the run right after its `markers`-th loop
+    /// marker.
+    pub fn stop_after(self, markers: usize) -> FocusConfig {
+        FocusConfig {
+            stop_after_loop_markers: Some(markers),
+            ..self
         }
     }
 }

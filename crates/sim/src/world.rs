@@ -293,6 +293,10 @@ pub struct World<'p> {
     watch: WatchSet,
     /// The gate declared the run decided: `run_loop` stops after this step.
     decided: bool,
+    /// Retry-loop markers the run may still pass before `run_loop` stops it
+    /// ([`crate::FocusConfig::stop_after_loop_markers`]); `usize::MAX` runs
+    /// it to the end.
+    markers_left: usize,
     gate_abandoned: bool,
 
     next_event: u64,
@@ -462,6 +466,11 @@ impl Prepared {
             logs: Vec::new(),
             watch: WatchSet::of(&NoGate),
             decided: false,
+            markers_left: config
+                .focus
+                .as_ref()
+                .and_then(|f| f.stop_after_loop_markers)
+                .unwrap_or(usize::MAX),
             gate_abandoned: false,
             next_event: 0,
             next_rpc: 0,
@@ -768,6 +777,13 @@ impl<'p> World<'p> {
         self.emit(t, kind);
     }
 
+    /// Counts a retry-loop marker against a focused run's stop.
+    fn pass_loop_marker(&mut self) {
+        if self.markers_left != usize::MAX {
+            self.markers_left -= 1;
+        }
+    }
+
     // -- failure helpers ----------------------------------------------------
 
     fn fail(&mut self, t: usize, kind: RunFailureKind, msg: impl Into<String>) {
@@ -843,6 +859,9 @@ impl<'p> World<'p> {
         let panic_at = self.config.faults.panic_at_step.unwrap_or(u64::MAX);
         self.watch = WatchSet::of(gate);
         loop {
+            if self.markers_left == 0 {
+                return false;
+            }
             if self.step >= self.config.max_steps {
                 self.failures.push(Failure {
                     kind: RunFailureKind::StepBudgetExhausted,
@@ -1720,12 +1739,14 @@ impl<'p> World<'p> {
                 if *retry {
                     *self.tasks[t].iters_of(*loop_id) = 0;
                     self.emit(t, OpKind::LoopEnter { loop_id: *loop_id });
+                    self.pass_loop_marker();
                 }
                 Flow::Next
             }
             Op::LoopExit { loop_id, retry } => {
                 if *retry {
                     self.emit(t, OpKind::LoopExit { loop_id: *loop_id });
+                    self.pass_loop_marker();
                 }
                 Flow::Next
             }

@@ -1,4 +1,5 @@
 use dcatch_model::{Expr, FuncKind, NodeId, Program, ProgramBuilder, Value};
+use dcatch_trace::OpKind;
 
 use crate::config::SimConfig;
 use crate::failure::RunFailureKind;
@@ -541,6 +542,94 @@ fn focused_tracing_records_values_for_focused_objects_only() {
         mems[0].kind.mem_value().map(|v| names.name(v)),
         Some("task")
     );
+}
+
+/// Two tasks, each polling a retry loop the other releases, then scaled
+/// work after the protocol: the focused run a stop cuts short.
+fn two_retry_loops_then_work() -> (Program, Topology) {
+    let mut pb = ProgramBuilder::new();
+    pb.func("main", &[], FuncKind::Regular, |b| {
+        b.spawn_detached("peer", vec![]);
+        b.write("ping", Expr::val(true));
+        b.assign("seen", Expr::val(false));
+        b.retry_while(Expr::local("seen").not(), |b| {
+            b.read("seen", "pong");
+        });
+        counted_retry_loop(b, "i", 3);
+        b.assign("k", Expr::val(0));
+        b.while_(Expr::local("k").lt(Expr::val(40)), |b| {
+            b.write("out", Expr::local("k"));
+            b.assign("k", Expr::local("k").add(Expr::val(1)));
+        });
+    });
+    pb.func("peer", &[], FuncKind::Regular, |b| {
+        b.assign("got", Expr::val(false));
+        b.retry_while(Expr::local("got").not(), |b| {
+            b.read("got", "ping");
+        });
+        b.write("pong", Expr::val(true));
+        b.assign("k", Expr::val(0));
+        b.while_(Expr::local("k").lt(Expr::val(40)), |b| {
+            b.write("out", Expr::local("k"));
+            b.assign("k", Expr::local("k").add(Expr::val(1)));
+        });
+    });
+    let p = pb.build().unwrap();
+    let mut topo = Topology::new();
+    topo.node("n").entry("main", vec![]);
+    (p, topo)
+}
+
+/// A focused run stopped at its n-th loop marker is the full focused run's
+/// records up to and including that marker; a stop past the marker count
+/// is the full run. The stop is not the gate's verdict.
+#[test]
+fn focused_run_stops_right_after_its_nth_loop_marker() {
+    use crate::config::FocusConfig;
+    let (p, topo) = two_retry_loops_then_work();
+    let focus = FocusConfig::on(["ping", "pong", "out"]);
+    for seed in 0..8 {
+        let run = |focus: FocusConfig| {
+            let cfg = SimConfig::default().with_seed(seed).with_focus(focus);
+            World::run_once(&p, &topo, cfg).unwrap()
+        };
+        let full = run(focus.clone());
+        assert!(full.failures.is_empty(), "{:?}", full.failures);
+        let records = full.trace.records();
+        let markers: Vec<usize> = (0..records.len())
+            .filter(|&i| {
+                matches!(
+                    records[i].kind,
+                    OpKind::LoopEnter { .. } | OpKind::LoopExit { .. }
+                )
+            })
+            .collect();
+        assert_eq!(markers.len(), full.trace.stats().loops);
+        assert_eq!(markers.len(), 6, "three retry loops, entered once each");
+        // the work after the last exit is most of the run
+        assert!(records.len() > 2 * markers[5], "seed {seed}");
+
+        let stopped = run(focus.clone().stop_after(0));
+        assert_eq!((stopped.steps, stopped.trace.len()), (0, 0));
+        for (n, &at) in markers.iter().enumerate() {
+            let stopped = run(focus.clone().stop_after(n + 1));
+            assert_eq!(
+                stopped.trace.records(),
+                &records[..=at],
+                "seed {seed}, stop after {}",
+                n + 1
+            );
+            assert!(stopped.steps < full.steps);
+            assert!(stopped.completed && !stopped.decided);
+            assert!(stopped.failures.is_empty());
+        }
+        // at the count it stops right after the last marker, as above
+        for n in [markers.len() + 1, 1_000, usize::MAX - 1] {
+            let stopped = run(focus.clone().stop_after(n));
+            assert_eq!(stopped.trace.records(), records, "seed {seed}, stop {n}");
+            assert_eq!(stopped.steps, full.steps);
+        }
+    }
 }
 
 #[test]

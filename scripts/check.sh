@@ -144,6 +144,9 @@ cargo test --offline --release -q -p dcatch-detect --lib
 # the fork oracle: a shared or forked ordering equals a fresh run
 cargo test --offline --release -q -p dcatch --test trigger_farm --test triggering \
     --test fork_oracle
+# the loop-sync oracle: a focused re-run stopped at the traced run's last
+# loop marker plans, translates and prunes as the whole re-run does
+cargo test --offline --release -q -p dcatch --test loopsync_oracle
 
 echo "== answer corpus, release build =="
 # debug-only assertions compile out here; the answers must not move
