@@ -59,8 +59,8 @@ pub use dcatch_apps::{
     streambench_rounds, Benchmark, ErrorPattern, FaultScenario, Mechanisms, RootCause, System,
 };
 pub use dcatch_detect::{
-    find_candidates, AccessSite, Anchor, Candidate, CandidateSet, OnlineDetector, OnlineOptions,
-    StreamOutcome,
+    find_candidates, AccessSite, Anchor, Candidate, CandidateScan, CandidateSet, OnlineDetector,
+    OnlineOptions, StreamOutcome,
 };
 pub use dcatch_hb::{
     apply_ablation, Ablation, BitMatrix, ChainClocks, EdgeRule, HbAnalysis, HbConfig, HbError,

@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 
 use dcatch_apps::Benchmark;
 use dcatch_detect::{
-    analyze_loop_sync, find_candidates, plan_loop_sync, Candidate, CandidateSet, OnlineDetector,
-    OnlineOptions, StreamOutcome,
+    analyze_loop_sync_with, plan_loop_sync, settle_loop_sync, Candidate, CandidateScan,
+    CandidateSet, OnlineDetector, OnlineOptions, StreamOutcome,
 };
 use dcatch_hb::{apply_ablation, Ablation, FrontierOptions, HbAnalysis, HbConfig, HbError};
 use dcatch_prune::{Impact, Pruner};
@@ -443,8 +443,8 @@ impl Pipeline {
             }
             match HbAnalysis::build(analyzed, &hb_cfg) {
                 Ok(hb) => {
-                    let candidates = find_candidates(&hb);
-                    Some((hb, candidates, trace_stats, trace_bytes))
+                    let (scan, candidates) = CandidateScan::new(&hb);
+                    Some((hb, scan, candidates, trace_stats, trace_bytes))
                 }
                 // ---- governor's last memory rung: the index does not fit -
                 // The materialized trace went with the failed build; stream
@@ -469,9 +469,12 @@ impl Pipeline {
         };
 
         let (mut analysis, mut candidates, trace_stats, trace_bytes) = match graph {
-            Some((hb, candidates, stats, bytes)) => {
-                (Analysis::Graph(Box::new(hb)), candidates, stats, bytes)
-            }
+            Some((hb, scan, candidates, stats, bytes)) => (
+                Analysis::Graph(Box::new((hb, scan))),
+                candidates,
+                stats,
+                bytes,
+            ),
             None => {
                 // ---- governor rung: window cap under a memory budget ----
                 // Window entries cost ~O(chain count) bytes each (clock
@@ -572,9 +575,18 @@ impl Pipeline {
                 };
                 candidates = match &mut analysis {
                     // the inferred `w* ⇒ LoopExit` edges go into the graph,
-                    // which is re-scanned
-                    Analysis::Graph(hb) => {
-                        reprune(analyze_loop_sync(program, hb, candidates, &mut rerun).0)
+                    // and the first scan refreshes over them
+                    Analysis::Graph(graph) => {
+                        let (ref mut hb, ref scan) = **graph;
+                        let (updated, _) = analyze_loop_sync_with(
+                            program,
+                            pruner.deps(),
+                            hb,
+                            Some(scan),
+                            candidates,
+                            &mut rerun,
+                        );
+                        reprune(updated)
                     }
                     // the plan's occurrence-space edges are fired into a
                     // *second* streamed pass (same seed, identical
@@ -589,7 +601,7 @@ impl Pipeline {
                         lossy_locations,
                     } => {
                         let _inner = dcatch_obs::span!("detect.loopsync");
-                        match plan_loop_sync(program, &candidates, &mut rerun) {
+                        match plan_loop_sync(program, pruner.deps(), &candidates, &mut rerun) {
                             // nothing inferred: no second pass, no re-prune
                             None => candidates,
                             Some(plan) => {
@@ -606,16 +618,10 @@ impl Pipeline {
                                 stats.records_forced += pass2.records_forced;
                                 lossy_locations.extend(pass2.lossy_locations);
                                 stats.peak_bytes = stats.peak_bytes.max(pass2.peak_bytes);
-                                let mut updated = pass2.candidates;
-                                // drop the polling idiom pairs themselves
-                                updated.retain(|c| !sync_pairs.contains(&c.static_pair));
-                                let pruned = candidates
-                                    .static_pair_count()
-                                    .saturating_sub(updated.static_pair_count());
+                                let (updated, _) =
+                                    settle_loop_sync(&candidates, pass2.candidates, &sync_pairs);
                                 dcatch_obs::counter!("detect_loopsync_edges_total")
                                     .add(pass2.sync_edges_fired as u64);
-                                dcatch_obs::counter!("detect_loopsync_pruned_total")
-                                    .add(pruned as u64);
                                 reprune(updated)
                             }
                         }
@@ -764,9 +770,10 @@ impl Pipeline {
 /// keep the facts trigger placement reads.
 enum Analysis {
     /// Materialized trace → full HB graph (matrix or chain clocks) →
-    /// the candidate scan replayed over it. Boxed: the graph's trace and
-    /// flat indexes outweigh the stream arm's bookkeeping.
-    Graph(Box<HbAnalysis>),
+    /// the candidate scan replayed over it, kept for loop-sync's refresh.
+    /// Boxed: the graph's trace and flat indexes outweigh the stream arm's
+    /// bookkeeping.
+    Graph(Box<(HbAnalysis, CandidateScan)>),
     /// Streaming single-pass detection (DESIGN.md §14): the traced run and
     /// the candidate scan fuse into one pass over the live record stream —
     /// per-chain frontier clocks instead of a reachability index, a

@@ -15,6 +15,7 @@ use dcatch::{
     Prepared, SimConfig, TraceSet, TracingMode, World,
 };
 use dcatch_detect::{analyze_loop_sync, occ_key, plan_loop_sync, OccKey};
+use dcatch_model::DependenceAnalysis;
 
 /// The focused re-run of `cfg`'s traced run, stopped after `markers` loop
 /// markers (the pipeline's re-run) or run to the end.
@@ -84,9 +85,16 @@ fn check(label: &str, bench: &Benchmark, cfg: &SimConfig, seen: &mut Seen) {
 
     // the plan, and what the stop saved
     let program = &bench.program;
-    let full = plan_loop_sync(program, &candidates, &mut rerun(&prepared, cfg, None));
+    let deps = DependenceAnalysis::new(program);
+    let full = plan_loop_sync(
+        program,
+        &deps,
+        &candidates,
+        &mut rerun(&prepared, cfg, None),
+    );
     let stopped = plan_loop_sync(
         program,
+        &deps,
         &candidates,
         &mut rerun(&prepared, cfg, Some(markers)),
     );

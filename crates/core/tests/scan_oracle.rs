@@ -7,14 +7,15 @@
 //! only, and the two must produce *equal* `CandidateSet`s: static pairs,
 //! callstack pairs, representative sites, dynamic counts.
 //! `OnlineDetector`'s window is held to the same oracle and the same work
-//! bound, and on the seven benchmarks to the replay's exact work.
+//! bound, and on the seven benchmarks to the replay's exact work. Once
+//! edges grow the index, the first scan's refresh must equal a re-scan.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use dcatch::{
-    apply_ablation, find_candidates, Ablation, AccessSite, Anchor, Candidate, CandidateSet,
-    FaultPlan, FocusConfig, HbAnalysis, HbConfig, OnlineDetector, OnlineOptions, ReachabilityMode,
-    SimConfig, TraceSet, TraceSink, TracingMode, World,
+    apply_ablation, find_candidates, Ablation, AccessSite, Anchor, Candidate, CandidateScan,
+    CandidateSet, FaultPlan, FocusConfig, HbAnalysis, HbConfig, OnlineDetector, OnlineOptions,
+    ReachabilityMode, SimConfig, TraceSet, TraceSink, TracingMode, World,
 };
 use dcatch_hb::FrontierOptions;
 use dcatch_model::{FuncId, NodeId, StmtId};
@@ -112,6 +113,18 @@ fn assert_same_set(label: &str, new: &CandidateSet, old: &CandidateSet) {
         let mut n = n.clone();
         (n.rep.0.anchor, n.rep.1.anchor) = (no_facts(), no_facts());
         assert_eq!(&n, o, "{label}");
+    }
+}
+
+/// `refreshed` is `rescanned`, placement facts included.
+fn assert_identical(label: &str, refreshed: &CandidateSet, rescanned: &CandidateSet) {
+    assert_eq!(
+        refreshed.static_pair_count(),
+        rescanned.static_pair_count(),
+        "{label}: static pairs"
+    );
+    for (r, s) in refreshed.iter().zip(rescanned.iter()) {
+        assert_eq!(r, s, "{label}: refresh ≠ re-scan");
     }
 }
 
@@ -299,7 +312,8 @@ fn benchmark_fault_matrix_with_crash_edges() {
 }
 
 /// Loop-sync edges arrive through `add_edges_and_rebuild` after the first
-/// scan; the re-scan runs on the grown index.
+/// scan; the re-scan runs on the grown index, and the first scan's
+/// refresh gives what it gives.
 #[test]
 fn rescan_after_loop_sync_edges() {
     let mut inferred = 0;
@@ -308,7 +322,7 @@ fn rescan_after_loop_sync_edges() {
             let cfg = SimConfig::default().with_seed(bench.seed);
             let trace = traced(&bench, TracingMode::Selective, FaultPlan::default());
             let mut hb = build(trace, engine);
-            let first = find_candidates(&hb);
+            let (scan, first) = CandidateScan::new(&hb);
             let mut rerun = |objects: &BTreeSet<String>| {
                 let focus = cfg
                     .clone()
@@ -320,10 +334,36 @@ fn rescan_after_loop_sync_edges() {
             let (_, result) =
                 dcatch_detect::analyze_loop_sync(&bench.program, &mut hb, first, &mut rerun);
             inferred += result.edges.len();
-            assert_scan_matches_oracle(&format!("{} loop-sync {engine}", bench.id), &hb);
+            let label = format!("{} loop-sync {engine}", bench.id);
+            assert_scan_matches_oracle(&label, &hb);
+            assert_identical(&label, &scan.refresh(&hb), &find_candidates(&hb));
         }
     }
     assert!(inferred > 0, "no benchmark inferred a loop-sync edge");
+}
+
+/// The scan keeps, for its refresh, the accesses of the location groups
+/// where it met a concurrent pair only: on MR-3274 at ×48 under full
+/// tracing a few dozen of its ~27 k records, not every access.
+#[test]
+fn refresh_keeps_only_the_racy_groups() {
+    let bench = dcatch::all_benchmarks_scaled(48)
+        .into_iter()
+        .find(|b| b.id == "MR-3274")
+        .expect("MR-3274 is a benchmark");
+    let hb = build(
+        traced(&bench, TracingMode::Full, FaultPlan::default()),
+        ReachabilityMode::Clocks,
+    );
+    let (scan, candidates) = CandidateScan::new(&hb);
+    assert!(hb.vertex_count() > 20_000, "{} records", hb.vertex_count());
+    assert!(candidates.static_pair_count() > 0, "no race to keep");
+    let kept = scan.kept_accesses();
+    assert!(
+        (1..100).contains(&kept),
+        "{kept} accesses kept of {} records",
+        hb.vertex_count()
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -425,8 +465,11 @@ fn random_traces_with_extra_edges() {
         for engine in ENGINES {
             let mut hb = build(trace.clone(), engine);
             dynamic += assert_scan_matches_oracle(&format!("case {case} {engine}"), &hb);
+            let (scan, _) = CandidateScan::new(&hb);
             hb.add_edges_and_rebuild(&extra);
-            assert_scan_matches_oracle(&format!("case {case} {engine} + {extra:?}"), &hb);
+            let label = format!("case {case} {engine} + {extra:?}");
+            assert_scan_matches_oracle(&label, &hb);
+            assert_identical(&label, &scan.refresh(&hb), &find_candidates(&hb));
         }
     }
     assert!(

@@ -1,6 +1,7 @@
 //! Conflicting concurrent access pairs: the [`CandidateSet`] both modes
 //! report, and [`find_candidates`], the stored trace's replay of the one
-//! scan (`crate::scan`).
+//! scan (`crate::scan`), with the [`CandidateScan`] that refreshes it once
+//! loop-sync edges grow the index.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -143,56 +144,119 @@ impl FromIterator<Candidate> for CandidateSet {
 /// direction (which rules out two accesses of one program-order group).
 ///
 /// This is the stored trace replayed through the one scan, as
-/// `OnlineDetector` runs it on arrival (DESIGN.md §4): the accesses are
-/// indexed by location group as record indices, and each group goes in
-/// trace order through a fresh chain cover that asks the index whether an
-/// earlier access happens before the arriving one. No ordered pair is
-/// visited; the cost is O(accesses × chains of the location + concurrent
-/// pairs). The placement facts are taken in by the forward pass that
-/// indexes the accesses, the trace's side tables first.
+/// `OnlineDetector` runs it on arrival (DESIGN.md §4): see
+/// [`CandidateScan::new`], which also keeps what a refresh needs.
 pub fn find_candidates(hb: &HbAnalysis) -> CandidateSet {
-    let _span = dcatch_obs::span!("detect.scan");
+    CandidateScan::new(hb).1
+}
+
+/// What a stored trace's scan keeps for [`CandidateScan::refresh`]: the
+/// run's placement facts, which grow with the program, not the trace, and
+/// the accesses of the location groups in which the cover met a concurrent
+/// pair. Edges added to the index only order pairs, so no other group can
+/// hold one afterwards (DESIGN.md §4).
+#[derive(Debug)]
+pub struct CandidateScan {
+    facts: Facts,
+    /// Each kept group's accesses, in trace order, with their facts.
+    racy: Vec<Vec<(u32, Fact)>>,
+    /// Records of the scanned trace.
+    records: usize,
+}
+
+impl CandidateScan {
+    /// Scans `hb`'s trace: its candidates, and what a refresh needs.
+    ///
+    /// The accesses are indexed by location group as record indices, and
+    /// each group goes in trace order through a fresh chain cover that
+    /// asks the index whether an earlier access happens before the
+    /// arriving one. No ordered pair is visited; the cost is O(accesses ×
+    /// chains of the location + concurrent pairs). The placement facts are
+    /// taken in by the forward pass that indexes the accesses, the trace's
+    /// side tables first.
+    pub fn new(hb: &HbAnalysis) -> (CandidateScan, CandidateSet) {
+        let _span = dcatch_obs::span!("detect.scan");
+        let (records, names) = (hb.trace().records(), hb.trace().names());
+        let mut facts = Facts::default();
+        for control in hb.trace().controls() {
+            facts.control(&control);
+        }
+        // the groups' order is no output's: a static pair's representative
+        // is its pair of least rank, whichever group meets it first
+        let mut groups: FxMap<Group, Vec<(u32, Fact)>> = FxMap::default();
+        // the site of each record the engine tagged
+        let mut tags = vec![NONE; records.len()];
+        let n = u32::try_from(records.len()).expect("the HB graph numbers its vertices in u32");
+        for (i, r) in (0..n).zip(records) {
+            let begun = hb.cause(i as usize);
+            let tag = |tags: &[u32]| begun.map_or(NONE, |c| tags[c]);
+            // the engine tags every source, and a thread's begin only when
+            // no source began it
+            if begun == Some(i as usize) || r.kind != OpKind::ThreadBegin {
+                tags[i as usize] = facts.cause(r, names, tag(&tags));
+            }
+            let fact = facts.record(r, names, tag(&tags));
+            if let Some(a) = Access::at(i as usize, r, names, fact) {
+                groups.entry(group(&a.loc)).or_default().push((i, a.fact));
+            }
+        }
+        let mut pairs = Pairs::default();
+        let racy = groups
+            .into_values()
+            .filter(|accesses| cover(hb, accesses, &mut pairs))
+            .collect();
+        let set = pairs.finish(names, &facts);
+        let records = records.len();
+        (
+            CandidateScan {
+                facts,
+                racy,
+                records,
+            },
+            set,
+        )
+    }
+
+    /// The candidates of the scanned trace under `hb`, the index the scan
+    /// read grown by edges since: the kept groups covered again, which
+    /// gives what a whole scan of `hb` gives.
+    pub fn refresh(&self, hb: &HbAnalysis) -> CandidateSet {
+        let _span = dcatch_obs::span!("detect.scan");
+        debug_assert_eq!(self.records, hb.vertex_count(), "another trace");
+        let mut pairs = Pairs::default();
+        for accesses in &self.racy {
+            cover(hb, accesses, &mut pairs);
+        }
+        pairs.finish(hb.trace().names(), &self.facts)
+    }
+
+    /// How many accesses the scan keeps for a refresh.
+    pub fn kept_accesses(&self) -> usize {
+        self.racy.iter().map(Vec::len).sum()
+    }
+}
+
+/// Runs one group's `accesses` through a fresh cover into `pairs`;
+/// returns whether it met a concurrent pair.
+fn cover(hb: &HbAnalysis, accesses: &[(u32, Fact)], pairs: &mut Pairs) -> bool {
     let (records, names) = (hb.trace().records(), hb.trace().names());
-    let mut facts = Facts::default();
-    for control in hb.trace().controls() {
-        facts.control(&control);
+    let access = |(i, fact): (u32, Fact)| {
+        Access::at(i as usize, &records[i as usize], names, fact).expect("indexed")
+    };
+    let mut racy = false;
+    let mut cover = Cover::default();
+    for &j in accesses {
+        cover.admit(
+            j,
+            |&(i, _)| hb.happens_before(i as usize, j.0 as usize),
+            pairs,
+            |pairs, &i| {
+                racy = true;
+                pairs.add(names, access(i), access(j));
+            },
+        );
     }
-    let access = |(i, fact): (u32, Fact)| Access::at(i as usize, &records[i as usize], names, fact);
-    // the groups' order is no output's: a static pair's representative is
-    // its pair of least rank, whichever group meets it first
-    let mut groups: FxMap<Group, Vec<(u32, Fact)>> = FxMap::default();
-    // the site of each record the engine tagged
-    let mut tags = vec![NONE; records.len()];
-    let n = u32::try_from(records.len()).expect("the HB graph numbers its vertices in u32");
-    for (i, r) in (0..n).zip(records) {
-        let begun = hb.cause(i as usize);
-        let tag = |tags: &[u32]| begun.map_or(NONE, |c| tags[c]);
-        // the engine tags every source, and a thread's begin only when no
-        // source began it
-        if begun == Some(i as usize) || r.kind != OpKind::ThreadBegin {
-            tags[i as usize] = facts.cause(r, names, tag(&tags));
-        }
-        let fact = facts.record(r, names, tag(&tags));
-        if let Some(a) = Access::at(i as usize, r, names, fact) {
-            groups.entry(group(&a.loc)).or_default().push((i, a.fact));
-        }
-    }
-    let mut pairs = Pairs::default();
-    for indices in groups.values() {
-        let mut cover = Cover::default();
-        for &j in indices {
-            cover.admit(
-                j,
-                |&(i, _)| hb.happens_before(i as usize, j.0 as usize),
-                &mut pairs,
-                |pairs, &i| {
-                    let (a, b) = (access(i), access(j));
-                    pairs.add(names, a.expect("indexed"), b.expect("indexed"));
-                },
-            );
-        }
-    }
-    pairs.finish(names, &facts)
+    racy
 }
 
 #[cfg(test)]

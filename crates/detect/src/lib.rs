@@ -29,7 +29,10 @@ mod loopsync;
 mod online;
 mod scan;
 
-pub use candidates::{find_candidates, AccessSite, Candidate, CandidateSet};
+pub use candidates::{find_candidates, AccessSite, Candidate, CandidateScan, CandidateSet};
 pub use facts::{Anchor, FEW_INSTANCES};
-pub use loopsync::{analyze_loop_sync, occ_key, plan_loop_sync, LoopSyncResult, OccKey, SyncPlan};
+pub use loopsync::{
+    analyze_loop_sync, analyze_loop_sync_with, occ_key, plan_loop_sync, settle_loop_sync,
+    LoopSyncResult, OccKey, SyncPlan,
+};
 pub use online::{OnlineDetector, OnlineOptions, StreamOutcome, SWEEP_EVERY};

@@ -18,7 +18,9 @@
 //! 3. for each dynamic loop exit, finds the last read instance before it
 //!    and the write `w*` that provided its value, and infers
 //!    `w* ⇒ LoopExit`;
-//! 4. adds the inferred edges to the HB graph, recomputes candidates, and
+//! 4. adds the inferred edges to the HB graph, recomputes candidates — in
+//!    the location groups where the first scan found a race, the only ones
+//!    an added edge can change ([`CandidateScan::refresh`]) — and
 //!    additionally drops the polling read/write pairs themselves (they are
 //!    the synchronization idiom).
 
@@ -28,7 +30,7 @@ use dcatch_hb::HbAnalysis;
 use dcatch_model::{DependenceAnalysis, FuncKind, LoopId, Program, Stmt, StmtId, StmtKind};
 use dcatch_trace::{Names, OpKind, Record, TaskId, TraceSet};
 
-use crate::candidates::{find_candidates, CandidateSet};
+use crate::candidates::{CandidateScan, CandidateSet};
 
 /// Outcome of the loop-synchronization analysis.
 #[derive(Debug, Clone, Default)]
@@ -93,14 +95,33 @@ struct PolledRead {
 /// right after the traced run's last loop marker: nothing past it is read.
 ///
 /// Returns the pruned candidate set and a description of what happened.
+/// This is [`analyze_loop_sync_with`] with the program's dependence
+/// analysis built here and the scan taken of `hb` before the edges go in.
 pub fn analyze_loop_sync(
     program: &Program,
     hb: &mut HbAnalysis,
     candidates: CandidateSet,
     rerun: &mut dyn FnMut(&BTreeSet<String>) -> TraceSet,
 ) -> (CandidateSet, LoopSyncResult) {
+    let deps = DependenceAnalysis::new(program);
+    analyze_loop_sync_with(program, &deps, hb, None, candidates, rerun)
+}
+
+/// [`analyze_loop_sync`] with the program's dependence analysis `deps`
+/// (its default failure specification's) and `scan`, the scan that found
+/// `candidates` in `hb`'s trace before any loop-sync edge. The inferred
+/// edges go into `hb` and the scan refreshes over them; without `scan`,
+/// one is taken of `hb` first.
+pub fn analyze_loop_sync_with(
+    program: &Program,
+    deps: &DependenceAnalysis,
+    hb: &mut HbAnalysis,
+    scan: Option<&CandidateScan>,
+    candidates: CandidateSet,
+    rerun: &mut dyn FnMut(&BTreeSet<String>) -> TraceSet,
+) -> (CandidateSet, LoopSyncResult) {
     let _span = dcatch_obs::span!("detect.loopsync");
-    let Some(plan) = plan_loop_sync(program, &candidates, rerun) else {
+    let Some(plan) = plan_loop_sync(program, deps, &candidates, rerun) else {
         return (candidates, LoopSyncResult::default());
     };
 
@@ -118,18 +139,18 @@ pub fn analyze_loop_sync(
         return (candidates, LoopSyncResult::default());
     }
 
+    let taken;
+    let scan = match scan {
+        Some(scan) => scan,
+        None => {
+            taken = CandidateScan::new(hb).0;
+            &taken
+        }
+    };
     hb.add_edges_and_rebuild(&edges);
-    let mut updated = find_candidates(hb);
-
-    // drop the polling idiom pairs themselves
     let sync_pairs = plan.sync_pairs();
-    updated.retain(|c| !sync_pairs.contains(&c.static_pair));
-
-    let pruned = candidates
-        .static_pair_count()
-        .saturating_sub(updated.static_pair_count());
+    let (updated, pruned) = settle_loop_sync(&candidates, scan.refresh(hb), &sync_pairs);
     dcatch_obs::counter!("detect_loopsync_edges_total").add(edges.len() as u64);
-    dcatch_obs::counter!("detect_loopsync_pruned_total").add(pruned as u64);
     let result = LoopSyncResult {
         edges,
         sync_pairs,
@@ -139,16 +160,37 @@ pub fn analyze_loop_sync(
     (updated, result)
 }
 
-/// Runs the static polled-read identification and the focused re-run
-/// scan, producing the occurrence-space [`SyncPlan`] both detection modes
-/// share. Returns `None` when no read polls a retry loop or the focused
+/// Drops the polling-idiom `sync_pairs` from `refreshed`, the candidates
+/// found again once the plan's edges were in, and counts what loop-sync
+/// pruned: the static pairs of `candidates`, its input, that the edges
+/// ordered or that are the idiom. `refreshed` is not pruned again here,
+/// so it may hold pairs that `candidates` lost before loop-sync; they are
+/// not counted. Both detection modes settle here.
+pub fn settle_loop_sync(
+    candidates: &CandidateSet,
+    mut refreshed: CandidateSet,
+    sync_pairs: &BTreeSet<(StmtId, StmtId)>,
+) -> (CandidateSet, usize) {
+    refreshed.retain(|c| !sync_pairs.contains(&c.static_pair));
+    let pruned = candidates
+        .iter()
+        .filter(|c| refreshed.find(c.static_pair.0, c.static_pair.1).is_none())
+        .count();
+    dcatch_obs::counter!("detect_loopsync_pruned_total").add(pruned as u64);
+    (refreshed, pruned)
+}
+
+/// Runs the static polled-read identification over `deps`, the program's
+/// dependence analysis, and the focused re-run scan, producing the
+/// occurrence-space [`SyncPlan`] both detection modes share. Returns `None` when no read polls a retry loop or the focused
 /// run surfaced no cross-task releasing write (nothing to add or prune).
 pub fn plan_loop_sync(
     program: &Program,
+    deps: &DependenceAnalysis,
     candidates: &CandidateSet,
     rerun: &mut dyn FnMut(&BTreeSet<String>) -> TraceSet,
 ) -> Option<SyncPlan> {
-    let polled = find_polled_reads(program, candidates);
+    let polled = find_polled_reads(program, deps, candidates);
     if polled.is_empty() {
         return None;
     }
@@ -255,8 +297,11 @@ pub fn plan_loop_sync(
 
 /// Finds, for every candidate's read side, the retry loops its value can
 /// release (paper §3.2.1's conditions 1–3, over the IR).
-fn find_polled_reads(program: &Program, candidates: &CandidateSet) -> Vec<PolledRead> {
-    let deps = DependenceAnalysis::new(program);
+fn find_polled_reads(
+    program: &Program,
+    deps: &DependenceAnalysis,
+    candidates: &CandidateSet,
+) -> Vec<PolledRead> {
     // retry-While statements per function, with enclosure info
     let mut out = Vec::new();
     let mut candidate_reads: BTreeMap<StmtId, String> = BTreeMap::new();

@@ -133,6 +133,12 @@ impl<'p> Pruner<'p> {
         }
     }
 
+    /// The program's dependence analysis, under the pruner's failure
+    /// specification.
+    pub fn deps(&self) -> &DependenceAnalysis {
+        &self.deps
+    }
+
     /// All impacts of one access site.
     pub fn impact_of(&self, site: &AccessSite) -> Vec<Impact> {
         let mut impacts = Vec::new();

@@ -156,6 +156,8 @@ echo "== clock engines and their oracles, release build =="
 # likewise: in debug every record a `FrontierEngine` places asserts that its
 # clock covers the tail of the slot it extends; without the assert the slot
 # oracles, online ≡ offline and the state bounds must hold all the same
+# (`scan_oracle` also holds loop-sync's refresh to a re-scan, and bounds
+# what the scan keeps for it on MR-3274 ×48)
 cargo test --offline --release -q -p dcatch-hb --lib --test proptests
 cargo test --offline --release -q -p dcatch --test scan_oracle --test streaming
 

@@ -212,6 +212,36 @@ fn detection_results_are_identical_under_both_engines() {
     }
 }
 
+/// Loop-sync counts as pruned the static pairs of its input that the
+/// edges ordered or that are the polling idiom, in both arms: on the seven
+/// benchmarks, whose re-pruned refresh keeps every other input pair, that
+/// is SP − LP. The refreshed set also holds pairs SP had pruned, so
+/// subtracting its size from SP's undercounts.
+#[test]
+fn loop_sync_counts_the_input_pairs_it_prunes() {
+    let mut pruned = 0;
+    for bench in dcatch::all_benchmarks_scaled(8) {
+        for (tracing, streaming) in [
+            (TracingMode::Selective, false),
+            (TracingMode::Full, false),
+            (TracingMode::Selective, true),
+        ] {
+            let opts = PipelineOptions {
+                tracing,
+                streaming,
+                triggering: false,
+                ..PipelineOptions::full()
+            };
+            let r = Pipeline::run(&bench, &opts).unwrap();
+            let counted = r.metrics.counter("detect_loopsync_pruned_total");
+            let label = format!("{} {tracing:?} streaming={streaming}", bench.id);
+            assert_eq!(counted, (r.sp_static - r.lp_static) as u64, "{label}");
+            pruned += counted;
+        }
+    }
+    assert!(pruned > 0, "loop-sync pruned nothing");
+}
+
 /// Trace files round-trip through the on-disk line format.
 #[test]
 fn trace_files_roundtrip() {
