@@ -7,6 +7,11 @@
 //! the heap; a delivery joins its cause's clock without copying it and a
 //! finished handler chain leaves its clock buffer to the next one. What
 //! remains is the amortized growth of the window's deques and maps.
+//!
+//! A streamed run steps the simulator on a thread of its own and calls the
+//! sink on the caller's, so this thread's count is the detector's plus
+//! the caller's half of the relay; the subtraction of a run into a sink
+//! that ignores everything takes out the latter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -59,7 +64,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// What the simulator allocates to emit the stream with nobody listening.
+/// What the caller's thread allocates to receive the stream with nobody
+/// listening.
 struct Ignore(u64);
 
 impl TraceSink for Ignore {

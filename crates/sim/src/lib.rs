@@ -57,6 +57,7 @@ mod failure;
 mod fault;
 mod gate;
 mod prepare;
+mod relay;
 pub mod timeline;
 mod topology;
 mod world;

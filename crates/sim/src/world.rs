@@ -19,6 +19,7 @@ use crate::failure::{Failure, LogLevel, LogLine, RunFailureKind};
 use crate::fault::CrashFault;
 use crate::gate::{Gate, GateDecision, GateEvent, NoGate, StallAction, WatchSet};
 use crate::prepare::Prepared;
+use crate::relay::{relay, Relay};
 use crate::topology::Topology;
 
 mod heap_map;
@@ -281,12 +282,9 @@ pub struct World<'p> {
     /// The records (batch mode) and, either way, the run's name table and
     /// queue/event side tables.
     trace: TraceSet,
-    /// Streaming consumer: when present, records bypass `trace` and flow
-    /// into the sink as they are emitted (plus lifecycle controls).
+    /// Streaming relay: when present, records bypass `trace` and flow
+    /// into it as they are emitted (plus lifecycle controls).
     sink: SinkSlot<'p>,
-    /// [`Names::generation`](dcatch_trace::Names::generation) of the table
-    /// the sink was last shown.
-    shown_names: usize,
     failures: Vec<Failure>,
     logs: Vec<LogLine>,
     /// The statements the gate watches, as it last said.
@@ -308,15 +306,18 @@ pub struct World<'p> {
     /// The task the last step ran (context switches are counted against it).
     last_task: Option<usize>,
     /// `sim_steps_total` / `sim_sched_rebuilds_total` /
-    /// `sim_context_switches_total`, flushed by `finish`.
+    /// `sim_context_switches_total` / `sim_trace_records_total` /
+    /// `sim_messages_delivered_total`, flushed by `finish`.
     steps_executed: u64,
     sched_rebuilds: u64,
     context_switches: u64,
+    records_written: u64,
+    messages_delivered: u64,
 }
 
-/// A world's streaming sink, if any. Only a sink-less run is ever copied
-/// (`run_forking` installs none), so a copy has no sink either.
-struct SinkSlot<'p>(Option<&'p mut (dyn TraceSink + Send)>);
+/// A world's streaming relay, if any. Only a relay-less run is ever copied
+/// (`run_forking` installs none), so a copy has no relay either.
+struct SinkSlot<'p>(Option<&'p mut Relay>);
 
 impl Clone for SinkSlot<'_> {
     fn clone(&self) -> Self {
@@ -382,7 +383,7 @@ impl Prepared {
 
     /// [`World::run_streamed`] on the prepared program.
     pub fn run_streamed(&self, config: &SimConfig, sink: &mut (dyn TraceSink + Send)) -> RunResult {
-        self.run(config, &mut NoGate, Some(sink))
+        relay(sink, |relay| self.run(config, &mut NoGate, Some(relay)))
     }
 
     /// [`World::run_with_gate`] on the prepared program.
@@ -422,7 +423,7 @@ impl Prepared {
         &'w self,
         config: &'w SimConfig,
         gate: &mut dyn Gate,
-        sink: Option<&'w mut (dyn TraceSink + Send)>,
+        sink: Option<&'w mut Relay>,
     ) -> RunResult {
         let _span = dcatch_obs::span!("sim.run");
         let mut world = self.boot(config, sink);
@@ -431,11 +432,7 @@ impl Prepared {
     }
 
     /// A fresh `World` with every node set up, before its first step.
-    fn boot<'w>(
-        &'w self,
-        config: &'w SimConfig,
-        sink: Option<&'w mut (dyn TraceSink + Send)>,
-    ) -> World<'w> {
+    fn boot<'w>(&'w self, config: &'w SimConfig, sink: Option<&'w mut Relay>) -> World<'w> {
         let (cp, nodes) = (&self.cp, self.nodes.len());
         let mut world = World {
             prep: self,
@@ -461,7 +458,6 @@ impl Prepared {
             mem_samples_seen: 0,
             trace: TraceSet::with_names(self.names.clone()),
             sink: SinkSlot(sink),
-            shown_names: 0,
             failures: Vec::new(),
             logs: Vec::new(),
             watch: WatchSet::of(&NoGate),
@@ -482,6 +478,8 @@ impl Prepared {
             steps_executed: 0,
             sched_rebuilds: 0,
             context_switches: 0,
+            records_written: 0,
+            messages_delivered: 0,
         };
         counter!("sim_runs_total").inc();
         for node in 0..nodes {
@@ -504,8 +502,12 @@ impl<'p> World<'p> {
     /// Runs `program` on `topo`, streaming every trace record and lifecycle
     /// control into `sink` as it is emitted instead of materializing a
     /// `TraceSet` (the returned result's trace holds only the queue/event
-    /// side tables). The sink is called synchronously from the step loop:
-    /// its `record` returning is the backpressure.
+    /// side tables). The simulator steps on a thread of its own and hands
+    /// what it emits over in small batches; the sink is called on the
+    /// caller's thread, in emission order, with the calls a sink on the
+    /// step loop would get (DESIGN.md §14). At most a few batches wait
+    /// between the two: a slow sink slows the simulator, it never grows a
+    /// buffer. A panic of either side unwinds the caller with its payload.
     pub fn run_streamed(
         program: &Program,
         topo: &Topology,
@@ -651,22 +653,15 @@ impl<'p> World<'p> {
         });
     }
 
-    /// Hands one record to the sink — after the names it may use, when the
-    /// table grew since the sink last saw it — or to the trace.
+    /// Hands one record to the relay — which sends the names it may use
+    /// first, when the table grew since the last record — or to the trace.
     fn write(&mut self, rec: Record) {
         self.seq += 1;
         match self.sink.0.as_mut() {
-            Some(s) => {
-                let names = self.trace.names();
-                if names.generation() != self.shown_names {
-                    self.shown_names = names.generation();
-                    s.names(names);
-                }
-                s.record(&rec);
-            }
+            Some(s) => s.record(self.trace.names(), &rec),
             None => self.trace.push(rec),
         }
-        counter!("sim_trace_records_total").inc();
+        self.records_written += 1;
     }
 
     /// Sends an out-of-band control to the streaming sink, if any.
@@ -847,6 +842,8 @@ impl<'p> World<'p> {
             steps_executed: 0,
             sched_rebuilds: 0,
             context_switches: 0,
+            records_written: 0,
+            messages_delivered: 0,
             ..self.clone()
         }
     }
@@ -1144,6 +1141,8 @@ impl<'p> World<'p> {
         counter!("sim_steps_total").add(self.steps_executed);
         counter!("sim_sched_rebuilds_total").add(self.sched_rebuilds);
         counter!("sim_context_switches_total").add(self.context_switches);
+        counter!("sim_trace_records_total").add(self.records_written);
+        counter!("sim_messages_delivered_total").add(self.messages_delivered);
         let deadlocked = self.failures.iter().any(|f| {
             matches!(
                 f.kind,

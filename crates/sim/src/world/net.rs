@@ -285,7 +285,7 @@ impl World<'_> {
             self.lost(|| msg.cause());
             return;
         }
-        counter!("sim_messages_delivered_total").inc();
+        self.messages_delivered += 1;
         match msg {
             Message::Work { target, job } => {
                 let source = self.inbox.pool(target, job.kind.route().0);

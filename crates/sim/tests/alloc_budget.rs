@@ -12,9 +12,16 @@
 //! the run's table and a callstack is a call-tree node interned once per
 //! call path, so a record adds nothing but its share of the trace's own
 //! growth.
+//!
+//! A streamed run steps the simulator on a thread of its own, so its
+//! bound reads a count of every thread's allocations; each test holds
+//! [`serial`] throughout, so no other test of this binary allocates
+//! beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
 
 use dcatch_apps::{streambench, streambench_rounds};
 use dcatch_model::{Expr, FuncKind, Program, ProgramBuilder};
@@ -22,20 +29,45 @@ use dcatch_sim::{SimConfig, Topology, World};
 use dcatch_trace::{Record, StreamControl, TraceSink};
 
 thread_local! {
-    // per-thread, so tests running beside this one are not counted
+    // per-thread: the test harness's own work at a test's start or end is
+    // not counted
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
+
+/// Every thread's allocations, a streamed run's simulator thread included.
+static ALL_THREADS: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
 fn count() {
+    ALL_THREADS.fetch_add(1, Relaxed);
     // a thread being torn down has no counter left to bump
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
 }
 
+/// Allocations made on this thread so far.
+fn this_thread() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Allocations made on every thread so far: exact only while [`serial`]
+/// is held (the harness may still start or end a test meanwhile, which
+/// can only add to a reading).
+fn all_threads() -> u64 {
+    ALL_THREADS.load(Relaxed)
+}
+
+/// Held by every test of this binary for its whole run.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    // a failed test poisons the lock; the next one may run all the same
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialized
-// thread-local `Cell` without a destructor, so touching it never allocates.
+// upholds the `GlobalAlloc` contract; the counters are a static atomic and
+// a const-initialized thread-local `Cell` without a destructor, so
+// touching them never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
@@ -76,9 +108,9 @@ fn untraced() -> SimConfig {
 fn run_on_one_node(program: &Program, config: SimConfig) -> (u64, u64, u64) {
     let mut topo = Topology::new();
     topo.node("n").entry("main", vec![]);
-    let before = ALLOCS.with(Cell::get);
+    let before = this_thread();
     let result = World::run_once(program, &topo, config).expect("valid program");
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = this_thread() - before;
     assert!(result.is_correct(), "{:?}", result.failures);
     (allocs, result.steps, result.trace.len() as u64)
 }
@@ -120,6 +152,7 @@ fn cell_loop(iters: i64) -> Program {
 
 #[test]
 fn churn_loop_allocates_once_per_map_block() {
+    let _serial = serial();
     let (allocs, steps) = untraced_run(&churn(10_000));
     assert!(steps >= 60_000, "loop did not run: {steps} steps");
     // one `map_put` of a fresh integer key every 6 steps: no key string,
@@ -134,6 +167,7 @@ fn churn_loop_allocates_once_per_map_block() {
 
 #[test]
 fn steps_over_existing_locals_and_cells_do_not_allocate() {
+    let _serial = serial();
     // lets per-thread metric registration happen before anything is compared
     untraced_run(&cell_loop(1));
     let (short_allocs, short_steps) = untraced_run(&cell_loop(2_000));
@@ -185,6 +219,7 @@ impl TraceSink for Count {
 
 #[test]
 fn a_traced_record_adds_no_allocation() {
+    let _serial = serial();
     // a full-traced churn: three memory records an iteration, one keyed
     let churn = |traced: bool, iters: i64| {
         let config = if traced {
@@ -200,12 +235,13 @@ fn a_traced_record_adds_no_allocation() {
     assert!(per_record <= 0.05, "churn: {per_record:.4} per record");
 
     // `streambench` streamed into a sink that only counts: six records a
-    // round, four of them memory accesses of a socket handler
+    // round, four of them memory accesses of a socket handler; the
+    // simulator steps on a thread of its own, so every thread is counted
     let stream = |traced: bool, records: i64| {
         let (program, topology) = streambench(streambench_rounds(records as u64));
         let config = SimConfig::default().with_seed(7).with_full_tracing();
         let mut sink = Count::default();
-        let before = ALLOCS.with(Cell::get);
+        let before = all_threads();
         let run = if traced {
             World::run_streamed(&program, &topology, config, &mut sink)
         } else {
@@ -215,7 +251,7 @@ fn a_traced_record_adds_no_allocation() {
             };
             World::run_once(&program, &topology, config)
         };
-        let allocs = ALLOCS.with(Cell::get) - before;
+        let allocs = all_threads() - before;
         assert!(run.expect("valid program").failures.is_empty());
         (allocs, sink.0)
     };

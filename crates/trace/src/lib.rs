@@ -39,7 +39,7 @@ pub use format::{format_record, parse_record, record_len, FormatError};
 pub use ids::{
     EventId, ExecCtx, HandlerKind, Key, Location, LockRef, MemLoc, MemSpace, MsgId, RpcId, TaskId,
 };
-pub use names::{NameId, Names, StackId};
+pub use names::{Growth, NameId, Names, NamesMark, StackId};
 pub use record::{CallStack, OpKind, Record};
 pub use scope::{TracedFunctions, TracingMode};
 pub use set::{QueueInfo, TraceSet};

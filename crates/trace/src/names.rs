@@ -52,6 +52,28 @@ struct Frame {
     text_len: u32,
 }
 
+/// How far a copy of a table has been brought up to it: what
+/// [`Names::growth_since`] has already handed out.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NamesMark {
+    base: usize,
+    added: usize,
+    frames: usize,
+}
+
+/// One step of a table's growth ([`Names::growth_since`]): its base, a
+/// name or a callstack node. A name is shared text and a node plain data,
+/// so a step costs the copy that takes it no allocation of its own.
+#[derive(Debug, Clone)]
+pub struct Growth(Step);
+
+#[derive(Debug, Clone)]
+enum Step {
+    Base(Arc<[Box<str>]>),
+    Name(Arc<str>),
+    Frame(Frame),
+}
+
 /// The names and callstacks of one run (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct Names {
@@ -203,20 +225,69 @@ impl Names {
     /// copy of an earlier state of `other` (or empty): how a sink keeps
     /// the table of the stream it is fed.
     pub fn extend_from(&mut self, other: &Names) {
-        if self.base.len() != other.base.len() {
-            debug_assert!(self.generation() == 0, "not an earlier copy of `other`");
-            self.base = Arc::clone(&other.base);
+        let mut mark = NamesMark {
+            base: self.base.len(),
+            added: self.added.len(),
+            frames: self.frames.len(),
+        };
+        other.growth_since(&mut mark, |step| self.grow(step));
+    }
+
+    /// Whether this table holds anything `mark` has not seen.
+    pub fn grew_since(&self, mark: &NamesMark) -> bool {
+        self.generation() != mark.base + mark.added + mark.frames
+    }
+
+    /// Hands `f` each step by which this table grew past `mark`, in order,
+    /// and moves `mark` to the table's end: applied with
+    /// [`grow`](Names::grow) to the copy `mark` describes, they bring it
+    /// to this table, as [`extend_from`](Names::extend_from) would. How a
+    /// copy on another thread is kept without sharing the table.
+    pub fn growth_since(&self, mark: &mut NamesMark, mut f: impl FnMut(Growth)) {
+        if mark.base != self.base.len() {
+            f(Growth(Step::Base(Arc::clone(&self.base))));
         }
-        for name in &other.added[self.added.len()..] {
-            let id = NameId(self.len() as u32);
-            self.added.push(Arc::clone(name));
-            self.index.insert(Arc::clone(name), id);
+        for name in &self.added[mark.added..] {
+            f(Growth(Step::Name(Arc::clone(name))));
         }
-        for &f in &other.frames[self.frames.len()..] {
-            self.frames.push(f);
-            let id = StackId(self.frames.len() as u32);
-            self.frame_index.insert((f.parent, f.stmt), id);
+        for &frame in &self.frames[mark.frames..] {
+            f(Growth(Step::Frame(frame)));
         }
+        *mark = NamesMark {
+            base: self.base.len(),
+            added: self.added.len(),
+            frames: self.frames.len(),
+        };
+    }
+
+    /// Applies one step of another table's
+    /// [`growth_since`](Names::growth_since), in the order it listed them.
+    pub fn grow(&mut self, step: Growth) {
+        match step.0 {
+            Step::Base(base) => self.set_base(base),
+            Step::Name(name) => self.push_name(name),
+            Step::Frame(frame) => self.push_frame(frame),
+        }
+    }
+
+    fn set_base(&mut self, base: Arc<[Box<str>]>) {
+        debug_assert!(
+            self.generation() == 0,
+            "a base is set on an empty table only"
+        );
+        self.base = base;
+    }
+
+    fn push_name(&mut self, name: Arc<str>) {
+        let id = NameId(self.len() as u32);
+        self.index.insert(Arc::clone(&name), id);
+        self.added.push(name);
+    }
+
+    fn push_frame(&mut self, frame: Frame) {
+        self.frames.push(frame);
+        let id = StackId(self.frames.len() as u32);
+        self.frame_index.insert((frame.parent, frame.stmt), id);
     }
 
     /// Rough resident size of what the run added, in bytes (the base is
@@ -293,5 +364,30 @@ mod tests {
         assert_eq!(sink.name(NameId(0)), "x");
         assert_eq!(sink.stack(s), run.stack(s));
         assert_eq!(sink.intern("/q"), q, "the copy's index is kept too");
+    }
+
+    #[test]
+    fn growth_steps_bring_a_copy_to_the_table() {
+        let mut run = Names::with_base(["x".to_owned()]);
+        let (mut copy, mut mark) = (Names::new(), NamesMark::default());
+        let mut steps = Vec::new();
+        run.intern("/p");
+        run.stack_of(&[sid(1, 1)]);
+        run.growth_since(&mut mark, |g| steps.push(g));
+        assert_eq!(steps.len(), 3, "base, one name, one node");
+        steps.drain(..).for_each(|g| copy.grow(g));
+        run.growth_since(&mut mark, |g| steps.push(g));
+        assert!(steps.is_empty(), "nothing new since the mark");
+        let q = run.intern("/q");
+        let s = run.stack_of(&[sid(1, 1), sid(2, 2)]);
+        run.growth_since(&mut mark, |g| steps.push(g));
+        assert_eq!(steps.len(), 2, "only what the mark had not seen");
+        steps.drain(..).for_each(|g| copy.grow(g));
+        assert_eq!(copy.generation(), run.generation());
+        assert_eq!(copy.name(NameId(0)), "x");
+        assert_eq!(copy.name(q), "/q");
+        assert_eq!(copy.stack(s), run.stack(s));
+        assert_eq!(copy.intern("/q"), q, "the copy's index is kept too");
+        assert_eq!(copy.stack_of(&[sid(1, 1), sid(2, 2)]), s);
     }
 }

@@ -22,9 +22,11 @@
 //! [`Names`] table reaches the sink through [`TraceSink::names`] before the
 //! first record that uses an id the sink has not been shown.
 //!
-//! The sink runs synchronously on the simulator's thread: `record` returning
-//! is the backpressure. A slow consumer slows the simulated clock, never
-//! grows an unbounded buffer.
+//! Every method returns `()`: nothing a sink does reaches the simulator.
+//! That is what lets the simulator step on a thread of its own and relay
+//! the calls to the sink, in order, on the caller's thread (DESIGN.md §14);
+//! at most a few small batches wait between the two, so a slow consumer
+//! slows the simulator, it never grows an unbounded buffer.
 
 use dcatch_model::NodeId;
 
@@ -106,8 +108,8 @@ pub enum StreamControl {
     },
 }
 
-/// Consumer of a streamed trace. Implemented by the online detector; the
-/// simulator calls it synchronously from its step loop.
+/// Consumer of a streamed trace. Implemented by the online detector; it
+/// is called on the thread that started the run, in emission order.
 pub trait TraceSink {
     /// Called once per trace record, in sequence order.
     fn record(&mut self, record: &Record);

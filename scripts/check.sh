@@ -130,12 +130,13 @@ echo "== interpreter oracles, release build =="
 # and asserts they agree; release compiles that check out, and must match
 # the same recorded executions, verdicts and scheduler work without it —
 # release is the build dcbench measures, so the heap-map oracle (`--lib`)
-# and the allocation bounds run in it too — the simulator's, the online
-# detector's and the HB build's — and so do the pins of the scheduler's
+# and the allocation bounds run in it too — the HB build's here, the
+# simulator's and the online detector's beside the streaming oracles
+# below — and so do the pins of the scheduler's
 # random stream and of the id hasher (`dcatch-obs --lib`)
 cargo test --offline --release -q -p dcatch-sim --lib --test step_oracle --test semantics \
-    --test fault_fuzz --test sched_work --test alloc_budget
-cargo test --offline --release -q -p dcatch-detect -p dcatch-hb --test alloc_budget
+    --test fault_fuzz --test sched_work
+cargo test --offline --release -q -p dcatch-hb --test alloc_budget
 cargo test --offline --release -q -p dcatch-obs --lib
 # the per-record maps' own suites (the name table and its line-format
 # round trip, the scan's facts and candidates) in the build dcbench times
@@ -160,6 +161,13 @@ echo "== clock engines and their oracles, release build =="
 # what the scan keeps for it on MR-3274 ×48)
 cargo test --offline --release -q -p dcatch-hb --lib --test proptests
 cargo test --offline --release -q -p dcatch --test scan_oracle --test streaming
+# a streamed run's simulator steps on a thread of its own: the sink must see
+# the batch trace, names ahead of their records, and a panic on either side
+# must unwind the caller with its payload; the simulator's allocation bound
+# counts that thread too, the online detector's stays on the caller's
+cargo test --offline --release -q -p dcatch-sim --test relay --test alloc_budget
+cargo test --offline --release -q -p dcatch-detect --test alloc_budget
+cargo test --offline --release -q -p dcatch --test pipeline a_panic_in_a_streamed_run
 
 echo "== reachability engine equivalence (matrix vs chain clocks) =="
 # also part of the suite above; named here so a failure is unmistakable.

@@ -158,15 +158,49 @@ fn faults_cli_reports_a_host_panic_as_an_error_row() {
 }
 
 /// The watchdog turns a hung benchmark into a structured timeout error.
+/// The worker is held until the error has been checked, so it is still
+/// running when the watchdog fires, however the threads are scheduled.
 #[test]
 fn watchdog_reports_a_hung_benchmark_as_timeout() {
     let bench = dcatch::benchmark("MR-3274").unwrap();
+    let opts = PipelineOptions::fast();
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let limit = std::time::Duration::from_nanos(1);
+    let result = dcatch::run_bounded("dcatch-MR-3274", Some(limit), move || {
+        // returns once the test released it, or dropped its end unwinding
+        let _ = held.recv();
+        Pipeline::run(&bench, &opts)
+    });
+    let err = result.expect_err("must time out");
+    assert_eq!(err.kind(), "watchdog_timeout");
+    release
+        .send(())
+        .expect("the detached worker is still waiting");
+}
+
+/// The same through `Pipeline::run_all`, whose worker nothing can hold:
+/// the benchmark's traced run is an endless loop, cut only by the step
+/// budget (2 000 000 steps), so the worker is still stepping long after a
+/// 1 ns watchdog has fired.
+#[test]
+fn watchdog_reports_a_hung_benchmark_in_a_batch_as_timeout() {
+    let mut pb = dcatch::ProgramBuilder::new();
+    pb.func("main", &[], dcatch::FuncKind::Regular, |b| {
+        b.assign("i", dcatch::Expr::val(0));
+        b.while_(dcatch::Expr::local("i").lt(dcatch::Expr::val(1)), |b| {
+            b.assign("i", dcatch::Expr::val(0));
+        });
+    });
+    let mut topology = dcatch::Topology::new();
+    topology.node("n").entry("main", vec![]);
+    let hung = dcatch::Benchmark {
+        program: pb.build().expect("valid program"),
+        topology,
+        ..dcatch::benchmark("MR-3274").unwrap()
+    };
     let mut opts = PipelineOptions::fast();
-    // a crash far in the future on an rpc-serving node, with the caller's
-    // retry patience effectively unbounded, is not needed — instead rig
-    // an effectively-zero watchdog so even a healthy run trips it
     opts.timeout = Some(std::time::Duration::from_nanos(1));
-    let results = Pipeline::run_all(std::slice::from_ref(&bench), &opts, 1);
+    let results = Pipeline::run_all(std::slice::from_ref(&hung), &opts, 1);
     let err = results[0].as_ref().expect_err("must time out");
     assert_eq!(err.kind(), "watchdog_timeout");
 }

@@ -359,6 +359,30 @@ fn unbounded_panic_is_reported_and_leaves_the_callers_capture() {
     assert!(tree.find("inside.span").is_none(), "{tree:?}");
 }
 
+/// A host panic inside a streamed run — the simulator steps on a thread
+/// of its own there — is reported with its own message, with and without
+/// a watchdog thread around the pipeline.
+#[test]
+fn a_panic_in_a_streamed_run_is_reported_with_its_message() {
+    let bench = dcatch::benchmark("MR-3274").unwrap();
+    for timeout in [None, Some(std::time::Duration::from_secs(600))] {
+        // `fast` measures no untraced base run: the streamed pass is the
+        // first run the plan reaches
+        let opts = PipelineOptions {
+            streaming: true,
+            faults: dcatch::FaultPlan::default().with_panic_at(40),
+            timeout,
+            ..PipelineOptions::fast()
+        };
+        let result = Pipeline::run_guarded(&bench, &opts);
+        let want = "fault plan injected a host panic at step 40 (chaos hook)";
+        assert!(
+            matches!(&result, Err(dcatch::PipelineError::Panicked(m)) if m == want),
+            "{timeout:?}: {result:?}"
+        );
+    }
+}
+
 /// The watchdog gives up on a run that outlives its limit.
 #[test]
 fn watchdog_gives_up_on_a_hung_run() {
