@@ -12,7 +12,7 @@ use dcatch_detect::{
 use dcatch_hb::{apply_ablation, Ablation, FrontierOptions, HbAnalysis, HbConfig, HbError};
 use dcatch_prune::{Impact, Pruner};
 use dcatch_sim::{Failure, FaultPlan, FocusConfig, Prepared, RunError, SimConfig, World};
-use dcatch_trace::{TraceSet, TracingMode};
+use dcatch_trace::{record_len, TraceSet, TracingMode};
 use dcatch_trigger::{run_farm_prepared, steal_map, FarmSpec, TriggerReport, Verdict};
 
 use crate::report::{
@@ -412,7 +412,12 @@ impl Pipeline {
             let mut trace_bytes = run.trace.byte_size();
             if let Some(m) = gov.mem.filter(|&m| trace_bytes > m) {
                 let total = trace_bytes;
-                let mem_bytes = run.trace.filtered(|r| r.kind.is_mem()).byte_size();
+                let (records, names) = (run.trace.records(), run.trace.names());
+                let mem_bytes: usize = records
+                    .iter()
+                    .filter(|r| r.kind.is_mem())
+                    .map(|r| record_len(r, names) + 1)
+                    .sum();
                 let other = total - mem_bytes;
                 let mut rate: u32 = 2;
                 while rate < (1 << 16) && other + mem_bytes / rate as usize > m {

@@ -311,9 +311,9 @@ fn benchmark_fault_matrix_with_crash_edges() {
     assert!(crashes > 0, "no fault scenario crashed a node");
 }
 
-/// Loop-sync edges arrive through `add_edges_and_rebuild` after the first
-/// scan; the re-scan runs on the grown index, and the first scan's
-/// refresh gives what it gives.
+/// Loop-sync edges arrive through `add_edges` after the first scan; the
+/// re-scan runs on the grown analysis, and the first scan's refresh gives
+/// what it gives.
 #[test]
 fn rescan_after_loop_sync_edges() {
     let mut inferred = 0;
@@ -466,7 +466,7 @@ fn random_traces_with_extra_edges() {
             let mut hb = build(trace.clone(), engine);
             dynamic += assert_scan_matches_oracle(&format!("case {case} {engine}"), &hb);
             let (scan, _) = CandidateScan::new(&hb);
-            hb.add_edges_and_rebuild(&extra);
+            hb.add_edges(&extra);
             let label = format!("case {case} {engine} + {extra:?}");
             assert_scan_matches_oracle(&label, &hb);
             assert_identical(&label, &scan.refresh(&hb), &find_candidates(&hb));

@@ -18,11 +18,13 @@
 //! 3. for each dynamic loop exit, finds the last read instance before it
 //!    and the write `w*` that provided its value, and infers
 //!    `w* ⇒ LoopExit`;
-//! 4. adds the inferred edges to the HB graph, recomputes candidates — in
-//!    the location groups where the first scan found a race, the only ones
-//!    an added edge can change ([`CandidateScan::refresh`]) — and
-//!    additionally drops the polling read/write pairs themselves (they are
-//!    the synchronization idiom).
+//! 4. adds the inferred edges to the HB graph — beside its reachability
+//!    index, which stays as built; a query composes the two
+//!    ([`HbAnalysis::add_edges`]) — recomputes candidates in the location
+//!    groups where the first scan found a race, the only ones an added
+//!    edge can change ([`CandidateScan::refresh`]), and additionally drops
+//!    the polling read/write pairs themselves (they are the
+//!    synchronization idiom).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -147,7 +149,7 @@ pub fn analyze_loop_sync_with(
             &taken
         }
     };
-    hb.add_edges_and_rebuild(&edges);
+    hb.add_edges(&edges);
     let sync_pairs = plan.sync_pairs();
     let (updated, pruned) = settle_loop_sync(&candidates, scan.refresh(hb), &sync_pairs);
     dcatch_obs::counter!("detect_loopsync_edges_total").add(edges.len() as u64);

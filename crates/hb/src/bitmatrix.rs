@@ -50,34 +50,15 @@ impl BitMatrix {
         self.data[row * self.words + col / 64] & (1u64 << (col % 64)) != 0
     }
 
-    /// `row dst |= row src` — the join of an HB edge `src ⇒ dst` —
-    /// reporting whether any bit of `dst` changed.
-    ///
-    /// The changed flag is what makes delta propagation terminate early:
-    /// a successor whose row already covers the new ancestors does not
-    /// need to be re-enqueued.
-    pub(crate) fn or_row_into_changed(&mut self, src: usize, dst: usize) -> bool {
-        debug_assert!(src < self.n && dst < self.n && src != dst);
-        let (s, d) = (src * self.words, dst * self.words);
-        let mut changed = 0u64;
-        if s < d {
-            let (left, right) = self.data.split_at_mut(d);
-            for i in 0..self.words {
-                let old = right[i];
-                let new = old | left[s + i];
-                changed |= old ^ new;
-                right[i] = new;
-            }
-        } else {
-            let (left, right) = self.data.split_at_mut(s);
-            for i in 0..self.words {
-                let old = left[d + i];
-                let new = old | right[i];
-                changed |= old ^ new;
-                left[d + i] = new;
-            }
+    /// `row dst |= row src` — the join of an HB edge `src ⇒ dst`, which
+    /// points forward, so `src`'s row is final by then.
+    pub(crate) fn or_row_into(&mut self, src: usize, dst: usize) {
+        debug_assert!(src < dst && dst < self.n, "HB edges point forward");
+        let (left, right) = self.data.split_at_mut(dst * self.words);
+        let src = &left[src * self.words..][..self.words];
+        for (d, s) in right[..self.words].iter_mut().zip(src) {
+            *d |= s;
         }
-        changed != 0
     }
 
     /// Number of set bits in `row`.
@@ -106,49 +87,14 @@ mod tests {
     }
 
     #[test]
-    fn or_row_into_unions_in_both_directions() {
-        let mut m = BitMatrix::new(100);
-        m.set(5, 70);
-        m.or_row_into_changed(5, 2); // src > dst
-        assert!(m.get(2, 70));
-        m.set(1, 3);
-        m.or_row_into_changed(1, 50); // src < dst
-        assert!(m.get(50, 3));
-    }
-
-    #[test]
     fn or_row_into_src_less_than_dst_preserves_existing_bits() {
         let mut m = BitMatrix::new(100);
         m.set(1, 3);
         m.set(50, 99);
-        m.or_row_into_changed(1, 50); // src < dst branch
+        m.or_row_into(1, 50);
         assert!(m.get(50, 3) && m.get(50, 99));
         assert_eq!(m.row_count(50), 2);
         assert_eq!(m.row_count(1), 1); // src row untouched
-    }
-
-    #[test]
-    fn or_row_into_src_greater_than_dst_preserves_existing_bits() {
-        let mut m = BitMatrix::new(100);
-        m.set(70, 65);
-        m.set(2, 0);
-        m.or_row_into_changed(70, 2); // src > dst branch
-        assert!(m.get(2, 65) && m.get(2, 0));
-        assert_eq!(m.row_count(2), 2);
-        assert_eq!(m.row_count(70), 1);
-    }
-
-    #[test]
-    fn or_row_into_changed_reports_both_directions() {
-        let mut m = BitMatrix::new(100);
-        m.set(5, 70);
-        assert!(m.or_row_into_changed(5, 2)); // src > dst, new bit lands
-        assert!(m.get(2, 70));
-        assert!(!m.or_row_into_changed(5, 2)); // already subsumed
-        m.set(1, 3);
-        assert!(m.or_row_into_changed(1, 50)); // src < dst, new bit lands
-        assert!(m.get(50, 3));
-        assert!(!m.or_row_into_changed(1, 50));
     }
 
     #[test]

@@ -48,13 +48,11 @@
 //! that record cannot be ordered after — and a record that shares the row
 //! is ordered after nothing that record is not.
 //!
-//! A loop-sync edge `u ⇒ v` added afterwards points forward too; it joins
-//! `u`'s clock into `v`'s and pushes the growth forward through successors
-//! whose clocks actually change — the affected suffix of each chain, never
-//! the whole trace. A row that grows under `v` but is read by other
-//! records too is copied for `v` first (as is one too short for `u`'s
-//! clock), so no row changes under a record that shares it: the records
-//! after `v` on its run take the growth when the walk reaches them.
+//! The index is never changed after the pass, so a row stays the clock of
+//! every record that shares it. A loop-sync edge added afterwards points
+//! forward too, but is not joined in: `HbAnalysis` keeps it beside the
+//! index and composes it with the index's answers at query time
+//! (DESIGN.md §4).
 
 /// Per-vertex slot-frontier clocks over an HB graph's vertices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,8 +61,6 @@ pub struct ChainClocks {
     row_of: Vec<u32>,
     /// Row `r` is `clocks[starts[r]..]`, up to the next row's start.
     starts: Vec<usize>,
-    /// Per row, how many vertices read it.
-    users: Vec<u32>,
     /// The ragged clock rows, back to back; entry `s` of a vertex's row is
     /// the length of slot `s`'s prefix known to happen before (or be) it,
     /// except on its own slot, whose entry may be that of an earlier
@@ -84,16 +80,15 @@ impl ChainClocks {
         ChainClocks {
             row_of: Vec::with_capacity(n),
             starts: Vec::new(),
-            users: Vec::new(),
             clocks: Vec::new(),
         }
     }
 
     /// What [`push_row`](ChainClocks::push_row) adds to
     /// [`bytes`](ChainClocks::bytes) for a row of `slots` entries: the
-    /// row id, the row's start and user count, and its clocks.
+    /// row id, the row's start and its clocks.
     pub(crate) fn row_bytes(slots: usize) -> usize {
-        size_of::<u32>() + size_of::<usize>() + size_of::<u32>() + slots * size_of::<u32>()
+        size_of::<u32>() + size_of::<usize>() + slots * size_of::<u32>()
     }
 
     /// Appends the next vertex with a row of its own: its final `clock`,
@@ -103,25 +98,15 @@ impl ChainClocks {
         let start = self.clocks.len();
         self.clocks.extend_from_slice(clock);
         self.clocks.resize(start + slots, 0);
-        let r = self.new_row(start);
+        let r = u32::try_from(self.starts.len()).expect("fewer than 2^32 rows");
+        self.starts.push(start);
         self.row_of.push(r);
     }
 
     /// Appends the next vertex sharing vertex `u`'s row: it is ordered
     /// after `u`, the tail of its slot, and nothing else.
     pub(crate) fn share_row(&mut self, u: usize) {
-        let r = self.row_of[u];
-        self.users[r as usize] += 1;
-        self.row_of.push(r);
-    }
-
-    /// Opens a row of one user at `start`, the clocks from there on;
-    /// returns its id.
-    fn new_row(&mut self, start: usize) -> u32 {
-        let r = u32::try_from(self.starts.len()).expect("fewer than 2^32 rows");
-        self.starts.push(start);
-        self.users.push(1);
-        r
+        self.row_of.push(self.row_of[u]);
     }
 
     /// Number of vertices.
@@ -139,7 +124,6 @@ impl ChainClocks {
     pub fn bytes(&self) -> usize {
         self.row_of.len() * size_of::<u32>()
             + self.starts.len() * size_of::<usize>()
-            + self.users.len() * size_of::<u32>()
             + self.clocks.len() * size_of::<u32>()
     }
 
@@ -167,44 +151,6 @@ impl ChainClocks {
     /// itself, exactly as with the bit matrix.
     pub(crate) fn covers(&self, v: usize, own: (u32, u32), (slot, pos): (u32, u32)) -> bool {
         self.entry(v, own, slot) >= pos
-    }
-
-    /// Joins vertex `src`'s clock into the later vertex `dst`'s
-    /// (elementwise max), the propagation step for a loop-sync edge
-    /// `src ⇒ dst`; `at` holds every vertex's `(slot, pos)`. Returns
-    /// whether any frontier of `dst` actually advanced — the early-exit
-    /// signal that stops incremental propagation, as
-    /// `BitMatrix::or_row_into_changed` is for the matrix. A row that
-    /// advances is `dst`'s alone first: copied if another vertex reads it
-    /// or if it is shorter than `src`'s.
-    pub(crate) fn join_from(&mut self, src: usize, dst: usize, at: &[(u32, u32)]) -> bool {
-        debug_assert!(src < dst, "HB edges point forward in trace order");
-        let (src_at, dst_at) = (at[src], at[dst]);
-        let src_len = self.row(self.row_of[src]).len();
-        // `dst` covers its own slot up to itself, beyond anything `src` can
-        // reach there
-        let grows = |cc: &ChainClocks, s: u32| {
-            s != dst_at.0 && cc.entry(src, src_at, s) > cc.entry(dst, dst_at, s)
-        };
-        let Some(first) = (0..src_len as u32).find(|&s| grows(self, s)) else {
-            return false;
-        };
-        let r = self.row_of[dst];
-        let old = self.row(r);
-        if self.users[r as usize] > 1 || old.len() < src_len {
-            self.users[r as usize] -= 1;
-            let start = self.clocks.len();
-            self.clocks.extend_from_within(old.clone());
-            self.clocks.resize(start + old.len().max(src_len), 0);
-            self.row_of[dst] = self.new_row(start);
-        }
-        let start = self.row(self.row_of[dst]).start;
-        for s in first..src_len as u32 {
-            if grows(self, s) {
-                self.clocks[start + s as usize] = self.entry(src, src_at, s);
-            }
-        }
-        true
     }
 }
 
@@ -239,15 +185,6 @@ mod tests {
         assert!(covers(&cc, 0, (0, 1)), "reflexive, guarded by callers");
     }
 
-    #[test]
-    fn join_propagates_cross_chain_frontiers() {
-        let mut cc = two_chains();
-        // edge 2 ⇒ 3 carries slot 0's prefix of length 2 into vertex 3
-        assert!(cc.join_from(2, 3, &TWO_CHAINS));
-        assert!(covers(&cc, 3, (0, 1)) && covers(&cc, 3, (0, 2)));
-        assert!(!cc.join_from(2, 3, &TWO_CHAINS), "second join is a no-op");
-    }
-
     /// Rows are as long as the slot table was on arrival: vertex 0 never
     /// pays for slot 1, and a query about a slot opened later is `false`.
     #[test]
@@ -269,12 +206,10 @@ mod tests {
         let held = |cc: &ChainClocks| {
             size_of_val(cc.row_of.as_slice())
                 + size_of_val(cc.starts.as_slice())
-                + size_of_val(cc.users.as_slice())
                 + size_of_val(cc.clocks.as_slice())
         };
         assert_eq!(cc.bytes(), held(&cc));
-        let at = [TWO_CHAINS.as_slice(), &[(1, 3)]].concat();
-        assert!(cc.join_from(2, 4, &at), "a copy for vertex 4");
+        cc.push_row(&[1, 3], 2);
         assert_eq!(cc.bytes(), held(&cc));
     }
 
@@ -297,46 +232,6 @@ mod tests {
             assert!(!cc.covers(v, own, (1, own.1 + 1)));
             assert!(cc.covers(v, own, (0, 1)) && !cc.covers(v, own, (0, 2)));
         }
-    }
-
-    /// Growth under a vertex whose row others read copies the row first:
-    /// the vertices before it on the run keep their clocks, and the ones
-    /// after it take the growth from their own join, not from the row.
-    #[test]
-    fn join_copies_a_shared_row() {
-        let mut cc = two_chains();
-        cc.share_row(3);
-        cc.share_row(4);
-        let at = [TWO_CHAINS.as_slice(), &[(1, 3), (1, 4)]].concat();
-        // 2 ⇒ 4, inside the run 3, 4, 5
-        assert!(cc.join_from(2, 4, &at));
-        assert!(cc.covers(4, at[4], (0, 2)));
-        assert!(!cc.covers(3, at[3], (0, 2)), "no row changed under 3");
-        assert!(!cc.covers(5, at[5], (0, 2)), "nor under 5");
-        // the walk goes on along the run: 5 copies too, 3 keeps the row
-        assert!(cc.join_from(4, 5, &at));
-        assert!(cc.covers(5, at[5], (0, 2)));
-        assert!(!cc.join_from(4, 5, &at));
-        assert_eq!(cc.users, [1; 6], "row 3 is left to vertex 3");
-        // the row's last reader writes it in place
-        let rows = cc.starts.len();
-        assert!(cc.join_from(2, 3, &at));
-        assert_eq!(cc.starts.len(), rows, "no copy for the row's one reader");
-        assert!(cc.covers(3, at[3], (0, 2)));
-    }
-
-    /// A row shorter than the clock joined into it is copied at the
-    /// longer length: the slot it lacks was opened after its first vertex.
-    #[test]
-    fn join_lengthens_a_short_row() {
-        let mut cc = ChainClocks::with_capacity(3);
-        cc.push_row(&[1], 1);
-        cc.push_row(&[0, 1], 2);
-        cc.share_row(0);
-        let at = [(0, 1), (1, 1), (0, 2)];
-        assert!(!cc.covers(2, at[2], (1, 1)));
-        assert!(cc.join_from(1, 2, &at));
-        assert!(cc.covers(2, at[2], (1, 1)) && !cc.covers(0, at[0], (1, 1)));
     }
 
     #[test]

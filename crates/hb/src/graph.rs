@@ -156,33 +156,14 @@ impl ReachIndex {
             ReachIndex::Clocks(c) => c.bytes(),
         }
     }
-
-    /// Folds the edge `u ⇒ v` in: `v`'s ancestors absorb `u` and `u`'s;
-    /// `at` is every vertex's `(slot, pos)`. Returns whether `v`'s summary
-    /// grew — if not, nothing downstream of `v` can change either.
-    fn join_from(&mut self, u: usize, v: usize, at: &[(u32, u32)]) -> bool {
-        match self {
-            ReachIndex::Matrix(m) => {
-                let new = !m.get(v, u);
-                m.set(v, u);
-                m.or_row_into_changed(u, v) | new
-            }
-            ReachIndex::Clocks(c) => c.join_from(u, v, at),
-        }
-    }
 }
 
-/// The graph's edges, listed from their sources: the pass's in one flat
-/// array, the few added after it (loop-sync) beside it.
+/// The pass's edges, listed from their sources in one flat array: the
+/// edges out of `u` are `targets[starts[u]..starts[u + 1]]`, in the order
+/// the pass listed them.
 struct Edges {
-    /// The pass's edges out of `u` are `targets[starts[u]..starts[u + 1]]`,
-    /// in the order the pass listed them.
     starts: Vec<u32>,
     targets: Vec<(u32, EdgeRule)>,
-    /// Edges added after the pass, by source, in the order added: each
-    /// source's come after its `targets`.
-    late: BTreeMap<u32, Vec<(u32, EdgeRule)>>,
-    count: usize,
 }
 
 impl Edges {
@@ -208,34 +189,86 @@ impl Edges {
         }
         starts.copy_within(0..n, 1);
         starts[0] = 0;
-        Edges {
-            starts,
-            targets,
-            late: BTreeMap::new(),
-            count,
-        }
+        Edges { starts, targets }
     }
 
-    /// The edges out of `u`, as [`HbAnalysis::successors`] lists them.
+    /// The pass's edges out of `u`.
     fn out(&self, u: usize) -> impl Iterator<Item = (usize, EdgeRule)> + '_ {
         let listed = &self.targets[self.starts[u] as usize..self.starts[u + 1] as usize];
-        let late = self.late.get(&(u as u32)).into_iter().flatten();
-        listed.iter().chain(late).map(|&(t, r)| (t as usize, r))
+        listed.iter().map(|&(t, r)| (t as usize, r))
+    }
+}
+
+/// The edges added after the pass (loop-sync), kept beside the index,
+/// which they never change. Edge `i` *leads to* edge `j` when `j`'s source
+/// is its target or is ordered after it — by the index or through other
+/// added edges; `leads` is that relation's reflexive closure, recomputed
+/// on each add: the edges are few (one per loop-sync benchmark).
+#[derive(Debug, Default)]
+struct Overlay {
+    /// `(u, v)`, `u < v`, in the order added, each once.
+    edges: Vec<(u32, u32)>,
+    /// Whether edge `i` leads to edge `j`: `leads[i * k + j]` for `k`
+    /// edges.
+    leads: Vec<bool>,
+}
+
+impl Overlay {
+    /// The closure of the edges' `leads` relation, `le(x, y)` being
+    /// whether `x` is `y` or the index orders `x` before `y`.
+    fn closure(&self, le: impl Fn(usize, usize) -> bool) -> Vec<bool> {
+        let k = self.edges.len();
+        let mut leads = vec![false; k * k];
+        for (i, &(_, v)) in self.edges.iter().enumerate() {
+            for (j, &(u, _)) in self.edges.iter().enumerate() {
+                leads[i * k + j] = i == j || le(v as usize, u as usize);
+            }
+        }
+        for m in 0..k {
+            for i in 0..k {
+                if leads[i * k + m] {
+                    for j in 0..k {
+                        leads[i * k + j] |= leads[m * k + j];
+                    }
+                }
+            }
+        }
+        // every edge points forward, so an edge only leads to later ones
+        debug_assert!(self.edges.iter().all(|&(u, v)| u < v), "a backward edge");
+        debug_assert!(
+            (0..k * k).all(|ij| {
+                let (i, j) = (ij / k, ij % k);
+                !leads[ij] || i == j || self.edges[i].1 <= self.edges[j].0
+            }),
+            "an edge leads to one that starts before it ends"
+        );
+        leads
     }
 
-    /// Links `u ⇒ v` after the pass unless it is linked already; whether
-    /// it did.
-    fn add(&mut self, u: usize, v: usize, rule: EdgeRule) -> bool {
-        debug_assert!(u < v, "HB edges must go forward in sequence order");
-        if self.out(u).any(|(t, _)| t == v) {
-            return false;
-        }
-        self.late
-            .entry(u as u32)
-            .or_default()
-            .push((v as u32, rule));
-        self.count += 1;
-        true
+    /// Whether a path through at least one added edge joins `a` to `b`:
+    /// some edge whose source `a` is or is ordered before leads to one
+    /// whose target is or is ordered before `b`, `le` as for
+    /// [`closure`](Overlay::closure) — at most two index queries per edge.
+    /// Kept out of line: it runs only where the index says no and the
+    /// overlay is not empty, and inlined it would weigh on every query.
+    #[inline(never)]
+    fn joins(&self, a: usize, b: usize, le: impl Fn(usize, usize) -> bool) -> bool {
+        let k = self.edges.len();
+        let from: Vec<usize> = (0..k)
+            .filter(|&i| le(a, self.edges[i].0 as usize))
+            .collect();
+        !from.is_empty()
+            && self.edges.iter().enumerate().any(|(j, &(_, v))| {
+                from.iter().any(|&i| self.leads[i * k + j]) && le(v as usize, b)
+            })
+    }
+
+    /// The added edges out of `u`, in the order added.
+    fn out(&self, u: usize) -> impl Iterator<Item = (usize, EdgeRule)> + '_ {
+        self.edges
+            .iter()
+            .filter(move |&&(s, _)| s as usize == u)
+            .map(|&(_, t)| (t as usize, EdgeRule::LoopSync))
     }
 }
 
@@ -244,6 +277,8 @@ impl Edges {
 pub struct HbAnalysis {
     trace: TraceSet,
     edges: Edges,
+    /// Edges added after the build, which leaves `reach` as it is.
+    late: Overlay,
     /// `(slot, pos)` of each vertex: its place in the HB-ordered chain
     /// cover, as the engine placed it.
     at: Vec<(u32, u32)>,
@@ -370,21 +405,23 @@ impl HbAnalysis {
             None => {
                 // every edge points forward: in index order a row is final
                 // by the time it is folded into its successors
-                let mut m = ReachIndex::Matrix(BitMatrix::new(n));
+                let mut m = BitMatrix::new(n);
                 for u in 0..n {
                     for (v, _) in edges.out(u) {
-                        m.join_from(u, v, &at);
+                        m.set(v, u);
+                        m.or_row_into(u, v);
                     }
                 }
-                m
+                ReachIndex::Matrix(m)
             }
         };
         gauge!("hb_reach_bytes_peak").set_max(reach.bytes() as u64);
         counter!("hb_nodes_total").add(n as u64);
-        counter!("hb_edges_total").add(edges.count as u64);
+        counter!("hb_edges_total").add(edges.targets.len() as u64);
         Ok(HbAnalysis {
             trace,
             edges,
+            late: Overlay::default(),
             at,
             causes,
             reach,
@@ -403,7 +440,7 @@ impl HbAnalysis {
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.count
+        self.edges.targets.len() + self.late.edges.len()
     }
 
     /// The reachability engine actually in use — resolves `Auto` to the
@@ -427,14 +464,26 @@ impl HbAnalysis {
         self.at[v]
     }
 
-    /// Raw reachability; callers guard `a != b` (the matrix's diagonal is
-    /// unset while clocks are reflexive, so `a == b` is the one input the
-    /// indexes answer differently).
+    /// Raw reachability; callers guard `a != b`: the index's answer, or,
+    /// where it has none, a path through the added edges.
     fn reaches(&self, a: usize, b: usize) -> bool {
+        self.indexed(a, b) || (!self.late.edges.is_empty() && self.late.joins(a, b, self.le()))
+    }
+
+    /// The index's answer to `reaches(a, b)` for `a != b` (the matrix's
+    /// diagonal is unset while clocks are reflexive, so `a == b` is the
+    /// one input the indexes answer differently).
+    #[inline]
+    fn indexed(&self, a: usize, b: usize) -> bool {
         match &self.reach {
             ReachIndex::Matrix(m) => m.get(b, a),
             ReachIndex::Clocks(c) => c.covers(b, self.at[b], self.at[a]),
         }
+    }
+
+    /// `x ≤ y` in the index: `x` is `y` or is ordered before it.
+    fn le(&self) -> impl Fn(usize, usize) -> bool + '_ {
+        |x, y| x == y || self.indexed(x, y)
     }
 
     /// Whether record `a` happens before record `b` (indices).
@@ -455,9 +504,10 @@ impl HbAnalysis {
         (c != u32::MAX).then_some(c as usize)
     }
 
-    /// Direct successors of a vertex.
+    /// Direct successors of a vertex: the pass's edges, then those added
+    /// since, in the order added.
     pub fn successors(&self, v: usize) -> impl Iterator<Item = (usize, EdgeRule)> + '_ {
-        self.edges.out(v)
+        self.edges.out(v).chain(self.late.out(v))
     }
 
     /// A happens-before chain from `a` to `b`, if one exists: the list of
@@ -492,41 +542,23 @@ impl HbAnalysis {
         Some(chain)
     }
 
-    /// Adds extra edges (e.g. inferred `Mpull`/loop-sync causality) and
-    /// folds each one into the reachability index incrementally — no
-    /// rebuild.
-    pub fn add_edges_and_rebuild(&mut self, extra: &[(usize, usize)]) {
+    /// Adds extra edges (e.g. inferred `Mpull`/loop-sync causality), each
+    /// pointed forward and kept unless the graph links it already. The
+    /// index is left as built: queries compose it with the added edges.
+    pub fn add_edges(&mut self, extra: &[(usize, usize)]) {
         let _span = dcatch_obs::span!("hb.reach.delta");
+        let added = self.late.edges.len();
         for &(u, v) in extra {
             debug_assert!(u < self.trace.len() && v < self.trace.len());
             // HB edges respect execution order, which is index order
-            if u != v {
-                self.add_edge_incremental(u.min(v), u.max(v));
+            let (u, v) = (u.min(v), u.max(v));
+            if u != v && !self.successors(u).any(|(t, _)| t == v) {
+                self.late.edges.push((u as u32, v as u32));
+                counter!("hb_reach_delta_edges_total").inc();
             }
         }
-    }
-
-    /// Adds the loop-sync edge `u → v` to a built analysis. `v` is no
-    /// longer the newest record, so what it gains is pushed forward through
-    /// the successors whose ancestor summaries actually grow; a summary
-    /// that already covers the delta stops the walk, and — the index being
-    /// transitively closed over the current edges — nothing beyond it can
-    /// change either.
-    fn add_edge_incremental(&mut self, u: usize, v: usize) {
-        if !self.edges.add(u, v, EdgeRule::LoopSync) {
-            return;
-        }
-        counter!("hb_reach_delta_edges_total").inc();
-        if !self.reach.join_from(u, v, &self.at) {
-            return;
-        }
-        let mut work = vec![v];
-        while let Some(w) = work.pop() {
-            for (t, _) in self.edges.out(w) {
-                if self.reach.join_from(w, t, &self.at) {
-                    work.push(t);
-                }
-            }
+        if self.late.edges.len() > added {
+            self.late.leads = self.late.closure(self.le());
         }
     }
 }

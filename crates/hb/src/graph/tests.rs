@@ -389,19 +389,43 @@ fn explain_returns_a_rule_chain() {
     assert!(a.explain(3, 0).is_none());
 }
 
+/// Added edges compose with the index and with each other, under both
+/// engines: `0 ⇒ 1` then `2 ⇒ 4` order 0 before 5 only through both, and
+/// the index itself is left as built.
 #[test]
 fn add_edges_and_rebuild_orders_previously_concurrent_records() {
-    let t0 = task(0, 0);
-    let t1 = task(0, 1);
-    let mut a = build(vec![
+    let (t0, t1, t2) = (task(0, 0), task(0, 1), task(0, 2));
+    let trace = traced(vec![
         mem(0, t0, ExecCtx::Regular, "x", true),
         mem(1, t1, ExecCtx::Regular, "x", false),
         mem(2, t1, ExecCtx::Regular, "y", true),
+        mem(3, t0, ExecCtx::Regular, "a", true),
+        mem(4, t2, ExecCtx::Regular, "y", false),
+        mem(5, t2, ExecCtx::Regular, "a", false),
     ]);
-    assert!(a.concurrent(0, 1));
-    a.add_edges_and_rebuild(&[(0, 1)]);
-    assert!(a.happens_before(0, 1));
-    assert!(a.happens_before(0, 2)); // transitively via t1's program order
+    for mode in [ReachabilityMode::Matrix, ReachabilityMode::Clocks] {
+        let cfg = HbConfig {
+            reachability: mode,
+            ..HbConfig::default()
+        };
+        let mut a = HbAnalysis::build(trace.clone(), &cfg).unwrap();
+        let bytes = a.reach_bytes();
+        assert!(a.concurrent(0, 1) && a.concurrent(2, 4), "{mode}");
+        a.add_edges(&[(0, 1)]);
+        assert!(a.happens_before(0, 1), "{mode}");
+        assert!(a.happens_before(0, 2), "{mode}: via t1's program order");
+        assert!(a.concurrent(0, 5), "{mode}");
+        // chains off the first: 0 ⇒ 1 → 2 ⇒ 4 → 5
+        a.add_edges(&[(4, 2), (2, 4)]);
+        assert_eq!(a.edge_count(), 3 + 2, "{mode}: a duplicate is linked once");
+        assert!(a.happens_before(0, 5), "{mode}: through both added edges");
+        assert!(a.happens_before(1, 4) && !a.happens_before(5, 0), "{mode}");
+        assert!(a.concurrent(3, 5) && a.concurrent(3, 1), "{mode}");
+        assert_eq!(a.reach_bytes(), bytes, "{mode}: the index is as built");
+        let rules: Vec<EdgeRule> = a.explain(0, 5).unwrap().iter().map(|&(_, r)| r).collect();
+        use EdgeRule::{LoopSync, Program};
+        assert_eq!(rules, [LoopSync, Program, LoopSync, Program], "{mode}");
+    }
 }
 
 #[test]
@@ -432,11 +456,11 @@ fn memory_budget_is_enforced() {
         }
     }
     // the budget is checked against what the index holds, not an
-    // estimate of it: 100 records on one chain are one 1-slot row of 20 B
-    // (row id, start, user count, clock) and 99 row ids sharing it, 416 B
+    // estimate of it: 100 records on one chain are one 1-slot row of 16 B
+    // (row id, start, clock) and 99 row ids sharing it, 412 B
     for mode in [ReachabilityMode::Auto, ReachabilityMode::Clocks] {
-        assert_eq!(build(mode, 416), Ok(416), "{mode}");
-        let (needed, budget) = (416, 415);
+        assert_eq!(build(mode, 412), Ok(412), "{mode}");
+        let (needed, budget) = (412, 411);
         assert_eq!(
             build(mode, budget),
             Err(HbError::OutOfMemory { needed, budget }),
@@ -474,36 +498,33 @@ fn auto_mode_picks_the_smaller_index() {
         let a = build(trace, ReachabilityMode::Auto, 1 << 20).unwrap();
         (a.reachability(), a.reach_bytes())
     };
-    // a row is 16 B of row id, start and user count plus 4 B a slot; a
-    // record sharing the row of the tail it extends is a 4 B row id.
+    // a row is 12 B of row id and start plus 4 B a slot; a record sharing
+    // the row of the tail it extends is a 4 B row id.
     // n=16 over 2 tasks: the rows are ragged, a 1-slot row for the first
-    // record and a 2-slot one for the second, 20 + 24 + 14 × 4 = 100 bytes
+    // record and a 2-slot one for the second, 16 + 20 + 14 × 4 = 92 bytes
     // against a matrix of 16 × 1 × 8 = 128
-    assert_eq!(auto(&round_robin(16, 2)), (ReachabilityMode::Clocks, 100));
-    // one row and three shares are 32 bytes, and so is a 4 × 4 matrix: the
+    assert_eq!(auto(&round_robin(16, 2)), (ReachabilityMode::Clocks, 92));
+    // one row and two shares are 24 bytes, and so is a 3 × 3 matrix: the
     // matrix on a tie
-    assert_eq!(
-        auto(&trace_of(&[0, 0, 0, 0])),
-        (ReachabilityMode::Matrix, 32)
-    );
+    assert_eq!(auto(&trace_of(&[0, 0, 0])), (ReachabilityMode::Matrix, 24));
     // wide: 256 records over 64 concurrent tasks. The rows pass the 8 192 B
     // matrix before every task has been seen once and are dropped there (in
     // debug, `build` asserts what it holds at every push); kept to the end
-    // they are 64 rows of 1 to 64 slots, 9 344 B, and 192 shares
+    // they are 64 rows of 1 to 64 slots, 9 088 B, and 192 shares
     let wide = round_robin(256, 64);
     assert_eq!(auto(&wide), (ReachabilityMode::Matrix, 8192));
     let kept = build(&wide, ReachabilityMode::Clocks, 1 << 20).unwrap();
-    assert_eq!(kept.reach_bytes(), 10_112, "larger than the matrix");
+    assert_eq!(kept.reach_bytes(), 9_856, "larger than the matrix");
     // n=100 in 1 chain: matrix 100 × 2 × 8 = 1600 bytes, clocks one row and
-    // 99 shares, 20 + 99 × 4 = 416
+    // 99 shares, 16 + 99 × 4 = 412
     let long = round_robin(100, 1);
-    assert_eq!(auto(&long), (ReachabilityMode::Clocks, 416));
+    assert_eq!(auto(&long), (ReachabilityMode::Clocks, 412));
     // the smaller index not fitting is out-of-memory, not an engine switch
     assert_eq!(
-        build(&long, ReachabilityMode::Auto, 415).err(),
+        build(&long, ReachabilityMode::Auto, 411).err(),
         Some(HbError::OutOfMemory {
-            needed: 416,
-            budget: 415
+            needed: 412,
+            budget: 411
         })
     );
     let forced = build(&long, ReachabilityMode::Matrix, 1 << 20).unwrap();

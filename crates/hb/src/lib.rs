@@ -18,8 +18,8 @@
 //!
 //! (`Mpull`, the pull-based custom synchronization rule, needs program
 //! analysis plus a focused second run and lives in `dcatch-detect`; it
-//! feeds extra edges back into this graph via
-//! [`HbAnalysis::add_edges_and_rebuild`].)
+//! feeds extra edges back into this graph via [`HbAnalysis::add_edges`],
+//! which keeps them beside the index rather than folding them in.)
 //!
 //! Every HB edge points from a smaller to a larger sequence number, so
 //! the model is one forward pass: when a record arrives all of its edge

@@ -73,7 +73,7 @@ pub struct FrontierOptions {
     /// second pass disables this and replays the first pass's edges via
     /// [`FrontierEngine::inject_eserial`] instead, mirroring the batch
     /// pipeline (which never re-derives `Eserial` after
-    /// `add_edges_and_rebuild`).
+    /// [`HbAnalysis::add_edges`](crate::HbAnalysis::add_edges)).
     pub eserial: bool,
     /// Allow [`lower_bound`](FrontierEngine::lower_bound) to prove window
     /// closures. Must be `false` when the fault plan contains node crashes

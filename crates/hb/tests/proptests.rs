@@ -373,9 +373,8 @@ fn program_order_runs(trace: &TraceSet) -> Vec<(usize, usize)> {
 /// The chain-decomposition clock engine answers every `happens_before`
 /// and `concurrent` query exactly like the bit matrix, on arbitrary
 /// well-formed traces with long program-order runs — including after
-/// incremental growth via `add_edges_and_rebuild` (the public path onto
-/// `add_edge_incremental`): edges into the head, the middle and the end
-/// of each run, where a row the run shares is copied before it grows,
+/// loop-sync edges go in through `add_edges`: edges into the head, the
+/// middle and the end of each run, whose records share one clock row,
 /// then interleaved random ones. This is the equivalence property the
 /// `auto` engine selection rests on.
 #[test]
@@ -416,13 +415,13 @@ fn chain_clocks_agree_with_bit_matrix() {
             }
         };
         check(&matrix, &clocks, "after build");
-        // grow both graphs identically through the public incremental path,
-        // one edge into each part of each run from a record before it
+        // grow both graphs identically, one edge into each part of each run
+        // from a record before it
         for &(head, end) in runs.iter().filter(|&&(head, _)| head > 0) {
             for target in [head, (head + end) / 2, end] {
                 let edge = [(rng.gen_range(head), target)];
-                matrix.add_edges_and_rebuild(&edge);
-                clocks.add_edges_and_rebuild(&edge);
+                matrix.add_edges(&edge);
+                clocks.add_edges(&edge);
                 check(&matrix, &clocks, &format!("after edge {edge:?}"));
             }
         }
@@ -434,19 +433,20 @@ fn chain_clocks_agree_with_bit_matrix() {
                 .map(|_| (rng.gen_range(n), rng.gen_range(n)))
                 .filter(|(u, v)| u != v)
                 .collect();
-            matrix.add_edges_and_rebuild(&extra);
-            clocks.add_edges_and_rebuild(&extra);
+            matrix.add_edges(&extra);
+            clocks.add_edges(&extra);
             check(&matrix, &clocks, &format!("after growth round {round}"));
         }
     }
 }
 
-/// Loop-sync growth keeps the index exact: after random forward edges go
-/// in through `add_edges_and_rebuild`, `happens_before` is still the DFS
-/// closure over `successors` — what a build from scratch over the grown
-/// edge set would answer — under both engines.
+/// Loop-sync edges keep the answers exact and the index as built: after
+/// random forward edges go in through `add_edges`, `happens_before` is
+/// still the DFS closure over `successors` — what a build from scratch
+/// over the grown edge set would answer — and `reach_bytes` has not moved,
+/// under both engines.
 #[test]
-fn incremental_growth_matches_dfs_closure() {
+fn loop_sync_edges_match_dfs_closure() {
     for case in 0..40u64 {
         let mut rng = SmallRng::seed_from_u64(0x1BC4 ^ case);
         let trace = build_trace(&arb_ops(&mut rng, 40));
@@ -470,8 +470,14 @@ fn incremental_growth_matches_dfs_closure() {
                 ..HbConfig::default()
             };
             let mut hb = HbAnalysis::build(trace.clone(), &cfg).unwrap();
+            let bytes = hb.reach_bytes();
             for (round, extra) in rounds.iter().enumerate() {
-                hb.add_edges_and_rebuild(extra);
+                hb.add_edges(extra);
+                assert_eq!(
+                    hb.reach_bytes(),
+                    bytes,
+                    "case {case} round {round} ({mode}): the index moved"
+                );
                 let truth = dfs_closure(&hb);
                 for (a, row) in truth.iter().enumerate() {
                     for (b, &reachable) in row.iter().enumerate() {

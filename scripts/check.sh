@@ -170,9 +170,12 @@ cargo test --offline --release -q -p dcatch-detect --test alloc_budget
 cargo test --offline --release -q -p dcatch --test pipeline a_panic_in_a_streamed_run
 
 echo "== reachability engine equivalence (matrix vs chain clocks) =="
-# also part of the suite above; named here so a failure is unmistakable.
-# DCATCH_SOAK=1 widens it from 48 to 192 random DAGs.
-cargo test --offline -q -p dcatch-hb --test proptests chain_clocks_agree_with_bit_matrix
+# also part of the suite above; named here so a failure is unmistakable,
+# and run in debug, where the loop-sync overlay asserts its edges point
+# forward and its closure only leads to later edges.
+# DCATCH_SOAK=1 widens the first from 48 to 192 random DAGs.
+cargo test --offline -q -p dcatch-hb --test proptests -- \
+    chain_clocks_agree_with_bit_matrix loop_sync_edges_match_dfs_closure
 
 dcbench
 
