@@ -265,9 +265,10 @@ impl ScenarioSpec {
 
     /// Single-step shrink candidates, in a fixed exploration order:
     /// drop a planted bug (last first), drop a noise pattern, empty the
-    /// fault plan, shed a client / a round / churn, narrow the fan-out,
-    /// drop the highest bug-free worker. Each candidate is strictly
-    /// smaller than `self` per [`ScenarioSpec::size`].
+    /// fault plan, drop one line of a plan of several (first first), shed
+    /// a client / a round / churn, narrow the fan-out, drop the highest
+    /// bug-free worker. Each candidate is strictly smaller than `self` per
+    /// [`ScenarioSpec::size`].
     pub fn shrink_steps(&self) -> Vec<ScenarioSpec> {
         let mut out = Vec::new();
         for i in (0..self.bugs.len()).rev() {
@@ -290,10 +291,27 @@ impl ScenarioSpec {
             s.serial_noise = false;
             out.push(s);
         }
-        if self.fault_plan.lines().any(|l| !l.trim().is_empty()) {
+        let fault_lines: Vec<&str> = self
+            .fault_plan
+            .lines()
+            .filter(|l| !l.trim().is_empty())
+            .collect();
+        if !fault_lines.is_empty() {
             let mut s = self.clone();
             s.fault_plan = String::new();
             out.push(s);
+        }
+        if fault_lines.len() > 1 {
+            for i in 0..fault_lines.len() {
+                let mut s = self.clone();
+                s.fault_plan = fault_lines
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
+                    .map(|(_, l)| format!("{l}\n"))
+                    .collect();
+                out.push(s);
+            }
         }
         if self.clients > 1 {
             let mut s = self.clone();
@@ -1029,12 +1047,15 @@ mod tests {
 
     #[test]
     fn shrink_steps_strictly_shrink() {
+        let mut multi_line = 0;
         for seed in 0..40u64 {
             let spec = ScenarioSpec::from_params(&SynthParams {
                 seed,
                 bugs: Some(2),
                 ..SynthParams::default()
             });
+            let lines = |s: &ScenarioSpec| s.fault_plan.lines().filter(|l| !l.is_empty()).count();
+            let mut plan_steps = 0;
             for (i, s) in spec.shrink_steps().iter().enumerate() {
                 assert!(
                     s.size() < spec.size(),
@@ -1045,8 +1066,40 @@ mod tests {
                 assert!(s.fan_out >= 1 && s.fan_out <= s.workers);
                 assert!(s.workers >= 2 && s.clients >= 1 && s.rounds >= 1);
                 assert!(s.bugs.iter().all(|b| b.host <= s.workers));
+                FaultPlan::parse(&s.fault_plan)
+                    .unwrap_or_else(|e| panic!("seed {seed} step {i}: {e}"));
+                if s.fault_plan != spec.fault_plan {
+                    // emptied, or one line dropped from several
+                    assert!(lines(s) == 0 || lines(s) + 1 == lines(&spec));
+                    plan_steps += 1;
+                }
             }
+            let n = lines(&spec);
+            assert_eq!(plan_steps, if n > 1 { n + 1 } else { n }, "seed {seed}");
+            multi_line += usize::from(n > 1);
         }
+        assert!(multi_line > 0, "no seed planned several faults");
+    }
+
+    /// A plan of two lines shrinks to nothing or to either line alone, so
+    /// a discrepancy that one line causes keeps that line and sheds the
+    /// other (`SYNTH-GOSSIP-s339`'s throw comes from its delay line).
+    #[test]
+    fn a_two_line_plan_offers_both_one_line_plans() {
+        let spec = ScenarioSpec::from_params(&SynthParams {
+            seed: 339,
+            protocol: Some(Protocol::Gossip),
+            ..SynthParams::default()
+        });
+        let (delay, timeout) = ("delay any steps=5 nth=3\n", "timeout after=4000\n");
+        assert_eq!(spec.fault_plan, format!("{delay}{timeout}"));
+        let plans: Vec<String> = spec
+            .shrink_steps()
+            .into_iter()
+            .map(|s| s.fault_plan)
+            .filter(|p| *p != spec.fault_plan)
+            .collect();
+        assert_eq!(plans, ["", timeout, delay]);
     }
 
     #[test]

@@ -412,7 +412,7 @@ fn entry_exit_code(entry: &Json, triggering: bool) -> u8 {
     }
 }
 
-/// Human-mode per-stage profile block (`detect … --profile`).
+/// Human-mode per-stage profile block (`detect … --profile`); base reads 0.
 fn print_profile(r: &dcatch::BenchmarkReport) {
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1000.0;
     let t = &r.timings;

@@ -115,11 +115,13 @@ pub struct PipelineOptions {
     /// both parties were held). Output is byte-identical for any value.
     /// Default 1.
     pub trigger_jobs: usize,
-    /// Measure the un-traced base run (Table 6's "Base" column).
+    /// Measure an un-traced base run (Table 6's "Base" column). Off by
+    /// default: detection never reads it, and only `tables 6` sets it.
     pub measure_base: bool,
     /// Fault plan injected into every simulated run of the pipeline
-    /// (base, traced, focused, triggering). Empty by default — an empty
-    /// plan is a strict no-op and leaves traces byte-identical.
+    /// (traced, focused, triggering; base when measured). Empty by
+    /// default — an empty plan is a strict no-op and leaves traces
+    /// byte-identical.
     pub faults: FaultPlan,
     /// When set, `faults` applies only to the benchmark with this id;
     /// other benchmarks in a `detect all` batch run fault-free.
@@ -164,7 +166,7 @@ impl Default for PipelineOptions {
             loop_sync: true,
             triggering: true,
             trigger_jobs: 1,
-            measure_base: true,
+            measure_base: false,
             faults: FaultPlan::default(),
             fault_target: None,
             timeout: None,
@@ -186,7 +188,6 @@ impl PipelineOptions {
     pub fn fast() -> PipelineOptions {
         PipelineOptions {
             triggering: false,
-            measure_base: false,
             ..PipelineOptions::default()
         }
     }
@@ -197,7 +198,6 @@ impl PipelineOptions {
             static_pruning: false,
             loop_sync: false,
             triggering: false,
-            measure_base: false,
             ..PipelineOptions::default()
         }
     }
@@ -351,9 +351,9 @@ impl Pipeline {
         run_bounded(&name, timeout, move || Pipeline::run(&bench, &opts)).and_then(|r| r)
     }
 
-    /// The one stage driver: base run → trace analysis → prune → loop-sync
-    /// → re-prune → triggering. Trace analysis has two arms (see
-    /// [`Analysis`]); everything else is written once.
+    /// The one stage driver: (base run, if measured →) trace analysis →
+    /// prune → loop-sync → re-prune → triggering. Trace analysis has two
+    /// arms (see [`Analysis`]); everything else is written once.
     fn run_stages(
         bench: &Benchmark,
         opts: &PipelineOptions,

@@ -150,8 +150,10 @@ cargo test --offline --release -q -p dcatch --test trigger_farm --test triggerin
 cargo test --offline --release -q -p dcatch --test loopsync_oracle
 
 echo "== answer corpus, release build =="
-# debug-only assertions compile out here; the answers must not move
+# debug-only assertions compile out here; the answers must not move, and
+# the untraced base run `tables 6` asks for must change no detection
 cargo test --offline --release -q -p dcatch --test answers --test tables
+cargo test --offline --release -q -p dcatch --test pipeline the_base_run_only_observes
 
 echo "== clock engines and their oracles, release build =="
 # likewise: in debug every record a `FrontierEngine` places asserts that its

@@ -242,6 +242,60 @@ fn loop_sync_counts_the_input_pairs_it_prunes() {
     assert!(pruned > 0, "loop-sync pruned nothing");
 }
 
+/// The untraced base run only measures: off by default, and with it on
+/// (as `tables 6` asks) every benchmark reports the same candidates,
+/// verdicts, failures and TA/SP/LP, fault-free and under its family's
+/// first fault plan. Without it the run boots one simulation fewer and
+/// opens no `pipeline.base` span.
+#[test]
+fn the_base_run_only_observes() {
+    fn observed(r: &dcatch::BenchmarkReport) -> impl PartialEq + std::fmt::Debug + '_ {
+        let reports: Vec<_> = r
+            .reports
+            .iter()
+            .map(|b| (&b.candidate, b.verdict, &b.failures))
+            .collect();
+        let funnel = (r.ta_static, r.ta_stacks, r.sp_static, r.sp_stacks);
+        let lp = (r.lp_static, r.lp_stacks);
+        (funnel, lp, r.verdicts, r.detected_known_bug, reports)
+    }
+    assert!(!PipelineOptions::full().measure_base);
+    let (mut compared, mut faulted) = (0, 0);
+    for bench in dcatch::all_benchmarks() {
+        let plan = dcatch::fault_scenarios(&bench).swap_remove(0).plan;
+        for faults in [dcatch::FaultPlan::default(), plan] {
+            let off = PipelineOptions {
+                faults,
+                ..PipelineOptions::full()
+            };
+            let on = PipelineOptions {
+                measure_base: true,
+                ..off.clone()
+            };
+            let label = format!("{} faults={}", bench.id, !off.faults.is_empty());
+            let (without, with) = match (Pipeline::run(&bench, &off), Pipeline::run(&bench, &on)) {
+                (Ok(a), Ok(b)) => (a, b),
+                (Err(a), Err(b)) => {
+                    assert_eq!(a.to_string(), b.to_string(), "{label}");
+                    continue;
+                }
+                (a, b) => panic!("{label}: {:?} vs {:?}", a.err(), b.err()),
+            };
+            assert_eq!(observed(&without), observed(&with), "{label}");
+            let runs = |r: &dcatch::BenchmarkReport| r.metrics.counter("sim_runs_total");
+            assert_eq!(runs(&without) + 1, runs(&with), "{label}");
+            assert!(without.spans.find("pipeline.base").is_none(), "{label}");
+            assert!(with.spans.find("pipeline.base").is_some(), "{label}");
+            compared += 1;
+            faulted += (without.metrics.counter("faults_injected") > 0) as usize;
+        }
+    }
+    assert!(
+        compared >= 7 && faulted > 0,
+        "{compared} runs, {faulted} faulted"
+    );
+}
+
 /// Trace files round-trip through the on-disk line format.
 #[test]
 fn trace_files_roundtrip() {

@@ -9,7 +9,12 @@ use dcatch_obs::json::{self, Json};
 
 fn small_run_doc() -> Json {
     let bench = dcatch::benchmark("ZK-1144").unwrap();
-    let report = Pipeline::run(&bench, &PipelineOptions::full()).unwrap();
+    // with the base run `tables 6` asks for, so every stage has a timing
+    let opts = PipelineOptions {
+        measure_base: true,
+        ..PipelineOptions::full()
+    };
+    let report = Pipeline::run(&bench, &opts).unwrap();
     let doc = report_json::report_doc(vec![report_json::benchmark_json_with(&report, false)]);
     // serialize → parse round trip, both layouts
     let parsed = json::parse(&doc.to_pretty()).unwrap();
